@@ -39,6 +39,8 @@ from __future__ import annotations
 import statistics
 import time
 
+import pytest
+
 from test_e19_columnar import (
     PREFIX_COUNT,
     SCALE_DIMS,
@@ -147,15 +149,28 @@ def completeness_violations(result):
     return violations
 
 
-def test_observability_overhead_is_bounded(record):
-    result = run_overhead_ab()
-
+def assert_surface_identical(result):
     # The acceptance invariant: telemetry never touches the deterministic
     # surface — message/event/round counts match with the subsystem on.
     assert result["enabled_surface"] == result["disabled_surface"], (
         "observability changed the observable surface: "
         f"{result['enabled_surface']} vs {result['disabled_surface']}"
     )
+
+
+def test_observability_leaves_the_surface_identical():
+    """The tier-1 half of part A: exact counts, so one pair is enough."""
+    assert_surface_identical(run_overhead_ab(reps=1))
+
+
+@pytest.mark.slow
+def test_observability_overhead_is_bounded(record):
+    """The timing half of part A.  A 3 % CPU-time ceiling from three pairs
+    does not repeat on a shared host (7 % and 15 % were read on unchanged
+    code), so it is ``slow``: out of tier-1, run by CI's ``bench-trajectory``
+    job, which names this file and passes ``-m "slow or not slow"``."""
+    result = run_overhead_ab()
+    assert_surface_identical(result)
 
     assert result["overhead"] <= MAX_ENABLED_OVERHEAD, (
         f"observability overhead reached {result['overhead']:.1%} "

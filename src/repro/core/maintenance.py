@@ -28,11 +28,17 @@ reachability versions** for incremental query-cache invalidation:
 :meth:`ProvenanceEngine.vid_version` reports a counter that advances exactly
 when the tuple's *downstream provenance subgraph* — its ``prov`` /
 ``ruleExec`` descendants, the set a lineage or derivation traversal visits —
-changes.  Every mutation marks the directly-affected vertex dirty, and the
-dirty set is propagated *upward* along the support index (``child vid ->
-consuming rule execs -> head vids``, hopping partitions through each rule
-execution's recorded head location), so an unrelated delta leaves unrelated
-vertices' versions — and therefore their cached query results — untouched.
+changes.  The versions serve one consumer, the query cache, so they are paid
+for where it reads them, not on every event: a mutation only marks the
+directly-affected vertex as a pending root, and one upward walk over all
+pending roots (:meth:`ProvenanceEngine.flush_reachability`) runs at the end
+of each quiescence window or before a read of the versions.  The walk
+follows the support index (``child vid -> consuming rule execs -> head
+vids``, hopping partitions through each rule execution's recorded head
+location), so an unrelated delta leaves unrelated vertices' versions — and
+their cached query results — untouched.  Walking the *current* index is
+sound because every added or removed ``ruleExec`` edge marks its own head; a
+version counts the windows (or mid-window reads) that changed the subgraph.
 """
 
 from __future__ import annotations
@@ -84,10 +90,10 @@ class NodeProvenanceStore:
     """The partition of the provenance tables stored at one node.
 
     When the store belongs to a :class:`ProvenanceEngine` (*engine* is set),
-    every mutation additionally reports the directly-affected vertex — the
+    every mutation additionally marks the directly-affected vertex — the
     tuple whose derivations changed, or the head tuple of an added/removed
-    rule execution — so the engine can propagate per-VID reachability
-    versions upward; standalone stores skip that bookkeeping entirely.
+    rule execution — as a pending root of the engine's next reachability
+    walk; standalone stores skip that bookkeeping entirely.
     """
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
@@ -105,11 +111,9 @@ class NodeProvenanceStore:
         self.version = 0
         self._bumps_suspended = 0
         self._pending_bump = False
-        #: (home location, vid) pairs whose downstream subgraph changed since
-        #: the last flush; insertion-ordered so propagation is deterministic.
-        self._dirty: Dict[Tuple[object, str], None] = {}
-        # Guards _rule_execs/_uses against the engine's cross-partition
-        # reachability walk; standalone stores get a private lock.
+        # Guards _rule_execs/_uses and the engine's pending-root marks against
+        # its cross-partition reachability walk; standalone stores get a
+        # private lock.
         self._exec_lock = engine._graph_lock if engine is not None else threading.Lock()
         #: Lazily-created interval index over this partition's provenance DAG
         #: (see :mod:`repro.core.interval_index`).  ``None`` until a query
@@ -128,28 +132,17 @@ class NodeProvenanceStore:
             self._engine._note_store_bump()
 
     def _mark_dirty(self, home: object, vid: str) -> None:
-        """Note that *vid*'s provenance subgraph changed; flush when unbatched.
+        """Mark ``(home, vid)`` as a root of the engine's next reachability walk.
 
-        Callers mark dirty (flushing the per-VID bumps) *before* advancing
-        the store version: the cache's clock-guarded sweep treats the global
-        clock as "vid versions can only have changed if this moved", so the
-        vid bumps must never trail the clock bump — a concurrently-running
-        sweep that caught the new clock with old vid versions would record
-        itself as up to date and strand that flush's dead entries forever.
-        The reverse race (new vid versions, old clock) merely causes one
-        extra sweep later.
+        Caller holds ``_exec_lock``, as the walk does: a ``ruleExec`` edge
+        change and its mark share one critical section, so a concurrent walk
+        sees both or neither and never loses a mark.  Callers mark *before*
+        advancing the store version, and every read of a vid version walks
+        the pending roots first, so the cache sweep's "vid versions moved
+        only if the global clock did" holds: new clock seen, bumps seen.
         """
-        self._dirty[(home, vid)] = None
-        if not self._bumps_suspended:
-            self._flush_dirty()
-
-    def _flush_dirty(self) -> None:
-        if not self._dirty:
-            return
-        dirty = list(self._dirty)
-        self._dirty.clear()
         if self._engine is not None:
-            self._engine._bump_reachability(dirty)
+            self._engine._pending_roots.add((home, vid))
 
     @contextmanager
     def batched(self) -> Iterator["NodeProvenanceStore"]:
@@ -157,26 +150,19 @@ class NodeProvenanceStore:
 
         Batch-first execution applies a whole delta batch under this context
         manager, so the provenance store advances its version once per batch
-        instead of once per row — the query cache then sees one invalidation
-        per batch, and version arithmetic stays O(1) per batch.  Per-VID
-        reachability versions coalesce the same way: the dirty vertices of
-        the whole batch propagate in one upward walk, bumping each affected
-        vertex at most once per batch regardless of row count or shard
-        layout.
+        instead of once per row, whatever the row count or shard layout.
+        Per-VID reachability versions are not touched here: the rows only
+        mark pending roots, which the engine walks once per quiescence
+        window (or on the next read of a version).
         """
         self._bumps_suspended += 1
         try:
             yield self
         finally:
             self._bumps_suspended -= 1
-            if self._bumps_suspended == 0:
-                # Dirty flush strictly before the clock bump — see _mark_dirty.
-                self._flush_dirty()
-                if self._pending_bump:
-                    self._pending_bump = False
-                    self.version += 1
-                    if self._engine is not None:
-                        self._engine._note_store_bump()
+            if self._bumps_suspended == 0 and self._pending_bump:
+                self._pending_bump = False
+                self._bump()
 
     def record_tuple(self, fact: Fact) -> str:
         vid = vid_for(fact)
@@ -194,7 +180,8 @@ class NodeProvenanceStore:
         self._prov.setdefault(vid, set()).add(entry)
         if self._interval_index is not None:
             self._interval_index.note_prov_added(vid, rid, rloc)
-        self._mark_dirty(self.node_id, vid)
+        with self._exec_lock:
+            self._mark_dirty(self.node_id, vid)
         self._bump()
         return entry
 
@@ -207,7 +194,8 @@ class NodeProvenanceStore:
         entries.discard(entry)
         if not entries:
             del self._prov[entry.vid]
-        self._mark_dirty(self.node_id, entry.vid)
+        with self._exec_lock:
+            self._mark_dirty(self.node_id, entry.vid)
         self._bump()
 
     def add_rule_exec(self, entry: RuleExecEntry) -> None:
@@ -215,9 +203,9 @@ class NodeProvenanceStore:
             self._rule_execs[entry.rid] = entry
             for child in entry.child_vids:
                 self._uses.setdefault(child, set()).add(entry.rid)
+            self._mark_dirty(entry.head_location, entry.head_vid)
         if self._interval_index is not None:
             self._interval_index.note_exec_added(entry.rid, entry.child_vids)
-        self._mark_dirty(entry.head_location, entry.head_vid)
         self._bump()
 
     def remove_rule_exec(self, rid: str) -> None:
@@ -231,9 +219,9 @@ class NodeProvenanceStore:
                     uses.discard(rid)
                     if not uses:
                         del self._uses[child]
+            self._mark_dirty(entry.head_location, entry.head_vid)
         if self._interval_index is not None:
             self._interval_index.note_exec_removed(rid, entry.child_vids)
-        self._mark_dirty(entry.head_location, entry.head_vid)
         self._bump()
 
     # -- queries ------------------------------------------------------------------
@@ -312,15 +300,17 @@ class ProvenanceEngine:
         # need no locking because each is only ever written by its node's
         # (serialized) events.
         self._registry_lock = threading.Lock()
-        # Guards the cross-partition reachability metadata: the per-VID
-        # version map, the memoized global version counter, and the
-        # _rule_execs/_uses maps while the upward propagation walk reads
-        # them.  Per-node event serialization does not cover this state —
-        # one node's batch bumps *other* nodes' head vertices when it fires
-        # or retracts rules whose heads live elsewhere.
+        # Guards the cross-partition reachability metadata, which per-node
+        # event serialization does not cover: the per-VID version map, the
+        # pending roots, the memoized global version counter, and the
+        # _rule_execs/_uses maps while the upward walk reads them.
         self._graph_lock = threading.Lock()
-        #: vid -> reachability version; bumped (under _graph_lock) whenever
-        #: the vertex's downstream provenance subgraph changes.  Missing
+        #: ``(home location, vid)`` roots marked since the last walk.
+        self._pending_roots: Set[Tuple[object, str]] = set()
+        self._reachability_flushes = 0
+        self._reachability_visited = 0
+        #: vid -> reachability version; bumped (under _graph_lock) by the
+        #: walk that finds the vertex's downstream subgraph changed.  Missing
         #: entries read as 0.  Entries for *dead* vids (no live consumer and
         #: no live rule execution heading them) are pruned by a capped sweep
         #: once the map exceeds ``_vid_version_sweep_threshold``; soundness
@@ -334,11 +324,11 @@ class ProvenanceEngine:
         #: Floor folded in from pruned counters (see above); bumps resume
         #: from max(current, epoch) + 1 so pruned versions are never reused.
         self._rebirth_epoch = 0
-        #: Sweep trigger: map size above which _bump_reachability prunes dead
-        #: vids.  Instance attribute so long-churn tests can lower it.
+        #: Sweep trigger: map size above which a reachability walk prunes
+        #: dead vids.  Instance attribute so long-churn tests can lower it.
         self._vid_version_sweep_threshold = 65536
         #: Raised to 2x the post-sweep size after each sweep so a
-        #: large-but-fully-live map costs amortized O(1) per flush instead
+        #: large-but-fully-live map costs amortized O(1) per walk instead
         #: of one full liveness scan each; the trigger is the max of this
         #: and the threshold, so lowering the threshold (tests) still works.
         self._vid_version_next_sweep = 0
@@ -349,9 +339,9 @@ class ProvenanceEngine:
         #: re-scanning every node's partition.
         self._global_version = 0
 
-    def _count_event(self) -> None:
+    def _count_events(self, count: int) -> None:
         with self._registry_lock:
-            self.events_processed += 1
+            self.events_processed += count
 
     # -- store access -------------------------------------------------------------
 
@@ -371,41 +361,15 @@ class ProvenanceEngine:
             known = list(self._stores)
         return sorted(known, key=repr)
 
-    # -- recorder protocol (called by the execution engine) --------------------------
+    # -- recorder protocol (called by the execution engine; a row = a one-row batch) ---
 
     def record_rule_exec(self, exec_node: object, effect: DerivationEffect) -> ProvenanceTag:
-        """Record one rule firing at *exec_node*; return the tag to ship with the head."""
-        self._count_event()
-        store = self.store(exec_node)
-        child_vids = []
-        for fact in effect.body_facts:
-            child_vids.append(store.record_tuple(fact))
-        head_vid = vid_for(effect.head_fact)
-        rid = rid_for(effect.rule_name, exec_node, child_vids)
-        store.add_rule_exec(
-            RuleExecEntry(
-                rid=rid,
-                rule_name=effect.rule_name,
-                program_name=effect.program_name,
-                child_vids=tuple(child_vids),
-                head_vid=head_vid,
-                head_location=effect.head_location,
-            )
-        )
-        return ProvenanceTag(
-            rule_name=effect.rule_name,
-            program_name=effect.program_name,
-            exec_node=exec_node,
-            rid=rid,
-        )
+        """Record one rule firing (``effect.sign > 0``) at *exec_node*; return its tag."""
+        return self.apply_rule_exec_batch(exec_node, (effect,))[0]
 
     def remove_rule_exec(self, exec_node: object, effect: DerivationEffect) -> None:
-        """Remove the rule-execution entry for a retracted firing."""
-        self._count_event()
-        store = self.store(exec_node)
-        child_vids = [vid_for(fact) for fact in effect.body_facts]
-        rid = rid_for(effect.rule_name, exec_node, child_vids)
-        store.remove_rule_exec(rid)
+        """Remove the rule-execution entry for a retracted firing (``effect.sign < 0``)."""
+        self.apply_rule_exec_batch(exec_node, (effect,))
 
     def record_support(
         self,
@@ -415,25 +379,11 @@ class ProvenanceEngine:
         tag: Optional[ProvenanceTag],
     ) -> None:
         """Record one derivation (prov entry) of *fact* at its home node."""
-        self._count_event()
-        store = self.store(node_id)
-        vid = store.record_tuple(fact)
-        if tag is None or derivation_id == BASE_DERIVATION:
-            entry = store.add_prov(vid, BASE_RID, node_id)
-        else:
-            entry = store.add_prov(vid, tag.rid, tag.exec_node)
-        self._support_index[node_id][(fact, derivation_id)] = entry
+        self.apply_support_batch(node_id, ((+1, fact, derivation_id, tag),))
 
     def remove_support(self, node_id: object, fact: Fact, derivation_id: str) -> None:
         """Remove the prov entry created for (*fact*, *derivation_id*) at *node_id*."""
-        self._count_event()
-        store = self.store(node_id)
-        entry = self._support_index[node_id].pop((fact, derivation_id), None)
-        if entry is None:
-            return
-        store.remove_prov(entry)
-
-    # -- batched recorder protocol (used by the batch-first execution path) -----------
+        self.apply_support_batch(node_id, ((-1, fact, derivation_id, None),))
 
     def apply_support_batch(
         self,
@@ -443,9 +393,10 @@ class ProvenanceEngine:
         """Apply an ordered batch of support changes with one version bump.
 
         Each op is ``(sign, fact, derivation_id, tag)``; ``sign > 0`` records
-        a prov entry exactly like :meth:`record_support`, ``sign < 0`` removes
-        one like :meth:`remove_support` (the tag is ignored).  The whole batch
-        bumps the node's provenance version at most once.
+        a prov entry of *fact* (a ``BASE`` one without a tag or for the base
+        derivation), ``sign < 0`` removes the entry the matching insertion
+        created (the tag is ignored; an absent entry is a no-op).  The whole
+        batch bumps the node's provenance version at most once.
 
         The batch is always the *logical node's* whole delta batch: when the
         node's store is sharded, the per-shard sub-batches are merged back
@@ -456,12 +407,22 @@ class ProvenanceEngine:
         """
         if not ops:
             return
-        with self.store(node_id).batched():
+        store = self.store(node_id)
+        index = self._support_index[node_id]
+        with store.batched():
             for sign, fact, derivation_id, tag in ops:
                 if sign > 0:
-                    self.record_support(node_id, fact, derivation_id, tag)
+                    vid = store.record_tuple(fact)
+                    if tag is None or derivation_id == BASE_DERIVATION:
+                        entry = store.add_prov(vid, BASE_RID, node_id)
+                    else:
+                        entry = store.add_prov(vid, tag.rid, tag.exec_node)
+                    index[(fact, derivation_id)] = entry
                 else:
-                    self.remove_support(node_id, fact, derivation_id)
+                    entry = index.pop((fact, derivation_id), None)
+                    if entry is not None:
+                        store.remove_prov(entry)
+        self._count_events(len(ops))
 
     def apply_rule_exec_batch(
         self, exec_node: object, effects: Sequence[DerivationEffect]
@@ -474,13 +435,28 @@ class ProvenanceEngine:
         if not effects:
             return []
         tags: List[Optional[ProvenanceTag]] = []
-        with self.store(exec_node).batched():
+        store = self.store(exec_node)
+        with store.batched():
             for effect in effects:
                 if effect.sign > 0:
-                    tags.append(self.record_rule_exec(exec_node, effect))
+                    child_vids = tuple([store.record_tuple(fact) for fact in effect.body_facts])
+                    rid = rid_for(effect.rule_name, exec_node, child_vids)
+                    store.add_rule_exec(
+                        RuleExecEntry(
+                            rid=rid,
+                            rule_name=effect.rule_name,
+                            program_name=effect.program_name,
+                            child_vids=child_vids,
+                            head_vid=vid_for(effect.head_fact),
+                            head_location=effect.head_location,
+                        )
+                    )
+                    tags.append(ProvenanceTag(effect.rule_name, effect.program_name, exec_node, rid))
                 else:
-                    self.remove_rule_exec(exec_node, effect)
+                    child_vids = tuple([vid_for(fact) for fact in effect.body_facts])
+                    store.remove_rule_exec(rid_for(effect.rule_name, exec_node, child_vids))
                     tags.append(None)
+        self._count_events(len(effects))
         return tags
 
     # -- per-VID reachability versions ----------------------------------------------------
@@ -490,37 +466,45 @@ class ProvenanceEngine:
         with self._graph_lock:
             self._global_version += 1
 
-    def _bump_reachability(self, dirty: Sequence[Tuple[object, str]]) -> None:
-        """Bump the reachability version of every ancestor of the dirty set.
+    def flush_reachability(self) -> None:
+        """Bump the reachability version of every ancestor of the pending roots.
 
-        *dirty* holds ``(home location, vid)`` pairs of vertices whose own
-        derivations (or deriving rule executions) just changed.  A change to
-        a vertex's subgraph is a change to every ancestor's subgraph too, so
-        the walk follows the support index upward — local consuming rule
-        executions, then their head tuples at the heads' recorded home
-        partitions — bumping each visited vertex exactly once per flush.
-        Cyclic support (possible while a retraction wave is mid-flight) is
-        handled by the visited set.
+        A change to a vertex's subgraph is a change to every ancestor's too,
+        so the walk follows the support index upward from the marked
+        vertices — local consuming rule executions, then their head tuples
+        at the heads' recorded home partitions — bumping each visited vertex
+        exactly once, whatever the order; the visited set handles cyclic
+        support (possible mid-retraction).  With nothing pending this is a
+        truthiness check; the roots are cleared only after the walk, so a
+        concurrent reader waits on the lock, not reads a version too early.
         """
+        roots = self._pending_roots
+        if not roots:
+            return
         with self._graph_lock:
+            versions = self._vid_versions
+            epoch = self._rebirth_epoch
             seen: Set[str] = set()
-            stack = list(dirty)
+            stack = list(roots)  # empty if another thread walked them meanwhile
             while stack:
                 home, vid = stack.pop()
                 if vid in seen:
                     continue
                 seen.add(vid)
-                self._vid_versions[vid] = (
-                    max(self._vid_versions.get(vid, 0), self._rebirth_epoch) + 1
-                )
+                versions[vid] = max(versions.get(vid, 0), epoch) + 1
                 store = self._stores.get(home)
                 if store is None:
                     continue
-                for rid in sorted(store._uses.get(vid, ())):
+                for rid in store._uses.get(vid, ()):
                     entry = store._rule_execs.get(rid)
                     if entry is not None:
                         stack.append((entry.head_location, entry.head_vid))
-            if len(self._vid_versions) > max(
+            if not seen:
+                return
+            roots.clear()
+            self._reachability_flushes += 1
+            self._reachability_visited += len(seen)
+            if len(versions) > max(
                 self._vid_version_sweep_threshold, self._vid_version_next_sweep
             ):
                 self._sweep_vid_versions()
@@ -556,21 +540,33 @@ class ProvenanceEngine:
         changes; deltas elsewhere leave it alone.  The query cache validates
         entries against this, so unrelated churn no longer flushes them.
         """
+        self.flush_reachability()
         return self._vid_versions.get(vid, 0)
 
     def vid_versions(self) -> Dict[str, int]:
         """A snapshot of every non-zero per-VID reachability version."""
+        self.flush_reachability()
         with self._graph_lock:
             return dict(self._vid_versions)
 
     def vid_version_stats(self) -> Dict[str, int]:
-        """Size/pruning statistics of the per-VID version map."""
+        """Statistics of the per-VID version map and of the walk that feeds it.
+
+        ``flushes`` counts reachability walks, ``visited`` the vertices they
+        bumped and ``pending`` the roots this read found waiting (mid-window
+        only) and walked before taking the other figures.
+        """
+        pending = len(self._pending_roots)
+        self.flush_reachability()
         with self._graph_lock:
             return {
                 "entries": len(self._vid_versions),
                 "epoch": self._rebirth_epoch,
                 "sweeps": self._vid_version_sweeps,
                 "pruned": self._vid_versions_pruned,
+                "flushes": self._reachability_flushes,
+                "visited": self._reachability_visited,
+                "pending": pending,
             }
 
     # -- interval-index statistics --------------------------------------------------------

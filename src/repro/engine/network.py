@@ -62,7 +62,6 @@ class Network:
         self._receivers: Dict[object, object] = {}
         self._links: Dict[Tuple[object, object], Link] = {}
         self.stats = TrafficStats()
-        self._delivery_log: List[Tuple[float, Message]] = []
 
     # -- membership -----------------------------------------------------------
 
@@ -123,28 +122,15 @@ class Network:
         latency = link.latency if link is not None and link.up else self._default_latency
         receiver = self._receivers[message.receiver]
 
-        def deliver() -> None:
-            entry = (self.simulator.now, message)
-            # The log is shared across receivers, so under a concurrent
-            # backend the append goes through the deferred merge — keeping
-            # delivery-log order identical to serial execution.
-            buffer = self.simulator.deferred_buffer()
-            if buffer is not None:
-                buffer.append(lambda: self._delivery_log.append(entry))
-            else:
-                self._delivery_log.append(entry)
-            receiver.receive(message)
-
         # Deliveries are serialized per receiving node (the event key): two
         # messages delivered to one node at the same instant keep their order,
         # while deliveries to distinct nodes may be absorbed concurrently.
         self.simulator.schedule(
-            latency, deliver, label=f"deliver:{message.category}", key=message.receiver
+            latency,
+            lambda: receiver.receive(message),
+            label=f"deliver:{message.category}",
+            key=message.receiver,
         )
-
-    def delivery_log(self) -> List[Tuple[float, Message]]:
-        """The (time, message) log of every delivered message, in delivery order."""
-        return list(self._delivery_log)
 
     def reset_stats(self) -> TrafficStats:
         """Reset traffic statistics, returning the statistics collected so far."""

@@ -853,13 +853,22 @@ class NetTrailsRuntime:
             span = obs.tracer.start_span("window")
             previous = obs.tracer.set_current(span.context())
             try:
-                events = self.simulator.run_to_quiescence(max_events=max_events)
+                events = self._drain_window(max_events)
             finally:
                 obs.tracer.set_current(previous)
                 span.finish()
             span.attrs["events"] = events
             return events
-        return self.simulator.run_to_quiescence(max_events=max_events)
+        return self._drain_window(max_events)
+
+    def _drain_window(self, max_events: int) -> int:
+        events = self.simulator.run_to_quiescence(max_events=max_events)
+        # The window's one reachability walk: per-VID versions are current,
+        # and a function of the window history, whenever we are quiescent.
+        flush = getattr(self.provenance, "flush_reachability", None)
+        if flush is not None:
+            flush()
+        return events
 
     @property
     def now(self) -> float:

@@ -150,7 +150,7 @@ class Simulator:
 
         Concurrent backends execute same-instant events of distinct nodes in
         parallel; any side effect that touches shared simulator or network
-        state (queue pushes, traffic accounting, delivery logging) must be
+        state (queue pushes, traffic accounting) must be
         appended to this buffer instead of applied directly, so it can be
         replayed in event-sequence order after the wave — the deterministic
         merge that keeps every backend bit-identical to serial execution.

@@ -63,7 +63,7 @@ class Fact:
     def __reduce__(self):
         # Rebuild through __init__ so the cached hash is recomputed in the
         # receiving process (string hashes are per-process under hash
-        # randomisation) and the pickle carries no instance dict.
+        # randomisation) and the pickle carries no instance dict (repr, VID).
         return (Fact, (self.relation, self.values))
 
     def __repr__(self) -> str:

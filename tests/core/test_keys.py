@@ -1,5 +1,8 @@
 """Tests for content-addressed provenance identifiers."""
 
+import hashlib
+import pickle
+
 from repro.core.keys import BASE_RID, rid_for, vid_for, vid_for_values
 from repro.engine.tuples import Fact
 
@@ -19,6 +22,38 @@ class TestVids:
 
     def test_vid_prefix(self):
         assert vid_for(Fact.make("x", [1])).startswith("vid_")
+
+
+class TestVidMemo:
+    """The VID is hashed once per ``Fact`` instance and kept in its ``__dict__``."""
+
+    @staticmethod
+    def digest(fact):
+        payload = repr((fact.relation, fact.values)).encode("utf-8")
+        return "vid_" + hashlib.sha1(payload).hexdigest()[:16]
+
+    def test_memoised_vid_equals_the_plain_digest(self):
+        fact = Fact.make("path", ["n0", "n2", (1, 2), 2.5])
+        assert "_vid" not in fact.__dict__
+        assert vid_for(fact) == self.digest(fact)
+        assert fact.__dict__["_vid"] == self.digest(fact)
+        assert vid_for(fact) is vid_for(fact)  # served from the memo
+
+    def test_pickle_drops_the_memo_and_recomputes_it(self):
+        fact = Fact.make("link", ["n0", "n1", 1])
+        vid = vid_for(fact)
+        clone = pickle.loads(pickle.dumps(fact))
+        assert "_vid" not in clone.__dict__
+        assert vid_for(clone) == vid
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        hashed, plain = Fact.make("link", ["n0", "n1", 1]), Fact.make("link", ["n0", "n1", 1])
+        plain_repr = repr(plain)
+        vid_for(hashed)
+        assert hashed == plain
+        assert hash(hashed) == hash(plain)
+        assert repr(hashed) == plain_repr
+        assert "_vid" not in repr(hashed)
 
 
 class TestRids:

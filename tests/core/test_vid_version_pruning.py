@@ -12,6 +12,13 @@ These tests force a tiny threshold so the sweep runs constantly under link
 flaps, and assert both the bookkeeping (entries bounded, sweeps counted,
 epoch advanced) and the soundness contract (cached answers stay bit-identical
 to uncached traversals through prune/rebirth cycles).
+
+The reachability walk — and with it the sweep — runs once per quiescence
+window, when everything a plain down/up flap retracted has been re-derived
+and is live again.  So the churn here brings each link back at a *fresh*
+cost: the routes through it are minted under new vids and the old ones are
+still dead when the window ends, which is what gives the sweep something to
+prune; restoring the original costs afterwards is the rebirth.
 """
 
 from __future__ import annotations
@@ -43,15 +50,24 @@ def flap(runtime, source, target, cost=1.0):
     runtime.run_to_quiescence()
 
 
+def fresh_cost_schedule(net, seed, steps):
+    """*steps* seeded ``(source, target, original cost, fresh cost)`` flaps;
+    no fresh cost repeats, so every flap mints new route vids."""
+    rng = random.Random(seed)
+    edges = sorted((a, b, cost) for (a, b), cost in net.edges.items())
+    schedule = []
+    for step in range(steps):
+        source, target, cost = edges[rng.randrange(len(edges))]
+        schedule.append((source, target, cost, cost + 0.125 * (step + 1)))
+    return schedule
+
+
 class TestVidVersionPruning:
     def test_sweep_bounds_the_version_map_under_churn(self):
         net = topology.ring(5)
         runtime = build_runtime(net, threshold=8)
-        rng = random.Random(7)
-        edges = sorted((a, b, cost) for (a, b), cost in net.edges.items())
-        for _ in range(12):
-            source, target, cost = edges[rng.randrange(len(edges))]
-            flap(runtime, source, target, cost)
+        for source, target, _, fresh in fresh_cost_schedule(net, seed=7, steps=12):
+            flap(runtime, source, target, fresh)
 
         stats = runtime.provenance.vid_version_stats()
         assert stats["sweeps"] >= 1, stats
@@ -72,25 +88,32 @@ class TestVidVersionPruning:
         net = topology.ring(5)
         runtime = build_runtime(net, threshold=8)
         engine = DistributedQueryEngine(runtime)
-        target = ["n0", "n2", 2.0]
 
         def answers():
-            cached = engine.lineage("minCost", target, options=CACHED)
-            uncached = engine.lineage("minCost", target, options=UNCACHED)
+            # The n0 -> n2 route, at whatever cost the current links give it.
+            (target,) = [row for row in runtime.state("minCost") if row[:2] == ("n0", "n2")]
+            cached = engine.lineage("minCost", list(target), options=CACHED)
+            uncached = engine.lineage("minCost", list(target), options=UNCACHED)
             assert cached.value == uncached.value
             assert cached.truncated == uncached.truncated
-            return sorted(str(ref) for ref in uncached.value)
+            return target, sorted(str(ref) for ref in uncached.value)
 
         before = answers()
-        rng = random.Random(3)
-        edges = sorted((a, b, cost) for (a, b), cost in net.edges.items())
-        for _ in range(10):
-            source, target_node, cost = edges[rng.randrange(len(edges))]
+        assert before[0] == ("n0", "n2", 2.0)
+        schedule = fresh_cost_schedule(net, seed=3, steps=10)
+        for source, target_node, _, fresh in schedule:
+            flap(runtime, source, target_node, fresh)
+            answers()
+        pruned_by_churn = runtime.provenance.vid_version_stats()["pruned"]
+        # Rebirth: every touched link returns to its original cost, so the
+        # original routes are re-derived under vids the sweep has pruned.
+        for source, target_node, cost in sorted({step[:3] for step in schedule}):
             flap(runtime, source, target_node, cost)
             answers()
 
         stats = runtime.provenance.vid_version_stats()
         assert stats["sweeps"] >= 1, "the schedule never exercised the sweep"
+        assert pruned_by_churn > 0, stats
         assert stats["pruned"] > 0, stats
         # The topology is back to the original ring, so the original answer
         # must be reproduced — through the cache — after every flap cycle.

@@ -25,6 +25,7 @@ from repro.engine.backends import (
     ThreadPoolBackend,
     resolve_backend,
 )
+from repro.engine.node import Node
 from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.simulator import Simulator
 from repro.errors import EngineError
@@ -246,20 +247,35 @@ class TestBackendEdgeCases:
         assert run(backend) == run("serial")
 
     @pytest.mark.parametrize("backend", CONCURRENT_BACKENDS)
-    def test_delivery_log_order_matches_serial(self, backend):
-        """The network delivery log is shared across receivers, so its
-        interleaving must flow through the deferred merge: same order as
-        serial, run after run, even though deliveries execute concurrently."""
+    def test_delivery_log_order_matches_serial(self, backend, monkeypatch):
+        """A delivery log shared across receivers (kept here, by wrapping
+        ``Node.receive``) must flow through the deferred merge like any
+        shared side effect: same order as serial, run after run, even
+        though deliveries execute concurrently."""
 
         def log_of(spec):
-            with NetTrailsRuntime(
+            log = []
+            with monkeypatch.context() as patch, NetTrailsRuntime(
                 mincost.program(), topology.star(8), backend=spec, backend_workers=4
             ) as runtime:
+                simulator = runtime.simulator
+                receive = Node.receive
+
+                def logged_receive(node, message):
+                    entry = (simulator.now, message)
+                    buffer = simulator.deferred_buffer()
+                    if buffer is not None:
+                        buffer.append(lambda: log.append(entry))
+                    else:
+                        log.append(entry)
+                    receive(node, message)
+
+                patch.setattr(Node, "receive", logged_receive)
                 runtime.seed_links(run=True)
-                return [
-                    (round(when, 6), message.sender, message.receiver, str(message.payload))
-                    for when, message in runtime.network.delivery_log()
-                ]
+            return [
+                (round(when, 6), message.sender, message.receiver, str(message.payload))
+                for when, message in log
+            ]
 
         expected = log_of("serial")
         assert expected, "workload produced no deliveries"

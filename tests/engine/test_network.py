@@ -51,14 +51,24 @@ class TestDelivery:
             net.send(Message(sender="a", receiver="ghost", category=CATEGORY_TUPLE, payload=1))
 
     def test_delivery_log_records_time_and_message(self, network):
+        """The network keeps no delivery log of its own; a receiver that
+        wants one records ``(simulator.now, message)`` as it is handed each."""
         simulator, net = network
-        net.register("a", Recorder())
-        net.register("b", Recorder())
-        net.send(Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload="x"))
+        log = []
+
+        class TimedRecorder:
+            def receive(self, message):
+                log.append((simulator.now, message))
+
+        net.register("a", TimedRecorder())
+        net.register("b", TimedRecorder())
+        sent = Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload="x")
+        net.send(sent)
         simulator.run()
-        log = net.delivery_log()
         assert len(log) == 1
         assert log[0][0] == pytest.approx(0.5)
+        assert log[0][1] is sent
+        assert not hasattr(net, "delivery_log")
 
 
 class TestTopologyManagement:
