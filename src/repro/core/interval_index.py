@@ -16,7 +16,7 @@ per child.
 Vertices are keyed ``("t", vid)`` for tuples and ``("x", rid)`` for rule
 executions.  Edges mirror the store's set semantics exactly:
 
-* ``t:vid -> x:rid`` iff a *local*, non-BASE ``ProvEntry`` for ``vid``
+* ``t:vid -> x:rid`` iff a *local*, non-BASE ``prov`` row of ``vid``
   names ``rid`` (remote entries are the query-time frontier, not edges);
 * ``x:rid -> t:child`` for every child VID of a registered rule
   execution (children are always partition-local — rule bodies are
@@ -236,19 +236,20 @@ class PartitionIntervalIndex:
         self._builds += 1
         self._reset_structures()
         store = self._store
+        node_id = store.node_id
         for vid in sorted(store._prov, key=repr):
             key = ("t", vid)
             self._parent.setdefault(key, None)
-            for entry in store.prov_entries(vid):
-                if entry.rid != BASE_RID and entry.rloc == store.node_id:
-                    xkey = ("x", entry.rid)
+            for rid, rloc in store._prov[vid]:
+                if rid != BASE_RID and rloc == node_id:
+                    xkey = ("x", rid)
                     self._parent.setdefault(xkey, None)
                     self._succ.setdefault(key, set()).add(xkey)
                     self._pred.setdefault(xkey, set()).add(key)
         for rid in sorted(store._rule_execs, key=repr):
             xkey = ("x", rid)
             self._parent.setdefault(xkey, None)
-            for child in store._rule_execs[rid].child_vids:
+            for child in store._rule_execs[rid][3]:
                 ckey = ("t", child)
                 self._parent.setdefault(ckey, None)
                 self._succ.setdefault(xkey, set()).add(ckey)

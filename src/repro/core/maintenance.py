@@ -39,14 +39,23 @@ location), so an unrelated delta leaves unrelated vertices' versions — and
 their cached query results — untouched.  Walking the *current* index is
 sound because every added or removed ``ruleExec`` edge marks its own head; a
 version counts the windows (or mid-window reads) that changed the subgraph.
+
+Stored rows are plain tuples of strings and node ids, never objects: a
+``prov`` row is ``(rid, rloc)`` under its vid and a ``ruleExec`` row is
+``(rid, rule_name, program_name, child_vids, head_vid, head_location)``.
+An exact tuple whose members are all atoms is untracked by CPython's cyclic
+garbage collector, so the tables (hundreds of thousands of rows at scale)
+add nothing to the heap a full collection has to scan.  For the same reason
+the one-member common case of the consumer index is a bare rid string that
+becomes a ``set`` only at the second consumer, and a string again when it
+drops back to one.  ``tests/core/test_gc_footprint.py`` pins both.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ProvenanceError, UnknownVertexError
 from repro.engine.compiler import CompiledProgram
@@ -59,31 +68,18 @@ from repro.core.interval_index import PartitionIntervalIndex
 from repro.core.keys import BASE_RID, rid_for, vid_for
 
 
-@dataclass(frozen=True)
-class ProvEntry:
-    """One row of the ``prov`` table (the ``@Loc`` column is the store's node)."""
+#: A stored ``prov`` row of one tuple: ``(rid, rloc)`` (the tuple's vid is
+#: the key it is stored under, ``@Loc`` the store's node).
+ProvRow = Tuple[str, object]
 
-    vid: str
-    rid: str
-    rloc: object
-
-    def as_row(self, location: object) -> Tuple[object, ...]:
-        return (location, self.vid, self.rid, self.rloc)
+#: A stored ``ruleExec`` row: ``(rid, rule_name, program_name, child_vids,
+#: head_vid, head_location)`` (``@RLoc`` is the store's node).
+RuleExecRow = Tuple[str, str, str, Tuple[str, ...], str, object]
 
 
-@dataclass(frozen=True)
-class RuleExecEntry:
-    """One row of the ``ruleExec`` table (the ``@RLoc`` column is the store's node)."""
-
-    rid: str
-    rule_name: str
-    program_name: str
-    child_vids: Tuple[str, ...]
-    head_vid: str
-    head_location: object
-
-    def as_row(self, location: object) -> Tuple[object, ...]:
-        return (location, self.rid, self.rule_name, self.program_name, self.child_vids)
+def _prov_order(row: ProvRow) -> Tuple[str, str]:
+    """The order :meth:`NodeProvenanceStore.prov_entries` reports rows in."""
+    return (row[0], repr(row[1]))
 
 
 class NodeProvenanceStore:
@@ -99,14 +95,16 @@ class NodeProvenanceStore:
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
         self.node_id = node_id
         self._engine = engine
-        #: vid -> set of ProvEntry (derivations of the tuple stored here)
-        self._prov: Dict[str, Set[ProvEntry]] = {}
-        #: rid -> RuleExecEntry for rules that fired here
-        self._rule_execs: Dict[str, RuleExecEntry] = {}
+        #: vid -> the tuple's prov rows, in :func:`_prov_order` (derivations
+        #: of the tuple stored here)
+        self._prov: Dict[str, Tuple[ProvRow, ...]] = {}
+        #: rid -> ruleExec row for rules that fired here
+        self._rule_execs: Dict[str, RuleExecRow] = {}
         #: vid -> tuple descriptor for tuples this node has seen locally
         self._tuple_info: Dict[str, Tuple[str, Tuple[object, ...]]] = {}
-        #: child vid -> set of rids (local rule execs that consumed it)
-        self._uses: Dict[str, Set[str]] = {}
+        #: child vid -> the rid of the one local rule exec that consumed it,
+        #: or the set of rids once there are two or more
+        self._uses: Dict[str, Union[str, Set[str]]] = {}
         #: bumped on every mutation; used by the query cache for invalidation
         self.version = 0
         self._bumps_suspended = 0
@@ -166,7 +164,8 @@ class NodeProvenanceStore:
 
     def record_tuple(self, fact: Fact) -> str:
         vid = vid_for(fact)
-        self._tuple_info[vid] = (fact.relation, fact.values)
+        if vid not in self._tuple_info:
+            self._tuple_info[vid] = (fact.relation, fact.values)
         return vid
 
     def interval_index(self) -> PartitionIntervalIndex:
@@ -175,66 +174,103 @@ class NodeProvenanceStore:
             self._interval_index = PartitionIntervalIndex(self)
         return self._interval_index
 
-    def add_prov(self, vid: str, rid: str, rloc: object) -> ProvEntry:
-        entry = ProvEntry(vid=vid, rid=rid, rloc=rloc)
-        self._prov.setdefault(vid, set()).add(entry)
+    def add_prov(self, vid: str, rid: str, rloc: object) -> ProvRow:
+        """Record the prov row ``(vid, rid, rloc)`` (idempotent); return the stored row."""
+        row = (rid, rloc)
+        rows = self._prov.get(vid)
+        if rows is None:
+            self._prov[vid] = (row,)
+        elif row not in rows:
+            self._prov[vid] = tuple(sorted(rows + (row,), key=_prov_order))
         if self._interval_index is not None:
             self._interval_index.note_prov_added(vid, rid, rloc)
         with self._exec_lock:
             self._mark_dirty(self.node_id, vid)
         self._bump()
-        return entry
+        return row
 
-    def remove_prov(self, entry: ProvEntry) -> None:
-        entries = self._prov.get(entry.vid)
-        if entries is None:
+    def remove_prov(self, vid: str, rid: str, rloc: object) -> None:
+        """Remove the prov row ``(vid, rid, rloc)``; an absent row is a no-op."""
+        rows = self._prov.get(vid)
+        if rows is None:
             return
-        if self._interval_index is not None and entry in entries:
-            self._interval_index.note_prov_removed(entry.vid, entry.rid, entry.rloc)
-        entries.discard(entry)
-        if not entries:
-            del self._prov[entry.vid]
+        row = (rid, rloc)
+        if row in rows:
+            if self._interval_index is not None:
+                self._interval_index.note_prov_removed(vid, rid, rloc)
+            if len(rows) == 1:
+                del self._prov[vid]
+            else:
+                self._prov[vid] = tuple([kept for kept in rows if kept != row])
         with self._exec_lock:
-            self._mark_dirty(self.node_id, entry.vid)
+            self._mark_dirty(self.node_id, vid)
         self._bump()
 
-    def add_rule_exec(self, entry: RuleExecEntry) -> None:
+    def add_rule_exec(
+        self,
+        rid: str,
+        rule_name: str,
+        program_name: str,
+        child_vids: Tuple[str, ...],
+        head_vid: str,
+        head_location: object,
+    ) -> None:
+        """Record the ``ruleExec`` row of one firing at this node."""
+        uses = self._uses
         with self._exec_lock:
-            self._rule_execs[entry.rid] = entry
-            for child in entry.child_vids:
-                self._uses.setdefault(child, set()).add(entry.rid)
-            self._mark_dirty(entry.head_location, entry.head_vid)
+            self._rule_execs[rid] = (rid, rule_name, program_name, child_vids, head_vid, head_location)
+            for child in child_vids:
+                consumers = uses.get(child)
+                if consumers is None:
+                    uses[child] = rid
+                elif type(consumers) is str:
+                    if consumers != rid:
+                        uses[child] = {consumers, rid}
+                else:
+                    consumers.add(rid)
+            self._mark_dirty(head_location, head_vid)
         if self._interval_index is not None:
-            self._interval_index.note_exec_added(entry.rid, entry.child_vids)
+            self._interval_index.note_exec_added(rid, child_vids)
         self._bump()
 
     def remove_rule_exec(self, rid: str) -> None:
+        uses = self._uses
         with self._exec_lock:
-            entry = self._rule_execs.pop(rid, None)
-            if entry is None:
+            row = self._rule_execs.pop(rid, None)
+            if row is None:
                 return
-            for child in entry.child_vids:
-                uses = self._uses.get(child)
-                if uses is not None:
-                    uses.discard(rid)
-                    if not uses:
-                        del self._uses[child]
-            self._mark_dirty(entry.head_location, entry.head_vid)
+            _, _, _, child_vids, head_vid, head_location = row
+            for child in child_vids:
+                consumers = uses.get(child)
+                if consumers is None:
+                    continue
+                if type(consumers) is str:
+                    if consumers == rid:
+                        del uses[child]
+                    continue
+                consumers.discard(rid)
+                if len(consumers) == 1:
+                    (uses[child],) = consumers
+            self._mark_dirty(head_location, head_vid)
         if self._interval_index is not None:
-            self._interval_index.note_exec_removed(rid, entry.child_vids)
+            self._interval_index.note_exec_removed(rid, child_vids)
         self._bump()
 
     # -- queries ------------------------------------------------------------------
 
-    def prov_entries(self, vid: str) -> List[ProvEntry]:
-        return sorted(self._prov.get(vid, set()), key=lambda e: (e.rid, repr(e.rloc)))
+    def prov_entries(self, vid: str) -> Tuple[ProvRow, ...]:
+        """The ``(rid, rloc)`` prov rows of tuple *vid*, ordered by ``(rid, repr(rloc))``."""
+        return self._prov.get(vid, ())
 
-    def rule_exec(self, rid: str) -> RuleExecEntry:
-        if rid not in self._rule_execs:
+    def rule_exec(self, rid: str) -> RuleExecRow:
+        """The ``ruleExec`` row of *rid*: ``(rid, rule_name, program_name,
+        child_vids, head_vid, head_location)``."""
+        row = self._rule_execs.get(rid)
+        if row is None:
             raise UnknownVertexError(
                 f"rule execution {rid!r} is not recorded at node {self.node_id!r}"
             )
-        return self._rule_execs[rid]
+        return row
 
     def has_rule_exec(self, rid: str) -> bool:
         return rid in self._rule_execs
@@ -248,24 +284,38 @@ class NodeProvenanceStore:
         return vid in self._tuple_info
 
     def uses_of(self, vid: str) -> List[str]:
-        """RIDs of local rule executions that consumed tuple *vid*."""
-        return sorted(self._uses.get(vid, set()))
+        """RIDs of local rule executions that consumed tuple *vid*, sorted."""
+        consumers = self._uses.get(vid)
+        if consumers is None:
+            return []
+        if type(consumers) is str:
+            return [consumers]
+        return sorted(consumers)
+
+    def rule_execs(self) -> List[RuleExecRow]:
+        """Every stored ``ruleExec`` row (see :meth:`rule_exec`), sorted by rid."""
+        return [self._rule_execs[rid] for rid in sorted(self._rule_execs)]
 
     def prov_table(self) -> List[Tuple[object, ...]]:
         """The full local ``prov`` relation as rows ``(Loc, VID, RID, RLoc)``."""
-        rows = []
-        for vid in sorted(self._prov):
-            for entry in self.prov_entries(vid):
-                rows.append(entry.as_row(self.node_id))
-        return rows
+        location = self.node_id
+        return [
+            (location, vid, rid, rloc)
+            for vid in sorted(self._prov)
+            for rid, rloc in self._prov[vid]
+        ]
 
     def rule_exec_table(self) -> List[Tuple[object, ...]]:
         """The full local ``ruleExec`` relation as rows ``(RLoc, RID, Rule, Program, ChildVIDs)``."""
-        return [self._rule_execs[rid].as_row(self.node_id) for rid in sorted(self._rule_execs)]
+        location = self.node_id
+        return [
+            (location, rid, rule_name, program_name, child_vids)
+            for rid, rule_name, program_name, child_vids, _, _ in self.rule_execs()
+        ]
 
     @property
     def prov_count(self) -> int:
-        return sum(len(entries) for entries in self._prov.values())
+        return sum(len(rows) for rows in self._prov.values())
 
     @property
     def rule_exec_count(self) -> int:
@@ -288,12 +338,14 @@ class ProvenanceEngine:
     def __init__(self, compiled: Optional[CompiledProgram] = None):
         self.compiled = compiled
         self._stores: Dict[object, NodeProvenanceStore] = {}
-        #: node -> (fact, derivation_id) -> ProvEntry, so retractions can find
-        #: exactly the prov row that the corresponding insertion created.  The
-        #: index is partitioned per node (like the stores themselves) so the
-        #: recorder protocol stays single-writer per node when a concurrent
-        #: execution backend drains distinct nodes in parallel.
-        self._support_index: Dict[object, Dict[Tuple[Fact, str], ProvEntry]] = {}
+        #: node -> (vid, derivation_id) -> (rid, rloc) prov row, so retractions
+        #: can find exactly the prov row that the corresponding insertion
+        #: created.  Keys and values are tuples of atoms, which the cyclic
+        #: collector never scans.  The index is partitioned per node (like the
+        #: stores themselves) so the recorder protocol stays single-writer per
+        #: node when a concurrent execution backend drains distinct nodes in
+        #: parallel.
+        self._support_index: Dict[object, Dict[Tuple[str, str], ProvRow]] = {}
         self.events_processed = 0
         # Guards the shared registry (lazy store creation, node enumeration)
         # and the events_processed counter; the per-node stores themselves
@@ -414,14 +466,15 @@ class ProvenanceEngine:
                 if sign > 0:
                     vid = store.record_tuple(fact)
                     if tag is None or derivation_id == BASE_DERIVATION:
-                        entry = store.add_prov(vid, BASE_RID, node_id)
+                        row = store.add_prov(vid, BASE_RID, node_id)
                     else:
-                        entry = store.add_prov(vid, tag.rid, tag.exec_node)
-                    index[(fact, derivation_id)] = entry
+                        row = store.add_prov(vid, tag.rid, tag.exec_node)
+                    index[(vid, derivation_id)] = row
                 else:
-                    entry = index.pop((fact, derivation_id), None)
-                    if entry is not None:
-                        store.remove_prov(entry)
+                    vid = vid_for(fact)
+                    row = index.pop((vid, derivation_id), None)
+                    if row is not None:
+                        store.remove_prov(vid, row[0], row[1])
         self._count_events(len(ops))
 
     def apply_rule_exec_batch(
@@ -442,14 +495,12 @@ class ProvenanceEngine:
                     child_vids = tuple([store.record_tuple(fact) for fact in effect.body_facts])
                     rid = rid_for(effect.rule_name, exec_node, child_vids)
                     store.add_rule_exec(
-                        RuleExecEntry(
-                            rid=rid,
-                            rule_name=effect.rule_name,
-                            program_name=effect.program_name,
-                            child_vids=child_vids,
-                            head_vid=vid_for(effect.head_fact),
-                            head_location=effect.head_location,
-                        )
+                        rid,
+                        effect.rule_name,
+                        effect.program_name,
+                        child_vids,
+                        vid_for(effect.head_fact),
+                        effect.head_location,
                     )
                     tags.append(ProvenanceTag(effect.rule_name, effect.program_name, exec_node, rid))
                 else:
@@ -495,10 +546,14 @@ class ProvenanceEngine:
                 store = self._stores.get(home)
                 if store is None:
                     continue
-                for rid in store._uses.get(vid, ()):
-                    entry = store._rule_execs.get(rid)
-                    if entry is not None:
-                        stack.append((entry.head_location, entry.head_vid))
+                consumers = store._uses.get(vid)
+                if consumers is None:
+                    continue
+                rule_execs = store._rule_execs
+                for rid in (consumers,) if type(consumers) is str else consumers:
+                    row = rule_execs.get(rid)
+                    if row is not None:
+                        stack.append((row[5], row[4]))
             if not seen:
                 return
             roots.clear()
@@ -523,8 +578,7 @@ class ProvenanceEngine:
         live: Set[str] = set()
         for store in self._stores.values():
             live.update(store._uses)
-            for entry in store._rule_execs.values():
-                live.add(entry.head_vid)
+            live.update([row[4] for row in store._rule_execs.values()])
         dead = [vid for vid in self._vid_versions if vid not in live]
         for vid in dead:
             self._rebirth_epoch = max(self._rebirth_epoch, self._vid_versions.pop(vid))
@@ -665,7 +719,7 @@ class ProvenanceEngine:
         for node_id, store in self._stores.items():
             for vid in sorted(store._prov):
                 relation, values = store.tuple_info(vid)
-                is_base = any(entry.rid == BASE_RID for entry in store.prov_entries(vid))
+                is_base = any(rid == BASE_RID for rid, _ in store.prov_entries(vid))
                 graph.add_tuple(
                     TupleVertex(
                         vid=vid,
@@ -678,9 +732,8 @@ class ProvenanceEngine:
         # Rule-execution vertices and their dataflow edges; input tuples are
         # local to the executing node, so their descriptors are available.
         for node_id, store in self._stores.items():
-            for rid in sorted(store._rule_execs):
-                entry = store.rule_exec(rid)
-                for child_vid in entry.child_vids:
+            for rid, rule_name, program_name, child_vids, head_vid, _ in store.rule_execs():
+                for child_vid in child_vids:
                     if not graph.has_tuple(child_vid):
                         relation, values, location = self.resolve_tuple(child_vid)
                         graph.add_tuple(
@@ -692,14 +745,14 @@ class ProvenanceEngine:
                                 is_base=False,
                             )
                         )
-                if not graph.has_tuple(entry.head_vid):
+                if not graph.has_tuple(head_vid):
                     try:
-                        relation, values, location = self.resolve_tuple(entry.head_vid)
+                        relation, values, location = self.resolve_tuple(head_vid)
                     except UnknownVertexError:
                         continue
                     graph.add_tuple(
                         TupleVertex(
-                            vid=entry.head_vid,
+                            vid=head_vid,
                             relation=relation,
                             values=values,
                             location=location,
@@ -709,11 +762,11 @@ class ProvenanceEngine:
                 graph.add_rule_exec(
                     RuleExecVertex(
                         rid=rid,
-                        rule_name=entry.rule_name,
-                        program_name=entry.program_name,
+                        rule_name=rule_name,
+                        program_name=program_name,
                         location=node_id,
                     ),
-                    entry.child_vids,
-                    entry.head_vid,
+                    child_vids,
+                    head_vid,
                 )
         return graph

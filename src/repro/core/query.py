@@ -714,20 +714,20 @@ class QueryAgent:
                 kind, ident = key
                 if kind != "t":
                     continue
-                entries = store.prov_entries(ident)
-                if not entries:
+                rows = store.prov_entries(ident)
+                if not rows:
                     if mode == QUERY_LINEAGE:
                         items.add(self._tuple_ref(ident))
                     continue
-                for entry in entries:
-                    if entry.rid == BASE_RID:
+                for rid, rloc in rows:
+                    if rid == BASE_RID:
                         if mode == QUERY_LINEAGE:
                             items.add(self._tuple_ref(ident))
-                    elif entry.rloc == self.node.id:
-                        if not store.has_rule_exec(entry.rid):
+                    elif rloc == self.node.id:
+                        if not store.has_rule_exec(rid):
                             truncated = True
                     else:
-                        frontier.add((entry.rloc, entry.rid))
+                        frontier.add((rloc, rid))
             if mode == QUERY_PARTICIPANTS:
                 items.add(self.node.id)
             results.append(
@@ -780,19 +780,17 @@ class QueryAgent:
             frame.truncated = True
             return frame  # no subtasks: treated as a leaf
 
-        for entry in self._pstore.prov_entries(vid):
-            if entry.rid == BASE_RID:
+        for rid, rloc in self._pstore.prov_entries(vid):
+            if rid == BASE_RID:
                 bundle = _Bundle(
                     value=reducer.base_value(frame.tuple_ref),
                     visited=frozenset({self.node.id}),
                 )
                 frame.subtasks.append(_Subtask(kind="immediate", bundle=bundle))
-            elif entry.rloc == self.node.id:
-                frame.subtasks.append(_Subtask(kind="local-exec", target=entry.rid))
+            elif rloc == self.node.id:
+                frame.subtasks.append(_Subtask(kind="local-exec", target=rid))
             else:
-                frame.subtasks.append(
-                    _Subtask(kind="remote-exec", target=entry.rid, remote_node=entry.rloc)
-                )
+                frame.subtasks.append(_Subtask(kind="remote-exec", target=rid, remote_node=rloc))
         frame.collected = [None] * len(frame.subtasks)
         return frame
 
@@ -816,14 +814,14 @@ class QueryAgent:
             frame.truncated = True
             frame.exec_ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self.node.id)
             return frame
-        entry = store.rule_exec(rid)
+        _, rule_name, program_name, child_vids, _, _ = store.rule_exec(rid)
         frame.exec_ref = ExecRef(
             rid=rid,
-            rule_name=entry.rule_name,
-            program_name=entry.program_name,
+            rule_name=rule_name,
+            program_name=program_name,
             location=self.node.id,
         )
-        for child_vid in entry.child_vids:
+        for child_vid in child_vids:
             frame.subtasks.append(_Subtask(kind="local-tuple", target=child_vid))
         frame.collected = [None] * len(frame.subtasks)
         return frame

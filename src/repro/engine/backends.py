@@ -198,7 +198,7 @@ class _ConcurrentBackend(ExecutionBackend):
             if wave[index].key is None:
                 # Barrier event: may touch global state (e.g. snapshot every
                 # node), so it runs alone between concurrent segments.
-                wave[index].callback()
+                wave[index].run()
                 index += 1
                 continue
             end = index
@@ -218,7 +218,7 @@ class _ConcurrentBackend(ExecutionBackend):
             # One serialization domain (e.g. a single-node topology): running
             # inline *is* the serial order, no deferral machinery needed.
             for event in events:
-                event.callback()
+                event.run()
             return
 
         def run_group(

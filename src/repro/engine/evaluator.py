@@ -39,7 +39,7 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ndlog.ast import (
@@ -97,12 +97,6 @@ class _FiringRecord:
     rule_name: str
     head_fact: Fact
     head_location: object
-    body_facts: Tuple[Fact, ...]
-
-
-@dataclass(**SLOTTED)
-class _AggEntry:
-    value: object
     body_facts: Tuple[Fact, ...]
 
 
@@ -227,6 +221,15 @@ def _compile_expr(term, slot_of: Dict[str, int]):
     return None
 
 
+#: An aggregate membership: (repr sort key, rule name, group key, body facts).
+_Membership = Tuple[str, str, Tuple, Tuple[Fact, ...]]
+
+
+def _sorted_members(members):
+    """A per-fact index value — one bare member, or a set of two or more — sorted."""
+    return sorted(members) if type(members) is set else (members,)
+
+
 class LocalEvaluator:
     """Incremental evaluation of a compiled program over one node's store."""
 
@@ -254,16 +257,25 @@ class LocalEvaluator:
         self.aggregate_retract_first = aggregate_retract_first
 
         self._firings: Dict[str, _FiringRecord] = {}
-        self._firing_by_body: Dict[Tuple[str, Tuple[Fact, ...]], str] = {}
-        self._fact_firings: Dict[Fact, Set[str]] = {}
+        #: rule name -> body facts -> firing id; keyed by the record's own body
+        #: tuple, so no per-firing key object exists beside the record
+        self._firing_by_body: Dict[str, Dict[Tuple[Fact, ...], str]] = {
+            rule.name: {} for rule in compiled.rules
+        }
+        #: fact -> id of the one live firing that used it positively, or the
+        #: set of ids from the second such firing on (no per-fact container
+        #: for the collector to scan in the common one-firing case)
+        self._fact_firings: Dict[Fact, Union[str, Set[str]]] = {}
 
-        # Aggregate state: rule name -> group key -> {body_facts -> entry}
-        self._agg_entries: Dict[str, Dict[Tuple, Dict[Tuple[Fact, ...], _AggEntry]]] = {}
+        # Aggregate state: rule name -> group key -> {body_facts -> value}
+        self._agg_entries: Dict[str, Dict[Tuple, Dict[Tuple[Fact, ...], object]]] = {}
         self._agg_heads: Dict[Tuple[str, Tuple], _AggHead] = {}
         # Fact -> memberships, each (repr sort key, rule name, group key,
         # body facts) — the sort key is computed once here so deletion-time
-        # ordering (phase 1) is a plain tuple sort.
-        self._fact_agg_entries: Dict[Fact, Set[Tuple[str, str, Tuple, Tuple[Fact, ...]]]] = {}
+        # ordering (phase 1) is a plain tuple sort.  Like _fact_firings, a
+        # fact in one membership maps to the bare membership tuple and only
+        # a fact in two or more to a set of them.
+        self._fact_agg_entries: Dict[Fact, Union[_Membership, Set[_Membership]]] = {}
         self._agg_rules: Dict[str, Rule] = {
             rule.name: rule for rule in compiled.rules if rule.has_aggregate
         }
@@ -322,7 +334,7 @@ class LocalEvaluator:
         # Retraction of ordinary firings that used the fact positively.
         firings = self._fact_firings.pop(fact, None)
         if firings:
-            for firing_id in sorted(firings):
+            for firing_id in _sorted_members(firings):
                 record = self._firings.get(firing_id)
                 if record is None:
                     continue
@@ -333,7 +345,7 @@ class LocalEvaluator:
         # so ordering them is a plain tuple sort with no repr() calls.
         memberships = self._fact_agg_entries.pop(fact, None)
         if memberships:
-            for membership in sorted(memberships):
+            for membership in _sorted_members(memberships):
                 effects.extend(self._agg_remove_entry(membership))
 
         # Firings newly enabled because a negative literal stopped matching.
@@ -379,14 +391,14 @@ class LocalEvaluator:
             for fact in deletes:
                 firings = self._fact_firings.pop(fact, None)
                 if firings:
-                    for firing_id in sorted(firings):
+                    for firing_id in _sorted_members(firings):
                         record = self._firings.get(firing_id)
                         if record is None:
                             continue
                         effects.append(self._retract_firing(record))
                 memberships = self._fact_agg_entries.pop(fact, None)
                 if memberships:
-                    for membership in sorted(memberships):
+                    for membership in _sorted_members(memberships):
                         effects.extend(self._agg_remove_entry(membership))
             # Firings newly enabled because a negative literal stopped
             # matching; runs after all retractions so the store and firing
@@ -533,8 +545,8 @@ class LocalEvaluator:
         if kind is not Fact and rule.has_aggregate:
             return self._agg_add_entry(rule, bindings, body_facts)
 
-        key = (rule.name, body_facts)
-        if key in self._firing_by_body:
+        by_body = self._firing_by_body[rule.name]
+        if body_facts in by_body:
             # The same combination of body facts can be rediscovered when a
             # fact is re-inserted concurrently with unprocessed retractions;
             # a firing must not be duplicated.
@@ -558,12 +570,15 @@ class LocalEvaluator:
         firing_id = self._next_firing_id()
         record = _FiringRecord(firing_id, rule.name, head_fact, head_location, body_facts)
         self._firings[firing_id] = record
-        self._firing_by_body[key] = firing_id
+        by_body[body_facts] = firing_id
         fact_firings = self._fact_firings
         for fact in distinct_facts:
             firings = fact_firings.get(fact)
             if firings is None:
-                fact_firings[fact] = {firing_id}
+                fact_firings[fact] = firing_id
+            elif type(firings) is str:
+                if firings != firing_id:
+                    fact_firings[fact] = {firings, firing_id}
             else:
                 firings.add(firing_id)
         return [
@@ -580,16 +595,22 @@ class LocalEvaluator:
 
     def _retract_firing(self, record: _FiringRecord) -> DerivationEffect:
         self._firings.pop(record.firing_id, None)
-        self._firing_by_body.pop((record.rule_name, record.body_facts), None)
-        # Duplicate body facts are harmless here: discard is idempotent and a
-        # bucket emptied by the first occurrence makes later gets return None,
-        # so the dedup set the loop used to build bought nothing.
+        self._firing_by_body[record.rule_name].pop(record.body_facts, None)
+        # Duplicate body facts are harmless here: the first occurrence removes
+        # the id, so later ones find another firing's id or nothing at all.
+        fact_firings = self._fact_firings
+        firing_id = record.firing_id
         for fact in record.body_facts:
-            firings = self._fact_firings.get(fact)
-            if firings is not None:
-                firings.discard(record.firing_id)
-                if not firings:
-                    del self._fact_firings[fact]
+            firings = fact_firings.get(fact)
+            if firings is None:
+                continue
+            if type(firings) is str:
+                if firings == firing_id:
+                    del fact_firings[fact]
+                continue
+            firings.discard(firing_id)
+            if len(firings) == 1:
+                (fact_firings[fact],) = firings
         return DerivationEffect(
             sign=-1,
             firing_id=record.firing_id,
@@ -1212,9 +1233,9 @@ class LocalEvaluator:
         ]
         if not negated_on_relation:
             return effects
+        by_body = self._firing_by_body[rule.name]
         for bindings, body_facts in self._positive_bindings_matching_negation(rule, fact):
-            key = (rule.name, body_facts)
-            firing_id = self._firing_by_body.get(key)
+            firing_id = by_body.get(body_facts)
             if firing_id is None:
                 continue
             record = self._firings.get(firing_id)
@@ -1307,7 +1328,7 @@ class LocalEvaluator:
         entries = groups.setdefault(group_key, {})
         if body_facts in entries:
             return []
-        entries[body_facts] = _AggEntry(value=value, body_facts=body_facts)
+        entries[body_facts] = value
         # The membership's repr sort key is computed once here; every later
         # deletion-time ordering of the memberships is then repr-free.  The
         # key reprs the (rule, group, body) triple, matching the historical
@@ -1332,7 +1353,10 @@ class LocalEvaluator:
         for fact in distinct_facts:
             memberships = fact_agg_entries.get(fact)
             if memberships is None:
-                fact_agg_entries[fact] = {membership}
+                fact_agg_entries[fact] = membership
+            elif type(memberships) is tuple:
+                if memberships != membership:
+                    fact_agg_entries[fact] = {memberships, membership}
             else:
                 memberships.add(membership)
         if self._dirty_agg_groups is not None:
@@ -1349,7 +1373,7 @@ class LocalEvaluator:
         return (sort_key, rule_name, group_key)
 
     def _agg_remove_entry(
-        self, membership: Tuple[str, str, Tuple, Tuple[Fact, ...]]
+        self, membership: _Membership
     ) -> List[DerivationEffect]:
         _, rule_name, group_key, body_facts = membership
         rule = self._agg_rules.get(rule_name)
@@ -1360,14 +1384,21 @@ class LocalEvaluator:
         if not entries or body_facts not in entries:
             return []
         del entries[body_facts]
-        # As in _retract_firing, iterating duplicate body facts is safe:
-        # discard is idempotent and emptied buckets are gone on re-lookup.
+        # As in _retract_firing, iterating duplicate body facts is safe: the
+        # first occurrence removes the membership, later ones find another
+        # membership or nothing at all.
+        fact_agg_entries = self._fact_agg_entries
         for fact in body_facts:
-            memberships = self._fact_agg_entries.get(fact)
-            if memberships is not None:
-                memberships.discard(membership)
-                if not memberships:
-                    del self._fact_agg_entries[fact]
+            memberships = fact_agg_entries.get(fact)
+            if memberships is None:
+                continue
+            if type(memberships) is tuple:
+                if memberships == membership:
+                    del fact_agg_entries[fact]
+                continue
+            memberships.discard(membership)
+            if len(memberships) == 1:
+                (fact_agg_entries[fact],) = memberships
         if not entries:
             del groups[group_key]
         if self._dirty_agg_groups is not None:
@@ -1389,8 +1420,7 @@ class LocalEvaluator:
                 effects.append(self._retract_agg_head(rule, head_key, current))
             return effects
 
-        values = [entry.value for entry in entries.values()]
-        new_value = _aggregate_value(aggregate.func, values)
+        new_value = _aggregate_value(aggregate.func, list(entries.values()))
         if self._columnar_store:
             contributing = self._contributing_facts_cached(
                 aggregate.func, entries, new_value
@@ -1453,7 +1483,7 @@ class LocalEvaluator:
     def _contributing_facts_cached(
         self,
         func: str,
-        entries: Dict[Tuple[Fact, ...], _AggEntry],
+        entries: Dict[Tuple[Fact, ...], object],
         value: object,
     ) -> Tuple[Fact, ...]:
         """:func:`_contributing_facts` with the per-fact repr sort keys memoized.
@@ -1465,10 +1495,10 @@ class LocalEvaluator:
         """
         contributing: Set[Fact] = set()
         minmax = func in ("min", "max")
-        for entry in entries.values():
-            if minmax and entry.value != value:
+        for body_facts, entry_value in entries.items():
+            if minmax and entry_value != value:
                 continue
-            contributing.update(entry.body_facts)
+            contributing.update(body_facts)
         reprs = self._fact_reprs
         keyed = []
         for fact in contributing:
@@ -1517,7 +1547,7 @@ def _aggregate_value(func: str, values: List[object]) -> object:
 
 
 def _contributing_facts(
-    func: str, entries: Dict[Tuple[Fact, ...], _AggEntry], value: object
+    func: str, entries: Dict[Tuple[Fact, ...], object], value: object
 ) -> Tuple[Fact, ...]:
     """The body facts that justify the aggregate value (provenance children).
 
@@ -1526,10 +1556,10 @@ def _contributing_facts(
     (incremental and from-scratch runs must produce identical provenance).
     """
     contributing: Set[Fact] = set()
-    for entry in entries.values():
-        if func in ("min", "max") and entry.value != value:
+    for body_facts, entry_value in entries.items():
+        if func in ("min", "max") and entry_value != value:
             continue
-        contributing.update(entry.body_facts)
+        contributing.update(body_facts)
     return tuple(sorted(contributing, key=repr))
 
 

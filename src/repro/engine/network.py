@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import UnknownNodeError
 from repro.engine.messages import Message
@@ -60,6 +60,8 @@ class Network:
         self.simulator = simulator
         self._default_latency = default_latency
         self._receivers: Dict[object, object] = {}
+        #: category -> ``"deliver:<category>"`` event label, formatted once
+        self._deliver_labels: Dict[str, str] = {}
         self._links: Dict[Tuple[object, object], Link] = {}
         self.stats = TrafficStats()
 
@@ -68,9 +70,6 @@ class Network:
     def register(self, node_id: object, receiver: object) -> None:
         """Register *receiver* (anything with a ``receive(message)`` method)."""
         self._receivers[node_id] = receiver
-
-    def node_ids(self) -> List[object]:
-        return sorted(self._receivers, key=repr)
 
     def __contains__(self, node_id: object) -> bool:
         return node_id in self._receivers
@@ -84,18 +83,6 @@ class Network:
 
     def remove_link(self, source: object, target: object) -> None:
         self._links.pop((source, target), None)
-
-    def link(self, source: object, target: object) -> Optional[Link]:
-        return self._links.get((source, target))
-
-    def links(self) -> Iterable[Link]:
-        return list(self._links.values())
-
-    def neighbors(self, node_id: object) -> List[object]:
-        return sorted(
-            (target for (source, target), link in self._links.items() if source == node_id and link.up),
-            key=repr,
-        )
 
     # -- message delivery ---------------------------------------------------------
 
@@ -118,18 +105,19 @@ class Network:
 
     def _dispatch(self, message: Message) -> None:
         self.stats.record(message)
-        link = self._links.get((message.sender, message.receiver))
+        receiver = message.receiver
+        link = self._links.get((message.sender, receiver))
         latency = link.latency if link is not None and link.up else self._default_latency
-        receiver = self._receivers[message.receiver]
-
-        # Deliveries are serialized per receiving node (the event key): two
-        # messages delivered to one node at the same instant keep their order,
-        # while deliveries to distinct nodes may be absorbed concurrently.
-        self.simulator.schedule(
-            latency,
-            lambda: receiver.receive(message),
-            label=f"deliver:{message.category}",
-            key=message.receiver,
+        label = self._deliver_labels.get(message.category)
+        if label is None:
+            label = self._deliver_labels[message.category] = f"deliver:{message.category}"
+        # The message rides on the event and the receiver's bound receive is
+        # its callback: no closure per delivery.  Deliveries are serialized
+        # per receiving node (the event key): two messages delivered to one
+        # node at the same instant keep their order, while deliveries to
+        # distinct nodes may be absorbed concurrently.
+        self.simulator.schedule_call(
+            latency, self._receivers[receiver].receive, message, label, receiver
         )
 
     def reset_stats(self) -> TrafficStats:

@@ -181,6 +181,8 @@ class Node:
         #: ``repr(node_id)`` computed once — the drain instrumentation path
         #: stamps it on every span/event and must not re-render it per batch.
         self._id_repr = repr(node_id)
+        #: The label of this node's drain events, formatted once.
+        self._drain_label = f"drain:{node_id}"
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         network.register(node_id, self)
 
@@ -285,17 +287,16 @@ class Node:
         if self._drain_scheduled or self._processing:
             return
         self._drain_scheduled = True
-
-        def fire() -> None:
-            self._drain_scheduled = False
-            if not self._processing and self._queue:
-                self._drain()
-
         # Drains are serialized per node (the event key): a concurrent
         # backend may drain distinct nodes of the same wave in parallel, but
         # this node's store/evaluator/provenance partition stays
         # single-writer.
-        self.network.simulator.schedule(0.0, fire, label=f"drain:{self.id}", key=self.id)
+        self.network.simulator.schedule(0.0, self._fire_drain, label=self._drain_label, key=self.id)
+
+    def _fire_drain(self) -> None:
+        self._drain_scheduled = False
+        if not self._processing and self._queue:
+            self._drain()
 
     def _drain(self) -> None:
         if self._remote_drain is not None:

@@ -1,9 +1,13 @@
 """Deterministic discrete-event simulator with pluggable execution backends.
 
-The simulator keeps virtual time as a float (seconds) and an event queue of
-``(time, sequence, callback)`` entries.  Events scheduled at the same time are
+The simulator keeps virtual time as a float (seconds) and a heap of
+``(time, sequence, event)`` tuples.  Events scheduled at the same time are
 executed in scheduling order, which together with seeded random generators
-makes every run of the system fully reproducible.
+makes every run of the system fully reproducible.  The heap compares the
+leading ``(time, sequence)`` pair in C — sequence numbers are unique, so an
+event object is never compared — and an event is one slotted object holding
+its callback and, for a message delivery, the callback's one argument, so
+the hot path allocates no closure per event.
 
 *How* the events of one virtual instant are executed is delegated to an
 :class:`~repro.engine.backends.ExecutionBackend`.  The default
@@ -19,23 +23,38 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.engine.backends import ExecutionBackend, SerialBackend
 
+#: ``_ScheduledEvent.arg`` of an event whose callback takes no argument.
+_NO_ARG = object()
 
-@dataclass(order=True)
+
 class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    #: Serialization key: events sharing a key are executed in sequence order
-    #: by one worker; events with distinct keys may run concurrently under a
-    #: concurrent backend.  ``None`` marks a barrier event (runs alone).
-    key: Optional[object] = field(compare=False, default=None)
+    """One queued event: the third member of a ``(time, sequence, event)`` heap entry."""
+
+    __slots__ = ("sequence", "callback", "arg", "label", "key")
+
+    def __init__(
+        self, sequence: int, callback: Callable, arg: object, label: str, key: Optional[object]
+    ) -> None:
+        self.sequence = sequence
+        self.callback = callback
+        #: The callback's one argument, or ``_NO_ARG`` for a zero-argument call.
+        self.arg = arg
+        self.label = label
+        #: Serialization key: events sharing a key are executed in sequence order
+        #: by one worker; events with distinct keys may run concurrently under a
+        #: concurrent backend.  ``None`` marks a barrier event (runs alone).
+        self.key = key
+
+    def run(self) -> None:
+        if self.arg is _NO_ARG:
+            self.callback()
+        else:
+            self.callback(self.arg)
 
 
 class Simulator:
@@ -57,7 +76,7 @@ class Simulator:
 
     def __init__(self, backend: Optional[ExecutionBackend] = None) -> None:
         self._now = 0.0
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, _ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
         self._rounds = 0
@@ -113,14 +132,32 @@ class Simulator:
         executes on): a concurrent backend may run same-instant events with
         distinct keys in parallel, while keyless events act as barriers.
         """
+        self.schedule_call(delay, callback, _NO_ARG, label, key)
+
+    def schedule_call(
+        self,
+        delay: float,
+        callback: Callable[[object], None],
+        arg: object,
+        label: str = "",
+        key: Optional[object] = None,
+    ) -> None:
+        """Schedule ``callback(arg)`` to run ``delay`` seconds from now.
+
+        The argument rides on the event, so a caller that would otherwise
+        wrap a bound method and its argument in a closure allocates nothing
+        but the event — :class:`~repro.engine.network.Network` delivers every
+        message this way.  Ordering, rounds and the *key* contract are those
+        of :meth:`schedule`.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
         time = self._now + delay
         buffer = self.deferred_buffer()
         if buffer is not None:
-            buffer.append(lambda: self._push(time, callback, label, key))
+            buffer.append(lambda: self._push(time, callback, arg, label, key))
             return
-        self._push(time, callback, label, key)
+        self._push(time, callback, arg, label, key)
 
     def schedule_at(
         self,
@@ -136,12 +173,15 @@ class Simulator:
             )
         buffer = self.deferred_buffer()
         if buffer is not None:
-            buffer.append(lambda: self._push(time, callback, label, key))
+            buffer.append(lambda: self._push(time, callback, _NO_ARG, label, key))
             return
-        self._push(time, callback, label, key)
+        self._push(time, callback, _NO_ARG, label, key)
 
-    def _push(self, time: float, callback: Callable[[], None], label: str, key: Optional[object]) -> None:
-        heapq.heappush(self._queue, _ScheduledEvent(time, next(self._sequence), callback, label, key))
+    def _push(
+        self, time: float, callback: Callable, arg: object, label: str, key: Optional[object]
+    ) -> None:
+        sequence = next(self._sequence)
+        heapq.heappush(self._queue, (time, sequence, _ScheduledEvent(sequence, callback, arg, label, key)))
 
     # -- deferred side effects (concurrent backends) ---------------------------
 
@@ -166,7 +206,7 @@ class Simulator:
         """Run one event with side-effect deferral active (backend internal)."""
         self._effects.buffer = buffer
         try:
-            event.callback()
+            event.run()
         finally:
             self._effects.buffer = None
 
@@ -177,18 +217,19 @@ class Simulator:
         single-stepping would; used by concurrent backends.
         """
         wave: List[_ScheduledEvent] = []
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return wave
-        wave_time = self._queue[0].time
-        while self._queue and self._queue[0].time == wave_time:
+        wave_time = queue[0][0]
+        while queue and queue[0][0] == wave_time:
             if limit is not None and len(wave) >= limit:
                 break
-            event = heapq.heappop(self._queue)
-            self._now = event.time
+            time, _, event = heapq.heappop(queue)
+            self._now = time
             self._processed += 1
-            if self._last_round_time is None or event.time != self._last_round_time:
+            if self._last_round_time is None or time != self._last_round_time:
                 self._rounds += 1
-                self._last_round_time = event.time
+                self._last_round_time = time
             wave.append(event)
         return wave
 
@@ -203,13 +244,13 @@ class Simulator:
         """
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        self._now = event.time
+        time, _, event = heapq.heappop(self._queue)
+        self._now = time
         self._processed += 1
-        if self._last_round_time is None or event.time != self._last_round_time:
+        if self._last_round_time is None or time != self._last_round_time:
             self._rounds += 1
-            self._last_round_time = event.time
-        event.callback()
+            self._last_round_time = time
+        event.run()
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -226,7 +267,7 @@ class Simulator:
             while self._queue:
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self._queue[0].time
+                next_time = self._queue[0][0]
                 if until is not None and next_time > until:
                     self._now = until
                     break

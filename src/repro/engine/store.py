@@ -40,7 +40,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.engine.tuples import Fact
@@ -121,14 +121,19 @@ def shard_hash(relation: str, key_values: Tuple[object, ...]) -> int:
 
 
 class TupleStore:
-    """Facts grouped by relation, each with its set of derivation ids."""
+    """Facts grouped by relation, each with its derivation ids.
+
+    A fact's derivation ids are stored as the bare id string while there is
+    one (the common case by far) and as a ``set`` from the second on, so the
+    cyclic garbage collector has no per-fact container to scan.
+    """
 
     #: True for the dictionary-encoded columnar implementation; consumers
     #: (the evaluator's batch join) feature-test this instead of the class.
     columnar = False
 
     def __init__(self) -> None:
-        self._facts: Dict[str, Dict[Fact, Set[str]]] = {}
+        self._facts: Dict[str, Dict[Fact, Union[str, Set[str]]]] = {}
         # (relation, positions) -> {projected values -> set of facts}
         self._indexes: Dict[Tuple[str, Tuple[int, ...]], Dict[Tuple[object, ...], Set[Fact]]] = {}
         # Memoized sorted non-empty relation names; invalidated only when a
@@ -171,10 +176,18 @@ class TupleStore:
 
     def derivations(self, fact: Fact) -> Set[str]:
         """Return the derivation ids currently supporting *fact* (empty if absent)."""
-        return set(self._facts.get(fact.relation, {}).get(fact, set()))
+        derivations = self._facts.get(fact.relation, {}).get(fact)
+        if derivations is None:
+            return set()
+        if type(derivations) is str:
+            return {derivations}
+        return set(derivations)
 
     def derivation_count(self, fact: Fact) -> int:
-        return len(self._facts.get(fact.relation, {}).get(fact, ()))
+        derivations = self._facts.get(fact.relation, {}).get(fact)
+        if derivations is None:
+            return 0
+        return 1 if type(derivations) is str else len(derivations)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -185,10 +198,14 @@ class TupleStore:
         if existing is None:
             if not by_fact:
                 self._relations_cache = None
-            by_fact[fact] = {derivation_id}
+            by_fact[fact] = derivation_id
             self._index_add(fact)
             return True
-        existing.add(derivation_id)
+        if type(existing) is str:
+            if existing != derivation_id:
+                by_fact[fact] = {existing, derivation_id}
+        else:
+            existing.add(derivation_id)
         return False
 
     def remove_derivation(self, fact: Fact, derivation_id: str) -> bool:
@@ -202,8 +219,12 @@ class TupleStore:
         if not by_fact or fact not in by_fact:
             return False
         derivations = by_fact[fact]
-        derivations.discard(derivation_id)
-        if derivations:
+        if type(derivations) is not str:
+            derivations.discard(derivation_id)
+            if len(derivations) == 1:
+                (by_fact[fact],) = derivations
+            return False
+        if derivations != derivation_id:
             return False
         del by_fact[fact]
         if not by_fact:
@@ -241,7 +262,11 @@ class TupleStore:
                 self.add_derivation(fact, derivation_id)
                 applied.append(True)
             else:
-                had = derivation_id in self._facts.get(fact.relation, {}).get(fact, ())
+                derivations = self._facts.get(fact.relation, {}).get(fact)
+                if type(derivations) is str:
+                    had = derivations == derivation_id
+                else:
+                    had = derivations is not None and derivation_id in derivations
                 self.remove_derivation(fact, derivation_id)
                 applied.append(had)
         newly_present: List[Fact] = []
@@ -263,7 +288,7 @@ class TupleStore:
         if not by_fact:
             self._relations_cache = None
         self._index_remove(fact)
-        return derivations
+        return {derivations} if type(derivations) is str else derivations
 
     # -- scans and indexes ---------------------------------------------------------
 
@@ -645,30 +670,37 @@ class ColumnarTupleStore(TupleStore):
                 order.append((relation, fid, fact))
             # The derivation bookkeeping below inlines add_derivation /
             # remove_derivation with the relation's presence dict and the
-            # fact's derivation set already in hand — the batch loop touches
+            # fact's derivation ids already in hand — the batch loop touches
             # each dict once per delta instead of once per helper call.
             if sign > 0:
                 if derivs is None:
                     if not by_fact:
                         self._relations_cache = None
-                    by_fact[fact] = {derivation_id}
+                    by_fact[fact] = derivation_id
                     if indexes:
                         self._index_add_interned(indexes, fid, fact)
+                elif type(derivs) is str:
+                    if derivs != derivation_id:
+                        by_fact[fact] = {derivs, derivation_id}
                 else:
                     derivs.add(derivation_id)
                 applied.append(True)
+            elif derivs is None:
+                applied.append(False)
+            elif type(derivs) is str:
+                last = derivs == derivation_id
+                applied.append(last)
+                if last:
+                    del by_fact[fact]
+                    if not by_fact:
+                        self._relations_cache = None
+                    if indexes:
+                        self._index_remove_interned(indexes, fid, fact)
             else:
-                if derivs is None:
-                    applied.append(False)
-                else:
-                    applied.append(derivation_id in derivs)
-                    derivs.discard(derivation_id)
-                    if not derivs:
-                        del by_fact[fact]
-                        if not by_fact:
-                            self._relations_cache = None
-                        if indexes:
-                            self._index_remove_interned(indexes, fid, fact)
+                applied.append(derivation_id in derivs)
+                derivs.discard(derivation_id)
+                if len(derivs) == 1:
+                    (by_fact[fact],) = derivs
         newly_present: List[Fact] = []
         disappeared: List[Fact] = []
         for relation, fid, fact in order:

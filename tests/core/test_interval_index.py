@@ -20,8 +20,6 @@ from repro.core import (
     PartitionIntervalIndex,
     reachable_closure,
 )
-from repro.core.maintenance import ProvEntry, RuleExecEntry
-
 NODE = "n1"
 
 
@@ -42,39 +40,27 @@ def add_base(store, vid):
 
 def derive(store, head, rid, children, rloc=None):
     """One local derivation: register the firing, then the prov row."""
-    store.add_rule_exec(
-        RuleExecEntry(
-            rid=rid,
-            rule_name="r",
-            program_name="p",
-            child_vids=tuple(children),
-            head_vid=head,
-            head_location=store.node_id,
-        )
-    )
+    store.add_rule_exec(rid, "r", "p", tuple(children), head, store.node_id)
     store.add_prov(head, rid, rloc if rloc is not None else store.node_id)
 
 
 def retract(store, head, rid, children, rloc=None):
-    store.remove_prov(
-        ProvEntry(vid=head, rid=rid, rloc=rloc if rloc is not None else store.node_id)
-    )
+    store.remove_prov(head, rid, rloc if rloc is not None else store.node_id)
     store.remove_rule_exec(rid)
 
 
 def store_successors(store):
     """The successor map the store's rows induce (the index's edge contract)."""
     successors = {}
-    for vid in store._prov:
+    for _loc, vid, rid, rloc in store.prov_table():
         key = ("t", vid)
         successors.setdefault(key, set())
-        for entry in store.prov_entries(vid):
-            if entry.rid != BASE_RID and entry.rloc == store.node_id:
-                successors[key].add(("x", entry.rid))
-    for rid, entry in store._rule_execs.items():
+        if rid != BASE_RID and rloc == store.node_id:
+            successors[key].add(("x", rid))
+    for _loc, rid, _rule, _program, child_vids in store.rule_exec_table():
         key = ("x", rid)
         successors.setdefault(key, set())
-        for child in entry.child_vids:
+        for child in child_vids:
             successors[key].add(("t", child))
     return successors
 

@@ -53,7 +53,7 @@ class TestTableMaintenance:
         link_vid = vid_for(Fact.make("link", ["n0", "n1", 1.0]))
         entries = store.prov_entries(link_vid)
         assert len(entries) == 1
-        assert entries[0].rid == BASE_RID
+        assert entries[0] == (BASE_RID, "n0")
 
     def test_rule_exec_children_are_local_tuples(self, ring_runtime):
         provenance = ring_runtime.provenance

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ProvenanceError
 from repro.core.keys import BASE_RID
-from repro.core.maintenance import RuleExecEntry
 from repro.core.security import ProvenanceAuthenticator
 from repro.protocols import mincost
 
@@ -59,7 +58,7 @@ class TestVerification:
         runtime, authenticator, attestations = signed_ring
         store = runtime.provenance.store("n1")
         # the compromised node silently drops one of its rule executions
-        victim_rid = sorted(store._rule_execs)[0]
+        victim_rid = store.rule_exec_table()[0][1]
         store.remove_rule_exec(victim_rid)
         reports = authenticator.verify_engine(runtime.provenance, attestations)
         assert not reports["n1"].is_clean
@@ -70,16 +69,7 @@ class TestVerification:
     def test_fabricated_rows_detected(self, signed_ring):
         runtime, authenticator, attestations = signed_ring
         store = runtime.provenance.store("n2")
-        store.add_rule_exec(
-            RuleExecEntry(
-                rid="rid_forged",
-                rule_name="mc2",
-                program_name="mincost",
-                child_vids=("vid_fake",),
-                head_vid="vid_also_fake",
-                head_location="n2",
-            )
-        )
+        store.add_rule_exec("rid_forged", "mc2", "mincost", ("vid_fake",), "vid_also_fake", "n2")
         reports = authenticator.verify_engine(runtime.provenance, attestations)
         assert not reports["n2"].is_clean
         assert reports["n2"].unexpected_rows

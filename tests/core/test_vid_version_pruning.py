@@ -76,10 +76,11 @@ class TestVidVersionPruning:
         # Liveness bound: whatever survives the last sweep is at most the
         # live vertex population (vids used by or derived by live execs),
         # plus post-sweep churn capped by the geometric retrigger policy.
-        live = sum(
-            len(store._uses) + len(store._rule_execs)
-            for store in runtime.provenance._stores.values()
-        )
+        provenance = runtime.provenance
+        live = 0
+        for node_id in provenance.node_ids():
+            rows = provenance.store(node_id).rule_exec_table()
+            live += len({child for row in rows for child in row[4]}) + len(rows)
         assert stats["entries"] <= 2 * live + 16, (stats, live)
 
     def test_rebirth_after_prune_cannot_revalidate_stale_cache(self):

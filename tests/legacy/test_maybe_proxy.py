@@ -52,13 +52,14 @@ class TestMaybeRuleEvaluator:
         # the derivation is recorded in the provenance tables
         store = legacy_runtime.provenance.store("as2")
         entries = store.prov_entries(vid_for(outgoing))
-        assert len(entries) == 1 and entries[0].rid != BASE_RID
+        assert len(entries) == 1 and entries[0][0] != BASE_RID
 
     def test_unexplained_output_recorded_as_base(self, evaluator, legacy_runtime):
         outgoing = Fact.make(OUTPUT_ROUTE, ["as2", "as1", "10.1.0.0/24", ("as2",)])
         assert evaluator.observe_output(outgoing) == 0
         store = legacy_runtime.provenance.store("as2")
-        assert store.prov_entries(vid_for(outgoing))[0].rid == BASE_RID
+        ((rid, _rloc),) = store.prov_entries(vid_for(outgoing))
+        assert rid == BASE_RID
 
     def test_condition_rejects_non_extension(self, evaluator):
         evaluator.observe_input(Fact.make(INPUT_ROUTE, ["as2", "as9", "p", ("as9",)]))
