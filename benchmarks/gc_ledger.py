@@ -13,13 +13,13 @@ The per-layer tracer (``bench/run.py --trace 1``) cannot show any of this: a
 collection runs inside whichever span happened to allocate the object that
 crossed the threshold, so its pause is booked as that layer's self time.
 
-    python benchmarks/gc_ledger.py [--workload NAME ...] [--seed N] [--cycles N]
-                                   [--size full|smoke] [--json]
+    python benchmarks/gc_ledger.py [--size full|smoke] [--json]
 
-Every workload runs in its own child process with ``PYTHONHASHSEED=0`` and no
-``NETTRAILS_*`` variable, like the benchmark's workers, so one workload's heap
-never inflates the next one's collections.  ``--json`` prints one JSON
-document instead of the table.
+All four workloads are measured, with seed 11 and two cycles after the
+warm-up.  Every workload runs in its own child process with
+``PYTHONHASHSEED=0`` and no ``NETTRAILS_*`` variable, like the benchmark's
+workers, so one workload's heap never inflates the next one's collections.
+``--json`` prints one JSON document instead of the table.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from typing import Dict, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("churn-scale", "churn-flap", "query-deep", "serve-mixed")
+SEED = 11
+#: Measured cycles after the warm-up.
+CYCLES = 2
 TOP_TYPES = 8
 CHILD_TIMEOUT_S = 900
 
@@ -113,7 +116,7 @@ def measured_cycle(system, plan, clock: CollectorClock) -> Dict[str, object]:
     return cycle
 
 
-def run_workload(name: str, size_name: str, seed: int, cycles: int) -> Dict[str, object]:
+def run_workload(name: str, size_name: str) -> Dict[str, object]:
     """Build, warm up and measure one workload in this process."""
     from bench import harness
     from bench.kernel import Pacer
@@ -127,13 +130,13 @@ def run_workload(name: str, size_name: str, seed: int, cycles: int) -> Dict[str,
     gc.callbacks.append(clock)
     try:
         step = Step(Pacer())
-        system = workload.build(size, seed, step, *((scratch,) if scratch is not None else ()))
+        system = workload.build(size, SEED, step, *((scratch,) if scratch is not None else ()))
         try:
-            warmup = workload.plan(system, size, seed, size["warmup_fraction"])
-            plan = workload.plan(system, size, seed, 1.0)
+            warmup = workload.plan(system, size, SEED, size["warmup_fraction"])
+            plan = workload.plan(system, size, SEED, 1.0)
             harness.run_cycle(system, warmup)
             after_setup = tracked_heap()
-            measured = [measured_cycle(system, plan, clock) for _ in range(cycles)]
+            measured = [measured_cycle(system, plan, clock) for _ in range(CYCLES)]
         finally:
             system.close()
     finally:
@@ -158,10 +161,9 @@ def child_environment() -> Dict[str, str]:
     return environment
 
 
-def run_child(name: str, args) -> Dict[str, object]:
+def run_child(name: str, size_name: str) -> Dict[str, object]:
     completed = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", name, "--size", args.size,
-         "--seed", str(args.seed), "--cycles", str(args.cycles)],
+        [sys.executable, str(Path(__file__).resolve()), "--child", name, "--size", size_name],
         cwd=ROOT,
         env=child_environment(),
         stdout=subprocess.PIPE,
@@ -191,25 +193,21 @@ def print_table(document: Dict[str, object]) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append", choices=WORKLOAD_NAMES,
-                        help="workload to measure (repeatable; default: all four)")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--cycles", type=int, default=2, help="measured cycles after the warm-up")
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
     parser.add_argument("--json", action="store_true", help="print one JSON document instead of the table")
     parser.add_argument("--child", choices=WORKLOAD_NAMES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child is not None:
-        print(json.dumps(run_workload(args.child, args.size, args.seed, args.cycles)))
+        print(json.dumps(run_workload(args.child, args.size)))
         return 0
 
     document = {
-        "seed": args.seed,
+        "seed": SEED,
         "size": args.size,
         "python": platform.python_version(),
         "thresholds": list(gc.get_threshold()),
-        "workloads": {name: run_child(name, args) for name in (args.workload or WORKLOAD_NAMES)},
+        "workloads": {name: run_child(name, args.size) for name in WORKLOAD_NAMES},
     }
     if args.json:
         print(json.dumps(document, indent=1))

@@ -240,7 +240,7 @@ class PartitionIntervalIndex:
         for vid in sorted(store._prov, key=repr):
             key = ("t", vid)
             self._parent.setdefault(key, None)
-            for rid, rloc in store._prov[vid]:
+            for rid, rloc in store.prov_entries(vid):
                 if rid != BASE_RID and rloc == node_id:
                     xkey = ("x", rid)
                     self._parent.setdefault(xkey, None)
@@ -249,7 +249,7 @@ class PartitionIntervalIndex:
         for rid in sorted(store._rule_execs, key=repr):
             xkey = ("x", rid)
             self._parent.setdefault(xkey, None)
-            for child in store._rule_execs[rid][3]:
+            for child in store.child_vids(rid):
                 ckey = ("t", child)
                 self._parent.setdefault(ckey, None)
                 self._succ.setdefault(xkey, set()).add(ckey)

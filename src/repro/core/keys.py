@@ -32,15 +32,16 @@ def _digest(payload: str) -> str:
 def vid_for(fact: Fact) -> str:
     """Return the tuple-vertex identifier of *fact*.
 
-    Hashed once per ``Fact`` instance and memoised in its ``__dict__`` like
+    Hashed once per ``Fact`` instance and memoised in its ``_vid`` slot like
     its ``repr`` (maintenance asks again on every firing that consumes the
     fact); equality, hashing, ``repr`` and pickling ignore the memo.
     """
-    vid = fact.__dict__.get("_vid")
-    if vid is None:
+    try:
+        return fact._vid
+    except AttributeError:
         vid = "vid_" + _digest(repr((fact.relation, fact.values)))
         object.__setattr__(fact, "_vid", vid)
-    return vid
+        return vid
 
 
 def vid_for_values(relation: str, values: Sequence[object]) -> str:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ProvenanceError, UnknownVertexError
 from repro.engine.compiler import CompiledProgram
@@ -73,8 +73,31 @@ from repro.core.keys import BASE_RID, rid_for, vid_for
 ProvRow = Tuple[str, object]
 
 #: A stored ``ruleExec`` row: ``(rid, rule_name, program_name, child_vids,
-#: head_vid, head_location)`` (``@RLoc`` is the store's node).
+#: head_vid, head_location)`` (``@RLoc`` is the store's node).  Only this
+#: module reads it; everyone else goes through :class:`RuleExecEntry`.
 RuleExecRow = Tuple[str, str, str, Tuple[str, ...], str, object]
+
+#: Positions in a stored ``ruleExec`` row read by the reachability walk and
+#: the version sweep.
+_EXEC_CHILD_VIDS = 3
+_EXEC_HEAD_VID = 4
+_EXEC_HEAD_LOCATION = 5
+
+
+class RuleExecEntry(NamedTuple):
+    """A read-only view of one ``ruleExec`` row (``@RLoc`` is the store's node).
+
+    Built on demand from the stored plain tuple, which has the same fields in
+    the same order; the store never keeps a view, since a ``NamedTuple``
+    instance stays tracked by the cyclic garbage collector.
+    """
+
+    rid: str
+    rule_name: str
+    program_name: str
+    child_vids: Tuple[str, ...]
+    head_vid: str
+    head_location: object
 
 
 def _prov_order(row: ProvRow) -> Tuple[str, str]:
@@ -239,7 +262,7 @@ class NodeProvenanceStore:
             row = self._rule_execs.pop(rid, None)
             if row is None:
                 return
-            _, _, _, child_vids, head_vid, head_location = row
+            child_vids = row[_EXEC_CHILD_VIDS]
             for child in child_vids:
                 consumers = uses.get(child)
                 if consumers is None:
@@ -251,7 +274,7 @@ class NodeProvenanceStore:
                 consumers.discard(rid)
                 if len(consumers) == 1:
                     (uses[child],) = consumers
-            self._mark_dirty(head_location, head_vid)
+            self._mark_dirty(row[_EXEC_HEAD_LOCATION], row[_EXEC_HEAD_VID])
         if self._interval_index is not None:
             self._interval_index.note_exec_removed(rid, child_vids)
         self._bump()
@@ -262,9 +285,15 @@ class NodeProvenanceStore:
         """The ``(rid, rloc)`` prov rows of tuple *vid*, ordered by ``(rid, repr(rloc))``."""
         return self._prov.get(vid, ())
 
-    def rule_exec(self, rid: str) -> RuleExecRow:
-        """The ``ruleExec`` row of *rid*: ``(rid, rule_name, program_name,
-        child_vids, head_vid, head_location)``."""
+    def rule_exec(self, rid: str) -> RuleExecEntry:
+        """The ``ruleExec`` row of *rid*."""
+        return RuleExecEntry._make(self._rule_exec_row(rid))
+
+    def child_vids(self, rid: str) -> Tuple[str, ...]:
+        """The input tuples of rule execution *rid*, without building a view."""
+        return self._rule_exec_row(rid)[_EXEC_CHILD_VIDS]
+
+    def _rule_exec_row(self, rid: str) -> RuleExecRow:
         row = self._rule_execs.get(rid)
         if row is None:
             raise UnknownVertexError(
@@ -292,9 +321,9 @@ class NodeProvenanceStore:
             return [consumers]
         return sorted(consumers)
 
-    def rule_execs(self) -> List[RuleExecRow]:
-        """Every stored ``ruleExec`` row (see :meth:`rule_exec`), sorted by rid."""
-        return [self._rule_execs[rid] for rid in sorted(self._rule_execs)]
+    def rule_execs(self) -> List[RuleExecEntry]:
+        """Every ``ruleExec`` row (see :meth:`rule_exec`), sorted by rid."""
+        return [RuleExecEntry._make(self._rule_execs[rid]) for rid in sorted(self._rule_execs)]
 
     def prov_table(self) -> List[Tuple[object, ...]]:
         """The full local ``prov`` relation as rows ``(Loc, VID, RID, RLoc)``."""
@@ -309,8 +338,8 @@ class NodeProvenanceStore:
         """The full local ``ruleExec`` relation as rows ``(RLoc, RID, Rule, Program, ChildVIDs)``."""
         location = self.node_id
         return [
-            (location, rid, rule_name, program_name, child_vids)
-            for rid, rule_name, program_name, child_vids, _, _ in self.rule_execs()
+            (location, entry.rid, entry.rule_name, entry.program_name, entry.child_vids)
+            for entry in self.rule_execs()
         ]
 
     @property
@@ -553,7 +582,7 @@ class ProvenanceEngine:
                 for rid in (consumers,) if type(consumers) is str else consumers:
                     row = rule_execs.get(rid)
                     if row is not None:
-                        stack.append((row[5], row[4]))
+                        stack.append((row[_EXEC_HEAD_LOCATION], row[_EXEC_HEAD_VID]))
             if not seen:
                 return
             roots.clear()
@@ -578,7 +607,7 @@ class ProvenanceEngine:
         live: Set[str] = set()
         for store in self._stores.values():
             live.update(store._uses)
-            live.update([row[4] for row in store._rule_execs.values()])
+            live.update([row[_EXEC_HEAD_VID] for row in store._rule_execs.values()])
         dead = [vid for vid in self._vid_versions if vid not in live]
         for vid in dead:
             self._rebirth_epoch = max(self._rebirth_epoch, self._vid_versions.pop(vid))
@@ -732,8 +761,8 @@ class ProvenanceEngine:
         # Rule-execution vertices and their dataflow edges; input tuples are
         # local to the executing node, so their descriptors are available.
         for node_id, store in self._stores.items():
-            for rid, rule_name, program_name, child_vids, head_vid, _ in store.rule_execs():
-                for child_vid in child_vids:
+            for entry in store.rule_execs():
+                for child_vid in entry.child_vids:
                     if not graph.has_tuple(child_vid):
                         relation, values, location = self.resolve_tuple(child_vid)
                         graph.add_tuple(
@@ -745,14 +774,14 @@ class ProvenanceEngine:
                                 is_base=False,
                             )
                         )
-                if not graph.has_tuple(head_vid):
+                if not graph.has_tuple(entry.head_vid):
                     try:
-                        relation, values, location = self.resolve_tuple(head_vid)
+                        relation, values, location = self.resolve_tuple(entry.head_vid)
                     except UnknownVertexError:
                         continue
                     graph.add_tuple(
                         TupleVertex(
-                            vid=head_vid,
+                            vid=entry.head_vid,
                             relation=relation,
                             values=values,
                             location=location,
@@ -761,12 +790,12 @@ class ProvenanceEngine:
                     )
                 graph.add_rule_exec(
                     RuleExecVertex(
-                        rid=rid,
-                        rule_name=rule_name,
-                        program_name=program_name,
+                        rid=entry.rid,
+                        rule_name=entry.rule_name,
+                        program_name=entry.program_name,
                         location=node_id,
                     ),
-                    child_vids,
-                    head_vid,
+                    entry.child_vids,
+                    entry.head_vid,
                 )
         return graph

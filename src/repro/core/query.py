@@ -814,14 +814,14 @@ class QueryAgent:
             frame.truncated = True
             frame.exec_ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self.node.id)
             return frame
-        _, rule_name, program_name, child_vids, _, _ = store.rule_exec(rid)
+        entry = store.rule_exec(rid)
         frame.exec_ref = ExecRef(
             rid=rid,
-            rule_name=rule_name,
-            program_name=program_name,
+            rule_name=entry.rule_name,
+            program_name=entry.program_name,
             location=self.node.id,
         )
-        for child_vid in child_vids:
+        for child_vid in entry.child_vids:
             frame.subtasks.append(_Subtask(kind="local-tuple", target=child_vid))
         frame.collected = [None] * len(frame.subtasks)
         return frame

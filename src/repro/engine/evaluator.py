@@ -91,29 +91,6 @@ class DerivationEffect:
         return f"{symbol}{self.head_fact} via {self.rule_name} [{self.firing_id}]"
 
 
-@dataclass(**SLOTTED)
-class _FiringRecord:
-    firing_id: str
-    rule_name: str
-    head_fact: Fact
-    head_location: object
-    body_facts: Tuple[Fact, ...]
-
-
-@dataclass(**SLOTTED)
-class _AggHead:
-    firing_id: str
-    head_fact: Fact
-    head_location: object
-    body_facts: Tuple[Fact, ...]
-    #: The aggregate value the head carries.  ``value == new_value`` together
-    #: with ``body_facts == contributing`` implies the recomputed head is
-    #: identical (the head is a pure function of rule, group key and value),
-    #: letting recomputation skip rebuilding the head fact in the common
-    #: nothing-changed case.
-    value: object = None
-
-
 @dataclass(frozen=True)
 class _ColumnarStep:
     """One join step of a compiled columnar plan (one non-delta body atom).
@@ -256,9 +233,16 @@ class LocalEvaluator:
         #: insert-then-retract ordering.  Only benchmarks should enable it.
         self.aggregate_retract_first = aggregate_retract_first
 
-        self._firings: Dict[str, _FiringRecord] = {}
-        #: rule name -> body facts -> firing id; keyed by the record's own body
-        #: tuple, so no per-firing key object exists beside the record
+        #: firing id -> rule name, head fact and body facts of each live
+        #: non-aggregate firing: three flat maps, not a record object per
+        #: firing.  The rule-name map holds only strings, so the cyclic
+        #: collector never scans it; the other two reference objects that
+        #: exist anyway.
+        self._firing_rules: Dict[str, str] = {}
+        self._firing_heads: Dict[str, Fact] = {}
+        self._firing_bodies: Dict[str, Tuple[Fact, ...]] = {}
+        #: rule name -> body facts -> firing id; keyed by the firing's own
+        #: body tuple, so no per-firing key object exists
         self._firing_by_body: Dict[str, Dict[Tuple[Fact, ...], str]] = {
             rule.name: {} for rule in compiled.rules
         }
@@ -269,7 +253,13 @@ class LocalEvaluator:
 
         # Aggregate state: rule name -> group key -> {body_facts -> value}
         self._agg_entries: Dict[str, Dict[Tuple, Dict[Tuple[Fact, ...], object]]] = {}
-        self._agg_heads: Dict[Tuple[str, Tuple], _AggHead] = {}
+        # Live aggregate heads, (rule name, group key) -> the head's firing id
+        # and aggregate value, its head fact, and its contributing body facts:
+        # flat maps like the firing maps, no record object per group.  The
+        # id/value map holds atoms only, so the collector never scans it.
+        self._agg_heads: Dict[Tuple[str, Tuple], Tuple[str, object]] = {}
+        self._agg_head_facts: Dict[Tuple[str, Tuple], Fact] = {}
+        self._agg_head_bodies: Dict[Tuple[str, Tuple], Tuple[Fact, ...]] = {}
         # Fact -> memberships, each (repr sort key, rule name, group key,
         # body facts) — the sort key is computed once here so deletion-time
         # ordering (phase 1) is a plain tuple sort.  Like _fact_firings, a
@@ -313,7 +303,7 @@ class LocalEvaluator:
     @property
     def firing_count(self) -> int:
         """Number of currently-live rule firings recorded at this node."""
-        return len(self._firings) + len(self._agg_heads)
+        return len(self._firing_rules) + len(self._agg_heads)
 
     # -- entry points --------------------------------------------------------------
 
@@ -335,10 +325,8 @@ class LocalEvaluator:
         firings = self._fact_firings.pop(fact, None)
         if firings:
             for firing_id in _sorted_members(firings):
-                record = self._firings.get(firing_id)
-                if record is None:
-                    continue
-                effects.append(self._retract_firing(record))
+                if firing_id in self._firing_rules:
+                    effects.append(self._retract_firing(firing_id))
 
         # Removal of aggregate entries that used the fact.  Memberships carry
         # their repr sort key as element 0 (computed once at entry creation),
@@ -392,10 +380,8 @@ class LocalEvaluator:
                 firings = self._fact_firings.pop(fact, None)
                 if firings:
                     for firing_id in _sorted_members(firings):
-                        record = self._firings.get(firing_id)
-                        if record is None:
-                            continue
-                        effects.append(self._retract_firing(record))
+                        if firing_id in self._firing_rules:
+                            effects.append(self._retract_firing(firing_id))
                 memberships = self._fact_agg_entries.pop(fact, None)
                 if memberships:
                     for membership in _sorted_members(memberships):
@@ -568,8 +554,9 @@ class LocalEvaluator:
             distinct_facts = set(body_facts)
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self._next_firing_id()
-        record = _FiringRecord(firing_id, rule.name, head_fact, head_location, body_facts)
-        self._firings[firing_id] = record
+        self._firing_rules[firing_id] = rule.name
+        self._firing_heads[firing_id] = head_fact
+        self._firing_bodies[firing_id] = body_facts
         by_body[body_facts] = firing_id
         fact_firings = self._fact_firings
         for fact in distinct_facts:
@@ -593,14 +580,16 @@ class LocalEvaluator:
             )
         ]
 
-    def _retract_firing(self, record: _FiringRecord) -> DerivationEffect:
-        self._firings.pop(record.firing_id, None)
-        self._firing_by_body[record.rule_name].pop(record.body_facts, None)
+    def _retract_firing(self, firing_id: str) -> DerivationEffect:
+        """Retract the live firing *firing_id* and return its -1 effect."""
+        rule_name = self._firing_rules.pop(firing_id)
+        head_fact = self._firing_heads.pop(firing_id)
+        body_facts = self._firing_bodies.pop(firing_id)
+        self._firing_by_body[rule_name].pop(body_facts, None)
         # Duplicate body facts are harmless here: the first occurrence removes
         # the id, so later ones find another firing's id or nothing at all.
         fact_firings = self._fact_firings
-        firing_id = record.firing_id
-        for fact in record.body_facts:
+        for fact in body_facts:
             firings = fact_firings.get(fact)
             if firings is None:
                 continue
@@ -613,12 +602,12 @@ class LocalEvaluator:
                 (fact_firings[fact],) = firings
         return DerivationEffect(
             sign=-1,
-            firing_id=record.firing_id,
-            rule_name=record.rule_name,
+            firing_id=firing_id,
+            rule_name=rule_name,
             program_name=self._compiled.name,
-            head_fact=record.head_fact,
-            head_location=record.head_location,
-            body_facts=record.body_facts,
+            head_fact=head_fact,
+            head_location=self._compiled.catalog.location_of(head_fact),
+            body_facts=body_facts,
         )
 
     # -- join enumeration --------------------------------------------------------------
@@ -1236,11 +1225,8 @@ class LocalEvaluator:
         by_body = self._firing_by_body[rule.name]
         for bindings, body_facts in self._positive_bindings_matching_negation(rule, fact):
             firing_id = by_body.get(body_facts)
-            if firing_id is None:
-                continue
-            record = self._firings.get(firing_id)
-            if record is not None:
-                effects.append(self._retract_firing(record))
+            if firing_id is not None:
+                effects.append(self._retract_firing(firing_id))
         return effects
 
     def _enable_unblocked_firings(self, rule: Rule, fact: Fact) -> List[DerivationEffect]:
@@ -1417,7 +1403,7 @@ class LocalEvaluator:
         effects: List[DerivationEffect] = []
         if not entries:
             if current is not None:
-                effects.append(self._retract_agg_head(rule, head_key, current))
+                effects.append(self._retract_agg_head(rule, head_key))
             return effects
 
         new_value = _aggregate_value(aggregate.func, list(entries.values()))
@@ -1430,8 +1416,8 @@ class LocalEvaluator:
             # recomputed head would equal the current one — skip rebuilding it.
             if (
                 current is not None
-                and current.value == new_value
-                and current.body_facts == contributing
+                and current[1] == new_value
+                and self._agg_head_bodies[head_key] == contributing
             ):
                 return effects
         else:
@@ -1440,25 +1426,23 @@ class LocalEvaluator:
 
         previous = None
         if current is not None:
-            if current.head_fact == head_fact and current.body_facts == contributing:
+            if (
+                self._agg_head_facts[head_key] == head_fact
+                and self._agg_head_bodies[head_key] == contributing
+            ):
                 return effects
-            previous = current
             if self.aggregate_retract_first:
                 # Ablation mode: propagate the retraction first (the naive
                 # ordering), exposing the intermediate group state downstream.
-                effects.append(self._retract_agg_head(rule, head_key, previous))
-                previous = None
+                effects.append(self._retract_agg_head(rule, head_key))
+            else:
+                previous = self._agg_retraction(rule, head_key)
 
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self._next_firing_id()
-        record = _AggHead(
-            firing_id=firing_id,
-            head_fact=head_fact,
-            head_location=head_location,
-            body_facts=contributing,
-            value=new_value,
-        )
-        self._agg_heads[head_key] = record
+        self._agg_heads[head_key] = (firing_id, new_value)
+        self._agg_head_facts[head_key] = head_fact
+        self._agg_head_bodies[head_key] = contributing
         effects.append(
             DerivationEffect(
                 sign=+1,
@@ -1477,7 +1461,7 @@ class LocalEvaluator:
             # expose an intermediate state (group without either value) whose
             # consequences would be derived, shipped, and immediately undone —
             # a cascade that blows up deletion processing on cyclic topologies.
-            effects.append(self._make_agg_retraction(rule, previous))
+            effects.append(previous)
         return effects
 
     def _contributing_facts_cached(
@@ -1509,21 +1493,25 @@ class LocalEvaluator:
         keyed.sort()
         return tuple([fact for _, fact in keyed])
 
-    def _retract_agg_head(
-        self, rule: Rule, head_key: Tuple[str, Tuple], record: _AggHead
-    ) -> DerivationEffect:
-        self._agg_heads.pop(head_key, None)
-        return self._make_agg_retraction(rule, record)
+    def _retract_agg_head(self, rule: Rule, head_key: Tuple[str, Tuple]) -> DerivationEffect:
+        """Drop the live head of *head_key* and return its -1 effect."""
+        effect = self._agg_retraction(rule, head_key)
+        del self._agg_heads[head_key]
+        del self._agg_head_facts[head_key]
+        del self._agg_head_bodies[head_key]
+        return effect
 
-    def _make_agg_retraction(self, rule: Rule, record: _AggHead) -> DerivationEffect:
+    def _agg_retraction(self, rule: Rule, head_key: Tuple[str, Tuple]) -> DerivationEffect:
+        """The -1 effect of the live head of *head_key* (the maps are untouched)."""
+        head_fact = self._agg_head_facts[head_key]
         return DerivationEffect(
             sign=-1,
-            firing_id=record.firing_id,
+            firing_id=self._agg_heads[head_key][0],
             rule_name=rule.name,
             program_name=self._compiled.name,
-            head_fact=record.head_fact,
-            head_location=record.head_location,
-            body_facts=record.body_facts,
+            head_fact=head_fact,
+            head_location=self._compiled.catalog.location_of(head_fact),
+            body_facts=self._agg_head_bodies[head_key],
         )
 
 

@@ -60,6 +60,9 @@ class Network:
         self.simulator = simulator
         self._default_latency = default_latency
         self._receivers: Dict[object, object] = {}
+        #: The callback of every delivery event, bound once: the message
+        #: rides on the event as its argument.
+        self._deliver = self._deliver_message
         #: category -> ``"deliver:<category>"`` event label, formatted once
         self._deliver_labels: Dict[str, str] = {}
         self._links: Dict[Tuple[object, object], Link] = {}
@@ -111,14 +114,16 @@ class Network:
         label = self._deliver_labels.get(message.category)
         if label is None:
             label = self._deliver_labels[message.category] = f"deliver:{message.category}"
-        # The message rides on the event and the receiver's bound receive is
-        # its callback: no closure per delivery.  Deliveries are serialized
-        # per receiving node (the event key): two messages delivered to one
-        # node at the same instant keep their order, while deliveries to
-        # distinct nodes may be absorbed concurrently.
-        self.simulator.schedule_call(
-            latency, self._receivers[receiver].receive, message, label, receiver
-        )
+        # The message rides on the event, whose callback is bound once per
+        # network: a delivery allocates no closure or method object.
+        # Deliveries are serialized per receiving node (the event key): two
+        # messages delivered to one node at the same instant keep their
+        # order, while deliveries to distinct nodes may be absorbed
+        # concurrently.
+        self.simulator.schedule_call(latency, self._deliver, message, label, receiver)
+
+    def _deliver_message(self, message: Message) -> None:
+        self._receivers[message.receiver].receive(message)
 
     def reset_stats(self) -> TrafficStats:
         """Reset traffic statistics, returning the statistics collected so far."""

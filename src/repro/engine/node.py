@@ -47,7 +47,7 @@ from repro.engine.store import (
     ThreadShardExecutor,
     TupleStore,
 )
-from repro.engine.tuples import SLOTTED, Fact
+from repro.engine.tuples import Fact
 from repro.obs import Observability
 
 
@@ -67,14 +67,6 @@ class NodeStats:
     deltas_sent: int = 0
     deltas_received: int = 0
     messages_sent: int = 0
-
-
-@dataclass(frozen=True, **SLOTTED)
-class _PendingUpdate:
-    sign: int
-    fact: Fact
-    derivation_id: str
-    tag: Optional[ProvenanceTag]
 
 
 class Node:
@@ -156,7 +148,7 @@ class Node:
         #: independent nodes' commit stalls.  Leave at 0.0 (the default) for
         #: pure in-memory simulation.
         self.batch_commit_stall_s = batch_commit_stall_s
-        self._queue: Deque[_PendingUpdate] = deque()
+        self._queue: Deque[TupleDelta] = deque()
         self._processing = False
         self._drain_scheduled = False
         #: Installed by the process-pool backend: a callable that ships this
@@ -181,8 +173,10 @@ class Node:
         #: ``repr(node_id)`` computed once — the drain instrumentation path
         #: stamps it on every span/event and must not re-render it per batch.
         self._id_repr = repr(node_id)
-        #: The label of this node's drain events, formatted once.
+        #: The label and callback of this node's drain events, made once so
+        #: scheduling a drain allocates nothing but the event.
         self._drain_label = f"drain:{node_id}"
+        self._drain_callback = self._fire_drain
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         network.register(node_id, self)
 
@@ -191,12 +185,12 @@ class Node:
     def insert_base(self, fact: Fact) -> None:
         """Insert a base tuple locally (e.g. a ``link`` tuple from the topology)."""
         self._check_location(fact)
-        self._enqueue(_PendingUpdate(+1, fact, BASE_DERIVATION, None))
+        self._enqueue(TupleDelta(+1, fact, BASE_DERIVATION, None))
 
     def delete_base(self, fact: Fact) -> None:
         """Delete a base tuple previously inserted at this node."""
         self._check_location(fact)
-        self._enqueue(_PendingUpdate(-1, fact, BASE_DERIVATION, None))
+        self._enqueue(TupleDelta(-1, fact, BASE_DERIVATION, None))
 
     def apply_base_batch(
         self, inserts: Sequence[Fact] = (), deletes: Sequence[Fact] = ()
@@ -211,10 +205,10 @@ class Node:
         """
         for fact in deletes:
             self._check_location(fact)
-            self._queue.append(_PendingUpdate(-1, fact, BASE_DERIVATION, None))
+            self._queue.append(TupleDelta(-1, fact, BASE_DERIVATION, None))
         for fact in inserts:
             self._check_location(fact)
-            self._queue.append(_PendingUpdate(+1, fact, BASE_DERIVATION, None))
+            self._queue.append(TupleDelta(+1, fact, BASE_DERIVATION, None))
         if self._queue and not self._processing:
             self._drain()
 
@@ -242,17 +236,16 @@ class Node:
         """Entry point used by the network to deliver a message to this node."""
         if message.category == CATEGORY_TUPLE:
             payload = message.payload
+            # Received deltas are queued as they are: a delta is immutable,
+            # so the work queue needs no copy of its own.
             if isinstance(payload, TupleDeltaBatch):
-                deltas = payload.deltas
+                self.stats.deltas_received += len(payload.deltas)
+                self._queue.extend(payload.deltas)
             elif isinstance(payload, TupleDelta):
-                deltas = (payload,)
+                self.stats.deltas_received += 1
+                self._queue.append(payload)
             else:
                 raise EngineError(f"malformed tuple message payload: {message.payload!r}")
-            self.stats.deltas_received += len(deltas)
-            for delta in deltas:
-                self._queue.append(
-                    _PendingUpdate(delta.sign, delta.fact, delta.derivation_id, delta.provenance)
-                )
             if self.batch_deltas:
                 # Defer draining to a zero-delay simulator event: every
                 # message delivered to this node at the same virtual instant
@@ -278,7 +271,7 @@ class Node:
                 f"fact {fact} is located at {location!r} and cannot be inserted at node {self.id!r}"
             )
 
-    def _enqueue(self, update: _PendingUpdate) -> None:
+    def _enqueue(self, update: TupleDelta) -> None:
         self._queue.append(update)
         if not self._processing:
             self._drain()
@@ -291,7 +284,7 @@ class Node:
         # backend may drain distinct nodes of the same wave in parallel, but
         # this node's store/evaluator/provenance partition stays
         # single-writer.
-        self.network.simulator.schedule(0.0, self._fire_drain, label=self._drain_label, key=self.id)
+        self.network.simulator.schedule(0.0, self._drain_callback, label=self._drain_label, key=self.id)
 
     def _fire_drain(self) -> None:
         self._drain_scheduled = False
@@ -314,7 +307,7 @@ class Node:
         finally:
             self._processing = False
 
-    def _apply_batch(self, updates: List[_PendingUpdate]) -> None:
+    def _apply_batch(self, updates: List[TupleDelta]) -> None:
         """Apply a batch of pending updates with one evaluator/provenance pass.
 
         The store absorbs the whole batch first; the evaluator then sees only
@@ -336,7 +329,7 @@ class Node:
             self._obs_drain_end(token, len(updates))
 
     def _absorb_batch(
-        self, updates: List[_PendingUpdate]
+        self, updates: List[TupleDelta]
     ) -> Tuple[List[Fact], List[Fact]]:
         """Apply *updates* to the store and the provenance partition (no evaluation)."""
         newly_present, disappeared, applied = self.store.apply_delta_batch(
@@ -346,7 +339,7 @@ class Node:
             ops = []
             for update, was_applied in zip(updates, applied):
                 if update.sign > 0:
-                    ops.append((+1, update.fact, update.derivation_id, update.tag))
+                    ops.append((+1, update.fact, update.derivation_id, update.provenance))
                 elif was_applied:
                     ops.append((-1, update.fact, update.derivation_id, None))
             apply_batch = getattr(self.provenance, "apply_support_batch", None)
@@ -360,7 +353,7 @@ class Node:
                         self.provenance.remove_support(self.id, fact, derivation_id)
         return newly_present, disappeared
 
-    def _apply(self, update: _PendingUpdate) -> None:
+    def _apply(self, update: TupleDelta) -> None:
         if self._trace is not None:
             self._trace.append(("single", update))
         self.stats.updates_processed += 1
@@ -371,13 +364,13 @@ class Node:
                 effects = self.evaluator.on_fact_deleted(update.fact)
             self._handle_effects(effects)
 
-    def _absorb_single(self, update: _PendingUpdate) -> bool:
+    def _absorb_single(self, update: TupleDelta) -> bool:
         """Apply one update to store + provenance; True if presence changed."""
         if update.sign > 0:
             newly_present = self.store.add_derivation(update.fact, update.derivation_id)
             if self.provenance is not None:
                 self.provenance.record_support(
-                    self.id, update.fact, update.derivation_id, update.tag
+                    self.id, update.fact, update.derivation_id, update.provenance
                 )
             return bool(newly_present)
         had_derivation = update.derivation_id in self.store.derivations(update.fact)
@@ -426,7 +419,7 @@ class Node:
             if effect.head_location == self.id:
                 if enqueue_local:
                     self._queue.append(
-                        _PendingUpdate(effect.sign, effect.head_fact, effect.firing_id, tag)
+                        TupleDelta(effect.sign, effect.head_fact, effect.firing_id, tag)
                     )
                 continue
             if not send_remote:
@@ -538,7 +531,7 @@ class Node:
         finally:
             self._processing = False
 
-    def _mirror_batch(self, updates: List[_PendingUpdate]) -> None:
+    def _mirror_batch(self, updates: List[TupleDelta]) -> None:
         self.stats.updates_processed += len(updates)
         self.stats.batches_processed += 1
         if self.obs is not None:
@@ -550,7 +543,7 @@ class Node:
         # trace entries.
         self._absorb_batch(updates)
 
-    def _mirror_single(self, update: _PendingUpdate) -> None:
+    def _mirror_single(self, update: TupleDelta) -> None:
         self.stats.updates_processed += 1
         self._absorb_single(update)
 

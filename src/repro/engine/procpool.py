@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.keys import rid_for, vid_for
 from repro.engine.evaluator import DerivationEffect
-from repro.engine.messages import ProvenanceTag
-from repro.engine.node import _PendingUpdate
+from repro.engine.messages import ProvenanceTag, TupleDelta
 from repro.engine.tuples import Fact
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,17 +189,17 @@ class TraceCodec:
             rid=rid,
         )
 
-    def _enc_update(self, update: "_PendingUpdate") -> tuple:
+    def _enc_update(self, update: TupleDelta) -> tuple:
         return (
             update.sign,
             self._enc_fact(update.fact),
             update.derivation_id,
-            self._enc_tag(update.tag),
+            self._enc_tag(update.provenance),
         )
 
-    def _dec_update(self, enc: tuple) -> "_PendingUpdate":
+    def _dec_update(self, enc: tuple) -> TupleDelta:
         sign, fact_ref, derivation_id, tag_ref = enc
-        return _PendingUpdate(
+        return TupleDelta(
             sign, self._dec_fact(fact_ref), derivation_id, self._dec_tag(tag_ref)
         )
 
@@ -229,10 +228,10 @@ class TraceCodec:
 
     # -- public surface -------------------------------------------------------
 
-    def encode_updates(self, updates: Sequence["_PendingUpdate"]) -> List[tuple]:
+    def encode_updates(self, updates: Sequence[TupleDelta]) -> List[tuple]:
         return [self._enc_update(update) for update in updates]
 
-    def decode_updates(self, encoded: Sequence[tuple]) -> List["_PendingUpdate"]:
+    def decode_updates(self, encoded: Sequence[tuple]) -> List[TupleDelta]:
         return [self._dec_update(enc) for enc in encoded]
 
     def encode_trace(self, trace: Sequence[tuple]) -> List[tuple]:
@@ -339,7 +338,7 @@ def worker_main(conn: "Connection", nodes: Dict[object, "Node"], owned_ids: Sequ
 
     def run_drain(
         node: "Node",
-        updates: List["_PendingUpdate"],
+        updates: List[TupleDelta],
         ctx: Optional[Tuple[str, str]] = None,
     ) -> List[tuple]:
         # ctx is the coordinator's ambient (trace_id, span_id) for this drain;

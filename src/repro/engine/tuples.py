@@ -49,6 +49,11 @@ def _check_value(value: object) -> object:
 class Fact:
     """An immutable relational tuple (``relation`` + attribute ``values``)."""
 
+    # No instance dict: a fact is one GC-tracked object, not two.  ``_repr``
+    # and ``_vid`` (see :func:`repro.core.keys.vid_for`) are memos filled on
+    # first use.
+    __slots__ = ("relation", "values", "_hash", "_repr", "_vid")
+
     relation: str
     values: Tuple[object, ...]
 
@@ -58,12 +63,12 @@ class Fact:
         object.__setattr__(self, "_hash", hash((self.relation, self.values)))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __reduce__(self):
         # Rebuild through __init__ so the cached hash is recomputed in the
         # receiving process (string hashes are per-process under hash
-        # randomisation) and the pickle carries no instance dict (repr, VID).
+        # randomisation) and the pickle carries no memo (repr, VID).
         return (Fact, (self.relation, self.values))
 
     def __repr__(self) -> str:
@@ -71,14 +76,15 @@ class Fact:
         # per instance: repr-derived sort keys and message size accounting
         # hit facts over and over, and interned (columnar) stores reuse the
         # same canonical instance for the lifetime of a fact.
-        rendered = self.__dict__.get("_repr")
-        if rendered is None:
+        try:
+            return self._repr
+        except AttributeError:
             rendered = (
                 f"{self.__class__.__qualname__}"
                 f"(relation={self.relation!r}, values={self.values!r})"
             )
             object.__setattr__(self, "_repr", rendered)
-        return rendered
+            return rendered
 
     @staticmethod
     def make(relation: str, values: Sequence[object]) -> "Fact":

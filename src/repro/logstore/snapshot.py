@@ -178,9 +178,15 @@ def take_snapshot(runtime, label: str = "") -> Snapshot:
             for row in pstore.prov_table():
                 _loc, vid, rid, rloc = row
                 node_snapshot.prov.append([vid, rid, str(rloc)])
-            for rid, rule_name, program_name, child_vids, head_vid, _ in pstore.rule_execs():
+            for entry in pstore.rule_execs():
                 node_snapshot.rule_execs.append(
-                    [rid, rule_name, program_name, list(child_vids), head_vid]
+                    [
+                        entry.rid,
+                        entry.rule_name,
+                        entry.program_name,
+                        list(entry.child_vids),
+                        entry.head_vid,
+                    ]
                 )
             for vid, info in sorted(pstore._tuple_info.items()):
                 node_snapshot.tuples[vid] = [info[0], list(info[1])]

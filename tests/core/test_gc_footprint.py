@@ -4,16 +4,19 @@ The provenance tables are relations of identifiers, so their rows are stored
 as exact tuples of strings and node ids, which CPython untracks; the
 one-member common case of every per-fact id index (consumers of a vid,
 derivations of a fact, firings that used a fact) is a bare id string that
-becomes a ``set`` only at the second member.  At churn scale this is the
-difference between a full collection scanning ~650 k objects or half that,
-several times per churn cycle.  These tests pin the shapes on a small
-prefix-routing runtime after a few churn windows.
+becomes a ``set`` only at the second member.  A fact is one slotted object
+with no instance dict, and a live firing or aggregate head is three map
+entries, not a record object.  At churn scale this is the difference between a full collection
+scanning ~650 k objects or a third of that, several times per churn cycle.
+These tests pin the shapes on a small prefix-routing runtime after a few
+churn windows.
 """
 
 from __future__ import annotations
 
 import gc
 
+from repro.core.keys import vid_for
 from repro.core.maintenance import NodeProvenanceStore
 from repro.engine import topology
 from repro.engine.compiler import compile_program
@@ -24,9 +27,10 @@ from repro.ndlog.parser import parse_program
 from repro.protocols import prefix_routing
 
 #: Tracked objects per ``prov`` row, runtime-wide, on the runtime below.  The
-#: row-object representation measured 13.0 here; the tuple rows 6.4.  The
-#: bound keeps about 25 % headroom over the latter.
-MAX_TRACKED_PER_PROV_ROW = 8.0
+#: row-object representation measured 13.0 here; tuple rows, one-object facts
+#: and record-free firings and aggregate heads measure 5.6.  The bound keeps
+#: about 25 % headroom over the latter.
+MAX_TRACKED_PER_PROV_ROW = 7.0
 
 TWO_CONSUMERS = """
 r1 left(@S, Z) :- link(@S, Z).
@@ -78,6 +82,16 @@ class TestStoredRowsAreUntracked:
             for by_fact in node.store._facts.values():
                 assert_bare_or_plural(by_fact, "derivations")
             assert_bare_or_plural(node.evaluator._fact_firings, "firings")
+            # firing id -> rule name, and (rule, group) -> (firing id, value)
+            # of an aggregate head, hold only atoms
+            assert not gc.is_tracked(node.evaluator._firing_rules)
+            assert not gc.is_tracked(node.evaluator._agg_heads)
+
+    def test_a_fact_is_one_object(self):
+        fact = Fact.make("link", ["n0", "a"])
+        repr(fact)
+        vid_for(fact)  # the memos live in slots, not in an instance dict
+        assert not hasattr(fact, "__dict__")
 
     def test_tracked_objects_per_prov_row_stay_bounded(self):
         gc.collect()

@@ -25,7 +25,7 @@ class TestVids:
 
 
 class TestVidMemo:
-    """The VID is hashed once per ``Fact`` instance and kept in its ``__dict__``."""
+    """The VID is hashed once per ``Fact`` instance and kept in its ``_vid`` slot."""
 
     @staticmethod
     def digest(fact):
@@ -34,16 +34,16 @@ class TestVidMemo:
 
     def test_memoised_vid_equals_the_plain_digest(self):
         fact = Fact.make("path", ["n0", "n2", (1, 2), 2.5])
-        assert "_vid" not in fact.__dict__
+        assert not hasattr(fact, "_vid")
         assert vid_for(fact) == self.digest(fact)
-        assert fact.__dict__["_vid"] == self.digest(fact)
+        assert fact._vid == self.digest(fact)
         assert vid_for(fact) is vid_for(fact)  # served from the memo
 
     def test_pickle_drops_the_memo_and_recomputes_it(self):
         fact = Fact.make("link", ["n0", "n1", 1])
         vid = vid_for(fact)
         clone = pickle.loads(pickle.dumps(fact))
-        assert "_vid" not in clone.__dict__
+        assert not hasattr(clone, "_vid")
         assert vid_for(clone) == vid
 
     def test_equality_hash_and_repr_ignore_the_memo(self):

@@ -54,8 +54,8 @@ def eager_closure(provenance, roots):
             continue
         for rid in store.uses_of(vid):
             if store.has_rule_exec(rid):
-                *_, head_vid, head_location = store.rule_exec(rid)
-                stack.append((head_location, head_vid))
+                entry = store.rule_exec(rid)
+                stack.append((entry.head_location, entry.head_vid))
     return seen
 
 

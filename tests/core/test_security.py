@@ -58,7 +58,7 @@ class TestVerification:
         runtime, authenticator, attestations = signed_ring
         store = runtime.provenance.store("n1")
         # the compromised node silently drops one of its rule executions
-        victim_rid = store.rule_exec_table()[0][1]
+        victim_rid = store.rule_execs()[0].rid
         store.remove_rule_exec(victim_rid)
         reports = authenticator.verify_engine(runtime.provenance, attestations)
         assert not reports["n1"].is_clean

@@ -79,8 +79,8 @@ class TestVidVersionPruning:
         provenance = runtime.provenance
         live = 0
         for node_id in provenance.node_ids():
-            rows = provenance.store(node_id).rule_exec_table()
-            live += len({child for row in rows for child in row[4]}) + len(rows)
+            entries = provenance.store(node_id).rule_execs()
+            live += len({child for entry in entries for child in entry.child_vids}) + len(entries)
         assert stats["entries"] <= 2 * live + 16, (stats, live)
 
     def test_rebirth_after_prune_cannot_revalidate_stale_cache(self):

@@ -98,12 +98,12 @@ class TestFailureModes:
         try:
             runtime.seed_links(run=True)
             node = runtime.nodes["n0"]
-            from repro.engine.node import _PendingUpdate
+            from repro.engine.messages import TupleDelta
             from repro.engine.store import BASE_DERIVATION
             from repro.engine.tuples import Fact
 
             node._queue.append(
-                _PendingUpdate(
+                TupleDelta(
                     +1, Fact.make("link", ("n0", "n1", "boom")), BASE_DERIVATION, None
                 )
             )

@@ -16,8 +16,7 @@ import pytest
 from repro.engine import topology
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.evaluator import DerivationEffect
-from repro.engine.messages import ProvenanceTag
-from repro.engine.node import _PendingUpdate
+from repro.engine.messages import ProvenanceTag, TupleDelta
 from repro.engine.procpool import TraceCodec, dump_envelope, load_envelope
 from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.tuples import Fact
@@ -33,7 +32,7 @@ def tag(i=0):
 
 
 def update(i=0, sign=+1):
-    return _PendingUpdate(sign, fact(i), f"d{i}", tag(i))
+    return TupleDelta(sign, fact(i), f"d{i}", tag(i))
 
 
 def effect(i=0, sign=+1):
@@ -55,7 +54,7 @@ def codec_pair():
 class TestCodecRoundTrip:
     def test_updates_round_trip(self):
         encoder, decoder = codec_pair()
-        updates = [update(0), update(1, sign=-1), _PendingUpdate(+1, fact(2), "d2", None)]
+        updates = [update(0), update(1, sign=-1), TupleDelta(+1, fact(2), "d2", None)]
         decoded = decoder.decode_updates(encoder.encode_updates(updates))
         assert decoded == updates
 
@@ -86,11 +85,11 @@ class TestCodecRoundTrip:
         the codec's raw-marker escape must keep ints and tuples intact."""
         encoder, decoder = codec_pair()
         for location in (7, ("as", 3), None):
-            original = _PendingUpdate(
+            original = TupleDelta(
                 +1, fact(0), "d0", ProvenanceTag("r", "p", location, "rid")
             )
             decoded = decoder.decode_updates(encoder.encode_updates([original]))[0]
-            assert decoded.tag.exec_node == location
+            assert decoded.provenance.exec_node == location
 
     def test_out_of_lockstep_decoder_fails_loudly(self):
         """A decoder that missed an earlier message cannot resolve the

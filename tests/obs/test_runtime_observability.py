@@ -188,13 +188,13 @@ class TestWorkerFailurePaths:
         runtime = build_runtime(backend="process", backend_workers=1)
         try:
             runtime.seed_links(run=True)
-            from repro.engine.node import _PendingUpdate
+            from repro.engine.messages import TupleDelta
             from repro.engine.store import BASE_DERIVATION
             from repro.engine.tuples import Fact
 
             node = runtime.nodes["n0"]
             node._queue.append(
-                _PendingUpdate(
+                TupleDelta(
                     +1, Fact.make("link", ("n0", "n1", "boom")), BASE_DERIVATION, None
                 )
             )

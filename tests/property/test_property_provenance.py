@@ -55,8 +55,7 @@ class TestProvenanceInvariants:
                     continue
                 remote = provenance.store(rloc)
                 assert remote.has_rule_exec(rid)
-                _, _, _, child_vids, _, _ = remote.rule_exec(rid)
-                for child in child_vids:
+                for child in remote.rule_exec(rid).child_vids:
                     assert remote.knows_tuple(child)
 
     @given(seed=st.integers(min_value=0, max_value=40), node_count=st.integers(min_value=3, max_value=6))
