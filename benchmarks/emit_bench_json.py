@@ -3,9 +3,8 @@
 Runs compact, deterministic versions of the headline experiments —
 
 * **E11** batch-first delta evaluation (batched vs per-fact churn),
-* **E12** sharded hub absorption (4 shards vs flat on a star hub),
-* **E13** concurrent node-drain backends (thread/asyncio vs serial on a
-  multi-hub AS hierarchy),
+* **E13** concurrent node-drain backends (thread vs serial on a multi-hub
+  AS hierarchy),
 * **E14** per-VID query-cache invalidation (cache hit/miss/eviction counters
   under unrelated churn, vs the global-version ablation),
 * **E15** the workload subsystem's ``smoke`` scenario profile (seeded churn
@@ -21,11 +20,8 @@ Runs compact, deterministic versions of the headline experiments —
 * **E18** the process-pool backend (forked-worker drains at 1/2/4 workers
   vs serial on the stall-dominated E13 profile; the ≥1.8x speedup gate and
   the compute-bound multicore leg stay in ``test_e18_process.py``),
-* **E19** the columnar join core (interned columnar store + compiled batch
-  join vs the dict-of-sets reference on a compact hierarchy, and the
-  process backend's delta-encoded drain traces vs raw pickling; the
-  ≥1.25x single-core gate on the 1010-node scale profile stays in
-  ``test_e19_columnar.py``),
+* **E19** the process backend's delta-encoded drain traces vs raw pickling
+  (the ≥30 % bytes-per-drain gate stays in ``test_e19_trace_codec.py``),
 * **E20** the observability layer (paired off/on churn timing on a compact
   hierarchy with the surface-identity invariant, plus the span-tree
   completeness reconciliation against the smoke scenario's MetricsReport;
@@ -67,7 +63,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e11_batching import run_churn  # noqa: E402
-from test_e12_sharding import HUB, run_hub_churn  # noqa: E402
 from test_e13_backends import run_multi_hub_churn  # noqa: E402
 from test_e14_cache import run_cache_workload, run_capped_workload  # noqa: E402
 from test_e15_scale import run_smoke_profile  # noqa: E402
@@ -78,7 +73,7 @@ from test_e17_durability import (  # noqa: E402
     run_wal_overhead,
 )
 from test_e18_process import WORKER_COUNTS, run_scale_churn  # noqa: E402
-from test_e19_columnar import bytes_per_drain, run_columnar_ratio, run_trace_bytes  # noqa: E402
+from test_e19_trace_codec import bytes_per_drain, run_trace_bytes  # noqa: E402
 from test_e20_observability import (  # noqa: E402
     completeness_violations,
     run_completeness,
@@ -119,17 +114,6 @@ def collect_metrics() -> dict:
     metrics["e11.per_fact.messages"] = _metric(per_fact.message_stats().messages)
     metrics["e11.per_fact.events"] = _metric(per_fact.simulator.processed_events)
     metrics["e11.per_fact.seconds"] = _metric(round(per_fact_seconds, 3), gate=False)
-
-    # E12 — sharded hub absorption: sharding must stay invisible on the wire.
-    start = time.perf_counter()
-    with run_hub_churn(num_shards=4, shard_workers=2) as sharded:
-        sharded_seconds = time.perf_counter() - start
-        metrics["e12.sharded.messages"] = _metric(sharded.message_stats().messages)
-        metrics["e12.sharded.events"] = _metric(sharded.simulator.processed_events)
-        metrics["e12.sharded.hub_batches"] = _metric(
-            sharded.nodes[HUB].stats.batches_processed
-        )
-        metrics["e12.sharded.seconds"] = _metric(round(sharded_seconds, 3), gate=False)
 
     # E13 — concurrent node-drain backends on the multi-hub AS hierarchy.
     serial = run_multi_hub_churn("serial")
@@ -317,32 +301,12 @@ def collect_metrics() -> dict:
             round(e18_serial["seconds"] / run["seconds"], 2), gate=False
         )
 
-    # E19 — columnar join core + delta-encoded drain traces.  Part A runs
-    # the churn profile on a compact hierarchy (the 1010-node scale gate
-    # stays in the pytest benchmark): counters are deterministic and gated,
-    # with the hard invariant that columnar and dict modes converge to the
-    # identical observable surface; CPU seconds and the speedup are recorded
-    # ungated.  Part B gates the drain count (deterministic — one trace per
-    # remote drain whatever the encoding) and records byte totals ungated:
-    # envelope packing depends on which wave threads coalesce, so byte
-    # counts wobble a little run to run.  The reduction invariant uses a
-    # wider margin than the pytest gate for the same reason.
-    e19 = run_columnar_ratio(reps=2, dims=(4, 4, 4), prefixes=16)
-    if e19["columnar_surface"] != e19["dict_surface"]:
-        raise SystemExit(
-            "E19 invariant violated: columnar mode changed the observable "
-            f"surface ({e19['columnar_surface']} vs {e19['dict_surface']})"
-        )
-    metrics["e19.messages"] = _metric(e19["dict_surface"]["messages"])
-    metrics["e19.events"] = _metric(e19["dict_surface"]["events"])
-    metrics["e19.rounds"] = _metric(e19["dict_surface"]["rounds"])
-    metrics["e19.dict.cpu_seconds"] = _metric(round(e19["dict_min"], 3), gate=False)
-    metrics["e19.columnar.cpu_seconds"] = _metric(
-        round(e19["columnar_min"], 3), gate=False
-    )
-    metrics["e19.columnar.speedup"] = _metric(
-        round(e19["min_speedup"], 2), gate=False
-    )
+    # E19 — delta-encoded drain traces.  The drain count is gated
+    # (deterministic — one trace per remote drain whatever the encoding);
+    # byte totals are recorded ungated: envelope packing depends on which
+    # wave threads coalesce, so byte counts wobble a little run to run.  The
+    # reduction invariant uses a wider margin than the pytest gate for the
+    # same reason.
     delta_stats, delta_snapshot = run_trace_bytes(trace_delta=True)
     raw_stats, raw_snapshot = run_trace_bytes(trace_delta=False)
     if delta_snapshot != raw_snapshot:

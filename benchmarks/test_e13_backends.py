@@ -8,9 +8,8 @@ most simulator waves contain drains of several distinct nodes.
 The run models the per-batch commit latency a durable deployment pays
 (``batch_commit_stall_s`` — an fsync-like blocking stall that releases the
 GIL exactly like real I/O).  The serial reference backend pays the stalls one
-after another; :class:`~repro.engine.backends.ThreadPoolBackend` and
-:class:`~repro.engine.backends.AsyncioBackend` overlap the stalls of distinct
-nodes within each wave, so wall-clock time drops while — this is the
+after another; :class:`~repro.engine.backends.ThreadPoolBackend` overlaps
+the stalls of distinct nodes within each wave, so wall-clock time drops while — this is the
 headline assertion — the message counts, simulator event/round counts,
 converged protocol state and provenance versions stay *identical* to serial.
 """
@@ -70,18 +69,12 @@ def test_thread_backend_speedup_with_identical_counts(benchmark, record):
     threaded = benchmark.pedantic(
         lambda: run_multi_hub_churn("thread"), rounds=2, iterations=1
     )
-    asyncio_run = run_multi_hub_churn("asyncio")
 
-    for variant, label in ((threaded, "thread"), (asyncio_run, "asyncio")):
-        # Concurrency must be invisible to everything but the clock: same
-        # wire traffic, same simulator events and rounds, same converged
-        # state, same provenance versioning.
-        assert variant["messages"] == serial["messages"], label
-        assert variant["events"] == serial["events"], label
-        assert variant["rounds"] == serial["rounds"], label
-        assert variant["state"] == serial["state"], label
-        assert variant["versions"] == serial["versions"], label
-        assert variant["batches"] == serial["batches"], label
+    # Concurrency must be invisible to everything but the clock: same wire
+    # traffic, same simulator events and rounds, same converged state, same
+    # provenance versioning.
+    for key in ("messages", "events", "rounds", "state", "versions", "batches"):
+        assert threaded[key] == serial[key], key
 
     # The headline speedup claim.  Observed ~1.9x locally; 0.8 leaves room
     # for noisy CI runners while still requiring genuine overlap.
@@ -99,14 +92,13 @@ def test_thread_backend_speedup_with_identical_counts(benchmark, record):
         batches=serial["batches"],
         seconds=round(serial["seconds"], 3),
     )
-    for variant, label in ((threaded, "thread backend, 4 workers"), (asyncio_run, "asyncio backend, 4 workers")):
-        record(
-            "E13 concurrent node-drain backends (MINCOST 3-hub AS hierarchy)",
-            label,
-            messages=variant["messages"],
-            events=variant["events"],
-            rounds=variant["rounds"],
-            batches=variant["batches"],
-            seconds=round(variant["seconds"], 3),
-            speedup=round(serial["seconds"] / variant["seconds"], 2),
-        )
+    record(
+        "E13 concurrent node-drain backends (MINCOST 3-hub AS hierarchy)",
+        "thread backend, 4 workers",
+        messages=threaded["messages"],
+        events=threaded["events"],
+        rounds=threaded["rounds"],
+        batches=threaded["batches"],
+        seconds=round(threaded["seconds"], 3),
+        speedup=round(serial["seconds"] / threaded["seconds"], 2),
+    )

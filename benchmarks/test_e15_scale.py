@@ -17,8 +17,8 @@ bit-identical deterministic metrics on serial and concurrent backends.
 
 The default run keeps CI-friendly sizes (one topology, three batch sizes).
 Setting ``NETTRAILS_SCALE_BENCH=1`` — the CI ``workflow_dispatch`` opt-in —
-extends the sweep to the power-law topology variant, more batch sizes and
-the asyncio backend.
+extends the sweep to the power-law topology variant and more batch sizes,
+each on the serial and thread backends.
 """
 
 import json
@@ -166,7 +166,7 @@ def test_extended_scale_sweep(record):
         spec = profiles.scale(topology_kind=topology_kind)
         assert spec.topology.build().node_count() >= 1000
         for batch_size in (1, 4, 16, 64, None):
-            for backend in ("serial", "thread", "asyncio"):
+            for backend in ("serial", "thread"):
                 report = run_profile(
                     spec.with_batch_size(batch_size).with_knobs(
                         backend=backend, backend_workers=None if backend == "serial" else 4

@@ -7,7 +7,7 @@ execute in the owning workers, and the coordinator replays the returned drain
 traces to keep authoritative state — so the *entire* observable surface
 (message counts, simulator events/rounds, converged state, provenance
 versions *and* the canonical provenance fingerprint) must stay bit-identical
-across serial, thread, asyncio and process backends.
+across serial, thread and process backends.
 
 The default profile models a durable deployment's per-batch commit latency
 (``batch_commit_stall_s``, an fsync-like blocking stall).  Workers pay the
@@ -16,7 +16,7 @@ so distinct nodes' stalls overlap across processes even on a single CPU —
 this is what the ≥1.8x gate at four workers measures.  The opt-in
 ``NETTRAILS_SCALE_BENCH=1`` leg drops the stall entirely and requires at
 least two CPU cores: with no I/O to hide, any speedup there can only come
-from evaluator *compute* escaping the GIL, the claim thread/asyncio backends
+from evaluator *compute* escaping the GIL, the claim the thread backend
 cannot make.
 """
 
@@ -118,7 +118,6 @@ def assert_identical_surface(variant, serial, label):
 def test_process_backend_speedup_with_identical_surface(benchmark, record):
     serial = run_scale_churn("serial")
     thread = run_scale_churn("thread")
-    asyncio_run = run_scale_churn("asyncio")
     process = {
         workers: run_scale_churn("process", workers=workers)
         for workers in WORKER_COUNTS
@@ -128,11 +127,10 @@ def test_process_backend_speedup_with_identical_surface(benchmark, record):
         lambda: run_scale_churn("process", workers=4), rounds=2, iterations=1
     )
 
-    # The acceptance invariant: all four backends — and every process worker
+    # The acceptance invariant: all three backends — and every process worker
     # count — produce the same wire traffic, events, converged state and
     # provenance fingerprint, bit for bit.
     assert_identical_surface(thread, serial, "thread")
-    assert_identical_surface(asyncio_run, serial, "asyncio")
     for workers, variant in process.items():
         assert_identical_surface(variant, serial, f"process w={workers}")
 
@@ -152,19 +150,15 @@ def test_process_backend_speedup_with_identical_surface(benchmark, record):
         batches=serial["batches"],
         seconds=round(serial["seconds"], 3),
     )
-    for label, variant in (
-        ("thread backend, 4 workers", thread),
-        ("asyncio backend, 4 workers", asyncio_run),
-    ):
-        record(
-            experiment,
-            label,
-            messages=variant["messages"],
-            events=variant["events"],
-            batches=variant["batches"],
-            seconds=round(variant["seconds"], 3),
-            speedup=round(serial["seconds"] / variant["seconds"], 2),
-        )
+    record(
+        experiment,
+        "thread backend, 4 workers",
+        messages=thread["messages"],
+        events=thread["events"],
+        batches=thread["batches"],
+        seconds=round(thread["seconds"], 3),
+        speedup=round(serial["seconds"] / thread["seconds"], 2),
+    )
     for workers in WORKER_COUNTS:
         variant = process[workers]
         record(

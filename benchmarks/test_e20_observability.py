@@ -2,8 +2,8 @@
 
 Two claims of the observability layer are pinned here:
 
-* **Part A (overhead)** — on the E19 1010-node ``isp_hierarchy(10, 10, 9)``
-  churn profile, a runtime with ``observability=True`` (metrics views,
+* **Part A (overhead)** — on the 1010-node ``isp_hierarchy(10, 10, 9)``
+  backup-link churn profile (:mod:`scale_churn`), a runtime with ``observability=True`` (metrics views,
   per-drain spans, flight-recorder events — the whole subsystem) must stay
   within ``MAX_ENABLED_OVERHEAD`` of the disabled runtime on single-core
   CPU time.  Because the disabled path's *only* added cost is a strict
@@ -23,15 +23,14 @@ Two claims of the observability layer are pinned here:
   propagation chain.
 
 Timing methodology (part A): ``time.process_time`` with a ``gc.collect()``
-before every timed window (as in E19), fresh runtime pairs per repetition,
-one *untimed* warmup window per runtime (JIT-free Python still pays
-first-pass allocator and branch-history costs), and — the part that
-differs from E19 — both modes' runtimes are **alive simultaneously** with
-their timed windows interleaved off/on/off/on inside the pair.  Slow
-machine drift (CPU frequency scaling over the multi-second run) then
-cancels inside each per-pair ratio instead of polluting a cross-run
-min-of-reps comparison; the gate statistic is the median of the per-pair
-ratios.
+before every timed window, fresh runtime pairs per repetition, one
+*untimed* warmup window per runtime (JIT-free Python still pays first-pass
+allocator and branch-history costs), and both modes' runtimes are **alive
+simultaneously** with their timed windows interleaved off/on/off/on inside
+the pair.  Slow machine drift (CPU frequency scaling over the multi-second
+run) then cancels inside each per-pair ratio instead of polluting a
+cross-run min-of-reps comparison; the gate statistic is the median of the
+per-pair ratios.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import time
 
 import pytest
 
-from test_e19_columnar import (
+from scale_churn import (
     PREFIX_COUNT,
     SCALE_DIMS,
     build_scale_runtime,
@@ -64,8 +63,8 @@ MAX_ENABLED_OVERHEAD = 0.03
 
 
 def run_overhead_ab(reps=REPS, dims=SCALE_DIMS, prefixes=PREFIX_COUNT):
-    """Paired observability-off/on churn timing on the E19 profile, plus
-    each mode's deterministic surface (which must be identical)."""
+    """Paired observability-off/on churn timing on the scale churn profile,
+    plus each mode's deterministic surface (which must be identical)."""
     seconds = {False: [], True: []}
     ratios = []
     surfaces = {}
@@ -74,7 +73,7 @@ def run_overhead_ab(reps=REPS, dims=SCALE_DIMS, prefixes=PREFIX_COUNT):
         try:
             for enabled in (False, True):
                 runtimes[enabled], batch = build_scale_runtime(
-                    True, dims, prefixes, observability=enabled
+                    dims, prefixes, observability=enabled
                 )
                 run_churn_window(runtimes[enabled], batch, rounds=1)  # warmup
             pair = {False: 0.0, True: 0.0}

@@ -10,8 +10,8 @@ This is the smallest end-to-end NetTrails scenario:
    from (its lineage, the participating nodes and the number of alternative
    derivations),
 4. print a textual rendering of its provenance tree, and
-5. re-run the protocol with sharded per-node stores (``num_shards=4``,
-   ``shard_workers=2``) and check the converged state is identical.
+5. re-run the protocol on the thread-pool execution backend and check the
+   converged state and message counts are identical.
 
 Run with::
 
@@ -60,27 +60,19 @@ def main() -> None:
     print("\nProvenance tree:")
     print(render_ascii_tree(graph, root))
 
-    # 5. Hot-node scaling: shard every node's store across 4 hash partitions
-    #    and absorb delta batches on 2 worker threads — bit-identical results.
-    #    The runtime is a context manager, so the worker threads cannot leak.
-    flat = NetTrailsRuntime(mincost.program(), topology.star(10))
-    flat.seed_links(run=True)
-    with NetTrailsRuntime(mincost.program(), topology.star(10),
-                          num_shards=4, shard_workers=2) as sharded:
-        sharded.seed_links(run=True)
-        assert sharded.state("minCost") == flat.state("minCost")
-        print(f"\nSharded star-10 run (4 shards, 2 workers): "
-              f"{len(sharded.state('minCost'))} minCost rows, identical to unsharded")
-
-    # 6. Concurrent execution backend: drain independent nodes' delta waves
-    #    on a thread pool (or asyncio: backend="asyncio") — same state,
-    #    messages and provenance as the deterministic serial reference.
+    # 5. Concurrent execution backend: drain independent nodes' delta waves
+    #    on a thread pool (or forked workers: backend="process") — same
+    #    state, messages and provenance as the deterministic serial
+    #    reference.  The runtime is a context manager, so the workers cannot
+    #    leak.
+    serial = NetTrailsRuntime(mincost.program(), topology.star(10))
+    serial.seed_links(run=True)
     with NetTrailsRuntime(mincost.program(), topology.star(10),
                           backend="thread", backend_workers=4) as threaded:
         threaded.seed_links(run=True)
-        assert threaded.state("minCost") == flat.state("minCost")
-        assert threaded.message_stats().messages == flat.message_stats().messages
-        print(f"Thread-backend star-10 run: {len(threaded.state('minCost'))} "
+        assert threaded.state("minCost") == serial.state("minCost")
+        assert threaded.message_stats().messages == serial.message_stats().messages
+        print(f"\nThread-backend star-10 run: {len(threaded.state('minCost'))} "
               f"minCost rows, identical state and message counts")
 
 

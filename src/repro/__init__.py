@@ -8,10 +8,10 @@ provenance maintenance and distributed query engines, legacy-application
 integration through a proxy and "maybe" rules, and log-store / visualization
 substitutes.  Execution is batch-first: tuple deltas are evaluated, shipped
 and applied in batches, and provenance queries can fan out a whole traversal
-step in a single round (see ``docs/architecture.md``).  A node's store can
-additionally be sharded — ``NetTrailsRuntime(..., num_shards=4,
-shard_workers=2)`` hash-partitions every node's relations across four shards
-and absorbs delta batches shard-parallel on two threads, with bit-identical
+step in a single round (see ``docs/architecture.md``).  Each node holds
+one local tuple store driven by one compiled NDlog plan; the execution
+backend (serial, thread pool or forked worker processes) only decides how
+same-instant drains of distinct nodes are scheduled, with bit-identical
 protocol state and provenance tables.
 
 Quickstart — run MINCOST over a 5-node ring and ask why a shortest path

@@ -171,7 +171,7 @@ class NodeProvenanceStore:
 
         Batch-first execution applies a whole delta batch under this context
         manager, so the provenance store advances its version once per batch
-        instead of once per row, whatever the row count or shard layout.
+        instead of once per row, whatever the row count.
         Per-VID reachability versions are not touched here: the rows only
         mark pending roots, which the engine walks once per quiescence
         window (or on the next read of a version).
@@ -478,13 +478,6 @@ class ProvenanceEngine:
         derivation), ``sign < 0`` removes the entry the matching insertion
         created (the tag is ignored; an absent entry is a no-op).  The whole
         batch bumps the node's provenance version at most once.
-
-        The batch is always the *logical node's* whole delta batch: when the
-        node's store is sharded, the per-shard sub-batches are merged back
-        before the support ops are built, so the provenance partition sees
-        one batch — and at most one version bump — per logical-node batch
-        regardless of the shard count (asserted by the sharding equivalence
-        suite via :meth:`version_of`).
         """
         if not ops:
             return
@@ -687,8 +680,8 @@ class ProvenanceEngine:
 
         The version advances at most once per applied batch
         (:meth:`NodeProvenanceStore.batched`), so two executions that absorb
-        the same logical batches — e.g. a sharded and an unsharded run of the
-        same workload — report identical versions here; tests use this to pin
+        the same logical batches — e.g. a serial and a process-backend run of
+        the same workload — report identical versions here; tests use this to pin
         the one-bump-per-batch invariant.
 
         Purely a read accessor: asking about a node without a partition

@@ -26,6 +26,7 @@ runtime appending to the repaired WAL — crash, recover, keep serving.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,12 @@ from repro.durability.wal import (
 )
 
 RECOVERY_MODES = ("genesis", "checkpoint")
+
+#: Construction knobs that WALs written by older versions recorded and that
+#: no longer exist.  None of them could change replayed state (the
+#: determinism contract made every value bit-identical), so recovery drops
+#: them whatever their value.
+RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar")
 
 
 @dataclass
@@ -174,7 +181,18 @@ class RecoveryManager:
     def _build_runtime(
         self, init: Dict[str, object], topology_doc, **overrides: object
     ) -> NetTrailsRuntime:
-        kwargs: Dict[str, object] = dict(init["knobs"])
+        kwargs: Dict[str, object] = {
+            name: value
+            for name, value in dict(init["knobs"]).items()
+            if name not in RETIRED_KNOBS
+        }
+        accepted = inspect.signature(NetTrailsRuntime).parameters
+        unknown = sorted(name for name in kwargs if name not in accepted)
+        if unknown:
+            raise DurabilityError(
+                f"WAL {self.path} records construction knobs this runtime does "
+                f"not accept: {unknown}"
+            )
         kwargs.update(overrides)
         return NetTrailsRuntime(
             str(init["source"]),

@@ -13,7 +13,6 @@ distributed system.
 
 from repro.engine.tuples import Fact, Schema
 from repro.engine.backends import (
-    AsyncioBackend,
     ExecutionBackend,
     SerialBackend,
     ThreadPoolBackend,
@@ -25,12 +24,7 @@ from repro.engine.network import Link, Network
 from repro.engine.simulator import Simulator
 from repro.engine.node import Node
 from repro.engine.runtime import NetTrailsRuntime
-from repro.engine.store import (
-    SerialShardExecutor,
-    ShardedTupleStore,
-    ThreadShardExecutor,
-    TupleStore,
-)
+from repro.engine.store import TupleStore
 from repro.engine.topology import Topology
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "AsyncioBackend",
     "resolve_backend",
     "Catalog",
     "CompiledProgram",
@@ -50,8 +43,5 @@ __all__ = [
     "Node",
     "NetTrailsRuntime",
     "TupleStore",
-    "ShardedTupleStore",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "Topology",
 ]

@@ -10,8 +10,6 @@ delegated to an :class:`ExecutionBackend`:
 * :class:`ThreadPoolBackend` — same-instant events whose serialization keys
   differ (in practice: drains and deliveries of *distinct* nodes) run
   concurrently on a thread pool.
-* :class:`AsyncioBackend` — the same scheduling contract driven through a
-  persistent asyncio event loop, for embedding the engine in async hosts.
 * :class:`ProcessPoolBackend` — forked worker processes own the CPU-heavy
   drain cascades (one worker per ``workers``, nodes pinned by a stable
   seeded hash), sidestepping the GIL for true multi-core execution; the
@@ -46,13 +44,13 @@ the deferred merge reproduces the serial heap contents, sequence numbering,
 message ordering and traffic statistics *bit for bit*.  Every backend is
 therefore indistinguishable from :class:`SerialBackend` on store snapshots,
 provenance tables, message/event counts and query answers — the equivalence
-suite (``tests/property/test_property_backends.py``) sweeps backends × shard
-counts to pin this.
+suite (``tests/property/test_property_backends.py``) sweeps the backends to
+pin this.
 
 Backend selection is uniform across the API surface: pass ``backend=`` /
 ``backend_workers=`` to :class:`~repro.engine.runtime.NetTrailsRuntime`, or
 set the ``NETTRAILS_BACKEND`` environment variable (``serial`` | ``thread``
-| ``asyncio`` | ``process``) to change the default process-wide — the CI
+| ``process``) to change the default process-wide — the CI
 property matrix runs the whole suite under each value.  The companion
 ``NETTRAILS_BACKEND_WORKERS`` variable supplies the default worker count the
 same way (:func:`default_backend_workers`); an explicit ``backend_workers=``
@@ -154,7 +152,7 @@ class ExecutionBackend:
             )
 
     def close(self) -> None:
-        """Release worker resources (threads, event loops, processes); idempotent."""
+        """Release worker resources (threads, processes); idempotent."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -274,66 +272,6 @@ class ThreadPoolBackend(_ConcurrentBackend):
         return list(self._pool.map(fn, groups))
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class AsyncioBackend(_ConcurrentBackend):
-    """The thread-pool scheduling contract surfaced through asyncio.
-
-    A persistent event loop runs in one daemon thread; every key group of a
-    wave becomes an awaitable (``loop.run_in_executor``) and the wave is an
-    ``asyncio.gather`` over them.  This is the integration point for hosting
-    the engine inside an async application (the group callables themselves
-    stay synchronous — they execute evaluator code).
-    """
-
-    name = "asyncio"
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(workers)
-        self._loop = None
-        self._loop_thread = None
-        self._pool = None
-
-    def _ensure_loop(self) -> None:
-        if self._loop is not None:
-            return
-        import asyncio
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="nettrails-asyncio"
-        )
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, name="nettrails-loop", daemon=True)
-        thread.start()
-        self._loop = loop
-        self._loop_thread = thread
-
-    def _map(self, fn: Callable, groups: List) -> List:
-        import asyncio
-
-        self._ensure_loop()
-
-        async def gather_groups():
-            loop = asyncio.get_running_loop()
-            futures = [loop.run_in_executor(self._pool, fn, group) for group in groups]
-            return await asyncio.gather(*futures)
-
-        return list(
-            asyncio.run_coroutine_threadsafe(gather_groups(), self._loop).result()
-        )
-
-    def close(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._loop_thread.join()
-            self._loop.close()
-            self._loop = None
-            self._loop_thread = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -628,7 +566,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadPoolBackend.name: ThreadPoolBackend,
-    AsyncioBackend.name: AsyncioBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
 }
 
@@ -644,9 +581,10 @@ def resolve_backend(spec: BackendSpec = None, workers: Optional[int] = None) -> 
     """Turn a backend specification into an :class:`ExecutionBackend` instance.
 
     *spec* may be an instance (returned as-is; *workers* must then be unset),
-    a registered name (``"serial"``, ``"thread"``, ``"asyncio"``,
-    ``"process"``), or ``None`` — which consults the ``NETTRAILS_BACKEND``
-    environment variable and falls back to serial.  ``workers`` bounds the
+    a registered name (``"serial"``, ``"thread"``, ``"process"``), or
+    ``None`` — which consults the ``NETTRAILS_BACKEND`` environment variable
+    and falls back to serial; any other name raises
+    :class:`~repro.errors.EngineError`.  ``workers`` bounds the
     worker pool of the concurrent backends; when ``None`` the
     ``NETTRAILS_BACKEND_WORKERS`` variable is consulted and the backends'
     built-in default (``min(8, cpu_count)``) applies last.  The serial

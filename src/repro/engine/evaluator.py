@@ -39,7 +39,7 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ndlog.ast import (
@@ -47,15 +47,12 @@ from repro.ndlog.ast import (
     Assignment,
     Condition,
     Constant,
-    Expression,
     Literal,
     Rule,
     Variable,
 )
 from repro.engine.compiler import CompiledProgram
 from repro.engine.dataflow import (
-    _ARITHMETIC,
-    _COMPARISON,
     Bindings,
     bound_positions,
     evaluate_term,
@@ -64,7 +61,7 @@ from repro.engine.dataflow import (
     match_atom,
     satisfies,
 )
-from repro.engine.store import SerialShardExecutor, ShardExecutor, TupleStore
+from repro.engine.store import TupleStore
 from repro.engine.tuples import SLOTTED, Fact
 
 
@@ -91,113 +88,6 @@ class DerivationEffect:
         return f"{symbol}{self.head_fact} via {self.rule_name} [{self.firing_id}]"
 
 
-@dataclass(frozen=True)
-class _ColumnarStep:
-    """One join step of a compiled columnar plan (one non-delta body atom).
-
-    ``key_ops`` builds the probe-key tuple for ``key_positions``: each entry
-    is ``(is_slot, payload)`` — a bound variable's slot number or a constant
-    value.  ``bind_ops``/``check_ops`` are ``(attribute position, slot)``
-    pairs: binds copy candidate values into slots (first occurrence of a
-    variable new to this step), checks compare against already-written slots
-    (repeated occurrences).  Checks run after binds so within-atom repeats
-    read the value the same candidate just wrote.
-    """
-
-    body_index: int
-    relation: str
-    arity: int
-    key_positions: Tuple[int, ...]
-    key_ops: Tuple[Tuple[bool, object], ...]
-    bind_ops: Tuple[Tuple[int, int], ...]
-    check_ops: Tuple[Tuple[int, int], ...]
-    excluded: bool
-
-
-@dataclass(frozen=True)
-class _ColumnarPlan:
-    """Compiled join program for one (rule, delta position) trigger.
-
-    Variables live in a flat slot array instead of per-candidate dict
-    copies; ``delta_slots`` seeds the slots from the delta fact's
-    ``match_atom`` bindings, and each step probes the store's columnar
-    id arrays.  ``None`` is cached for ineligible triggers (a non-delta
-    body atom with expression terms), which fall back to the generic
-    dict-based join.
-    """
-
-    delta_index: int
-    slot_names: Tuple[str, ...]
-    delta_slots: Tuple[Tuple[str, int], ...]
-    steps: Tuple[_ColumnarStep, ...]
-    #: Compiled assignments/conditions in rule-body order, or ``None`` when
-    #: some body element is not slot-compilable (the join then finalizes
-    #: through the generic dict-based path).  Entries are
-    #: ``("assign", slot, fn)`` / ("cond", None, fn)`` with ``fn(slots)``.
-    post_ops: Optional[Tuple[Tuple[str, Optional[int], object], ...]] = None
-    #: Non-aggregate heads: ``(relation, ((is_slot, payload), ...))`` building
-    #: the head fact straight from the slots — no bindings dict, no
-    #: ``instantiate_head``.  ``None`` -> dict fallback (or aggregate rule).
-    head_build: Optional[Tuple[str, Tuple[Tuple[bool, object], ...]]] = None
-    #: Aggregate rules: ``((is_slot, payload), ...)`` group-key ops plus the
-    #: aggregate input's slot (``None`` = count-style value 1).
-    agg_group_ops: Optional[Tuple[Tuple[bool, object], ...]] = None
-    agg_value_slot: Optional[int] = None
-    #: Compiled delta-atom seed: the trigger fact's values are written
-    #: straight into the slots — ``("bind", position, slot)`` /
-    #: ``("check_slot", position, slot)`` (repeated variable) /
-    #: ``("check_const", position, value)`` — replacing the per-trigger
-    #: ``match_atom`` call and its bindings dict.  ``None`` when the delta
-    #: atom carries expression terms (those keep the ``match_atom`` seed).
-    delta_ops: Optional[Tuple[Tuple[str, int, object], ...]] = None
-    delta_arity: int = -1
-
-
-def _compile_expr(term, slot_of: Dict[str, int]):
-    """Compile a ground expression term into ``fn(slots) -> value``.
-
-    Mirrors :func:`repro.engine.dataflow.evaluate_term` over the compilable
-    core — constants, slot-bound variables, and arithmetic/comparison
-    operator trees.  Returns ``None`` for anything else (function calls,
-    aggregates, unbound variables); the caller then keeps the generic
-    dict-based evaluation for the whole rule.
-    """
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda slots: value
-    if isinstance(term, Variable):
-        slot = slot_of.get(term.name)
-        if slot is None:
-            return None
-        return lambda slots: slots[slot]
-    if isinstance(term, Expression):
-        operator = _ARITHMETIC.get(term.op) or _COMPARISON.get(term.op)
-        if operator is None:
-            return None
-        # Flatten the two overwhelmingly common shapes — ``Var op Const``
-        # and ``Var op Var`` — into a single closure so evaluating a
-        # condition costs one call instead of three.
-        left_term, right_term = term.left, term.right
-        if isinstance(left_term, Variable):
-            left_slot = slot_of.get(left_term.name)
-            if left_slot is None:
-                return None
-            if isinstance(right_term, Constant):
-                right_value = right_term.value
-                return lambda slots: operator(slots[left_slot], right_value)
-            if isinstance(right_term, Variable):
-                right_slot = slot_of.get(right_term.name)
-                if right_slot is None:
-                    return None
-                return lambda slots: operator(slots[left_slot], slots[right_slot])
-        left = _compile_expr(left_term, slot_of)
-        right = _compile_expr(right_term, slot_of)
-        if left is None or right is None:
-            return None
-        return lambda slots: operator(left(slots), right(slots))
-    return None
-
-
 #: An aggregate membership: (repr sort key, rule name, group key, body facts).
 _Membership = Tuple[str, str, Tuple, Tuple[Fact, ...]]
 
@@ -216,18 +106,12 @@ class LocalEvaluator:
         store: TupleStore,
         node_id: object,
         aggregate_retract_first: bool = False,
-        shard_executor: Optional[ShardExecutor] = None,
     ):
         self._compiled = compiled
         self._store = store
         self._node = node_id
         self._registry = compiled.registry
         self._firing_seq = 0
-        #: Executor for the per-shard join passes of :meth:`on_batch`; only
-        #: consulted when the store is sharded (``store.num_shards > 1``).
-        self._shard_executor: ShardExecutor = (
-            shard_executor if shard_executor is not None else SerialShardExecutor()
-        )
         #: Ablation switch (see DESIGN.md §5): when True, aggregate changes are
         #: propagated as retract-then-insert instead of the default
         #: insert-then-retract ordering.  Only benchmarks should enable it.
@@ -277,26 +161,8 @@ class LocalEvaluator:
         # (rule name, delta position) -> the (relation, index positions) each
         # non-delta literal will probe during the join, computed statically.
         self._prewarm_plans: Dict[Tuple[str, int], List[Tuple[str, Tuple[int, ...]]]] = {}
-        # (rule name, delta position) -> compiled columnar join plan, or None
-        # for triggers the fast path cannot handle (expression body terms).
-        self._columnar_plans: Dict[Tuple[str, int], Optional[_ColumnarPlan]] = {}
-        # True while on_batch's insert pass runs against a columnar store
-        # whose batch probe tables are populated; gates the fast path.
-        self._batch_probe_active = False
         # (rule name, group key) -> cached repr sort key for phase-3 ordering.
         self._group_sort_keys: Dict[Tuple[str, Tuple], str] = {}
-        # Columnar stores intern facts, so repr-derived sort keys can be
-        # memoized by identity-hashing dict lookups: membership keys by
-        # (rule, group, body) and fact reprs for contributing-set ordering.
-        # The dict reference path recomputes both every time (the ablation
-        # baseline stays allocation-faithful to the original implementation).
-        self._columnar_store = bool(getattr(store, "columnar", False))
-        # (rule, group, body) -> (membership tuple, distinct body facts).
-        self._membership_reprs: Dict[
-            Tuple[str, Tuple, Tuple[Fact, ...]],
-            Tuple[Tuple[str, str, Tuple, Tuple[Fact, ...]], Tuple[Fact, ...]],
-        ] = {}
-        self._fact_reprs: Dict[Fact, str] = {}
 
     # -- public statistics -------------------------------------------------------
 
@@ -394,38 +260,20 @@ class LocalEvaluator:
                     effects.extend(self._enable_unblocked_firings(rule, fact))
 
             # Phase 2 — insertions: one batch semi-naive pass per trigger.
-            # On a sharded store the join passes run per shard (possibly on a
-            # thread pool) and their firings are merged in shard order.
             by_relation: Dict[str, List[Fact]] = {}
             for fact in inserts:
                 by_relation.setdefault(fact.relation, []).append(fact)
             exclusions: Dict[str, Set[Fact]] = {
                 relation: set(facts) for relation, facts in by_relation.items()
             }
-            # On a columnar store, publish the batch's delta facts as
-            # per-relation interned-id sets; _delta_bindings then dispatches
-            # to the compiled columnar join, whose exclusion checks are
-            # integer-set probes over those tables.
-            columnar_probe = bool(inserts) and getattr(self._store, "columnar", False)
-            if columnar_probe:
-                self._store.begin_batch_probe(inserts)
-                self._batch_probe_active = True
-            try:
-                if getattr(self._store, "num_shards", 1) > 1 and inserts:
-                    effects.extend(self._sharded_insert_pass(inserts, by_relation, exclusions))
-                else:
-                    for relation, delta_facts in by_relation.items():
-                        for rule, delta_index in self._compiled.delta_index.get(relation, []):
-                            self._prewarm_join_indexes(rule, delta_index)
-                            for fact in delta_facts:
-                                for bindings, body_facts in self._delta_bindings(
-                                    rule, delta_index, fact, exclusions
-                                ):
-                                    effects.extend(self._apply_firing(rule, bindings, body_facts))
-            finally:
-                if columnar_probe:
-                    self._batch_probe_active = False
-                    self._store.end_batch_probe()
+            for relation, delta_facts in by_relation.items():
+                for rule, delta_index in self._compiled.delta_index.get(relation, []):
+                    self._prewarm_join_indexes(rule, delta_index)
+                    for fact in delta_facts:
+                        for bindings, body_facts in self._delta_bindings(
+                            rule, delta_index, fact, exclusions
+                        ):
+                            effects.extend(self._apply_firing(rule, bindings, body_facts))
             for relation, delta_facts in by_relation.items():
                 for rule in self._compiled.negation_index.get(relation, []):
                     for fact in delta_facts:
@@ -449,62 +297,6 @@ class LocalEvaluator:
         """Alias of :meth:`on_fact_inserted`, used when replaying a store."""
         return self.on_fact_inserted(fact)
 
-    def _sharded_insert_pass(
-        self,
-        inserts: Sequence[Fact],
-        by_relation: Dict[str, List[Fact]],
-        exclusions: Dict[str, Set[Fact]],
-    ) -> List[DerivationEffect]:
-        """Run the batch semi-naive insert pass per shard, merging deterministically.
-
-        Applying a firing never changes the tuple store (only evaluator
-        bookkeeping), so the set of complete bindings triggered by a batch is
-        independent of the order firings are recorded in — which is what
-        allows the pass to be split into a read-only *enumeration* stage and
-        a serial *apply* stage:
-
-        1. every secondary index any trigger will probe is built up front
-           (index construction is the one store mutation joins would
-           otherwise race on);
-        2. each shard's share of the delta facts is joined against the whole
-           (cross-shard) store concurrently via the shard executor — the
-           enumeration only reads the store, the compiled program and the
-           shared exclusion sets;
-        3. the discovered bindings are turned into firings serially, shard by
-           shard in shard-index order, so firing ids, duplicate suppression
-           and deferred aggregate bookkeeping behave exactly as in a serial
-           pass over the same delta order.
-        """
-        for relation in by_relation:
-            for rule, delta_index in self._compiled.delta_index.get(relation, []):
-                self._prewarm_join_indexes(rule, delta_index)
-
-        num_shards = self._store.num_shards
-        shard_deltas: List[List[Fact]] = [[] for _ in range(num_shards)]
-        for fact in inserts:
-            shard_deltas[self._store.shard_index(fact)].append(fact)
-
-        def enumerate_shard(delta_facts: List[Fact]):
-            found = []
-            local_by_relation: Dict[str, List[Fact]] = {}
-            for fact in delta_facts:
-                local_by_relation.setdefault(fact.relation, []).append(fact)
-            for relation, facts in local_by_relation.items():
-                for rule, delta_index in self._compiled.delta_index.get(relation, []):
-                    for fact in facts:
-                        for bindings, body_facts in self._delta_bindings(
-                            rule, delta_index, fact, exclusions
-                        ):
-                            found.append((rule, bindings, body_facts))
-            return found
-
-        effects: List[DerivationEffect] = []
-        jobs = [delta_facts for delta_facts in shard_deltas if delta_facts]
-        for found in self._shard_executor.map(enumerate_shard, jobs):
-            for rule, bindings, body_facts in found:
-                effects.extend(self._apply_firing(rule, bindings, body_facts))
-        return effects
-
     # -- firing management ----------------------------------------------------------
 
     def _next_firing_id(self) -> str:
@@ -512,23 +304,10 @@ class LocalEvaluator:
         return f"{self._node}#{self._firing_seq}"
 
     def _apply_firing(
-        self, rule: Rule, bindings: object, body_facts: Tuple[Fact, ...]
+        self, rule: Rule, bindings: Bindings, body_facts: Tuple[Fact, ...]
     ) -> List[DerivationEffect]:
-        """Record one rule firing.
-
-        *bindings* is normally the complete bindings dict; a compiled
-        columnar join passes its precomputed payload instead — the head fact
-        itself (non-aggregate rules) or a ``(group key, value)`` pair
-        (aggregate rules) — so no bindings dict ever exists on that path.
-        """
-        # The compiled payload's type decides the path outright — a tuple is
-        # an aggregate (group key, value) pair, a Fact is a prebuilt head —
-        # so neither consults the ``has_aggregate`` head scan per firing.
-        kind = type(bindings)
-        if kind is tuple:
-            group_key, value = bindings
-            return self._agg_add_entry_direct(rule, group_key, value, body_facts)
-        if kind is not Fact and rule.has_aggregate:
+        """Record one rule firing from its complete *bindings*."""
+        if rule.has_aggregate:
             return self._agg_add_entry(rule, bindings, body_facts)
 
         by_body = self._firing_by_body[rule.name]
@@ -538,20 +317,7 @@ class LocalEvaluator:
             # a firing must not be duplicated.
             return []
 
-        if kind is Fact:
-            head_fact = bindings
-            # Compiled-path bodies hold canonical (interned) facts, so the
-            # one-or-two-fact common case dedups by identity without
-            # allocating a set.
-            if len(body_facts) == 1 or (
-                len(body_facts) == 2 and body_facts[0] is not body_facts[1]
-            ):
-                distinct_facts: Iterable[Fact] = body_facts
-            else:
-                distinct_facts = set(body_facts)
-        else:
-            head_fact = instantiate_head(rule.head, bindings, self._registry)
-            distinct_facts = set(body_facts)
+        head_fact = instantiate_head(rule.head, bindings, self._registry)
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self._next_firing_id()
         self._firing_rules[firing_id] = rule.name
@@ -559,7 +325,7 @@ class LocalEvaluator:
         self._firing_bodies[firing_id] = body_facts
         by_body[body_facts] = firing_id
         fact_firings = self._fact_firings
-        for fact in distinct_facts:
+        for fact in set(body_facts):
             firings = fact_firings.get(fact)
             if firings is None:
                 fact_firings[fact] = firing_id
@@ -625,8 +391,7 @@ class LocalEvaluator:
         The plan also covers the rule's *negative* literals (probed by
         :meth:`_finalize_binding` with every positive-join and assignment
         variable bound), which keeps the whole join enumeration free of index
-        construction — the property the sharded batch pass relies on to run
-        enumeration concurrently over a store it only reads.
+        construction.
         """
         plan_key = (rule.name, delta_index)
         plan = self._prewarm_plans.get(plan_key)
@@ -661,24 +426,8 @@ class LocalEvaluator:
                 atom = literal.atom
                 plan.append((atom.relation, bound_index_positions(atom, bound_vars)))
             self._prewarm_plans[plan_key] = plan
-        columnar_plan = (
-            self._columnar_plan(rule, delta_index)
-            if getattr(self._store, "columnar", False)
-            else None
-        )
-        if columnar_plan is not None:
-            # The columnar join probes its own key positions (it never treats
-            # the wildcard as bound, unlike the generic plan), so only the
-            # negative-literal tail of the generic plan still needs
-            # preparing — building the generic positive-literal indexes too
-            # would double index maintenance without a probe to serve.
-            for step in columnar_plan.steps:
-                self._store.prepare_index(step.relation, step.key_positions)
-            for relation, positions in plan[len(rule.positive_literals) - 1:]:
-                self._store.prepare_index(relation, positions)
-        else:
-            for relation, positions in plan:
-                self._store.prepare_index(relation, positions)
+        for relation, positions in plan:
+            self._store.prepare_index(relation, positions)
 
     def _delta_bindings(
         self,
@@ -686,50 +435,18 @@ class LocalEvaluator:
         delta_index: int,
         fact: Fact,
         exclusions: Optional[Dict[str, Set[Fact]]] = None,
-    ) -> Iterable[Tuple[Bindings, Tuple[Fact, ...]]]:
+    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
         """Enumerate complete rule bindings in which *fact* plays body position *delta_index*.
 
         *exclusions* maps relation names to the delta facts of the current
         batch; body positions before *delta_index* skip those facts (batch
         semi-naive de-duplication).  When omitted, the singleton batch
         ``{fact}`` is assumed, which is the classic per-fact rule.
-
-        Returns a plain list on the compiled columnar path (no generator
-        suspension per binding) and a generator on the reference path.
         """
         positives = rule.positive_literals
-        delta_literal = positives[delta_index]
-
-        if exclusions is not None and self._batch_probe_active:
-            # Batch pass over a columnar store: run the compiled slot-based
-            # join against the interned id arrays (exclusion checks become
-            # integer-set probes).  Triggers the plan cannot express fall
-            # through to the generic dict-based join below.
-            plan = self._columnar_plan(rule, delta_index)
-            if plan is not None:
-                if plan.delta_ops is not None:
-                    return self._columnar_join(rule, plan, fact, None)
-                initial = match_atom(delta_literal.atom, fact, {}, self._registry)
-                if initial is None:
-                    return []
-                return self._columnar_join(rule, plan, fact, initial)
-
-        initial = match_atom(delta_literal.atom, fact, {}, self._registry)
+        initial = match_atom(positives[delta_index].atom, fact, {}, self._registry)
         if initial is None:
-            return []
-        return self._delta_bindings_generic(
-            rule, positives, delta_index, fact, exclusions, initial
-        )
-
-    def _delta_bindings_generic(
-        self,
-        rule: Rule,
-        positives: Sequence[Literal],
-        delta_index: int,
-        fact: Fact,
-        exclusions: Optional[Dict[str, Set[Fact]]],
-        initial: Bindings,
-    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
+            return
         slots: List[Optional[Fact]] = [None] * len(positives)
         slots[delta_index] = fact
         if exclusions is None:
@@ -778,420 +495,13 @@ class LocalEvaluator:
             )
             slots[position] = None
 
-    # -- columnar join (compiled slot programs over interned id arrays) ---------------
-
-    def _columnar_plan(self, rule: Rule, delta_index: int) -> Optional[_ColumnarPlan]:
-        plan_key = (rule.name, delta_index)
-        if plan_key in self._columnar_plans:
-            return self._columnar_plans[plan_key]
-        plan = self._compile_columnar_plan(rule, delta_index)
-        self._columnar_plans[plan_key] = plan
-        return plan
-
-    def _compile_columnar_plan(self, rule: Rule, delta_index: int) -> Optional[_ColumnarPlan]:
-        """Compile the (rule, delta position) trigger into a slot program.
-
-        Returns ``None`` when some non-delta body atom carries expression
-        terms — those need per-candidate evaluation and keep the generic
-        join.  The delta atom itself is always matched by ``match_atom``, so
-        its terms are unconstrained.
-        """
-        positives = rule.positive_literals
-        slot_of: Dict[str, int] = {}
-        slot_names: List[str] = []
-
-        def slot_for(name: str) -> int:
-            slot = slot_of.get(name)
-            if slot is None:
-                slot = slot_of[name] = len(slot_names)
-                slot_names.append(name)
-            return slot
-
-        for term in positives[delta_index].atom.terms:
-            if isinstance(term, Variable) and term.name != "_":
-                slot_for(term.name)
-        delta_slots = tuple((name, slot_of[name]) for name in list(slot_names))
-
-        delta_terms = positives[delta_index].atom.terms
-        delta_ops: Optional[Tuple[Tuple[str, int, object], ...]] = None
-        if all(isinstance(term, (Variable, Constant)) for term in delta_terms):
-            seed_ops: List[Tuple[str, int, object]] = []
-            seeded: Set[str] = set()
-            for position, term in enumerate(delta_terms):
-                if isinstance(term, Constant):
-                    seed_ops.append(("check_const", position, term.value))
-                elif term.name == "_":
-                    continue
-                elif term.name in seeded:
-                    seed_ops.append(("check_slot", position, slot_of[term.name]))
-                else:
-                    seeded.add(term.name)
-                    seed_ops.append(("bind", position, slot_of[term.name]))
-            delta_ops = tuple(seed_ops)
-
-        steps: List[_ColumnarStep] = []
-        for position in range(len(positives)):
-            if position == delta_index:
-                continue
-            atom = positives[position].atom
-            if not all(isinstance(term, (Variable, Constant)) for term in atom.terms):
-                return None
-            key_items: List[Tuple[int, bool, object]] = []
-            bind_ops: List[Tuple[int, int]] = []
-            check_ops: List[Tuple[int, int]] = []
-            step_new: Dict[str, int] = {}
-            for attribute, term in enumerate(atom.terms):
-                if isinstance(term, Constant):
-                    key_items.append((attribute, False, term.value))
-                elif term.name == "_":
-                    continue
-                elif term.name in step_new:
-                    check_ops.append((attribute, step_new[term.name]))
-                elif term.name in slot_of:
-                    key_items.append((attribute, True, slot_of[term.name]))
-                else:
-                    slot = slot_for(term.name)
-                    step_new[term.name] = slot
-                    bind_ops.append((attribute, slot))
-            steps.append(
-                _ColumnarStep(
-                    body_index=position,
-                    relation=atom.relation,
-                    arity=len(atom.terms),
-                    key_positions=tuple(item[0] for item in key_items),
-                    key_ops=tuple((item[1], item[2]) for item in key_items),
-                    bind_ops=tuple(bind_ops),
-                    check_ops=tuple(check_ops),
-                    excluded=position < delta_index,
-                )
-            )
-        post_ops = self._compile_post_ops(rule, slot_of, slot_for)
-        head_build: Optional[Tuple[str, Tuple[Tuple[bool, object], ...]]] = None
-        agg_group_ops: Optional[Tuple[Tuple[bool, object], ...]] = None
-        agg_value_slot: Optional[int] = None
-        if post_ops is not None:
-            if rule.has_aggregate:
-                aggregate = rule.aggregate
-                group_items: List[Tuple[bool, object]] = []
-                compiled = True
-                for term in rule.head.terms:
-                    if isinstance(term, Aggregate):
-                        continue
-                    if isinstance(term, Constant):
-                        group_items.append((False, term.value))
-                    elif isinstance(term, Variable) and term.name in slot_of:
-                        group_items.append((True, slot_of[term.name]))
-                    else:
-                        compiled = False
-                        break
-                if compiled and aggregate is not None and aggregate.variable is not None:
-                    if aggregate.variable in slot_of:
-                        agg_value_slot = slot_of[aggregate.variable]
-                    else:
-                        compiled = False
-                if compiled:
-                    agg_group_ops = tuple(group_items)
-            else:
-                head_items: List[Tuple[bool, object]] = []
-                compiled = True
-                for term in rule.head.terms:
-                    if isinstance(term, Constant):
-                        head_items.append((False, term.value))
-                    elif isinstance(term, Variable) and term.name in slot_of:
-                        head_items.append((True, slot_of[term.name]))
-                    else:
-                        compiled = False
-                        break
-                if compiled:
-                    head_build = (rule.head.relation, tuple(head_items))
-            if head_build is None and agg_group_ops is None:
-                post_ops = None
-        return _ColumnarPlan(
-            delta_index=delta_index,
-            slot_names=tuple(slot_names),
-            delta_slots=delta_slots,
-            steps=tuple(steps),
-            post_ops=post_ops,
-            head_build=head_build,
-            agg_group_ops=agg_group_ops,
-            agg_value_slot=agg_value_slot,
-            delta_ops=delta_ops,
-            delta_arity=len(delta_terms),
-        )
-
-    def _compile_post_ops(
-        self, rule: Rule, slot_of: Dict[str, int], slot_for
-    ) -> Optional[Tuple[Tuple[str, Optional[int], object], ...]]:
-        """Compile the rule's assignments and conditions into slot programs.
-
-        Returns ``None`` when any body element falls outside the compilable
-        core — a negative literal, a non-comparison condition (whose
-        truthiness convention :func:`satisfies` owns), or an expression with
-        function calls / unbound variables — in which case the join keeps
-        the generic dict-based finalize.  Assignments allocate (or reuse)
-        the target variable's slot, matching the reference semantics of
-        overwriting an already-bound name.
-        """
-        if rule.negative_literals:
-            return None
-        ops: List[Tuple[str, Optional[int], object]] = []
-        for element in rule.body:
-            if isinstance(element, Assignment):
-                fn = _compile_expr(element.expression, slot_of)
-                if fn is None or element.variable in slot_of:
-                    # Assigning over an already-bound name has per-path
-                    # overwrite semantics the shared slot array cannot give
-                    # (join steps would re-read the overwritten slot on the
-                    # next candidate); those rules keep the dict finalize.
-                    return None
-                ops.append(("assign", slot_for(element.variable), fn))
-            elif isinstance(element, Condition):
-                expression = element.expression
-                if not (
-                    isinstance(expression, Expression) and expression.op in _COMPARISON
-                ):
-                    return None
-                fn = _compile_expr(expression, slot_of)
-                if fn is None:
-                    return None
-                ops.append(("cond", None, fn))
-        return tuple(ops)
-
-    def _columnar_join(
-        self, rule: Rule, plan: _ColumnarPlan, fact: Fact, initial: Optional[Bindings]
-    ) -> List[Tuple[Bindings, Tuple[Fact, ...]]]:
-        """Enumerate complete bindings by walking the store's id arrays.
-
-        Semantically identical to :meth:`_join_remaining` under the batch
-        exclusion rule; enumeration order within one store partition is
-        ascending intern id (the compared runtime observables are invariant
-        to within-batch enumeration order).  Firing application never
-        mutates the tuple store, so iterating the live arrays is safe.
-        Returns a list rather than yielding — the recursion then runs in
-        plain frames with no generator suspension per binding.
-
-        *initial* is ``None`` when the plan carries a compiled delta seed
-        (``delta_ops``): the trigger fact's values are then written straight
-        into the slots, mirroring ``match_atom`` against the delta atom.
-        """
-        slot_names = plan.slot_names
-        slots: List[object] = [None] * len(slot_names)
-        if initial is None:
-            values = fact.values
-            if len(values) != plan.delta_arity:
-                return []
-            for kind, position, payload in plan.delta_ops:
-                if kind == "bind":
-                    slots[payload] = values[position]
-                elif values[position] != (
-                    slots[payload] if kind == "check_slot" else payload
-                ):
-                    return []
-        else:
-            for name, slot in plan.delta_slots:
-                slots[slot] = initial[name]
-        body: List[Optional[Fact]] = [None] * (len(plan.steps) + 1)
-        body[plan.delta_index] = fact
-        out: List[Tuple[object, Tuple[Fact, ...]]] = []
-        store = self._store
-        steps = plan.steps
-        last = len(steps)
-        finalize = self._finalize_into
-        post_ops = plan.post_ops
-        head_build = plan.head_build
-        agg_group_ops = plan.agg_group_ops
-        agg_value_slot = plan.agg_value_slot
-
-        if post_ops is not None and last <= 1:
-            # Fully-compiled plans with zero or one join step — the
-            # overwhelming share of triggers in practice — run as flat loops:
-            # no recursion closure is created and no Python call is made per
-            # candidate.
-            if last == 0:
-                ok = True
-                for kind, slot, fn in post_ops:
-                    if kind == "assign":
-                        slots[slot] = fn(slots)
-                    elif not fn(slots):
-                        ok = False
-                        break
-                if ok:
-                    if head_build is not None:
-                        relation, head_ops = head_build
-                        head_values = []
-                        for is_slot, item in head_ops:
-                            head_values.append(slots[item] if is_slot else item)
-                        payload: object = Fact(relation, tuple(head_values))
-                    else:
-                        group_values = []
-                        for is_slot, item in agg_group_ops:
-                            group_values.append(slots[item] if is_slot else item)
-                        value = 1 if agg_value_slot is None else slots[agg_value_slot]
-                        payload = (tuple(group_values), value)
-                    out.append((payload, (fact,)))
-                return out
-            step = steps[0]
-            key_items = []
-            for is_slot, payload_item in step.key_ops:
-                key_items.append(slots[payload_item] if is_slot else payload_item)
-            arity = step.arity
-            bind_ops = step.bind_ops
-            check_ops = step.check_ops
-            delta_first = plan.delta_index < step.body_index
-            for facts_column, ids, delta_ids in store.probe_columns(
-                step.relation, step.key_positions, tuple(key_items)
-            ):
-                skip = delta_ids if (step.excluded and delta_ids) else None
-                for fid in ids:
-                    if skip is not None and fid in skip:
-                        continue
-                    candidate = facts_column[fid]
-                    values = candidate.values
-                    if len(values) != arity:
-                        continue
-                    for attribute, slot in bind_ops:
-                        slots[slot] = values[attribute]
-                    ok = True
-                    if check_ops:
-                        for attribute, slot in check_ops:
-                            if values[attribute] != slots[slot]:
-                                ok = False
-                                break
-                    if ok:
-                        for kind, slot, fn in post_ops:
-                            if kind == "assign":
-                                slots[slot] = fn(slots)
-                            elif not fn(slots):
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    if head_build is not None:
-                        relation, head_ops = head_build
-                        head_values = []
-                        for is_slot, item in head_ops:
-                            head_values.append(slots[item] if is_slot else item)
-                        payload: object = Fact(relation, tuple(head_values))
-                    else:
-                        group_values = []
-                        for is_slot, item in agg_group_ops:
-                            group_values.append(slots[item] if is_slot else item)
-                        value = 1 if agg_value_slot is None else slots[agg_value_slot]
-                        payload = (tuple(group_values), value)
-                    out.append(
-                        (payload, (fact, candidate) if delta_first else (candidate, fact))
-                    )
-            return out
-
-        def walk(step_index: int) -> None:
-            # Every tuple here is built from a plain list — no generator
-            # expressions; this is the innermost loop of batch evaluation.
-            if step_index == last:
-                if post_ops is None:
-                    # Uncompilable tail (negation, function calls, ...):
-                    # materialise the bindings dict and run the reference
-                    # finalize.
-                    final = finalize(rule, dict(zip(slot_names, slots)))
-                    if final is not None:
-                        out.append((final, tuple(body)))
-                    return
-                for kind, slot, fn in post_ops:
-                    if kind == "assign":
-                        slots[slot] = fn(slots)
-                    elif not fn(slots):
-                        return
-                if head_build is not None:
-                    relation, head_ops = head_build
-                    head_values = []
-                    for is_slot, item in head_ops:
-                        head_values.append(slots[item] if is_slot else item)
-                    payload: object = Fact(relation, tuple(head_values))
-                else:
-                    group_values = []
-                    for is_slot, item in agg_group_ops:
-                        group_values.append(slots[item] if is_slot else item)
-                    value = 1 if agg_value_slot is None else slots[agg_value_slot]
-                    payload = (tuple(group_values), value)
-                out.append((payload, tuple(body)))
-                return
-            step = steps[step_index]
-            key_items = []
-            for is_slot, payload_item in step.key_ops:
-                key_items.append(slots[payload_item] if is_slot else payload_item)
-            arity = step.arity
-            bind_ops = step.bind_ops
-            check_ops = step.check_ops
-            body_index = step.body_index
-            next_index = step_index + 1
-            for facts_column, ids, delta_ids in store.probe_columns(
-                step.relation, step.key_positions, tuple(key_items)
-            ):
-                skip = delta_ids if (step.excluded and delta_ids) else None
-                for fid in ids:
-                    if skip is not None and fid in skip:
-                        continue
-                    candidate = facts_column[fid]
-                    values = candidate.values
-                    if len(values) != arity:
-                        continue
-                    for attribute, slot in bind_ops:
-                        slots[slot] = values[attribute]
-                    if check_ops:
-                        matched = True
-                        for attribute, slot in check_ops:
-                            if values[attribute] != slots[slot]:
-                                matched = False
-                                break
-                        if not matched:
-                            continue
-                    body[body_index] = candidate
-                    walk(next_index)
-
-        walk(0)
-        return out
-
-    def _full_bindings(
-        self, rule: Rule
-    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-        """Enumerate all complete bindings of *rule* against the current store."""
-        positives = rule.positive_literals
-        if not positives:
-            return
-        slots: List[Optional[Fact]] = [None] * len(positives)
-
-        def recurse(index: int, bindings: Bindings) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-            if index == len(positives):
-                final = self._finalize_binding(rule, bindings)
-                if final is not None:
-                    yield final, tuple(slot for slot in slots if slot is not None)
-                return
-            literal = positives[index]
-            bound = bound_positions(literal.atom, bindings)
-            for candidate in list(self._store.matching(literal.atom.relation, bound)):
-                extended = match_atom(literal.atom, candidate, bindings, self._registry)
-                if extended is None:
-                    continue
-                slots[index] = candidate
-                yield from recurse(index + 1, extended)
-                slots[index] = None
-
-        yield from recurse(0, {})
-
     def _finalize_binding(self, rule: Rule, bindings: Bindings) -> Optional[Bindings]:
         """Apply assignments, check conditions and negative literals.
 
         Returns the extended bindings when the rule body is fully satisfied,
         or ``None`` otherwise.
         """
-        return self._finalize_into(rule, dict(bindings))
-
-    def _finalize_into(self, rule: Rule, extended: Bindings) -> Optional[Bindings]:
-        """:meth:`_finalize_binding` over a caller-owned dict (no copy).
-
-        The columnar join builds a fresh bindings dict per complete path, so
-        it finalizes in place; the generic join shares its dict across
-        candidates and goes through the copying wrapper.
-        """
+        extended = dict(bindings)
         for element in rule.body:
             if isinstance(element, Assignment):
                 extended[element.variable] = evaluate_term(
@@ -1301,15 +611,6 @@ class LocalEvaluator:
                     f"aggregate variable {aggregate.variable!r} is unbound in rule {rule.name!r}"
                 )
             value = bindings[aggregate.variable]
-        return self._agg_add_entry_direct(rule, group_key, value, body_facts)
-
-    def _agg_add_entry_direct(
-        self,
-        rule: Rule,
-        group_key: Tuple[object, ...],
-        value: object,
-        body_facts: Tuple[Fact, ...],
-    ) -> List[DerivationEffect]:
         groups = self._agg_entries.setdefault(rule.name, {})
         entries = groups.setdefault(group_key, {})
         if body_facts in entries:
@@ -1318,25 +619,10 @@ class LocalEvaluator:
         # The membership's repr sort key is computed once here; every later
         # deletion-time ordering of the memberships is then repr-free.  The
         # key reprs the (rule, group, body) triple, matching the historical
-        # ``sorted(..., key=repr)`` order exactly.  Columnar stores hand the
-        # evaluator canonical fact instances, so the key is memoized across
-        # re-derivations of the same membership (churn that toggles a link
-        # re-adds the same bodies every round); the dict reference path
-        # recomputes it each time.
-        identity = (rule.name, group_key, body_facts)
-        if self._columnar_store:
-            cached = self._membership_reprs.get(identity)
-            if cached is None:
-                cached = self._membership_reprs[identity] = (
-                    (repr(identity), rule.name, group_key, body_facts),
-                    tuple(set(body_facts)),
-                )
-            membership, distinct_facts = cached
-        else:
-            membership = (repr(identity), rule.name, group_key, body_facts)
-            distinct_facts = tuple(set(body_facts))
+        # ``sorted(..., key=repr)`` order exactly.
+        membership = (repr((rule.name, group_key, body_facts)), rule.name, group_key, body_facts)
         fact_agg_entries = self._fact_agg_entries
-        for fact in distinct_facts:
+        for fact in set(body_facts):
             memberships = fact_agg_entries.get(fact)
             if memberships is None:
                 fact_agg_entries[fact] = membership
@@ -1407,21 +693,7 @@ class LocalEvaluator:
             return effects
 
         new_value = _aggregate_value(aggregate.func, list(entries.values()))
-        if self._columnar_store:
-            contributing = self._contributing_facts_cached(
-                aggregate.func, entries, new_value
-            )
-            # The head is a pure function of (rule, group key, value), so an
-            # unchanged value plus an unchanged contributing set means the
-            # recomputed head would equal the current one — skip rebuilding it.
-            if (
-                current is not None
-                and current[1] == new_value
-                and self._agg_head_bodies[head_key] == contributing
-            ):
-                return effects
-        else:
-            contributing = _contributing_facts(aggregate.func, entries, new_value)
+        contributing = _contributing_facts(aggregate.func, entries, new_value)
         head_fact = _agg_head_fact(rule, group_key, new_value)
 
         previous = None
@@ -1463,35 +735,6 @@ class LocalEvaluator:
             # a cascade that blows up deletion processing on cyclic topologies.
             effects.append(previous)
         return effects
-
-    def _contributing_facts_cached(
-        self,
-        func: str,
-        entries: Dict[Tuple[Fact, ...], object],
-        value: object,
-    ) -> Tuple[Fact, ...]:
-        """:func:`_contributing_facts` with the per-fact repr sort keys memoized.
-
-        Columnar stores hand the evaluator canonical fact instances, so the
-        memo dict hits on identity and each fact's repr is rendered at most
-        once per evaluator lifetime.  The ordering is byte-identical to the
-        reference path's ``sorted(..., key=repr)``.
-        """
-        contributing: Set[Fact] = set()
-        minmax = func in ("min", "max")
-        for body_facts, entry_value in entries.items():
-            if minmax and entry_value != value:
-                continue
-            contributing.update(body_facts)
-        reprs = self._fact_reprs
-        keyed = []
-        for fact in contributing:
-            sort_key = reprs.get(fact)
-            if sort_key is None:
-                sort_key = reprs[fact] = repr(fact)
-            keyed.append((sort_key, fact))
-        keyed.sort()
-        return tuple([fact for _, fact in keyed])
 
     def _retract_agg_head(self, rule: Rule, head_key: Tuple[str, Tuple]) -> DerivationEffect:
         """Drop the live head of *head_key* and return its -1 effect."""

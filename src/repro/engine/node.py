@@ -39,14 +39,7 @@ from repro.engine.messages import (
     TupleDeltaBatch,
 )
 from repro.engine.network import Network
-from repro.engine.store import (
-    BASE_DERIVATION,
-    ColumnarTupleStore,
-    SerialShardExecutor,
-    ShardedTupleStore,
-    ThreadShardExecutor,
-    TupleStore,
-)
+from repro.engine.store import BASE_DERIVATION, TupleStore
 from repro.engine.tuples import Fact
 from repro.obs import Observability
 
@@ -80,56 +73,18 @@ class Node:
         provenance: Optional[object] = None,
         aggregate_retract_first: bool = False,
         batch_deltas: bool = True,
-        num_shards: Optional[int] = None,
-        shard_workers: int = 0,
         batch_commit_stall_s: float = 0.0,
-        columnar: bool = False,
         observability: Optional[Observability] = None,
     ):
         self.id = node_id
         self.compiled = compiled
         self.network = network
-        #: Number of store shards (``None`` = the flat unsharded store).  When
-        #: set, the node's relations are hash-partitioned by primary-key
-        #: columns across ``num_shards`` private :class:`TupleStore` shards
-        #: and incoming delta batches are split into per-shard sub-batches.
-        self.num_shards = num_shards
-        #: Worker threads for shard absorption and per-shard join passes;
-        #: ``0``/``1`` selects the serial deterministic reference executor.
-        self.shard_workers = shard_workers
-        if num_shards is not None and num_shards < 1:
-            raise EngineError(f"node {node_id!r}: num_shards must be >= 1, got {num_shards}")
-        if shard_workers > 1 and num_shards is None:
-            raise EngineError(
-                f"node {node_id!r}: shard_workers={shard_workers} requires num_shards "
-                "(the flat unsharded store has nothing to parallelise over)"
-            )
-        self._shard_executor = (
-            ThreadShardExecutor(shard_workers) if shard_workers > 1 else SerialShardExecutor()
-        )
-        #: Dictionary-encoded columnar store representation (see
-        #: :class:`~repro.engine.store.ColumnarTupleStore`); the evaluator's
-        #: batch join then runs its compiled slot programs over interned id
-        #: arrays.  ``False`` keeps the dict-based reference representation.
-        self.columnar = columnar
-        if num_shards is None:
-            self.store = ColumnarTupleStore() if columnar else TupleStore()
-        else:
-            catalog = compiled.catalog
-
-            def shard_key(fact: Fact) -> Tuple[object, ...]:
-                key = catalog.key_of(fact)
-                return key if key else fact.values
-
-            self.store = ShardedTupleStore(
-                num_shards, key_fn=shard_key, executor=self._shard_executor, columnar=columnar
-            )
+        self.store = TupleStore()
         self.evaluator = LocalEvaluator(
             compiled,
             self.store,
             node_id,
             aggregate_retract_first=aggregate_retract_first,
-            shard_executor=self._shard_executor,
         )
         self.provenance = provenance
         self.stats = NodeStats()
@@ -573,12 +528,6 @@ class Node:
                 self.provenance.remove_rule_exec(self.id, effect)
                 tags.append(None)
         return tags
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release shard worker threads (no-op for the serial executor)."""
-        self._shard_executor.close()
 
     # -- convenience accessors -------------------------------------------------------
 

@@ -42,14 +42,6 @@ CACHE_CAPACITY_ENV_VAR = "NETTRAILS_QUERY_CACHE_CAPACITY"
 #: equivalence suite runs with the interval path on.
 INTERVAL_INDEX_ENV_VAR = "NETTRAILS_INTERVAL_INDEX"
 
-#: Environment variable consulted when ``columnar`` is not set explicitly: a
-#: boolean (``1/true/yes/on`` vs ``0/false/no/off``) selecting the
-#: dictionary-encoded columnar store and the evaluator's compiled columnar
-#: join (see :class:`repro.engine.store.ColumnarTupleStore`).  The CI
-#: property matrix exports it so the whole equivalence suite runs on both
-#: representations.
-COLUMNAR_ENV_VAR = "NETTRAILS_COLUMNAR"
-
 #: Environment variable consulted when ``durable_dir`` is not set explicitly
 #: (parity with the other ``NETTRAILS_*`` hooks): a directory path that turns
 #: on durable mode — every committed quiescence window is appended to a
@@ -128,25 +120,6 @@ def default_use_interval_index() -> bool:
     )
 
 
-def default_columnar() -> bool:
-    """The columnar-store default: the env hook, else ``False``.
-
-    A value that is neither a true-word nor a false-word raises
-    :class:`~repro.errors.EngineError` rather than being silently ignored.
-    """
-    raw = os.environ.get(COLUMNAR_ENV_VAR, "").strip().lower()
-    if not raw:
-        return False
-    if raw in _TRUE_WORDS:
-        return True
-    if raw in _FALSE_WORDS:
-        return False
-    raise EngineError(
-        f"{COLUMNAR_ENV_VAR}={raw!r} is not a boolean; use one of "
-        f"{_TRUE_WORDS + _FALSE_WORDS}"
-    )
-
-
 def default_observability() -> bool:
     """The observability default: the env hook, else ``False``.
 
@@ -200,9 +173,11 @@ class NetTrailsRuntime:
     :meth:`insert` / :meth:`insert_batch`, virtual time advances through
     :meth:`run` / :meth:`run_to_quiescence`, and global state comes back out
     through :meth:`state`.  The runtime is a context manager —
-    ``with NetTrailsRuntime(...) as runtime:`` releases backend workers,
-    shard threads and forked worker processes on exit, which is the
-    leak-proof way to use worker-backed configurations in tests.
+    ``with NetTrailsRuntime(...) as runtime:`` releases backend worker
+    threads and forked worker processes on exit, which is the leak-proof way
+    to use worker-backed configurations in tests.  Every node holds one
+    :class:`~repro.engine.store.TupleStore` driven by one generic
+    semi-naive join.
 
     **Constructor knobs** (this is the canonical table; every other
     docstring defers to it):
@@ -223,16 +198,8 @@ class NetTrailsRuntime:
     (False)                          ordering
     ``batch_deltas`` (True)          batch-first evaluation; ``False`` replays
                                      deltas one at a time (the E11 baseline)
-    ``num_shards`` (None)            hash-shard every node's store across K
-                                     partitions
-    ``shard_workers`` (0)            threads absorbing sharded sub-batches
-    ``columnar`` (None)              dictionary-encoded columnar stores +
-                                     compiled columnar batch joins (``None``
-                                     = env hook then off; the dict path is
-                                     the reference/ablation)
     ``backend`` (None)               execution backend: ``"serial"`` |
-                                     ``"thread"`` | ``"asyncio"`` |
-                                     ``"process"``, a constructed
+                                     ``"thread"`` | ``"process"``, a constructed
                                      ``ExecutionBackend``, or ``None`` = env
                                      hook then serial
     ``backend_workers`` (None)       worker bound for concurrent backends
@@ -265,16 +232,15 @@ class NetTrailsRuntime:
     variable                         stands in for
     ================================ ==========================================
     ``NETTRAILS_BACKEND``            ``backend`` (``serial``/``thread``/
-                                     ``asyncio``/``process``)
+                                     ``process``)
     ``NETTRAILS_BACKEND_WORKERS``    ``backend_workers`` (integer ≥ 1)
     ``NETTRAILS_QUERY_CACHE_CAPACITY`` ``query_cache_capacity`` (integer ≥ 0)
     ``NETTRAILS_INTERVAL_INDEX``     ``use_interval_index`` (boolean words)
-    ``NETTRAILS_COLUMNAR``           ``columnar`` (boolean words)
     ``NETTRAILS_DURABLE_DIR``        ``durable_dir`` (a writable path)
     ``NETTRAILS_OBSERVABILITY``      ``observability`` (boolean words)
     ================================ ==========================================
 
-    See ``docs/performance.md`` for which backend/worker/shard/batch
+    See ``docs/performance.md`` for which backend/worker/batch
     configuration pays off when.
 
     >>> from repro.engine import topology
@@ -304,9 +270,6 @@ class NetTrailsRuntime:
         program_name: Optional[str] = None,
         aggregate_retract_first: bool = False,
         batch_deltas: bool = True,
-        num_shards: Optional[int] = None,
-        shard_workers: int = 0,
-        columnar: Optional[bool] = None,
         backend: BackendSpec = None,
         backend_workers: Optional[int] = None,
         batch_commit_stall_s: float = 0.0,
@@ -323,8 +286,7 @@ class NetTrailsRuntime:
         self.compiled: CompiledProgram = compile_program(program, registry)
         self.topology = topology
         #: Execution backend draining same-instant simulator events.  Accepts
-        #: a name (``"serial"`` / ``"thread"`` / ``"asyncio"`` /
-        #: ``"process"``), a constructed
+        #: a name (``"serial"`` / ``"thread"`` / ``"process"``), a constructed
         #: :class:`~repro.engine.backends.ExecutionBackend`, or ``None`` —
         #: which consults the ``NETTRAILS_BACKEND`` environment variable and
         #: defaults to the deterministic serial reference mode.
@@ -354,26 +316,6 @@ class NetTrailsRuntime:
         #: ``False`` restores the historical per-delta path; the batching
         #: benchmarks construct one runtime of each kind and compare them.
         self.batch_deltas = batch_deltas
-        #: Per-node store sharding (see :class:`repro.engine.store.ShardedTupleStore`):
-        #: ``num_shards=K`` hash-partitions every node's relations across K
-        #: shards so a hot node can absorb a delta batch shard-parallel;
-        #: ``shard_workers=N`` (N > 1) absorbs the per-shard sub-batches and
-        #: runs the per-shard join passes on a thread pool.  The default
-        #: (``None`` / ``0``) is the flat, fully serial reference mode; every
-        #: configuration converges to bit-identical protocol state and
-        #: provenance tables.
-        self.num_shards = num_shards
-        self.shard_workers = shard_workers
-        #: Store/join representation (see
-        #: :class:`repro.engine.store.ColumnarTupleStore`): ``True`` interns
-        #: every fact into dense per-relation ids, keeps secondary indexes as
-        #: sorted id arrays and runs the evaluator's batch joins as compiled
-        #: slot programs over them.  ``None`` consults ``NETTRAILS_COLUMNAR``
-        #: (parity with ``NETTRAILS_BACKEND``); the default dict-based path
-        #: is the reference every columnar run must match bit-for-bit.
-        if columnar is None:
-            columnar = default_columnar()
-        self.columnar = bool(columnar)
         #: Per-node provenance-query-cache capacity consumed by
         #: :class:`repro.core.query.DistributedQueryEngine`: ``None`` keeps
         #: the engine default (:data:`repro.core.optimizations.DEFAULT_CACHE_CAPACITY`),
@@ -415,10 +357,7 @@ class NetTrailsRuntime:
                 self.provenance,
                 aggregate_retract_first=aggregate_retract_first,
                 batch_deltas=batch_deltas,
-                num_shards=num_shards,
-                shard_workers=shard_workers,
                 batch_commit_stall_s=batch_commit_stall_s,
-                columnar=self.columnar,
                 observability=self.obs,
             )
         for source, target, cost in topology.directed_edges():
@@ -559,9 +498,6 @@ class NetTrailsRuntime:
             "link_latency": self._link_latency,
             "aggregate_retract_first": self._aggregate_retract_first,
             "batch_deltas": self.batch_deltas,
-            "num_shards": self.num_shards,
-            "shard_workers": self.shard_workers,
-            "columnar": self.columnar,
             "batch_commit_stall_s": self._batch_commit_stall_s,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,
@@ -875,18 +811,15 @@ class NetTrailsRuntime:
         return self.simulator.now
 
     def close(self) -> None:
-        """Release backend and per-node shard worker threads; idempotent.
+        """Release backend workers and the WAL handle; idempotent.
 
-        A no-op for the default serial backend with unsharded stores, but
-        worker-backed configurations (``shard_workers``, ``backend="thread"``
-        / ``"asyncio"``) hold real threads — prefer the context-manager form,
-        which cannot leak them::
+        A no-op for the default serial backend, but the concurrent backends
+        (``backend="thread"`` / ``"process"``) hold real threads or
+        processes — prefer the context-manager form, which cannot leak them::
 
             with NetTrailsRuntime(program, net, backend="thread") as runtime:
                 runtime.seed_links(run=True)
         """
-        for node in self.nodes.values():
-            node.close()
         self.backend.close()
         if self._wal is not None:
             self._wal.close()

@@ -74,8 +74,7 @@ class Fact:
     def __repr__(self) -> str:
         # Byte-identical to the dataclass-generated repr, but rendered once
         # per instance: repr-derived sort keys and message size accounting
-        # hit facts over and over, and interned (columnar) stores reuse the
-        # same canonical instance for the lifetime of a fact.
+        # hit facts over and over.
         try:
             return self._repr
         except AttributeError:

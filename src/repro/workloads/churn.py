@@ -295,7 +295,7 @@ def hot_hub_skew(
     Nodes are ranked by descending degree (stable tie-break by name); each
     flap picks its node with Zipf(``zipf_s``) rank skew and fast-flaps one
     random incident link.  The top-ranked hub therefore absorbs most of the
-    churn — the hot-node regime store sharding targets.
+    churn — the hot-node regime.
     """
     from repro.workloads.queries import ZipfSampler
 
@@ -325,8 +325,8 @@ def random_link_churn(
 
     One op per batch, drawn uniformly; removed links are remembered for
     re-adding and brand-new links get random integer costs.  This is the
-    generator the property-test churn harnesses replay across shard layouts
-    and execution backends.
+    generator the property-test churn harnesses replay across execution
+    backends.
     """
     nodes = sorted(mirror.nodes)
     removed: List[Tuple[str, str, float]] = []

@@ -3,10 +3,10 @@
 A :class:`ScenarioSpec` captures everything needed to reproduce a dynamic
 workload bit for bit: the (seeded) topology to generate, the protocol to
 run, a schedule of seeded churn phases, an optional query mix, and the
-runtime knobs (execution backend, store shards, batch mode, query-cache
-capacity).  Specs are plain frozen dataclasses — hashable, comparable,
-serialisable via :meth:`ScenarioSpec.to_dict` — so benchmarks and CI jobs
-can name them, sweep single fields and log exactly what ran.
+runtime knobs (execution backend, batch mode, query-cache capacity).
+Specs are plain frozen dataclasses — hashable, comparable, serialisable via
+:meth:`ScenarioSpec.to_dict` — so benchmarks and CI jobs can name them,
+sweep single fields and log exactly what ran.
 
 The determinism contract: two drivers running equal specs produce identical
 churn traces, identical generated topologies and identical
@@ -145,16 +145,11 @@ class RuntimeKnobs:
 
     backend: Optional[str] = None
     backend_workers: Optional[int] = None
-    num_shards: Optional[int] = None
-    shard_workers: int = 0
     batch_deltas: bool = True
     query_cache_capacity: Optional[int] = None
     #: ``None`` defers to ``NETTRAILS_INTERVAL_INDEX`` (the CI matrix hook);
     #: an explicit bool pins the interval-index query path on or off.
     use_interval_index: Optional[bool] = None
-    #: ``None`` defers to ``NETTRAILS_COLUMNAR`` (the CI matrix hook); an
-    #: explicit bool pins the columnar join core on or off.
-    columnar: Optional[bool] = None
     #: ``None`` defers to ``NETTRAILS_OBSERVABILITY`` (the CI matrix hook);
     #: an explicit bool pins the observability layer on or off.
     observability: Optional[bool] = None
@@ -163,12 +158,9 @@ class RuntimeKnobs:
         return {
             "backend": self.backend,
             "backend_workers": self.backend_workers,
-            "num_shards": self.num_shards,
-            "shard_workers": self.shard_workers,
             "batch_deltas": self.batch_deltas,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,
-            "columnar": self.columnar,
             "observability": self.observability,
         }
 

@@ -223,6 +223,117 @@ class TestRecoveryManager:
             RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
 
 
+def rewrite_init_knobs(durable_dir, **extra):
+    """Re-write the WAL with *extra* keys added to the init record's knobs."""
+    from repro.durability.wal import WriteAheadLog
+
+    records = scan(wal_path(durable_dir)).records
+    wal_path(durable_dir).unlink()
+    with WriteAheadLog(durable_dir, fsync=False) as wal:
+        for record in records:
+            data = dict(record.data)
+            if record.type == RECORD_INIT:
+                data["knobs"] = dict(data["knobs"], **extra)
+            wal.append(record.type, data)
+
+
+class TestRecordedKnobs:
+    def test_retired_knobs_of_older_wals_are_dropped(
+        self, tmp_path, store_snapshots, provenance_fingerprint
+    ):
+        """WALs written before the store was made single-path record three
+        knobs that no longer exist; genesis recovery ignores them, whatever
+        their value, and still reproduces the run bit for bit."""
+        runtime = durable_runtime(tmp_path)
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        expected = (
+            store_snapshots(runtime),
+            provenance_fingerprint(runtime),
+            runtime.provenance.versions(),
+            runtime.provenance.vid_versions(),
+        )
+        runtime.close()
+        rewrite_init_knobs(tmp_path, num_shards=4, shard_workers=2, columnar=True)
+
+        result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        recovered = result.runtime
+        assert result.batches_replayed == 2
+        assert (
+            store_snapshots(recovered),
+            provenance_fingerprint(recovered),
+            recovered.provenance.versions(),
+            recovered.provenance.vid_versions(),
+        ) == expected
+        recovered.close()
+
+    def test_unknown_recorded_knob_raises_durability_error(self, tmp_path):
+        durable_runtime(tmp_path).close()
+        rewrite_init_knobs(tmp_path, warp_factor=9)
+        with pytest.raises(DurabilityError, match="warp_factor"):
+            RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+
+    @pytest.mark.parametrize(
+        "knob,value",
+        [("num_shards", None), ("shard_workers", 0), ("columnar", False)],
+        ids=["num_shards", "shard_workers", "columnar"],
+    )
+    def test_each_retired_knob_is_dropped_alone(
+        self, tmp_path, knob, value, store_snapshots, provenance_fingerprint
+    ):
+        """Older WALs recorded each retired knob at its default too; any one
+        of them on its own must be dropped, not reported as unknown."""
+        runtime = durable_runtime(tmp_path)
+        runtime.insert("link", ["n0", "n2", 7.0])
+        runtime.run_to_quiescence()
+        expected = (store_snapshots(runtime), provenance_fingerprint(runtime))
+        runtime.close()
+        rewrite_init_knobs(tmp_path, **{knob: value})
+
+        result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
+        result.runtime.close()
+
+    def test_checkpoint_recovery_drops_retired_knobs(
+        self, tmp_path, store_snapshots, provenance_fingerprint
+    ):
+        runtime = durable_runtime(tmp_path)
+        runtime.checkpoint()
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        expected = (store_snapshots(runtime), provenance_fingerprint(runtime))
+        runtime.close()
+        rewrite_init_knobs(tmp_path, num_shards=2, shard_workers=0, columnar=False)
+
+        result = RecoveryManager(tmp_path).recover(mode="checkpoint", attach=False)
+        assert result.mode == "checkpoint"
+        assert result.batches_replayed == 1
+        assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
+        result.runtime.close()
+
+    def test_error_names_only_the_unknown_knobs(self, tmp_path):
+        durable_runtime(tmp_path).close()
+        rewrite_init_knobs(tmp_path, columnar=True, num_shards=4, warp_factor=9, zeta=1)
+        with pytest.raises(DurabilityError) as raised:
+            RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        message = str(raised.value)
+        assert "['warp_factor', 'zeta']" in message
+        assert "columnar" not in message and "num_shards" not in message
+
+    def test_recorded_knobs_are_all_accepted_by_the_runtime(self, tmp_path):
+        """What a WAL records today must rebuild a runtime tomorrow: every
+        init-record knob names a constructor parameter, none a retired one."""
+        import inspect
+
+        from repro.durability.recovery import RETIRED_KNOBS
+
+        durable_runtime(tmp_path).close()
+        knobs = scan(wal_path(tmp_path)).records[0].data["knobs"]
+        accepted = inspect.signature(NetTrailsRuntime).parameters
+        assert knobs and all(name in accepted for name in knobs)
+        assert not set(knobs) & set(RETIRED_KNOBS)
+
+
 class TestTopologyDoc:
     def test_topology_round_trips(self):
         net = topology.isp_hierarchy(2, 2, 1, seed=5)

@@ -20,7 +20,7 @@ import pytest
 from repro.engine import topology
 from repro.engine.backends import (
     BACKEND_ENV_VAR,
-    AsyncioBackend,
+    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     resolve_backend,
@@ -31,7 +31,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import EngineError
 from repro.protocols import mincost
 
-CONCURRENT_BACKENDS = ["thread", "asyncio"]
+CONCURRENT_BACKENDS = ["thread", "process"]
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ class TestResolveBackend:
     def test_known_names(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("thread"), ThreadPoolBackend)
-        assert isinstance(resolve_backend("asyncio"), AsyncioBackend)
+        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -112,7 +112,7 @@ class TestWaveSemantics:
         # Per-key order is part of the contract everywhere; the serial
         # reference additionally pins the global order.
         assert serial_log == ["a1", "b1", "barrier", "a2", "b2", "a1-follow", "a2-follow"]
-        for backend in (ThreadPoolBackend(workers=2), AsyncioBackend(workers=2)):
+        for backend in (ThreadPoolBackend(workers=2), ProcessPoolBackend(workers=2)):
             executed, log, sim = self.trace_run(backend)
             backend.close()
             assert executed == serial_executed

@@ -1,10 +1,9 @@
 """One parameterized parity suite for every ``NETTRAILS_*`` environment hook.
 
-The engine exposes seven construction-time knobs through the environment —
+The engine exposes six construction-time knobs through the environment —
 ``NETTRAILS_BACKEND``, ``NETTRAILS_BACKEND_WORKERS``,
-``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_COLUMNAR``,
-``NETTRAILS_INTERVAL_INDEX``, ``NETTRAILS_OBSERVABILITY`` and
-``NETTRAILS_DURABLE_DIR`` — and they all promise the same contract:
+``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_INTERVAL_INDEX``,
+``NETTRAILS_OBSERVABILITY`` and ``NETTRAILS_DURABLE_DIR`` — and they all promise the same contract:
 
 * unset or empty/whitespace value ⇒ the built-in default, silently;
 * a well-formed value ⇒ applied to every runtime built afterwards;
@@ -25,7 +24,6 @@ import pytest
 from repro.engine import topology
 from repro.engine.runtime import (
     CACHE_CAPACITY_ENV_VAR,
-    COLUMNAR_ENV_VAR,
     DURABLE_DIR_ENV_VAR,
     INTERVAL_INDEX_ENV_VAR,
     OBSERVABILITY_ENV_VAR,
@@ -54,7 +52,8 @@ HOOKS = {
         "observe": lambda runtime: runtime.backend.name,
         "expect": "thread",
         "default": "serial",
-        "malformed": ["bogus-backend"],
+        # "asyncio" named a backend that no longer exists: unknown, so loud.
+        "malformed": ["bogus-backend", "asyncio"],
     },
     BACKEND_WORKERS_ENV_VAR: {
         "valid": "3",
@@ -78,13 +77,6 @@ HOOKS = {
         "default": False,
         "malformed": ["maybe", "2"],
     },
-    COLUMNAR_ENV_VAR: {
-        "valid": "on",
-        "observe": lambda runtime: runtime.columnar,
-        "expect": True,
-        "default": False,
-        "malformed": ["columnar-ish", "2"],
-    },
     OBSERVABILITY_ENV_VAR: {
         "valid": "on",
         "observe": lambda runtime: runtime.obs is not None,
@@ -107,7 +99,6 @@ def clean_hooks(monkeypatch):
         BACKEND_ENV_VAR,
         BACKEND_WORKERS_ENV_VAR,
         CACHE_CAPACITY_ENV_VAR,
-        COLUMNAR_ENV_VAR,
         INTERVAL_INDEX_ENV_VAR,
         OBSERVABILITY_ENV_VAR,
         DURABLE_DIR_ENV_VAR,
@@ -142,19 +133,16 @@ class TestHookParity:
         monkeypatch.setenv(BACKEND_WORKERS_ENV_VAR, "7")
         monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
         monkeypatch.setenv(INTERVAL_INDEX_ENV_VAR, "1")
-        monkeypatch.setenv(COLUMNAR_ENV_VAR, "1")
         monkeypatch.setenv(OBSERVABILITY_ENV_VAR, "1")
         with build_runtime(
             backend="serial",
             query_cache_capacity=5,
             use_interval_index=False,
-            columnar=False,
             observability=False,
         ) as runtime:
             assert runtime.backend.name == "serial"
             assert runtime.query_cache_capacity == 5
             assert runtime.use_interval_index is False
-            assert runtime.columnar is False
             assert runtime.obs is None
 
     def test_explicit_backend_workers_beats_hook(self, monkeypatch):

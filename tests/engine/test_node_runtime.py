@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import EngineError, UnknownNodeError
 from repro.engine import topology
+from repro.engine.node import Node
 from repro.engine.runtime import NetTrailsRuntime
+from repro.engine.store import TupleStore
 from repro.engine.tuples import Fact
 from repro.protocols import mincost
 
@@ -109,29 +111,50 @@ class TestNodeBehaviour:
         assert stats.rule_firings > 0
 
 
-class TestShardingConfiguration:
-    def test_num_shards_below_one_rejected(self):
-        with pytest.raises(EngineError):
-            NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(2), num_shards=0)
+#: Knobs that once selected a hash-sharded or columnar store, with a value
+#: each accepted back then.
+RETIRED_KNOBS = {"num_shards": 2, "shard_workers": 2, "columnar": True}
 
-    def test_shard_workers_without_num_shards_rejected(self):
-        # Workers have nothing to parallelise over on the flat store; silently
-        # running serial would make "parallel" benchmarks lie.
-        with pytest.raises(EngineError):
-            NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(2), shard_workers=4)
 
-    def test_sharded_runtime_converges_like_flat(self):
-        flat = NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(3), provenance=False)
-        # The context-manager form releases the shard worker threads even if
-        # an assertion fails — the leak-proof pattern for worker-backed tests.
-        with NetTrailsRuntime(
-            TWO_NODE_PROGRAM, topology.line(3), provenance=False,
-            num_shards=2, shard_workers=2,
-        ) as sharded:
-            for runtime in (flat, sharded):
-                runtime.seed_links(run=True)
-            assert sharded.state("reach") == flat.state("reach")
-            assert sharded.num_shards == 2 and sharded.shard_workers == 2
+class TestRetiredKnobs:
+    """Every node holds one dict store driven by one join path.  The knobs
+    that used to pick another store are gone, so passing one is an error
+    rather than a silently ignored setting."""
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_runtime_rejects_retired_knob(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(2), **{knob: RETIRED_KNOBS[knob]})
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_node_rejects_retired_knob(self, knob, line3_runtime):
+        with pytest.raises(TypeError, match=knob):
+            Node(
+                "n0",
+                line3_runtime.compiled,
+                line3_runtime.network,
+                **{knob: RETIRED_KNOBS[knob]},
+            )
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_scenario_knobs_reject_retired_knob(self, knob):
+        from repro.workloads.spec import RuntimeKnobs
+
+        with pytest.raises(TypeError, match=knob):
+            RuntimeKnobs(**{knob: RETIRED_KNOBS[knob]})
+
+    def test_retired_columnar_env_var_changes_nothing(self, monkeypatch, store_snapshots):
+        def build():
+            runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(4))
+            runtime.seed_links(run=True)
+            return runtime
+
+        monkeypatch.delenv("NETTRAILS_COLUMNAR", raising=False)
+        reference = build()
+        monkeypatch.setenv("NETTRAILS_COLUMNAR", "1")
+        runtime = build()
+        assert all(type(node.store) is TupleStore for node in runtime.nodes.values())
+        assert store_snapshots(runtime) == store_snapshots(reference)
 
 
 class TestDynamicTopology:

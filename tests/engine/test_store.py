@@ -1,17 +1,12 @@
-"""Tests for the per-node tuple store and its sharded variant."""
+"""Tests for the per-node tuple store."""
 
 import random
 
 import pytest
 
-from repro.engine.store import (
-    BASE_DERIVATION,
-    SerialShardExecutor,
-    ShardedTupleStore,
-    ThreadShardExecutor,
-    TupleStore,
-)
+from repro.engine.store import BASE_DERIVATION, TupleStore
 from repro.engine.tuples import Fact
+from repro.errors import EngineError
 
 
 @pytest.fixture
@@ -62,6 +57,27 @@ class TestDerivationCounting:
         assert not store.contains(fact)
         assert store.remove_fact(fact) == set()
 
+    def test_same_derivation_added_twice_counts_once(self, store):
+        fact = link("a", "b")
+        store.add_derivation(fact, "d1")
+        assert store.add_derivation(fact, "d1") is False
+        assert store.derivation_count(fact) == 1
+        assert store.remove_derivation(fact, "d1") is True
+        assert not store.contains(fact)
+
+    def test_dropping_back_to_one_derivation_keeps_the_survivor(self, store):
+        fact = link("a", "b")
+        for derivation_id in ("d1", "d2", "d3"):
+            store.add_derivation(fact, derivation_id)
+        store.remove_derivation(fact, "d1")
+        store.remove_derivation(fact, "d3")
+        assert store.derivations(fact) == {"d2"}
+        assert store.derivation_count(fact) == 1
+        # The survivor alone keeps the fact; a stale id does not remove it.
+        assert store.remove_derivation(fact, "d1") is False
+        assert store.remove_derivation(fact, "d2") is True
+        assert store.derivations(fact) == set()
+
 
 class TestScansAndIndexes:
     def test_facts_by_relation(self, store):
@@ -99,6 +115,85 @@ class TestScansAndIndexes:
     def test_matching_unknown_relation_is_empty(self, store):
         assert list(store.matching("nothing", {0: "a"})) == []
 
+    def test_prepared_index_agrees_with_full_scan(self, store):
+        rng = random.Random(5)
+        for n in range(60):
+            store.add_derivation(link(f"a{rng.randrange(4)}", f"b{n}", rng.randrange(3)), "d1")
+        store.prepare_index("link", (2, 0))
+        for n in range(0, 60, 3):  # maintained after the build, too
+            store.remove_fact(next(iter(store.matching("link", {1: f"b{n}"}))))
+        for bound in ({0: "a1"}, {0: "a2", 2: 1}, {2: 0}):
+            expected = {
+                fact
+                for fact in store.facts("link")
+                if all(fact.values[position] == value for position, value in bound.items())
+            }
+            assert set(store.matching("link", bound)) == expected
+
+    def test_fact_too_short_for_an_index_rejected(self, store):
+        store.prepare_index("link", (3,))
+        with pytest.raises(EngineError, match="arity"):
+            store.add_derivation(link("a", "b"), "d1")
+
+
+class TestDeltaBatchTransitions:
+    """``apply_delta_batch`` reports net presence changes over a whole batch."""
+
+    def test_overwrite_batch_reports_old_row_gone_and_new_row_new(self, store):
+        old_row, new_row = link("a", "b", 1), link("a", "b", 2)
+        assert store.apply_delta_batch([(+1, old_row, "d1"), (+1, old_row, "d2")]) == (
+            [old_row],
+            [],
+            [True, True],
+        )
+        # The first delete drops one derivation only; the replacement and the
+        # last delete land in the same batch.
+        newly, gone, applied = store.apply_delta_batch(
+            [(-1, old_row, "d1"), (+1, new_row, "d3"), (-1, old_row, "d2")]
+        )
+        assert (newly, gone, applied) == ([new_row], [old_row], [True, True, True])
+        assert not store.contains(old_row)
+        assert store.derivation_count(new_row) == 1
+
+    def test_re_delete_is_reported_as_not_applied(self, store):
+        fact = link("a", "b")
+        store.apply_delta_batch([(+1, fact, "d1")])
+        assert store.apply_delta_batch([(-1, fact, "d1"), (-1, fact, "d1")]) == (
+            [],
+            [fact],
+            [True, False],
+        )
+        assert store.apply_delta_batch([(-1, fact, "ghost")]) == ([], [], [False])
+
+    def test_insert_then_delete_within_a_batch_nets_out(self, store):
+        fact = link("a", "b")
+        assert store.apply_delta_batch([(+1, fact, "d1"), (-1, fact, "d1")]) == (
+            [],
+            [],
+            [True, True],
+        )
+        assert not store.contains(fact)
+        assert list(store.matching("link", {0: "a"})) == []
+
+    def test_delete_then_reinsert_within_a_batch_nets_out(self, store):
+        fact = link("a", "b")
+        store.add_derivation(fact, "d1")
+        assert store.apply_delta_batch([(-1, fact, "d1"), (+1, fact, "d2")]) == (
+            [],
+            [],
+            [True, True],
+        )
+        assert store.derivations(fact) == {"d2"}
+
+    def test_transitions_follow_first_touch_order(self, store):
+        first, second, third = link("a", "b"), link("c", "d"), link("e", "f")
+        store.add_derivation(second, "d0")
+        newly, gone, _ = store.apply_delta_batch(
+            [(+1, third, "d1"), (-1, second, "d0"), (+1, first, "d2"), (+1, third, "d3")]
+        )
+        assert newly == [third, first]
+        assert gone == [second]
+
 
 class TestSnapshot:
     def test_snapshot_contains_counts(self, store):
@@ -107,6 +202,16 @@ class TestSnapshot:
         store.add_derivation(fact, "d2")
         snapshot = store.snapshot()
         assert snapshot["link"] == [(("a", "b", 1), 2)]
+
+    def test_snapshot_independent_of_arrival_order(self):
+        rows = [(link(f"a{n % 3}", f"b{n}", n % 2), f"d{n % 4}") for n in range(20)]
+        rows += [(Fact.make("path", ["a0", f"b{n}", n]), "d0") for n in range(5)]
+        forward, backward = TupleStore(), TupleStore()
+        for fact, derivation_id in rows:
+            forward.add_derivation(fact, derivation_id)
+        for fact, derivation_id in reversed(rows):
+            backward.add_derivation(fact, derivation_id)
+        assert forward.snapshot() == backward.snapshot()
 
 
 class TestRelationsMemoization:
@@ -144,121 +249,103 @@ class TestRelationsMemoization:
 
 
 # ---------------------------------------------------------------------------
-# Sharded store
+# Randomized differential oracle
 # ---------------------------------------------------------------------------
 
 
-def distinct_shard_facts(sharded, count, relation="link"):
-    """Facts assigned to *count* pairwise-distinct shards of *sharded*."""
-    found = {}
-    for n in range(1000):
-        fact = Fact.make(relation, [f"s{n}", f"t{n}", 1])
-        found.setdefault(sharded.shard_index(fact), fact)
-        if len(found) == count:
-            return [found[index] for index in sorted(found)]
-    raise AssertionError(f"could not find facts on {count} distinct shards")
+class NaiveStore:
+    """The store contract as one ``{fact: set of derivation ids}`` dict."""
+
+    def __init__(self):
+        self.ids = {}
+
+    def apply_delta_batch(self, deltas):
+        before = {}  # insertion order = first-seen order
+        applied = []
+        for sign, fact, derivation_id in deltas:
+            before.setdefault(fact, fact in self.ids)
+            ids = self.ids.setdefault(fact, set())
+            if sign > 0:
+                ids.add(derivation_id)
+                applied.append(True)
+            else:
+                applied.append(derivation_id in ids)
+                ids.discard(derivation_id)
+            if not ids:
+                del self.ids[fact]
+        newly = [fact for fact, was in before.items() if not was and fact in self.ids]
+        gone = [fact for fact, was in before.items() if was and fact not in self.ids]
+        return newly, gone, applied
+
+    def matching(self, relation, bound):
+        return [
+            fact
+            for fact in self.ids
+            if fact.relation == relation
+            and all(fact.values[position] == value for position, value in bound.items())
+        ]
+
+    def snapshot(self):
+        rows = {}
+        for fact, ids in self.ids.items():
+            rows.setdefault(fact.relation, []).append((fact.values, len(ids)))
+        return {relation: sorted(found, key=lambda row: repr(row[0])) for relation, found in rows.items()}
 
 
-class TestShardedStore:
-    def test_shard_assignment_is_stable(self):
-        first = ShardedTupleStore(4)
-        second = ShardedTupleStore(4)
-        for n in range(50):
-            fact = Fact.make("link", [f"a{n}", f"b{n}", n])
-            assert first.shard_index(fact) == second.shard_index(fact)
-            assert first.shard_index(fact) == first.shard_index(fact)
-            assert 0 <= first.shard_index(fact) < 4
+def observed(store, probes):
+    """What a store client can see: snapshot plus index-backed probes."""
+    return {
+        "snapshot": store.snapshot(),
+        "matching": [sorted(store.matching(relation, bound), key=repr) for relation, bound in probes],
+    }
 
-    def test_all_derivations_of_a_fact_share_a_shard(self):
-        sharded = ShardedTupleStore(4)
-        fact = link("a", "b")
-        sharded.add_derivation(fact, "d1")
-        sharded.add_derivation(fact, "d2")
-        owning = sharded.shard_of(fact)
-        assert owning.derivations(fact) == {"d1", "d2"}
-        assert sum(shard.count() for shard in sharded.shards) == 1
-        assert sharded.derivation_count(fact) == 2
 
-    def test_key_fn_routes_same_key_rows_to_one_shard(self):
-        # Partition by the (source, destination) key columns: all cost
-        # versions of one keyed link row must stay on one shard, so key-based
-        # overwrite (delete old row, insert new row) never crosses shards.
-        sharded = ShardedTupleStore(4, key_fn=lambda fact: fact.values[:2])
-        for cost in range(10):
-            assert sharded.shard_index(link("a", "b", cost)) == sharded.shard_index(
-                link("a", "b", 0)
-            )
+class TestDeltaBatchesAgainstNaiveModel:
+    """Random batches with overlapping inserts/deletes, duplicate derivations,
+    idempotent re-deletes and in-batch flicker: after every batch the store
+    must return the model's result and show the model's contents."""
 
-    def test_cross_shard_index_lookups_match_flat_store(self):
-        sharded = ShardedTupleStore(4)
-        flat = TupleStore()
-        rng = random.Random(5)
-        for n in range(60):
-            fact = Fact.make("link", [f"a{rng.randrange(4)}", f"b{n}", rng.randrange(3)])
-            sharded.add_derivation(fact, "d1")
-            flat.add_derivation(fact, "d1")
-        sharded.prepare_index("link", (0,))
-        for source in ("a0", "a1", "a2", "a3"):
-            assert set(sharded.matching("link", {0: source})) == set(
-                flat.matching("link", {0: source})
-            )
-        assert set(sharded.matching("link", {0: "a1", 2: 1})) == set(
-            flat.matching("link", {0: "a1", 2: 1})
-        )
-        assert sharded.relations() == flat.relations()
-        assert sharded.count() == flat.count()
-        assert sharded.snapshot() == flat.snapshot()
+    @pytest.mark.parametrize("seed", range(6), ids=lambda s: f"seed{s}")
+    def test_random_batches_match_model(self, seed):
+        rng = random.Random(seed * 7919 + 13)
+        store, model = TupleStore(), NaiveStore()
+        nodes = [f"n{i}" for i in range(5)]
+        probes = [
+            ("link", {0: nodes[0]}),
+            ("link", {0: nodes[1], 1: nodes[2]}),
+            ("path", {2: nodes[3]}),
+            ("path", {}),
+        ]
+        live = []  # (fact, derivation id) pairs believed present
 
-    @pytest.mark.parametrize("executor", [None, "serial", "threaded"])
-    def test_delta_batches_bit_identical_to_flat_store(self, executor):
-        executors = {
-            None: None,
-            "serial": SerialShardExecutor(),
-            "threaded": ThreadShardExecutor(2),
-        }
-        sharded = ShardedTupleStore(4, executor=executors[executor])
-        flat = TupleStore()
-        rng = random.Random(17)
-        derivations = [f"d{n}" for n in range(4)]
-        for _ in range(5):
+        def random_fact():
+            if rng.random() < 0.5:
+                return Fact.make("link", (rng.choice(nodes), rng.choice(nodes), rng.randint(1, 3)))
+            return Fact.make("path", (rng.choice(nodes), rng.choice(nodes), rng.choice(nodes)))
+
+        for step in range(12):
             batch = []
-            for _ in range(40):
-                sign = 1 if rng.random() < 0.6 else -1
-                fact = Fact.make("link", [f"a{rng.randrange(5)}", f"b{rng.randrange(5)}", 1])
-                batch.append((sign, fact, rng.choice(derivations)))
-            assert sharded.apply_delta_batch(list(batch)) == flat.apply_delta_batch(
-                list(batch)
-            )
-            assert sharded.snapshot() == flat.snapshot()
-        if executor == "threaded":
-            executors[executor].close()
-
-    def test_last_derivation_deleted_on_different_shard_than_first_insertion(self):
-        # An overwrite-style batch touching two shards: the old row's last
-        # derivation disappears on one shard while the replacement row first
-        # appears on another; the merged net transitions must interleave the
-        # shards' reports in global batch order, exactly like the flat store.
-        sharded = ShardedTupleStore(3)
-        old_row, new_row = distinct_shard_facts(sharded, 2)
-        assert sharded.shard_index(old_row) != sharded.shard_index(new_row)
-
-        newly, gone, applied = sharded.apply_delta_batch(
-            [(+1, old_row, "d1"), (+1, old_row, "d2")]
-        )
-        assert (newly, gone, applied) == ([old_row], [], [True, True])
-
-        # First delete drops one derivation (no disappearance), the
-        # cross-shard insert and the final delete land in one batch.
-        newly, gone, applied = sharded.apply_delta_batch(
-            [(-1, old_row, "d1"), (+1, new_row, "d3"), (-1, old_row, "d2")]
-        )
-        assert newly == [new_row]
-        assert gone == [old_row]
-        assert applied == [True, True, True]
-        assert not sharded.contains(old_row)
-        assert sharded.derivation_count(new_row) == 1
-
-        # Deleting a derivation that was never applied stays idempotent
-        # across the shard boundary.
-        newly, gone, applied = sharded.apply_delta_batch([(-1, old_row, "ghost")])
-        assert (newly, gone, applied) == ([], [], [False])
+            for _ in range(rng.randint(1, 8)):
+                # Facts already present are picked often, so many hold
+                # several derivations and deletes of absent ids hit them.
+                known = rng.choice(live)[0] if live and rng.random() < 0.4 else random_fact()
+                if rng.random() < 0.15:  # a derivation id that is probably absent
+                    batch.append((-1, known, f"d{rng.randint(0, 9)}"))
+                elif live and rng.random() < 0.45:
+                    fact, derivation_id = rng.choice(live)
+                    if rng.random() < 0.8:  # otherwise re-delete it later
+                        live.remove((fact, derivation_id))
+                    batch.append((-1, fact, derivation_id))
+                else:
+                    fact, derivation_id = known, f"d{rng.randint(0, 9)}"
+                    if (fact, derivation_id) not in live:
+                        live.append((fact, derivation_id))
+                    batch.append((+1, fact, derivation_id))
+            if rng.random() < 0.5:
+                fact = random_fact()  # flicker: must net out
+                batch += [(+1, fact, "flicker"), (-1, fact, "flicker")]
+            where = f"seed={seed} step={step} batch={batch}"
+            assert store.apply_delta_batch(batch) == model.apply_delta_batch(batch), where
+            assert observed(store, probes) == observed(model, probes), where
+            for fact, ids in model.ids.items():
+                assert store.derivations(fact) == ids, where

@@ -63,7 +63,7 @@ class TestSchema:
 
 
 class TestFactHotPathCaches:
-    """The message-size and shard-routing hot paths lean on Fact's cached
+    """The message-size and sort-key hot paths lean on Fact's cached
     repr/hash; the caches must be invisible (same bytes, same pickles)."""
 
     def test_repr_matches_dataclass_format_and_is_cached(self):

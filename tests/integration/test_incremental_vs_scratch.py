@@ -20,8 +20,8 @@ from repro.protocols import distance_vector, mincost, path_vector
 
 # The equivalence canonicalisers (provenance_fingerprint, global_state,
 # store_snapshots) live in tests/conftest.py and are requested as fixtures;
-# the sharding equivalence harness (tests/property/test_property_sharding.py)
-# shares the same definitions.
+# the property equivalence suites (tests/property/) share the same
+# definitions.
 
 
 def fresh_runtime(module, net):

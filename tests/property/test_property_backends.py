@@ -1,19 +1,17 @@
 """Randomized-churn equivalence harness for concurrent execution backends.
 
 The execution backends (:mod:`repro.engine.backends`) promise that the
-thread-pool and asyncio backends are *bit-identical* to the deterministic
-serial reference on everything a run can observe: per-node store snapshots,
+thread-pool and process-pool backends are *bit-identical* to the
+deterministic serial reference on everything a run can observe: per-node store snapshots,
 the distributed provenance tables, per-node provenance versions, network
 message counts, simulator event/round counts and distributed query answers.
 
-This harness reuses the sharding suite's seeded churn-script generator
-(:mod:`test_property_sharding`) and replays each script on a serial-backend
-baseline and on every backend × shard-count variant of the acceptance matrix
-— backends {serial, thread, asyncio, process} × shards {1, 4} — asserting
-equality after *every* churn step.  The process-backend legs additionally
+This harness replays the seeded churn scripts of :mod:`churn_harness` on a
+serial-backend baseline and on every concurrent backend — {thread, process}
+— asserting equality after *every* churn step.  The process-backend legs additionally
 prove the cross-process drain protocol (worker-side evaluation, trace
 mirroring, stateless tag recomputation — see :mod:`repro.engine.procpool`)
-observable-identical to in-process execution.  Like its sibling it honours
+observable-identical to in-process execution.  Like its siblings it honours
 ``NETTRAILS_CHURN_SEED`` for reproducible randomized CI runs; additionally,
 the whole property suite runs under each backend in CI via the
 ``NETTRAILS_BACKEND`` matrix, which exercises every *other* equivalence
@@ -22,17 +20,15 @@ harness under concurrent execution too.
 
 from __future__ import annotations
 
+import copy
+import random
 from contextlib import ExitStack
 
 import pytest
 
-from repro.engine.backends import (
-    AsyncioBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
-from test_property_sharding import (
+from repro.engine.backends import ProcessPoolBackend, ThreadPoolBackend
+from repro.engine.runtime import NetTrailsRuntime
+from churn_harness import (
     SEEDS,
     TOPOLOGIES,
     apply_op,
@@ -40,37 +36,20 @@ from test_property_sharding import (
     generate_churn_script,
     lineage_answers,
 )
-from repro.protocols import mincost
+from repro.protocols import mincost, path_vector
 
-#: The acceptance matrix: every backend × shard count compared per-step
-#: against the serial unsharded baseline.  Thread/asyncio/process variants
-#: use two workers so waves genuinely overlap; the sharded variants stack
-#: store sharding on top of backend concurrency (nested parallelism — and,
-#: for the process backend, shard threads inside each forked worker).
-BACKEND_VARIANTS = [
-    ("serial", 1),
-    ("serial", 4),
-    ("thread", 1),
-    ("thread", 4),
-    ("asyncio", 1),
-    ("asyncio", 4),
-    ("process", 1),
-    ("process", 4),
-]
+#: The acceptance matrix: every concurrent backend compared per-step against
+#: the serial baseline, each with two workers so waves genuinely overlap.
+BACKEND_VARIANTS = ["thread", "process"]
 
 BACKEND_TYPES = {
-    "serial": SerialBackend,
     "thread": ThreadPoolBackend,
-    "asyncio": AsyncioBackend,
     "process": ProcessPoolBackend,
 }
 
 
-def build_variant(net, backend, num_shards, workers=2):
-    kwargs = {"backend": backend, "backend_workers": None if backend == "serial" else workers}
-    if num_shards > 1:
-        kwargs.update(num_shards=num_shards, shard_workers=2)
-    return build_runtime(mincost.program(), net, **kwargs)
+def build_variant(net, backend, workers=2):
+    return build_runtime(mincost.program(), net, backend=backend, backend_workers=workers)
 
 
 def observable_counts(runtime):
@@ -96,10 +75,10 @@ class TestBackendChurnEquivalence:
         with ExitStack() as stack:
             baseline = stack.enter_context(build_runtime(mincost.program(), net, backend="serial"))
             variants = {
-                (backend, shards): stack.enter_context(build_variant(net, backend, shards))
-                for backend, shards in BACKEND_VARIANTS
+                backend: stack.enter_context(build_variant(net, backend))
+                for backend in BACKEND_VARIANTS
             }
-            for (backend, shards), runtime in variants.items():
+            for backend, runtime in variants.items():
                 assert isinstance(runtime.backend, BACKEND_TYPES[backend]), context
 
             for step, op in enumerate(script):
@@ -109,7 +88,7 @@ class TestBackendChurnEquivalence:
                 expected_versions = baseline.provenance.versions()
                 expected_counts = observable_counts(baseline)
                 for key, runtime in variants.items():
-                    where = f"{context} backend,shards={key} step={step} op={op}"
+                    where = f"{context} backend={key} step={step} op={op}"
                     apply_op(runtime, op)
                     assert store_snapshots(runtime) == expected_snapshots, where
                     assert provenance_fingerprint(runtime) == expected_fingerprint, where
@@ -119,7 +98,7 @@ class TestBackendChurnEquivalence:
             expected_state = global_state(baseline, ["link", "path", "minCost"])
             expected_answers = lineage_answers(baseline, "minCost")
             for key, runtime in variants.items():
-                where = f"{context} backend,shards={key}"
+                where = f"{context} backend={key}"
                 assert global_state(runtime, ["link", "path", "minCost"]) == expected_state, where
                 assert lineage_answers(runtime, "minCost") == expected_answers, where
 
@@ -152,11 +131,94 @@ class TestBackendChurnEquivalence:
         with ExitStack() as stack:
             serial = stack.enter_context(build_runtime(mincost.program(), net, backend="serial"))
             expected = query_stats(serial)
-            for backend in ("thread", "asyncio", "process"):
+            for backend in BACKEND_VARIANTS:
                 runtime = stack.enter_context(
                     build_runtime(mincost.program(), net, backend=backend, backend_workers=4)
                 )
                 assert query_stats(runtime) == expected, f"backend={backend} seed={seed}"
+
+
+#: Negated literals probe the local store while a join is enumerated.
+NEGATION_PROGRAM = """
+materialize(offer, infinity, infinity, keys(1, 2)).
+materialize(blocked, infinity, infinity, keys(1, 2)).
+r1 candidate(@S, D) :- offer(@S, D), !blocked(@S, D).
+r2 mirror(@D, S) :- candidate(@S, D).
+"""
+
+
+class TestProgramShapesAcrossBackends:
+    """MINCOST is not the only shape a backend must drain identically:
+    negation and tuple-valued attributes (AS paths) ride the same join path."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("backend", BACKEND_VARIANTS)
+    def test_negation_matches_serial(
+        self, backend, seed, global_state, provenance_fingerprint, store_snapshots
+    ):
+        net = TOPOLOGIES["star"]()
+        nodes = sorted(net.nodes)
+        rng = random.Random(seed)
+        context = f"negation backend={backend} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
+
+        with ExitStack() as stack:
+            baseline = stack.enter_context(
+                NetTrailsRuntime(NEGATION_PROGRAM, copy.deepcopy(net), backend="serial")
+            )
+            variant = stack.enter_context(
+                NetTrailsRuntime(
+                    NEGATION_PROGRAM, copy.deepcopy(net), backend=backend, backend_workers=2
+                )
+            )
+            for step in range(6):
+                rows = [
+                    [a, b]
+                    for a in rng.sample(nodes, 3)
+                    for b in rng.sample(nodes, 2)
+                    if a != b
+                ]
+                relation = rng.choice(["offer", "blocked"])
+                delete = rng.random() < 0.4
+                for runtime in (baseline, variant):
+                    if delete:
+                        runtime.delete_batch(relation, rows, run=True)
+                    else:
+                        runtime.insert_batch(relation, rows, run=True)
+                where = f"{context} step={step}"
+                assert store_snapshots(variant) == store_snapshots(baseline), where
+                assert provenance_fingerprint(variant) == provenance_fingerprint(baseline), where
+                assert observable_counts(variant) == observable_counts(baseline), where
+            relations = ["offer", "blocked", "candidate", "mirror"]
+            assert global_state(variant, relations) == global_state(baseline, relations), context
+
+    @pytest.mark.parametrize("seed", SEEDS[:1], ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("backend", BACKEND_VARIANTS)
+    def test_path_vector_matches_serial(
+        self, backend, seed, global_state, provenance_fingerprint, store_snapshots
+    ):
+        net = TOPOLOGIES["ring"]()
+        script = generate_churn_script(seed, net, steps=4)
+        context = f"path_vector backend={backend} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
+
+        with ExitStack() as stack:
+            baseline = stack.enter_context(
+                build_runtime(path_vector.program(), net, backend="serial")
+            )
+            variant = stack.enter_context(
+                build_runtime(path_vector.program(), net, backend=backend, backend_workers=2)
+            )
+            for step, op in enumerate(script):
+                apply_op(baseline, op)
+                apply_op(variant, op)
+                where = f"{context} step={step} op={op}"
+                assert store_snapshots(variant) == store_snapshots(baseline), where
+                assert provenance_fingerprint(variant) == provenance_fingerprint(baseline), where
+                assert variant.provenance.versions() == baseline.provenance.versions(), where
+            relations = ["path", "bestPathCost", "bestPath"]
+            assert global_state(variant, relations) == global_state(baseline, relations), context
+            assert lineage_answers(variant, "bestPath") == lineage_answers(
+                baseline, "bestPath"
+            ), context
 
 
 @pytest.mark.slow
@@ -182,7 +244,7 @@ class TestProcessWorkerSweep:
 
         with ExitStack() as stack:
             baseline = stack.enter_context(build_runtime(mincost.program(), net, backend="serial"))
-            variant = stack.enter_context(build_variant(net, "process", 4, workers=workers))
+            variant = stack.enter_context(build_variant(net, "process", workers=workers))
             for step, op in enumerate(script):
                 apply_op(baseline, op)
                 apply_op(variant, op)

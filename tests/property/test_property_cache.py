@@ -5,20 +5,15 @@ entries against per-VID reachability versions maintained incrementally by
 :class:`repro.core.maintenance.ProvenanceEngine`.  The promise under test is
 **soundness**: a cached answer is *bit-identical* to the answer an uncached
 traversal computes, at every point of an arbitrary churn schedule, on every
-execution backend and shard layout.
+execution backend.
 
 Note what is deliberately *not* asserted: the absolute per-VID version
 values.  Validity is a per-run property — an entry is served only while its
 vertex's version still equals the one it was stored under, within the same
-run's version map.  The absolute counters may legitimately differ between
-shard layouts, because transient aggregate heads during a retraction
-cascade (count-to-infinity churn) record representative derivations in
-enumeration order, which regroups under sharding; all such tuples are gone
-by quiescence, so the provenance tables, the answers and the cache's
-behaviour at the query points stay equivalent.
+run's version map.
 
-This harness replays the sharding suite's seeded churn scripts on every
-backend × shard-count variant, and after every churn step issues each query
+This harness replays the seeded churn scripts of :mod:`churn_harness` on
+every backend variant, and after every churn step issues each query
 three ways — cached, uncached, cached again — plus a remotely-issued cached
 query (which exercises the version-carrying reply path), asserting all four
 agree and match the serial baseline.  It honours ``NETTRAILS_CHURN_SEED``
@@ -35,7 +30,7 @@ from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.protocols import mincost
 from test_property_backends import BACKEND_VARIANTS, build_variant
-from test_property_sharding import (
+from churn_harness import (
     SEEDS,
     TOPOLOGIES,
     apply_op,
@@ -83,8 +78,8 @@ class TestCacheSoundnessUnderChurn:
             )
             baseline_engine = DistributedQueryEngine(baseline)
             variants = {
-                (backend, shards): stack.enter_context(build_variant(net, backend, shards))
-                for backend, shards in BACKEND_VARIANTS
+                backend: stack.enter_context(build_variant(net, backend))
+                for backend in BACKEND_VARIANTS
             }
             engines = {
                 key: DistributedQueryEngine(runtime) for key, runtime in variants.items()
@@ -94,7 +89,7 @@ class TestCacheSoundnessUnderChurn:
                 apply_op(baseline, op)
                 expected_answers = cached_query_sweep(baseline_engine, baseline)
                 for key, runtime in variants.items():
-                    where = f"{context} backend,shards={key} step={step} op={op}"
+                    where = f"{context} backend={key} step={step} op={op}"
                     apply_op(runtime, op)
                     assert cached_query_sweep(engines[key], runtime) == expected_answers, where
 
@@ -102,4 +97,4 @@ class TestCacheSoundnessUnderChurn:
             # every variant, not just keep missing.
             assert baseline_engine.cache_totals()["hits"] > 0, context
             for key, engine in engines.items():
-                assert engine.cache_totals()["hits"] > 0, f"{context} backend,shards={key}"
+                assert engine.cache_totals()["hits"] > 0, f"{context} backend={key}"

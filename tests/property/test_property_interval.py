@@ -6,13 +6,13 @@ ships one interval request per partition per wave — a completely different
 execution strategy from the reference traversal, maintained incrementally by
 piggybacking on the provenance engine's per-VID dirty propagation.  The
 promise under test is **equivalence**: at every point of an arbitrary churn
-schedule, on every execution backend and shard layout, the interval path
+schedule, on every execution backend, the interval path
 returns lineage and participant answers *bit-identical* to what the
 reference traversal computes — both for single queries and for batched
 query waves.
 
-The harness replays the sharding suite's seeded churn scripts (honouring
-``NETTRAILS_CHURN_SEED`` like its siblings) across the backend × shard
+The harness replays the seeded churn scripts of :mod:`churn_harness`
+(honouring ``NETTRAILS_CHURN_SEED`` like its siblings) across the backend
 matrix.  After every churn step it computes the traversal oracle first and
 the interval answers second: a runtime's per-node query handlers are
 rebound by whichever :class:`DistributedQueryEngine` was constructed last,
@@ -34,7 +34,7 @@ from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.protocols import mincost
 from test_property_backends import BACKEND_VARIANTS, build_variant
-from test_property_sharding import (
+from churn_harness import (
     SEEDS,
     TOPOLOGIES,
     apply_op,
@@ -122,8 +122,8 @@ class TestIntervalTraversalEquivalence:
                 build_runtime(mincost.program(), net, backend="serial")
             )
             variants = {
-                (backend, shards): stack.enter_context(build_variant(net, backend, shards))
-                for backend, shards in BACKEND_VARIANTS
+                backend: stack.enter_context(build_variant(net, backend))
+                for backend in BACKEND_VARIANTS
             }
 
             for step, op in enumerate(script):
@@ -136,7 +136,7 @@ class TestIntervalTraversalEquivalence:
                     f"{context} step={step} op={op} (baseline, batched wave)"
                 )
                 for key, runtime in variants.items():
-                    where = f"{context} backend,shards={key} step={step} op={op}"
+                    where = f"{context} backend={key} step={step} op={op}"
                     apply_op(runtime, op)
                     variant_targets, variant_expected = traversal_oracle(runtime)
                     assert variant_expected == expected, where
@@ -158,5 +158,5 @@ class TestIntervalTraversalEquivalence:
             for key, runtime in variants.items():
                 variant_totals = runtime.provenance.interval_totals()
                 assert variant_totals.get("range_scans", 0) > 0, (
-                    f"{context} backend,shards={key}: interval path never ran"
+                    f"{context} backend={key}: interval path never ran"
                 )

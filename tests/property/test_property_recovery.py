@@ -69,9 +69,6 @@ TOPOLOGIES = {
     "ring": lambda: topology.ring(6),
 }
 
-#: num_shards axis of the heavy matrix (None = unsharded store).
-SHARD_COUNTS = [None, 4]
-
 
 def generate_churn_script(seed, net, steps=5):
     mirror = copy.deepcopy(net)
@@ -117,7 +114,7 @@ def canon(store_snapshots, provenance_fingerprint):
     return (store_snapshots, provenance_fingerprint)
 
 
-def run_durable_history(durable_dir, net, script, canon, checkpoint_after=None, **knobs):
+def run_durable_history(durable_dir, net, script, canon, checkpoint_after=None):
     """Run the whole history once; returns per-kill-point (wal_bytes, expected).
 
     Kill point ``k`` is "right after the *k*-th committed window" (window 0
@@ -128,7 +125,7 @@ def run_durable_history(durable_dir, net, script, canon, checkpoint_after=None, 
     kill_points = []
     with NetTrailsRuntime(
         mincost.SOURCE, copy.deepcopy(net),
-        durable_dir=durable_dir, wal_fsync=False, **knobs,
+        durable_dir=durable_dir, wal_fsync=False,
     ) as runtime:
         runtime.seed_links(run=True)
         if checkpoint_after == 0:
@@ -201,25 +198,18 @@ class TestRecoverySmoke:
 @pytest.mark.slow
 @pytest.mark.recovery
 class TestCrashInjectionOracle:
-    """The exhaustive matrix: seeds × topologies × shards × every kill point."""
+    """The exhaustive matrix: seeds × topologies × every kill point."""
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize(
-        "num_shards", SHARD_COUNTS, ids=lambda k: f"shards{k or 0}"
-    )
     def test_every_kill_point_recovers_bit_identically(
-        self, tmp_path, canon, topology_name, seed, num_shards
+        self, tmp_path, canon, topology_name, seed
     ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
-        context = (
-            f"topology={topology_name} seed={seed} shards={num_shards} "
-            f"(NETTRAILS_CHURN_SEED={seed})"
-        )
-        knobs = {} if num_shards is None else {"num_shards": num_shards}
+        context = f"topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
         history = tmp_path / "history"
-        kill_points = run_durable_history(history, net, script, canon, **knobs)
+        kill_points = run_durable_history(history, net, script, canon)
 
         for k, (wal_bytes, expected) in enumerate(kill_points):
             where = f"{context} kill_point={k}"

@@ -8,8 +8,7 @@ state the system can reach, including the reconstructed provenance graph.
 
 This harness drives a runtime through every churn generator in the workload
 catalogue (link flaps, node fail/recover, prefix announce/withdraw, hot-hub
-skew, random link churn), across unsharded and sharded stores, snapshotting
-after every churn window, and asserts for each snapshot:
+skew, random link churn), snapshotting after every churn window, and asserts for each snapshot:
 
 * ``from_json(to_json(s)).to_json() == to_json(s)`` byte for byte,
 * the restored provenance graph reconstructs the same tuple/ruleExec
@@ -43,9 +42,6 @@ def _seeds():
 
 
 SEEDS = _seeds()
-
-#: Shard axis: unsharded baseline and a 4-way sharded store.
-SHARD_COUNTS = [None, 4]
 
 #: prefix_announce_withdraw mutates a ``prefix`` base relation, so it runs
 #: over the prefix-routing protocol; every link-level generator runs MINCOST.
@@ -83,22 +79,13 @@ def assert_bit_identical_round_trip(snapshot, where):
 
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    @pytest.mark.parametrize(
-        "num_shards", SHARD_COUNTS, ids=lambda k: f"shards{k or 0}"
-    )
     @pytest.mark.parametrize("generator_name", sorted(GENERATORS))
-    def test_every_generator_state_round_trips(
-        self, generator_name, num_shards, seed
-    ):
+    def test_every_generator_state_round_trips(self, generator_name, seed):
         net = topology.ring(6)
         source = PROGRAM_FOR.get(generator_name, mincost.SOURCE)
         script = churn_script(generator_name, seed, net)
-        context = (
-            f"generator={generator_name} shards={num_shards} seed={seed} "
-            f"(NETTRAILS_CHURN_SEED={seed})"
-        )
-        knobs = {} if num_shards is None else {"num_shards": num_shards}
-        with NetTrailsRuntime(source, copy.deepcopy(net), **knobs) as runtime:
+        context = f"generator={generator_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
+        with NetTrailsRuntime(source, copy.deepcopy(net)) as runtime:
             runtime.seed_links(run=True)
             assert_bit_identical_round_trip(
                 take_snapshot(runtime, label="seeded"), f"{context} step=seed"

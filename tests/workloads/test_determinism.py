@@ -12,8 +12,9 @@ import pytest
 from repro.engine import topology
 from repro.workloads import ScenarioDriver, scenario_trace, trace_digest
 from repro.workloads.profiles import demo, scale, smoke
+from repro.workloads.spec import ChurnPhase, QueryMixSpec, ScenarioSpec, TopologySpec
 
-BACKENDS = ("serial", "thread", "asyncio")
+BACKENDS = ("serial", "thread", "process")
 
 
 class TestTraceDeterminism:
@@ -60,6 +61,34 @@ class TestReportDeterminism:
         concurrent = self.run_view(backend)
         assert concurrent == serial, (
             f"{backend} backend diverged from the serial reference"
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("protocol", ["mincost", "prefix_routing"])
+    def test_flap_report_identical_across_backends(self, protocol, backend):
+        """The view folds the trace digest and every metrics counter into one
+        equality; a link-flap run on a grid must leave it backend-invariant
+        for the routing protocols the smoke profile does not run."""
+        spec = ScenarioSpec(
+            name=f"backend-equiv-{protocol}",
+            topology=TopologySpec.make("grid", rows=3, columns=3),
+            protocol=protocol,
+            seed=7,
+            churn=(ChurnPhase.make("link_flap", batches=4, flaps_per_batch=2),),
+            queries=QueryMixSpec(
+                relation="route" if protocol == "prefix_routing" else "path",
+                queries_per_wave=2,
+            ),
+        )
+        views = {}
+        for name in ("serial", backend):
+            knobs = spec.with_knobs(
+                backend=name, backend_workers=None if name == "serial" else 2
+            )
+            with ScenarioDriver(knobs) as driver:
+                views[name] = driver.run().deterministic_view()
+        assert views[backend] == views["serial"], (
+            f"{backend} backend diverged from the serial reference on {protocol}"
         )
 
     def test_view_excludes_wall_clock_but_dict_keeps_it(self):

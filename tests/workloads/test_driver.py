@@ -100,11 +100,11 @@ class TestScenarioDriver:
 
     def test_knobs_reach_the_runtime(self):
         spec = tiny_spec().with_knobs(
-            num_shards=2, query_cache_capacity=3, backend="thread", backend_workers=2
+            query_cache_capacity=3, backend="thread", backend_workers=2
         )
         with ScenarioDriver(spec) as driver:
             assert driver.runtime.backend.name == "thread"
-            assert driver.runtime.num_shards == 2
+            assert driver.runtime.backend.workers == 2
             assert driver.runtime.query_cache_capacity == 3
             driver.run()
 

@@ -69,10 +69,10 @@ class TestScenarioSpec:
         assert document["queries"]["relation"] == "minCost"
 
     def test_knobs_runtime_kwargs_round_trip(self):
-        knobs = RuntimeKnobs(backend="thread", num_shards=4, shard_workers=2)
+        knobs = RuntimeKnobs(backend="thread", backend_workers=2)
         kwargs = knobs.runtime_kwargs()
         assert kwargs["backend"] == "thread"
-        assert kwargs["num_shards"] == 4
+        assert kwargs["backend_workers"] == 2
         assert kwargs["batch_deltas"] is True
 
     def test_equal_specs_compare_equal(self):
