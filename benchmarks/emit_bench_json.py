@@ -17,11 +17,6 @@ Runs compact, deterministic versions of the headline experiments —
   checkpoint recovery of a crashed history, concurrent-client serving
   latency percentiles; the every-kill-point oracle stays in
   ``tests/property/test_property_recovery.py``),
-* **E18** the process-pool backend (forked-worker drains at 1/2/4 workers
-  vs serial on the stall-dominated E13 profile; the ≥1.8x speedup gate and
-  the compute-bound multicore leg stay in ``test_e18_process.py``),
-* **E19** the process backend's delta-encoded drain traces vs raw pickling
-  (the ≥30 % bytes-per-drain gate stays in ``test_e19_trace_codec.py``),
 * **E20** the observability layer (paired off/on churn timing on a compact
   hierarchy with the surface-identity invariant, plus the span-tree
   completeness reconciliation against the smoke scenario's MetricsReport;
@@ -72,8 +67,6 @@ from test_e17_durability import (  # noqa: E402
     run_recovery_benchmark,
     run_wal_overhead,
 )
-from test_e18_process import WORKER_COUNTS, run_scale_churn  # noqa: E402
-from test_e19_trace_codec import bytes_per_drain, run_trace_bytes  # noqa: E402
 from test_e20_observability import (  # noqa: E402
     completeness_violations,
     run_completeness,
@@ -271,62 +264,6 @@ def collect_metrics() -> dict:
             "E17 invariant violated: a recovered runtime diverged from the "
             "uncrashed twin"
         )
-
-    # E18 — process-pool backend on the stall-dominated churn profile.
-    # Counts are deterministic and gated once (from the serial reference);
-    # the hard invariant is that every forked-worker run reproduces the
-    # serial surface — wire traffic, events, converged state, provenance
-    # versions and the canonical fingerprint — bit for bit.  Wall clock and
-    # the derived speedups are recorded ungated (the pytest gate enforces
-    # the ≥1.8x bound at 4 workers before this script runs in CI).
-    e18_serial = run_scale_churn("serial")
-    metrics["e18.messages"] = _metric(e18_serial["messages"])
-    metrics["e18.events"] = _metric(e18_serial["events"])
-    metrics["e18.rounds"] = _metric(e18_serial["rounds"])
-    metrics["e18.deltas"] = _metric(e18_serial["deltas"])
-    metrics["e18.batches"] = _metric(e18_serial["batches"])
-    metrics["e18.serial.seconds"] = _metric(round(e18_serial["seconds"], 3), gate=False)
-    for workers in WORKER_COUNTS:
-        run = run_scale_churn("process", workers=workers)
-        for key in ("messages", "events", "rounds", "deltas", "state", "versions", "fingerprint", "batches"):
-            if run[key] != e18_serial[key]:
-                raise SystemExit(
-                    f"E18 invariant violated: process backend ({workers} "
-                    f"workers) diverged from serial on {key}"
-                )
-        metrics[f"e18.process_w{workers}.seconds"] = _metric(
-            round(run["seconds"], 3), gate=False
-        )
-        metrics[f"e18.process_w{workers}.speedup"] = _metric(
-            round(e18_serial["seconds"] / run["seconds"], 2), gate=False
-        )
-
-    # E19 — delta-encoded drain traces.  The drain count is gated
-    # (deterministic — one trace per remote drain whatever the encoding);
-    # byte totals are recorded ungated: envelope packing depends on which
-    # wave threads coalesce, so byte counts wobble a little run to run.  The
-    # reduction invariant uses a wider margin than the pytest gate for the
-    # same reason.
-    delta_stats, delta_snapshot = run_trace_bytes(trace_delta=True)
-    raw_stats, raw_snapshot = run_trace_bytes(trace_delta=False)
-    if delta_snapshot != raw_snapshot:
-        raise SystemExit(
-            "E19 invariant violated: trace_delta changed the converged snapshot"
-        )
-    reduction = 1.0 - bytes_per_drain(delta_stats) / bytes_per_drain(raw_stats)
-    if reduction < 0.25:
-        raise SystemExit(
-            "E19 invariant violated: delta-encoded traces save only "
-            f"{reduction:.1%} bytes per drain (floor: 25%)"
-        )
-    metrics["e19.trace.drains"] = _metric(delta_stats["drains"])
-    metrics["e19.trace.delta_bytes_per_drain"] = _metric(
-        round(bytes_per_drain(delta_stats), 1), gate=False
-    )
-    metrics["e19.trace.raw_bytes_per_drain"] = _metric(
-        round(bytes_per_drain(raw_stats), 1), gate=False
-    )
-    metrics["e19.trace.reduction"] = _metric(round(reduction, 3), gate=False)
 
     # E20 — observability.  Part A pairs off/on churn runs on a compact
     # hierarchy (the 1010-node <3% gate stays in the pytest benchmark): the

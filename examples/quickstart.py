@@ -60,11 +60,10 @@ def main() -> None:
     print("\nProvenance tree:")
     print(render_ascii_tree(graph, root))
 
-    # 5. Concurrent execution backend: drain independent nodes' delta waves
-    #    on a thread pool (or forked workers: backend="process") — same
-    #    state, messages and provenance as the deterministic serial
-    #    reference.  The runtime is a context manager, so the workers cannot
-    #    leak.
+    # 5. Thread execution backend: drain independent nodes' delta waves on
+    #    a thread pool — same state, messages and provenance as the
+    #    deterministic serial reference.  The runtime is a context manager,
+    #    so the worker threads cannot leak.
     serial = NetTrailsRuntime(mincost.program(), topology.star(10))
     serial.seed_links(run=True)
     with NetTrailsRuntime(mincost.program(), topology.star(10),

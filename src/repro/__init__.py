@@ -10,7 +10,7 @@ substitutes.  Execution is batch-first: tuple deltas are evaluated, shipped
 and applied in batches, and provenance queries can fan out a whole traversal
 step in a single round (see ``docs/architecture.md``).  Each node holds
 one local tuple store driven by one compiled NDlog plan; the execution
-backend (serial, thread pool or forked worker processes) only decides how
+backend (serial or a thread pool) only decides how
 same-instant drains of distinct nodes are scheduled, with bit-identical
 protocol state and provenance tables.
 

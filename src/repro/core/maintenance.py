@@ -680,7 +680,7 @@ class ProvenanceEngine:
 
         The version advances at most once per applied batch
         (:meth:`NodeProvenanceStore.batched`), so two executions that absorb
-        the same logical batches — e.g. a serial and a process-backend run of
+        the same logical batches — e.g. a serial and a thread-backend run of
         the same workload — report identical versions here; tests use this to pin
         the one-bump-per-batch invariant.
 

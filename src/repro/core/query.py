@@ -25,8 +25,8 @@ one :class:`QueryReplyBatch` — minimising both communication rounds
 message count.  Sequential traversal instead dispatches one alternative at
 a time so threshold pruning can skip the rest.
 
-Under a concurrent execution backend (``backend="thread"`` / ``"process"``,
-see :mod:`repro.engine.backends`) the parallel fan-out parallelises in real
+Under the thread execution backend (``backend="thread"``, see
+:mod:`repro.engine.backends`) the parallel fan-out parallelises in real
 time too: the request batches to distinct peers arrive in one simulator
 wave, and because deliveries are serialized per *receiving* node, the peers
 resolve their sub-traversals on separate workers while each node's agent

@@ -99,32 +99,16 @@ class Node:
         #: before each batch is absorbed), modelling the blocking I/O a
         #: durable deployment pays to fsync its store/provenance log.  The
         #: sleep releases the GIL exactly like real I/O, which is what the
-        #: E13 backend benchmark uses to show concurrent backends overlapping
+        #: E13 backend benchmark uses to show the thread backend overlapping
         #: independent nodes' commit stalls.  Leave at 0.0 (the default) for
         #: pure in-memory simulation.
         self.batch_commit_stall_s = batch_commit_stall_s
         self._queue: Deque[TupleDelta] = deque()
         self._processing = False
         self._drain_scheduled = False
-        #: Installed by the process-pool backend: a callable that ships this
-        #: node's pending queue to the owning worker process and mirrors the
-        #: returned drain trace (see :mod:`repro.engine.procpool`).  ``None``
-        #: — every other configuration — drains locally.
-        self._remote_drain: Optional[Callable[["Node"], None]] = None
-        #: Worker-side drain trace: ``None`` outside a worker process.  While
-        #: a list, ``_apply_batch`` / ``_apply`` / ``_handle_effects`` append
-        #: ``("batch", updates)`` / ``("single", update)`` /
-        #: ``("effects", effects, tags)`` entries instead of touching the
-        #: network, and the coordinator replays them via :meth:`_mirror_trace`.
-        self._trace: Optional[List[tuple]] = None
         #: The runtime's :class:`~repro.obs.Observability` bundle, or ``None``
         #: (the default — every instrumentation site below is one branch).
         self.obs = observability
-        #: Worker-side drain trace context: the coordinator ships the ambient
-        #: ``(trace_id, span_id)`` with each remote drain request so spans
-        #: recorded in the worker carry correct parent ids (see
-        #: :func:`repro.engine.procpool.run_drain`).
-        self._obs_drain_ctx: Optional[Tuple[str, str]] = None
         #: ``repr(node_id)`` computed once — the drain instrumentation path
         #: stamps it on every span/event and must not re-render it per batch.
         self._id_repr = repr(node_id)
@@ -235,7 +219,7 @@ class Node:
         if self._drain_scheduled or self._processing:
             return
         self._drain_scheduled = True
-        # Drains are serialized per node (the event key): a concurrent
+        # Drains are serialized per node (the event key): the thread
         # backend may drain distinct nodes of the same wave in parallel, but
         # this node's store/evaluator/provenance partition stays
         # single-writer.
@@ -247,9 +231,6 @@ class Node:
             self._drain()
 
     def _drain(self) -> None:
-        if self._remote_drain is not None:
-            self._remote_drain(self)
-            return
         self._processing = True
         try:
             while self._queue:
@@ -269,8 +250,6 @@ class Node:
         the *net* presence transitions, and the provenance partition is
         updated under a single version bump.
         """
-        if self._trace is not None:
-            self._trace.append(("batch", list(updates)))
         token = None if self.obs is None else self._obs_drain_begin()
         self.stats.updates_processed += len(updates)
         self.stats.batches_processed += 1
@@ -309,8 +288,6 @@ class Node:
         return newly_present, disappeared
 
     def _apply(self, update: TupleDelta) -> None:
-        if self._trace is not None:
-            self._trace.append(("single", update))
         self.stats.updates_processed += 1
         if self._absorb_single(update):
             if update.sign > 0:
@@ -337,33 +314,30 @@ class Node:
     def _handle_effects(self, effects: List[DerivationEffect]) -> None:
         if not effects:
             return
-        tags = self._record_effects(effects)
-        if self._trace is not None:
-            # Worker process: ship the effects + tags for the coordinator to
-            # mirror (it performs the network sends); keep the local-head
-            # enqueue so the worker-side cascade continues.
-            self._trace.append(("effects", list(effects), list(tags)))
-            self._dispatch_effects(effects, tags, enqueue_local=True, send_remote=False)
-        else:
-            self._dispatch_effects(effects, tags, enqueue_local=True, send_remote=True)
+        self._dispatch_effects(effects, self._record_effects(effects))
         if self._queue and not self._processing:
             self._drain()
 
-    def _dispatch_effects(
-        self,
-        effects: List[DerivationEffect],
-        tags: List[Optional[ProvenanceTag]],
-        enqueue_local: bool,
-        send_remote: bool,
-    ) -> None:
-        """Turn evaluator effects into queue pushes and outgoing deltas.
+    def _record_effects(self, effects: List[DerivationEffect]) -> List[Optional[ProvenanceTag]]:
+        """Record rule firings/retractions in the provenance engine, batched."""
+        if self.provenance is None:
+            return [None] * len(effects)
+        apply_batch = getattr(self.provenance, "apply_rule_exec_batch", None)
+        if self.batch_deltas and apply_batch is not None:
+            return apply_batch(self.id, effects)
+        tags: List[Optional[ProvenanceTag]] = []
+        for effect in effects:
+            if effect.sign > 0:
+                tags.append(self.provenance.record_rule_exec(self.id, effect))
+            else:
+                self.provenance.remove_rule_exec(self.id, effect)
+                tags.append(None)
+        return tags
 
-        ``enqueue_local=False`` is the coordinator mirroring a worker trace:
-        local heads already continued the cascade worker-side and arrive as
-        the trace's next ``("batch", ...)`` entry.  ``send_remote=False`` is
-        the worker side of the same split: remote heads travel home in the
-        ``("effects", ...)`` trace entry and the coordinator sends them.
-        """
+    def _dispatch_effects(
+        self, effects: List[DerivationEffect], tags: List[Optional[ProvenanceTag]]
+    ) -> None:
+        """Turn evaluator effects into queue pushes and outgoing deltas."""
         outgoing: Dict[object, List[TupleDelta]] = {}
         destinations: List[object] = []  # deterministic first-seen order
         for effect, tag in zip(effects, tags):
@@ -372,12 +346,9 @@ class Node:
             else:
                 self.stats.rule_retractions += 1
             if effect.head_location == self.id:
-                if enqueue_local:
-                    self._queue.append(
-                        TupleDelta(effect.sign, effect.head_fact, effect.firing_id, tag)
-                    )
-                continue
-            if not send_remote:
+                self._queue.append(
+                    TupleDelta(effect.sign, effect.head_fact, effect.firing_id, tag)
+                )
                 continue
             self.stats.deltas_sent += 1
             delta = TupleDelta(
@@ -422,12 +393,6 @@ class Node:
         obs = self.obs
         if obs is None or not obs.tracing:
             return None
-        if self._trace is not None:
-            # Worker process: spans travel home in the drain trace; parent to
-            # the context the coordinator shipped with this drain request.
-            if self._obs_drain_ctx is None:
-                return None
-            return (self._obs_drain_ctx, time.perf_counter())
         parent = obs.tracer.current()
         if parent is None:
             return None
@@ -437,8 +402,7 @@ class Node:
         obs = self.obs
         if obs is None:
             return
-        if self._trace is None:
-            obs.recorder.record("drain", node=self._id_repr, updates=updates)
+        obs.recorder.record("drain", node=self._id_repr, updates=updates)
         if token is None:
             return
         (trace_id, span_id), start = token
@@ -446,88 +410,7 @@ class Node:
             "drain", trace_id, span_id, self._id_repr,
             start, time.perf_counter(), (("updates", updates),),
         )
-        if self._trace is not None:
-            self._trace.append(("spans", [record]))
-        else:
-            obs.tracer.defer(record)
-
-    # -- coordinator-side mirror of a worker drain trace -------------------------
-
-    def _mirror_trace(self, trace: List[tuple]) -> None:
-        """Replay a worker's drain trace against the authoritative state.
-
-        The trace is the exact sequence of store batches and effect lists a
-        local drain would have produced, so replaying it entry by entry
-        leaves the coordinator's store, provenance partition, stats and
-        outgoing traffic bit-identical to a local drain — minus the
-        evaluator work and the commit stall, which the worker already paid.
-        """
-        self._processing = True
-        try:
-            for entry in trace:
-                kind = entry[0]
-                if kind == "batch":
-                    self._mirror_batch(entry[1])
-                elif kind == "single":
-                    self._mirror_single(entry[1])
-                elif kind == "effects":
-                    self._mirror_effects(entry[1], entry[2])
-                elif kind == "spans":
-                    # Worker-side observability spans: re-home them into the
-                    # coordinator's tracer (parent ids were assigned from the
-                    # context shipped with the drain request, so the tree is
-                    # complete without translation).
-                    if self.obs is not None:
-                        self.obs.tracer.absorb(entry[1])
-                else:
-                    raise EngineError(
-                        f"node {self.id!r}: malformed worker trace entry {kind!r}"
-                    )
-        finally:
-            self._processing = False
-
-    def _mirror_batch(self, updates: List[TupleDelta]) -> None:
-        self.stats.updates_processed += len(updates)
-        self.stats.batches_processed += 1
-        if self.obs is not None:
-            self.obs.record_event(
-                "drain", node=self._id_repr, updates=len(updates), remote=True
-            )
-        # The commit stall was paid in the worker (where stalls of distinct
-        # workers overlap); the evaluator consequences arrive as the next
-        # trace entries.
-        self._absorb_batch(updates)
-
-    def _mirror_single(self, update: TupleDelta) -> None:
-        self.stats.updates_processed += 1
-        self._absorb_single(update)
-
-    def _mirror_effects(
-        self, effects: List[DerivationEffect], tags: List[Optional[ProvenanceTag]]
-    ) -> None:
-        recorded = self._record_effects(effects)
-        if recorded != tags:
-            raise EngineError(
-                f"node {self.id!r}: worker-computed provenance tags diverged from "
-                "the coordinator's provenance engine (stores out of sync?)"
-            )
-        self._dispatch_effects(effects, recorded, enqueue_local=False, send_remote=True)
-
-    def _record_effects(self, effects: List[DerivationEffect]) -> List[Optional[ProvenanceTag]]:
-        """Record rule firings/retractions in the provenance engine, batched."""
-        if self.provenance is None:
-            return [None] * len(effects)
-        apply_batch = getattr(self.provenance, "apply_rule_exec_batch", None)
-        if self.batch_deltas and apply_batch is not None:
-            return apply_batch(self.id, effects)
-        tags: List[Optional[ProvenanceTag]] = []
-        for effect in effects:
-            if effect.sign > 0:
-                tags.append(self.provenance.record_rule_exec(self.id, effect))
-            else:
-                self.provenance.remove_rule_exec(self.id, effect)
-                tags.append(None)
-        return tags
+        obs.tracer.defer(record)
 
     # -- convenience accessors -------------------------------------------------------
 

@@ -174,10 +174,9 @@ class NetTrailsRuntime:
     :meth:`run` / :meth:`run_to_quiescence`, and global state comes back out
     through :meth:`state`.  The runtime is a context manager —
     ``with NetTrailsRuntime(...) as runtime:`` releases backend worker
-    threads and forked worker processes on exit, which is the leak-proof way
-    to use worker-backed configurations in tests.  Every node holds one
-    :class:`~repro.engine.store.TupleStore` driven by one generic
-    semi-naive join.
+    threads on exit, which is the leak-proof way to use the thread backend
+    in tests.  Every node holds one :class:`~repro.engine.store.TupleStore`
+    driven by one generic semi-naive join.
 
     **Constructor knobs** (this is the canonical table; every other
     docstring defers to it):
@@ -199,15 +198,15 @@ class NetTrailsRuntime:
     ``batch_deltas`` (True)          batch-first evaluation; ``False`` replays
                                      deltas one at a time (the E11 baseline)
     ``backend`` (None)               execution backend: ``"serial"`` |
-                                     ``"thread"`` | ``"process"``, a constructed
+                                     ``"thread"``, a constructed
                                      ``ExecutionBackend``, or ``None`` = env
                                      hook then serial
-    ``backend_workers`` (None)       worker bound for concurrent backends
+    ``backend_workers`` (None)       worker bound for the thread backend
                                      (``None`` = env hook then
                                      ``min(8, cpu_count)``)
-    ``batch_commit_stall_s`` (0.0)   emulated per-batch commit latency (an
-                                     fsync stand-in the concurrent backends
-                                     overlap)
+    ``batch_commit_stall_s`` (0.0)   emulated commit latency inside every
+                                     drain (a blocking call the thread
+                                     backend overlaps; E13 measures it)
     ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
                                      env hook then default, ``0`` = uncapped)
     ``use_interval_index`` (None)    interval-indexed provenance queries
@@ -231,8 +230,7 @@ class NetTrailsRuntime:
     ================================ ==========================================
     variable                         stands in for
     ================================ ==========================================
-    ``NETTRAILS_BACKEND``            ``backend`` (``serial``/``thread``/
-                                     ``process``)
+    ``NETTRAILS_BACKEND``            ``backend`` (``serial``/``thread``)
     ``NETTRAILS_BACKEND_WORKERS``    ``backend_workers`` (integer ≥ 1)
     ``NETTRAILS_QUERY_CACHE_CAPACITY`` ``query_cache_capacity`` (integer ≥ 0)
     ``NETTRAILS_INTERVAL_INDEX``     ``use_interval_index`` (boolean words)
@@ -249,13 +247,13 @@ class NetTrailsRuntime:
     >>> runtime.state("reach")
     [('n0', 'n1'), ('n1', 'n0')]
 
-    Concurrent backends — forked worker processes included — are drop-in and
-    bit-identical on everything but wall-clock time:
+    The thread backend is drop-in and bit-identical on everything but
+    wall-clock time:
 
     >>> with NetTrailsRuntime("r1 reach(@D, S) :- edge(@S, D).", topology.line(2),
-    ...                       backend="process", backend_workers=2) as multicore:
-    ...     _ = multicore.insert_batch("edge", [["n0", "n1"], ["n1", "n0"]], run=True)
-    ...     multicore.state("reach")
+    ...                       backend="thread", backend_workers=2) as threaded:
+    ...     _ = threaded.insert_batch("edge", [["n0", "n1"], ["n1", "n0"]], run=True)
+    ...     threaded.state("reach")
     [('n0', 'n1'), ('n1', 'n0')]
     """
 
@@ -286,11 +284,11 @@ class NetTrailsRuntime:
         self.compiled: CompiledProgram = compile_program(program, registry)
         self.topology = topology
         #: Execution backend draining same-instant simulator events.  Accepts
-        #: a name (``"serial"`` / ``"thread"`` / ``"process"``), a constructed
+        #: a name (``"serial"`` / ``"thread"``), a constructed
         #: :class:`~repro.engine.backends.ExecutionBackend`, or ``None`` —
         #: which consults the ``NETTRAILS_BACKEND`` environment variable and
         #: defaults to the deterministic serial reference mode.
-        #: ``backend_workers`` bounds the concurrent backends' worker pools
+        #: ``backend_workers`` bounds the thread backend's worker pool
         #: (``None`` consults ``NETTRAILS_BACKEND_WORKERS``).
         self.backend: ExecutionBackend = resolve_backend(backend, backend_workers)
         self.simulator = Simulator(backend=self.backend)
@@ -348,6 +346,7 @@ class NetTrailsRuntime:
         self.obs: Optional[Observability] = resolve_observability(
             observability, default_observability()
         )
+        self.backend.attach(self.obs)
         self.nodes: Dict[object, Node] = {}
         for name in topology.nodes:
             self.nodes[name] = Node(
@@ -362,12 +361,6 @@ class NetTrailsRuntime:
             )
         for source, target, cost in topology.directed_edges():
             self.network.add_link(source, target, cost=cost, latency=link_latency)
-        # Bind the backend to the fully-built node set.  The process-pool
-        # backend forks its workers here: after the nodes (and their stores)
-        # exist, before any event has run, and before durable mode opens its
-        # WAL — so workers inherit byte-identical stores and no file handles
-        # they must not share.
-        self.backend.attach(self)
         self._bind_observability()
 
         #: Durable mode (see :mod:`repro.durability`): with ``durable_dir=``
@@ -440,9 +433,6 @@ class NetTrailsRuntime:
             registry.register_view("vid_versions", provenance.vid_version_stats)
         if provenance is not None and hasattr(provenance, "interval_totals"):
             registry.register_view("interval", provenance.interval_totals)
-        transport = getattr(self.backend, "transport_stats", None)
-        if transport is not None:
-            registry.register_view("transport", transport)
 
         def wal_stats() -> Dict[str, object]:
             wal = self._wal
@@ -784,8 +774,7 @@ class NetTrailsRuntime:
         self._commit_pending()
         obs = self.obs
         if obs is not None and obs.tracing and obs.tracer.current() is None:
-            # Root a "window" trace so drain spans (including worker-side
-            # ones mirrored home by the process backend) have a parent.
+            # Root a "window" trace so drain spans have a parent.
             span = obs.tracer.start_span("window")
             previous = obs.tracer.set_current(span.context())
             try:
@@ -813,9 +802,9 @@ class NetTrailsRuntime:
     def close(self) -> None:
         """Release backend workers and the WAL handle; idempotent.
 
-        A no-op for the default serial backend, but the concurrent backends
-        (``backend="thread"`` / ``"process"``) hold real threads or
-        processes — prefer the context-manager form, which cannot leak them::
+        A no-op for the default serial backend, but the thread backend holds
+        real threads — prefer the context-manager form, which cannot leak
+        them::
 
             with NetTrailsRuntime(program, net, backend="thread") as runtime:
                 runtime.seed_links(run=True)

@@ -12,7 +12,7 @@ the hot path allocates no closure per event.
 *How* the events of one virtual instant are executed is delegated to an
 :class:`~repro.engine.backends.ExecutionBackend`.  The default
 :class:`~repro.engine.backends.SerialBackend` runs them strictly one at a
-time (the historical reference behaviour); the concurrent backends run
+time (the historical reference behaviour); the thread backend runs
 same-instant events of distinct serialization keys in parallel while
 deferring their side effects so the observable outcome stays bit-identical
 (see :mod:`repro.engine.backends` for the full scheduling contract).
@@ -25,7 +25,7 @@ import itertools
 import threading
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import EngineError, SimulationError
 from repro.engine.backends import ExecutionBackend, SerialBackend
 
 #: ``_ScheduledEvent.arg`` of an event whose callback takes no argument.
@@ -84,6 +84,10 @@ class Simulator:
         self._running = False
         #: Execution strategy for same-instant event waves.
         self.backend: ExecutionBackend = backend if backend is not None else SerialBackend()
+        #: ``None`` while the simulator can run; otherwise why it refuses to
+        #: (a concurrent wave failed part-way and left node state undefined).
+        #: Set by the backend, checked before every :meth:`run`.
+        self.broken: Optional[str] = None
         # Per-thread deferred side-effect buffer, active only while a
         # concurrent backend executes an event (see :meth:`defer`).
         self._effects = threading.local()
@@ -183,12 +187,12 @@ class Simulator:
         sequence = next(self._sequence)
         heapq.heappush(self._queue, (time, sequence, _ScheduledEvent(sequence, callback, arg, label, key)))
 
-    # -- deferred side effects (concurrent backends) ---------------------------
+    # -- deferred side effects (thread backend) --------------------------------
 
     def deferred_buffer(self) -> Optional[List[Callable[[], None]]]:
         """The calling thread's active side-effect buffer, or ``None``.
 
-        Concurrent backends execute same-instant events of distinct nodes in
+        The thread backend executes same-instant events of distinct nodes in
         parallel; any side effect that touches shared simulator or network
         state (queue pushes, traffic accounting) must be
         appended to this buffer instead of applied directly, so it can be
@@ -214,7 +218,7 @@ class Simulator:
         """Pop every event queued at the earliest time (up to *limit*), in order.
 
         Advances the clock and the processed/round counters exactly as serial
-        single-stepping would; used by concurrent backends.
+        single-stepping would; used by the thread backend.
         """
         wave: List[_ScheduledEvent] = []
         queue = self._queue
@@ -257,10 +261,14 @@ class Simulator:
         """Run events until the queue drains, *until* is reached, or *max_events* fire.
 
         Returns the number of events executed by this call.  Execution is
-        delegated wave-by-wave to the installed :attr:`backend`.
+        delegated wave-by-wave to the installed :attr:`backend`; once a
+        failed wave has left the simulator :attr:`broken`, every later call
+        raises :class:`~repro.errors.EngineError`.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run call)")
+        if self.broken is not None:
+            raise EngineError(self.broken)
         self._running = True
         executed = 0
         try:

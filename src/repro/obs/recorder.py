@@ -1,10 +1,10 @@
 """Bounded ring-buffer flight recorder for post-mortem event history.
 
 The recorder keeps the last ``capacity`` noteworthy engine events — drains,
-checkpoints, worker errors, cache evictions, interval-index relabels — so
-that when something goes wrong (:class:`~repro.errors.EngineError` raised
-from the process backend, :meth:`ServiceRuntime.crash`), the recent history
-is available without having had logging enabled.  Recording is a lock-free
+checkpoints, cache evictions, interval-index relabels — so that when
+something goes wrong (an engine error, :meth:`ServiceRuntime.crash`), the
+recent history is available without having had logging enabled.  Recording
+is a lock-free
 bounded-deque append (``deque.append`` and ``itertools.count`` are both
 atomic in CPython): cheap enough to leave on for every event class while
 observability is enabled, and entirely absent when it is not.
@@ -16,10 +16,10 @@ many events were dropped (the newest retained seq *is* the total recorded).
 >>> recorder = FlightRecorder(capacity=2)
 >>> recorder.record("drain", node="n1", updates=3)
 >>> recorder.record("checkpoint", window=7)
->>> recorder.record("worker_error", pid=123)
+>>> recorder.record("crash", reason="test")
 >>> dump = recorder.dump()
 >>> (dump["recorded"], dump["dropped"], [e["kind"] for e in dump["events"]])
-(3, 1, ['checkpoint', 'worker_error'])
+(3, 1, ['checkpoint', 'crash'])
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry unifies the ad-hoc counter surfaces that accreted across the
-engine (query cache, interval index, vid-version pruning, process-backend
-transport, WAL appends, backend wave occupancy, evaluator firing counts)
+engine (query cache, interval index, vid-version pruning, WAL appends,
+backend wave occupancy, evaluator firing counts)
 without breaking their existing dict-returning APIs.  Two mechanisms:
 
 * **Views** — pull-based adapters over existing counter dicts.  A view is a
@@ -13,7 +13,7 @@ without breaking their existing dict-returning APIs.  Two mechanisms:
 * **Instruments** — push-style :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` objects with labeled children for *new* measurements
   (per-mode query latency, WAL fsync stalls, wave occupancy).  Instruments
-  are lock-protected so concurrent backends may record from worker threads.
+  are lock-protected so the thread backend may record from worker threads.
 
 Everything here is observational only: nothing in this module participates
 in the engine's determinism contract, and the whole subsystem is absent

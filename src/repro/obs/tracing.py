@@ -8,16 +8,14 @@ ISSUE's adaptive-execution work needs: node/partition, wave/round and
 message counts, plus monotonic start/end timestamps
 (:func:`time.perf_counter`, never wall-clock).
 
-Trace *context* — the ``(trace_id, span_id)`` pair — propagates two ways:
-
-* **In-band**, inside :class:`~repro.core.query.QueryRequest` and
-  :class:`~repro.core.query.IntervalRequest` envelopes (a ``trace`` field
-  that is omitted from their reprs when ``None``, so wire-byte accounting
-  is untouched while tracing is off).
-* **Across the process-backend pipe**, as ``("spans", records)`` entries in
-  the drain trace that :class:`~repro.engine.procpool.TraceCodec` ships
-  home; :meth:`Tracer.absorb` rebuilds coordinator-side spans from the
-  primitive records, preserving parent ids and node attribution.
+Trace *context* — the ``(trace_id, span_id)`` pair — propagates in-band,
+inside :class:`~repro.core.query.QueryRequest` and
+:class:`~repro.core.query.IntervalRequest` envelopes (a ``trace`` field that
+is omitted from their reprs when ``None``, so wire-byte accounting is
+untouched while tracing is off).  Node drains parent to the ambient context
+of the coordinating thread and record primitive span records on the
+lock-free :meth:`Tracer.defer` lane; :meth:`Tracer.absorb` rebuilds spans
+from those records, preserving parent ids and node attribution.
 
 The tracer never participates in the determinism contract: span ids, span
 counts and timings vary across backends and are excluded from every
@@ -43,10 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EngineError
 
-#: The primitive shape of one worker-exported span record (see
-#: :meth:`Span.to_record` / :meth:`Tracer.absorb`): every element is a
-#: plain string/float/tuple so the record pickles compactly and survives
-#: the process-backend pipe protocol unchanged.
+#: The primitive shape of one deferred span record (see
+#: :meth:`Tracer.defer` / :meth:`Tracer.absorb`):
+#: every element is a plain string/float/tuple, so recording one allocates
+#: no :class:`Span`.
 SpanRecord = Tuple[str, str, Optional[str], Optional[str], float, float, Tuple[Tuple[str, object], ...]]
 
 
@@ -108,18 +106,6 @@ class Span:
         self.end = time.perf_counter()
         if self._tracer is not None:
             self._tracer._record(self)
-
-    def to_record(self) -> SpanRecord:
-        """A primitives-only rendering for the process-backend pipe."""
-        return (
-            self.name,
-            self.trace_id,
-            self.parent_id,
-            self.node,
-            self.start,
-            self.end if self.end is not None else self.start,
-            tuple(sorted(self.attrs.items())),
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -185,8 +171,8 @@ class Tracer:
     def defer(self, record: SpanRecord) -> None:
         """Lock-free fast path for hot leaf spans (one call per node drain).
 
-        The primitive record — the same shape the process backend ships over
-        its pipe — is appended to a plain list (atomic in CPython) and only
+        The primitive record (:data:`SpanRecord`) is appended to a plain
+        list (atomic in CPython) and only
         materialised into a :class:`Span` when an inspection API runs.  At
         ~0.3µs this is several times cheaper than ``start_span``/``finish``,
         which is what keeps benchmark E20's enabled-mode overhead bounded.
@@ -202,12 +188,10 @@ class Tracer:
             self.absorb(pending)
 
     def absorb(self, records: Sequence[SpanRecord]) -> List[Span]:
-        """Rebuild finished spans from worker-exported primitive records.
+        """Rebuild finished spans from primitive records.
 
-        Fresh coordinator-side span ids are minted (worker processes cannot
-        coordinate id allocation), but parent ids and node attribution are
-        preserved verbatim — the parent is a coordinator span whose context
-        was shipped out with the drain request.
+        Fresh span ids are minted (a record carries none of its own), but
+        parent ids and node attribution are preserved verbatim.
         """
         absorbed = []
         for name, trace_id, parent_id, node, start, end, attr_items in records:

@@ -172,8 +172,8 @@ class MetricsReport:
 class ScenarioDriver:
     """Build the runtime for a spec, replay its trace, measure everything.
 
-    The driver is a context manager (it owns the runtime's worker threads —
-    and, under the process backend, its forked worker processes)::
+    The driver is a context manager (it owns the runtime's worker threads
+    under the thread backend)::
 
         with ScenarioDriver(profiles.smoke()) as driver:
             report = driver.run()

@@ -15,7 +15,7 @@ from repro.protocols import mincost, path_vector
 # Execution-backend matrix hook
 #
 # ``NETTRAILS_BACKEND`` selects the execution backend every runtime in the
-# suite defaults to (serial | thread | process).  The CI property-matrix jobs
+# suite defaults to (serial | thread).  The CI property-matrix jobs
 # export it to run the whole property suite — including every equivalence
 # harness — under each backend; any value other than the deterministic
 # default would surface as a failed equivalence assertion if a backend ever
@@ -46,7 +46,7 @@ def backend_name() -> str:
 # Equivalence helpers
 #
 # The central correctness claim of the reproduction is that every execution
-# strategy (per-delta vs batched, serial vs threaded vs forked workers)
+# strategy (per-delta vs batched, serial vs threaded)
 # converges to indistinguishable global state.  These canonicalisers are the
 # shared definition of "indistinguishable"; they are exposed both as plain
 # functions (for conftest-local use) and as identically-named fixtures so any

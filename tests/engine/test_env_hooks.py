@@ -52,8 +52,9 @@ HOOKS = {
         "observe": lambda runtime: runtime.backend.name,
         "expect": "thread",
         "default": "serial",
-        # "asyncio" named a backend that no longer exists: unknown, so loud.
-        "malformed": ["bogus-backend", "asyncio"],
+        # "asyncio" and "process" named backends that no longer exist:
+        # unknown, so loud.
+        "malformed": ["bogus-backend", "asyncio", "process"],
     },
     BACKEND_WORKERS_ENV_VAR: {
         "valid": "3",
@@ -150,16 +151,27 @@ class TestHookParity:
         with build_runtime(backend="thread", backend_workers=2) as runtime:
             assert runtime.backend.workers == 2
 
-    def test_process_backend_via_hook(self, monkeypatch):
-        """NETTRAILS_BACKEND=process builds (and runs) the process backend,
-        and NETTRAILS_BACKEND_WORKERS sizes its forked worker pool."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+    def test_thread_backend_via_hook(self, monkeypatch):
+        """NETTRAILS_BACKEND=thread builds (and runs) the thread backend,
+        and NETTRAILS_BACKEND_WORKERS sizes its pool."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
         monkeypatch.setenv(BACKEND_WORKERS_ENV_VAR, "2")
         with build_runtime() as runtime:
-            assert runtime.backend.name == "process"
+            assert runtime.backend.name == "thread"
             assert runtime.backend.workers == 2
             runtime.seed_links(run=True)
             assert runtime.state("minCost")
+
+    @pytest.mark.parametrize("retired", ["process", "asyncio"])
+    def test_retired_backend_is_unknown(self, monkeypatch, retired):
+        """A retired backend name raises the unknown-backend error, whether
+        it comes from the hook or from the ``backend=`` argument."""
+        expected = rf"unknown execution backend '{retired}'; known backends: \['serial', 'thread'\]"
+        with pytest.raises(EngineError, match=expected):
+            build_runtime(backend=retired)
+        monkeypatch.setenv(BACKEND_ENV_VAR, retired)
+        with pytest.raises(EngineError, match=expected):
+            build_runtime()
 
 
 class TestDurableDirHook:

@@ -83,7 +83,7 @@ class TestFactHotPathCaches:
 
     def test_slotted_message_dataclasses_pickle(self):
         """slots=True removes __dict__ from the wire dataclasses; pickling
-        (the process backend's raw ablation path) must still round-trip."""
+        must still round-trip."""
         import pickle
 
         from repro.engine.messages import ProvenanceTag, TupleDelta, TupleDeltaBatch

@@ -3,9 +3,9 @@
 The two load-bearing contracts pinned here:
 
 * **Propagation** — trace context survives every hop: query envelopes
-  between nodes, and (under the process backend) the drain round-trip
-  through the :class:`~repro.engine.procpool.TraceCodec` pipe, with worker
-  spans re-parented onto coordinator spans and node attribution intact.
+  between nodes, and (under the thread backend) drains run on pool threads,
+  whose spans parent to the coordinator's window span with node
+  attribution intact.
 * **Invisibility** — enabling observability changes no deterministic
   surface: store snapshots, provenance fingerprints, query answers and
   message counts are bit-identical with the subsystem on and off.
@@ -13,18 +13,14 @@ The two load-bearing contracts pinned here:
 
 from __future__ import annotations
 
-import os
-import signal
-
 import pytest
 
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
-from repro.errors import EngineError
 from repro.protocols import mincost
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread"]
 
 
 def build_runtime(observability=True, **kwargs):
@@ -95,13 +91,46 @@ class TestWindowTraces:
             tree = tracer.span_tree(windows[0].trace_id)
             drains = tree["children"]
             assert drains and all(child["name"] == "drain" for child in drains)
-            # Worker-side spans came home through the pipe with node
-            # attribution intact; the tree assembling at all proves every
-            # parent id resolved.
+            # Pool-thread spans keep their node attribution; the tree
+            # assembling at all proves every parent id resolved.
             assert all(child["node"] is not None for child in drains)
             assert {child["node"] for child in drains} == {
                 repr(node_id) for node_id in runtime.node_ids()
             }
+
+    def test_thread_drain_spans_match_serial_drains(self):
+        """Drains on pool threads record the same spans per node as the
+        serial run, and one flight-recorder event per applied batch."""
+        per_node = {}
+        for backend in BACKENDS:
+            with build_runtime(backend=backend, backend_workers=2) as runtime:
+                runtime.seed_links(run=True)
+                counts = {}
+                for span in runtime.obs.tracer.finished_spans(name="drain"):
+                    counts[span.node] = counts.get(span.node, 0) + 1
+                assert len(runtime.obs.recorder.events("drain")) == sum(
+                    node.stats.batches_processed for node in runtime.nodes.values()
+                )
+                per_node[backend] = counts
+        assert per_node["thread"] == per_node["serial"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failed_window_still_closes_its_span(self, backend):
+        """A drain that raises mid-window must not leave the window span
+        open or the ambient trace context set."""
+        with NetTrailsRuntime(
+            "r1 out(@D, S, C) :- link(@S, D, X), C := 10 / X.",
+            topology.star(4),
+            backend=backend,
+            backend_workers=2,
+            observability=True,
+        ) as runtime:
+            with pytest.raises(ZeroDivisionError):
+                runtime.insert_batch("link", [["n0", "n1", 0], ["n0", "n2", 0]])
+                runtime.run_to_quiescence()
+            tracer = runtime.obs.tracer
+            assert tracer.current() is None
+            assert all(span.end is not None for span in tracer.finished_spans(name="window"))
 
     def test_drain_events_reach_the_flight_recorder(self):
         with build_runtime() as runtime:
@@ -127,7 +156,7 @@ class TestQueryTraces:
             )
             assert all(child["node"] is not None for child in frames)
 
-    def test_serial_and_process_trees_have_identical_shape(self):
+    def test_serial_and_thread_trees_have_identical_shape(self):
         def shape(tree):
             return (
                 tree["name"],
@@ -136,12 +165,12 @@ class TestQueryTraces:
             )
 
         shapes = {}
-        for backend in ("serial", "process"):
+        for backend in ("serial", "thread"):
             with build_runtime(backend=backend, backend_workers=2) as runtime:
                 runtime.seed_links(run=True)
                 _, tree = query_tree(runtime, DistributedQueryEngine(runtime))
                 shapes[backend] = shape(tree)
-        assert shapes["serial"] == shapes["process"]
+        assert shapes["serial"] == shapes["thread"]
 
     def test_interval_batch_records_partition_spans(self):
         with build_runtime(use_interval_index=True) as runtime:
@@ -164,47 +193,6 @@ class TestQueryTraces:
             assert partitions and all(
                 child["attrs"]["targets"] >= 1 for child in partitions
             )
-
-
-class TestWorkerFailurePaths:
-    def test_killed_worker_leaves_a_flight_record(self):
-        runtime = build_runtime(backend="process", backend_workers=1)
-        try:
-            runtime.seed_links(run=True)
-            process = runtime.backend._channels[0].process
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=5.0)
-            with pytest.raises(EngineError, match="died while"):
-                runtime.insert("link", ["n0", "n2", 7])
-                runtime.run_to_quiescence()
-            (event,) = runtime.obs.recorder.events("worker_error")
-            assert event["pid"] == process.pid
-            assert event["error"] == "worker died (pipe closed)"
-            assert event["nodes"]
-        finally:
-            runtime.close()
-
-    def test_worker_side_failure_is_recorded_and_survivable(self):
-        runtime = build_runtime(backend="process", backend_workers=1)
-        try:
-            runtime.seed_links(run=True)
-            from repro.engine.messages import TupleDelta
-            from repro.engine.store import BASE_DERIVATION
-            from repro.engine.tuples import Fact
-
-            node = runtime.nodes["n0"]
-            node._queue.append(
-                TupleDelta(
-                    +1, Fact.make("link", ("n0", "n1", "boom")), BASE_DERIVATION, None
-                )
-            )
-            with pytest.raises(EngineError, match="failed draining"):
-                node._drain()
-            (event,) = runtime.obs.recorder.events("worker_error")
-            assert "boom" in event["error"] or event["error"]
-            assert runtime.backend._channels[0].process.is_alive()
-        finally:
-            runtime.close()
 
 
 class TestServiceFlightDump:

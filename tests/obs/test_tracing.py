@@ -92,27 +92,20 @@ class TestSpanTree:
 
 class TestAbsorb:
     def test_absorb_preserves_parentage_and_attrs_with_fresh_ids(self):
-        # A worker-side tracer produces records; the coordinator absorbs
-        # them and the tree still assembles under the coordinator root.
-        coordinator = Tracer()
-        root = coordinator.start_span("window", trace_id="w1")
-
-        worker = Tracer()
-        drain = worker.start_span(
-            "drain", parent=TraceContext("w1", root.span_id), node="'n3'"
-        )
-        drain.finish(updates=7)
-        records = [span.to_record() for span in worker.finished_spans()]
-
-        absorbed = coordinator.absorb(records)
+        # A drain defers a primitive record (as node drains do); the first
+        # inspection absorbs it and the tree assembles under the window root.
+        tracer = Tracer()
+        root = tracer.start_span("window", trace_id="w1")
+        tracer.defer(("drain", "w1", root.span_id, "'n3'", 1.0, 1.5, (("updates", 7),)))
         root.finish()
-        assert len(absorbed) == 1
-        span = absorbed[0]
+
+        [span] = tracer.finished_spans(name="drain")
         assert span.parent_id == root.span_id
         assert span.node == "'n3'"
         assert span.attrs == {"updates": 7}
-        assert span.span_id != drain.span_id or True  # ids minted locally
-        tree = coordinator.span_tree("w1")
+        assert span.duration == 0.5
+        assert span.span_id not in (None, root.span_id)  # minted on absorb
+        tree = tracer.span_tree("w1")
         assert [child["name"] for child in tree["children"]] == ["drain"]
 
     def test_ambient_context_is_settable_and_restorable(self):

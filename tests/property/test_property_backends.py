@@ -1,17 +1,15 @@
 """Randomized-churn equivalence harness for concurrent execution backends.
 
 The execution backends (:mod:`repro.engine.backends`) promise that the
-thread-pool and process-pool backends are *bit-identical* to the
-deterministic serial reference on everything a run can observe: per-node store snapshots,
+thread-pool backend is *bit-identical* to the deterministic serial
+reference on everything a run can observe: per-node store snapshots,
 the distributed provenance tables, per-node provenance versions, network
 message counts, simulator event/round counts and distributed query answers.
 
 This harness replays the seeded churn scripts of :mod:`churn_harness` on a
-serial-backend baseline and on every concurrent backend — {thread, process}
-— asserting equality after *every* churn step.  The process-backend legs additionally
-prove the cross-process drain protocol (worker-side evaluation, trace
-mirroring, stateless tag recomputation — see :mod:`repro.engine.procpool`)
-observable-identical to in-process execution.  Like its siblings it honours
+serial-backend baseline and on the thread backend, asserting equality after
+*every* churn step; a slow-marked sweep repeats it at worker counts
+{1, 2, 4}.  Like its siblings it honours
 ``NETTRAILS_CHURN_SEED`` for reproducible randomized CI runs; additionally,
 the whole property suite runs under each backend in CI via the
 ``NETTRAILS_BACKEND`` matrix, which exercises every *other* equivalence
@@ -26,7 +24,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro.engine.backends import ProcessPoolBackend, ThreadPoolBackend
+from repro.engine.backends import ThreadPoolBackend
 from repro.engine.runtime import NetTrailsRuntime
 from churn_harness import (
     SEEDS,
@@ -36,16 +34,13 @@ from churn_harness import (
     generate_churn_script,
     lineage_answers,
 )
-from repro.protocols import mincost, path_vector
+from repro.protocols import mincost, path_vector, prefix_routing
 
-#: The acceptance matrix: every concurrent backend compared per-step against
-#: the serial baseline, each with two workers so waves genuinely overlap.
-BACKEND_VARIANTS = ["thread", "process"]
+#: The acceptance matrix: the thread backend compared per-step against the
+#: serial baseline, with two workers so waves genuinely overlap.
+BACKEND_VARIANTS = ["thread"]
 
-BACKEND_TYPES = {
-    "thread": ThreadPoolBackend,
-    "process": ProcessPoolBackend,
-}
+BACKEND_TYPES = {"thread": ThreadPoolBackend}
 
 
 def build_variant(net, backend, workers=2):
@@ -221,16 +216,56 @@ class TestProgramShapesAcrossBackends:
             ), context
 
 
-@pytest.mark.slow
-class TestProcessWorkerSweep:
-    """Exhaustive process-backend leg: every worker count must be identical.
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("backend", BACKEND_VARIANTS)
+    def test_prefix_routing_matches_serial(
+        self, backend, seed, global_state, provenance_fingerprint, store_snapshots
+    ):
+        """A ``min`` aggregate over announced prefixes: announcements and
+        withdrawals re-elect best routes on many nodes in one wave."""
+        net = TOPOLOGIES["as-level"]()
+        nodes = sorted(net.nodes)
+        rng = random.Random(seed)
+        context = f"prefix_routing backend={backend} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
 
-    The fast matrix above pins the process backend at two workers; this
+        with ExitStack() as stack:
+            baseline = stack.enter_context(
+                build_runtime(prefix_routing.program(), net, backend="serial")
+            )
+            variant = stack.enter_context(
+                build_runtime(prefix_routing.program(), net, backend=backend, backend_workers=2)
+            )
+            announced = []
+            for step in range(5):
+                if announced and rng.random() < 0.4:
+                    origins = rng.sample(announced, min(2, len(announced)))
+                    announced = [origin for origin in announced if origin not in origins]
+                    for runtime in (baseline, variant):
+                        prefix_routing.withdraw(runtime, origins)
+                else:
+                    origins = [(rng.choice(nodes), f"p{rng.randrange(4)}") for _ in range(3)]
+                    origins = [origin for origin in dict.fromkeys(origins) if origin not in announced]
+                    announced.extend(origins)
+                    for runtime in (baseline, variant):
+                        prefix_routing.announce(runtime, origins)
+                where = f"{context} step={step}"
+                assert store_snapshots(variant) == store_snapshots(baseline), where
+                assert provenance_fingerprint(variant) == provenance_fingerprint(baseline), where
+                assert observable_counts(variant) == observable_counts(baseline), where
+            relations = ["prefix", "route", "best"]
+            assert global_state(variant, relations) == global_state(baseline, relations), context
+            assert lineage_answers(variant, "best") == lineage_answers(baseline, "best"), context
+
+
+@pytest.mark.slow
+class TestThreadWorkerSweep:
+    """Exhaustive thread-backend leg: every worker count must be identical.
+
+    The fast matrix above pins the thread backend at two workers; this
     slow-marked sweep (run by the CI property matrix, excluded from tier-1
     by the ``-m "not slow"`` addopts) replays the full churn scripts at
-    worker counts {1, 2, 4} so the node→worker assignment, the per-worker
-    request serialization and the trace merge are each exercised at a
-    different process-parallelism shape.
+    worker counts {1, 2, 4}, so key groups queue behind one thread, share
+    two, or each get their own before the deferred merge.
     """
 
     @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"workers{w}")
@@ -244,7 +279,7 @@ class TestProcessWorkerSweep:
 
         with ExitStack() as stack:
             baseline = stack.enter_context(build_runtime(mincost.program(), net, backend="serial"))
-            variant = stack.enter_context(build_variant(net, "process", workers=workers))
+            variant = stack.enter_context(build_variant(net, "thread", workers=workers))
             for step, op in enumerate(script):
                 apply_op(baseline, op)
                 apply_op(variant, op)

@@ -14,7 +14,7 @@ from repro.workloads import ScenarioDriver, scenario_trace, trace_digest
 from repro.workloads.profiles import demo, scale, smoke
 from repro.workloads.spec import ChurnPhase, QueryMixSpec, ScenarioSpec, TopologySpec
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 class TestTraceDeterminism:
@@ -62,6 +62,16 @@ class TestReportDeterminism:
         assert concurrent == serial, (
             f"{backend} backend diverged from the serial reference"
         )
+
+    @pytest.mark.parametrize("workers", [1, 4], ids=lambda w: f"workers{w}")
+    def test_smoke_report_identical_across_thread_worker_counts(self, workers):
+        """Worker count only bounds how many key groups overlap; one thread
+        (every group queued behind it) and four must report the same."""
+        spec = smoke(seed=29).with_knobs(backend="thread", backend_workers=workers)
+        with ScenarioDriver(spec) as driver:
+            report = driver.run()
+        assert report.backend_workers == workers
+        assert report.deterministic_view() == self.run_view("serial")
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("protocol", ["mincost", "prefix_routing"])
