@@ -3,8 +3,6 @@
 Runs compact, deterministic versions of the headline experiments —
 
 * **E11** batch-first delta evaluation (batched vs per-fact churn),
-* **E13** concurrent node-drain backends (thread vs serial on a multi-hub
-  AS hierarchy),
 * **E14** per-VID query-cache invalidation (cache hit/miss/eviction counters
   under unrelated churn, vs the global-version ablation),
 * **E15** the workload subsystem's ``smoke`` scenario profile (seeded churn
@@ -37,8 +35,8 @@ tolerance (default 20%).  Count metrics (messages / events / rounds) are
 gated: the engine is deterministic, so any drift is a real behavioural
 change.  Wall-clock metrics are recorded for the artifact trail but not
 gated — shared CI runners are too noisy for absolute-time gates; the
-relative speedup assertions live in the pytest benchmarks (e.g. E13's
-thread-vs-serial bound), which the same CI job runs first.
+relative speedup assertions live in the pytest benchmarks (e.g. E11's
+batched-vs-per-fact bound), which the same CI job runs first.
 
 Refresh the baseline after an intentional perf-trajectory change with:
 
@@ -58,7 +56,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e11_batching import run_churn  # noqa: E402
-from test_e13_backends import run_multi_hub_churn  # noqa: E402
 from test_e14_cache import run_cache_workload, run_capped_workload  # noqa: E402
 from test_e15_scale import run_smoke_profile  # noqa: E402
 from test_e16_interval import COMPACT_DIMS, run_deep_lineage  # noqa: E402
@@ -108,24 +105,6 @@ def collect_metrics() -> dict:
     metrics["e11.per_fact.events"] = _metric(per_fact.simulator.processed_events)
     metrics["e11.per_fact.seconds"] = _metric(round(per_fact_seconds, 3), gate=False)
 
-    # E13 — concurrent node-drain backends on the multi-hub AS hierarchy.
-    serial = run_multi_hub_churn("serial")
-    threaded = run_multi_hub_churn("thread")
-    metrics["e13.messages"] = _metric(serial["messages"])
-    metrics["e13.events"] = _metric(serial["events"])
-    metrics["e13.rounds"] = _metric(serial["rounds"])
-    metrics["e13.serial.seconds"] = _metric(round(serial["seconds"], 3), gate=False)
-    metrics["e13.thread.seconds"] = _metric(round(threaded["seconds"], 3), gate=False)
-    metrics["e13.thread.speedup"] = _metric(
-        round(serial["seconds"] / threaded["seconds"], 2), gate=False
-    )
-    if threaded["messages"] != serial["messages"] or threaded["events"] != serial["events"]:
-        raise SystemExit(
-            "E13 invariant violated: thread backend message/event counts "
-            f"differ from serial ({threaded['messages']}/{threaded['events']} "
-            f"vs {serial['messages']}/{serial['events']})"
-        )
-
     # E14 — per-VID cache invalidation under unrelated churn, vs the
     # global-version ablation.  Counters are deterministic and gated; the
     # hit rate is derived (recorded for the artifact trail only).
@@ -157,9 +136,8 @@ def collect_metrics() -> dict:
     # E15 — the workload subsystem's smoke scenario (seeded churn generators
     # interleaved with Zipf-skewed query waves).  The engine is
     # deterministic, so every counter of the report is gated; wall-clock is
-    # recorded only.  The serial run is the gate; a thread-backend run must
-    # reproduce the counters bit for bit (the determinism contract).
-    smoke = run_smoke_profile(backend="serial")
+    # recorded only.
+    smoke = run_smoke_profile()
     totals = smoke.totals()
     metrics["e15.smoke.deltas"] = _metric(totals["deltas"])
     metrics["e15.smoke.messages"] = _metric(totals["messages"])
@@ -171,12 +149,6 @@ def collect_metrics() -> dict:
         smoke.cache.get("hits", 0), higher_is_better=True
     )
     metrics["e15.smoke.seconds"] = _metric(round(smoke.seconds, 3), gate=False)
-    threaded_smoke = run_smoke_profile(backend="thread")
-    if threaded_smoke.deterministic_view() != smoke.deterministic_view():
-        raise SystemExit(
-            "E15 invariant violated: thread-backend smoke metrics diverge "
-            "from the serial reference"
-        )
 
     # E16 — interval-indexed queries vs reference traversal on the compact
     # AS hierarchy.  Message counts are deterministic and gated; the ratio

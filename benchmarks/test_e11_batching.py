@@ -43,9 +43,8 @@ CHURN_SPEC = ScenarioSpec(
 def run_churn(batch_deltas):
     """Drive the churn scenario; returns (runtime, applied churn deltas).
 
-    The driver is closed before returning (worker threads released, in case
-    the ``NETTRAILS_BACKEND`` hook selected a concurrent backend); the
-    returned runtime stays readable for state and counter comparisons.
+    The driver is closed before returning; the returned runtime stays
+    readable for state and counter comparisons.
     """
     with ScenarioDriver(CHURN_SPEC.with_knobs(batch_deltas=batch_deltas)) as driver:
         report = driver.run()

@@ -1,24 +1,22 @@
-"""E15 — scale saturation: batch size x backend on 1000+-node AS graphs.
+"""E15 — scale saturation: batch size on 1000+-node AS graphs.
 
 The ROADMAP's "larger-scale workloads" item asks where batch sizes saturate
 once churn runs on generated AS-level topologies with thousands of nodes.
 The workload subsystem makes that a sweep: the ``scale`` profile (1010-node
 hierarchical ISP graph, BGP-style prefix announce/withdraw churn plus
 hub-concentrated link flaps) is re-run with the churn op stream re-chunked
-to different ``batch_size`` values — ops per quiescence window — and under
-different execution backends.
+to different ``batch_size`` values — ops per quiescence window.
 
 What the curve shows: message and event counts per applied delta fall
 steeply as the window grows (zero-delay coalescing turns a window into one
 batch-first evaluation wave per node) and flatten once windows are large
 enough that every wave already touches all affected nodes — the saturation
-point.  Backends must not bend the curve: the same spec produces
-bit-identical deterministic metrics on serial and concurrent backends.
+point.  The same spec produces bit-identical deterministic metrics run
+after run.
 
 The default run keeps CI-friendly sizes (one topology, three batch sizes).
 Setting ``NETTRAILS_SCALE_BENCH=1`` — the CI ``workflow_dispatch`` opt-in —
-extends the sweep to the power-law topology variant and more batch sizes,
-each on the serial and thread backends.
+extends the sweep to the power-law topology variant and more batch sizes.
 """
 
 import json
@@ -28,11 +26,8 @@ import pytest
 
 from repro.workloads import ScenarioDriver, profiles
 
-#: Default (always-run) sweep: ops per quiescence window, serial backend.
+#: Default (always-run) sweep: ops per quiescence window.
 BATCH_SIZES = (1, 4, 16)
-
-#: The backend compared against serial at the largest default batch size.
-COMPARE_BACKEND = "thread"
 
 EXTENDED = os.environ.get("NETTRAILS_SCALE_BENCH", "").strip().lower() in (
     "1",
@@ -48,12 +43,9 @@ def run_profile(spec):
         return driver.run()
 
 
-def run_smoke_profile(backend=None, seed=profiles.DEFAULT_SEED):
+def run_smoke_profile(seed=profiles.DEFAULT_SEED):
     """The CI-gated smoke scenario (also used by emit_bench_json.py)."""
-    spec = profiles.smoke(seed=seed)
-    if backend is not None:
-        spec = spec.with_knobs(backend=backend)
-    return run_profile(spec)
+    return run_profile(profiles.smoke(seed=seed))
 
 
 def churn_cost(report):
@@ -84,7 +76,7 @@ def test_scale_profile_runs_end_to_end_at_1000_nodes(benchmark, record):
         assert report.phase(phase_name).batches > 0, phase_name
     record(
         "E15 scale profile (prefix routing, 1010-node ISP hierarchy)",
-        "native batches, serial backend",
+        "native batches",
         nodes=report.nodes,
         deltas=totals["deltas"],
         messages=totals["messages"],
@@ -104,7 +96,7 @@ def test_batch_size_saturation_curve(record):
         cost = churn_cost(report)
         curve[batch_size] = cost
         record(
-            "E15 batch-size saturation (scale profile churn, serial)",
+            "E15 batch-size saturation (scale profile churn)",
             f"batch_size={batch_size} ({cost['windows']} windows)",
             messages=cost["messages"],
             events=cost["events"],
@@ -124,31 +116,25 @@ def test_batch_size_saturation_curve(record):
     first_gain = curve[sizes[0]]["messages"] / curve[sizes[1]]["messages"]
     last_gain = curve[sizes[1]]["messages"] / curve[sizes[2]]["messages"]
     record(
-        "E15 batch-size saturation (scale profile churn, serial)",
+        "E15 batch-size saturation (scale profile churn)",
         "window-doubling gain ratio",
         first_step=round(first_gain, 2),
         last_step=round(last_gain, 2),
     )
 
 
-def test_scale_metrics_identical_across_backends_and_runs(record):
-    """Determinism at scale: same seed => same counters, any backend."""
+def test_scale_metrics_identical_across_runs(record):
+    """Determinism at scale: same seed => same counters, run after run."""
     spec = profiles.scale().with_batch_size(16)
-    serial_first = run_profile(spec.with_knobs(backend="serial"))
-    serial_again = run_profile(spec.with_knobs(backend="serial"))
-    concurrent = run_profile(
-        spec.with_knobs(backend=COMPARE_BACKEND, backend_workers=4)
-    )
-    assert serial_first.deterministic_view() == serial_again.deterministic_view()
-    assert concurrent.deterministic_view() == serial_first.deterministic_view(), (
-        f"{COMPARE_BACKEND} backend bent the scale metrics"
-    )
+    first = run_profile(spec)
+    again = run_profile(spec)
+    assert first.deterministic_view() == again.deterministic_view()
     record(
-        "E15 backend determinism (scale profile, batch_size=16)",
-        f"serial vs {COMPARE_BACKEND}: identical counters",
-        messages=serial_first.totals()["messages"],
-        serial_seconds=round(serial_first.seconds, 2),
-        **{f"{COMPARE_BACKEND}_seconds": round(concurrent.seconds, 2)},
+        "E15 determinism (scale profile, batch_size=16)",
+        "two runs: identical counters",
+        messages=first.totals()["messages"],
+        first_seconds=round(first.seconds, 2),
+        again_seconds=round(again.seconds, 2),
     )
 
 
@@ -166,18 +152,13 @@ def test_extended_scale_sweep(record):
         spec = profiles.scale(topology_kind=topology_kind)
         assert spec.topology.build().node_count() >= 1000
         for batch_size in (1, 4, 16, 64, None):
-            for backend in ("serial", "thread"):
-                report = run_profile(
-                    spec.with_batch_size(batch_size).with_knobs(
-                        backend=backend, backend_workers=None if backend == "serial" else 4
-                    )
-                )
-                cost = churn_cost(report)
-                record(
-                    f"E15 extended sweep ({report.scenario}, {report.nodes} nodes)",
-                    f"batch_size={batch_size} backend={backend}",
-                    messages=cost["messages"],
-                    events=cost["events"],
-                    rounds=cost["rounds"],
-                    seconds=round(report.seconds, 2),
-                )
+            report = run_profile(spec.with_batch_size(batch_size))
+            cost = churn_cost(report)
+            record(
+                f"E15 extended sweep ({report.scenario}, {report.nodes} nodes)",
+                f"batch_size={batch_size}",
+                messages=cost["messages"],
+                events=cost["events"],
+                rounds=cost["rounds"],
+                seconds=round(report.seconds, 2),
+            )

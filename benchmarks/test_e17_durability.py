@@ -187,7 +187,7 @@ def test_e17_recovery_is_identical_and_measured(tmp_path, record):
     assert outcome["batches"]["checkpoint"] == STEPS - STEPS // 2
     metrics = outcome["metrics"]
     report = MetricsReport(
-        scenario="e17-recovery", seed=SEED, backend="serial",
+        scenario="e17-recovery", seed=SEED,
         batch_size=None, nodes=8, edges=8, trace_digest="",
         recovery=metrics,
     )
@@ -212,7 +212,7 @@ def test_e17_concurrent_clients_report_latency_percentiles(record):
     assert client_report.issued == 4 * 12
     assert client_report.commits == 4
     report = MetricsReport(
-        scenario="e17-serving", seed=SEED, backend="serial",
+        scenario="e17-serving", seed=SEED,
         batch_size=None, nodes=8, edges=8, trace_digest="",
         latency=outcome["latency"],
     )

@@ -102,13 +102,13 @@ def run_overhead_ab(reps=REPS, dims=SCALE_DIMS, prefixes=PREFIX_COUNT):
     }
 
 
-def run_completeness(backend="serial"):
+def run_completeness():
     """The smoke scenario with observability on; returns the report, the
     query-span reconciliation sums and the per-trace tree check."""
     from repro.workloads.driver import ScenarioDriver
     from repro.workloads.profiles import smoke
 
-    spec = smoke().with_knobs(observability=True, backend=backend)
+    spec = smoke().with_knobs(observability=True)
     start = time.perf_counter()
     with ScenarioDriver(spec) as driver:
         report = driver.run()

@@ -10,8 +10,9 @@ This is the smallest end-to-end NetTrails scenario:
    from (its lineage, the participating nodes and the number of alternative
    derivations),
 4. print a textual rendering of its provenance tree, and
-5. re-run the protocol on the thread-pool execution backend and check the
-   converged state and message counts are identical.
+5. re-run the protocol twice on a star and check the converged state and
+   message counts are identical (one deterministic event loop runs every
+   node).
 
 Run with::
 
@@ -60,19 +61,16 @@ def main() -> None:
     print("\nProvenance tree:")
     print(render_ascii_tree(graph, root))
 
-    # 5. Thread execution backend: drain independent nodes' delta waves on
-    #    a thread pool — same state, messages and provenance as the
-    #    deterministic serial reference.  The runtime is a context manager,
-    #    so the worker threads cannot leak.
-    serial = NetTrailsRuntime(mincost.program(), topology.star(10))
-    serial.seed_links(run=True)
-    with NetTrailsRuntime(mincost.program(), topology.star(10),
-                          backend="thread", backend_workers=4) as threaded:
-        threaded.seed_links(run=True)
-        assert threaded.state("minCost") == serial.state("minCost")
-        assert threaded.message_stats().messages == serial.message_stats().messages
-        print(f"\nThread-backend star-10 run: {len(threaded.state('minCost'))} "
-              f"minCost rows, identical state and message counts")
+    # 5. Determinism: the simulator runs every node's drains and deliveries
+    #    in (time, sequence) order, so two runs agree on state and traffic.
+    first = NetTrailsRuntime(mincost.program(), topology.star(10))
+    first.seed_links(run=True)
+    again = NetTrailsRuntime(mincost.program(), topology.star(10))
+    again.seed_links(run=True)
+    assert again.state("minCost") == first.state("minCost")
+    assert again.message_stats().messages == first.message_stats().messages
+    print(f"\nStar-10 run twice: {len(again.state('minCost'))} "
+          f"minCost rows, identical state and message counts")
 
 
 if __name__ == "__main__":

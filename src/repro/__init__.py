@@ -9,10 +9,9 @@ integration through a proxy and "maybe" rules, and log-store / visualization
 substitutes.  Execution is batch-first: tuple deltas are evaluated, shipped
 and applied in batches, and provenance queries can fan out a whole traversal
 step in a single round (see ``docs/architecture.md``).  Each node holds
-one local tuple store driven by one compiled NDlog plan; the execution
-backend (serial or a thread pool) only decides how
-same-instant drains of distinct nodes are scheduled, with bit-identical
-protocol state and provenance tables.
+one local tuple store driven by one compiled NDlog plan, and one
+deterministic event loop runs every node's drains and deliveries in
+``(time, sequence)`` order.
 
 Quickstart — run MINCOST over a 5-node ring and ask why a shortest path
 exists:

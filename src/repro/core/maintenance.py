@@ -371,9 +371,7 @@ class ProvenanceEngine:
         #: can find exactly the prov row that the corresponding insertion
         #: created.  Keys and values are tuples of atoms, which the cyclic
         #: collector never scans.  The index is partitioned per node (like the
-        #: stores themselves) so the recorder protocol stays single-writer per
-        #: node when a concurrent execution backend drains distinct nodes in
-        #: parallel.
+        #: stores themselves), so each node's drain touches only its own.
         self._support_index: Dict[object, Dict[Tuple[str, str], ProvRow]] = {}
         self.events_processed = 0
         # Guards the shared registry (lazy store creation, node enumeration)
@@ -680,8 +678,8 @@ class ProvenanceEngine:
 
         The version advances at most once per applied batch
         (:meth:`NodeProvenanceStore.batched`), so two executions that absorb
-        the same logical batches — e.g. a serial and a thread-backend run of
-        the same workload — report identical versions here; tests use this to pin
+        the same logical batches — e.g. two runs of the same workload —
+        report identical versions here; tests use this to pin
         the one-bump-per-batch invariant.
 
         Purely a read accessor: asking about a node without a partition

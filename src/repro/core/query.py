@@ -24,14 +24,6 @@ one :class:`QueryReplyBatch` — minimising both communication rounds
 (:attr:`QueryStats.rounds <repro.core.results.QueryStats>`) and per-peer
 message count.  Sequential traversal instead dispatches one alternative at
 a time so threshold pruning can skip the rest.
-
-Under the thread execution backend (``backend="thread"``, see
-:mod:`repro.engine.backends`) the parallel fan-out parallelises in real
-time too: the request batches to distinct peers arrive in one simulator
-wave, and because deliveries are serialized per *receiving* node, the peers
-resolve their sub-traversals on separate workers while each node's agent
-state stays single-writer.  Answers, message counts and rounds are
-bit-identical to the serial reference either way.
 """
 
 from __future__ import annotations
@@ -1089,10 +1081,9 @@ class DistributedQueryEngine:
         for node_id, node in runtime.nodes.items():
             self._agents[node_id] = QueryAgent(node, self)
         self._completions: Dict[str, _Bundle] = {}
-        # Root completions may be recorded from a concurrent backend's worker
-        # threads (a root frame finishing inside a wave); the lock keeps the
-        # completion map coherent without constraining per-node agent state,
-        # which stays single-writer under the backend scheduling contract.
+        # Client threads may issue queries on one engine concurrently; the
+        # lock keeps the completion map coherent without constraining
+        # per-node agent state, which only the event loop touches.
         self._completions_lock = threading.Lock()
         self._query_seq = itertools.count(1)
         #: Observability: adopt the runtime's bundle (if any) and expose the

@@ -49,9 +49,10 @@ RECOVERY_MODES = ("genesis", "checkpoint")
 
 #: Construction knobs that WALs written by older versions recorded and that
 #: no longer exist.  None of them could change replayed state (the
-#: determinism contract made every value bit-identical), so recovery drops
-#: them whatever their value.
-RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar")
+#: determinism contract made every value bit-identical, and the emulated
+#: commit stall only slept in real time), so recovery drops them whatever
+#: their value.
+RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar", "batch_commit_stall_s")
 
 
 @dataclass
@@ -130,9 +131,10 @@ class RecoveryManager:
         ``verify=True`` checks the recorded state digest at every checkpoint
         crossed; ``attach=True`` leaves the runtime journalling to the
         repaired WAL (``wal_fsync`` sets its barrier mode).  Keyword
-        *overrides* replace recorded construction knobs (e.g. ``backend=`` —
-        never recorded — or ``use_interval_index=``); state equality across
-        such overrides is exactly the engine's determinism contract.
+        *overrides* replace recorded construction knobs (e.g.
+        ``use_interval_index=``, or ``observability=``, which is never
+        recorded); state equality across such overrides is exactly the
+        engine's determinism contract.
         """
         if mode not in RECOVERY_MODES:
             raise DurabilityError(

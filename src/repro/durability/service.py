@@ -8,8 +8,8 @@ queries, periodic checkpoints compacting the log — and, after a crash,
 durable directory.
 
 Concurrency model: a single reentrant lock serialises commits, queries and
-checkpoints against the simulated runtime (the simulator is single-writer by
-design — the *engine's* concurrency lives in its execution backends).  The
+checkpoints against the simulated runtime (the simulator runs one event
+loop and is single-writer by design).  The
 lock is exactly the arbitration a network server front-end would perform;
 client-observed latency percentiles therefore include queueing, which is
 what the E17 concurrent-client benchmark measures.
@@ -72,10 +72,9 @@ class ServiceRuntime:
     committed batch; ``0`` disables automatic checkpoints.  Every other
     keyword argument is forwarded verbatim to
     :class:`~repro.engine.runtime.NetTrailsRuntime` — its class docstring
-    holds the canonical knob and ``NETTRAILS_*`` environment-hook table
-    (``backend=``/``backend_workers=`` included: a durable service under a
-    concurrent backend journals and recovers identically, because the WAL
-    records logical inputs only, never the execution backend).
+    holds the canonical knob and ``NETTRAILS_*`` environment-hook table.
+    The WAL records logical inputs only, so a recovered service replays to
+    the same state whatever telemetry it runs with.
 
     >>> from repro.engine import topology
     >>> with ServiceRuntime("mincost", topology.line(3)) as service:

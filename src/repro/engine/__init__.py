@@ -12,12 +12,6 @@ distributed system.
 """
 
 from repro.engine.tuples import Fact, Schema
-from repro.engine.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    resolve_backend,
-)
 from repro.engine.catalog import Catalog
 from repro.engine.compiler import CompiledProgram, compile_program
 from repro.engine.network import Link, Network
@@ -30,10 +24,6 @@ from repro.engine.topology import Topology
 __all__ = [
     "Fact",
     "Schema",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "resolve_backend",
     "Catalog",
     "CompiledProgram",
     "compile_program",

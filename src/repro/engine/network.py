@@ -90,25 +90,11 @@ class Network:
     # -- message delivery ---------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """Deliver *message* to its receiver after the link (or default) latency.
-
-        When called from an event that a concurrent backend is executing, the
-        dispatch (traffic accounting + delivery scheduling) is routed through
-        the simulator's per-event effect queue and merged after the wave in
-        event-sequence order — the thread-safe network funnel that keeps
-        traffic statistics and delivery order identical to serial execution.
-        """
-        if message.receiver not in self._receivers:
-            raise UnknownNodeError(f"message addressed to unknown node {message.receiver!r}")
-        buffer = self.simulator.deferred_buffer()
-        if buffer is not None:
-            buffer.append(lambda: self._dispatch(message))
-            return
-        self._dispatch(message)
-
-    def _dispatch(self, message: Message) -> None:
-        self.stats.record(message)
+        """Deliver *message* to its receiver after the link (or default) latency."""
         receiver = message.receiver
+        if receiver not in self._receivers:
+            raise UnknownNodeError(f"message addressed to unknown node {receiver!r}")
+        self.stats.record(message)
         link = self._links.get((message.sender, receiver))
         latency = link.latency if link is not None and link.up else self._default_latency
         label = self._deliver_labels.get(message.category)
@@ -116,11 +102,7 @@ class Network:
             label = self._deliver_labels[message.category] = f"deliver:{message.category}"
         # The message rides on the event, whose callback is bound once per
         # network: a delivery allocates no closure or method object.
-        # Deliveries are serialized per receiving node (the event key): two
-        # messages delivered to one node at the same instant keep their
-        # order, while deliveries to distinct nodes may be absorbed
-        # concurrently.
-        self.simulator.schedule_call(latency, self._deliver, message, label, receiver)
+        self.simulator.schedule_call(latency, self._deliver, message, label)
 
     def _deliver_message(self, message: Message) -> None:
         self._receivers[message.receiver].receive(message)

@@ -73,7 +73,6 @@ class Node:
         provenance: Optional[object] = None,
         aggregate_retract_first: bool = False,
         batch_deltas: bool = True,
-        batch_commit_stall_s: float = 0.0,
         observability: Optional[Observability] = None,
     ):
         self.id = node_id
@@ -95,14 +94,6 @@ class Node:
         #: restores the historical one-delta-at-a-time path (kept as the
         #: baseline the batching benchmarks compare against).
         self.batch_deltas = batch_deltas
-        #: Emulated per-batch commit latency in *real* seconds (``time.sleep``
-        #: before each batch is absorbed), modelling the blocking I/O a
-        #: durable deployment pays to fsync its store/provenance log.  The
-        #: sleep releases the GIL exactly like real I/O, which is what the
-        #: E13 backend benchmark uses to show the thread backend overlapping
-        #: independent nodes' commit stalls.  Leave at 0.0 (the default) for
-        #: pure in-memory simulation.
-        self.batch_commit_stall_s = batch_commit_stall_s
         self._queue: Deque[TupleDelta] = deque()
         self._processing = False
         self._drain_scheduled = False
@@ -219,11 +210,7 @@ class Node:
         if self._drain_scheduled or self._processing:
             return
         self._drain_scheduled = True
-        # Drains are serialized per node (the event key): the thread
-        # backend may drain distinct nodes of the same wave in parallel, but
-        # this node's store/evaluator/provenance partition stays
-        # single-writer.
-        self.network.simulator.schedule(0.0, self._drain_callback, label=self._drain_label, key=self.id)
+        self.network.simulator.schedule(0.0, self._drain_callback, label=self._drain_label)
 
     def _fire_drain(self) -> None:
         self._drain_scheduled = False
@@ -253,8 +240,6 @@ class Node:
         token = None if self.obs is None else self._obs_drain_begin()
         self.stats.updates_processed += len(updates)
         self.stats.batches_processed += 1
-        if self.batch_commit_stall_s > 0.0:
-            time.sleep(self.batch_commit_stall_s)
         newly_present, disappeared = self._absorb_batch(updates)
         if newly_present or disappeared:
             effects = self.evaluator.on_batch(newly_present, disappeared)

@@ -18,7 +18,6 @@ from repro.errors import EngineError, UnknownNodeError
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import FunctionRegistry
 from repro.ndlog.parser import parse_program
-from repro.engine.backends import BackendSpec, ExecutionBackend, resolve_backend
 from repro.engine.compiler import CompiledProgram, compile_program
 from repro.engine.network import Network, TrafficStats
 from repro.engine.node import Node
@@ -29,7 +28,7 @@ from repro.engine.tuples import Fact
 from repro.obs import Observability, resolve_observability
 
 #: Environment variable consulted when ``query_cache_capacity`` is not set
-#: explicitly (parity with ``NETTRAILS_BACKEND``): an integer per-node LRU
+#: explicitly: an integer per-node LRU
 #: entry limit, ``0`` meaning uncapped.  Profiles and CI jobs use it to
 #: sweep cache capacities without code changes.
 CACHE_CAPACITY_ENV_VAR = "NETTRAILS_QUERY_CACHE_CAPACITY"
@@ -173,10 +172,10 @@ class NetTrailsRuntime:
     :meth:`insert` / :meth:`insert_batch`, virtual time advances through
     :meth:`run` / :meth:`run_to_quiescence`, and global state comes back out
     through :meth:`state`.  The runtime is a context manager —
-    ``with NetTrailsRuntime(...) as runtime:`` releases backend worker
-    threads on exit, which is the leak-proof way to use the thread backend
-    in tests.  Every node holds one :class:`~repro.engine.store.TupleStore`
-    driven by one generic semi-naive join.
+    ``with NetTrailsRuntime(...) as runtime:`` closes the write-ahead log on
+    exit.  Every node holds one :class:`~repro.engine.store.TupleStore`
+    driven by one generic semi-naive join, and one simulator event loop
+    runs every node's work in ``(time, sequence)`` order.
 
     **Constructor knobs** (this is the canonical table; every other
     docstring defers to it):
@@ -197,16 +196,6 @@ class NetTrailsRuntime:
     (False)                          ordering
     ``batch_deltas`` (True)          batch-first evaluation; ``False`` replays
                                      deltas one at a time (the E11 baseline)
-    ``backend`` (None)               execution backend: ``"serial"`` |
-                                     ``"thread"``, a constructed
-                                     ``ExecutionBackend``, or ``None`` = env
-                                     hook then serial
-    ``backend_workers`` (None)       worker bound for the thread backend
-                                     (``None`` = env hook then
-                                     ``min(8, cpu_count)``)
-    ``batch_commit_stall_s`` (0.0)   emulated commit latency inside every
-                                     drain (a blocking call the thread
-                                     backend overlaps; E13 measures it)
     ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
                                      env hook then default, ``0`` = uncapped)
     ``use_interval_index`` (None)    interval-indexed provenance queries
@@ -230,30 +219,18 @@ class NetTrailsRuntime:
     ================================ ==========================================
     variable                         stands in for
     ================================ ==========================================
-    ``NETTRAILS_BACKEND``            ``backend`` (``serial``/``thread``)
-    ``NETTRAILS_BACKEND_WORKERS``    ``backend_workers`` (integer ≥ 1)
     ``NETTRAILS_QUERY_CACHE_CAPACITY`` ``query_cache_capacity`` (integer ≥ 0)
     ``NETTRAILS_INTERVAL_INDEX``     ``use_interval_index`` (boolean words)
     ``NETTRAILS_DURABLE_DIR``        ``durable_dir`` (a writable path)
     ``NETTRAILS_OBSERVABILITY``      ``observability`` (boolean words)
     ================================ ==========================================
 
-    See ``docs/performance.md`` for which backend/worker/batch
-    configuration pays off when.
+    See ``docs/performance.md`` for which configuration pays off when.
 
     >>> from repro.engine import topology
     >>> runtime = NetTrailsRuntime("r1 reach(@D, S) :- edge(@S, D).", topology.line(2))
     >>> _ = runtime.insert_batch("edge", [["n0", "n1"], ["n1", "n0"]], run=True)
     >>> runtime.state("reach")
-    [('n0', 'n1'), ('n1', 'n0')]
-
-    The thread backend is drop-in and bit-identical on everything but
-    wall-clock time:
-
-    >>> with NetTrailsRuntime("r1 reach(@D, S) :- edge(@S, D).", topology.line(2),
-    ...                       backend="thread", backend_workers=2) as threaded:
-    ...     _ = threaded.insert_batch("edge", [["n0", "n1"], ["n1", "n0"]], run=True)
-    ...     threaded.state("reach")
     [('n0', 'n1'), ('n1', 'n0')]
     """
 
@@ -268,9 +245,6 @@ class NetTrailsRuntime:
         program_name: Optional[str] = None,
         aggregate_retract_first: bool = False,
         batch_deltas: bool = True,
-        backend: BackendSpec = None,
-        backend_workers: Optional[int] = None,
-        batch_commit_stall_s: float = 0.0,
         query_cache_capacity: Optional[int] = None,
         use_interval_index: Optional[bool] = None,
         durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
@@ -283,20 +257,11 @@ class NetTrailsRuntime:
         self.program = program
         self.compiled: CompiledProgram = compile_program(program, registry)
         self.topology = topology
-        #: Execution backend draining same-instant simulator events.  Accepts
-        #: a name (``"serial"`` / ``"thread"``), a constructed
-        #: :class:`~repro.engine.backends.ExecutionBackend`, or ``None`` —
-        #: which consults the ``NETTRAILS_BACKEND`` environment variable and
-        #: defaults to the deterministic serial reference mode.
-        #: ``backend_workers`` bounds the thread backend's worker pool
-        #: (``None`` consults ``NETTRAILS_BACKEND_WORKERS``).
-        self.backend: ExecutionBackend = resolve_backend(backend, backend_workers)
-        self.simulator = Simulator(backend=self.backend)
+        self.simulator = Simulator()
         self.network = Network(self.simulator, default_latency=default_latency)
         self._default_latency = default_latency
         self._link_latency = link_latency
         self._aggregate_retract_first = aggregate_retract_first
-        self._batch_commit_stall_s = batch_commit_stall_s
         self._link_relation: Optional[str] = None
         self._link_symmetric = True
         self._link_include_cost = True
@@ -320,7 +285,7 @@ class NetTrailsRuntime:
         #: ``0`` disables the cap entirely, any other value is the LRU entry
         #: limit per node.  When not set explicitly, the
         #: ``NETTRAILS_QUERY_CACHE_CAPACITY`` environment variable is
-        #: consulted (parity with ``NETTRAILS_BACKEND``).
+        #: consulted.
         if query_cache_capacity is None:
             query_cache_capacity = default_query_cache_capacity()
         elif query_cache_capacity < 0:
@@ -332,8 +297,8 @@ class NetTrailsRuntime:
         #: eligible queries (cache-off lineage/participants with no
         #: threshold/depth bound) through the per-partition interval index
         #: (:mod:`repro.core.interval_index`) instead of the per-edge
-        #: traversal.  ``None`` consults ``NETTRAILS_INTERVAL_INDEX`` (parity
-        #: with ``NETTRAILS_BACKEND``); the traversal path always remains
+        #: traversal.  ``None`` consults ``NETTRAILS_INTERVAL_INDEX``; the
+        #: traversal path always remains
         #: available per-engine via
         #: ``DistributedQueryEngine(use_interval_index=False)``.
         if use_interval_index is None:
@@ -346,7 +311,6 @@ class NetTrailsRuntime:
         self.obs: Optional[Observability] = resolve_observability(
             observability, default_observability()
         )
-        self.backend.attach(self.obs)
         self.nodes: Dict[object, Node] = {}
         for name in topology.nodes:
             self.nodes[name] = Node(
@@ -356,7 +320,6 @@ class NetTrailsRuntime:
                 self.provenance,
                 aggregate_retract_first=aggregate_retract_first,
                 batch_deltas=batch_deltas,
-                batch_commit_stall_s=batch_commit_stall_s,
                 observability=self.obs,
             )
         for source, target, cost in topology.directed_edges():
@@ -477,18 +440,14 @@ class NetTrailsRuntime:
     def _durable_knobs(self) -> Dict[str, object]:
         """The construction knobs recovery must reproduce.
 
-        The execution backend is deliberately absent: the determinism
-        contract makes every backend produce bit-identical state, so a
-        recovering process picks its own (or the ``NETTRAILS_BACKEND`` hook).
-        ``observability`` is absent for the same reason — telemetry is
-        invisible to replayed state, so a recovering process decides afresh.
+        ``observability`` is deliberately absent: telemetry is invisible to
+        replayed state, so a recovering process decides afresh.
         """
         return {
             "default_latency": self._default_latency,
             "link_latency": self._link_latency,
             "aggregate_retract_first": self._aggregate_retract_first,
             "batch_deltas": self.batch_deltas,
-            "batch_commit_stall_s": self._batch_commit_stall_s,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,
         }
@@ -800,16 +759,7 @@ class NetTrailsRuntime:
         return self.simulator.now
 
     def close(self) -> None:
-        """Release backend workers and the WAL handle; idempotent.
-
-        A no-op for the default serial backend, but the thread backend holds
-        real threads — prefer the context-manager form, which cannot leak
-        them::
-
-            with NetTrailsRuntime(program, net, backend="thread") as runtime:
-                runtime.seed_links(run=True)
-        """
-        self.backend.close()
+        """Release the WAL handle; idempotent (a no-op when not durable)."""
         if self._wal is not None:
             self._wal.close()
             self._wal = None

@@ -2,7 +2,7 @@
 
 One :class:`Observability` object bundles the three concerns and is what
 ``NetTrailsRuntime(observability=True)`` (or ``NETTRAILS_OBSERVABILITY=1``)
-threads through every layer — nodes, backends, the query engine, the WAL
+threads through every layer — nodes, the query engine, the WAL
 and the durable service.  When the knob is off the runtime carries ``None``
 and every instrumentation site is a single ``obs is None`` branch, so the
 subsystem costs nothing while disabled (benchmark E20 gates this) and is

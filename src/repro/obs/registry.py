@@ -2,7 +2,7 @@
 
 The registry unifies the ad-hoc counter surfaces that accreted across the
 engine (query cache, interval index, vid-version pruning, WAL appends,
-backend wave occupancy, evaluator firing counts)
+evaluator firing counts)
 without breaking their existing dict-returning APIs.  Two mechanisms:
 
 * **Views** — pull-based adapters over existing counter dicts.  A view is a
@@ -12,8 +12,9 @@ without breaking their existing dict-returning APIs.  Two mechanisms:
   its plain ints, and the registry only reads them when someone asks.
 * **Instruments** — push-style :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` objects with labeled children for *new* measurements
-  (per-mode query latency, WAL fsync stalls, wave occupancy).  Instruments
-  are lock-protected so the thread backend may record from worker threads.
+  (per-mode query latency, WAL fsync stalls).  Instruments are
+  lock-protected so client threads querying a shared runtime may record
+  concurrently.
 
 Everything here is observational only: nothing in this module participates
 in the engine's determinism contract, and the whole subsystem is absent

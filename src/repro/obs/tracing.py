@@ -18,7 +18,7 @@ lock-free :meth:`Tracer.defer` lane; :meth:`Tracer.absorb` rebuilds spans
 from those records, preserving parent ids and node attribution.
 
 The tracer never participates in the determinism contract: span ids, span
-counts and timings vary across backends and are excluded from every
+counts and timings vary from run to run and are excluded from every
 bit-identity surface.
 
 >>> tracer = Tracer()

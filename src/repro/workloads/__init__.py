@@ -20,7 +20,7 @@ the network misbehaves*.  This package owns that misbehaviour repo-wide:
   ``demo`` / ``scale``) benchmarks and CI run.
 
 Determinism contract: equal specs ⇒ bit-identical churn traces, generated
-topologies and report deterministic views, on every execution backend.
+topologies and report deterministic views.
 """
 
 from repro.workloads.churn import (

@@ -325,8 +325,8 @@ def random_link_churn(
 
     One op per batch, drawn uniformly; removed links are remembered for
     re-adding and brand-new links get random integer costs.  This is the
-    generator the property-test churn harnesses replay across execution
-    backends.
+    generator the property-test churn harnesses replay against their
+    oracles.
     """
     nodes = sorted(mirror.nodes)
     removed: List[Tuple[str, str, float]] = []

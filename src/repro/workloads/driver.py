@@ -13,7 +13,7 @@ Reports split *churn* traffic from *query* traffic (each activity is
 book-ended by counter snapshots), so a batch-size sweep compares churn
 absorption costs without query noise.  Every counter except wall-clock is
 deterministic: :meth:`MetricsReport.deterministic_view` is the exact payload
-the determinism tests compare across runs and across execution backends.
+the determinism tests compare across runs.
 """
 
 from __future__ import annotations
@@ -78,16 +78,10 @@ class MetricsReport:
 
     scenario: str
     seed: int
-    backend: str
     batch_size: Optional[int]
     nodes: int
     edges: int
     trace_digest: str
-    #: Worker count of the execution backend (1 for serial).  Like
-    #: ``backend``, an identity field: excluded from
-    #: :meth:`deterministic_view` because every worker count must produce
-    #: identical observable state.
-    backend_workers: int = 1
     phases: List[PhaseMetrics] = field(default_factory=list)
     cache: Dict[str, int] = field(default_factory=dict)
     #: Interval-index counters summed over all partitions (empty unless the
@@ -133,10 +127,10 @@ class MetricsReport:
         raise KeyError(f"no phase named {name!r} in report for {self.scenario!r}")
 
     def deterministic_view(self) -> Dict[str, object]:
-        """Everything a run observes except wall-clock and backend identity.
+        """Everything a run observes except wall-clock.
 
-        Two runs of equal specs — on any execution backend — must produce
-        equal views; this is the payload the determinism suite compares.
+        Two runs of equal specs must produce equal views; this is the
+        payload the determinism suite compares.
         """
         return {
             "scenario": self.scenario,
@@ -153,8 +147,6 @@ class MetricsReport:
 
     def to_dict(self) -> Dict[str, object]:
         document = self.deterministic_view()
-        document["backend"] = self.backend
-        document["backend_workers"] = self.backend_workers
         document["seconds"] = round(self.seconds, 3)
         if self.latency:
             document["latency"] = dict(self.latency)
@@ -172,8 +164,8 @@ class MetricsReport:
 class ScenarioDriver:
     """Build the runtime for a spec, replay its trace, measure everything.
 
-    The driver is a context manager (it owns the runtime's worker threads
-    under the thread backend)::
+    The driver is a context manager (it closes the runtime, and with it any
+    write-ahead log)::
 
         with ScenarioDriver(profiles.smoke()) as driver:
             report = driver.run()
@@ -185,11 +177,7 @@ class ScenarioDriver:
     (:class:`~repro.workloads.spec.RuntimeKnobs`), whose fields map onto
     :class:`~repro.engine.runtime.NetTrailsRuntime` constructor knobs — that
     class docstring holds the canonical knob and ``NETTRAILS_*``
-    environment-hook table.  The emitted
-    :class:`MetricsReport` records backend identity (``backend``,
-    ``backend_workers``) for the artifact trail but excludes it from
-    :meth:`MetricsReport.deterministic_view`, because every backend must
-    reproduce the same counters bit for bit.
+    environment-hook table.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -352,8 +340,6 @@ class ScenarioDriver:
         self.report = MetricsReport(
             scenario=self.spec.name,
             seed=self.spec.seed,
-            backend=self.runtime.backend.name,
-            backend_workers=getattr(self.runtime.backend, "workers", 1),
             batch_size=self.spec.batch_size,
             nodes=self._initial_nodes,
             edges=self._initial_edges,

@@ -4,19 +4,19 @@ Three sizes of the same story — a provenance-tracked network absorbing
 churn while being queried:
 
 * ``smoke`` — ~10 nodes, seconds-fast; runs inside CI's bench-trajectory
-  job with gated counters, and is the subject of the cross-backend
+  job with gated counters, and is the subject of the run-twice
   determinism tests.
 * ``demo`` — ~105 nodes, the interactive-demo scale; exercises every churn
   generator and a mixed query load.
 * ``scale`` — 1000+ nodes on a generated AS-level graph (hierarchical ISP
   by default, ``topology_kind="power_law"`` for degree-skewed AS graphs);
-  the E15 benchmark sweeps ``batch_size`` x backend over it to chart where
-  batch absorption saturates.
+  the E15 benchmark sweeps ``batch_size`` over it to chart where batch
+  absorption saturates.
 
 All profiles run :mod:`repro.protocols.prefix_routing` — per-prefix state is
 what keeps 1000+-node convergence in seconds — and return plain
 :class:`~repro.workloads.spec.ScenarioSpec` values, so callers sweep axes
-with ``spec.with_batch_size(...)`` / ``spec.with_knobs(backend=...)``.
+with ``spec.with_batch_size(...)`` / ``spec.with_knobs(batch_deltas=...)``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ that: targets are drawn from the queried relation's current global contents
 with Zipf-skewed ranks, and the query mode / traversal strategy are drawn
 from weighted mixes.  Everything is driven by the caller's seeded RNG, so a
 wave is a pure function of (RNG state, relation contents) and replays
-identically across backends.
+identically run after run.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A :class:`ScenarioSpec` captures everything needed to reproduce a dynamic
 workload bit for bit: the (seeded) topology to generate, the protocol to
 run, a schedule of seeded churn phases, an optional query mix, and the
-runtime knobs (execution backend, batch mode, query-cache capacity).
+runtime knobs (batch mode, query-cache capacity, interval index).
 Specs are plain frozen dataclasses — hashable, comparable, serialisable via
 :meth:`ScenarioSpec.to_dict` — so benchmarks and CI jobs can name them,
 sweep single fields and log exactly what ran.
@@ -11,8 +11,8 @@ sweep single fields and log exactly what ran.
 The determinism contract: two drivers running equal specs produce identical
 churn traces, identical generated topologies and identical
 :class:`~repro.workloads.driver.MetricsReport` deterministic views (message /
-event / round / cache counters — everything except wall-clock), on every
-execution backend.  ``tests/workloads/test_determinism.py`` pins this.
+event / round / cache counters — everything except wall-clock).
+``tests/workloads/test_determinism.py`` pins this.
 """
 
 from __future__ import annotations
@@ -138,13 +138,11 @@ class QueryMixSpec:
 class RuntimeKnobs:
     """The :class:`~repro.engine.runtime.NetTrailsRuntime` configuration axis.
 
-    ``backend=None`` defers to the ``NETTRAILS_BACKEND`` environment hook
-    (the CI matrix), and ``query_cache_capacity=None`` likewise defers to
-    ``NETTRAILS_QUERY_CACHE_CAPACITY`` — profiles only pin what they sweep.
+    ``query_cache_capacity=None`` defers to the
+    ``NETTRAILS_QUERY_CACHE_CAPACITY`` environment hook — profiles only pin
+    what they sweep.
     """
 
-    backend: Optional[str] = None
-    backend_workers: Optional[int] = None
     batch_deltas: bool = True
     query_cache_capacity: Optional[int] = None
     #: ``None`` defers to ``NETTRAILS_INTERVAL_INDEX`` (the CI matrix hook);
@@ -156,8 +154,6 @@ class RuntimeKnobs:
 
     def runtime_kwargs(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
-            "backend_workers": self.backend_workers,
             "batch_deltas": self.batch_deltas,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,

@@ -2,52 +2,18 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.engine import topology
-from repro.engine.backends import BACKENDS, BACKEND_ENV_VAR, default_backend_name
 from repro.protocols import mincost, path_vector
-
-
-# ---------------------------------------------------------------------------
-# Execution-backend matrix hook
-#
-# ``NETTRAILS_BACKEND`` selects the execution backend every runtime in the
-# suite defaults to (serial | thread).  The CI property-matrix jobs
-# export it to run the whole property suite — including every equivalence
-# harness — under each backend; any value other than the deterministic
-# default would surface as a failed equivalence assertion if a backend ever
-# diverged from the serial reference.
-# ---------------------------------------------------------------------------
-
-
-def pytest_configure(config):
-    spec = os.environ.get(BACKEND_ENV_VAR)
-    if spec and spec not in BACKENDS:
-        raise pytest.UsageError(
-            f"{BACKEND_ENV_VAR}={spec!r} is not a known execution backend; "
-            f"choose one of {sorted(BACKENDS)}"
-        )
-
-
-def pytest_report_header(config):
-    return f"nettrails: execution backend = {default_backend_name()} ({BACKEND_ENV_VAR})"
-
-
-@pytest.fixture(scope="session")
-def backend_name() -> str:
-    """The execution backend the suite is running under (see NETTRAILS_BACKEND)."""
-    return default_backend_name()
 
 
 # ---------------------------------------------------------------------------
 # Equivalence helpers
 #
 # The central correctness claim of the reproduction is that every execution
-# strategy (per-delta vs batched, serial vs threaded)
-# converges to indistinguishable global state.  These canonicalisers are the
+# strategy (per-delta vs batched, incremental vs from scratch) converges to
+# indistinguishable global state.  These canonicalisers are the
 # shared definition of "indistinguishable"; they are exposed both as plain
 # functions (for conftest-local use) and as identically-named fixtures so any
 # test module can request them without import-path games.

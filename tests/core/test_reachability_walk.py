@@ -11,8 +11,7 @@ survives here, as :func:`eager_closure`, and is the oracle:
 * **mid-window read** — a cached query issued while a window is half-run
   reads flushed versions, drops the entry it could not have validated as
   stillborn, and leaves nothing stale behind;
-* **backends** — the ``thread`` backend reports the same ``vid_versions()``
-  as ``serial`` over the same churn, and marks racing walks are never lost.
+* **concurrency** — marks racing walks from other threads are never lost.
 """
 
 from __future__ import annotations
@@ -148,20 +147,6 @@ class TestDifferentialAgainstEagerWalk:
         windows.append(lambda: prefix_routing.withdraw(runtime, origins[:1]))
         assert_windows_match_oracle(runtime, windows)
 
-    def test_thread_backend_reports_the_same_versions_as_serial(self):
-        net = topology.ring(6)
-        batches = churn_batches(net, 5, 10)
-
-        def versions(backend):
-            with mincost_runtime(net, backend=backend, backend_workers=4) as runtime:
-                history = []
-                for batch in batches:
-                    apply_batch(runtime, batch)
-                    history.append(runtime.provenance.vid_versions())
-                return history
-
-        assert versions("thread") == versions("serial")
-
 
 class TestMidWindowRead:
     def test_every_reader_walks_the_pending_roots_first(self):
@@ -235,8 +220,8 @@ class TestMidWindowRead:
 
 class TestConcurrentMarks:
     def test_no_mark_is_lost_to_a_concurrent_walk(self):
-        """Writers (one per partition, as the backends schedule them) mark
-        while every thread also reads, i.e. walks.  A mark dropped between a
+        """Writers (one per partition) mark while every thread also reads,
+        i.e. walks.  A mark dropped between a
         walk's snapshot of the pending roots and its clearing of them would
         leave that writer's next read of its own vid unmoved."""
         engine = ProvenanceEngine()

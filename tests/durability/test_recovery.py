@@ -241,9 +241,10 @@ class TestRecordedKnobs:
     def test_retired_knobs_of_older_wals_are_dropped(
         self, tmp_path, store_snapshots, provenance_fingerprint
     ):
-        """WALs written before the store was made single-path record three
-        knobs that no longer exist; genesis recovery ignores them, whatever
-        their value, and still reproduces the run bit for bit."""
+        """WALs written before the store was made single-path and the event
+        loop single-threaded record four knobs that no longer exist; genesis
+        recovery ignores them, whatever their value, and still reproduces the
+        run bit for bit."""
         runtime = durable_runtime(tmp_path)
         runtime.remove_link("n0", "n1")
         runtime.run_to_quiescence()
@@ -254,7 +255,9 @@ class TestRecordedKnobs:
             runtime.provenance.vid_versions(),
         )
         runtime.close()
-        rewrite_init_knobs(tmp_path, num_shards=4, shard_workers=2, columnar=True)
+        rewrite_init_knobs(
+            tmp_path, num_shards=4, shard_workers=2, columnar=True, batch_commit_stall_s=0.001
+        )
 
         result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
         recovered = result.runtime
@@ -275,8 +278,20 @@ class TestRecordedKnobs:
 
     @pytest.mark.parametrize(
         "knob,value",
-        [("num_shards", None), ("shard_workers", 0), ("columnar", False)],
-        ids=["num_shards", "shard_workers", "columnar"],
+        [
+            ("num_shards", None),
+            ("shard_workers", 0),
+            ("columnar", False),
+            ("batch_commit_stall_s", 0.0),
+            ("batch_commit_stall_s", 0.001),
+        ],
+        ids=[
+            "num_shards",
+            "shard_workers",
+            "columnar",
+            "batch_commit_stall_s-0.0",
+            "batch_commit_stall_s-0.001",
+        ],
     )
     def test_each_retired_knob_is_dropped_alone(
         self, tmp_path, knob, value, store_snapshots, provenance_fingerprint

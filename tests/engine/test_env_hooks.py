@@ -1,9 +1,9 @@
 """One parameterized parity suite for every ``NETTRAILS_*`` environment hook.
 
-The engine exposes six construction-time knobs through the environment —
-``NETTRAILS_BACKEND``, ``NETTRAILS_BACKEND_WORKERS``,
+The engine exposes four construction-time knobs through the environment —
 ``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_INTERVAL_INDEX``,
-``NETTRAILS_OBSERVABILITY`` and ``NETTRAILS_DURABLE_DIR`` — and they all promise the same contract:
+``NETTRAILS_OBSERVABILITY`` and ``NETTRAILS_DURABLE_DIR`` — and they all
+promise the same contract:
 
 * unset or empty/whitespace value ⇒ the built-in default, silently;
 * a well-formed value ⇒ applied to every runtime built afterwards;
@@ -29,11 +29,6 @@ from repro.engine.runtime import (
     OBSERVABILITY_ENV_VAR,
     NetTrailsRuntime,
 )
-from repro.engine.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_WORKERS_ENV_VAR,
-    default_worker_count,
-)
 from repro.errors import EngineError
 from repro.protocols import mincost
 
@@ -42,28 +37,9 @@ def build_runtime(**kwargs):
     return NetTrailsRuntime(mincost.SOURCE, topology.line(3), **kwargs)
 
 
-#: hook -> (a valid value, an observation of the applied default/value,
-#: malformed values that must raise at construction, and extra runtime
-#: kwargs some hooks need to be observable — e.g. the worker-count hook is
-#: only visible on a concurrent backend, since serial pins workers to 1)
+#: hook -> (a valid value, an observation of the applied default/value, and
+#: malformed values that must raise at construction)
 HOOKS = {
-    BACKEND_ENV_VAR: {
-        "valid": "thread",
-        "observe": lambda runtime: runtime.backend.name,
-        "expect": "thread",
-        "default": "serial",
-        # "asyncio" and "process" named backends that no longer exist:
-        # unknown, so loud.
-        "malformed": ["bogus-backend", "asyncio", "process"],
-    },
-    BACKEND_WORKERS_ENV_VAR: {
-        "valid": "3",
-        "observe": lambda runtime: runtime.backend.workers,
-        "expect": 3,
-        "default": default_worker_count(),
-        "malformed": ["lots", "0", "-2", "2.5"],
-        "kwargs": {"backend": "thread"},
-    },
     CACHE_CAPACITY_ENV_VAR: {
         "valid": "17",
         "observe": lambda runtime: runtime.query_cache_capacity,
@@ -97,8 +73,6 @@ def hook_cases(field):
 def clean_hooks(monkeypatch):
     """Every test starts with no NETTRAILS_* hooks exported."""
     for var in (
-        BACKEND_ENV_VAR,
-        BACKEND_WORKERS_ENV_VAR,
         CACHE_CAPACITY_ENV_VAR,
         INTERVAL_INDEX_ENV_VAR,
         OBSERVABILITY_ENV_VAR,
@@ -111,7 +85,7 @@ class TestHookParity:
     @pytest.mark.parametrize("var,spec", hook_cases("valid"))
     def test_valid_value_applies(self, monkeypatch, var, spec):
         monkeypatch.setenv(var, spec["valid"])
-        with build_runtime(**spec.get("kwargs", {})) as runtime:
+        with build_runtime() as runtime:
             assert spec["observe"](runtime) == spec["expect"]
 
     @pytest.mark.parametrize("var,spec", hook_cases("default"))
@@ -119,7 +93,7 @@ class TestHookParity:
     def test_unset_and_empty_mean_default(self, monkeypatch, var, spec, raw):
         if raw is not None:
             monkeypatch.setenv(var, raw)
-        with build_runtime(**spec.get("kwargs", {})) as runtime:
+        with build_runtime() as runtime:
             assert spec["observe"](runtime) == spec["default"]
 
     @pytest.mark.parametrize("var,spec", hook_cases("malformed"))
@@ -127,51 +101,20 @@ class TestHookParity:
         for bad in spec["malformed"]:
             monkeypatch.setenv(var, bad)
             with pytest.raises(EngineError):
-                build_runtime(**spec.get("kwargs", {}))
+                build_runtime()
 
     def test_explicit_argument_beats_hook(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-        monkeypatch.setenv(BACKEND_WORKERS_ENV_VAR, "7")
         monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
         monkeypatch.setenv(INTERVAL_INDEX_ENV_VAR, "1")
         monkeypatch.setenv(OBSERVABILITY_ENV_VAR, "1")
         with build_runtime(
-            backend="serial",
             query_cache_capacity=5,
             use_interval_index=False,
             observability=False,
         ) as runtime:
-            assert runtime.backend.name == "serial"
             assert runtime.query_cache_capacity == 5
             assert runtime.use_interval_index is False
             assert runtime.obs is None
-
-    def test_explicit_backend_workers_beats_hook(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_WORKERS_ENV_VAR, "7")
-        with build_runtime(backend="thread", backend_workers=2) as runtime:
-            assert runtime.backend.workers == 2
-
-    def test_thread_backend_via_hook(self, monkeypatch):
-        """NETTRAILS_BACKEND=thread builds (and runs) the thread backend,
-        and NETTRAILS_BACKEND_WORKERS sizes its pool."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-        monkeypatch.setenv(BACKEND_WORKERS_ENV_VAR, "2")
-        with build_runtime() as runtime:
-            assert runtime.backend.name == "thread"
-            assert runtime.backend.workers == 2
-            runtime.seed_links(run=True)
-            assert runtime.state("minCost")
-
-    @pytest.mark.parametrize("retired", ["process", "asyncio"])
-    def test_retired_backend_is_unknown(self, monkeypatch, retired):
-        """A retired backend name raises the unknown-backend error, whether
-        it comes from the hook or from the ``backend=`` argument."""
-        expected = rf"unknown execution backend '{retired}'; known backends: \['serial', 'thread'\]"
-        with pytest.raises(EngineError, match=expected):
-            build_runtime(backend=retired)
-        monkeypatch.setenv(BACKEND_ENV_VAR, retired)
-        with pytest.raises(EngineError, match=expected):
-            build_runtime()
 
 
 class TestDurableDirHook:

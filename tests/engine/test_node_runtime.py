@@ -1,5 +1,7 @@
 """Tests for Node and NetTrailsRuntime: distributed execution end to end."""
 
+import random
+
 import pytest
 
 from repro.errors import EngineError, UnknownNodeError
@@ -111,14 +113,23 @@ class TestNodeBehaviour:
         assert stats.rule_firings > 0
 
 
-#: Knobs that once selected a hash-sharded or columnar store, with a value
-#: each accepted back then.
-RETIRED_KNOBS = {"num_shards": 2, "shard_workers": 2, "columnar": True}
+#: Knobs that once selected a hash-sharded or columnar store, an execution
+#: backend, or an emulated in-drain commit stall, with a value each accepted
+#: back then.
+RETIRED_KNOBS = {
+    "num_shards": 2,
+    "shard_workers": 2,
+    "columnar": True,
+    "backend": "thread",
+    "backend_workers": 2,
+    "batch_commit_stall_s": 0.001,
+}
 
 
 class TestRetiredKnobs:
-    """Every node holds one dict store driven by one join path.  The knobs
-    that used to pick another store are gone, so passing one is an error
+    """Every node holds one dict store driven by one join path, and one
+    event loop runs every node.  The knobs that used to pick another store
+    or another execution strategy are gone, so passing one is an error
     rather than a silently ignored setting."""
 
     @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
@@ -156,6 +167,107 @@ class TestRetiredKnobs:
         assert all(type(node.store) is TupleStore for node in runtime.nodes.values())
         assert store_snapshots(runtime) == store_snapshots(reference)
 
+    def test_retired_backend_env_vars_change_nothing(self, monkeypatch, store_snapshots):
+        def build():
+            runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(4))
+            runtime.seed_links(run=True)
+            return runtime, runtime.message_stats().messages, runtime.simulator.processed_events
+
+        monkeypatch.delenv("NETTRAILS_BACKEND", raising=False)
+        monkeypatch.delenv("NETTRAILS_BACKEND_WORKERS", raising=False)
+        reference, messages, events = build()
+        # Neither a backend name nor a malformed worker count is read any more.
+        monkeypatch.setenv("NETTRAILS_BACKEND", "thread")
+        monkeypatch.setenv("NETTRAILS_BACKEND_WORKERS", "junk")
+        runtime, again_messages, again_events = build()
+        assert not hasattr(runtime, "backend")
+        assert (again_messages, again_events) == (messages, events)
+        assert store_snapshots(runtime) == store_snapshots(reference)
+
+
+LOCAL_PROGRAM = """
+materialize(item, infinity, infinity, keys(1, 2)).
+r1 double(@N, X) :- item(@N, X).
+r2 seen(@N) :- double(@N, X).
+"""
+
+
+class TestDrainScheduling:
+    def test_single_node_topology(self):
+        """A one-node system derives locally and sends nothing."""
+        single = topology.from_edges([], name="solo")
+        single.add_node("n0")
+        runtime = NetTrailsRuntime(LOCAL_PROGRAM, single)
+        runtime.insert_batch("item", [["n0", 1], ["n0", 2]], run=True)
+        assert runtime.state("double") == [("n0", 1), ("n0", 2)]
+        assert runtime.state("seen") == [("n0",)]
+        assert runtime.message_stats().messages == 0
+
+    def test_zero_delay_drains_coalesce_on_one_node(self):
+        """Messages delivered to one node at one instant share one drain:
+        the node schedules a single zero-delay drain event for the lot."""
+        from repro.engine.messages import CATEGORY_TUPLE, TupleDelta
+
+        runtime = NetTrailsRuntime(
+            "r1 reach(@D, S) :- edge(@S, D).", topology.star(5), provenance=False
+        )
+        hub = runtime.node("n0")
+        for spoke in ("n1", "n2", "n3", "n4"):
+            fact = Fact.make("reach", ["n0", spoke])
+            runtime.node(spoke).send("n0", CATEGORY_TUPLE, TupleDelta(+1, fact, ("r1", spoke), None))
+        events = runtime.simulator.processed_events
+        runtime.run_to_quiescence()
+        # Four deliveries plus one drain, all in one round.
+        assert runtime.simulator.processed_events - events == 5
+        assert hub.stats.deltas_received == 4
+        assert hub.stats.batches_processed == 1
+        assert len(runtime.node_state("n0", "reach")) == 4
+
+
+#: ``r2`` divides by the link cost, so a zero-cost link makes a drain raise.
+DIVIDE_PROGRAM = """
+r1 hop(@D, S, X) :- link(@S, D, X).
+r2 out(@D, S, C) :- hop(@D, S, X), C := 10 / X.
+"""
+
+FAILURE_SEEDS = [3, 11, 29]
+
+
+def link_rows_with_zero_costs(net, seed):
+    """Both directions of every edge, seeded costs, at least one cost 0."""
+    rng = random.Random(seed)
+    rows = [[source, target, rng.choice([0, 1, 2, 5])] for source, target, _ in net.directed_edges()]
+    rows[rng.randrange(len(rows))][2] = 0
+    return rows
+
+
+class TestFailureContract:
+    """A raising event propagates out of the run with every later event
+    still queued, so the next run resumes where the failed one stopped."""
+
+    @pytest.mark.parametrize("seed", FAILURE_SEEDS, ids=lambda s: f"seed{s}")
+    def test_runtime_resumes_from_its_queue(self, seed):
+        runtime = NetTrailsRuntime(DIVIDE_PROGRAM, topology.star(4))
+        rows = link_rows_with_zero_costs(runtime.topology, seed)
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            runtime.insert_batch("link", rows, run=True)
+        for _ in range(runtime.simulator.pending_events + 1):
+            try:
+                runtime.run_to_quiescence()
+                break
+            except ZeroDivisionError:
+                continue
+        assert runtime.simulator.pending_events == 0
+
+    def test_failed_runtime_stays_readable(self, store_snapshots):
+        runtime = NetTrailsRuntime(DIVIDE_PROGRAM, topology.star(4))
+        with pytest.raises(ZeroDivisionError):
+            runtime.insert_batch("link", link_rows_with_zero_costs(runtime.topology, 3), run=True)
+        assert runtime.state("hop")
+        assert store_snapshots(runtime)
+        assert runtime.message_stats().messages > 0
+        assert runtime.provenance.versions()
+
 
 class TestDynamicTopology:
     def test_add_link_updates_state(self):
@@ -178,7 +290,7 @@ class TestDynamicTopology:
 
 
 class TestQueryCacheCapacityEnvHook:
-    """NETTRAILS_QUERY_CACHE_CAPACITY: env-var parity with NETTRAILS_BACKEND."""
+    """NETTRAILS_QUERY_CACHE_CAPACITY: the env-hook contract for the cache bound."""
 
     PROGRAM = "r1 reach(@D, S) :- edge(@S, D)."
 

@@ -95,3 +95,30 @@ class TestRunControl:
         simulator.schedule(0.2, lambda: None)
         simulator.run()
         assert simulator.processed_events == 2
+
+    def test_raising_event_leaves_later_events_queued(self):
+        simulator = Simulator()
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        simulator.schedule(1.0, boom)
+        simulator.schedule(1.0, lambda: log.append("after"))
+        with pytest.raises(RuntimeError, match="boom"):
+            simulator.run()
+        assert simulator.pending_events == 1 and log == []
+        # The failed run released the loop, so the next one resumes.
+        assert simulator.run() == 1
+        assert log == ["after"]
+        assert (simulator.processed_events, simulator.rounds) == (2, 1)
+
+    def test_schedule_accepts_and_ignores_a_key(self):
+        """The fourth positional argument of ``schedule`` is kept for
+        wrappers written against the older signature; it changes nothing."""
+        simulator = Simulator()
+        order = []
+        simulator.schedule(1.0, lambda: order.append("a"), "first", "k1")
+        simulator.schedule(1.0, lambda: order.append("b"), "second", None)
+        simulator.run()
+        assert order == ["a", "b"]

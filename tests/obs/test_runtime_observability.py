@@ -3,9 +3,8 @@
 The two load-bearing contracts pinned here:
 
 * **Propagation** — trace context survives every hop: query envelopes
-  between nodes, and (under the thread backend) drains run on pool threads,
-  whose spans parent to the coordinator's window span with node
-  attribution intact.
+  between nodes, and node drains, whose spans parent to the window span
+  with node attribution intact.
 * **Invisibility** — enabling observability changes no deterministic
   surface: store snapshots, provenance fingerprints, query answers and
   message counts are bit-identical with the subsystem on and off.
@@ -19,9 +18,6 @@ from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.protocols import mincost
-
-BACKENDS = ["serial", "thread"]
-
 
 def build_runtime(observability=True, **kwargs):
     return NetTrailsRuntime(
@@ -81,9 +77,8 @@ class TestMetricsViews:
 
 
 class TestWindowTraces:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_window_trace_collects_drain_spans(self, backend):
-        with build_runtime(backend=backend, backend_workers=2) as runtime:
+    def test_window_trace_collects_drain_spans(self):
+        with build_runtime() as runtime:
             runtime.seed_links(run=True)
             tracer = runtime.obs.tracer
             windows = tracer.finished_spans(name="window")
@@ -91,38 +86,35 @@ class TestWindowTraces:
             tree = tracer.span_tree(windows[0].trace_id)
             drains = tree["children"]
             assert drains and all(child["name"] == "drain" for child in drains)
-            # Pool-thread spans keep their node attribution; the tree
-            # assembling at all proves every parent id resolved.
+            # Drain spans keep their node attribution; the tree assembling
+            # at all proves every parent id resolved.
             assert all(child["node"] is not None for child in drains)
             assert {child["node"] for child in drains} == {
                 repr(node_id) for node_id in runtime.node_ids()
             }
 
-    def test_thread_drain_spans_match_serial_drains(self):
-        """Drains on pool threads record the same spans per node as the
-        serial run, and one flight-recorder event per applied batch."""
-        per_node = {}
-        for backend in BACKENDS:
-            with build_runtime(backend=backend, backend_workers=2) as runtime:
-                runtime.seed_links(run=True)
-                counts = {}
-                for span in runtime.obs.tracer.finished_spans(name="drain"):
-                    counts[span.node] = counts.get(span.node, 0) + 1
-                assert len(runtime.obs.recorder.events("drain")) == sum(
-                    node.stats.batches_processed for node in runtime.nodes.values()
-                )
-                per_node[backend] = counts
-        assert per_node["thread"] == per_node["serial"]
+    def test_drain_spans_and_events_track_batches(self):
+        """Every node's drains record spans on that node (a drain applies one
+        or more batches), and every applied batch one flight-recorder event."""
+        with build_runtime() as runtime:
+            runtime.seed_links(run=True)
+            counts = {}
+            for span in runtime.obs.tracer.finished_spans(name="drain"):
+                counts[span.node] = counts.get(span.node, 0) + 1
+            batches = {
+                repr(node_id): node.stats.batches_processed
+                for node_id, node in runtime.nodes.items()
+            }
+            assert set(counts) == set(batches)
+            assert all(1 <= counts[node] <= batches[node] for node in counts)
+            assert len(runtime.obs.recorder.events("drain")) == sum(batches.values())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failed_window_still_closes_its_span(self, backend):
+    def test_failed_window_still_closes_its_span(self):
         """A drain that raises mid-window must not leave the window span
         open or the ambient trace context set."""
         with NetTrailsRuntime(
             "r1 out(@D, S, C) :- link(@S, D, X), C := 10 / X.",
             topology.star(4),
-            backend=backend,
-            backend_workers=2,
             observability=True,
         ) as runtime:
             with pytest.raises(ZeroDivisionError):
@@ -140,9 +132,8 @@ class TestWindowTraces:
 
 
 class TestQueryTraces:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_query_span_tree_assembles_on_every_backend(self, backend):
-        with build_runtime(backend=backend, backend_workers=2) as runtime:
+    def test_query_span_tree_assembles(self):
+        with build_runtime() as runtime:
             runtime.seed_links(run=True)
             engine = DistributedQueryEngine(runtime)
             result, tree = query_tree(runtime, engine)
@@ -156,7 +147,7 @@ class TestQueryTraces:
             )
             assert all(child["node"] is not None for child in frames)
 
-    def test_serial_and_thread_trees_have_identical_shape(self):
+    def test_trees_have_identical_shape_run_after_run(self):
         def shape(tree):
             return (
                 tree["name"],
@@ -164,13 +155,13 @@ class TestQueryTraces:
                 sorted(shape(child) for child in tree["children"]),
             )
 
-        shapes = {}
-        for backend in ("serial", "thread"):
-            with build_runtime(backend=backend, backend_workers=2) as runtime:
+        shapes = []
+        for _ in range(2):
+            with build_runtime() as runtime:
                 runtime.seed_links(run=True)
                 _, tree = query_tree(runtime, DistributedQueryEngine(runtime))
-                shapes[backend] = shape(tree)
-        assert shapes["serial"] == shapes["thread"]
+                shapes.append(shape(tree))
+        assert shapes[0] == shapes[1]
 
     def test_interval_batch_records_partition_spans(self):
         with build_runtime(use_interval_index=True) as runtime:
@@ -228,15 +219,12 @@ class TestServiceFlightDump:
 class TestInvisibility:
     """Enabling observability must not perturb any deterministic surface."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_state_provenance_and_answers_are_bit_identical(
-        self, backend, provenance_fingerprint, store_snapshots
+        self, provenance_fingerprint, store_snapshots
     ):
         outcomes = {}
         for enabled in (False, True):
-            with build_runtime(
-                observability=enabled, backend=backend, backend_workers=2
-            ) as runtime:
+            with build_runtime(observability=enabled) as runtime:
                 runtime.seed_links(run=True)
                 runtime.insert("link", ["n0", "n2", 9])
                 runtime.run_to_quiescence()

@@ -1,6 +1,6 @@
 """Seeded random-churn scripts shared by the property equivalence suites.
 
-The backend, interval-index and query-cache suites all replay the same
+The fresh-run, interval-index and query-cache suites all replay the same
 deterministic churn traces (link removals, re-adds, brand-new links and link
 flaps) over star, ring and small AS-level topologies, and compare runtimes
 after every step.  This module binds seeds to those traces.
@@ -26,6 +26,7 @@ import random
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
+from repro.protocols import mincost
 from repro.workloads.churn import ChurnBatch, apply_batch, random_link_churn
 
 
@@ -72,6 +73,11 @@ def build_runtime(program, net, **kwargs):
     runtime = NetTrailsRuntime(program, copy.deepcopy(net), **kwargs)
     runtime.seed_links(run=True)
     return runtime
+
+
+def build_variant(net):
+    """The MINCOST runtime the query-path suites churn: default knobs, links seeded."""
+    return build_runtime(mincost.program(), net)
 
 
 def lineage_answers(runtime, relation, limit=3):

@@ -6,14 +6,13 @@ ships one interval request per partition per wave — a completely different
 execution strategy from the reference traversal, maintained incrementally by
 piggybacking on the provenance engine's per-VID dirty propagation.  The
 promise under test is **equivalence**: at every point of an arbitrary churn
-schedule, on every execution backend, the interval path
-returns lineage and participant answers *bit-identical* to what the
+schedule, the interval path returns lineage and participant answers *bit-identical* to what the
 reference traversal computes — both for single queries and for batched
 query waves.
 
 The harness replays the seeded churn scripts of :mod:`churn_harness`
-(honouring ``NETTRAILS_CHURN_SEED`` like its siblings) across the backend
-matrix.  After every churn step it computes the traversal oracle first and
+(honouring ``NETTRAILS_CHURN_SEED`` like its siblings).  After every
+churn step it computes the traversal oracle first and
 the interval answers second: a runtime's per-node query handlers are
 rebound by whichever :class:`DistributedQueryEngine` was constructed last,
 so the two engines must run strictly in sequence, never interleaved.
@@ -26,21 +25,11 @@ that never executed.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
 import pytest
 
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
-from repro.protocols import mincost
-from test_property_backends import BACKEND_VARIANTS, build_variant
-from churn_harness import (
-    SEEDS,
-    TOPOLOGIES,
-    apply_op,
-    build_runtime,
-    generate_churn_script,
-)
+from churn_harness import SEEDS, TOPOLOGIES, apply_op, build_variant, generate_churn_script
 
 #: The interval path only serves cache-free, unbounded queries; the same
 #: options drive both engines so the diff isolates the execution strategy.
@@ -117,46 +106,24 @@ class TestIntervalTraversalEquivalence:
         script = generate_churn_script(seed, net)
         context = f"topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
 
-        with ExitStack() as stack:
-            baseline = stack.enter_context(
-                build_runtime(mincost.program(), net, backend="serial")
+        runtime = build_variant(net)
+        for step, op in enumerate(script):
+            apply_op(runtime, op)
+            targets, expected = traversal_oracle(runtime)
+            assert interval_answers(runtime, targets) == expected, (
+                f"{context} step={step} op={op} (single queries)"
             )
-            variants = {
-                backend: stack.enter_context(build_variant(net, backend))
-                for backend in BACKEND_VARIANTS
-            }
-
-            for step, op in enumerate(script):
-                apply_op(baseline, op)
-                targets, expected = traversal_oracle(baseline)
-                assert interval_answers(baseline, targets) == expected, (
-                    f"{context} step={step} op={op} (baseline, single queries)"
-                )
-                assert interval_batch_answers(baseline, targets) == expected, (
-                    f"{context} step={step} op={op} (baseline, batched wave)"
-                )
-                for key, runtime in variants.items():
-                    where = f"{context} backend={key} step={step} op={op}"
-                    apply_op(runtime, op)
-                    variant_targets, variant_expected = traversal_oracle(runtime)
-                    assert variant_expected == expected, where
-                    assert interval_answers(runtime, variant_targets) == expected, where
-                    assert (
-                        interval_batch_answers(runtime, variant_targets) == expected
-                    ), where
-
-            # Non-vacuity: the interval path must have really executed —
-            # indexes built, label tables scanned, and (after the first
-            # step's build) churn drained through the incremental pending
-            # queues rather than falling back to rebuilds every time.
-            totals = baseline.provenance.interval_totals()
-            assert totals.get("builds", 0) > 0, f"{context}: no index was ever built"
-            assert totals.get("range_scans", 0) > 0, f"{context}: no range scan ran"
-            assert totals.get("pending_applied", 0) > 0, (
-                f"{context}: churn never exercised incremental maintenance"
+            assert interval_batch_answers(runtime, targets) == expected, (
+                f"{context} step={step} op={op} (batched wave)"
             )
-            for key, runtime in variants.items():
-                variant_totals = runtime.provenance.interval_totals()
-                assert variant_totals.get("range_scans", 0) > 0, (
-                    f"{context} backend={key}: interval path never ran"
-                )
+
+        # Non-vacuity: the interval path must have really executed —
+        # indexes built, label tables scanned, and (after the first step's
+        # build) churn drained through the incremental pending queues rather
+        # than falling back to rebuilds every time.
+        totals = runtime.provenance.interval_totals()
+        assert totals.get("builds", 0) > 0, f"{context}: no index was ever built"
+        assert totals.get("range_scans", 0) > 0, f"{context}: no range scan ran"
+        assert totals.get("pending_applied", 0) > 0, (
+            f"{context}: churn never exercised incremental maintenance"
+        )

@@ -32,9 +32,8 @@ Seeding matches the other property harnesses: fixed ``SEEDS`` plus an
 optional ``NETTRAILS_CHURN_SEED`` from the environment (the CI
 property-recovery job's random leg draws one, prints it, and exports it);
 the seed appears in every parametrize id and assertion message.  The
-execution backend and interval-index axes arrive through
-``NETTRAILS_BACKEND`` / ``NETTRAILS_INTERVAL_INDEX``, exactly as for the
-other property matrices.
+interval-index axis arrives through ``NETTRAILS_INTERVAL_INDEX``, exactly as
+for the other property matrices.
 """
 
 from __future__ import annotations

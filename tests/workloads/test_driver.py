@@ -99,12 +99,9 @@ class TestScenarioDriver:
         assert all("seconds" in phase for phase in document["phases"])
 
     def test_knobs_reach_the_runtime(self):
-        spec = tiny_spec().with_knobs(
-            query_cache_capacity=3, backend="thread", backend_workers=2
-        )
+        spec = tiny_spec().with_knobs(query_cache_capacity=3, use_interval_index=True)
         with ScenarioDriver(spec) as driver:
-            assert driver.runtime.backend.name == "thread"
-            assert driver.runtime.backend.workers == 2
+            assert driver.runtime.use_interval_index is True
             assert driver.runtime.query_cache_capacity == 3
             driver.run()
 

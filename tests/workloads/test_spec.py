@@ -58,9 +58,9 @@ class TestScenarioSpec:
 
     def test_with_helpers_replace_without_mutating(self):
         spec = self.make_spec()
-        swept = spec.with_batch_size(8).with_knobs(backend="thread").with_seed(5)
-        assert (swept.batch_size, swept.knobs.backend, swept.seed) == (8, "thread", 5)
-        assert (spec.batch_size, spec.knobs.backend, spec.seed) == (None, None, 3)
+        swept = spec.with_batch_size(8).with_knobs(batch_deltas=False).with_seed(5)
+        assert (swept.batch_size, swept.knobs.batch_deltas, swept.seed) == (8, False, 5)
+        assert (spec.batch_size, spec.knobs.batch_deltas, spec.seed) == (None, True, 3)
 
     def test_to_dict_is_json_serialisable(self):
         spec = self.make_spec(queries=QueryMixSpec(relation="minCost"))
@@ -69,10 +69,10 @@ class TestScenarioSpec:
         assert document["queries"]["relation"] == "minCost"
 
     def test_knobs_runtime_kwargs_round_trip(self):
-        knobs = RuntimeKnobs(backend="thread", backend_workers=2)
+        knobs = RuntimeKnobs(query_cache_capacity=2, use_interval_index=True)
         kwargs = knobs.runtime_kwargs()
-        assert kwargs["backend"] == "thread"
-        assert kwargs["backend_workers"] == 2
+        assert kwargs["query_cache_capacity"] == 2
+        assert kwargs["use_interval_index"] is True
         assert kwargs["batch_deltas"] is True
 
     def test_equal_specs_compare_equal(self):
