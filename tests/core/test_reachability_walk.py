@@ -147,6 +147,24 @@ class TestDifferentialAgainstEagerWalk:
         windows.append(lambda: prefix_routing.withdraw(runtime, origins[:1]))
         assert_windows_match_oracle(runtime, windows)
 
+    def test_versions_identical_run_after_run(self):
+        """Vid versions are what cached answers validate against, so the
+        same churn must move them identically every time it is replayed."""
+        net = topology.ring(6)
+        batches = churn_batches(net, 5, 10)
+
+        def versions():
+            with mincost_runtime(net) as runtime:
+                history = []
+                for batch in batches:
+                    apply_batch(runtime, batch)
+                    history.append(runtime.provenance.vid_versions())
+                return history
+
+        first = versions()
+        assert len(set(map(repr, first))) > 1, "the churn never moved a version"
+        assert versions() == first
+
 
 class TestMidWindowRead:
     def test_every_reader_walks_the_pending_roots_first(self):

@@ -117,6 +117,39 @@ class TestHookParity:
             assert runtime.obs is None
 
 
+class TestRetiredHooks:
+    """``NETTRAILS_BACKEND`` and ``NETTRAILS_BACKEND_WORKERS`` once picked
+    an execution backend and its pool size, and rejected bad values at
+    construction.  One event loop runs every node now, so neither is read:
+    whatever either holds, the runtime builds and runs as with neither set."""
+
+    @pytest.mark.parametrize(
+        "var,raw",
+        [
+            ("NETTRAILS_BACKEND", "thread"),
+            ("NETTRAILS_BACKEND", "process"),
+            ("NETTRAILS_BACKEND", "junk"),
+            ("NETTRAILS_BACKEND_WORKERS", "4"),
+            ("NETTRAILS_BACKEND_WORKERS", "0"),
+            ("NETTRAILS_BACKEND_WORKERS", "junk"),
+        ],
+    )
+    def test_retired_hook_is_not_read(self, monkeypatch, store_snapshots, var, raw):
+        def run():
+            with build_runtime() as runtime:
+                runtime.seed_links(run=True)
+                return (
+                    store_snapshots(runtime),
+                    runtime.message_stats().messages,
+                    runtime.simulator.processed_events,
+                )
+
+        monkeypatch.delenv(var, raising=False)
+        reference = run()
+        monkeypatch.setenv(var, raw)
+        assert run() == reference
+
+
 class TestDurableDirHook:
     """NETTRAILS_DURABLE_DIR follows the same parity contract; its "applied"
     observation is a live WAL, and its malformed axis is path-shaped."""

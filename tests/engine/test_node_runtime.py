@@ -154,6 +154,34 @@ class TestRetiredKnobs:
         with pytest.raises(TypeError, match=knob):
             RuntimeKnobs(**{knob: RETIRED_KNOBS[knob]})
 
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_scenario_spec_with_knobs_rejects_retired_knob(self, knob):
+        from repro.workloads.profiles import smoke
+
+        with pytest.raises(TypeError, match=knob):
+            smoke(seed=3).with_knobs(**{knob: RETIRED_KNOBS[knob]})
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_service_rejects_retired_knob(self, knob):
+        from repro.durability.service import ServiceRuntime
+
+        with pytest.raises(TypeError, match=knob):
+            ServiceRuntime(TWO_NODE_PROGRAM, topology.line(2), **{knob: RETIRED_KNOBS[knob]})
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_recovery_rejects_retired_knob_as_override(self, knob, tmp_path):
+        """Recovery drops a retired knob an older WAL recorded, but a caller
+        passing one as an override gets the constructor's error."""
+        from repro.durability.recovery import RecoveryManager
+
+        NetTrailsRuntime(
+            TWO_NODE_PROGRAM, topology.line(2), durable_dir=tmp_path, wal_fsync=False
+        ).close()
+        with pytest.raises(TypeError, match=knob):
+            RecoveryManager(tmp_path).recover(
+                attach=False, wal_fsync=False, **{knob: RETIRED_KNOBS[knob]}
+            )
+
     def test_retired_columnar_env_var_changes_nothing(self, monkeypatch, store_snapshots):
         def build():
             runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(4))
