@@ -8,10 +8,14 @@ Compilation performs, in order:
    evaluator),
 3. the localization rewrite, so every remaining rule is node-local,
 4. construction of the relation catalog (location indices, primary keys),
-5. construction of the semi-naive trigger indexes used by the per-node
-   evaluator: for every relation, which (rule, delta position) pairs must be
-   re-evaluated when that relation changes, and which rules mention the
-   relation under negation.
+5. construction of the semi-naive trigger indexes: for every relation, which
+   (rule, delta position) pairs must be re-evaluated when that relation
+   changes, and which rules mention the relation under negation, and
+6. code generation (:mod:`repro.engine.joins`): every (rule, delta
+   position) trigger, and every (rule, negated relation) pair, becomes one
+   straight-line Python function made with the stdlib :func:`compile`.  The
+   functions live on the :class:`CompiledProgram`, so they are generated
+   once per program and shared by every node's evaluator.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.ndlog.functions import FunctionRegistry, default_registry
 from repro.ndlog.localization import localize_program
 from repro.ndlog.validation import validate_program
 from repro.engine.catalog import Catalog
+from repro.engine.joins import CompiledJoin, compile_joins
 
 
 @dataclass
@@ -42,6 +47,14 @@ class CompiledProgram:
     delta_index: Dict[str, List[Tuple[Rule, int]]] = field(default_factory=dict)
     #: relation -> rules that mention the relation under negation.
     negation_index: Dict[str, List[Rule]] = field(default_factory=dict)
+    #: relation -> its generated delta joins, one per ``delta_index`` entry
+    #: and in the same order.
+    joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
+    #: relation -> per rule of ``negation_index``, the generated join listing
+    #: the firings a new fact of the relation blocks ...
+    blocked_joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
+    #: ... and the one listing the firings a deleted fact unblocks.
+    unblocked_joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -126,6 +139,7 @@ def compile_program(
             rules = negation_index.setdefault(literal.atom.relation, [])
             if rule not in rules:
                 rules.append(rule)
+    joins, blocked_joins, unblocked_joins = compile_joins(delta_index, negation_index, registry)
 
     return CompiledProgram(
         name=program.name,
@@ -136,5 +150,8 @@ def compile_program(
         registry=registry,
         delta_index=delta_index,
         negation_index=negation_index,
+        joins=joins,
+        blocked_joins=blocked_joins,
+        unblocked_joins=unblocked_joins,
         warnings=warnings,
     )

@@ -1,10 +1,13 @@
 """Dataflow primitives: unification, expression evaluation, head instantiation.
 
-These are the building blocks the per-node evaluator uses to execute NDlog
-rules against the local tuple store: matching body atoms against stored
-facts (producing variable bindings), evaluating arithmetic / builtin-function
-expressions and boolean conditions under a binding, and instantiating rule
-heads into concrete facts.
+These define what executing an NDlog rule against a tuple store means:
+matching body atoms against stored facts (producing variable bindings),
+evaluating arithmetic / builtin-function expressions and boolean conditions
+under a binding, and instantiating rule heads into concrete facts.  The
+legacy layer's maybe-rule matcher runs on them directly; the per-node
+evaluator runs joins generated at compile time (:mod:`repro.engine.joins`)
+that follow these semantics exactly, and the join tests check them against
+an interpreter built on these functions.
 """
 
 from __future__ import annotations

@@ -8,15 +8,20 @@ retractions this causes — the :class:`DerivationEffect` objects — and leaves
 it to the :class:`repro.engine.node.Node` to apply local effects and to ship
 remote ones as messages.
 
-The evaluator implements:
+The evaluator interprets no rule body:
+:func:`~repro.engine.compiler.compile_program` generates one Python function
+per (rule, delta position) and per (rule, negated relation)
+(:mod:`repro.engine.joins`), shared by every node, and the evaluator calls
+them with its store's tables and records the firings they yield.  It
+implements:
 
 * semi-naive (delta) evaluation, either one update at a time
-  (:meth:`LocalEvaluator.on_fact_inserted` / ``on_fact_deleted``) or — the
-  batch-first hot path — over a whole set of deltas at once
-  (:meth:`LocalEvaluator.on_batch`), which groups same-relation deltas,
-  runs one semi-naive join pass per (rule, delta position) over the whole
-  delta set and defers aggregate recomputation so each touched group is
-  recomputed exactly once per batch,
+  (:meth:`LocalEvaluator.on_fact_inserted` / ``on_fact_deleted``, the
+  singleton batch) or — the batch-first hot path — over a whole set of
+  deltas at once (:meth:`LocalEvaluator.on_batch`), which groups
+  same-relation deltas, runs each (rule, delta position) join once over the
+  whole delta set and defers aggregate recomputation so each touched group
+  is recomputed exactly once per batch,
 * derivation tracking (one firing record per distinct rule firing), which
   both drives incremental deletion and feeds the provenance engine,
 * aggregates (``min``/``max``/``count``/``sum``/``avg``) maintained per
@@ -39,28 +44,12 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
-from repro.ndlog.ast import (
-    Aggregate,
-    Assignment,
-    Condition,
-    Constant,
-    Literal,
-    Rule,
-    Variable,
-)
+from repro.ndlog.ast import Aggregate, Rule
 from repro.engine.compiler import CompiledProgram
-from repro.engine.dataflow import (
-    Bindings,
-    bound_positions,
-    evaluate_term,
-    group_key_of,
-    instantiate_head,
-    match_atom,
-    satisfies,
-)
+from repro.engine.joins import CompiledJoin
 from repro.engine.store import TupleStore
 from repro.engine.tuples import SLOTTED, Fact
 
@@ -110,7 +99,9 @@ class LocalEvaluator:
         self._compiled = compiled
         self._store = store
         self._node = node_id
-        self._registry = compiled.registry
+        #: The store's fact map, index map and index builder, handed to every
+        #: generated join.
+        self._tables = store.join_tables()
         self._firing_seq = 0
         #: Ablation switch (see DESIGN.md §5): when True, aggregate changes are
         #: propagated as retract-then-insert instead of the default
@@ -158,9 +149,6 @@ class LocalEvaluator:
         # (sort key, rule name, group key) so each group is recomputed
         # exactly once per batch, in precomputed-key order.
         self._dirty_agg_groups: Optional[Set[Tuple[str, str, Tuple]]] = None
-        # (rule name, delta position) -> the (relation, index positions) each
-        # non-delta literal will probe during the join, computed statically.
-        self._prewarm_plans: Dict[Tuple[str, int], List[Tuple[str, Tuple[int, ...]]]] = {}
         # (rule name, group key) -> cached repr sort key for phase-3 ordering.
         self._group_sort_keys: Dict[Tuple[str, Tuple], str] = {}
 
@@ -176,11 +164,11 @@ class LocalEvaluator:
     def on_fact_inserted(self, fact: Fact) -> List[DerivationEffect]:
         """React to *fact* having just become present in the local store."""
         effects: List[DerivationEffect] = []
-        for rule, delta_index in self._compiled.delta_index.get(fact.relation, []):
-            for bindings, body_facts in self._delta_bindings(rule, delta_index, fact):
-                effects.extend(self._apply_firing(rule, bindings, body_facts))
-        for rule in self._compiled.negation_index.get(fact.relation, []):
-            effects.extend(self._retract_blocked_firings(rule, fact))
+        exclusions = {fact.relation: {fact}}
+        for join in self._compiled.joins.get(fact.relation, ()):
+            self._fire(join, ((fact,), exclusions), effects)
+        for join in self._compiled.blocked_joins.get(fact.relation, ()):
+            self._retract_blocked_firings(join, fact, effects)
         return effects
 
     def on_fact_deleted(self, fact: Fact) -> List[DerivationEffect]:
@@ -203,8 +191,8 @@ class LocalEvaluator:
                 effects.extend(self._agg_remove_entry(membership))
 
         # Firings newly enabled because a negative literal stopped matching.
-        for rule in self._compiled.negation_index.get(fact.relation, []):
-            effects.extend(self._enable_unblocked_firings(rule, fact))
+        for join in self._compiled.unblocked_joins.get(fact.relation, ()):
+            self._fire(join, (fact,), effects)
         return effects
 
     def on_batch(
@@ -222,17 +210,16 @@ class LocalEvaluator:
         provenance state are identical — but does strictly less work:
 
         * same-relation deltas are grouped and each (rule, delta position)
-          trigger runs one semi-naive join pass over the whole delta set,
-          with the classic batch exclusion rule (body positions *before* the
-          delta position skip every delta fact of that relation, so each new
-          binding is found exactly once);
+          join runs once over the whole delta set, with the classic batch
+          exclusion rule (body positions *before* the delta position skip
+          every delta fact of that relation, so each new binding is found
+          exactly once);
         * aggregate recomputation is deferred: each touched (rule, group)
           pair is recomputed once at the end of the batch, so a group hit by
           many deltas emits one consolidated retract/insert pair instead of
           an intermediate effect per delta;
-        * the secondary-index lookups in :meth:`TupleStore.matching` are
-          amortised over the whole delta set instead of being interleaved
-          with per-fact bookkeeping.
+        * the secondary indexes a join probes are built before it runs, not
+          inside its first probe.
         """
         if self._dirty_agg_groups is not None:
             raise EngineError("on_batch is not re-entrant")
@@ -256,8 +243,8 @@ class LocalEvaluator:
             # matching; runs after all retractions so the store and firing
             # tables are settled.
             for fact in deletes:
-                for rule in self._compiled.negation_index.get(fact.relation, []):
-                    effects.extend(self._enable_unblocked_firings(rule, fact))
+                for join in self._compiled.unblocked_joins.get(fact.relation, ()):
+                    self._fire(join, (fact,), effects)
 
             # Phase 2 — insertions: one batch semi-naive pass per trigger.
             by_relation: Dict[str, List[Fact]] = {}
@@ -267,17 +254,14 @@ class LocalEvaluator:
                 relation: set(facts) for relation, facts in by_relation.items()
             }
             for relation, delta_facts in by_relation.items():
-                for rule, delta_index in self._compiled.delta_index.get(relation, []):
-                    self._prewarm_join_indexes(rule, delta_index)
-                    for fact in delta_facts:
-                        for bindings, body_facts in self._delta_bindings(
-                            rule, delta_index, fact, exclusions
-                        ):
-                            effects.extend(self._apply_firing(rule, bindings, body_facts))
+                for join in self._compiled.joins.get(relation, ()):
+                    for probed, positions in join.probes:
+                        self._store.prepare_index(probed, positions)
+                    self._fire(join, (delta_facts, exclusions), effects)
             for relation, delta_facts in by_relation.items():
-                for rule in self._compiled.negation_index.get(relation, []):
+                for join in self._compiled.blocked_joins.get(relation, ()):
                     for fact in delta_facts:
-                        effects.extend(self._retract_blocked_firings(rule, fact))
+                        self._retract_blocked_firings(join, fact, effects)
 
             # Phase 3 — flush deferred aggregates: one recomputation per
             # touched group, in a deterministic order.  Dirty entries are
@@ -303,27 +287,34 @@ class LocalEvaluator:
         self._firing_seq += 1
         return f"{self._node}#{self._firing_seq}"
 
+    def _fire(self, join: CompiledJoin, args: tuple, effects: List[DerivationEffect]) -> None:
+        """Run *join* on *args* and record every firing it yields into *effects*.
+
+        A non-aggregate join skips bodies that already have a live firing:
+        the same body facts can be rediscovered when a fact is re-inserted
+        concurrently with unprocessed retractions, and a firing must not be
+        duplicated.
+        """
+        rule = join.rule
+        if join.aggregate:
+            for group_key, value, body_facts in join.run(*args, None, *self._tables):
+                effects.extend(self._agg_add_entry(rule, group_key, value, body_facts))
+            return
+        seen = self._firing_by_body[rule.name]
+        for head_values, body_facts in join.run(*args, seen, *self._tables):
+            effects.append(self._apply_firing(rule, head_values, body_facts))
+
     def _apply_firing(
-        self, rule: Rule, bindings: Bindings, body_facts: Tuple[Fact, ...]
-    ) -> List[DerivationEffect]:
-        """Record one rule firing from its complete *bindings*."""
-        if rule.has_aggregate:
-            return self._agg_add_entry(rule, bindings, body_facts)
-
-        by_body = self._firing_by_body[rule.name]
-        if body_facts in by_body:
-            # The same combination of body facts can be rediscovered when a
-            # fact is re-inserted concurrently with unprocessed retractions;
-            # a firing must not be duplicated.
-            return []
-
-        head_fact = instantiate_head(rule.head, bindings, self._registry)
+        self, rule: Rule, head_values: Tuple[object, ...], body_facts: Tuple[Fact, ...]
+    ) -> DerivationEffect:
+        """Record one firing of the non-aggregate *rule* and return its +1 effect."""
+        head_fact = Fact.make(rule.head.relation, head_values)
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self._next_firing_id()
         self._firing_rules[firing_id] = rule.name
         self._firing_heads[firing_id] = head_fact
         self._firing_bodies[firing_id] = body_facts
-        by_body[body_facts] = firing_id
+        self._firing_by_body[rule.name][body_facts] = firing_id
         fact_firings = self._fact_firings
         for fact in set(body_facts):
             firings = fact_firings.get(fact)
@@ -334,17 +325,15 @@ class LocalEvaluator:
                     fact_firings[fact] = {firings, firing_id}
             else:
                 firings.add(firing_id)
-        return [
-            DerivationEffect(
-                sign=+1,
-                firing_id=firing_id,
-                rule_name=rule.name,
-                program_name=self._compiled.name,
-                head_fact=head_fact,
-                head_location=head_location,
-                body_facts=body_facts,
-            )
-        ]
+        return DerivationEffect(
+            sign=+1,
+            firing_id=firing_id,
+            rule_name=rule.name,
+            program_name=self._compiled.name,
+            head_fact=head_fact,
+            head_location=head_location,
+            body_facts=body_facts,
+        )
 
     def _retract_firing(self, firing_id: str) -> DerivationEffect:
         """Retract the live firing *firing_id* and return its -1 effect."""
@@ -376,241 +365,23 @@ class LocalEvaluator:
             body_facts=body_facts,
         )
 
-    # -- join enumeration --------------------------------------------------------------
-
-    def _prewarm_join_indexes(self, rule: Rule, delta_index: int) -> None:
-        """Build the secondary indexes the (rule, delta position) join will probe.
-
-        The set of bound attribute positions at each join step is static: a
-        position is bound iff its term is a constant or a variable introduced
-        by the delta literal or an earlier-joined literal.  Computing the plan
-        once and pre-building the indexes up front means a batch pays index
-        construction once per (relation, positions) pair instead of lazily
-        inside the first :meth:`TupleStore.matching` scan of every join.
-
-        The plan also covers the rule's *negative* literals (probed by
-        :meth:`_finalize_binding` with every positive-join and assignment
-        variable bound), which keeps the whole join enumeration free of index
-        construction.
-        """
-        plan_key = (rule.name, delta_index)
-        plan = self._prewarm_plans.get(plan_key)
-        if plan is None:
-            plan = []
-            positives = rule.positive_literals
-
-            def atom_variables(atom) -> Set[str]:
-                return {term.name for term in atom.terms if isinstance(term, Variable)}
-
-            def bound_index_positions(atom, bound_vars: Set[str]) -> Tuple[int, ...]:
-                return tuple(
-                    sorted(
-                        index
-                        for index, term in enumerate(atom.terms)
-                        if isinstance(term, Constant)
-                        or (isinstance(term, Variable) and term.name in bound_vars)
-                    )
-                )
-
-            bound_vars = atom_variables(positives[delta_index].atom)
-            for position in range(len(positives)):
-                if position == delta_index:
-                    continue
-                atom = positives[position].atom
-                plan.append((atom.relation, bound_index_positions(atom, bound_vars)))
-                bound_vars |= atom_variables(atom)
-            for element in rule.body:
-                if isinstance(element, Assignment):
-                    bound_vars.add(element.variable)
-            for literal in rule.negative_literals:
-                atom = literal.atom
-                plan.append((atom.relation, bound_index_positions(atom, bound_vars)))
-            self._prewarm_plans[plan_key] = plan
-        for relation, positions in plan:
-            self._store.prepare_index(relation, positions)
-
-    def _delta_bindings(
-        self,
-        rule: Rule,
-        delta_index: int,
-        fact: Fact,
-        exclusions: Optional[Dict[str, Set[Fact]]] = None,
-    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-        """Enumerate complete rule bindings in which *fact* plays body position *delta_index*.
-
-        *exclusions* maps relation names to the delta facts of the current
-        batch; body positions before *delta_index* skip those facts (batch
-        semi-naive de-duplication).  When omitted, the singleton batch
-        ``{fact}`` is assumed, which is the classic per-fact rule.
-        """
-        positives = rule.positive_literals
-        initial = match_atom(positives[delta_index].atom, fact, {}, self._registry)
-        if initial is None:
-            return
-        slots: List[Optional[Fact]] = [None] * len(positives)
-        slots[delta_index] = fact
-        if exclusions is None:
-            exclusions = {fact.relation: {fact}}
-
-        remaining = [index for index in range(len(positives)) if index != delta_index]
-        yield from self._join_remaining(
-            rule, positives, remaining, 0, initial, slots, exclusions, delta_index
-        )
-
-    def _join_remaining(
-        self,
-        rule: Rule,
-        positives: Sequence[Literal],
-        remaining: List[int],
-        cursor: int,
-        bindings: Bindings,
-        slots: List[Optional[Fact]],
-        exclusions: Dict[str, Set[Fact]],
-        delta_index: int,
-    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-        if cursor == len(remaining):
-            final = self._finalize_binding(rule, bindings)
-            if final is not None:
-                body_facts = tuple(slot for slot in slots if slot is not None)
-                yield final, body_facts
-            return
-
-        position = remaining[cursor]
-        literal = positives[position]
-        bound = bound_positions(literal.atom, bindings)
-        excluded = exclusions.get(literal.atom.relation) if position < delta_index else None
-        for candidate in list(self._store.matching(literal.atom.relation, bound)):
-            # Semi-naive de-duplication: positions *before* the delta position
-            # must not use any delta fact of the current batch, otherwise each
-            # binding using several delta facts would be produced once per
-            # delta occurrence instead of exactly once (for the first one).
-            if excluded is not None and candidate in excluded:
-                continue
-            extended = match_atom(literal.atom, candidate, bindings, self._registry)
-            if extended is None:
-                continue
-            slots[position] = candidate
-            yield from self._join_remaining(
-                rule, positives, remaining, cursor + 1, extended, slots, exclusions, delta_index
-            )
-            slots[position] = None
-
-    def _finalize_binding(self, rule: Rule, bindings: Bindings) -> Optional[Bindings]:
-        """Apply assignments, check conditions and negative literals.
-
-        Returns the extended bindings when the rule body is fully satisfied,
-        or ``None`` otherwise.
-        """
-        extended = dict(bindings)
-        for element in rule.body:
-            if isinstance(element, Assignment):
-                extended[element.variable] = evaluate_term(
-                    element.expression, extended, self._registry
-                )
-            elif isinstance(element, Condition):
-                if not satisfies(element, extended, self._registry):
-                    return None
-        for literal in rule.negative_literals:
-            if self._negated_literal_matches(literal, extended):
-                return None
-        return extended
-
-    def _negated_literal_matches(self, literal: Literal, bindings: Bindings) -> bool:
-        bound = bound_positions(literal.atom, bindings)
-        for candidate in self._store.matching(literal.atom.relation, bound):
-            if match_atom(literal.atom, candidate, bindings, self._registry) is not None:
-                return True
-        return False
-
     # -- negation maintenance ------------------------------------------------------------
 
-    def _retract_blocked_firings(self, rule: Rule, fact: Fact) -> List[DerivationEffect]:
-        """Retract firings of *rule* whose negative literal now matches *fact*."""
-        effects: List[DerivationEffect] = []
-        negated_on_relation = [
-            literal for literal in rule.negative_literals if literal.atom.relation == fact.relation
-        ]
-        if not negated_on_relation:
-            return effects
-        by_body = self._firing_by_body[rule.name]
-        for bindings, body_facts in self._positive_bindings_matching_negation(rule, fact):
+    def _retract_blocked_firings(
+        self, join: CompiledJoin, fact: Fact, effects: List[DerivationEffect]
+    ) -> None:
+        """Retract the firings of ``join.rule`` that the new *fact* blocks."""
+        by_body = self._firing_by_body[join.rule.name]
+        for body_facts in join.run(fact, None, *self._tables):
             firing_id = by_body.get(body_facts)
             if firing_id is not None:
                 effects.append(self._retract_firing(firing_id))
-        return effects
-
-    def _enable_unblocked_firings(self, rule: Rule, fact: Fact) -> List[DerivationEffect]:
-        """Fire *rule* for bindings whose only blocker was the now-deleted *fact*."""
-        effects: List[DerivationEffect] = []
-        for bindings, body_facts in self._positive_bindings_matching_negation(rule, fact):
-            final = self._finalize_binding(rule, bindings)
-            if final is None:
-                continue
-            effects.extend(self._apply_firing(rule, final, body_facts))
-        return effects
-
-    def _positive_bindings_matching_negation(
-        self, rule: Rule, fact: Fact
-    ) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-        """Bindings of the positive body for which a negative literal unifies with *fact*.
-
-        Assignments are applied and conditions checked, but the negative
-        literals themselves are NOT checked here (callers decide whether they
-        are looking for blocked or unblocked bindings).
-        """
-        positives = rule.positive_literals
-        slots: List[Optional[Fact]] = [None] * len(positives)
-        negated = [
-            literal for literal in rule.negative_literals if literal.atom.relation == fact.relation
-        ]
-
-        def recurse(index: int, bindings: Bindings) -> Iterator[Tuple[Bindings, Tuple[Fact, ...]]]:
-            if index == len(positives):
-                extended = dict(bindings)
-                try:
-                    for element in rule.body:
-                        if isinstance(element, Assignment):
-                            extended[element.variable] = evaluate_term(
-                                element.expression, extended, self._registry
-                            )
-                        elif isinstance(element, Condition):
-                            if not satisfies(element, extended, self._registry):
-                                return
-                except EngineError:
-                    return
-                for literal in negated:
-                    if match_atom(literal.atom, fact, extended, self._registry) is not None:
-                        yield extended, tuple(slot for slot in slots if slot is not None)
-                        return
-                return
-            literal = positives[index]
-            bound = bound_positions(literal.atom, bindings)
-            for candidate in list(self._store.matching(literal.atom.relation, bound)):
-                extended = match_atom(literal.atom, candidate, bindings, self._registry)
-                if extended is None:
-                    continue
-                slots[index] = candidate
-                yield from recurse(index + 1, extended)
-                slots[index] = None
-
-        yield from recurse(0, {})
 
     # -- aggregates -----------------------------------------------------------------------
 
     def _agg_add_entry(
-        self, rule: Rule, bindings: Bindings, body_facts: Tuple[Fact, ...]
+        self, rule: Rule, group_key: Tuple, value: object, body_facts: Tuple[Fact, ...]
     ) -> List[DerivationEffect]:
-        aggregate = rule.aggregate
-        assert aggregate is not None
-        group_key = group_key_of(rule.head, bindings, self._registry)
-        if aggregate.variable is None:
-            value: object = 1
-        else:
-            if aggregate.variable not in bindings:
-                raise EngineError(
-                    f"aggregate variable {aggregate.variable!r} is unbound in rule {rule.name!r}"
-                )
-            value = bindings[aggregate.variable]
         groups = self._agg_entries.setdefault(rule.name, {})
         entries = groups.setdefault(group_key, {})
         if body_facts in entries:

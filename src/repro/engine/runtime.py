@@ -174,7 +174,7 @@ class NetTrailsRuntime:
     through :meth:`state`.  The runtime is a context manager —
     ``with NetTrailsRuntime(...) as runtime:`` closes the write-ahead log on
     exit.  Every node holds one :class:`~repro.engine.store.TupleStore`
-    driven by one generic semi-naive join, and one simulator event loop
+    driven by the semi-naive joins compiled for its program, and one simulator event loop
     runs every node's work in ``(time, sequence)`` order.
 
     **Constructor knobs** (this is the canonical table; every other

@@ -19,7 +19,7 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.engine.tuples import Fact
@@ -218,6 +218,17 @@ class TupleStore:
         """
         if positions:
             self._ensure_index(relation, tuple(sorted(positions)))
+
+    def join_tables(self) -> Tuple[Dict[str, Dict[Fact, object]], Dict, Callable]:
+        """The live fact map, index map and index builder, for generated joins.
+
+        The joins of :mod:`repro.engine.joins` probe the store through these
+        directly: a probe is one dict lookup, not a :meth:`matching`
+        generator.  The maps are never rebound, so callers may keep the
+        tuple; they must only read the maps.  The builder takes sorted
+        positions and returns the index, building it on first use.
+        """
+        return self._facts, self._indexes, self._ensure_index
 
     def _ensure_index(
         self, relation: str, positions: Tuple[int, ...]

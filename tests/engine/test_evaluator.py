@@ -195,6 +195,19 @@ class TestNegation:
         insert(evaluator, store, Fact.make("offer", ["n0", "d"]))
         assert insert(evaluator, store, Fact.make("blocked", ["n0", "other"])) == []
 
+    def test_rederived_firing_applies_each_assignment_once(self):
+        compiled = compile_program(
+            parse_program("r1 out(@S, X) :- a(@S, X), X := X + 1, !blk(@S).", name="once"),
+            validate=False,
+        )
+        store = TupleStore()
+        evaluator = LocalEvaluator(compiled, store, "n0")
+        first = insert(evaluator, store, Fact.make("a", ["n0", 1]))
+        assert [effect.head_fact for effect in first] == [Fact.make("out", ["n0", 2])]
+        assert [effect.sign for effect in insert(evaluator, store, Fact.make("blk", ["n0"]))] == [-1]
+        again = delete(evaluator, store, Fact.make("blk", ["n0"]))
+        assert [(effect.sign, effect.head_fact) for effect in again] == [(+1, Fact.make("out", ["n0", 2]))]
+
 
 def net_effects(effects):
     """Net derivation count per (rule, head, body) across an effect history.
