@@ -14,8 +14,10 @@ Compilation performs, in order:
 6. code generation (:mod:`repro.engine.joins`): every (rule, delta
    position) trigger, and every (rule, negated relation) pair, becomes one
    straight-line Python function made with the stdlib :func:`compile`.  The
-   functions live on the :class:`CompiledProgram`, so they are generated
-   once per program and shared by every node's evaluator.
+   functions live on the :class:`CompiledProgram` (``joins`` and
+   ``negation_joins``; the trigger indexes themselves are not kept), so
+   they are generated once per program and shared by every node's
+   evaluator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.ndlog.functions import FunctionRegistry, default_registry
 from repro.ndlog.localization import localize_program
 from repro.ndlog.validation import validate_program
 from repro.engine.catalog import Catalog
-from repro.engine.joins import CompiledJoin, compile_joins
+from repro.engine.joins import JoinTable, NegationTable, compile_joins
 
 
 @dataclass
@@ -42,19 +44,13 @@ class CompiledProgram:
     maybe_rules: List[Rule]
     catalog: Catalog
     registry: FunctionRegistry
-    #: relation -> list of (rule, index into rule.positive_literals) triggered
-    #: when a fact of that relation is inserted or deleted.
-    delta_index: Dict[str, List[Tuple[Rule, int]]] = field(default_factory=dict)
-    #: relation -> rules that mention the relation under negation.
-    negation_index: Dict[str, List[Rule]] = field(default_factory=dict)
-    #: relation -> its generated delta joins, one per ``delta_index`` entry
-    #: and in the same order.
-    joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
-    #: relation -> per rule of ``negation_index``, the generated join listing
-    #: the firings a new fact of the relation blocks ...
-    blocked_joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
-    #: ... and the one listing the firings a deleted fact unblocks.
-    unblocked_joins: Dict[str, List[CompiledJoin]] = field(default_factory=dict)
+    #: relation -> the generated delta join of every (rule, delta position)
+    #: that a new fact of the relation triggers, in rule and body order.
+    joins: JoinTable = field(default_factory=dict)
+    #: relation -> per rule that mentions the relation under negation, the
+    #: generated joins listing the firings a new fact of the relation
+    #: blocks and the firings a deleted one unblocks.
+    negation_joins: NegationTable = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -139,7 +135,7 @@ def compile_program(
             rules = negation_index.setdefault(literal.atom.relation, [])
             if rule not in rules:
                 rules.append(rule)
-    joins, blocked_joins, unblocked_joins = compile_joins(delta_index, negation_index, registry)
+    joins, negation_joins = compile_joins(delta_index, negation_index, registry)
 
     return CompiledProgram(
         name=program.name,
@@ -148,10 +144,7 @@ def compile_program(
         maybe_rules=maybe_rules,
         catalog=catalog,
         registry=registry,
-        delta_index=delta_index,
-        negation_index=negation_index,
         joins=joins,
-        blocked_joins=blocked_joins,
-        unblocked_joins=unblocked_joins,
+        negation_joins=negation_joins,
         warnings=warnings,
     )

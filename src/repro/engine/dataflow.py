@@ -93,7 +93,11 @@ def satisfies(condition: Condition, bindings: Bindings, registry: FunctionRegist
     conditions like ``f_member(P, D) == 0`` and bare ``f_isSomething(X)``
     both work.
     """
-    value = evaluate_term(condition.expression, bindings, registry)
+    return condition_truth(evaluate_term(condition.expression, bindings, registry), condition)
+
+
+def condition_truth(value: object, condition: object) -> bool:
+    """The truth of *value*, the result of *condition*; see :func:`satisfies`."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):

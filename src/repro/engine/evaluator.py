@@ -99,8 +99,8 @@ class LocalEvaluator:
         self._compiled = compiled
         self._store = store
         self._node = node_id
-        #: The store's fact map, index map and index builder, handed to every
-        #: generated join.
+        #: The store's fact map and index getter, handed to every generated
+        #: join.
         self._tables = store.join_tables()
         self._firing_seq = 0
         #: Ablation switch (see DESIGN.md §5): when True, aggregate changes are
@@ -167,8 +167,8 @@ class LocalEvaluator:
         exclusions = {fact.relation: {fact}}
         for join in self._compiled.joins.get(fact.relation, ()):
             self._fire(join, ((fact,), exclusions), effects)
-        for join in self._compiled.blocked_joins.get(fact.relation, ()):
-            self._retract_blocked_firings(join, fact, effects)
+        for blocked, _ in self._compiled.negation_joins.get(fact.relation, ()):
+            self._retract_blocked_firings(blocked, fact, effects)
         return effects
 
     def on_fact_deleted(self, fact: Fact) -> List[DerivationEffect]:
@@ -191,8 +191,8 @@ class LocalEvaluator:
                 effects.extend(self._agg_remove_entry(membership))
 
         # Firings newly enabled because a negative literal stopped matching.
-        for join in self._compiled.unblocked_joins.get(fact.relation, ()):
-            self._fire(join, (fact,), effects)
+        for _, unblocked in self._compiled.negation_joins.get(fact.relation, ()):
+            self._fire(unblocked, (fact,), effects)
         return effects
 
     def on_batch(
@@ -243,8 +243,8 @@ class LocalEvaluator:
             # matching; runs after all retractions so the store and firing
             # tables are settled.
             for fact in deletes:
-                for join in self._compiled.unblocked_joins.get(fact.relation, ()):
-                    self._fire(join, (fact,), effects)
+                for _, unblocked in self._compiled.negation_joins.get(fact.relation, ()):
+                    self._fire(unblocked, (fact,), effects)
 
             # Phase 2 — insertions: one batch semi-naive pass per trigger.
             by_relation: Dict[str, List[Fact]] = {}
@@ -259,9 +259,9 @@ class LocalEvaluator:
                         self._store.prepare_index(probed, positions)
                     self._fire(join, (delta_facts, exclusions), effects)
             for relation, delta_facts in by_relation.items():
-                for join in self._compiled.blocked_joins.get(relation, ()):
+                for blocked, _ in self._compiled.negation_joins.get(relation, ()):
                     for fact in delta_facts:
-                        self._retract_blocked_firings(join, fact, effects)
+                        self._retract_blocked_firings(blocked, fact, effects)
 
             # Phase 3 — flush deferred aggregates: one recomputation per
             # touched group, in a deterministic order.  Dirty entries are

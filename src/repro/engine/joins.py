@@ -12,10 +12,10 @@ as arguments.
 Three kinds of function are generated:
 
 * a **delta join** per (rule, delta position), ``run(facts, excl, seen, F,
-  I, ensure)``: the firings in which each fact of *facts* plays the delta
+  ensure)``: the firings in which each fact of *facts* plays the delta
   literal.  Literals before the delta position skip the facts in
   ``excl[relation]`` (batch semi-naive de-duplication);
-* a **blocked join** per (rule, negated relation), ``run(fact, seen, F, I,
+* a **blocked join** per (rule, negated relation), ``run(fact, seen, F,
   ensure)``: the body of every positive binding that one of the rule's
   negative literals on that relation unifies with the new *fact*;
 * an **unblocked join** per (rule, negated relation), same signature: the
@@ -24,23 +24,25 @@ Three kinds of function are generated:
 Non-aggregate joins yield ``(head values, body facts)`` and skip bodies
 already in *seen* (the rule's live firings); aggregate joins yield
 ``(group key, aggregate value, body facts)``.  No bindings dict exists per
-firing.  ``F`` is the store's relation → facts map, ``I`` its secondary
-indexes and ``ensure`` builds a missing index (see
-:meth:`TupleStore.join_tables`).  An index is built on first use, and every
-candidate list is copied from the same index bucket in the same order as
-the interpreted join this replaced, so the firings and their ids are the
-same.
+firing.  ``F`` is the store's relation → facts map and ``ensure`` returns
+the index on a (relation, positions) pair, building it on first use (see
+:meth:`TupleStore.join_tables`).  Every candidate list is copied from the
+same index bucket in the same order as the interpreted join this replaced,
+so the firings and their ids are the same.
 
-Evaluation order, and so which exception a bad rule raises, follows
-:mod:`repro.engine.dataflow`: terms left to right, a non-ground body
-expression raises :class:`EngineError` when the match reaches it, and an
-unknown function raises :class:`UnknownFunctionError` after its arguments
-are evaluated.  The code objects are named ``<join RULE@POS>`` (and
-``<join RULE@!REL>`` / ``<join RULE@+!REL>`` for the blocked / unblocked
-joins) so a traceback points at the rule; :attr:`CompiledJoin.source` holds
-the generated text.  Each positive literal opens one loop, so a rule with
-more positive literals than CPython nests blocks (about 18) is rejected
-with :class:`NDlogValidationError`.
+Every variable binding and every assignment gets its own Python local, so
+an assignment that overwrites a variable (``X := X + 1``) never changes
+the value an outer loop bound.  Evaluation order, and so which exception a
+bad rule raises, follows :mod:`repro.engine.dataflow`: terms left to right,
+a non-ground body expression raises :class:`EngineError` when the match
+reaches it, and an unknown function raises :class:`UnknownFunctionError`
+after its arguments are evaluated.  The code objects are named
+``<join RULE@POS>`` (and ``<join RULE@!REL>`` / ``<join RULE@+!REL>`` for
+the blocked / unblocked joins) so a traceback points at the rule;
+:attr:`CompiledJoin.source` holds the generated text.  Each positive
+literal opens one loop, and CPython caps how deep blocks nest, so a rule
+with more than :data:`_MAX_LOOPS` positive literals continues in a second
+generated function called from the innermost loop of the first.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import FunctionType
-from typing import Callable, Dict, Iterator, List, Tuple, cast
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
 
-from repro.errors import EngineError, NDlogValidationError
+from repro.errors import EngineError
+from repro.engine.dataflow import condition_truth
 from repro.ndlog.ast import (
     Aggregate,
     Assignment,
@@ -70,18 +73,27 @@ Probe = Tuple[str, Tuple[int, ...]]
 
 _OPERATORS = frozenset(Expression.ARITHMETIC_OPS + Expression.COMPARISON_OPS)
 
+#: Positive-literal loops one generated function nests before the join goes
+#: on in a new function.  CPython refuses more than 20 statically nested
+#: blocks; the delta loop, one negative probe's loop or a negation join's
+#: ``try`` add at most two more.
+_MAX_LOOPS = 16
+
 
 @dataclass(frozen=True)
 class CompiledJoin:
     """One generated join function and the indexes it probes.
 
-    ``probes`` lists every (relation, positions) index the function may
-    probe, positive literals in join order and then negative literals;
-    batch evaluation builds them before the join runs.
+    ``position`` is the delta position in ``rule.positive_literals``, or
+    None for a blocked or unblocked join.  ``probes`` lists every
+    (relation, positions) index the function may probe, positive literals
+    in join order and then negative literals; batch evaluation builds them
+    before the join runs.
     """
 
     rule: Rule
     label: str
+    position: Optional[int]
     run: Callable[..., Iterator[tuple]]
     probes: Tuple[Probe, ...]
     aggregate: bool
@@ -89,17 +101,6 @@ class CompiledJoin:
 
 
 # -- helpers the generated code calls -----------------------------------------------
-
-
-def _truth(value: object, condition: str) -> bool:
-    """The truth of a condition value, as :func:`dataflow.satisfies` decides it."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    raise EngineError(
-        f"condition {condition} evaluated to non-boolean, non-numeric value {value!r}"
-    )
 
 
 def _unbound(name: str) -> object:
@@ -118,29 +119,45 @@ def _bad_operator(left: object, right: object, op: str) -> object:
 
 
 class _Codegen:
-    """The source of one generated function, built statement by statement.
+    """The source of one join, built statement by statement.
 
     ``env`` arguments map each NDlog variable bound at that point of the join
     to the Python local holding it.  Which variables are bound where is
-    static, so every "is it bound?" question is answered here, once.
+    static, so every "is it bound?" question is answered here, once.  The
+    join is usually one function, ``_join0``; :meth:`split` continues it in
+    ``_join1``, ``_join2``, ... when its loops nest too deep.
     """
 
-    def __init__(self, rule: Rule):
+    def __init__(self, rule: Rule, parameters: str):
         self.rule = rule
-        self.lines: List[str] = []
-        self.locals: Dict[str, str] = {}
+        self.parameters = parameters
+        self.functions: List[List[str]] = []
         self.constants: Dict[str, object] = {}
         self.indexes: Dict[Probe, str] = {}
         self.exclusions: Dict[str, str] = {}
+        #: the candidate locals bound so far, which the body tuple names
+        self.candidates: List[str] = []
+        self.fresh_names = 0
+        self.start(f"def _join0({parameters}):")
+
+    def start(self, header: str) -> None:
+        #: index and exclusion locals are set up at the top of each function
+        self.prologue = [header]
+        self.lines: List[str] = []
+        self.prepared: Set[str] = set()
+        self.loops = 0
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
-    def local(self, variable: str) -> str:
-        name = self.locals.get(variable)
-        if name is None:
-            name = self.locals[variable] = f"v{len(self.locals)}"
-        return name
+    def prepare(self, name: str, value: str) -> None:
+        if name not in self.prepared:
+            self.prepared.add(name)
+            self.prologue.append(f"    {name} = {value}")
+
+    def fresh(self) -> str:
+        self.fresh_names += 1
+        return f"v{self.fresh_names}"
 
     def const(self, value: object) -> str:
         if type(value) in (int, str, bool) or (type(value) is float and math.isfinite(value)):
@@ -186,7 +203,7 @@ class _Codegen:
                 if term.name in env:
                     self.emit(depth, f"if {env[term.name]} != {slot}: continue")
                 else:
-                    env[term.name] = self.local(term.name)
+                    env[term.name] = self.fresh()
                     self.emit(depth, f"{env[term.name]} = {slot}")
             elif isinstance(term, Constant):
                 self.emit(depth, f"if {self.const(term.value)} != {slot}: continue")
@@ -213,6 +230,7 @@ class _Codegen:
         index = self.indexes.get(probe)
         if index is None:
             index = self.indexes[probe] = f"i{len(self.indexes)}"
+        self.prepare(index, "None")
         self.emit(depth, f"if {index} is None: {index} = ensure{probe!r}")
         key = "".join(
             f"{self.const(term.value) if isinstance(term, Constant) else env[term.name]}, "
@@ -222,32 +240,46 @@ class _Codegen:
 
     def scan(self, depth: int, position: int, atom: Atom, env: Dict[str, str], exclude: bool) -> int:
         """Open the loop over *atom*'s candidates; return the depth inside it."""
+        if self.loops == _MAX_LOOPS:
+            depth = self.split(depth, env)
+        self.loops += 1
         bucket, fixed = self.bucket(depth, atom, env)
         candidate, values = f"c{position}", f"w{position}"
+        self.candidates.append(candidate)
         self.emit(depth, f"for {candidate} in [*{bucket}]:")
         depth += 1
         if exclude:
             excluded = self.exclusions.get(atom.relation)
             if excluded is None:
                 excluded = self.exclusions[atom.relation] = f"x{len(self.exclusions)}"
+            self.prepare(excluded, f"excl.get({atom.relation!r})")
             self.emit(depth, f"if {excluded} is not None and {candidate} in {excluded}: continue")
         self.emit(depth, f"{values} = {candidate}.values")
         self.match(depth, atom, values, env, fixed)
         return depth
+
+    def split(self, depth: int, env: Dict[str, str]) -> int:
+        """Go on in a new function, passed every local bound so far; return its depth."""
+        name = f"_join{len(self.functions) + 1}"
+        arguments = ", ".join([self.parameters, *env.values(), *self.candidates])
+        self.emit(depth, f"yield from {name}({arguments})")
+        self.functions.append(self.prologue + self.lines)
+        self.start(f"def {name}({arguments}):")
+        return 1
 
     def assignments_and_conditions(self, depth: int, env: Dict[str, str]) -> None:
         """Assignments and conditions in body order; ``continue`` when one fails."""
         for element in self.rule.body:
             if isinstance(element, Assignment):
                 value = self.expr(element.expression, env)
-                env[element.variable] = self.local(element.variable)
+                env[element.variable] = self.fresh()
                 self.emit(depth, f"{env[element.variable]} = {value}")
             elif isinstance(element, Condition):
                 self.emit(depth, f"t = {self.expr(element.expression, env)}")
                 self.emit(
                     depth,
                     "if t is not True and (t is False or not "
-                    f"_truth(t, {self.const(str(element))})): continue",
+                    f"_truth(t, {self.const(element)})): continue",
                 )
 
     def negations(self, depth: int, env: Dict[str, str]) -> None:
@@ -287,32 +319,26 @@ class _Codegen:
             value = f"_raise({message!r})"
         self.emit(depth, f"yield ({key}), {value}, {body}")
 
-    def build(self, label: str, parameters: str, registry: FunctionRegistry) -> CompiledJoin:
-        prologue = [f"def _join({parameters}):"]
-        for relation, name in self.exclusions.items():
-            prologue.append(f"    {name} = excl.get({relation!r})")
-        for probe, name in self.indexes.items():
-            prologue.append(f"    {name} = I.get({probe!r})")
-        source = "\n".join(prologue + self.lines) + "\n"
+    def build(self, label: str, position: Optional[int], registry: FunctionRegistry) -> CompiledJoin:
+        self.functions.append(self.prologue + self.lines)
+        source = "\n".join(line for function in self.functions for line in function) + "\n"
         namespace: Dict[str, object] = {
             "_call": registry.call,
-            "_truth": _truth,
+            "_truth": condition_truth,
             "_unbound": _unbound,
             "_raise": _raise,
             "_bad_operator": _bad_operator,
             "_EngineError": EngineError,
         }
         namespace.update(self.constants)
-        try:
-            code = compile(source, label, "exec")
-        except SyntaxError as error:  # more nested loops than CPython allows
-            raise NDlogValidationError(
-                f"rule {self.rule.name!r} cannot be compiled to a join: {error.msg}"
-            ) from None
-        exec(code, namespace)
-        run = cast(FunctionType, namespace["_join"])
-        run.__code__ = run.__code__.replace(co_name=label)
-        return CompiledJoin(self.rule, label, run, tuple(self.indexes), self.rule.has_aggregate, source)
+        exec(compile(source, label, "exec"), namespace)
+        for number in range(len(self.functions)):
+            function = cast(FunctionType, namespace[f"_join{number}"])
+            function.__code__ = function.__code__.replace(co_name=label)
+        run = cast(FunctionType, namespace["_join0"])
+        return CompiledJoin(
+            self.rule, label, position, run, tuple(self.indexes), self.rule.has_aggregate, source
+        )
 
 
 def _body(count: int) -> str:
@@ -322,8 +348,9 @@ def _body(count: int) -> str:
 def _delta_join(rule: Rule, position: int, registry: FunctionRegistry) -> CompiledJoin:
     """The join run when facts of ``rule.positive_literals[position]`` appear."""
     positives = rule.positive_literals
-    code = _Codegen(rule)
+    code = _Codegen(rule, "facts, excl, seen, F, ensure")
     env: Dict[str, str] = {}
+    code.candidates.append(f"c{position}")
     code.emit(1, f"for c{position} in facts:")
     code.emit(2, f"w{position} = c{position}.values")
     code.match(2, positives[position].atom, f"w{position}", env)
@@ -334,7 +361,7 @@ def _delta_join(rule: Rule, position: int, registry: FunctionRegistry) -> Compil
     code.assignments_and_conditions(depth, env)
     code.negations(depth, env)
     code.firing(depth, env, _body(len(positives)))
-    return code.build(f"<join {rule.name}@{position}>", "facts, excl, seen, F, I, ensure", registry)
+    return code.build(f"<join {rule.name}@{position}>", position, registry)
 
 
 def _negation_join(
@@ -348,9 +375,8 @@ def _negation_join(
     negative literals on *relation* unifies with *fact*.
     """
     positives = rule.positive_literals
-    code = _Codegen(rule)
+    code = _Codegen(rule, "fact, seen, F, ensure")
     env: Dict[str, str] = {}
-    code.emit(1, "u = fact.values")
     depth = 1
     if not positives:
         code.emit(1, "for _ in (None,):")
@@ -366,7 +392,7 @@ def _negation_join(
     for literal in rule.negative_literals:
         if literal.atom.relation == relation:
             code.emit(depth, "if not n:")
-            code.emit(depth + 1, "for w in (u,):")
+            code.emit(depth + 1, "for w in (fact.values,):")
             code.match(depth + 2, literal.atom, "w", dict(env))
             code.emit(depth + 2, "n = True")
     code.emit(depth, "if not n: continue")
@@ -377,34 +403,35 @@ def _negation_join(
     else:
         code.emit(depth, f"yield {body}")
     label = f"<join {rule.name}@{'+' if unblock else ''}!{relation}>"
-    return code.build(label, "fact, seen, F, I, ensure", registry)
+    return code.build(label, None, registry)
 
 
-#: Generated joins keyed by the relation whose change runs them.
+#: Generated delta joins keyed by the relation whose new facts run them.
 JoinTable = Dict[str, List[CompiledJoin]]
+#: Generated (blocked, unblocked) join pairs keyed by the negated relation.
+NegationTable = Dict[str, List[Tuple[CompiledJoin, CompiledJoin]]]
 
 
 def compile_joins(
     delta_index: Dict[str, List[Tuple[Rule, int]]],
     negation_index: Dict[str, List[Rule]],
     registry: FunctionRegistry,
-) -> Tuple[JoinTable, JoinTable, JoinTable]:
-    """Generate the join of every trigger: ``(delta, blocked, unblocked)`` tables.
+) -> Tuple[JoinTable, NegationTable]:
+    """Generate the join of every trigger: the delta and the negation table.
 
     The tables have the keys and list order of the compiler's trigger
-    indexes: one delta join per ``delta_index`` entry, one blocked and one
-    unblocked join per ``negation_index`` entry.
+    indexes: one delta join per ``delta_index`` entry, and one (blocked,
+    unblocked) pair per ``negation_index`` entry.
     """
     deltas = {
         relation: [_delta_join(rule, position, registry) for rule, position in triggers]
         for relation, triggers in delta_index.items()
     }
-    blocked = {
-        relation: [_negation_join(rule, relation, False, registry) for rule in rules]
+    negations = {
+        relation: [
+            (_negation_join(rule, relation, False, registry), _negation_join(rule, relation, True, registry))
+            for rule in rules
+        ]
         for relation, rules in negation_index.items()
     }
-    unblocked = {
-        relation: [_negation_join(rule, relation, True, registry) for rule in rules]
-        for relation, rules in negation_index.items()
-    }
-    return deltas, blocked, unblocked
+    return deltas, negations

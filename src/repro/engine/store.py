@@ -219,16 +219,17 @@ class TupleStore:
         if positions:
             self._ensure_index(relation, tuple(sorted(positions)))
 
-    def join_tables(self) -> Tuple[Dict[str, Dict[Fact, object]], Dict, Callable]:
-        """The live fact map, index map and index builder, for generated joins.
+    def join_tables(self) -> Tuple[Dict[str, Dict[Fact, object]], Callable]:
+        """The live fact map and the index getter, for generated joins.
 
         The joins of :mod:`repro.engine.joins` probe the store through these
         directly: a probe is one dict lookup, not a :meth:`matching`
-        generator.  The maps are never rebound, so callers may keep the
-        tuple; they must only read the maps.  The builder takes sorted
-        positions and returns the index, building it on first use.
+        generator.  The map is never rebound, so callers may keep the tuple;
+        they must only read it and the indexes.  The getter takes a relation
+        and sorted positions and returns the index, building it on first
+        use.
         """
-        return self._facts, self._indexes, self._ensure_index
+        return self._facts, self._ensure_index
 
     def _ensure_index(
         self, relation: str, positions: Tuple[int, ...]

@@ -22,10 +22,10 @@ import dataclasses
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EngineError, NDlogValidationError, UnknownFunctionError
+from repro.errors import EngineError, UnknownFunctionError
 from repro.engine.compiler import compile_program
 from repro.engine.dataflow import (
     bound_positions,
@@ -103,7 +103,7 @@ def _firing(rule, bindings, body, seen, registry):
 def reference_delta(rule, position, store, registry):
     atom = rule.positive_literals[position].atom
 
-    def run(facts, excl, seen, F, I, ensure):
+    def run(facts, excl, seen, F, ensure):
         for fact in facts:
             initial = match_atom(atom, fact, {}, registry)
             if initial is None:
@@ -122,7 +122,7 @@ def reference_delta(rule, position, store, registry):
 def reference_negation(rule, relation, unblock, store, registry):
     negated = [literal.atom for literal in rule.negative_literals if literal.atom.relation == relation]
 
-    def run(fact, seen, F, I, ensure):
+    def run(fact, seen, F, ensure):
         slots = [None] * len(rule.positive_literals)
         for bindings, body in _positive_bindings(rule, store, registry, slots, {}, 0, -1, {}):
             try:
@@ -145,27 +145,24 @@ def reference_program(compiled, store):
     """*compiled* with every generated join replaced by its interpreted reference."""
     registry = compiled.registry
 
-    def swap(table, reference):
-        return {
-            relation: [dataclasses.replace(join, run=reference(relation, index, join)) for index, join in enumerate(joins)]
-            for relation, joins in table.items()
-        }
+    def negation(relation, join, unblock):
+        return dataclasses.replace(join, run=reference_negation(join.rule, relation, unblock, store, registry))
 
-    return dataclasses.replace(
-        compiled,
-        joins=swap(
-            compiled.joins,
-            lambda relation, index, join: reference_delta(*compiled.delta_index[relation][index], store, registry),
-        ),
-        blocked_joins=swap(
-            compiled.blocked_joins,
-            lambda relation, index, join: reference_negation(join.rule, relation, False, store, registry),
-        ),
-        unblocked_joins=swap(
-            compiled.unblocked_joins,
-            lambda relation, index, join: reference_negation(join.rule, relation, True, store, registry),
-        ),
-    )
+    joins = {
+        relation: [
+            dataclasses.replace(join, run=reference_delta(join.rule, join.position, store, registry))
+            for join in joins
+        ]
+        for relation, joins in compiled.joins.items()
+    }
+    negation_joins = {
+        relation: [
+            (negation(relation, blocked, False), negation(relation, unblocked, True))
+            for blocked, unblocked in pairs
+        ]
+        for relation, pairs in compiled.negation_joins.items()
+    }
+    return dataclasses.replace(compiled, joins=joins, negation_joins=negation_joins)
 
 
 def drive(compiled, store, script, batched):
@@ -189,12 +186,8 @@ def drive(compiled, store, script, batched):
 
 
 def all_joins(compiled):
-    return [
-        join
-        for table in (compiled.joins, compiled.blocked_joins, compiled.unblocked_joins)
-        for joins in table.values()
-        for join in joins
-    ]
+    deltas = [join for joins in compiled.joins.values() for join in joins]
+    return deltas + [join for pairs in compiled.negation_joins.values() for pair in pairs for join in pair]
 
 
 # -- the differential test -------------------------------------------------------------
@@ -247,14 +240,34 @@ def assert_same_behaviour(program, script, batched):
     actual = drive(compiled, compiled_store, script, batched)
     assert actual == expected
     assert compiled_store.snapshot() == reference_store.snapshot()
-    assert set(compiled_store.join_tables()[1]) == set(reference_store.join_tables()[1])
+    assert set(compiled_store._indexes) == set(reference_store._indexes)
     return actual
+
+
+def b(x, y):
+    return Fact.make("b", ["n0", x, y])
+
+
+#: An assignment overwriting a variable an outer loop bound, with several
+#: inner candidates: every candidate must see the outer value, not the last
+#: one's overwritten value.
+OVERWRITE = "r0 h0(@S, X, Y) :- a(@S, X, _), b(@S, Y, _), X := X + 1, Y != 1."
+OVERWRITE_SCRIPT = [[(1, b(0, 0)), (1, b(1, 0)), (1, b(2, 0))], [(1, Fact.make("a", ["n0", 1, 0]))]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(program=PROGRAMS, script=SCRIPTS, batched=st.booleans())
+@example(program=[OVERWRITE], script=OVERWRITE_SCRIPT, batched=True)
+@example(program=[OVERWRITE], script=OVERWRITE_SCRIPT, batched=False)
 def test_compiled_joins_fire_like_the_interpreter(program, script, batched):
     assert_same_behaviour(program, script, batched)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_an_overwriting_assignment_leaves_the_outer_binding_alone(batched):
+    effects, error = assert_same_behaviour([OVERWRITE], OVERWRITE_SCRIPT, batched)
+    assert error is None
+    assert sorted(effect.head_fact.values for effect in effects) == [("n0", 2, 0), ("n0", 2, 2)]
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -310,10 +323,22 @@ def test_a_traceback_names_the_rule_and_its_delta_position():
     assert innermost.co_filename == innermost.co_name == "<join r7@0>"
 
 
-def test_a_rule_too_deep_to_compile_is_rejected_with_its_name():
-    body = ", ".join(f"a(@S, X{i}, X{i + 1})" for i in range(25))
-    with pytest.raises(NDlogValidationError, match="'deep'"):
-        compile_program(parse_program(f"deep h(@S, X0) :- {body}.", name="deep"), validate=False)
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_rule_deeper_than_python_nests_blocks_still_joins(batched):
+    """40 positive literals: each join goes on in continuation functions."""
+    length = 40
+    body = ", ".join(f"a(@S, X{i}, X{i + 1})" for i in range(length))
+    program = [f"deep h0(@S, X0, X{length}) :- {body}, !c(@S, X0)."]
+    chain = [Fact.make("a", ["n0", i, i + 1]) for i in range(length)]
+    blocker = Fact.make("c", ["n0", 0])
+    script = [[(1, fact) for fact in chain], [(1, blocker)], [(-1, blocker)], [(-1, chain[length // 2])]]
+    effects, error = assert_same_behaviour(program, script, batched)
+    assert error is None
+    assert [(effect.sign, effect.head_fact.values) for effect in effects] == [
+        (sign, ("n0", 0, length)) for sign in (1, -1, 1, -1)
+    ]
+    joins = all_joins(compile_program(parse_program(program[0], name="deep"), validate=False))
+    assert all(join.source.count("\ndef ") >= 2 for join in joins)
 
 
 # -- what is generated ---------------------------------------------------------------------
@@ -341,15 +366,22 @@ def test_generated_source_is_python_3_9(name):
 @pytest.mark.parametrize("name", ["path_vector", "negation"])
 def test_one_generated_join_per_trigger_in_trigger_order(name):
     compiled = compile_program(SHIPPED[name]())
-    assert {relation: [join.label for join in joins] for relation, joins in compiled.joins.items()} == {
-        relation: [f"<join {rule.name}@{position}>" for rule, position in triggers]
-        for relation, triggers in compiled.delta_index.items()
-    }
-    for table, sign in ((compiled.blocked_joins, ""), (compiled.unblocked_joins, "+")):
-        assert {relation: [join.label for join in joins] for relation, joins in table.items()} == {
-            relation: [f"<join {rule.name}@{sign}!{relation}>" for rule in rules]
-            for relation, rules in compiled.negation_index.items()
-        }
+    deltas, negations = {}, {}
+    for rule in compiled.rules:
+        for position, literal in enumerate(rule.positive_literals):
+            deltas.setdefault(literal.atom.relation, []).append((f"<join {rule.name}@{position}>", position))
+        for literal in rule.negative_literals:
+            relation = literal.atom.relation
+            pair = (f"<join {rule.name}@!{relation}>", f"<join {rule.name}@+!{relation}>")
+            if pair not in negations.setdefault(relation, []):
+                negations[relation].append(pair)
+    assert {
+        relation: [(join.label, join.position) for join in joins] for relation, joins in compiled.joins.items()
+    } == deltas
+    assert {
+        relation: [(blocked.label, unblocked.label) for blocked, unblocked in pairs]
+        for relation, pairs in compiled.negation_joins.items()
+    } == negations
 
 
 def test_a_batch_builds_exactly_the_indexes_its_joins_probe():
@@ -364,4 +396,4 @@ def test_a_batch_builds_exactly_the_indexes_its_joins_probe():
     assert [effect.head_fact for effect in effects] == [Fact.make("out", ["n0", 3])]
     probed = {probe for join in all_joins(compiled) for probe in join.probes}
     assert probed == {("a", (0,)), ("b", (0,))}
-    assert set(store.join_tables()[1]) == probed
+    assert set(store._indexes) == probed

@@ -20,19 +20,21 @@ class TestCompileProgram:
         assert all(rule.is_maybe for rule in compiled.maybe_rules)
         assert all(not rule.is_maybe for rule in compiled.rules)
 
-    def test_delta_index_covers_every_positive_literal(self):
+    def test_delta_joins_cover_every_positive_literal(self):
         compiled = compile_program(mincost.program())
-        total = sum(len(entries) for entries in compiled.delta_index.values())
+        total = sum(len(joins) for joins in compiled.joins.values())
         expected = sum(len(rule.positive_literals) for rule in compiled.rules)
         assert total == expected
 
-    def test_negation_index(self):
+    def test_negation_joins(self):
         program = parse_program(
             "r1 up(@S, D) :- link(@S, D). r2 alone(@S, D) :- node(@S, D), !up(@S, D).",
             name="neg",
         )
         compiled = compile_program(program)
-        assert [rule.name for rule in compiled.negation_index["up"]] == ["r2"]
+        assert [
+            (blocked.rule.name, unblocked.rule.name) for blocked, unblocked in compiled.negation_joins["up"]
+        ] == [("r2", "r2")]
 
     def test_base_and_derived_relations(self):
         compiled = compile_program(path_vector.program())
