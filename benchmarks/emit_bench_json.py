@@ -2,9 +2,9 @@
 
 Runs compact, deterministic versions of the headline experiments —
 
-* **E11** batch-first delta evaluation (batched vs per-fact churn),
+* **E11** batch-first delta evaluation (a churn workload's counts),
 * **E14** per-VID query-cache invalidation (cache hit/miss/eviction counters
-  under unrelated churn, vs the global-version ablation),
+  under unrelated churn),
 * **E15** the workload subsystem's ``smoke`` scenario profile (seeded churn
   generators + Zipf query waves through the scenario driver; the 1000+-node
   ``scale`` profile stays in the opt-in ``workflow_dispatch`` CI run),
@@ -36,7 +36,7 @@ gated: the engine is deterministic, so any drift is a real behavioural
 change.  Wall-clock metrics are recorded for the artifact trail but not
 gated — shared CI runners are too noisy for absolute-time gates; the
 relative speedup assertions live in the pytest benchmarks (e.g. E11's
-batched-vs-per-fact bound), which the same CI job runs first.
+parallel-vs-sequential fan-out bound), which the same CI job runs first.
 
 Refresh the baseline after an intentional perf-trajectory change with:
 
@@ -89,29 +89,22 @@ def collect_metrics() -> dict:
     """Run the trajectory workloads; return {metric_name: {value, gate}}."""
     metrics = {}
 
-    # E11 — batch-first churn absorption, batched vs per-fact reference.
+    # E11 — batch-first churn absorption.
     start = time.perf_counter()
-    batched, deltas = run_churn(batch_deltas=True)
+    batched, deltas = run_churn()
     batched_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    per_fact, _ = run_churn(batch_deltas=False)
-    per_fact_seconds = time.perf_counter() - start
     metrics["e11.deltas"] = _metric(deltas)
     metrics["e11.batched.messages"] = _metric(batched.message_stats().messages)
     metrics["e11.batched.events"] = _metric(batched.simulator.processed_events)
     metrics["e11.batched.rounds"] = _metric(batched.simulator.rounds)
     metrics["e11.batched.seconds"] = _metric(round(batched_seconds, 3), gate=False)
-    metrics["e11.per_fact.messages"] = _metric(per_fact.message_stats().messages)
-    metrics["e11.per_fact.events"] = _metric(per_fact.simulator.processed_events)
-    metrics["e11.per_fact.seconds"] = _metric(round(per_fact_seconds, 3), gate=False)
 
-    # E14 — per-VID cache invalidation under unrelated churn, vs the
-    # global-version ablation.  Counters are deterministic and gated; the
-    # hit rate is derived (recorded for the artifact trail only).
+    # E14 — per-VID cache invalidation under unrelated churn.  Counters are
+    # deterministic and gated; the hit rate is derived (recorded for the
+    # artifact trail only).
     start = time.perf_counter()
     per_vid = run_cache_workload()
     per_vid_seconds = time.perf_counter() - start
-    coarse = run_cache_workload(cache_validation="global")
     capped = run_capped_workload().cache_totals()
     metrics["e14.pervid.hits"] = _metric(per_vid["totals"]["hits"], higher_is_better=True)
     metrics["e14.pervid.misses"] = _metric(per_vid["totals"]["misses"])
@@ -121,16 +114,13 @@ def collect_metrics() -> dict:
     metrics["e14.pervid.churn_step_messages"] = _metric(sum(per_vid["per_step_messages"]))
     metrics["e14.pervid.hit_rate"] = _metric(per_vid["hit_rate"], gate=False)
     metrics["e14.pervid.seconds"] = _metric(round(per_vid_seconds, 3), gate=False)
-    metrics["e14.global.churn_step_hits"] = _metric(
-        sum(coarse["per_step_hits"]), gate=False
-    )
     metrics["e14.capped.evictions"] = _metric(capped["evictions"])
     metrics["e14.capped.entries"] = _metric(capped["entries"])
-    if sum(per_vid["per_step_hits"]) <= sum(coarse["per_step_hits"]):
+    if not all(hits > per_vid["cold_hits"] for hits in per_vid["per_step_hits"]):
         raise SystemExit(
-            "E14 invariant violated: per-VID validation no longer beats the "
-            f"global ablation ({sum(per_vid['per_step_hits'])} hits vs "
-            f"{sum(coarse['per_step_hits'])})"
+            "E14 invariant violated: a churn step's hits no longer exceed the "
+            f"cold sweep's intra-sweep reuse ({per_vid['per_step_hits']} vs "
+            f"{per_vid['cold_hits']})"
         )
 
     # E15 — the workload subsystem's smoke scenario (seeded churn generators

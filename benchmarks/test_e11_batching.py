@@ -4,12 +4,11 @@ The paper's optimisation story is a trade between network traffic and
 latency.  This experiment quantifies both halves of the batch-first runtime:
 
 * **Batched delta evaluation** — a churn workload of 500+ base-tuple deltas
-  is absorbed by two otherwise identical runtimes, one batch-first (the
-  default) and one processing a single delta per evaluator pass (the
-  historical mode, kept as ``batch_deltas=False``).  Batching must converge
-  to the identical state with strictly fewer network messages and strictly
-  fewer simulator events, and it is what makes bulk loads and heavy churn
-  cheap.
+  is absorbed by the batch-first runtime: each node drains its whole queue
+  in one evaluator pass and ships the deltas it derives for one destination
+  in one message, so it must send strictly fewer network messages than
+  tuple deltas.  (The retired per-delta runtime sent one message per delta;
+  its last numbers are in ``docs/performance.md`` § Retired ablations.)
 * **Parallel query fan-out** — the same lineage queries are answered with
   sequential and parallel traversal.  Parallel traversal issues every child
   request of a step in one fan-out round (requests to the same peer share a
@@ -19,8 +18,6 @@ latency.  This experiment quantifies both halves of the batch-first runtime:
   describes.
 """
 
-import time
-
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
@@ -29,8 +26,7 @@ from repro.workloads import ChurnPhase, ScenarioDriver, ScenarioSpec, TopologySp
 
 #: The churn workload, expressed as a scenario spec: heavy link flapping on a
 #: 12-node random graph, sized so the trace applies well over 500 base-tuple
-#: deltas (asserted below).  The two runtimes under comparison are the same
-#: spec with only the ``batch_deltas`` knob toggled.
+#: deltas (asserted below).
 CHURN_SPEC = ScenarioSpec(
     name="e11-churn",
     topology=TopologySpec.make("random_connected", count=12, edge_probability=0.5, seed=11),
@@ -40,49 +36,33 @@ CHURN_SPEC = ScenarioSpec(
 )
 
 
-def run_churn(batch_deltas):
+def run_churn():
     """Drive the churn scenario; returns (runtime, applied churn deltas).
 
     The driver is closed before returning; the returned runtime stays
     readable for state and counter comparisons.
     """
-    with ScenarioDriver(CHURN_SPEC.with_knobs(batch_deltas=batch_deltas)) as driver:
+    with ScenarioDriver(CHURN_SPEC) as driver:
         report = driver.run()
     deltas = report.totals()["deltas"] - report.phase("seed").deltas
     return driver.runtime, deltas
 
 
-def test_batched_deltas_beat_per_fact_evaluation(benchmark, record):
-    start = time.perf_counter()
-    per_fact, per_fact_deltas = run_churn(batch_deltas=False)
-    per_fact_seconds = time.perf_counter() - start
+def test_batched_deltas_share_messages(benchmark, record):
+    batched, deltas = benchmark.pedantic(run_churn, rounds=3, iterations=1)
 
-    batched, deltas = benchmark.pedantic(run_churn, args=(True,), rounds=3, iterations=1)
-
-    assert deltas == per_fact_deltas
     assert deltas >= 500, f"churn workload too small: {deltas} deltas"
-    for relation in ("link", "path", "minCost"):
-        assert batched.state(relation) == per_fact.state(relation)
-
-    batched_messages = batched.message_stats().messages
-    per_fact_messages = per_fact.message_stats().messages
-    batched_events = batched.simulator.processed_events
-    per_fact_events = per_fact.simulator.processed_events
-    record(
-        "E11 batched delta evaluation (MINCOST churn, 12 nodes)",
-        f"per-fact evaluation ({deltas} deltas)",
-        messages=per_fact_messages,
-        events=per_fact_events,
-        seconds=round(per_fact_seconds, 3),
-    )
+    sent = sum(node.stats.deltas_sent for node in batched.nodes.values())
+    messages = sum(node.stats.messages_sent for node in batched.nodes.values())
     record(
         "E11 batched delta evaluation (MINCOST churn, 12 nodes)",
         f"batched evaluation ({deltas} deltas)",
-        messages=batched_messages,
-        events=batched_events,
+        messages=batched.message_stats().messages,
+        events=batched.simulator.processed_events,
+        tuple_deltas_sent=sent,
+        tuple_messages_sent=messages,
     )
-    assert batched_messages < per_fact_messages
-    assert batched_events < per_fact_events
+    assert messages < sent
 
 
 def test_parallel_fanout_fewer_rounds_than_sequential(benchmark, record):

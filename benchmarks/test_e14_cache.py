@@ -12,19 +12,16 @@ query working set, then repeatedly flaps the hub links of *other* leaves —
 churn that rewrites large parts of the provenance tables (including losing
 alternatives inside the queried tuples' own aggregation groups) without
 touching any queried subtree.  Per-VID validation keeps every entry alive
-through every churn step; the ``cache_validation="global"`` ablation — the
-old scheme — records zero hits after the first delta.  Every cached answer
-is asserted bit-identical to an uncached traversal throughout.
+through every churn step.  (The retired global-version validation recorded
+no hits beyond intra-sweep reuse after the first delta; its last numbers are
+in ``docs/performance.md`` § Retired ablations.)  Every cached answer is
+asserted bit-identical to an uncached traversal throughout.
 """
 
 import pytest
 
 from repro.core.optimizations import QueryOptions
-from repro.core.query import (
-    CACHE_VALIDATION_GLOBAL,
-    CACHE_VALIDATION_VID,
-    DistributedQueryEngine,
-)
+from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.protocols import mincost
 
@@ -43,7 +40,7 @@ TARGETS = [
 CHURN_LEAVES = ["n5", "n6", "n7"]
 
 
-def run_cache_workload(cache_validation=CACHE_VALIDATION_VID):
+def run_cache_workload():
     """Prime the cache, churn unrelated leaves, re-query after every step.
 
     Returns the per-churn-step cache-hit deltas, the message cost of each
@@ -51,7 +48,7 @@ def run_cache_workload(cache_validation=CACHE_VALIDATION_VID):
     answer equals the uncached traversal's.
     """
     runtime = mincost.setup(topology.star(8))
-    engine = DistributedQueryEngine(runtime, cache_validation=cache_validation)
+    engine = DistributedQueryEngine(runtime)
     cached = QueryOptions(use_cache=True)
 
     def sweep():
@@ -66,8 +63,8 @@ def run_cache_workload(cache_validation=CACHE_VALIDATION_VID):
 
     # Cold sweep: fills the caches.  Its hit count is the intra-sweep
     # baseline — sub-results shared between targets inside one quiescent
-    # window hit under *any* validation scheme; what distinguishes the
-    # schemes is whether entries survive the churn *between* sweeps.
+    # window hit under *any* validation scheme; what per-VID validation adds
+    # is that entries survive the churn *between* sweeps.
     cold_hits, prime_messages = sweep()
     per_step_hits = []
     per_step_messages = []
@@ -116,37 +113,11 @@ def test_per_vid_validation_survives_unrelated_churn(benchmark, record):
     )
     # The acceptance property: churn outside the queried subtrees keeps the
     # cache alive at EVERY step — strictly more hits than intra-sweep reuse
-    # alone can explain (the old global scheme never exceeds that baseline).
+    # alone can explain (the retired global scheme never exceeded that baseline).
     assert all(hits > result["cold_hits"] for hits in result["per_step_hits"])
     # ...and the surviving entries actually save traffic.
     assert result["prime_messages"] > 0
     assert all(messages == 0 for messages in result["per_step_messages"])
-
-
-def test_global_validation_baseline_flushes_every_step(record):
-    result = run_cache_workload(cache_validation=CACHE_VALIDATION_GLOBAL)
-    record(
-        "E14 cache invalidation under churn (MINCOST star-8, 3 unrelated link flaps)",
-        "global version (old scheme, ablation)",
-        hit_rate=result["hit_rate"],
-        cold_hits=result["cold_hits"],
-        per_step_hits=result["per_step_hits"],
-        sweep_messages=result["per_step_messages"],
-        cold_messages=result["prime_messages"],
-    )
-    # No cross-step survival: every sweep after a delta starts from scratch,
-    # paying the full traversal traffic again.
-    assert all(hits <= result["cold_hits"] for hits in result["per_step_hits"])
-    assert all(
-        messages == result["prime_messages"] for messages in result["per_step_messages"]
-    )
-
-
-def test_per_vid_beats_global_hit_rate():
-    per_vid = run_cache_workload()
-    coarse = run_cache_workload(cache_validation=CACHE_VALIDATION_GLOBAL)
-    assert per_vid["hit_rate"] > coarse["hit_rate"]
-    assert sum(per_vid["per_step_hits"]) > sum(coarse["per_step_hits"])
 
 
 def test_capped_cache_evicts_lru(record):

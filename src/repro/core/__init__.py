@@ -36,11 +36,7 @@ from repro.core.queries import (
     QUERY_SUBGRAPH,
 )
 from repro.core.optimizations import DEFAULT_CACHE_CAPACITY, NodeQueryCache, QueryOptions
-from repro.core.query import (
-    CACHE_VALIDATION_GLOBAL,
-    CACHE_VALIDATION_VID,
-    DistributedQueryEngine,
-)
+from repro.core.query import DistributedQueryEngine
 from repro.core.results import QueryResult
 from repro.core.language import ParsedQuery, QueryLanguage, parse_query
 from repro.core.security import NodeAttestation, ProvenanceAuthenticator, TamperReport
@@ -65,8 +61,6 @@ __all__ = [
     "QueryOptions",
     "NodeQueryCache",
     "DEFAULT_CACHE_CAPACITY",
-    "CACHE_VALIDATION_VID",
-    "CACHE_VALIDATION_GLOBAL",
     "DistributedQueryEngine",
     "QueryResult",
     "ParsedQuery",

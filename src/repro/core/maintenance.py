@@ -354,14 +354,12 @@ class NodeProvenanceStore:
 class ProvenanceEngine:
     """The system-wide (but per-node partitioned) provenance maintenance engine.
 
-    Instances implement the recorder protocol expected by
-    :class:`repro.engine.node.Node`:
+    Each :class:`repro.engine.node.Node` calls it once per drain:
 
-    * :meth:`record_rule_exec` / :meth:`remove_rule_exec` are called at the
-      node where a rule fires (or a firing is retracted);
-    * :meth:`record_support` / :meth:`remove_support` are called at the node
-      where a derived (or base) tuple is stored when a derivation is added or
-      removed.
+    * :meth:`apply_rule_exec_batch` at the node where rules fired (or
+      firings were retracted);
+    * :meth:`apply_support_batch` at the node where derived (or base)
+      tuples are stored, when derivations are added or removed.
     """
 
     def __init__(self, compiled: Optional[CompiledProgram] = None):
@@ -413,9 +411,8 @@ class ProvenanceEngine:
         self._vid_version_next_sweep = 0
         self._vid_version_sweeps = 0
         self._vid_versions_pruned = 0
-        #: Memoized sum of all per-partition versions, so query-cache hot
-        #: paths that still consult the global fallback stay O(1) instead of
-        #: re-scanning every node's partition.
+        #: Memoized sum of all per-partition versions, so the query caches'
+        #: clock is O(1) instead of a scan over every node's partition.
         self._global_version = 0
 
     def _count_events(self, count: int) -> None:
@@ -440,29 +437,7 @@ class ProvenanceEngine:
             known = list(self._stores)
         return sorted(known, key=repr)
 
-    # -- recorder protocol (called by the execution engine; a row = a one-row batch) ---
-
-    def record_rule_exec(self, exec_node: object, effect: DerivationEffect) -> ProvenanceTag:
-        """Record one rule firing (``effect.sign > 0``) at *exec_node*; return its tag."""
-        return self.apply_rule_exec_batch(exec_node, (effect,))[0]
-
-    def remove_rule_exec(self, exec_node: object, effect: DerivationEffect) -> None:
-        """Remove the rule-execution entry for a retracted firing (``effect.sign < 0``)."""
-        self.apply_rule_exec_batch(exec_node, (effect,))
-
-    def record_support(
-        self,
-        node_id: object,
-        fact: Fact,
-        derivation_id: str,
-        tag: Optional[ProvenanceTag],
-    ) -> None:
-        """Record one derivation (prov entry) of *fact* at its home node."""
-        self.apply_support_batch(node_id, ((+1, fact, derivation_id, tag),))
-
-    def remove_support(self, node_id: object, fact: Fact, derivation_id: str) -> None:
-        """Remove the prov entry created for (*fact*, *derivation_id*) at *node_id*."""
-        self.apply_support_batch(node_id, ((-1, fact, derivation_id, None),))
+    # -- the execution engine's interface: one call per node drain ------------------
 
     def apply_support_batch(
         self,
@@ -665,8 +640,7 @@ class ProvenanceEngine:
     def global_version(self) -> int:
         """The sum of all per-partition versions, memoized to O(1).
 
-        Kept as the coarse fallback for cache validation against recorders
-        that predate per-VID versions; equal, by construction, to
+        The query caches' clock; equal, by construction, to
         ``sum(self.versions().values())``.
         """
         return self._global_version

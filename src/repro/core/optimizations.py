@@ -120,8 +120,7 @@ class NodeQueryCache:
     """Per-node LRU cache of completed sub-query results.
 
     Entries are tagged with the version their result was computed at — the
-    queried vertex's per-VID reachability version, or the global provenance
-    version when the recorder offers nothing finer — and are valid only
+    queried vertex's per-VID reachability version — and are valid only
     while the current version still equals the tag.  Validation can only
     produce false invalidations, never stale answers: any change a traversal
     from the vertex could observe bumps its version before the entry can be

@@ -66,12 +66,6 @@ _REQUEST_KIND_EXEC = "exec"
 
 _ROOT_MARKER = "__root__"
 
-#: Cache-validation modes: per-VID reachability versions (default) keep
-#: entries alive through unrelated churn; the global mode re-creates the
-#: original flush-on-any-delta behaviour for ablation benchmarks.
-CACHE_VALIDATION_VID = "vid"
-CACHE_VALIDATION_GLOBAL = "global"
-
 
 @dataclass(frozen=True)
 class QueryRequest:
@@ -1030,7 +1024,6 @@ class DistributedQueryEngine:
         self,
         runtime,
         provenance: Optional[ProvenanceEngine] = None,
-        cache_validation: str = CACHE_VALIDATION_VID,
         use_interval_index: Optional[bool] = None,
     ):
         self.runtime = runtime
@@ -1038,11 +1031,6 @@ class DistributedQueryEngine:
         if provenance is None:
             raise QueryError(
                 "the runtime has no provenance engine; construct it with provenance=True"
-            )
-        if cache_validation not in (CACHE_VALIDATION_VID, CACHE_VALIDATION_GLOBAL):
-            raise QueryError(
-                f"cache_validation must be {CACHE_VALIDATION_VID!r} or "
-                f"{CACHE_VALIDATION_GLOBAL!r}, not {cache_validation!r}"
             )
         self.provenance: ProvenanceEngine = provenance
         #: Per-node query-cache capacity, taken from the runtime
@@ -1055,12 +1043,6 @@ class DistributedQueryEngine:
             self.cache_capacity = None
         else:
             self.cache_capacity = raw_capacity
-        #: How cache entries are validated: per-VID reachability versions
-        #: (the default — unrelated deltas keep entries alive) or the coarse
-        #: global provenance version (any delta anywhere invalidates
-        #: everything; kept as an ablation knob and as the automatic
-        #: fallback for duck-typed recorders without per-VID versions).
-        self.cache_validation = cache_validation
         #: Whether eligible queries use the per-partition interval index
         #: (one range-scan request per partition per wave) instead of the
         #: per-edge traversal.  ``None`` inherits the runtime's knob
@@ -1070,12 +1052,6 @@ class DistributedQueryEngine:
         if use_interval_index is None:
             use_interval_index = bool(getattr(runtime, "use_interval_index", False))
         self.use_interval_index = bool(use_interval_index)
-        self._vid_version_fn = (
-            getattr(provenance, "vid_version", None)
-            if cache_validation == CACHE_VALIDATION_VID
-            else None
-        )
-        self._global_version_fn = getattr(provenance, "global_version", None)
         self._reducers: Dict[str, QueryReducer] = dict(BUILTIN_REDUCERS)
         self._agents: Dict[object, QueryAgent] = {}
         for node_id, node in runtime.nodes.items():
@@ -1115,28 +1091,19 @@ class DistributedQueryEngine:
     def global_version(self) -> int:
         """A counter that changes whenever any provenance table changes anywhere.
 
-        Served from :meth:`ProvenanceEngine.global_version`'s memoized
-        counter in O(1); the O(#nodes) scan over every partition remains
-        only as the fallback for duck-typed recorders without one.
+        Served in O(1) from :meth:`ProvenanceEngine.global_version`'s
+        memoized counter; the node caches use it as their clock.
         """
-        if self._global_version_fn is not None:
-            return self._global_version_fn()
-        return sum(
-            self.provenance.store(node_id).version for node_id in self.provenance.node_ids()
-        )
+        return self.provenance.global_version()
 
     def entry_version(self, vid: str) -> int:
         """The version cache entries for *vid* are tagged with and validated against.
 
-        Per-VID reachability version under the default validation mode —
-        bumped only when *vid*'s downstream provenance subgraph changes — or
-        the global version under ``cache_validation="global"`` (and for
-        recorders that don't track per-VID versions), where any delta
-        anywhere invalidates every entry.
+        The per-VID reachability version, bumped only when *vid*'s
+        downstream provenance subgraph changes, so unrelated deltas keep the
+        entry alive.
         """
-        if self._vid_version_fn is not None:
-            return self._vid_version_fn(vid)
-        return self.global_version()
+        return self.provenance.vid_version(vid)
 
     def agent(self, node_id: object) -> QueryAgent:
         return self._agents[node_id]
@@ -1416,6 +1383,5 @@ class DistributedQueryEngine:
         return totals
 
     def interval_totals(self) -> Dict[str, int]:
-        """System-wide interval-index counters (empty if the recorder has none)."""
-        totals_fn = getattr(self.provenance, "interval_totals", None)
-        return totals_fn() if totals_fn is not None else {}
+        """System-wide interval-index counters."""
+        return self.provenance.interval_totals()

@@ -49,10 +49,18 @@ RECOVERY_MODES = ("genesis", "checkpoint")
 
 #: Construction knobs that WALs written by older versions recorded and that
 #: no longer exist.  None of them could change replayed state (the
-#: determinism contract made every value bit-identical, and the emulated
-#: commit stall only slept in real time), so recovery drops them whatever
-#: their value.
-RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar", "batch_commit_stall_s")
+#: determinism contract made every value bit-identical, the emulated commit
+#: stall only slept in real time, and the per-delta runtime and the
+#: retract-first aggregate ordering converge to the batched runtime's state
+#: and provenance), so recovery drops them whatever their value.
+RETIRED_KNOBS = (
+    "num_shards",
+    "shard_workers",
+    "columnar",
+    "batch_commit_stall_s",
+    "batch_deltas",
+    "aggregate_retract_first",
+)
 
 
 @dataclass

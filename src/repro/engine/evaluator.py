@@ -15,18 +15,16 @@ per (rule, delta position) and per (rule, negated relation)
 them with its store's tables and records the firings they yield.  It
 implements:
 
-* semi-naive (delta) evaluation, either one update at a time
-  (:meth:`LocalEvaluator.on_fact_inserted` / ``on_fact_deleted``, the
-  singleton batch) or — the batch-first hot path — over a whole set of
-  deltas at once (:meth:`LocalEvaluator.on_batch`), which groups
-  same-relation deltas, runs each (rule, delta position) join once over the
-  whole delta set and defers aggregate recomputation so each touched group
-  is recomputed exactly once per batch,
+* semi-naive (delta) evaluation over a whole set of deltas at once
+  (:meth:`LocalEvaluator.on_batch`), which groups same-relation deltas, runs
+  each (rule, delta position) join once over the whole delta set and defers
+  aggregate recomputation so each touched group is recomputed exactly once
+  per batch,
 * derivation tracking (one firing record per distinct rule firing), which
   both drives incremental deletion and feeds the provenance engine,
 * aggregates (``min``/``max``/``count``/``sum``/``avg``) maintained per
-  group with correct retract-and-replace behaviour when the aggregate value
-  changes, and
+  group; when the aggregate value changes the replacement head is emitted
+  before the retraction of the old one, and
 * stratum-free negation: firings are retracted when a fact matching one of
   their negative literals appears, and re-derived when it disappears.
 
@@ -94,7 +92,6 @@ class LocalEvaluator:
         compiled: CompiledProgram,
         store: TupleStore,
         node_id: object,
-        aggregate_retract_first: bool = False,
     ):
         self._compiled = compiled
         self._store = store
@@ -103,10 +100,6 @@ class LocalEvaluator:
         #: join.
         self._tables = store.join_tables()
         self._firing_seq = 0
-        #: Ablation switch (see DESIGN.md §5): when True, aggregate changes are
-        #: propagated as retract-then-insert instead of the default
-        #: insert-then-retract ordering.  Only benchmarks should enable it.
-        self.aggregate_retract_first = aggregate_retract_first
 
         #: firing id -> rule name, head fact and body facts of each live
         #: non-aggregate firing: three flat maps, not a record object per
@@ -161,40 +154,6 @@ class LocalEvaluator:
 
     # -- entry points --------------------------------------------------------------
 
-    def on_fact_inserted(self, fact: Fact) -> List[DerivationEffect]:
-        """React to *fact* having just become present in the local store."""
-        effects: List[DerivationEffect] = []
-        exclusions = {fact.relation: {fact}}
-        for join in self._compiled.joins.get(fact.relation, ()):
-            self._fire(join, ((fact,), exclusions), effects)
-        for blocked, _ in self._compiled.negation_joins.get(fact.relation, ()):
-            self._retract_blocked_firings(blocked, fact, effects)
-        return effects
-
-    def on_fact_deleted(self, fact: Fact) -> List[DerivationEffect]:
-        """React to *fact* having just disappeared from the local store."""
-        effects: List[DerivationEffect] = []
-
-        # Retraction of ordinary firings that used the fact positively.
-        firings = self._fact_firings.pop(fact, None)
-        if firings:
-            for firing_id in _sorted_members(firings):
-                if firing_id in self._firing_rules:
-                    effects.append(self._retract_firing(firing_id))
-
-        # Removal of aggregate entries that used the fact.  Memberships carry
-        # their repr sort key as element 0 (computed once at entry creation),
-        # so ordering them is a plain tuple sort with no repr() calls.
-        memberships = self._fact_agg_entries.pop(fact, None)
-        if memberships:
-            for membership in _sorted_members(memberships):
-                effects.extend(self._agg_remove_entry(membership))
-
-        # Firings newly enabled because a negative literal stopped matching.
-        for _, unblocked in self._compiled.negation_joins.get(fact.relation, ()):
-            self._fire(unblocked, (fact,), effects)
-        return effects
-
     def on_batch(
         self, inserts: Sequence[Fact], deletes: Sequence[Fact]
     ) -> List[DerivationEffect]:
@@ -205,9 +164,10 @@ class LocalEvaluator:
         already reflect the entire batch, and the two sequences must be
         disjoint (callers collapse flickering facts to their net transition).
 
-        The batch pass is equivalent to replaying the deltas one at a time —
-        incremental maintenance is confluent, so the final store and
-        provenance state are identical — but does strictly less work:
+        The batch pass is equivalent to passing the deltas in one at a
+        time as singleton batches — incremental maintenance is confluent, so
+        the final store and provenance state are identical — but does
+        strictly less work:
 
         * same-relation deltas are grouped and each (rule, delta position)
           join runs once over the whole delta set, with the classic batch
@@ -238,7 +198,7 @@ class LocalEvaluator:
                 memberships = self._fact_agg_entries.pop(fact, None)
                 if memberships:
                     for membership in _sorted_members(memberships):
-                        effects.extend(self._agg_remove_entry(membership))
+                        self._agg_remove_entry(membership)
             # Firings newly enabled because a negative literal stopped
             # matching; runs after all retractions so the store and firing
             # tables are settled.
@@ -277,10 +237,6 @@ class LocalEvaluator:
             self._dirty_agg_groups = None
         return effects
 
-    def recompute_effects_for_existing(self, fact: Fact) -> List[DerivationEffect]:
-        """Alias of :meth:`on_fact_inserted`, used when replaying a store."""
-        return self.on_fact_inserted(fact)
-
     # -- firing management ----------------------------------------------------------
 
     def _next_firing_id(self) -> str:
@@ -298,7 +254,7 @@ class LocalEvaluator:
         rule = join.rule
         if join.aggregate:
             for group_key, value, body_facts in join.run(*args, None, *self._tables):
-                effects.extend(self._agg_add_entry(rule, group_key, value, body_facts))
+                self._agg_add_entry(rule.name, group_key, value, body_facts)
             return
         seen = self._firing_by_body[rule.name]
         for head_values, body_facts in join.run(*args, seen, *self._tables):
@@ -370,8 +326,19 @@ class LocalEvaluator:
     def _retract_blocked_firings(
         self, join: CompiledJoin, fact: Fact, effects: List[DerivationEffect]
     ) -> None:
-        """Retract the firings of ``join.rule`` that the new *fact* blocks."""
-        by_body = self._firing_by_body[join.rule.name]
+        """Retract the firings of ``join.rule`` that the new *fact* blocks.
+
+        For an aggregate rule these are group entries, which drop out of
+        their group as a deleted body fact would drop them.
+        """
+        rule_name = join.rule.name
+        if join.aggregate:
+            for body_facts in join.run(fact, None, *self._tables):
+                membership = self._agg_membership(rule_name, body_facts)
+                if membership is not None:
+                    self._agg_remove_entry(membership)
+            return
+        by_body = self._firing_by_body[rule_name]
         for body_facts in join.run(fact, None, *self._tables):
             firing_id = by_body.get(body_facts)
             if firing_id is not None:
@@ -380,18 +347,19 @@ class LocalEvaluator:
     # -- aggregates -----------------------------------------------------------------------
 
     def _agg_add_entry(
-        self, rule: Rule, group_key: Tuple, value: object, body_facts: Tuple[Fact, ...]
-    ) -> List[DerivationEffect]:
-        groups = self._agg_entries.setdefault(rule.name, {})
+        self, rule_name: str, group_key: Tuple, value: object, body_facts: Tuple[Fact, ...]
+    ) -> None:
+        """Add one entry to its group and mark the group dirty (see on_batch)."""
+        groups = self._agg_entries.setdefault(rule_name, {})
         entries = groups.setdefault(group_key, {})
         if body_facts in entries:
-            return []
+            return
         entries[body_facts] = value
         # The membership's repr sort key is computed once here; every later
         # deletion-time ordering of the memberships is then repr-free.  The
         # key reprs the (rule, group, body) triple, matching the historical
         # ``sorted(..., key=repr)`` order exactly.
-        membership = (repr((rule.name, group_key, body_facts)), rule.name, group_key, body_facts)
+        membership = (repr((rule_name, group_key, body_facts)), rule_name, group_key, body_facts)
         fact_agg_entries = self._fact_agg_entries
         for fact in set(body_facts):
             memberships = fact_agg_entries.get(fact)
@@ -402,10 +370,7 @@ class LocalEvaluator:
                     fact_agg_entries[fact] = {memberships, membership}
             else:
                 memberships.add(membership)
-        if self._dirty_agg_groups is not None:
-            self._dirty_agg_groups.add(self._dirty_group_key(rule.name, group_key))
-            return []
-        return self._agg_recompute(rule, group_key)
+        self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
 
     def _dirty_group_key(self, rule_name: str, group_key: Tuple) -> Tuple[str, str, Tuple]:
         """The (repr sort key, rule, group) dirty-set entry, repr memoized per group."""
@@ -415,17 +380,27 @@ class LocalEvaluator:
             sort_key = self._group_sort_keys[group] = repr(group)
         return (sort_key, rule_name, group_key)
 
-    def _agg_remove_entry(
-        self, membership: _Membership
-    ) -> List[DerivationEffect]:
+    def _agg_membership(self, rule_name: str, body_facts: Tuple[Fact, ...]) -> Optional[_Membership]:
+        """The membership of the live *rule_name* entry with *body_facts*, if any.
+
+        No live entry has an empty body: an aggregate rule's head location
+        is a variable, which only a positive literal can bind.
+        """
+        memberships = self._fact_agg_entries.get(body_facts[0]) if body_facts else None
+        if memberships is None:
+            return None
+        for membership in memberships if type(memberships) is set else (memberships,):
+            if membership[1] == rule_name and membership[3] == body_facts:
+                return membership
+        return None
+
+    def _agg_remove_entry(self, membership: _Membership) -> None:
+        """Remove one entry from its group and mark the group dirty (see on_batch)."""
         _, rule_name, group_key, body_facts = membership
-        rule = self._agg_rules.get(rule_name)
-        if rule is None:
-            return []
         groups = self._agg_entries.get(rule_name, {})
         entries = groups.get(group_key)
         if not entries or body_facts not in entries:
-            return []
+            return
         del entries[body_facts]
         # As in _retract_firing, iterating duplicate body facts is safe: the
         # first occurrence removes the membership, later ones find another
@@ -444,10 +419,7 @@ class LocalEvaluator:
                 (fact_agg_entries[fact],) = memberships
         if not entries:
             del groups[group_key]
-        if self._dirty_agg_groups is not None:
-            self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
-            return []
-        return self._agg_recompute(rule, group_key)
+        self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
 
     def _agg_recompute(self, rule: Rule, group_key: Tuple) -> List[DerivationEffect]:
         aggregate = rule.aggregate
@@ -474,12 +446,7 @@ class LocalEvaluator:
                 and self._agg_head_bodies[head_key] == contributing
             ):
                 return effects
-            if self.aggregate_retract_first:
-                # Ablation mode: propagate the retraction first (the naive
-                # ordering), exposing the intermediate group state downstream.
-                effects.append(self._retract_agg_head(rule, head_key))
-            else:
-                previous = self._agg_retraction(rule, head_key)
+            previous = self._agg_retraction(rule, head_key)
 
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self._next_firing_id()

@@ -8,17 +8,12 @@ Each :class:`Node` owns:
   consequences of local updates,
 * a work queue of pending tuple deltas (local derivations and deltas received
   from other nodes), and
-* an optional provenance recorder (the ExSPAN maintenance engine) that is
-  informed of every rule execution and every derivation added to or removed
-  from the store.
-
-The provenance recorder must provide the following methods (see
-:class:`repro.core.maintenance.ProvenanceEngine` for the real implementation)::
-
-    record_rule_exec(exec_node, effect)   -> ProvenanceTag
-    remove_rule_exec(exec_node, effect)   -> None
-    record_support(node, fact, derivation_id, tag_or_None) -> None
-    remove_support(node, fact, derivation_id) -> None
+* optionally the runtime's :class:`~repro.core.maintenance.ProvenanceEngine`
+  (the ExSPAN maintenance engine), told once per drain of every derivation
+  added to or removed from the store
+  (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_support_batch`) and
+  of every rule execution
+  (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_rule_exec_batch`).
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
 from repro.engine.compiler import CompiledProgram
@@ -43,14 +38,17 @@ from repro.engine.store import BASE_DERIVATION, TupleStore
 from repro.engine.tuples import Fact
 from repro.obs import Observability
 
+if TYPE_CHECKING:  # the maintenance engine imports this package
+    from repro.core.maintenance import ProvenanceEngine
+
 
 @dataclass
 class NodeStats:
     """Counters describing the work one node has performed.
 
     ``deltas_sent`` / ``deltas_received`` count individual tuple deltas;
-    ``messages_sent`` counts network messages, which is lower in batched mode
-    because deltas to the same destination share one message.
+    ``messages_sent`` counts network messages, which is lower because the
+    deltas of one drain to the same destination share one message.
     """
 
     updates_processed: int = 0
@@ -70,30 +68,19 @@ class Node:
         node_id: object,
         compiled: CompiledProgram,
         network: Network,
-        provenance: Optional[object] = None,
-        aggregate_retract_first: bool = False,
-        batch_deltas: bool = True,
+        provenance: Optional[ProvenanceEngine] = None,
         observability: Optional[Observability] = None,
     ):
         self.id = node_id
         self.compiled = compiled
         self.network = network
         self.store = TupleStore()
-        self.evaluator = LocalEvaluator(
-            compiled,
-            self.store,
-            node_id,
-            aggregate_retract_first=aggregate_retract_first,
-        )
+        self.evaluator = LocalEvaluator(compiled, self.store, node_id)
         self.provenance = provenance
         self.stats = NodeStats()
-        #: Batch-first mode (the default): the work queue is drained in
-        #: batches through :meth:`LocalEvaluator.on_batch`, outgoing deltas
-        #: are grouped per destination into :class:`TupleDeltaBatch`
-        #: messages, and provenance is updated once per batch.  ``False``
-        #: restores the historical one-delta-at-a-time path (kept as the
-        #: baseline the batching benchmarks compare against).
-        self.batch_deltas = batch_deltas
+        #: Pending deltas.  A drain takes the whole queue as one batch
+        #: through :meth:`LocalEvaluator.on_batch`, updates provenance once,
+        #: and groups outgoing deltas per destination into one message.
         self._queue: Deque[TupleDelta] = deque()
         self._processing = False
         self._drain_scheduled = False
@@ -128,10 +115,9 @@ class Node:
         """Enqueue many base-tuple deltas and process them as one batch.
 
         Deletions are staged before insertions so key-overwrite sequences
-        ("delete the old row, insert the new one") behave as expected.  In
-        batched mode the whole set reaches the evaluator as a single
-        :meth:`LocalEvaluator.on_batch` call; in per-delta mode it simply
-        replays one update at a time.
+        ("delete the old row, insert the new one") behave as expected.  The
+        whole set reaches the evaluator as a single
+        :meth:`LocalEvaluator.on_batch` call.
         """
         for fact in deletes:
             self._check_location(fact)
@@ -176,14 +162,11 @@ class Node:
                 self._queue.append(payload)
             else:
                 raise EngineError(f"malformed tuple message payload: {message.payload!r}")
-            if self.batch_deltas:
-                # Defer draining to a zero-delay simulator event: every
-                # message delivered to this node at the same virtual instant
-                # lands in the queue first, so one evaluation batch absorbs
-                # the whole wave instead of one batch per sender.
-                self._schedule_drain()
-            elif not self._processing:
-                self._drain()
+            # Defer draining to a zero-delay simulator event: every message
+            # delivered to this node at the same virtual instant lands in the
+            # queue first, so one evaluation batch absorbs the whole wave
+            # instead of one batch per sender.
+            self._schedule_drain()
             return
         handler = self._handlers.get(message.category)
         if handler is None:
@@ -221,12 +204,9 @@ class Node:
         self._processing = True
         try:
             while self._queue:
-                if self.batch_deltas:
-                    batch = list(self._queue)
-                    self._queue.clear()
-                    self._apply_batch(batch)
-                else:
-                    self._apply(self._queue.popleft())
+                batch = list(self._queue)
+                self._queue.clear()
+                self._apply_batch(batch)
         finally:
             self._processing = False
 
@@ -261,40 +241,8 @@ class Node:
                     ops.append((+1, update.fact, update.derivation_id, update.provenance))
                 elif was_applied:
                     ops.append((-1, update.fact, update.derivation_id, None))
-            apply_batch = getattr(self.provenance, "apply_support_batch", None)
-            if apply_batch is not None:
-                apply_batch(self.id, ops)
-            else:  # duck-typed recorder without the batch extension
-                for sign, fact, derivation_id, tag in ops:
-                    if sign > 0:
-                        self.provenance.record_support(self.id, fact, derivation_id, tag)
-                    else:
-                        self.provenance.remove_support(self.id, fact, derivation_id)
+            self.provenance.apply_support_batch(self.id, ops)
         return newly_present, disappeared
-
-    def _apply(self, update: TupleDelta) -> None:
-        self.stats.updates_processed += 1
-        if self._absorb_single(update):
-            if update.sign > 0:
-                effects = self.evaluator.on_fact_inserted(update.fact)
-            else:
-                effects = self.evaluator.on_fact_deleted(update.fact)
-            self._handle_effects(effects)
-
-    def _absorb_single(self, update: TupleDelta) -> bool:
-        """Apply one update to store + provenance; True if presence changed."""
-        if update.sign > 0:
-            newly_present = self.store.add_derivation(update.fact, update.derivation_id)
-            if self.provenance is not None:
-                self.provenance.record_support(
-                    self.id, update.fact, update.derivation_id, update.provenance
-                )
-            return bool(newly_present)
-        had_derivation = update.derivation_id in self.store.derivations(update.fact)
-        disappeared = self.store.remove_derivation(update.fact, update.derivation_id)
-        if self.provenance is not None and had_derivation:
-            self.provenance.remove_support(self.id, update.fact, update.derivation_id)
-        return bool(disappeared)
 
     def _handle_effects(self, effects: List[DerivationEffect]) -> None:
         if not effects:
@@ -307,17 +255,7 @@ class Node:
         """Record rule firings/retractions in the provenance engine, batched."""
         if self.provenance is None:
             return [None] * len(effects)
-        apply_batch = getattr(self.provenance, "apply_rule_exec_batch", None)
-        if self.batch_deltas and apply_batch is not None:
-            return apply_batch(self.id, effects)
-        tags: List[Optional[ProvenanceTag]] = []
-        for effect in effects:
-            if effect.sign > 0:
-                tags.append(self.provenance.record_rule_exec(self.id, effect))
-            else:
-                self.provenance.remove_rule_exec(self.id, effect)
-                tags.append(None)
-        return tags
+        return self.provenance.apply_rule_exec_batch(self.id, effects)
 
     def _dispatch_effects(
         self, effects: List[DerivationEffect], tags: List[Optional[ProvenanceTag]]
@@ -348,22 +286,15 @@ class Node:
 
         for destination in destinations:
             deltas = outgoing[destination]
-            if self.batch_deltas:
-                payloads: List[object] = [
-                    deltas[0] if len(deltas) == 1 else TupleDeltaBatch(tuple(deltas))
-                ]
-            else:
-                payloads = list(deltas)
-            for payload in payloads:
-                self.stats.messages_sent += 1
-                self.network.send(
-                    Message(
-                        sender=self.id,
-                        receiver=destination,
-                        category=CATEGORY_TUPLE,
-                        payload=payload,
-                    )
+            self.stats.messages_sent += 1
+            self.network.send(
+                Message(
+                    sender=self.id,
+                    receiver=destination,
+                    category=CATEGORY_TUPLE,
+                    payload=deltas[0] if len(deltas) == 1 else TupleDeltaBatch(tuple(deltas)),
                 )
+            )
 
     # -- observability -----------------------------------------------------------
 

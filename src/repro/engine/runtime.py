@@ -12,7 +12,7 @@ for the log store.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EngineError, UnknownNodeError
 from repro.ndlog.ast import Program
@@ -26,6 +26,9 @@ from repro.engine.store import BASE_DERIVATION
 from repro.engine.topology import Topology
 from repro.engine.tuples import Fact
 from repro.obs import Observability, resolve_observability
+
+if TYPE_CHECKING:  # the maintenance engine imports this package
+    from repro.core.maintenance import ProvenanceEngine
 
 #: Environment variable consulted when ``query_cache_capacity`` is not set
 #: explicitly: an integer per-node LRU
@@ -100,42 +103,30 @@ def validate_durable_dir(path: Union[str, "os.PathLike[str]"]) -> str:
     return text
 
 
-def default_use_interval_index() -> bool:
-    """The interval-index default: the env hook, else ``False``.
+def _env_flag(variable: str) -> bool:
+    """A boolean env hook: unset or empty is ``False``.
 
     A value that is neither a true-word nor a false-word raises
     :class:`~repro.errors.EngineError` rather than being silently ignored.
     """
-    raw = os.environ.get(INTERVAL_INDEX_ENV_VAR, "").strip().lower()
-    if not raw:
-        return False
+    raw = os.environ.get(variable, "").strip().lower()
     if raw in _TRUE_WORDS:
         return True
-    if raw in _FALSE_WORDS:
+    if not raw or raw in _FALSE_WORDS:
         return False
     raise EngineError(
-        f"{INTERVAL_INDEX_ENV_VAR}={raw!r} is not a boolean; use one of "
-        f"{_TRUE_WORDS + _FALSE_WORDS}"
+        f"{variable}={raw!r} is not a boolean; use one of {_TRUE_WORDS + _FALSE_WORDS}"
     )
+
+
+def default_use_interval_index() -> bool:
+    """The interval-index default: the env hook, else ``False``."""
+    return _env_flag(INTERVAL_INDEX_ENV_VAR)
 
 
 def default_observability() -> bool:
-    """The observability default: the env hook, else ``False``.
-
-    A value that is neither a true-word nor a false-word raises
-    :class:`~repro.errors.EngineError` rather than being silently ignored.
-    """
-    raw = os.environ.get(OBSERVABILITY_ENV_VAR, "").strip().lower()
-    if not raw:
-        return False
-    if raw in _TRUE_WORDS:
-        return True
-    if raw in _FALSE_WORDS:
-        return False
-    raise EngineError(
-        f"{OBSERVABILITY_ENV_VAR}={raw!r} is not a boolean; use one of "
-        f"{_TRUE_WORDS + _FALSE_WORDS}"
-    )
+    """The observability default: the env hook, else ``False``."""
+    return _env_flag(OBSERVABILITY_ENV_VAR)
 
 
 def default_query_cache_capacity() -> Optional[int]:
@@ -185,17 +176,13 @@ class NetTrailsRuntime:
     ================================ ==========================================
     ``program``                      NDlog source text or a parsed ``Program``
     ``topology``                     the :class:`Topology` to build nodes for
-    ``provenance`` (True)            ``True`` = ExSPAN prov/ruleExec engine,
-                                     ``False``/``None`` = off, or a duck-typed
-                                     recorder object
+    ``provenance`` (True)            ``True`` = ExSPAN prov/ruleExec engine
+                                     (:class:`ProvenanceEngine`), ``False`` =
+                                     off
     ``default_latency`` (0.01)       virtual seconds per non-link message hop
     ``link_latency`` (0.01)          virtual seconds per topology-link hop
     ``registry`` (None)              a custom :class:`FunctionRegistry`
     ``program_name`` (None)          name used when parsing source text
-    ``aggregate_retract_first``      legacy retract-then-assert aggregate
-    (False)                          ordering
-    ``batch_deltas`` (True)          batch-first evaluation; ``False`` replays
-                                     deltas one at a time (the E11 baseline)
     ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
                                      env hook then default, ``0`` = uncapped)
     ``use_interval_index`` (None)    interval-indexed provenance queries
@@ -238,13 +225,11 @@ class NetTrailsRuntime:
         self,
         program: Union[Program, str],
         topology: Topology,
-        provenance: Union[bool, object] = True,
+        provenance: bool = True,
         default_latency: float = 0.01,
         link_latency: float = 0.01,
         registry: Optional[FunctionRegistry] = None,
         program_name: Optional[str] = None,
-        aggregate_retract_first: bool = False,
-        batch_deltas: bool = True,
         query_cache_capacity: Optional[int] = None,
         use_interval_index: Optional[bool] = None,
         durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
@@ -261,24 +246,17 @@ class NetTrailsRuntime:
         self.network = Network(self.simulator, default_latency=default_latency)
         self._default_latency = default_latency
         self._link_latency = link_latency
-        self._aggregate_retract_first = aggregate_retract_first
         self._link_relation: Optional[str] = None
         self._link_symmetric = True
         self._link_include_cost = True
 
-        if provenance is True:
-            from repro.core.maintenance import ProvenanceEngine  # avoid an import cycle
+        if not isinstance(provenance, bool):
+            raise TypeError(f"provenance must be True or False, not {provenance!r}")
+        self.provenance: Optional[ProvenanceEngine] = None
+        if provenance:
+            from repro.core import maintenance  # avoid an import cycle
 
-            self.provenance: Optional[object] = ProvenanceEngine(self.compiled)
-        elif provenance is False or provenance is None:
-            self.provenance = None
-        else:
-            self.provenance = provenance
-
-        #: Batch-first delta processing (see :class:`repro.engine.node.Node`).
-        #: ``False`` restores the historical per-delta path; the batching
-        #: benchmarks construct one runtime of each kind and compare them.
-        self.batch_deltas = batch_deltas
+            self.provenance = maintenance.ProvenanceEngine(self.compiled)
         #: Per-node provenance-query-cache capacity consumed by
         #: :class:`repro.core.query.DistributedQueryEngine`: ``None`` keeps
         #: the engine default (:data:`repro.core.optimizations.DEFAULT_CACHE_CAPACITY`),
@@ -318,8 +296,6 @@ class NetTrailsRuntime:
                 self.compiled,
                 self.network,
                 self.provenance,
-                aggregate_retract_first=aggregate_retract_first,
-                batch_deltas=batch_deltas,
                 observability=self.obs,
             )
         for source, target, cost in topology.directed_edges():
@@ -392,9 +368,8 @@ class NetTrailsRuntime:
             },
         )
         provenance = self.provenance
-        if provenance is not None and hasattr(provenance, "vid_version_stats"):
+        if provenance is not None:
             registry.register_view("vid_versions", provenance.vid_version_stats)
-        if provenance is not None and hasattr(provenance, "interval_totals"):
             registry.register_view("interval", provenance.interval_totals)
 
         def wal_stats() -> Dict[str, object]:
@@ -446,8 +421,6 @@ class NetTrailsRuntime:
         return {
             "default_latency": self._default_latency,
             "link_latency": self._link_latency,
-            "aggregate_retract_first": self._aggregate_retract_first,
-            "batch_deltas": self.batch_deltas,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,
         }
@@ -749,9 +722,8 @@ class NetTrailsRuntime:
         events = self.simulator.run_to_quiescence(max_events=max_events)
         # The window's one reachability walk: per-VID versions are current,
         # and a function of the window history, whenever we are quiescent.
-        flush = getattr(self.provenance, "flush_reachability", None)
-        if flush is not None:
-            flush()
+        if self.provenance is not None:
+            self.provenance.flush_reachability()
         return events
 
     @property

@@ -16,7 +16,7 @@ churn while being queried:
 All profiles run :mod:`repro.protocols.prefix_routing` — per-prefix state is
 what keeps 1000+-node convergence in seconds — and return plain
 :class:`~repro.workloads.spec.ScenarioSpec` values, so callers sweep axes
-with ``spec.with_batch_size(...)`` / ``spec.with_knobs(batch_deltas=...)``.
+with ``spec.with_batch_size(...)`` / ``spec.with_knobs(use_interval_index=...)``.
 """
 
 from __future__ import annotations

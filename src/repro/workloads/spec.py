@@ -3,7 +3,7 @@
 A :class:`ScenarioSpec` captures everything needed to reproduce a dynamic
 workload bit for bit: the (seeded) topology to generate, the protocol to
 run, a schedule of seeded churn phases, an optional query mix, and the
-runtime knobs (batch mode, query-cache capacity, interval index).
+runtime knobs (query-cache capacity, interval index, observability).
 Specs are plain frozen dataclasses — hashable, comparable, serialisable via
 :meth:`ScenarioSpec.to_dict` — so benchmarks and CI jobs can name them,
 sweep single fields and log exactly what ran.
@@ -143,7 +143,6 @@ class RuntimeKnobs:
     what they sweep.
     """
 
-    batch_deltas: bool = True
     query_cache_capacity: Optional[int] = None
     #: ``None`` defers to ``NETTRAILS_INTERVAL_INDEX`` (the CI matrix hook);
     #: an explicit bool pins the interval-index query path on or off.
@@ -154,7 +153,6 @@ class RuntimeKnobs:
 
     def runtime_kwargs(self) -> Dict[str, object]:
         return {
-            "batch_deltas": self.batch_deltas,
             "query_cache_capacity": self.query_cache_capacity,
             "use_interval_index": self.use_interval_index,
             "observability": self.observability,

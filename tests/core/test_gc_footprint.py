@@ -156,11 +156,11 @@ class TestConsumerIndexShape:
         evaluator = LocalEvaluator(compiled, store, "n0")
         link = Fact.make("link", ["n0", "a"])
         store.add_derivation(link, "d")
-        fired = [effect.firing_id for effect in evaluator.on_fact_inserted(link)]
+        fired = [effect.firing_id for effect in evaluator.on_batch([link], [])]
         assert len(fired) == 2
         assert evaluator._fact_firings[link] == set(fired)
         store.remove_fact(link)
-        retracted = evaluator.on_fact_deleted(link)
+        retracted = evaluator.on_batch([], [link])
         assert [effect.firing_id for effect in retracted] == sorted(fired)
         assert all(effect.sign < 0 for effect in retracted)
         assert link not in evaluator._fact_firings

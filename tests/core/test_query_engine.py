@@ -175,22 +175,6 @@ class TestOptimizations:
         assert second.stats.cache_hits >= 1
         assert second.stats.messages == 0
 
-    def test_global_validation_mode_flushes_on_any_delta(self, pathvector_line):
-        """The ablation knob re-creates the coarse flush-on-any-delta scheme."""
-        runtime = pathvector_line
-        queries = DistributedQueryEngine(runtime, cache_validation="global")
-        options = QueryOptions(use_cache=True)
-        first = queries.lineage("bestPathCost", ["n0", "n3", 3.0], options=options)
-        # An unrelated (losing) link still bumps the global version.
-        runtime.insert("link", ["n3", "n0", 10.0])
-        runtime.insert("link", ["n0", "n3", 10.0])
-        runtime.run_to_quiescence()
-        second = queries.lineage("bestPathCost", ["n0", "n3", 3.0], options=options)
-        assert second.value == first.value
-        assert second.stats.messages > 0
-        with pytest.raises(QueryError):
-            DistributedQueryEngine(runtime, cache_validation="psychic")
-
     def test_remote_issuer_caches_reply_version(self, mincost_engine):
         """Reply bundles carry their computed-at version; the issuing node's
         cache answers the repeat query without any network hop."""

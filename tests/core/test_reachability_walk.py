@@ -171,12 +171,12 @@ class TestMidWindowRead:
         engine = ProvenanceEngine()
         fact = Fact.make("link", ["a", "b", 1])
         vid = vid_for(fact)
-        engine.record_support("a", fact, BASE_DERIVATION, None)
+        engine.apply_support_batch("a", [(+1, fact, BASE_DERIVATION, None)])
         assert engine.vid_version(vid) == 1
-        engine.remove_support("a", fact, BASE_DERIVATION)
+        engine.apply_support_batch("a", [(-1, fact, BASE_DERIVATION, None)])
         assert engine.vid_versions() == {vid: 2}
-        engine.record_support("a", fact, BASE_DERIVATION, None)
-        engine.remove_support("a", fact, BASE_DERIVATION)  # same root: one bump
+        engine.apply_support_batch("a", [(+1, fact, BASE_DERIVATION, None)])
+        engine.apply_support_batch("a", [(-1, fact, BASE_DERIVATION, None)])  # same root: one bump
         stats = engine.vid_version_stats()
         assert (stats["pending"], stats["flushes"], stats["visited"]) == (1, 3, 3)
         assert engine.vid_versions() == {vid: 3}
@@ -252,8 +252,8 @@ class TestConcurrentMarks:
             vid = vid_for(fact)
             seen = 0
             for _ in range(rounds):
-                engine.record_support(node, fact, BASE_DERIVATION, None)
-                engine.remove_support(node, fact, BASE_DERIVATION)
+                engine.apply_support_batch(node, [(+1, fact, BASE_DERIVATION, None)])
+                engine.apply_support_batch(node, [(-1, fact, BASE_DERIVATION, None)])
                 version = engine.vid_version(vid)
                 if version <= seen:
                     failures.append((node, seen, version))

@@ -8,6 +8,11 @@ recovery, and the failure modes that must raise instead of corrupting.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.durability import (
@@ -41,7 +46,7 @@ class TestDurableMode:
         records = scan(wal_path(tmp_path)).records
         assert records[0].type == RECORD_INIT
         assert records[0].data["source"] == mincost.SOURCE
-        assert records[0].data["knobs"]["batch_deltas"] is True
+        assert records[0].data["knobs"]["use_interval_index"] is False
         assert records[1].type == RECORD_BATCH
         assert records[1].data["ops"] == [["seed_links", "link", True, True]]
         runtime.close()
@@ -237,6 +242,11 @@ def rewrite_init_knobs(durable_dir, **extra):
             wal.append(record.type, data)
 
 
+#: WALs written with a retired knob at its non-default value, and the
+#: sha256 of the store snapshots and provenance fingerprint each run reached.
+RETIRED_KNOB_WALS = Path(__file__).parent / "retired_knob_wals"
+
+
 class TestRecordedKnobs:
     def test_retired_knobs_of_older_wals_are_dropped(
         self, tmp_path, store_snapshots, provenance_fingerprint
@@ -284,6 +294,10 @@ class TestRecordedKnobs:
             ("columnar", False),
             ("batch_commit_stall_s", 0.0),
             ("batch_commit_stall_s", 0.001),
+            ("batch_deltas", True),
+            ("batch_deltas", False),
+            ("aggregate_retract_first", False),
+            ("aggregate_retract_first", True),
         ],
         ids=[
             "num_shards",
@@ -291,6 +305,10 @@ class TestRecordedKnobs:
             "columnar",
             "batch_commit_stall_s-0.0",
             "batch_commit_stall_s-0.001",
+            "batch_deltas-True",
+            "batch_deltas-False",
+            "aggregate_retract_first-False",
+            "aggregate_retract_first-True",
         ],
     )
     def test_each_retired_knob_is_dropped_alone(
@@ -307,6 +325,24 @@ class TestRecordedKnobs:
 
         result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
         assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
+        result.runtime.close()
+
+    @pytest.mark.parametrize("knob", ["aggregate_retract_first", "batch_deltas"])
+    def test_wal_written_with_a_retired_knob_recovers_its_run(
+        self, tmp_path, knob, store_snapshots, provenance_fingerprint
+    ):
+        """Each fixture WAL was written by the last version that had *knob*,
+        with the knob at its non-default value: MINCOST on a ring with link
+        flaps for ``batch_deltas=False``, E10's disconnecting cascade for
+        ``aggregate_retract_first=True``.  Genesis recovery drops the knob
+        and reaches the state and provenance that run reached."""
+        expected = json.loads((RETIRED_KNOB_WALS / "expected.json").read_text())[knob]
+        shutil.copy(RETIRED_KNOB_WALS / knob / "wal.log", wal_path(tmp_path))
+        assert scan(wal_path(tmp_path)).records[0].data["knobs"][knob] == expected["knobs"][knob]
+
+        result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        rendered = repr((store_snapshots(result.runtime), sorted(map(repr, provenance_fingerprint(result.runtime)))))
+        assert hashlib.sha256(rendered.encode()).hexdigest() == expected["digest"]
         result.runtime.close()
 
     def test_checkpoint_recovery_drops_retired_knobs(

@@ -1,48 +1,38 @@
-"""Tests for the aggregate update-ordering design choice (and its ablation switch).
+"""Tests for the aggregate update ordering.
 
-The default insert-before-retract ordering is what keeps deletion cascades
-small on cyclic topologies; the ablation mode (retract-first) must still be
-*correct*, just more expensive, which is exactly what the ablation benchmark
-measures.
+When a group's aggregate value changes, the evaluator emits the new head
+*before* retracting the old one.  Downstream nodes then see "new value
+arrives, old value leaves" and change their own aggregates once, instead
+of deriving, shipping and undoing the consequences of an intermediate
+group state — the cascade that blows up deletions on cyclic topologies
+(benchmark E10 pins its event count).
 """
 
-import pytest
-
 from repro.engine import topology
+from repro.engine.compiler import compile_program
+from repro.engine.evaluator import LocalEvaluator
 from repro.engine.runtime import NetTrailsRuntime
+from repro.engine.store import TupleStore
+from repro.engine.tuples import Fact
+from repro.ndlog.parser import parse_program
 from repro.protocols import mincost
 
 
-def build(retract_first: bool):
-    net = topology.ring(5)
-    runtime = NetTrailsRuntime(
-        mincost.program(), net, aggregate_retract_first=retract_first
-    )
-    runtime.seed_links(run=True)
-    return net, runtime
-
-
-class TestOrderingModes:
-    @pytest.mark.parametrize("retract_first", [False, True])
-    def test_both_orderings_converge_to_the_same_state(self, retract_first):
-        net, runtime = build(retract_first)
+class TestOrdering:
+    def test_deletion_converges_to_the_reference(self):
+        net = topology.ring(5)
+        runtime = NetTrailsRuntime(mincost.program(), net)
+        runtime.seed_links(run=True)
         assert mincost.check_against_reference(runtime, net)
         runtime.remove_link("n0", "n1")
         runtime.run_to_quiescence()
         assert mincost.check_against_reference(runtime, net)
 
-    def test_default_ordering_needs_fewer_events_on_deletion(self):
-        _net_a, insert_first = build(retract_first=False)
-        _net_b, retract_first = build(retract_first=True)
-
-        def deletion_cost(runtime):
-            before = runtime.simulator.processed_events
-            runtime.remove_link("n0", "n1")
-            runtime.run_to_quiescence()
-            return runtime.simulator.processed_events - before
-
-        assert deletion_cost(insert_first) <= deletion_cost(retract_first)
-
-    def test_default_mode_is_insert_first(self):
-        _net, runtime = build(retract_first=False)
-        assert runtime.node("n0").evaluator.aggregate_retract_first is False
+    def test_replacement_head_precedes_the_retraction(self):
+        compiled = compile_program(parse_program("r1 best(@S, min<C>) :- path(@S, C).", name="order"))
+        store = TupleStore()
+        evaluator = LocalEvaluator(compiled, store, "n0")
+        for cost in (5, 3):
+            newly_present, disappeared, _ = store.apply_delta_batch([(+1, Fact.make("path", ["n0", cost]), "t")])
+            effects = evaluator.on_batch(newly_present, disappeared)
+        assert [(effect.sign, effect.head_fact.values) for effect in effects] == [(+1, ("n0", 3)), (-1, ("n0", 5))]

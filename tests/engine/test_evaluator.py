@@ -19,16 +19,17 @@ def make_evaluator(source, node="n0", name="test"):
 
 
 def insert(evaluator, store, fact):
-    """Insert a fact as if the node had stored it, returning the effects."""
+    """Insert a fact as if the node had stored it, returning the effects of
+    the one-fact batch."""
     if store.add_derivation(fact, f"test:{fact}"):
-        return evaluator.on_fact_inserted(fact)
+        return evaluator.on_batch([fact], [])
     return []
 
 
 def delete(evaluator, store, fact):
     derivations = store.remove_fact(fact)
     if derivations:
-        return evaluator.on_fact_deleted(fact)
+        return evaluator.on_batch([], [fact])
     return []
 
 
@@ -195,6 +196,22 @@ class TestNegation:
         insert(evaluator, store, Fact.make("offer", ["n0", "d"]))
         assert insert(evaluator, store, Fact.make("blocked", ["n0", "other"])) == []
 
+    def test_later_blocker_drops_aggregate_entries(self):
+        """A blocker inserted after an aggregate rule's entries drops the
+        entries it matches, as deleting their body facts would."""
+        evaluator, store = make_evaluator(
+            "r1 best(@S, D, min<C>) :- path(@S, D, C), !banned(@S, C)."
+        )
+        insert(evaluator, store, Fact.make("path", ["n0", "d", 3]))
+        insert(evaluator, store, Fact.make("path", ["n0", "d", 5]))
+        effects = insert(evaluator, store, Fact.make("banned", ["n0", 3]))
+        assert [(e.sign, e.head_fact.values[2]) for e in effects] == [(+1, 5), (-1, 3)]
+        effects = insert(evaluator, store, Fact.make("banned", ["n0", 5]))
+        assert [(e.sign, e.head_fact.values[2]) for e in effects] == [(-1, 5)]
+        assert evaluator.firing_count == 0
+        effects = delete(evaluator, store, Fact.make("banned", ["n0", 3]))
+        assert [(e.sign, e.head_fact.values[2]) for e in effects] == [(+1, 3)]
+
     def test_rederived_firing_applies_each_assignment_once(self):
         compiled = compile_program(
             parse_program("r1 out(@S, X) :- a(@S, X), X := X + 1, !blk(@S).", name="once"),
@@ -289,7 +306,8 @@ class TestOnBatch:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_batch_equals_one_at_a_time_replay(self, seed):
-        """Property: on_batch reaches the same store/derivation state as replay."""
+        """Property: on_batch over many deltas reaches the same store and
+        derivation state as one-fact batches."""
         source = """
         r1 best(@S, D, min<C>) :- path(@S, D, C).
         r2 path(@S, D, C) :- edge(@S, D, C).

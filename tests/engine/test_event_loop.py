@@ -7,8 +7,7 @@ runtime makes of it:
 
 * a provenance query issued while churn is still in flight reads the same
   answers as one issued after quiescence;
-* deliveries, zero-delay drains, per-delta drains and periodic log-store
-  captures happen in the same order, at the same virtual times, run after
+* deliveries, zero-delay drains and periodic log-store captures happen in the same order, at the same virtual times, run after
   run;
 * a drain that raises does so at the same event, with the same state left
   behind, every time the same input is fed;
@@ -116,27 +115,6 @@ class TestOrdering:
         _, batches, deltas, _, _ = first
         assert 0 < batches < deltas
         assert run() == first
-
-    def test_per_delta_churn_identical_run_after_run(self, store_snapshots, provenance_fingerprint):
-        """``batch_deltas=False`` drains inside each delivery event instead
-        of a scheduled drain; that order must reproduce too."""
-
-        def run():
-            runtime = NetTrailsRuntime(mincost.program(), topology.star(6), batch_deltas=False)
-            runtime.seed_links(run=True)
-            runtime.remove_link("n0", "n2")
-            runtime.run_to_quiescence()
-            runtime.add_link("n0", "n2", 3.0)
-            runtime.run_to_quiescence()
-            return (
-                store_snapshots(runtime),
-                provenance_fingerprint(runtime),
-                runtime.message_stats().messages,
-                runtime.simulator.processed_events,
-                runtime.simulator.rounds,
-            )
-
-        assert run() == run()
 
     def test_periodic_captures_identical_run_after_run(self):
         """Log-store captures are events like any other; each lands at its

@@ -114,8 +114,8 @@ class TestNodeBehaviour:
 
 
 #: Knobs that once selected a hash-sharded or columnar store, an execution
-#: backend, or an emulated in-drain commit stall, with a value each accepted
-#: back then.
+#: backend, an emulated in-drain commit stall, the per-delta runtime or the
+#: retract-first aggregate ordering, with a value each accepted back then.
 RETIRED_KNOBS = {
     "num_shards": 2,
     "shard_workers": 2,
@@ -123,14 +123,18 @@ RETIRED_KNOBS = {
     "backend": "thread",
     "backend_workers": 2,
     "batch_commit_stall_s": 0.001,
+    "batch_deltas": False,
+    "aggregate_retract_first": True,
 }
 
 
 class TestRetiredKnobs:
-    """Every node holds one dict store driven by one join path, and one
-    event loop runs every node.  The knobs that used to pick another store
-    or another execution strategy are gone, so passing one is an error
-    rather than a silently ignored setting."""
+    """Every node holds one dict store driven by one join path, one event
+    loop runs every node, deltas are always evaluated in batches, and an
+    aggregate's new head always precedes the old one's retraction.  The
+    knobs that used to pick another store or another execution strategy are
+    gone, so passing one is an error rather than a silently ignored
+    setting."""
 
     @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
     def test_runtime_rejects_retired_knob(self, knob):
@@ -181,6 +185,21 @@ class TestRetiredKnobs:
             RecoveryManager(tmp_path).recover(
                 attach=False, wal_fsync=False, **{knob: RETIRED_KNOBS[knob]}
             )
+
+    @pytest.mark.parametrize("recorder", [None, object(), 1])
+    def test_runtime_takes_only_a_bool_for_provenance(self, recorder):
+        """``provenance=`` picks the built-in engine or none; it no longer
+        adopts a duck-typed recorder object."""
+        with pytest.raises(TypeError, match="provenance must be True or False"):
+            NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(2), provenance=recorder)
+
+    @pytest.mark.parametrize("value", ["global", "vid"])
+    def test_query_engine_rejects_retired_cache_validation(self, value, line3_runtime):
+        """Query caches always validate against per-VID versions."""
+        from repro.core.query import DistributedQueryEngine
+
+        with pytest.raises(TypeError, match="cache_validation"):
+            DistributedQueryEngine(line3_runtime, cache_validation=value)
 
     def test_retired_columnar_env_var_changes_nothing(self, monkeypatch, store_snapshots):
         def build():

@@ -58,9 +58,9 @@ class TestScenarioSpec:
 
     def test_with_helpers_replace_without_mutating(self):
         spec = self.make_spec()
-        swept = spec.with_batch_size(8).with_knobs(batch_deltas=False).with_seed(5)
-        assert (swept.batch_size, swept.knobs.batch_deltas, swept.seed) == (8, False, 5)
-        assert (spec.batch_size, spec.knobs.batch_deltas, spec.seed) == (None, True, 3)
+        swept = spec.with_batch_size(8).with_knobs(use_interval_index=True).with_seed(5)
+        assert (swept.batch_size, swept.knobs.use_interval_index, swept.seed) == (8, True, 5)
+        assert (spec.batch_size, spec.knobs.use_interval_index, spec.seed) == (None, None, 3)
 
     def test_to_dict_is_json_serialisable(self):
         spec = self.make_spec(queries=QueryMixSpec(relation="minCost"))
@@ -73,7 +73,7 @@ class TestScenarioSpec:
         kwargs = knobs.runtime_kwargs()
         assert kwargs["query_cache_capacity"] == 2
         assert kwargs["use_interval_index"] is True
-        assert kwargs["batch_deltas"] is True
+        assert kwargs["observability"] is None
 
     def test_equal_specs_compare_equal(self):
         assert self.make_spec() == self.make_spec()
