@@ -15,6 +15,10 @@ body facts, in the same order, under the same firing ids — stop on the same
 exception type, and leave the same facts and secondary indexes behind.  The
 reference shares the evaluator's bookkeeping, so the firings left live are
 also checked against a fresh evaluator given the final store as one batch.
+A rule with a variable no positive literal binds may raise in one order of
+arrival and not in another, so that fresh run is first held to the
+reference's fresh run, error type included, and its firings are compared
+only when it completes.
 """
 
 from __future__ import annotations
@@ -196,12 +200,13 @@ def live_firings(effects):
     return {key: count for key, count in counts.items() if count}
 
 
-def fresh_run(compiled, store):
-    """The effects of a fresh evaluator given every fact of *store* as one batch."""
+def fresh_run(compiled, store, joins="compiled"):
+    """:func:`drive` of a fresh evaluator given every fact of *store* as one batch."""
     fresh = TupleStore()
+    if joins == "reference":
+        compiled = reference_program(compiled, fresh)
     facts = [fact for relation in store.relations() for fact in store.facts(relation)]
-    newly_present, disappeared, _ = fresh.apply_delta_batch((+1, fact, "t") for fact in facts)
-    return LocalEvaluator(compiled, fresh, "n0").on_batch(newly_present, disappeared)
+    return drive(compiled, fresh, [[(1, fact) for fact in facts]], batched=True)
 
 
 def all_joins(compiled):
@@ -271,7 +276,11 @@ def assert_same_behaviour(program, script, batched):
     assert set(compiled_store._indexes) == set(reference_store._indexes)
     effects, error = actual
     if error is None:
-        assert live_firings(effects) == live_firings(fresh_run(compiled, compiled_store))
+        fresh = fresh_run(compiled, compiled_store)
+        assert fresh == fresh_run(compiled, compiled_store, "reference")
+        fresh_effects, fresh_error = fresh
+        if fresh_error is None:
+            assert live_firings(effects) == live_firings(fresh_effects)
     return actual
 
 
@@ -292,11 +301,20 @@ BLOCKED_AGGREGATE = "r0 h0(@S, X, min<Y>) :- a(@S, X, Y), !c(@S, X)."
 BLOCKED_AGGREGATE_SCRIPT = [[(1, Fact.make("a", ["n0", 0, 0]))], [(1, Fact.make("c", ["n0", 0]))]]
 
 
+#: ``Y`` is bound by no positive literal.  Arriving before ``b``, the
+#: blockers never reach ``!c(@S, Y + 1)``; in one batch they do, and raise.
+UNSAFE_NEGATION = "r0 h0(@S, X, Y) :- a(@S, X, X), b(@S, X, X), !c(@S, X), !c(@S, Y + 1)."
+UNSAFE_NEGATION_SCRIPT = [
+    [(1, Fact.make("a", ["n0", 1, 1])), (1, Fact.make("c", ["n0", 0])), (1, Fact.make("c", ["n0", 1])), (1, b(1, 1))]
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(program=PROGRAMS, script=SCRIPTS, batched=st.booleans())
 @example(program=[OVERWRITE], script=OVERWRITE_SCRIPT, batched=True)
 @example(program=[OVERWRITE], script=OVERWRITE_SCRIPT, batched=False)
 @example(program=[BLOCKED_AGGREGATE], script=BLOCKED_AGGREGATE_SCRIPT, batched=True)
+@example(program=[UNSAFE_NEGATION], script=UNSAFE_NEGATION_SCRIPT, batched=False)
 def test_compiled_joins_fire_like_the_interpreter(program, script, batched):
     assert_same_behaviour(program, script, batched)
 
