@@ -12,6 +12,12 @@ the nodes of the system, exactly as in ExSPAN / the paper:
   firing, which are always local to ``RLoc`` because rule bodies are
   localized before execution.
 
+A derivation has one identity in both tables and in the execution engine:
+the RID.  The evaluator computes it once, when the rule fires, through
+:meth:`ProvenanceEngine.derivation_id`; it is the ``ruleExec`` key here,
+the derivation id in the head node's tuple store, and, shipped as
+``TupleDelta(sign, fact, RID, RLoc)``, the receiver's ``prov`` row as is.
+
 The engine is *incremental*: entries are added when the execution engine
 reports a rule firing / derivation and removed when the corresponding
 derivation is retracted, so the tables always reflect the provenance of the
@@ -60,8 +66,6 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from repro.errors import ProvenanceError, UnknownVertexError
 from repro.engine.compiler import CompiledProgram
 from repro.engine.evaluator import DerivationEffect
-from repro.engine.messages import ProvenanceTag
-from repro.engine.store import BASE_DERIVATION
 from repro.engine.tuples import Fact
 from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
 from repro.core.interval_index import PartitionIntervalIndex
@@ -197,8 +201,8 @@ class NodeProvenanceStore:
             self._interval_index = PartitionIntervalIndex(self)
         return self._interval_index
 
-    def add_prov(self, vid: str, rid: str, rloc: object) -> ProvRow:
-        """Record the prov row ``(vid, rid, rloc)`` (idempotent); return the stored row."""
+    def add_prov(self, vid: str, rid: str, rloc: object) -> None:
+        """Record the prov row ``(vid, rid, rloc)`` (idempotent)."""
         row = (rid, rloc)
         rows = self._prov.get(vid)
         if rows is None:
@@ -210,7 +214,6 @@ class NodeProvenanceStore:
         with self._exec_lock:
             self._mark_dirty(self.node_id, vid)
         self._bump()
-        return row
 
     def remove_prov(self, vid: str, rid: str, rloc: object) -> None:
         """Remove the prov row ``(vid, rid, rloc)``; an absent row is a no-op."""
@@ -354,7 +357,8 @@ class NodeProvenanceStore:
 class ProvenanceEngine:
     """The system-wide (but per-node partitioned) provenance maintenance engine.
 
-    Each :class:`repro.engine.node.Node` calls it once per drain:
+    Each :class:`repro.engine.node.Node` takes its evaluator's derivation-id
+    function, :meth:`derivation_id`, and calls the engine once per drain:
 
     * :meth:`apply_rule_exec_batch` at the node where rules fired (or
       firings were retracted);
@@ -365,12 +369,6 @@ class ProvenanceEngine:
     def __init__(self, compiled: Optional[CompiledProgram] = None):
         self.compiled = compiled
         self._stores: Dict[object, NodeProvenanceStore] = {}
-        #: node -> (vid, derivation_id) -> (rid, rloc) prov row, so retractions
-        #: can find exactly the prov row that the corresponding insertion
-        #: created.  Keys and values are tuples of atoms, which the cyclic
-        #: collector never scans.  The index is partitioned per node (like the
-        #: stores themselves), so each node's drain touches only its own.
-        self._support_index: Dict[object, Dict[Tuple[str, str], ProvRow]] = {}
         self.events_processed = 0
         # Guards the shared registry (lazy store creation, node enumeration)
         # and the events_processed counter; the per-node stores themselves
@@ -429,7 +427,6 @@ class ProvenanceEngine:
                 if store is None:
                     store = NodeProvenanceStore(node_id, engine=self)
                     self._stores[node_id] = store
-                    self._support_index[node_id] = {}
         return store
 
     def node_ids(self) -> List[object]:
@@ -439,71 +436,66 @@ class ProvenanceEngine:
 
     # -- the execution engine's interface: one call per node drain ------------------
 
+    @staticmethod
+    def derivation_id(rule_name: str, exec_node: object, body_facts: Tuple[Fact, ...]) -> str:
+        """The derivation id of a firing: its RID.
+
+        Every node's evaluator calls it once per firing and keeps the result;
+        the same string is then the ``ruleExec`` key here, the derivation id
+        in the head node's store and the RID of the head's ``prov`` row, so
+        neither a retraction nor a receiver ever hashes again.
+        """
+        return rid_for(rule_name, exec_node, tuple([vid_for(fact) for fact in body_facts]))
+
     def apply_support_batch(
         self,
         node_id: object,
-        ops: Sequence[Tuple[int, Fact, str, Optional[ProvenanceTag]]],
+        ops: Sequence[Tuple[int, Fact, str, object]],
     ) -> None:
         """Apply an ordered batch of support changes with one version bump.
 
-        Each op is ``(sign, fact, derivation_id, tag)``; ``sign > 0`` records
-        a prov entry of *fact* (a ``BASE`` one without a tag or for the base
-        derivation), ``sign < 0`` removes the entry the matching insertion
-        created (the tag is ignored; an absent entry is a no-op).  The whole
-        batch bumps the node's provenance version at most once.
+        Each op is ``(sign, fact, derivation_id, rloc)``: apart from the sign,
+        the ``prov`` row itself.  ``rloc`` is ``None`` for a base derivation,
+        whose row is ``(BASE, node_id)``.  ``sign > 0`` records the row and
+        ``sign < 0`` removes it (an absent row is a no-op).  The whole batch
+        bumps the node's provenance version at most once.
         """
         if not ops:
             return
         store = self.store(node_id)
-        index = self._support_index[node_id]
         with store.batched():
-            for sign, fact, derivation_id, tag in ops:
+            for sign, fact, rid, rloc in ops:
+                if rloc is None:
+                    rid, rloc = BASE_RID, node_id
                 if sign > 0:
-                    vid = store.record_tuple(fact)
-                    if tag is None or derivation_id == BASE_DERIVATION:
-                        row = store.add_prov(vid, BASE_RID, node_id)
-                    else:
-                        row = store.add_prov(vid, tag.rid, tag.exec_node)
-                    index[(vid, derivation_id)] = row
+                    store.add_prov(store.record_tuple(fact), rid, rloc)
                 else:
-                    vid = vid_for(fact)
-                    row = index.pop((vid, derivation_id), None)
-                    if row is not None:
-                        store.remove_prov(vid, row[0], row[1])
+                    store.remove_prov(vid_for(fact), rid, rloc)
         self._count_events(len(ops))
 
-    def apply_rule_exec_batch(
-        self, exec_node: object, effects: Sequence[DerivationEffect]
-    ) -> List[Optional[ProvenanceTag]]:
+    def apply_rule_exec_batch(self, exec_node: object, effects: Sequence[DerivationEffect]) -> None:
         """Record/remove a batch of rule executions with one version bump.
 
-        Returns one entry per effect: the :class:`ProvenanceTag` to ship with
-        a firing (``sign > 0``), or ``None`` for a retraction.
+        An effect's firing id is its RID (:meth:`derivation_id`): a firing
+        records the ``ruleExec`` row under it, a retraction removes that row.
         """
         if not effects:
-            return []
-        tags: List[Optional[ProvenanceTag]] = []
+            return
         store = self.store(exec_node)
         with store.batched():
             for effect in effects:
                 if effect.sign > 0:
-                    child_vids = tuple([store.record_tuple(fact) for fact in effect.body_facts])
-                    rid = rid_for(effect.rule_name, exec_node, child_vids)
                     store.add_rule_exec(
-                        rid,
+                        effect.firing_id,
                         effect.rule_name,
                         effect.program_name,
-                        child_vids,
+                        tuple([store.record_tuple(fact) for fact in effect.body_facts]),
                         vid_for(effect.head_fact),
                         effect.head_location,
                     )
-                    tags.append(ProvenanceTag(effect.rule_name, effect.program_name, exec_node, rid))
                 else:
-                    child_vids = tuple([vid_for(fact) for fact in effect.body_facts])
-                    store.remove_rule_exec(rid_for(effect.rule_name, exec_node, child_vids))
-                    tags.append(None)
+                    store.remove_rule_exec(effect.firing_id)
         self._count_events(len(effects))
-        return tags
 
     # -- per-VID reachability versions ----------------------------------------------------
 

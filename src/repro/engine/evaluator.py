@@ -42,7 +42,7 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ndlog.ast import Aggregate, Rule
@@ -56,10 +56,11 @@ from repro.engine.tuples import SLOTTED, Fact
 class DerivationEffect:
     """One rule firing (+1) or retraction (-1) produced by the evaluator.
 
-    ``firing_id`` identifies the derivation; the node that stores the head
-    fact uses it as the derivation id in its store, and the provenance engine
-    uses it to connect the rule-execution vertex with the derived tuple
-    vertex.
+    ``firing_id`` identifies the derivation.  It is made once, when the rule
+    fires, by :meth:`LocalEvaluator.derivation_id` (the firing's RID when the
+    runtime keeps provenance), and the same string is the ``ruleExec`` key
+    at the executing node, the derivation id in the head node's store and
+    the RID of the head's ``prov`` row.
     """
 
     sign: int
@@ -73,6 +74,10 @@ class DerivationEffect:
     def __str__(self) -> str:
         symbol = "+" if self.sign > 0 else "-"
         return f"{symbol}{self.head_fact} via {self.rule_name} [{self.firing_id}]"
+
+
+#: Makes the id of one firing from its rule name, exec node and body facts.
+DerivationIds = Callable[[str, object, Tuple[Fact, ...]], str]
 
 
 #: An aggregate membership: (repr sort key, rule name, group key, body facts).
@@ -92,6 +97,7 @@ class LocalEvaluator:
         compiled: CompiledProgram,
         store: TupleStore,
         node_id: object,
+        derivation_ids: Optional[DerivationIds] = None,
     ):
         self._compiled = compiled
         self._store = store
@@ -99,6 +105,9 @@ class LocalEvaluator:
         #: The store's fact map and index getter, handed to every generated
         #: join.
         self._tables = store.join_tables()
+        #: The RID function when the runtime keeps provenance, else ``None``
+        #: (see :meth:`derivation_id`); one function shared by every node.
+        self._derivation_ids = derivation_ids
         self._firing_seq = 0
 
         #: firing id -> rule name, head fact and body facts of each live
@@ -239,9 +248,20 @@ class LocalEvaluator:
 
     # -- firing management ----------------------------------------------------------
 
-    def _next_firing_id(self) -> str:
+    def derivation_id(self, rule_name: str, body_facts: Tuple[Fact, ...]) -> str:
+        """The id of a new firing of *rule_name* over *body_facts* at this node.
+
+        Called once per firing; the id is kept in the firing record and read
+        back on retraction.  With provenance it is the firing's RID (at most
+        one firing per rule and body is live, so a RID is unique among live
+        firings).  Without, nothing reads a RID, so nothing is hashed: the id
+        is a per-node counter, fixed-width so that the size of a shipped
+        delta does not depend on how long the node has run.
+        """
+        if self._derivation_ids is not None:
+            return self._derivation_ids(rule_name, self._node, body_facts)
         self._firing_seq += 1
-        return f"{self._node}#{self._firing_seq}"
+        return f"{self._node}#{self._firing_seq:08x}"
 
     def _fire(self, join: CompiledJoin, args: tuple, effects: List[DerivationEffect]) -> None:
         """Run *join* on *args* and record every firing it yields into *effects*.
@@ -266,7 +286,7 @@ class LocalEvaluator:
         """Record one firing of the non-aggregate *rule* and return its +1 effect."""
         head_fact = Fact.make(rule.head.relation, head_values)
         head_location = self._compiled.catalog.location_of(head_fact)
-        firing_id = self._next_firing_id()
+        firing_id = self.derivation_id(rule.name, body_facts)
         self._firing_rules[firing_id] = rule.name
         self._firing_heads[firing_id] = head_fact
         self._firing_bodies[firing_id] = body_facts
@@ -449,7 +469,7 @@ class LocalEvaluator:
             previous = self._agg_retraction(rule, head_key)
 
         head_location = self._compiled.catalog.location_of(head_fact)
-        firing_id = self._next_firing_id()
+        firing_id = self.derivation_id(rule.name, contributing)
         self._agg_heads[head_key] = (firing_id, new_value)
         self._agg_head_facts[head_key] = head_fact
         self._agg_head_bodies[head_key] = contributing

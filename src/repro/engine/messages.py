@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.engine.tuples import SLOTTED, Fact
 
@@ -26,51 +26,34 @@ CATEGORY_CONTROL = "control"
 
 
 @dataclass(frozen=True, **SLOTTED)
-class ProvenanceTag:
-    """Provenance annotation carried by a tuple-delta message.
-
-    It identifies the rule execution that produced the shipped tuple: the
-    rule name, the node where the rule fired and the rule-execution vertex id
-    (RID).  The receiving node records ``prov(@Receiver, VID, RID, ExecNode)``
-    from it.
-    """
-
-    rule_name: str
-    program_name: str
-    exec_node: object
-    rid: str
-
-    def __repr__(self) -> str:
-        # Byte-identical to the dataclass-generated repr, minus its
-        # recursion-guard wrapper: message size accounting reprs every
-        # shipped payload, so the guard shows up on the hot path.
-        return (
-            f"{self.__class__.__qualname__}(rule_name={self.rule_name!r}, "
-            f"program_name={self.program_name!r}, exec_node={self.exec_node!r}, "
-            f"rid={self.rid!r})"
-        )
-
-
-@dataclass(frozen=True, **SLOTTED)
 class TupleDelta:
-    """Payload announcing the insertion (+1) or retraction (-1) of a derivation."""
+    """Payload announcing the insertion (+1) or retraction (-1) of a derivation.
+
+    Apart from its sign, a delta is the receiver's ``prov(@Loc, VID, RID,
+    RLoc)`` row: the receiver is ``@Loc``, the fact gives the VID,
+    ``derivation_id`` is the RID of the rule execution and ``rloc`` the node
+    it ran at.  ``rloc`` is ``None`` for a base delta (derivation id
+    ``__base__``) and whenever the runtime keeps no provenance, in which
+    case the id is a per-node counter and no RID exists.
+    """
 
     sign: int
     fact: Fact
     derivation_id: str
-    provenance: Optional[ProvenanceTag] = None
+    rloc: object = None
 
     def __str__(self) -> str:
         symbol = "+" if self.sign > 0 else "-"
         return f"{symbol}{self.fact} [{self.derivation_id}]"
 
     def __repr__(self) -> str:
-        # See ProvenanceTag.__repr__: same bytes as the dataclass repr,
-        # without the per-call recursion-guard wrapper.
+        # Byte-identical to the dataclass-generated repr, minus its
+        # recursion-guard wrapper: message size accounting reprs every
+        # shipped payload, so the guard shows up on the hot path.
         return (
             f"{self.__class__.__qualname__}(sign={self.sign!r}, "
             f"fact={self.fact!r}, derivation_id={self.derivation_id!r}, "
-            f"provenance={self.provenance!r})"
+            f"rloc={self.rloc!r})"
         )
 
 
@@ -94,7 +77,7 @@ class TupleDeltaBatch:
         return f"batch[{', '.join(str(delta) for delta in self.deltas)}]"
 
     def __repr__(self) -> str:
-        # See ProvenanceTag.__repr__: same bytes as the dataclass repr,
+        # See TupleDelta.__repr__: same bytes as the dataclass repr,
         # without the per-call recursion-guard wrapper.
         return f"{self.__class__.__qualname__}(deltas={self.deltas!r})"
 

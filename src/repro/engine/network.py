@@ -66,6 +66,8 @@ class Network:
         #: category -> ``"deliver:<category>"`` event label, formatted once
         self._deliver_labels: Dict[str, str] = {}
         self._links: Dict[Tuple[object, object], Link] = {}
+        #: (sender, receiver) -> virtual time of the pair's latest delivery
+        self._last_delivery: Dict[Tuple[object, object], float] = {}
         self.stats = TrafficStats()
 
     # -- membership -----------------------------------------------------------
@@ -90,19 +92,33 @@ class Network:
     # -- message delivery ---------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """Deliver *message* to its receiver after the link (or default) latency."""
+        """Deliver *message* to its receiver after the link (or default) latency.
+
+        Each (sender, receiver) pair is FIFO, also when the link goes down
+        between two sends and the default latency is the shorter: a flap
+        re-derives the same derivation id, and a re-insertion that overtook
+        its own retraction would be undone by it.  At equal latencies the
+        clamp never moves a delivery.
+        """
         receiver = message.receiver
         if receiver not in self._receivers:
             raise UnknownNodeError(f"message addressed to unknown node {receiver!r}")
         self.stats.record(message)
-        link = self._links.get((message.sender, receiver))
+        pair = (message.sender, receiver)
+        link = self._links.get(pair)
         latency = link.latency if link is not None and link.up else self._default_latency
+        at = self.simulator.now + latency
+        last_delivery = self._last_delivery
+        previous = last_delivery.get(pair, at)
+        if previous > at:
+            at = previous
+        last_delivery[pair] = at
         label = self._deliver_labels.get(message.category)
         if label is None:
             label = self._deliver_labels[message.category] = f"deliver:{message.category}"
         # The message rides on the event, whose callback is bound once per
         # network: a delivery allocates no closure or method object.
-        self.simulator.schedule_call(latency, self._deliver, message, label)
+        self.simulator.schedule_call_at(at, self._deliver, message, label)
 
     def _deliver_message(self, message: Message) -> None:
         self._receivers[message.receiver].receive(message)

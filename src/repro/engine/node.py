@@ -29,7 +29,6 @@ from repro.engine.evaluator import DerivationEffect, LocalEvaluator
 from repro.engine.messages import (
     CATEGORY_TUPLE,
     Message,
-    ProvenanceTag,
     TupleDelta,
     TupleDeltaBatch,
 )
@@ -75,8 +74,18 @@ class Node:
         self.compiled = compiled
         self.network = network
         self.store = TupleStore()
-        self.evaluator = LocalEvaluator(compiled, self.store, node_id)
+        #: With provenance the evaluator's firing ids are RIDs, and every
+        #: derived delta this node ships is the receiver's prov row
+        #: ``(RID, RLoc = this node)``; without, ids are counters and
+        #: ``rloc`` stays ``None``.
+        self.evaluator = LocalEvaluator(
+            compiled,
+            self.store,
+            node_id,
+            None if provenance is None else provenance.derivation_id,
+        )
         self.provenance = provenance
+        self._rloc = None if provenance is None else node_id
         self.stats = NodeStats()
         #: Pending deltas.  A drain takes the whole queue as one batch
         #: through :meth:`LocalEvaluator.on_batch`, updates provenance once,
@@ -133,8 +142,8 @@ class Node:
 
         This is how the legacy-application layer injects derivations inferred
         by "maybe" rules: the proxy builds a :class:`DerivationEffect` (with
-        its own firing id) and the node records/ships it exactly as if one of
-        its own rules had fired.
+        an id from this node's evaluator) and the node records/ships it
+        exactly as if one of its own rules had fired.
         """
         self._handle_effects([effect])
 
@@ -235,51 +244,42 @@ class Node:
             (update.sign, update.fact, update.derivation_id) for update in updates
         )
         if self.provenance is not None:
-            ops = []
-            for update, was_applied in zip(updates, applied):
-                if update.sign > 0:
-                    ops.append((+1, update.fact, update.derivation_id, update.provenance))
-                elif was_applied:
-                    ops.append((-1, update.fact, update.derivation_id, None))
-            self.provenance.apply_support_batch(self.id, ops)
+            # Insertions always apply; a retraction of a derivation the store
+            # did not hold has no prov row to remove either.
+            self.provenance.apply_support_batch(
+                self.id,
+                [
+                    (update.sign, update.fact, update.derivation_id, update.rloc)
+                    for update, was_applied in zip(updates, applied)
+                    if was_applied
+                ],
+            )
         return newly_present, disappeared
 
     def _handle_effects(self, effects: List[DerivationEffect]) -> None:
         if not effects:
             return
-        self._dispatch_effects(effects, self._record_effects(effects))
+        if self.provenance is not None:
+            self.provenance.apply_rule_exec_batch(self.id, effects)
+        self._dispatch_effects(effects)
         if self._queue and not self._processing:
             self._drain()
 
-    def _record_effects(self, effects: List[DerivationEffect]) -> List[Optional[ProvenanceTag]]:
-        """Record rule firings/retractions in the provenance engine, batched."""
-        if self.provenance is None:
-            return [None] * len(effects)
-        return self.provenance.apply_rule_exec_batch(self.id, effects)
-
-    def _dispatch_effects(
-        self, effects: List[DerivationEffect], tags: List[Optional[ProvenanceTag]]
-    ) -> None:
+    def _dispatch_effects(self, effects: List[DerivationEffect]) -> None:
         """Turn evaluator effects into queue pushes and outgoing deltas."""
         outgoing: Dict[object, List[TupleDelta]] = {}
         destinations: List[object] = []  # deterministic first-seen order
-        for effect, tag in zip(effects, tags):
+        rloc = self._rloc
+        for effect in effects:
             if effect.sign > 0:
                 self.stats.rule_firings += 1
             else:
                 self.stats.rule_retractions += 1
+            delta = TupleDelta(effect.sign, effect.head_fact, effect.firing_id, rloc)
             if effect.head_location == self.id:
-                self._queue.append(
-                    TupleDelta(effect.sign, effect.head_fact, effect.firing_id, tag)
-                )
+                self._queue.append(delta)
                 continue
             self.stats.deltas_sent += 1
-            delta = TupleDelta(
-                sign=effect.sign,
-                fact=effect.head_fact,
-                derivation_id=effect.firing_id,
-                provenance=tag,
-            )
             if effect.head_location not in outgoing:
                 destinations.append(effect.head_location)
             outgoing.setdefault(effect.head_location, []).append(delta)

@@ -127,11 +127,17 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
         """Schedule *callback* at absolute virtual time *time*."""
+        self.schedule_call_at(time, callback, _NO_ARG, label)
+
+    def schedule_call_at(
+        self, time: float, callback: Callable[[object], None], arg: object, label: str = ""
+    ) -> None:
+        """Schedule ``callback(arg)`` at absolute virtual time *time*."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time}, which is before current time {self._now}"
             )
-        self._push(time, callback, _NO_ARG, label)
+        self._push(time, callback, arg, label)
 
     def _push(self, time: float, callback: Callable, arg: object, label: str) -> None:
         heapq.heappush(self._queue, (time, next(self._sequence), _ScheduledEvent(callback, arg, label)))

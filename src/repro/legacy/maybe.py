@@ -19,7 +19,6 @@ same provenance tables as ordinary rule firings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -46,6 +45,18 @@ class _MaybeFiring:
     body_facts: Tuple[Fact, ...]
 
 
+#: A maybe firing's key, ``(derivation id, head fact)``.  The id comes from
+#: the node's evaluator, as an ordinary firing's does (its RID when the
+#: runtime keeps provenance, a hash of rule, node and body facts); unlike an
+#: ordinary rule, a maybe rule's body does not determine its head, so one
+#: body can explain several outputs under one id.
+_FiringKey = Tuple[str, Fact]
+
+
+def _key_order(key: _FiringKey) -> Tuple[str, str]:
+    return (key[0], repr(key[1]))
+
+
 class MaybeRuleEvaluator:
     """Matches observed output tuples against "maybe" rules at one node."""
 
@@ -59,10 +70,9 @@ class MaybeRuleEvaluator:
         self.rules = list(rules)
         self.registry = registry
         self.program_name = program_name
-        self._firing_seq = itertools.count(1)
-        self._firings: Dict[str, _MaybeFiring] = {}
-        self._by_body_fact: Dict[Fact, Set[str]] = {}
-        self._by_head_fact: Dict[Fact, Set[str]] = {}
+        self._firings: Dict[_FiringKey, _MaybeFiring] = {}
+        self._by_body_fact: Dict[Fact, Set[_FiringKey]] = {}
+        self._by_head_fact: Dict[Fact, Set[_FiringKey]] = {}
 
     # -- observation entry points --------------------------------------------------------
 
@@ -72,8 +82,8 @@ class MaybeRuleEvaluator:
 
     def retract_input(self, fact: Fact) -> None:
         """Retract an observed input tuple and every maybe-derivation that used it."""
-        for firing_id in sorted(self._by_body_fact.get(fact, set())):
-            self._retract_firing(firing_id)
+        for key in sorted(self._by_body_fact.get(fact, set()), key=_key_order):
+            self._retract_firing(key)
         self.node.delete_base(fact)
 
     def observe_output(self, fact: Fact) -> int:
@@ -82,53 +92,58 @@ class MaybeRuleEvaluator:
         Returns the number of inferred derivations.  When no maybe rule
         matches, the tuple is recorded as a base tuple (the legacy application
         produced it for reasons the rules cannot explain — e.g. a locally
-        originated route).
+        originated route).  A derivation's id is made as an ordinary rule
+        firing's is (its RID), so observing the same output again adds no
+        derivation that is already recorded.
         """
         matches = self._match(fact)
         if not matches:
             self.node.insert_base(fact)
             return 0
         for rule, body_facts in matches:
-            firing_id = f"{self.node.id}#maybe{next(self._firing_seq)}"
+            firing_id = self.node.evaluator.derivation_id(rule.name, body_facts)
+            key = (firing_id, fact)
+            if key in self._firings:
+                continue
             firing = _MaybeFiring(
                 firing_id=firing_id,
                 rule_name=rule.name,
                 head_fact=fact,
                 body_facts=body_facts,
             )
-            self._firings[firing_id] = firing
-            self._by_head_fact.setdefault(fact, set()).add(firing_id)
+            self._firings[key] = firing
+            self._by_head_fact.setdefault(fact, set()).add(key)
             for body_fact in set(body_facts):
-                self._by_body_fact.setdefault(body_fact, set()).add(firing_id)
+                self._by_body_fact.setdefault(body_fact, set()).add(key)
             self.node.apply_external_derivation(self._effect(firing, sign=+1))
         return len(matches)
 
     def retract_output(self, fact: Fact) -> None:
         """Retract an observed output tuple and all its inferred derivations."""
-        firing_ids = sorted(self._by_head_fact.get(fact, set()))
-        if not firing_ids:
+        keys = sorted(self._by_head_fact.get(fact, set()), key=_key_order)
+        if not keys:
             # It was recorded as an unexplained base tuple.
             if self.node.store.contains(fact):
                 self.node.delete_base(fact)
             return
-        for firing_id in firing_ids:
-            self._retract_firing(firing_id)
+        for key in keys:
+            self._retract_firing(key)
 
     # -- internals -------------------------------------------------------------------------
 
-    def _retract_firing(self, firing_id: str) -> None:
-        firing = self._firings.pop(firing_id, None)
+    def _retract_firing(self, key: _FiringKey) -> None:
+        firing = self._firings.pop(key, None)
         if firing is None:
             return
         heads = self._by_head_fact.get(firing.head_fact)
         if heads is not None:
-            heads.discard(firing_id)
+            heads.discard(key)
             if not heads:
                 del self._by_head_fact[firing.head_fact]
         for body_fact in set(firing.body_facts):
             bodies = self._by_body_fact.get(body_fact)
             if bodies is not None:
-                bodies.discard(firing_id)
+                bodies.discard(key)
                 if not bodies:
                     del self._by_body_fact[body_fact]
         self.node.apply_external_derivation(self._effect(firing, sign=-1))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.keys import BASE_RID, vid_for
 from repro.engine import topology
+from repro.engine.store import BASE_DERIVATION
 from repro.protocols import mincost, path_vector
 
 
@@ -33,6 +35,31 @@ def _provenance_fingerprint(runtime):
     return rows
 
 
+def _derivation_record(runtime):
+    """Every node's derivation ids, checked against its ``prov`` rows.
+
+    A derivation has one identity across the layers: for every node and
+    fact, the store's derivation ids are exactly the RIDs of the fact's prov
+    rows at that node (``__base__`` standing for ``BASE``), and every prov
+    row belongs to a stored fact.  Returns the ``(node, fact, id)`` set, which
+    is content-addressed and so comparable between two runs.
+    """
+    record = set()
+    for node_id in runtime.node_ids():
+        store = runtime.nodes[node_id].store
+        partition = runtime.provenance.store(node_id)
+        rows = 0
+        for fact in store.all_facts():
+            derivations = store.derivations(fact)
+            entries = partition.prov_entries(vid_for(fact))
+            rids = {BASE_DERIVATION if rid == BASE_RID else rid for rid, _ in entries}
+            assert derivations == rids, (node_id, fact, derivations, entries)
+            rows += len(entries)
+            record.update((repr(node_id), repr(fact), rid) for rid in derivations)
+        assert rows == partition.prov_count, (node_id, rows, partition.prov_count)
+    return record
+
+
 def _global_state(runtime, relations):
     """Sorted global contents of the given relations."""
     return {relation: sorted(runtime.state(relation), key=repr) for relation in relations}
@@ -49,6 +76,11 @@ def _store_snapshots(runtime):
 @pytest.fixture
 def provenance_fingerprint():
     return _provenance_fingerprint
+
+
+@pytest.fixture
+def derivation_record():
+    return _derivation_record
 
 
 @pytest.fixture

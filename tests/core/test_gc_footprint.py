@@ -75,8 +75,6 @@ class TestStoredRowsAreUntracked:
                 assert not gc.is_tracked(rows), (vid, rows)
             for row in store._rule_execs.values():
                 assert not gc.is_tracked(row), row
-            for key, row in provenance._support_index[node_id].items():
-                assert not gc.is_tracked(key) and not gc.is_tracked(row), (key, row)
             assert_bare_or_plural(store._uses, "uses")
         for node_id, node in runtime.nodes.items():
             for by_fact in node.store._facts.values():

@@ -89,6 +89,61 @@ class TestTopologyManagement:
         assert "b" not in net
 
 
+class TestPairFifo:
+    """A (sender, receiver) pair is a FIFO channel whatever the latencies."""
+
+    def test_a_later_send_never_overtakes_when_the_link_goes_down(self):
+        simulator = Simulator()
+        net = Network(simulator, default_latency=0.01)
+        log = []
+
+        class TimedRecorder:
+            def receive(self, message):
+                log.append((simulator.now, message.payload))
+
+        net.register("a", TimedRecorder())
+        net.register("b", TimedRecorder())
+        net.add_link("a", "b", latency=0.05)
+        net.send(Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload="-X"))
+        net.remove_link("a", "b")
+        net.send(Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload="+X"))
+        # another pair is not held back by a->b
+        net.send(Message(sender="b", receiver="a", category=CATEGORY_TUPLE, payload="other"))
+        simulator.run()
+        assert [payload for _, payload in log] == ["other", "-X", "+X"]
+        assert log[0][0] == pytest.approx(0.01)
+        assert log[1][0] == log[2][0] == pytest.approx(0.05)
+
+    def test_equal_latencies_keep_their_delivery_times(self):
+        simulator = Simulator()
+        net = Network(simulator, default_latency=0.01)
+        times = []
+
+        class TimedRecorder:
+            def receive(self, message):
+                times.append(simulator.now)
+                if message.payload == 5:
+                    return
+                # flap the link: the two latencies are equal, so nothing moves
+                if message.payload % 2:
+                    net.remove_link("a", "b")
+                else:
+                    net.add_link("a", "b", latency=0.01)
+                follow_up = message.payload + 1
+                net.send(Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload=follow_up))
+
+        net.register("a", TimedRecorder())
+        net.register("b", TimedRecorder())
+        net.add_link("a", "b", latency=0.01)
+        net.send(Message(sender="a", receiver="b", category=CATEGORY_TUPLE, payload=0))
+        simulator.run()
+        expected, now = [], 0.0
+        for _ in range(6):
+            now = now + 0.01
+            expected.append(now)
+        assert times == expected
+
+
 class TestTrafficStats:
     def test_counts_by_category(self, network):
         simulator, net = network

@@ -86,29 +86,32 @@ class TestFactHotPathCaches:
         must still round-trip."""
         import pickle
 
-        from repro.engine.messages import ProvenanceTag, TupleDelta, TupleDeltaBatch
+        from repro.engine.messages import TupleDelta, TupleDeltaBatch
 
-        tag = ProvenanceTag("r1", "prog", "n0", "rid0")
-        delta = TupleDelta(+1, Fact.make("link", ["a", "b", 1]), "d0", tag)
-        batch = TupleDeltaBatch((delta,))
-        for original in (tag, delta, batch):
-            assert pickle.loads(pickle.dumps(original)) == original
+        derived = TupleDelta(+1, Fact.make("link", ["a", "b", 1]), "rid0", "n0")
+        base = TupleDelta(-1, Fact.make("link", ["a", "b", 1]), "__base__")
+        batch = TupleDeltaBatch((derived, base))
+        for original in (derived, base, batch):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone == original and not hasattr(clone, "__dict__")
+        assert base.rloc is None
 
     def test_message_payload_reprs_match_dataclass_bytes(self):
         """Message.size_estimate reprs every payload; the hand-written
         __repr__ overrides must emit the exact dataclass format."""
-        from repro.engine.messages import ProvenanceTag, TupleDelta, TupleDeltaBatch
+        import dataclasses
 
-        tag = ProvenanceTag("r1", "prog", "n0", "rid0")
-        delta = TupleDelta(+1, Fact.make("link", ["a", "b", 1]), "d0", tag)
-        assert repr(tag) == (
-            "ProvenanceTag(rule_name='r1', program_name='prog', "
-            "exec_node='n0', rid='rid0')"
-        )
+        from repro.engine.messages import TupleDelta, TupleDeltaBatch
+
+        delta = TupleDelta(+1, Fact.make("link", ["a", "b", 1]), "rid0", "n0")
         assert repr(delta) == (
             "TupleDelta(sign=1, fact=Fact(relation='link', "
-            "values=('a', 'b', 1)), derivation_id='d0', provenance="
-            "ProvenanceTag(rule_name='r1', program_name='prog', "
-            "exec_node='n0', rid='rid0'))"
+            "values=('a', 'b', 1)), derivation_id='rid0', rloc='n0')"
         )
+        # the delta is the prov row: exactly these four fields, in this order
+        assert [field.name for field in dataclasses.fields(TupleDelta)] == [
+            "sign", "fact", "derivation_id", "rloc"
+        ]
+        base = TupleDelta(-1, Fact.make("link", ["a", "b", 1]), "__base__")
+        assert repr(base).endswith("derivation_id='__base__', rloc=None)")
         assert repr(TupleDeltaBatch((delta,))) == f"TupleDeltaBatch(deltas=({delta!r},))"

@@ -10,9 +10,12 @@ runtime built from scratch on the changed topology.
 
 import copy
 import random
+import re
+import sys
 
 import pytest
 
+import repro.core.keys as keys
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.protocols import distance_vector, mincost, path_vector
@@ -66,7 +69,7 @@ class TestIncrementalEqualsScratch:
         ids=["mincost", "path_vector", "distance_vector"],
     )
     def test_state_and_provenance_match_fresh_run(
-        self, module, relations, script_name, global_state, provenance_fingerprint
+        self, module, relations, script_name, global_state, provenance_fingerprint, derivation_record
     ):
         net = topology.random_connected(8, edge_probability=0.35, seed=13)
         incremental = module.setup(net)
@@ -76,6 +79,66 @@ class TestIncrementalEqualsScratch:
 
         assert global_state(incremental, relations) == global_state(scratch, relations)
         assert provenance_fingerprint(incremental) == provenance_fingerprint(scratch)
+        assert derivation_record(incremental) == derivation_record(scratch)
+
+
+class TestUnequalLatencies:
+    """Links slower than the default latency: a link that goes down mid-flight
+    must not let a later delta overtake an earlier one on the same pair."""
+
+    def test_a_link_flap_in_flight_matches_a_fresh_run(self, global_state, derivation_record):
+        net = topology.random_connected(6, edge_probability=0.4, seed=4)
+        assert not net.has_edge("n1", "n2")
+        runtime = NetTrailsRuntime(
+            mincost.program(), copy.deepcopy(net), link_latency=0.05, default_latency=0.01
+        )
+        runtime.seed_links(run=True)
+        runtime.add_link("n1", "n2", 1.0)
+        # the new link's deltas are in flight when it goes down again; the
+        # retractions then travel at the shorter default latency
+        runtime.run(0.03)
+        runtime.remove_link("n1", "n2")
+        runtime.run_to_quiescence()
+        fresh = NetTrailsRuntime(
+            mincost.program(), copy.deepcopy(runtime.topology), link_latency=0.05, default_latency=0.01
+        )
+        fresh.seed_links(run=True)
+        relations = ["link", "path", "minCost"]
+        assert global_state(runtime, relations) == global_state(fresh, relations)
+        assert derivation_record(runtime) == derivation_record(fresh)
+
+
+def _raise_if_hashed(*args, **kwargs):
+    raise AssertionError("a RID or VID was hashed in a runtime without provenance")
+
+
+class TestProvenanceOff:
+    """Without provenance nobody reads a RID, so nothing may hash one."""
+
+    @pytest.mark.parametrize("script_name", sorted(CHANGE_SCRIPTS))
+    def test_churn_hashes_nothing(self, monkeypatch, global_state, script_name):
+        reference_net = topology.random_connected(8, edge_probability=0.35, seed=13)
+        reference = mincost.setup(copy.deepcopy(reference_net))
+        apply_script(reference, reference_net, CHANGE_SCRIPTS[script_name])
+
+        for name in ("rid_for", "vid_for", "_digest"):
+            original = getattr(keys, name)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, _raise_if_hashed)
+        net = topology.random_connected(8, edge_probability=0.35, seed=13)
+        runtime = mincost.setup(net, provenance=False)
+        apply_script(runtime, net, CHANGE_SCRIPTS[script_name])
+
+        assert runtime.provenance is None
+        relations = ["link", "path", "minCost"]
+        assert global_state(runtime, relations) == global_state(reference, relations)
+        # derived facts carry fixed-width counter ids of their exec node
+        counter_id = re.compile(r"n\d+#[0-9a-f]{8}")
+        for node in runtime.nodes.values():
+            for fact in node.store.all_facts():
+                for derivation in node.store.derivations(fact):
+                    assert derivation == "__base__" or counter_id.fullmatch(derivation), derivation
 
 
 class TestBatchEqualsSingleton:
@@ -90,7 +153,9 @@ class TestBatchEqualsSingleton:
     """
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_random_bulk_batches_equal_singleton_replay(self, seed, provenance_fingerprint):
+    def test_random_bulk_batches_equal_singleton_replay(
+        self, seed, provenance_fingerprint, derivation_record
+    ):
         """Property-style: random insert/delete batches vs one-at-a-time."""
         rng = random.Random(seed)
         net = topology.ring(6)
@@ -126,6 +191,7 @@ class TestBatchEqualsSingleton:
             for relation in ("link", "path", "minCost"):
                 assert batched.state(relation) == singleton.state(relation)
             assert provenance_fingerprint(batched) == provenance_fingerprint(singleton)
+            assert derivation_record(batched) == derivation_record(singleton)
 
 
 class TestInsertDeleteRoundTrip:

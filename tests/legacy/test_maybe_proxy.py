@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.keys import BASE_RID, vid_for
+from repro.core.keys import BASE_RID, rid_for, vid_for
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
@@ -53,6 +53,50 @@ class TestMaybeRuleEvaluator:
         store = legacy_runtime.provenance.store("as2")
         entries = store.prov_entries(vid_for(outgoing))
         assert len(entries) == 1 and entries[0][0] != BASE_RID
+
+    def test_derivation_id_is_the_rid(self, evaluator, legacy_runtime):
+        """A maybe derivation's id is a real RID: the prov row, the ruleExec
+        row and the store's derivation all name ``rid_for`` of its body."""
+        incoming = Fact.make(INPUT_ROUTE, ["as2", "as9", "10.0.0.0/24", ("as9", "as7")])
+        evaluator.observe_input(incoming)
+        outgoing = Fact.make(OUTPUT_ROUTE, ["as2", "as1", "10.0.0.0/24", ("as2", "as9", "as7")])
+        assert evaluator.observe_output(outgoing) == 1
+        store = legacy_runtime.provenance.store("as2")
+        ((rid, rloc),) = store.prov_entries(vid_for(outgoing))
+        assert rid == rid_for("br1", "as2", [vid_for(incoming)]) and rloc == "as2"
+        entry = store.rule_exec(rid)
+        assert entry.rid == rid and entry.rule_name == "br1"
+        assert entry.child_vids == (vid_for(incoming),) and entry.head_vid == vid_for(outgoing)
+        assert legacy_runtime.node("as2").store.derivations(outgoing) == {rid}
+
+    def test_one_body_explains_two_outputs_under_one_rid(self):
+        """A maybe rule's body does not fix its head: two outputs explained
+        by one input share a RID and are still retracted one at a time."""
+        net = topology.from_edges([("as1", "as2", 1.0), ("as2", "as3", 1.0)], name="three-as")
+        legacy_runtime = NetTrailsRuntime(LEGACY_PROGRAM_SOURCE, net, program_name="legacy")
+        compiled = legacy_runtime.compiled
+        evaluator = MaybeRuleEvaluator(
+            legacy_runtime.node("as2"), compiled.maybe_rules, compiled.registry, "legacy"
+        )
+        incoming = Fact.make(INPUT_ROUTE, ["as2", "as9", "p", ("as9",)])
+        evaluator.observe_input(incoming)
+        first = Fact.make(OUTPUT_ROUTE, ["as2", "as1", "p", ("as2", "as9")])
+        second = Fact.make(OUTPUT_ROUTE, ["as2", "as3", "p", ("as2", "as9")])
+        assert evaluator.observe_output(first) == 1
+        assert evaluator.observe_output(second) == 1
+        assert evaluator.observe_output(second) == 1  # already recorded: no second derivation
+        node = legacy_runtime.node("as2")
+        assert node.store.derivations(first) == node.store.derivations(second)
+        assert node.store.derivation_count(second) == 1
+        legacy_runtime.run_to_quiescence()
+        evaluator.retract_output(first)
+        legacy_runtime.run_to_quiescence()
+        assert not node.store.contains(first) and node.store.contains(second)
+        assert legacy_runtime.node_state("as3", INPUT_ROUTE) == [("as3", "as2", "p", ("as2", "as9"))]
+        evaluator.retract_input(incoming)
+        legacy_runtime.run_to_quiescence()
+        assert not node.store.contains(second)
+        assert legacy_runtime.node_state("as3", INPUT_ROUTE) == []
 
     def test_unexplained_output_recorded_as_base(self, evaluator, legacy_runtime):
         outgoing = Fact.make(OUTPUT_ROUTE, ["as2", "as1", "10.1.0.0/24", ("as2",)])

@@ -93,15 +93,16 @@ def lineage_answers(runtime, relation="minCost", limit=2):
 def expected_state(runtime, canon):
     """Everything a genesis recovery must reproduce bit-identically.
 
-    *canon* carries the suite-wide canonicalisers (the ``store_snapshots``
-    and ``provenance_fingerprint`` conftest fixtures), so this harness
-    shares one definition of "indistinguishable" with every other
-    equivalence suite.
+    *canon* carries the suite-wide canonicalisers (the ``store_snapshots``,
+    ``provenance_fingerprint`` and ``derivation_record`` conftest fixtures),
+    so this harness shares one definition of "indistinguishable" with every
+    other equivalence suite.
     """
-    snapshots, fingerprint = canon
+    snapshots, fingerprint, derivations = canon
     return {
         "snapshots": snapshots(runtime),
         "fingerprint": fingerprint(runtime),
+        "derivations": derivations(runtime),
         "versions": runtime.provenance.versions(),
         "vid_versions": runtime.provenance.vid_versions(),
         "answers": lineage_answers(runtime),
@@ -109,8 +110,8 @@ def expected_state(runtime, canon):
 
 
 @pytest.fixture
-def canon(store_snapshots, provenance_fingerprint):
-    return (store_snapshots, provenance_fingerprint)
+def canon(store_snapshots, provenance_fingerprint, derivation_record):
+    return (store_snapshots, provenance_fingerprint, derivation_record)
 
 
 def run_durable_history(durable_dir, net, script, canon, checkpoint_after=None):
@@ -150,11 +151,12 @@ def crash_copy(durable_dir, target_dir, wal_bytes, mutate=None):
 
 
 def assert_recovered_matches(result, expected, canon, where, exact_versions=True):
-    snapshots, fingerprint = canon
+    snapshots, fingerprint, derivations = canon
     runtime = result.runtime
     try:
         assert snapshots(runtime) == expected["snapshots"], where
         assert fingerprint(runtime) == expected["fingerprint"], where
+        assert derivations(runtime) == expected["derivations"], where
         assert lineage_answers(runtime) == expected["answers"], where
         if exact_versions:
             assert runtime.provenance.versions() == expected["versions"], where

@@ -41,7 +41,7 @@ class TestChurnEqualsFreshRun:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
     def test_every_step_matches_a_fresh_run(
-        self, topology_name, seed, global_state, provenance_fingerprint
+        self, topology_name, seed, global_state, provenance_fingerprint, derivation_record
     ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
@@ -54,6 +54,7 @@ class TestChurnEqualsFreshRun:
             where = f"{context} step={step} op={op}"
             assert global_state(incremental, RELATIONS) == global_state(fresh, RELATIONS), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
+            assert derivation_record(incremental) == derivation_record(fresh), where
             fresh.close()
         incremental.close()
 
@@ -72,7 +73,9 @@ class TestProgramShapesEqualFreshRun:
     churn, each checked against a fresh run after every step."""
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_negation_matches_a_fresh_run(self, seed, global_state, provenance_fingerprint):
+    def test_negation_matches_a_fresh_run(
+        self, seed, global_state, provenance_fingerprint, derivation_record
+    ):
         net = TOPOLOGIES["star"]()
         nodes = sorted(net.nodes)
         rng = random.Random(seed)
@@ -94,9 +97,12 @@ class TestProgramShapesEqualFreshRun:
             where = f"{context} step={step}"
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
+            assert derivation_record(incremental) == derivation_record(fresh), where
 
     @pytest.mark.parametrize("seed", SEEDS[:1], ids=lambda s: f"seed{s}")
-    def test_path_vector_matches_a_fresh_run(self, seed, global_state, provenance_fingerprint):
+    def test_path_vector_matches_a_fresh_run(
+        self, seed, global_state, provenance_fingerprint, derivation_record
+    ):
         net = TOPOLOGIES["ring"]()
         script = generate_churn_script(seed, net, steps=4)
         context = f"path_vector seed={seed} (NETTRAILS_CHURN_SEED={seed})"
@@ -109,10 +115,13 @@ class TestProgramShapesEqualFreshRun:
             where = f"{context} step={step} op={op}"
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
+            assert derivation_record(incremental) == derivation_record(fresh), where
         assert lineage_answers(incremental, "bestPath") == lineage_answers(fresh, "bestPath"), context
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_prefix_routing_matches_a_fresh_run(self, seed, global_state, provenance_fingerprint):
+    def test_prefix_routing_matches_a_fresh_run(
+        self, seed, global_state, provenance_fingerprint, derivation_record
+    ):
         net = TOPOLOGIES["as-level"]()
         nodes = sorted(net.nodes)
         rng = random.Random(seed)
@@ -136,4 +145,5 @@ class TestProgramShapesEqualFreshRun:
             where = f"{context} step={step}"
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
+            assert derivation_record(incremental) == derivation_record(fresh), where
         assert lineage_answers(incremental, "best") == lineage_answers(fresh, "best"), context
