@@ -5,9 +5,9 @@ Runs compact, deterministic versions of the headline experiments —
 * **E11** batch-first delta evaluation (a churn workload's counts),
 * **E14** per-VID query-cache invalidation (cache hit/miss/eviction counters
   under unrelated churn),
-* **E15** the workload subsystem's ``smoke`` scenario profile (seeded churn
-  generators + Zipf query waves through the scenario driver; the 1000+-node
-  ``scale`` profile stays in the opt-in ``workflow_dispatch`` CI run),
+* **E15** the ``smoke`` scenario of :mod:`scenario` (seeded churn generators
+  + Zipf query waves; the 1000+-node scale scenario stays in
+  ``test_e15_scale.py``),
 * **E16** interval-indexed provenance queries (batched interval waves vs
   the per-query reference traversal on the compact AS hierarchy; the
   10x-at-1010-nodes claim stays in ``test_e16_interval.py``),
@@ -17,7 +17,7 @@ Runs compact, deterministic versions of the headline experiments —
   ``tests/property/test_property_recovery.py``),
 * **E20** the observability layer (paired off/on churn timing on a compact
   hierarchy with the surface-identity invariant, plus the span-tree
-  completeness reconciliation against the smoke scenario's MetricsReport;
+  completeness reconciliation against the smoke scenario's counters;
   the <3% overhead gate on the 1010-node scale profile stays in
   ``test_e20_observability.py``) —
 
@@ -57,7 +57,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e11_batching import run_churn  # noqa: E402
 from test_e14_cache import run_cache_workload, run_capped_workload  # noqa: E402
-from test_e15_scale import run_smoke_profile  # noqa: E402
 from test_e16_interval import COMPACT_DIMS, run_deep_lineage  # noqa: E402
 from test_e17_durability import (  # noqa: E402
     run_concurrent_serving,
@@ -69,6 +68,7 @@ from test_e20_observability import (  # noqa: E402
     run_completeness,
     run_overhead_ab,
 )
+from scenario import smoke  # noqa: E402
 
 #: Metrics whose names end with one of these suffixes are wall-clock and
 #: therefore recorded but never gated.
@@ -123,12 +123,11 @@ def collect_metrics() -> dict:
             f"{per_vid['cold_hits']})"
         )
 
-    # E15 — the workload subsystem's smoke scenario (seeded churn generators
-    # interleaved with Zipf-skewed query waves).  The engine is
-    # deterministic, so every counter of the report is gated; wall-clock is
-    # recorded only.
-    smoke = run_smoke_profile()
-    totals = smoke.totals()
+    # E15 — the smoke scenario (seeded churn generators interleaved with
+    # Zipf-skewed query waves).  The engine is deterministic, so every
+    # counter is gated; wall-clock is recorded only.
+    _runtime, report = smoke()
+    totals = report["totals"]
     metrics["e15.smoke.deltas"] = _metric(totals["deltas"])
     metrics["e15.smoke.messages"] = _metric(totals["messages"])
     metrics["e15.smoke.events"] = _metric(totals["events"])
@@ -136,9 +135,9 @@ def collect_metrics() -> dict:
     metrics["e15.smoke.queries"] = _metric(totals["queries"])
     metrics["e15.smoke.query_messages"] = _metric(totals["query_messages"])
     metrics["e15.smoke.cache_hits"] = _metric(
-        smoke.cache.get("hits", 0), higher_is_better=True
+        report["cache"].get("hits", 0), higher_is_better=True
     )
-    metrics["e15.smoke.seconds"] = _metric(round(smoke.seconds, 3), gate=False)
+    metrics["e15.smoke.seconds"] = _metric(round(report["seconds"], 3), gate=False)
 
     # E16 — interval-indexed queries vs reference traversal on the compact
     # AS hierarchy.  Message counts are deterministic and gated; the ratio
@@ -204,8 +203,8 @@ def collect_metrics() -> dict:
     metrics["e17.recovery.checkpoint.seconds"] = _metric(
         round(recovery["metrics"]["checkpoint_seconds"], 3), gate=False
     )
-    metrics["e17.clients.queries"] = _metric(serving["report"].issued)
-    metrics["e17.clients.commits"] = _metric(serving["report"].commits)
+    metrics["e17.clients.queries"] = _metric(serving["clients"]["issued"])
+    metrics["e17.clients.commits"] = _metric(serving["clients"]["commits"])
     for percentile in ("p50", "p95", "p99"):
         metrics[f"e17.clients.query_{percentile}"] = _metric(
             serving["latency"][f"query_{percentile}"], gate=False
@@ -233,8 +232,8 @@ def collect_metrics() -> dict:
     # message, event or round — and the CPU seconds / overhead ratio are
     # recorded ungated.  Part B re-runs the smoke scenario with the
     # subsystem on and hard-fails unless the engine-level query spans
-    # reconcile exactly with the MetricsReport totals (and every query
-    # trace assembles into a single-rooted tree).
+    # reconcile exactly with the scenario's totals (and every query trace
+    # assembles into a single-rooted tree).
     e20 = run_overhead_ab(reps=2, dims=(4, 4, 4), prefixes=16)
     if e20["enabled_surface"] != e20["disabled_surface"]:
         raise SystemExit(
@@ -256,7 +255,7 @@ def collect_metrics() -> dict:
     if violations:
         raise SystemExit(
             "E20 invariant violated: query spans do not reconcile with the "
-            "MetricsReport (" + "; ".join(violations) + ")"
+            "scenario's counters (" + "; ".join(violations) + ")"
         )
     metrics["e20.query_roots"] = _metric(completeness["query_roots"])
     metrics["e20.span_messages"] = _metric(completeness["span_messages"])

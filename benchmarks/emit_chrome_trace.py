@@ -1,6 +1,6 @@
 """Emit a sample Chrome trace-event timeline from the smoke scenario.
 
-Runs the workload subsystem's ``smoke`` profile with observability enabled
+Runs the ``smoke`` scenario (:mod:`scenario`) with observability enabled
 and writes the resulting span timeline as a Chrome trace-event JSON file —
 openable in ``chrome://tracing`` or https://ui.perfetto.dev.  The CI
 ``bench-trajectory`` job uploads the file as a build artifact, so every
@@ -26,20 +26,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.obs.export import write_chrome_trace
-    from repro.workloads.driver import ScenarioDriver
-    from repro.workloads.profiles import smoke
+    from scenario import smoke
 
-    spec = smoke().with_knobs(observability=True)
-    with ScenarioDriver(spec) as driver:
-        report = driver.run()
-        tracer = driver.runtime.obs.tracer
-        traces = len(tracer.trace_ids())
-        spans = len(tracer.finished_spans())
-        write_chrome_trace(args.out, tracer, process_name="nettrails-smoke")
+    runtime, report = smoke(observability=True)
+    tracer = runtime.obs.tracer
+    traces = len(tracer.trace_ids())
+    spans = len(tracer.finished_spans())
+    write_chrome_trace(args.out, tracer, process_name="nettrails-smoke")
 
     with open(args.out, "r", encoding="utf-8") as handle:
         events = len(json.load(handle)["traceEvents"])
-    totals = report.totals()
+    totals = report["totals"]
     print(
         f"wrote {args.out}: {events} trace events from {spans} spans "
         f"across {traces} traces ({totals['queries']} queries, "

@@ -21,31 +21,25 @@ latency.  This experiment quantifies both halves of the batch-first runtime:
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
-from repro.protocols import path_vector
-from repro.workloads import ChurnPhase, ScenarioDriver, ScenarioSpec, TopologySpec
-
-#: The churn workload, expressed as a scenario spec: heavy link flapping on a
-#: 12-node random graph, sized so the trace applies well over 500 base-tuple
-#: deltas (asserted below).
-CHURN_SPEC = ScenarioSpec(
-    name="e11-churn",
-    topology=TopologySpec.make("random_connected", count=12, edge_probability=0.5, seed=11),
-    protocol="mincost",
-    seed=11,
-    churn=(ChurnPhase.make("link_flap", batches=7, flaps_per_batch=18, fast_ratio=0.5),),
-)
+from repro.protocols import mincost, path_vector
+from repro.workloads.churn import link_flap
+from scenario import run_scenario
 
 
 def run_churn():
-    """Drive the churn scenario; returns (runtime, applied churn deltas).
+    """Heavy link flapping on a 12-node random graph, sized so the trace
+    applies well over 500 base-tuple deltas (asserted below).
 
-    The driver is closed before returning; the returned runtime stays
+    Returns (runtime, applied churn deltas); the runtime is closed but stays
     readable for state and counter comparisons.
     """
-    with ScenarioDriver(CHURN_SPEC) as driver:
-        report = driver.run()
-    deltas = report.totals()["deltas"] - report.phase("seed").deltas
-    return driver.runtime, deltas
+    runtime, report = run_scenario(
+        topology.random_connected(count=12, edge_probability=0.5, seed=11),
+        mincost.program(),
+        [(link_flap, 7, {"flaps_per_batch": 18, "fast_ratio": 0.5})],
+        seed=11,
+    )
+    return runtime, report["totals"]["deltas"] - report["phases"]["seed"]["deltas"]
 
 
 def test_batched_deltas_share_messages(benchmark, record):

@@ -13,11 +13,11 @@ Two claims of the observability layer are pinned here:
   identical observable surface — telemetry is invisible to the
   determinism contract.
 
-* **Part B (completeness)** — running the workload subsystem's ``smoke``
-  scenario with observability on, the engine-level ``query`` spans must
-  reconcile *exactly* with the :class:`MetricsReport`: one root span per
+* **Part B (completeness)** — running the ``smoke`` scenario
+  (:mod:`scenario`) with observability on, the engine-level ``query`` spans
+  must reconcile *exactly* with the scenario's counters: one root span per
   engine query call, and the span-recorded message/round deltas summing to
-  the report's ``query_messages`` / ``query_rounds`` totals.  Every query
+  its ``query_messages`` / ``query_rounds`` totals.  Every query
   trace must also assemble into a single-rooted tree (no orphaned spans) —
   the invariant that catches a lost trace-context hop anywhere in the
   propagation chain.
@@ -36,7 +36,6 @@ per-pair ratios.
 from __future__ import annotations
 
 import statistics
-import time
 
 import pytest
 
@@ -46,6 +45,7 @@ from scale_churn import (
     build_scale_runtime,
     run_churn_window,
 )
+from scenario import smoke
 
 #: Paired repetitions (each pair holds one disabled and one enabled
 #: runtime; the gate statistic is the median of the per-pair ratios).
@@ -103,25 +103,16 @@ def run_overhead_ab(reps=REPS, dims=SCALE_DIMS, prefixes=PREFIX_COUNT):
 
 
 def run_completeness():
-    """The smoke scenario with observability on; returns the report, the
+    """The smoke scenario with observability on; returns its totals, the
     query-span reconciliation sums and the per-trace tree check."""
-    from repro.workloads.driver import ScenarioDriver
-    from repro.workloads.profiles import smoke
-
-    spec = smoke().with_knobs(observability=True)
-    start = time.perf_counter()
-    with ScenarioDriver(spec) as driver:
-        report = driver.run()
-        seconds = time.perf_counter() - start
-        tracer = driver.runtime.obs.tracer
-        roots = tracer.finished_spans(name="query")
-        trees = [tracer.span_tree(span.trace_id) for span in roots]
-        total_spans = len(tracer.finished_spans())
-    totals = report.totals()
+    runtime, report = smoke(observability=True)
+    tracer = runtime.obs.tracer
+    roots = tracer.finished_spans(name="query")
+    trees = [tracer.span_tree(span.trace_id) for span in roots]
+    total_spans = len(tracer.finished_spans())
     return {
-        "report": report,
-        "totals": totals,
-        "seconds": seconds,
+        "totals": report["totals"],
+        "seconds": report["seconds"],
         "query_roots": len(roots),
         "span_queries": sum(span.attrs["n_roots"] for span in roots),
         "span_messages": sum(span.attrs["messages"] for span in roots),
@@ -143,7 +134,7 @@ def completeness_violations(result):
         if result[span_key] != totals[report_key]:
             violations.append(
                 f"{report_key}: spans say {result[span_key]}, "
-                f"MetricsReport says {totals[report_key]}"
+                f"the scenario counted {totals[report_key]}"
             )
     return violations
 
@@ -158,8 +149,14 @@ def assert_surface_identical(result):
 
 
 def test_observability_leaves_the_surface_identical():
-    """The tier-1 half of part A: exact counts, so one pair is enough."""
+    """The tier-1 half of part A: exact counts, so one pair is enough.  The
+    smoke scenario adds the query side: query messages, rounds and cache
+    counters, phase by phase."""
     assert_surface_identical(run_overhead_ab(reps=1))
+    reports = {enabled: smoke(observability=enabled)[1] for enabled in (False, True)}
+    for report in reports.values():
+        del report["seconds"]
+    assert reports[True] == reports[False]
 
 
 @pytest.mark.slow
@@ -205,7 +202,7 @@ def test_query_spans_reconcile_with_metrics_report(record):
 
     record(
         "E20 span-tree completeness (smoke scenario)",
-        "query spans vs MetricsReport",
+        "query spans vs scenario counters",
         query_roots=result["query_roots"],
         queries=result["totals"]["queries"],
         query_messages=result["totals"]["query_messages"],

@@ -124,9 +124,6 @@ class PartitionIntervalIndex:
     def active(self) -> bool:
         return self._active
 
-    def __len__(self) -> int:
-        return len(self._parent)
-
     def counters(self) -> Dict[str, int]:
         return {
             "builds": self._builds,

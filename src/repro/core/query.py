@@ -113,9 +113,6 @@ class QueryRequestBatch:
 
     requests: Tuple[QueryRequest, ...]
 
-    def __len__(self) -> int:
-        return len(self.requests)
-
 
 @dataclass(frozen=True)
 class QueryReply:
@@ -143,9 +140,6 @@ class QueryReplyBatch:
     """The replies to a :class:`QueryRequestBatch`, shipped as one message."""
 
     replies: Tuple[QueryReply, ...]
-
-    def __len__(self) -> int:
-        return len(self.replies)
 
 
 @dataclass(frozen=True)
@@ -1143,8 +1137,8 @@ class DistributedQueryEngine:
         The ``messages`` / ``rounds`` attributes are the same network-stat
         deltas :class:`~repro.core.results.QueryStats` reports, so summing
         them across every ``query``-named span reconciles exactly with the
-        scenario driver's ``MetricsReport`` totals — the completeness
-        invariant benchmark E20 gates.
+        query messages and rounds a caller counts around its queries — the
+        completeness invariant benchmark E20 gates.
         """
         if self._latency_histogram is not None:
             self._latency_histogram.labels(mode=mode).observe(time.perf_counter() - wall_start)

@@ -39,14 +39,13 @@ dependencies observed at a proxy, not derivations the engine computes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ProvenanceError
 from repro.ndlog.ast import (
     Assignment,
     Atom,
     BodyElement,
-    Condition,
     Constant,
     FunctionCall,
     Literal,
@@ -99,9 +98,6 @@ def _vid_call(atom: Atom) -> FunctionCall:
     """Build ``f_vid("relation", <terms>)`` for one atom."""
     return FunctionCall("f_vid", (Constant(atom.relation),) + atom.terms)
 
-
-def _head_terms_without_aggregate(rule: Rule) -> Tuple[Term, ...]:
-    return rule.head.terms
 
 
 def rewrite_rule(rule: Rule, program_name: str) -> List[Rule]:

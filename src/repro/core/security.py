@@ -100,9 +100,6 @@ class ProvenanceAuthenticator:
 
     # -- key management ---------------------------------------------------------
 
-    def register_key(self, node_id: object, key: bytes) -> None:
-        self._keys[node_id] = key
-
     def generate_keys(self, node_ids: Iterable[object], master_secret: bytes = b"nettrails") -> None:
         """Derive one deterministic per-node key from a master secret (for tests/demos)."""
         for node_id in node_ids:

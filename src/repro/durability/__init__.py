@@ -13,8 +13,7 @@ this package gives the reproduction that production shape:
   tail, rebuild a runtime by genesis replay (bit-identical, version counters
   included) or checkpoint bootstrap + tail replay (state-identical, O(tail));
 * :mod:`repro.durability.service` — :class:`ServiceRuntime`: the durable,
-  lock-arbitrated, query-serving wrapper the concurrent-client workloads
-  drive.
+  lock-arbitrated, query-serving wrapper that concurrent clients query.
 
 Durable mode is switched on per-runtime via
 ``NetTrailsRuntime(durable_dir=...)`` / the ``NETTRAILS_DURABLE_DIR`` hook;

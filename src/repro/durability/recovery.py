@@ -81,7 +81,7 @@ class RecoveryResult:
     metrics: Dict[str, float] = field(default_factory=dict)
 
     def recovery_metrics(self) -> Dict[str, float]:
-        """The ``MetricsReport.recovery`` payload for this recovery."""
+        """Seconds and replay counts of this recovery, keyed by mode (``genesis_seconds`` …)."""
         payload: Dict[str, float] = {
             f"{self.mode}_seconds": round(self.seconds, 6),
             f"{self.mode}_batches_replayed": float(self.batches_replayed),

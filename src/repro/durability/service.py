@@ -49,8 +49,8 @@ def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
     implementation: the histogram's bucket bounds are the observed values
     themselves, so the nearest-rank answers are *exact* (identical to the
     sorted-list computation this function used to hand-roll), and every
-    latency surface in the repo — this one, the client harness, the
-    observability registry — reports percentiles through one code path.
+    latency surface in the repo — this one and the observability registry —
+    reports percentiles through one code path.
     """
     if not samples:
         return {"count": 0.0}
@@ -293,7 +293,7 @@ class ServiceRuntime:
     # -- metrics --------------------------------------------------------------------
 
     def latency_metrics(self) -> Dict[str, float]:
-        """The ``MetricsReport.latency`` payload: query p50/p95/p99 + commit mean."""
+        """Query and commit latency summaries, keyed ``query_p50`` … ``commit_mean``."""
         metrics: Dict[str, float] = {}
         for prefix, samples in (
             ("query", self.query_latencies),

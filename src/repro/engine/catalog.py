@@ -82,14 +82,7 @@ class Catalog:
                 f"(attribute {existing.location_index} and {atom.location_index})"
             )
 
-    def register(self, schema: Schema) -> None:
-        """Explicitly register (or replace) a schema."""
-        self._schemas[schema.relation] = schema
-
     # -- queries ---------------------------------------------------------------
-
-    def __contains__(self, relation: str) -> bool:
-        return relation in self._schemas
 
     def relations(self) -> Iterable[str]:
         return sorted(self._schemas)

@@ -71,10 +71,6 @@ class DerivationEffect:
     head_location: object
     body_facts: Tuple[Fact, ...]
 
-    def __str__(self) -> str:
-        symbol = "+" if self.sign > 0 else "-"
-        return f"{symbol}{self.head_fact} via {self.rule_name} [{self.firing_id}]"
-
 
 #: Makes the id of one firing from its rule name, exec node and body facts.
 DerivationIds = Callable[[str, object, Tuple[Fact, ...]], str]

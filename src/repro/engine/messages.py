@@ -70,9 +70,6 @@ class TupleDeltaBatch:
 
     deltas: Tuple[TupleDelta, ...]
 
-    def __len__(self) -> int:
-        return len(self.deltas)
-
     def __str__(self) -> str:
         return f"batch[{', '.join(str(delta) for delta in self.deltas)}]"
 
@@ -95,6 +92,3 @@ class Message:
     def size_estimate(self) -> int:
         """A rough, deterministic byte-size estimate used in traffic statistics."""
         return len(repr(self.payload)) + 24
-
-    def __str__(self) -> str:
-        return f"[{self.category}] {self.sender} -> {self.receiver}: {self.payload}"

@@ -333,6 +333,3 @@ class Node:
     def facts(self, relation: str) -> List[Fact]:
         """All facts of *relation* stored at this node (sorted for determinism)."""
         return sorted(self.store.facts(relation), key=lambda fact: repr(fact.values))
-
-    def __repr__(self) -> str:
-        return f"Node({self.id!r}, {self.store.count()} facts)"

@@ -33,17 +33,6 @@ class Route:
     as_path: Tuple[int, ...]
     local_pref: int = 100
 
-    @property
-    def origin(self) -> int:
-        return self.as_path[-1]
-
-    @property
-    def next_hop(self) -> int:
-        return self.as_path[0]
-
-    def __str__(self) -> str:
-        return f"{self.prefix} via {list(self.as_path)} (pref {self.local_pref})"
-
 
 @dataclass(frozen=True)
 class BgpUpdate:
@@ -54,10 +43,6 @@ class BgpUpdate:
     prefix: str
     announce: bool
     as_path: Tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        kind = "announce" if self.announce else "withdraw"
-        return f"{kind} {self.prefix} {list(self.as_path)} ({self.sender} -> {self.receiver})"
 
 
 @dataclass
@@ -195,9 +180,6 @@ class BgpDaemon:
     def best_route(self, prefix: str) -> Optional[Route]:
         entry = self.loc_rib.get(prefix)
         return entry[0] if entry is not None else None
-
-    def rib_snapshot(self) -> Dict[str, Route]:
-        return {prefix: entry[0] for prefix, entry in sorted(self.loc_rib.items())}
 
 
 #: Observer signatures used by the proxy.

@@ -29,7 +29,7 @@ like.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import LegacyIntegrationError
 from repro.engine.runtime import NetTrailsRuntime
@@ -176,10 +176,3 @@ class LegacyProxy:
 
     def current_route_entry(self, asn: int, prefix: str) -> Optional[Fact]:
         return self._route_entries.get((asn, prefix))
-
-    def current_output(self, sender: int, receiver: int, prefix: str) -> Optional[Fact]:
-        return self._outputs.get((sender, receiver, prefix))
-
-    def input_routes(self, asn: int) -> List[Tuple[object, ...]]:
-        """The ``inputRoute`` tuples currently derived at one AS's node."""
-        return self.runtime.node_state(as_node_id(asn), INPUT_ROUTE)

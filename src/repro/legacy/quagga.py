@@ -93,11 +93,6 @@ class QuaggaDeployment:
     def provenance(self):
         return self.runtime.provenance
 
-    def route_entry(self, asn: int, prefix: str) -> Optional[Tuple[str, str, Tuple[int, ...]]]:
-        """The currently installed routeEntry tuple values of *asn* for *prefix*."""
-        fact = self.proxy.current_route_entry(asn, prefix)
-        return fact.values if fact is not None else None  # type: ignore[return-value]
-
     def route_entries(self, prefix: str) -> Dict[int, Tuple[int, ...]]:
         """AS -> installed AS path for *prefix*, across the whole deployment."""
         result: Dict[int, Tuple[int, ...]] = {}

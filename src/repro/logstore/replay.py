@@ -81,10 +81,6 @@ class ReplaySession:
     def position(self) -> int:
         return self._position
 
-    @property
-    def length(self) -> int:
-        return len(self._snapshots)
-
     def current(self) -> Snapshot:
         return self._snapshots[self._position]
 

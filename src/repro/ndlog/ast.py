@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -143,17 +143,6 @@ class Aggregate(Term):
         inner = self.variable if self.variable else "*"
         return f"{self.func}<{inner}>"
 
-
-def term_constants(term: Term) -> Iterator[object]:
-    """Yield every constant value appearing inside *term* (depth-first)."""
-    if isinstance(term, Constant):
-        yield term.value
-    elif isinstance(term, Expression):
-        yield from term_constants(term.left)
-        yield from term_constants(term.right)
-    elif isinstance(term, FunctionCall):
-        for arg in term.args:
-            yield from term_constants(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +300,6 @@ class Rule:
     def has_aggregate(self) -> bool:
         return self.aggregate is not None
 
-    def head_variables(self) -> Set[str]:
-        return self.head.variables()
-
-    def body_variables(self) -> Set[str]:
-        result: Set[str] = set()
-        for element in self.body:
-            result |= element.variables()
-        return result
-
     def body_relations(self) -> Set[str]:
         return {lit.atom.relation for lit in self.literals}
 
@@ -475,14 +455,6 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-def var(name: str) -> Variable:
-    """Shorthand for :class:`Variable`."""
-    return Variable(name)
-
-
-def const(value: object) -> Constant:
-    """Shorthand for :class:`Constant`."""
-    return Constant(value)
 
 
 def atom(relation: str, *terms: Union[Term, str, int, float], loc: Optional[int] = 0) -> Atom:

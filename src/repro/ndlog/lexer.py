@@ -17,9 +17,6 @@ class Token:
     line: int
     column: int
 
-    def __str__(self) -> str:
-        return f"{self.kind}({self.value!r})"
-
 
 # Token kinds
 IDENT = "IDENT"          # lowercase-initial identifiers (relations, functions, keywords)

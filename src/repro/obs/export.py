@@ -9,12 +9,12 @@ Three renderings of the same observability state:
   round-trip snapshot tests.
 * :func:`json_snapshot` — a ``json.dumps``-able dict of every metric,
   finished span and flight-recorder event, for ad-hoc inspection and for
-  archiving one run's telemetry next to its ``MetricsReport``.
+  archiving one run's telemetry next to its counters.
 * :func:`chrome_trace_events` — the Chrome trace-event format
   (``chrome://tracing`` / Perfetto): every finished span becomes a complete
-  ``"ph": "X"`` event on a per-node track, so a whole
-  :class:`~repro.workloads.driver.ScenarioDriver` run can be inspected as a
-  timeline of windows, drains, queries and interval waves.
+  ``"ph": "X"`` event on a per-node track, so a whole churn-and-query run
+  can be inspected as a timeline of windows, drains, queries and interval
+  waves.
 
 >>> from repro.obs.registry import MetricsRegistry
 >>> registry = MetricsRegistry()

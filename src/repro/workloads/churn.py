@@ -10,24 +10,21 @@ scenarios (link flaps, node failures, BGP announce/withdraw) reach a
 
 Generators are *stateful over a topology mirror*: they mutate the mirror as
 they emit ops, so every op is valid at the point it executes (no removing
-absent links, no double announcements) and a later phase sees the network
-exactly as the previous phase left it.  The driver owns the mirror; tests
-can instead call :func:`scenario_trace` to materialise a spec's full churn
-trace without running anything — same seed, same spec ⇒ bit-identical trace,
-which is the determinism contract the workloads test suite pins.
+absent links, no double announcements), and a generator run after another
+on the same mirror sees the network exactly as the first left it.  The
+caller owns the mirror, a copy of the topology the runtime started from.
+Same mirror, same seeded RNG ⇒ the same ops, bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
-import hashlib
+import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import EngineError
 from repro.engine.topology import Topology
-from repro.workloads.spec import ChurnPhase, ScenarioSpec
 
 # ---------------------------------------------------------------------------
 # Op vocabulary
@@ -64,11 +61,9 @@ class ChurnOp:
     def delete(cls, relation: str, *values: object) -> "ChurnOp":
         return cls("delete", (relation,) + values)
 
-    def base_deltas(self, symmetric_links: bool = True) -> int:
-        """How many base-tuple deltas this op applies."""
-        if self.kind in ("add_link", "remove_link"):
-            return 2 if symmetric_links else 1
-        return 1
+    def base_deltas(self) -> int:
+        """How many base-tuple deltas this op applies: a link is two, one per direction."""
+        return 2 if self.kind in ("add_link", "remove_link") else 1
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,32 @@ def apply_batch(runtime, batch: ChurnBatch, run: bool = True) -> None:
         runtime.run_to_quiescence()
 
 
-def trace_digest(batches: Sequence[ChurnBatch]) -> str:
-    """A stable hex digest of a churn trace, for determinism assertions."""
-    hasher = hashlib.sha256()
-    for batch in batches:
-        hasher.update(repr((batch.index, batch.phase, batch.ops)).encode("utf-8"))
-    return hasher.hexdigest()
+class ZipfSampler:
+    """Sample ranks 0..n-1 with probability proportional to 1/(rank+1)^s.
+
+    The cumulative weights are precomputed once, so sampling is a binary
+    search — cheap enough to redraw every wave even at 1000-node sizes.
+    """
+
+    def __init__(self, n: int, s: float = 1.2):
+        if n < 1:
+            raise ValueError(f"ZipfSampler needs n >= 1, got {n}")
+        self.n = n
+        self.s = s
+        self._cumulative: List[float] = []
+        total = 0.0
+        for rank in range(1, n + 1):
+            total += 1.0 / (rank**s)
+            self._cumulative.append(total)
+
+    def sample(self, rng: random.Random) -> int:
+        point = rng.random() * self._cumulative[-1]
+        return bisect.bisect_left(self._cumulative, point)
 
 
 # ---------------------------------------------------------------------------
 # Generators.  Uniform signature: (mirror, rng, batches, **params) -> iterator
-# of op tuples; the driver wraps them into ChurnBatch with global numbering.
+# of op tuples, one per quiescence window.
 # ---------------------------------------------------------------------------
 
 
@@ -297,8 +307,6 @@ def hot_hub_skew(
     random incident link.  The top-ranked hub therefore absorbs most of the
     churn — the hot-node regime.
     """
-    from repro.workloads.queries import ZipfSampler
-
     for _ in range(batches):
         ranked = sorted(mirror.nodes, key=lambda node: (-mirror.degree(node), node))
         sampler = ZipfSampler(len(ranked), zipf_s)
@@ -357,66 +365,3 @@ def random_link_churn(
         else:
             continue
         emitted += 1
-
-
-#: Generator registry consumed by :class:`~repro.workloads.spec.ChurnPhase`.
-GENERATORS = {
-    "link_flap": link_flap,
-    "node_fail_recover": node_fail_recover,
-    "prefix_announce_withdraw": prefix_announce_withdraw,
-    "hot_hub_skew": hot_hub_skew,
-    "random_link_churn": random_link_churn,
-}
-
-
-# ---------------------------------------------------------------------------
-# Trace assembly
-# ---------------------------------------------------------------------------
-
-
-def phase_rng(spec_seed: int, phase: ChurnPhase, index: int = 0) -> random.Random:
-    """The phase's private RNG: scenario seed + schedule position + identity.
-
-    The position (*index* in ``spec.churn``) is part of the derivation, so
-    two schedule entries with the same generator and knobs still produce
-    independent streams instead of byte-identical churn.
-    """
-    return random.Random(f"{spec_seed}:{index}:{phase.seed_offset}:{phase.generator}")
-
-
-def phase_batches(
-    mirror: Topology, spec_seed: int, phase: ChurnPhase, index: int = 0
-) -> Iterator[Tuple[ChurnOp, ...]]:
-    """Run one phase's generator against the (shared, mutated) mirror."""
-    if phase.generator not in GENERATORS:
-        raise EngineError(
-            f"unknown churn generator {phase.generator!r}; "
-            f"known generators: {sorted(GENERATORS)}"
-        )
-    generator = GENERATORS[phase.generator]
-    rng = phase_rng(spec_seed, phase, index)
-    return generator(mirror, rng, phase.batches, **dict(phase.params))
-
-
-def scenario_trace(
-    spec: ScenarioSpec, mirror: Optional[Topology] = None
-) -> List[ChurnBatch]:
-    """Materialise the full churn trace of a spec without running anything.
-
-    Equal specs produce equal traces (:func:`trace_digest` makes that a
-    one-line assertion); the driver replays exactly this trace, so a trace
-    plus the spec's knobs fully determines a run's deterministic metrics.
-    Repeated phases with the same name get ``#2``, ``#3``, ... suffixes so
-    their metrics land in distinct report buckets.
-    """
-    mirror = mirror if mirror is not None else spec.topology.build()
-    mirror = copy.deepcopy(mirror)
-    batches: List[ChurnBatch] = []
-    name_counts: Dict[str, int] = {}
-    for index, phase in enumerate(spec.churn):
-        count = name_counts.get(phase.name, 0)
-        name_counts[phase.name] = count + 1
-        name = phase.name if count == 0 else f"{phase.name}#{count + 1}"
-        for ops in phase_batches(mirror, spec.seed, phase, index):
-            batches.append(ChurnBatch(index=len(batches), phase=name, ops=ops))
-    return batches

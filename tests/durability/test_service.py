@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
+import threading
+
 import pytest
 
 from repro.durability import ServiceRuntime, latency_summary, scan, wal_path
 from repro.durability.wal import RECORD_CHECKPOINT
 from repro.engine import topology
-from repro.errors import DurabilityError, EngineError
+from repro.errors import DurabilityError, EngineError, NetTrailsError
 from repro.protocols import mincost
-from repro.workloads.churn import ChurnOp
+from repro.workloads.churn import ChurnOp, random_link_churn
 
 
 def make_service(tmp_path=None, **kwargs):
@@ -46,6 +49,52 @@ class TestServing:
             assert metrics["query_count"] == 1.0
             assert metrics["commit_count"] == 2.0  # seed + one commit
             assert set(metrics) >= {"query_p50", "query_p95", "query_p99"}
+
+    def test_query_on_a_churned_away_row_is_an_error_not_a_crash(self):
+        """A client holding a row that a commit took away gets a
+        NetTrailsError; the service keeps serving the next query."""
+        with make_service() as service:
+            gone = service.state("minCost")[0]  # ("n0", "n1", 1.0)
+            service.commit((ChurnOp.remove_link("n0", "n1"),))  # any op sequence
+            assert gone not in service.state("minCost")
+            with pytest.raises(NetTrailsError):
+                service.query("minCost", list(gone))
+            assert service.query("minCost", list(service.state("minCost")[0])).value
+
+    @pytest.mark.parametrize("sequence", [list, tuple, lambda ops: next(random_link_churn(topology.ring(5), random.Random(4), 1))],
+                             ids=["list", "tuple", "generator-batch"])
+    def test_commit_accepts_any_op_sequence(self, sequence, tmp_path):
+        with make_service(tmp_path) as service:
+            ops = sequence([ChurnOp.remove_link("n0", "n1"), ChurnOp.add_link("n0", "n1", 3.0)])
+            receipt = service.commit(ops)
+            assert receipt["ops"] == len(ops) and receipt["batch"] == 2
+            assert mincost.check_against_reference(service.runtime, service.runtime.topology)
+
+    def test_queries_from_threads_interleave_with_commits(self):
+        """A query issued while commits land answers or raises NetTrailsError: none is lost."""
+        with make_service() as service:
+            rows = service.state("minCost")
+            answered, failed = [], []
+
+            def client(seed):
+                rng = random.Random(seed)
+                for _ in range(5):
+                    try:
+                        answered.append(service.query("minCost", list(rng.choice(rows))))
+                    except NetTrailsError as error:
+                        failed.append(error)
+
+            threads = [threading.Thread(target=client, args=(seed,)) for seed in range(3)]
+            for thread in threads:
+                thread.start()
+            service.commit([ChurnOp.remove_link("n0", "n1")])
+            service.commit([ChurnOp.add_link("n0", "n1", 1.0)])
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(answered) + len(failed) == 15
+            metrics = service.latency_metrics()
+            assert metrics["query_count"] == len(answered) and metrics["commit_count"] == 3  # seed + two commits
 
     def test_closed_service_refuses_everything(self):
         service = make_service()

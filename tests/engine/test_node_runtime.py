@@ -152,20 +152,6 @@ class TestRetiredKnobs:
             )
 
     @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
-    def test_scenario_knobs_reject_retired_knob(self, knob):
-        from repro.workloads.spec import RuntimeKnobs
-
-        with pytest.raises(TypeError, match=knob):
-            RuntimeKnobs(**{knob: RETIRED_KNOBS[knob]})
-
-    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
-    def test_scenario_spec_with_knobs_rejects_retired_knob(self, knob):
-        from repro.workloads.profiles import smoke
-
-        with pytest.raises(TypeError, match=knob):
-            smoke(seed=3).with_knobs(**{knob: RETIRED_KNOBS[knob]})
-
-    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
     def test_service_rejects_retired_knob(self, knob):
         from repro.durability.service import ServiceRuntime
 

@@ -67,6 +67,11 @@ class TestGenerators:
         # tier-1 clique
         assert net.has_edge("t1_0", "t1_1") and net.has_edge("t1_1", "t1_2")
 
+    def test_isp_hierarchy_identical_across_runs(self):
+        one = topology.isp_hierarchy(4, 3, 2, seed=23)
+        two = topology.isp_hierarchy(4, 3, 2, seed=23)
+        assert (one.nodes, one.edges) == (two.nodes, two.edges)
+
     def test_from_edges(self):
         net = topology.from_edges([("a", "b", 1.0), ("b", "c", 2.0)], name="custom")
         assert net.node_count() == 3

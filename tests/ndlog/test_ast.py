@@ -13,8 +13,6 @@ from repro.ndlog.ast import (
     Rule,
     Variable,
     atom,
-    const,
-    var,
 )
 from repro.ndlog.parser import parse_program, parse_rule
 from repro.protocols import distance_vector, mincost, path_vector

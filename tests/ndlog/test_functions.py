@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import UnknownFunctionError
 from repro.ndlog import functions
 from repro.ndlog.functions import FunctionRegistry, default_registry
@@ -81,3 +83,28 @@ class TestRegistry:
         registry.register("f_x", lambda: 1)
         registry.register("f_x", lambda: 2)
         assert registry.call("f_x", []) == 2
+
+
+#: Builtins that no protocol in the repository calls; programs reach them by
+#: name through ``default_registry()``.  Each row: the assignment a rule
+#: makes, the two arguments it reads, and the value the rule must derive.
+UNCALLED_BUILTINS = [
+    pytest.param("V := f_abs(X)", (-3, 0), 3, id="f_abs"),
+    pytest.param("V := f_max(X, Y)", (2, 5), 5, id="f_max"),
+    pytest.param("V := f_match(X, Y)", ("10.0.1.0/24", "10.0."), 1, id="f_match-prefix"),
+    pytest.param("V := f_match(X, Y)", ("10.1.1.0/24", "10.0."), 0, id="f_match-other"),
+    pytest.param("V := f_inPath(X, Y)", (("n1", "n2"), "n2"), 1, id="f_inPath"),
+    pytest.param("V := f_in_path(X, Y)", (("n1", "n2"), "n3"), 0, id="f_in_path"),
+]
+
+
+@pytest.mark.parametrize("assignment, arguments, expected", UNCALLED_BUILTINS)
+def test_builtin_evaluates_through_a_parsed_rule(assignment, arguments, expected):
+    program = f"""
+materialize(arg, infinity, infinity, keys(1, 2, 3)).
+r1 result(@N, V) :- arg(@N, X, Y), {assignment}.
+"""
+    with NetTrailsRuntime(program, topology.line(2)) as runtime:
+        runtime.insert("arg", ["n0", *arguments])
+        runtime.run_to_quiescence()
+        assert runtime.state("result") == [("n0", expected)]

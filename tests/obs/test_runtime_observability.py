@@ -241,34 +241,3 @@ class TestInvisibility:
                     "bytes": result.stats.bytes,
                 }
         assert outcomes[False] == outcomes[True]
-
-    def test_scenario_deterministic_view_is_unchanged(self):
-        from repro.workloads.driver import run_scenario
-        from repro.workloads.profiles import smoke
-
-        views = {}
-        for enabled in (False, True):
-            spec = smoke().with_knobs(observability=enabled)
-            views[enabled] = run_scenario(spec).deterministic_view()
-        assert views[False] == views[True]
-
-
-class TestCompleteness:
-    def test_query_span_totals_reconcile_with_metrics_report(self):
-        from repro.workloads.driver import ScenarioDriver
-        from repro.workloads.profiles import smoke
-
-        spec = smoke().with_knobs(observability=True)
-        with ScenarioDriver(spec) as driver:
-            report = driver.run()
-            tracer = driver.runtime.obs.tracer
-            roots = tracer.finished_spans(name="query")
-            totals = report.totals()
-            assert totals["queries"] > 0
-            assert sum(span.attrs["n_roots"] for span in roots) == totals["queries"]
-            assert sum(span.attrs["messages"] for span in roots) == (
-                totals["query_messages"]
-            )
-            assert sum(span.attrs["rounds"] for span in roots) == totals["query_rounds"]
-            for span in roots:
-                tracer.span_tree(span.trace_id)  # raises if any trace is torn

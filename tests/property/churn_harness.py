@@ -12,9 +12,9 @@ prints it, and exports it through this variable; the suites embed the seed in
 their parametrize ids and assertion messages so failures reproduce with
 ``NETTRAILS_CHURN_SEED=<seed> pytest ...``.
 
-Scenario generation lives in :mod:`repro.workloads.churn`
-(``random_link_churn`` — the very generator the scenario driver schedules),
-so the whole repo shares one definition of "random link churn".
+Churn generation lives in :mod:`repro.workloads.churn` (``random_link_churn``,
+which the E17 durability benchmark replays too), so the whole repo shares one
+definition of "random link churn".
 """
 
 from __future__ import annotations

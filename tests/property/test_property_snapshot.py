@@ -30,7 +30,20 @@ from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.logstore import Snapshot, take_snapshot
 from repro.protocols import mincost, prefix_routing
-from repro.workloads.churn import GENERATORS, ChurnBatch, apply_batch
+from repro.workloads.churn import (
+    ChurnBatch,
+    apply_batch,
+    hot_hub_skew,
+    link_flap,
+    node_fail_recover,
+    prefix_announce_withdraw,
+    random_link_churn,
+)
+
+GENERATORS = {
+    generator.__name__: generator
+    for generator in (hot_hub_skew, link_flap, node_fail_recover, prefix_announce_withdraw, random_link_churn)
+}
 
 
 def _seeds():

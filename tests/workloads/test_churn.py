@@ -1,4 +1,4 @@
-"""Tests for the seeded churn generators and trace machinery."""
+"""Tests for the seeded churn generators and the op vocabulary."""
 
 import copy
 import random
@@ -6,17 +6,22 @@ import random
 import pytest
 
 from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import EngineError
-from repro.workloads import ChurnOp, scenario_trace, trace_digest
+from repro.protocols import mincost, prefix_routing
+from repro.workloads import ChurnBatch, ChurnOp, apply_batch, apply_churn_op
 from repro.workloads.churn import (
-    GENERATORS,
     hot_hub_skew,
     link_flap,
     node_fail_recover,
     prefix_announce_withdraw,
     random_link_churn,
 )
-from repro.workloads.profiles import demo, smoke
+
+GENERATORS = {
+    generator.__name__: generator
+    for generator in (hot_hub_skew, link_flap, node_fail_recover, prefix_announce_withdraw, random_link_churn)
+}
 
 
 def replay_on_mirror(mirror, batches):
@@ -231,60 +236,74 @@ class TestRandomLinkChurn:
             assert len(ops) in (1, 2)
 
 
-class TestTraceAssembly:
-    def test_scenario_trace_is_deterministic(self):
-        spec = demo(seed=21)
-        assert trace_digest(scenario_trace(spec)) == trace_digest(scenario_trace(spec))
+class TestSharedMirror:
+    def test_generators_chained_on_one_mirror_stay_valid(self):
+        """A later generator only sees links as the earlier one left them."""
+        net = topology.isp_hierarchy(2, 2, 1, seed=13)
+        mirror = copy.deepcopy(net)
+        rng = random.Random(13)
+        batches = list(prefix_announce_withdraw(mirror, rng, 3, prefixes=2, origins_per_prefix=2))
+        batches += list(link_flap(mirror, rng, 2, flaps_per_batch=1))
+        batches += list(node_fail_recover(mirror, rng, 2))
+        # Replaying the whole trace keeps every link op valid, which can
+        # only hold if generation threaded one mirror through all three.
+        replay_on_mirror(copy.deepcopy(net), batches)
+        assert mirror.edges == net.edges
 
-    def test_different_seeds_change_the_digest(self):
-        assert trace_digest(scenario_trace(smoke(seed=1))) != trace_digest(
-            scenario_trace(smoke(seed=2))
-        )
 
-    def test_phases_share_one_evolving_mirror(self):
-        """A later phase only sees links as the earlier phase left them."""
-        spec = smoke(seed=13)
-        trace = scenario_trace(spec)
-        mirror = spec.topology.build()
-        # Replaying the whole trace keeps every link op valid — which can
-        # only hold if generation threaded one mirror through all phases.
-        replay_on_mirror(mirror, [batch.ops for batch in trace])
-
-    def test_repeated_phases_get_independent_streams_and_buckets(self):
-        from repro.workloads import ChurnPhase, ScenarioSpec, TopologySpec
-
-        spec = ScenarioSpec(
-            name="twice",
-            topology=TopologySpec.make("ring", count=8),
-            protocol="mincost",
-            seed=5,
-            churn=(
-                ChurnPhase.make("link_flap", batches=3, flaps_per_batch=2),
-                ChurnPhase.make("link_flap", batches=3, flaps_per_batch=2),
-            ),
-        )
-        trace = scenario_trace(spec)
-        by_phase = {}
-        for batch in trace:
-            by_phase.setdefault(batch.phase, []).append(batch.ops)
-        assert set(by_phase) == {"link_flap", "link_flap#2"}
-        assert by_phase["link_flap"] != by_phase["link_flap#2"], (
-            "identical phases must not replay byte-identical churn"
-        )
-
-    def test_unknown_generator_rejected(self):
-        from repro.workloads import ChurnPhase, ScenarioSpec, TopologySpec
-
-        spec = ScenarioSpec(
-            name="bad",
-            topology=TopologySpec.make("ring", count=4),
-            protocol="mincost",
-            churn=(ChurnPhase.make("meteor_strike", batches=1),),
-        )
-        with pytest.raises(EngineError, match="unknown churn generator"):
-            scenario_trace(spec)
-
+class TestChurnOp:
     def test_op_delta_accounting(self):
         assert ChurnOp.add_link("a", "b", 1.0).base_deltas() == 2
-        assert ChurnOp.add_link("a", "b", 1.0).base_deltas(symmetric_links=False) == 1
+        assert ChurnOp.remove_link("a", "b").base_deltas() == 2
         assert ChurnOp.insert("prefix", "a", "p0", 0.0).base_deltas() == 1
+
+
+@pytest.fixture
+def prefix_runtime():
+    """Prefix routing on a converged 3-node line with p0 announced at n0."""
+    with NetTrailsRuntime(prefix_routing.program(), topology.line(3)) as runtime:
+        runtime.seed_links(run=True)
+        runtime.insert("prefix", ["n0", "p0", 0.0])
+        runtime.run_to_quiescence()
+        yield runtime
+
+
+class TestApplyChurnOp:
+    @pytest.mark.parametrize("op, link, prefix", [
+        pytest.param(ChurnOp.add_link("n0", "n2", 1.0), True, True, id="add_link"),
+        pytest.param(ChurnOp.remove_link("n1", "n2"), False, True, id="remove_link"),
+        pytest.param(ChurnOp.insert("prefix", "n2", "p1", 0.0), False, True, id="insert"),
+        pytest.param(ChurnOp.delete("prefix", "n0", "p0", 0.0), False, False, id="delete"),
+    ])
+    def test_op_reaches_the_runtime(self, prefix_runtime, op, link, prefix):
+        """Each op kind lands as its base-tuple deltas and the system reconverges."""
+        apply_churn_op(prefix_runtime, op)
+        prefix_runtime.run_to_quiescence()
+        links = prefix_runtime.state("link")
+        assert (("n0", "n2", 1.0) in links and ("n2", "n0", 1.0) in links) == link
+        assert (("n0", "p0", 0.0) in prefix_runtime.state("prefix")) == prefix
+        assert bool(prefix_runtime.state("best")) == prefix
+        origins = [(node, name) for node, name, _cost in prefix_runtime.state("prefix")]
+        assert prefix_routing.check_against_reference(prefix_runtime, prefix_runtime.topology, origins)
+
+    def test_unknown_kind_rejected(self, prefix_runtime):
+        with pytest.raises(EngineError, match="unknown churn op kind"):
+            apply_churn_op(prefix_runtime, ChurnOp("meteor_strike", ("n0",)))
+
+    def test_op_does_not_run_the_simulator(self, prefix_runtime):
+        apply_churn_op(prefix_runtime, ChurnOp.remove_link("n0", "n1"))
+        assert prefix_runtime.simulator.pending_events > 0
+
+
+class TestApplyBatch:
+    FLAP = ChurnBatch(0, "link_flap", (ChurnOp.remove_link("n0", "n1"), ChurnOp.add_link("n0", "n1", 2.0)))
+
+    @pytest.mark.parametrize("run", [True, False])
+    def test_batch_runs_to_quiescence_unless_told_not_to(self, run):
+        with NetTrailsRuntime(mincost.SOURCE, topology.ring(4)) as runtime:
+            runtime.seed_links(run=True)
+            apply_batch(runtime, self.FLAP, run=run)
+            assert (runtime.simulator.pending_events == 0) == run
+            runtime.run_to_quiescence()
+            assert runtime.topology.cost("n0", "n1") == 2.0
+            assert mincost.check_against_reference(runtime, runtime.topology)

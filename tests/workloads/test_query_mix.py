@@ -1,14 +1,11 @@
-"""Tests for the Zipf-skewed query-mix generators."""
+"""Tests for the Zipf rank sampler behind hot hubs and hot queries."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from repro.engine import topology
-from repro.protocols import mincost
-from repro.workloads import QueryMixSpec, query_wave
-from repro.workloads.queries import ZipfSampler, weighted_choice
+from repro.workloads import ZipfSampler
 
 
 class TestZipfSampler:
@@ -34,52 +31,31 @@ class TestZipfSampler:
         with pytest.raises(ValueError):
             ZipfSampler(0)
 
+    def test_negative_domain_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ZipfSampler(-3)
 
-class TestWeightedChoice:
-    def test_degenerate_mix_always_picks_the_only_entry(self):
-        rng = random.Random(1)
-        assert all(
-            weighted_choice(rng, (("lineage", 1.0),)) == "lineage" for _ in range(10)
-        )
-
-    def test_weights_shape_the_distribution(self):
+    def test_one_rank_always_draws_it(self):
+        sampler = ZipfSampler(1)
         rng = random.Random(5)
-        counts = Counter(
-            weighted_choice(rng, (("a", 0.9), ("b", 0.1))) for _ in range(1000)
-        )
-        assert counts["a"] > counts["b"] * 4
+        assert {sampler.sample(rng) for _ in range(200)} == {0}
 
+    @pytest.mark.parametrize("n, s", [(2, 0.0), (7, 0.8), (50, 1.2), (1000, 2.0)])
+    def test_draws_stay_in_range(self, n, s):
+        sampler = ZipfSampler(n, s=s)
+        rng = random.Random(n)
+        assert all(0 <= sampler.sample(rng) < n for _ in range(500))
 
-class TestQueryWave:
-    def test_empty_relation_yields_empty_wave(self):
-        mix = QueryMixSpec(relation="minCost")
-        assert query_wave(random.Random(1), mix, []) == []
+    def test_zero_exponent_is_uniform(self):
+        sampler = ZipfSampler(4, s=0.0)
+        rng = random.Random(11)
+        counts = Counter(sampler.sample(rng) for _ in range(4000))
+        assert all(800 < counts[rank] < 1200 for rank in range(4))
 
-    def test_wave_respects_mix_and_is_deterministic(self):
-        rows = [("n0", "n1", 1.0), ("n1", "n0", 1.0), ("n0", "n2", 2.0)]
-        mix = QueryMixSpec(
-            relation="minCost",
-            queries_per_wave=4,
-            modes=(("lineage", 0.5), ("participants", 0.5)),
-            traversals=(("sequential", 1.0),),
-            use_cache=False,
-        )
-        waves = [query_wave(random.Random(9), mix, rows) for _ in range(2)]
-        assert waves[0] == waves[1]
-        for call in waves[0]:
-            assert call.mode in ("lineage", "participants")
-            assert call.relation == "minCost"
-            assert tuple(call.values) in rows
-            assert call.options.traversal == "sequential"
-            assert call.options.use_cache is False
+    def test_larger_exponent_skews_harder(self):
+        def head_share(s):
+            sampler = ZipfSampler(20, s=s)
+            rng = random.Random(9)
+            return sum(sampler.sample(rng) == 0 for _ in range(2000))
 
-    def test_calls_issue_against_a_live_engine(self):
-        from repro.core.query import DistributedQueryEngine
-
-        runtime = mincost.setup(topology.ring(4))
-        engine = DistributedQueryEngine(runtime)
-        mix = QueryMixSpec(relation="minCost", queries_per_wave=2)
-        wave = query_wave(random.Random(2), mix, runtime.state("minCost"))
-        for call in wave:
-            result = call.issue(engine)
-            assert result.value, call
+        assert head_share(2.0) > head_share(1.2) > head_share(0.5)
