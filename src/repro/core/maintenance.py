@@ -345,6 +345,17 @@ class NodeProvenanceStore:
             for entry in self.rule_execs()
         ]
 
+    def content_key(self) -> Tuple[object, ...]:
+        """An exact key of this partition's ``prov``, ``ruleExec`` and tuple tables.
+
+        Shallow copies of the ``prov`` and ``ruleExec`` maps (their values
+        are immutable tuples) plus the size of the tuple map, which only
+        ever grows and never rebinds a vid: equal keys mean equal tables.
+        Unlike :attr:`version`, the key is unchanged by a row that is
+        removed and re-added.
+        """
+        return (dict(self._prov), dict(self._rule_execs), len(self._tuple_info))
+
     @property
     def prov_count(self) -> int:
         return sum(len(rows) for rows in self._prov.values())

@@ -2,7 +2,7 @@
 
 A checkpoint compacts the WAL prefix into the existing :mod:`repro.logstore`
 snapshot format: the full :class:`~repro.logstore.snapshot.Snapshot` is
-written through :class:`~repro.logstore.store.LogStore` to
+written in :class:`~repro.logstore.store.LogStore`'s file format to
 ``<durable_dir>/snapshots/ckpt-NNNNNN.json``, and a ``checkpoint`` WAL
 record pins two digests plus an embedded *bootstrap* (current base facts,
 topology and link configuration).  Recovery in ``checkpoint`` mode rebuilds
@@ -19,19 +19,28 @@ Two digests, two verification regimes:
 * ``snapshot_digest`` covers the whole snapshot JSON (time, traffic and the
   history-retaining ``tuples`` map included) and is recorded for the audit
   trail.
+
+A checkpoint costs what changed: each durable runtime's
+:class:`CheckpointWriter` keeps every partition's serialised snapshot and
+state fragments, rebuilds a fragment only when the partition's content
+key differs from the cached one, and streams the pieces into the file and
+both digests without assembling the whole document.  The file and the
+digests are byte-identical to :func:`snapshot_digest`, :func:`state_digest`
+and ``LogStore.save`` over :func:`~repro.logstore.snapshot.take_snapshot`,
+which stay the reference (recovery verifies with them).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.store import BASE_DERIVATION
 from repro.engine.topology import Topology
-from repro.logstore.snapshot import Snapshot
-from repro.logstore.store import LogStore
+from repro.logstore.snapshot import NodeSnapshot, Snapshot, node_snapshot
 
 #: Subdirectory of the durable dir holding compacted snapshots.
 SNAPSHOT_DIRNAME = "snapshots"
@@ -50,19 +59,24 @@ def state_digest(snapshot: Snapshot) -> str:
     never-pruned ``tuples`` map (all three are history-dependent in ways a
     checkpoint-bootstrapped twin legitimately differs in).
     """
-    doc: Dict[str, object] = {}
-    for node_id, node in sorted(snapshot.nodes.items()):
-        doc[node_id] = {
-            "relations": {
-                relation: sorted((list(row) for row in rows), key=repr)
-                for relation, rows in sorted(node.relations.items())
-            },
-            "prov": sorted((list(row) for row in node.prov), key=repr),
-            "rule_execs": sorted((list(row) for row in node.rule_execs), key=repr),
-        }
+    doc = {
+        node_id: node_state_doc(node) for node_id, node in sorted(snapshot.nodes.items())
+    }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
     ).hexdigest()
+
+
+def node_state_doc(node: NodeSnapshot) -> Dict[str, object]:
+    """One node's share of the :func:`state_digest` document."""
+    return {
+        "relations": {
+            relation: sorted((list(row) for row in rows), key=repr)
+            for relation, rows in sorted(node.relations.items())
+        },
+        "prov": sorted((list(row) for row in node.prov), key=repr),
+        "rule_execs": sorted((list(row) for row in node.rule_execs), key=repr),
+    }
 
 
 def base_facts(runtime) -> Dict[str, List[List[object]]]:
@@ -100,17 +114,6 @@ def snapshot_dir(durable_dir) -> Path:
     return Path(durable_dir) / SNAPSHOT_DIRNAME
 
 
-def write_snapshot_file(durable_dir, batch: int, snapshot: Snapshot) -> Path:
-    """Persist *snapshot* in the logstore format; returns the file path."""
-    directory = snapshot_dir(durable_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"ckpt-{batch:06d}.json"
-    store = LogStore()
-    store.append(snapshot)
-    store.save(path)
-    return path
-
-
 def prune_snapshot_files(durable_dir, keep: int) -> List[Path]:
     """Drop all but the newest *keep* checkpoint snapshot files.
 
@@ -129,25 +132,132 @@ def prune_snapshot_files(durable_dir, keep: int) -> List[Path]:
     return removed
 
 
-def checkpoint_payload(
-    runtime, snapshot: Snapshot, batch: int, file: Optional[Path]
-) -> Dict[str, object]:
-    """The ``checkpoint`` WAL record's data for a quiescent *runtime*."""
-    link: Optional[Dict[str, object]] = None
-    if runtime._link_relation is not None:
-        link = {
-            "relation": runtime._link_relation,
-            "include_cost": runtime._link_include_cost,
-            "symmetric": runtime._link_symmetric,
+def _dumps(doc: object) -> bytes:
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+@dataclass(frozen=True)
+class _Partition:
+    """One partition's cached checkpoint pieces and the content they encode."""
+
+    key: Tuple[object, ...]
+    snapshot: bytes
+    state: bytes
+
+
+class CheckpointWriter:
+    """Writes one durable runtime's checkpoints, re-serialising only changed partitions.
+
+    Per partition the writer keeps an exact content key (the node's fact set
+    plus its provenance store's :meth:`content_key`) and the partition's
+    snapshot and state-digest JSON fragments.  A checkpoint rebuilds the
+    fragments of partitions whose key differs, then streams every fragment,
+    in node order, into the snapshot file and into one sha256 per digest.
+    """
+
+    def __init__(self) -> None:
+        self._partitions: Dict[str, _Partition] = {}
+        self._rebuilt = 0
+
+    @property
+    def partitions_rebuilt(self) -> int:
+        """Partitions re-serialised so far, over every checkpoint this writer took."""
+        return self._rebuilt
+
+    def write(self, runtime, batch: int, label: str) -> Tuple[Path, Dict[str, object]]:
+        """Write checkpoint *batch* of a quiescent *runtime*.
+
+        Returns the snapshot file path and the ``checkpoint`` WAL record's
+        data.  The file holds ``LogStore.save`` of ``take_snapshot(runtime,
+        label)``; the record's digests are :func:`snapshot_digest` and
+        :func:`state_digest` of that snapshot.
+        """
+        partitions = self._refresh(runtime)
+        time = runtime.simulator.now
+        envelope = _dumps(
+            Snapshot(
+                time=time,
+                label=label,
+                program=runtime.compiled.name,
+                traffic=runtime.network.stats.snapshot(),
+            ).to_dict()
+        )
+        # Keys are sorted and only the label precedes "nodes", and a JSON
+        # string cannot hold an unescaped quote, so this is the one split.
+        head, _, tail = envelope.partition(b'"nodes": {}')
+        head += b'"nodes": {'
+        tail = b"}" + tail
+
+        directory = snapshot_dir(runtime.durable_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"ckpt-{batch:06d}.json"
+        snapshot_hash, state_hash = hashlib.sha256(), hashlib.sha256()
+        with open(path, "wb") as out:
+
+            def emit(chunk: bytes) -> None:
+                out.write(chunk)
+                snapshot_hash.update(chunk)
+
+            out.write(b"[")
+            emit(head)
+            state_hash.update(b"{")
+            separator = b""
+            for name in sorted(partitions):
+                partition = partitions[name]
+                node_key = separator + _dumps(name) + b": "
+                separator = b", "
+                emit(node_key)
+                emit(partition.snapshot)
+                state_hash.update(node_key)
+                state_hash.update(partition.state)
+            emit(tail)
+            state_hash.update(b"}")
+            out.write(b"]")
+        return path, {
+            "batch": batch,
+            "label": label,
+            "time": time,
+            "file": path.name,
+            "snapshot_digest": snapshot_hash.hexdigest(),
+            "state_digest": state_hash.hexdigest(),
+            "base": base_facts(runtime),
+            "topology": topology_doc(runtime.topology),
+            "link": _link_doc(runtime),
         }
+
+    def _refresh(self, runtime) -> Dict[str, _Partition]:
+        """Every current partition's pieces, rebuilding those whose content moved.
+
+        The cache is replaced by the current node set, so nodes that left
+        the runtime drop out.
+        """
+        provenance = runtime.provenance
+        partitions: Dict[str, _Partition] = {}
+        for node_id, node in sorted(runtime.nodes.items(), key=lambda item: repr(item[0])):
+            pstore = provenance.store(node_id) if provenance is not None else None
+            key = (
+                node.store.content_key(),
+                pstore.content_key() if pstore is not None else None,
+            )
+            name = str(node_id)
+            partition = self._partitions.get(name)
+            if partition is None or partition.key != key:
+                snapshot = node_snapshot(node_id, node, pstore)
+                partition = _Partition(
+                    key, _dumps(snapshot.to_dict()), _dumps(node_state_doc(snapshot))
+                )
+                self._rebuilt += 1
+            partitions[name] = partition
+        self._partitions = partitions
+        return partitions
+
+
+def _link_doc(runtime) -> Optional[Dict[str, object]]:
+    """The link-seeding configuration recovery's bootstrap restores."""
+    if runtime._link_relation is None:
+        return None
     return {
-        "batch": batch,
-        "label": snapshot.label,
-        "time": snapshot.time,
-        "file": file.name if file is not None else None,
-        "snapshot_digest": snapshot_digest(snapshot),
-        "state_digest": state_digest(snapshot),
-        "base": base_facts(runtime),
-        "topology": topology_doc(runtime.topology),
-        "link": link,
+        "relation": runtime._link_relation,
+        "include_cost": runtime._link_include_cost,
+        "symmetric": runtime._link_symmetric,
     }

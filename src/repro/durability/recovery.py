@@ -21,7 +21,9 @@ runtime.  Two modes, two guarantees:
 
 Recovery always repairs the torn tail first (hash-verified scan, truncate at
 the first unverifiable byte) and, with ``attach=True``, leaves the recovered
-runtime appending to the repaired WAL — crash, recover, keep serving.
+runtime appending to the repaired WAL — crash, recover, keep serving.  Damage
+followed by an intact record is not a torn tail, and recovery raises rather
+than drop the committed records after it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from repro.durability.wal import (
     RECORD_INIT,
     WalRecord,
     WriteAheadLog,
-    repair,
+    scan,
+    truncate,
     wal_path,
 )
 
@@ -142,14 +145,24 @@ class RecoveryManager:
         *overrides* replace recorded construction knobs (e.g.
         ``use_interval_index=``, or ``observability=``, which is never
         recorded); state equality across such overrides is exactly the
-        engine's determinism contract.
+        engine's determinism contract.  A WAL damaged mid-log (an intact
+        record after the first bad byte) raises
+        :class:`~repro.errors.DurabilityError` and is left untouched.
         """
         if mode not in RECOVERY_MODES:
             raise DurabilityError(
                 f"unknown recovery mode {mode!r}; choose one of {RECOVERY_MODES}"
             )
         started = time.perf_counter()
-        scan_result = repair(self.path)
+        scan_result = scan(self.path)
+        if scan_result.stranded_seq is not None:
+            raise DurabilityError(
+                f"WAL {self.path} is damaged mid-log ({scan_result.reason} at byte "
+                f"{scan_result.valid_bytes}) and intact record seq "
+                f"{scan_result.stranded_seq} follows; truncating would drop "
+                "committed batches — repair() salvages the prefix explicitly"
+            )
+        truncate(self.path, scan_result)
         records = scan_result.records
         if not records:
             raise DurabilityError(

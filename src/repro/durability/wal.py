@@ -29,6 +29,12 @@ valid prefix; :func:`repair` truncates the file to that prefix.  Because
 :meth:`WriteAheadLog.append` flushes (and, with ``fsync=True``, fsyncs)
 before returning, the commit point of a batch is its ``append`` — a crash
 mid-append loses at most the record being written, never a committed one.
+
+A crash tears only the tail, so damage with an intact record *after* it is
+not a torn tail: it is mid-log damage, and truncating would drop committed
+records.  :func:`scan` reports the first such record
+(:attr:`ScanResult.stranded_seq`); recovery refuses to truncate over it,
+and :func:`repair` stays the explicit salvage path.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import DurabilityError
 
@@ -87,6 +93,9 @@ class ScanResult:
     total_bytes: int
     torn: bool
     reason: str = ""
+    #: ``seq`` of the first intact record past the damage, when there is
+    #: one: the damage is mid-log, not a torn tail.
+    stranded_seq: Optional[int] = None
 
 
 def _encode(seq: int, record_type: str, data: Dict[str, object]) -> bytes:
@@ -166,7 +175,38 @@ def scan(path: Union[str, Path]) -> ScanResult:
         total_bytes=len(raw),
         torn=torn,
         reason=reason,
+        stranded_seq=_first_intact_after(raw, offset, expected_seq - 1) if torn else None,
     )
+
+
+#: Every payload starts with this: canonical JSON sorts ``data`` first.
+_PAYLOAD_PREFIX = b'{"data":'
+
+
+def _first_intact_after(raw: bytes, offset: int, last_seq: int) -> Optional[int]:
+    """The ``seq`` of the first intact record past byte *offset*, if any.
+
+    An intact record is a length prefix, a payload whose sha256 matches the
+    digest after it, and a JSON document whose ``seq`` exceeds *last_seq*.
+    Candidates are located by their payload prefix, so the search reads the
+    damaged region once plus one hash per candidate.
+    """
+    start = raw.find(_PAYLOAD_PREFIX, offset + _LENGTH.size)
+    while start != -1:
+        (length,) = _LENGTH.unpack_from(raw, start - _LENGTH.size)
+        end = start + length + _DIGEST_BYTES
+        if length <= MAX_RECORD_BYTES and end <= len(raw):
+            payload = raw[start : start + length]
+            if hashlib.sha256(payload).digest() == raw[start + length : end]:
+                try:
+                    doc = json.loads(payload.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    doc = None
+                seq = doc.get("seq") if isinstance(doc, dict) else None
+                if isinstance(seq, int) and seq > last_seq:
+                    return seq
+        start = raw.find(_PAYLOAD_PREFIX, start + 1)
+    return None
 
 
 def repair(path: Union[str, Path]) -> ScanResult:
@@ -174,15 +214,22 @@ def repair(path: Union[str, Path]) -> ScanResult:
 
     Returns the pre-truncation :func:`scan` result, so callers can report
     how many bytes were discarded (``total_bytes - valid_bytes``).  A clean
-    file is left untouched.
+    file is left untouched.  This is also the salvage path for mid-log
+    damage: it truncates even when intact records follow the damage
+    (:attr:`ScanResult.stranded_seq`), which recovery refuses to do.
     """
     result = scan(path)
+    truncate(path, result)
+    return result
+
+
+def truncate(path: Union[str, Path], result: ScanResult) -> None:
+    """Cut *path* back to the verified prefix *result* (a :func:`scan` of it) found."""
     if result.torn:
         with open(path, "r+b") as handle:
             handle.truncate(result.valid_bytes)
             handle.flush()
             os.fsync(handle.fileno())
-    return result
 
 
 class WriteAheadLog:

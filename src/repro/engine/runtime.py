@@ -312,6 +312,7 @@ class NetTrailsRuntime:
         self.wal_fsync = bool(wal_fsync)
         self.durable_dir: Optional[str] = None
         self._wal = None
+        self._checkpoint_writer = None
         self._pending_ops: List[List[object]] = []
         self._oplog_suspended = 0
         self._committed_batches = 0
@@ -402,6 +403,7 @@ class NetTrailsRuntime:
             )
         self.durable_dir = path
         self._wal = wal_mod.WriteAheadLog(path, fsync=self.wal_fsync)
+        self._checkpoint_writer = checkpoint_mod.CheckpointWriter()
         self._wal.append(
             wal_mod.RECORD_INIT,
             {
@@ -427,9 +429,12 @@ class NetTrailsRuntime:
 
     def _attach_wal(self, wal, durable_dir: str, committed_batches: int) -> None:
         """Adopt an already-positioned WAL (recovery's tail-append hook)."""
+        from repro.durability.checkpoint import CheckpointWriter
+
         self.durable_dir = durable_dir
         self.wal_fsync = wal.fsync
         self._wal = wal
+        self._checkpoint_writer = CheckpointWriter()
         self._committed_batches = committed_batches
 
     def _log_op(self, op: List[object]) -> None:
@@ -470,8 +475,10 @@ class NetTrailsRuntime:
         ``<durable_dir>/snapshots/ckpt-NNNNNN.json`` (pruning all but the
         newest *keep* files) and appends a ``checkpoint`` WAL record carrying
         the state digest plus an embedded base-fact bootstrap, which is what
-        ``RecoveryManager.recover(mode="checkpoint")`` restores from.  The
-        runtime must be quiescent (no uncommitted ops).  Returns the
+        ``RecoveryManager.recover(mode="checkpoint")`` restores from.  Only
+        partitions whose content changed since the previous checkpoint are
+        serialised again (:class:`repro.durability.checkpoint.CheckpointWriter`).
+        The runtime must be quiescent (no uncommitted ops).  Returns the
         snapshot file path.
         """
         if self._wal is None:
@@ -483,15 +490,12 @@ class NetTrailsRuntime:
             )
         from repro.durability import checkpoint as checkpoint_mod
         from repro.durability.wal import RECORD_CHECKPOINT
-        from repro.logstore.snapshot import take_snapshot
 
         batch = self._committed_batches
-        snapshot = take_snapshot(self, label=label or f"checkpoint-{batch}")
-        path = checkpoint_mod.write_snapshot_file(self.durable_dir, batch, snapshot)
-        self._wal.append(
-            RECORD_CHECKPOINT,
-            checkpoint_mod.checkpoint_payload(self, snapshot, batch, path),
+        path, record = self._checkpoint_writer.write(
+            self, batch, label or f"checkpoint-{batch}"
         )
+        self._wal.append(RECORD_CHECKPOINT, record)
         checkpoint_mod.prune_snapshot_files(self.durable_dir, keep)
         if self.obs is not None:
             self.obs.record_event("checkpoint", batch=batch, path=str(path))

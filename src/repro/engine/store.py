@@ -19,7 +19,7 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.engine.tuples import Fact
@@ -76,6 +76,16 @@ class TupleStore:
         if relation is not None:
             return len(self._facts.get(relation, {}))
         return sum(len(facts) for facts in self._facts.values())
+
+    def content_key(self) -> FrozenSet[str]:
+        """The node's fact set, each fact by its ``repr``: equal keys mean equal contents.
+
+        ``repr`` tells ``1``, ``1.0`` and ``True`` apart where fact equality
+        does not, so a fact replaced by an equal one of another type still
+        moves the key.  The key sees a fact arrive or leave, not a
+        derivation arrive or leave.
+        """
+        return frozenset(map(repr, self.all_facts()))
 
     def derivations(self, fact: Fact) -> Set[str]:
         """Return the derivation ids currently supporting *fact* (empty if absent)."""

@@ -168,27 +168,35 @@ def take_snapshot(runtime, label: str = "") -> Snapshot:
     )
     provenance = runtime.provenance
     for node_id, node in sorted(runtime.nodes.items(), key=lambda item: repr(item[0])):
-        node_snapshot = NodeSnapshot(node_id=str(node_id))
-        for relation in node.store.relations():
-            node_snapshot.relations[relation] = [
-                list(fact.values) for fact in node.facts(relation)
-            ]
-        if provenance is not None:
-            pstore = provenance.store(node_id)
-            for row in pstore.prov_table():
-                _loc, vid, rid, rloc = row
-                node_snapshot.prov.append([vid, rid, str(rloc)])
-            for entry in pstore.rule_execs():
-                node_snapshot.rule_execs.append(
-                    [
-                        entry.rid,
-                        entry.rule_name,
-                        entry.program_name,
-                        list(entry.child_vids),
-                        entry.head_vid,
-                    ]
-                )
-            for vid, info in sorted(pstore._tuple_info.items()):
-                node_snapshot.tuples[vid] = [info[0], list(info[1])]
-        snapshot.nodes[str(node_id)] = node_snapshot
+        pstore = provenance.store(node_id) if provenance is not None else None
+        snapshot.nodes[str(node_id)] = node_snapshot(node_id, node, pstore)
+    return snapshot
+
+
+def node_snapshot(node_id, node, pstore) -> NodeSnapshot:
+    """One node's partition: its relations plus, when *pstore* is given, its provenance tables.
+
+    The single definition of a partition's snapshot form, shared by
+    :func:`take_snapshot` and the durable checkpoint writer
+    (:class:`repro.durability.checkpoint.CheckpointWriter`).
+    """
+    snapshot = NodeSnapshot(node_id=str(node_id))
+    for relation in node.store.relations():
+        snapshot.relations[relation] = [list(fact.values) for fact in node.facts(relation)]
+    if pstore is not None:
+        for row in pstore.prov_table():
+            _loc, vid, rid, rloc = row
+            snapshot.prov.append([vid, rid, str(rloc)])
+        for entry in pstore.rule_execs():
+            snapshot.rule_execs.append(
+                [
+                    entry.rid,
+                    entry.rule_name,
+                    entry.program_name,
+                    list(entry.child_vids),
+                    entry.head_vid,
+                ]
+            )
+        for vid, info in sorted(pstore._tuple_info.items()):
+            snapshot.tuples[vid] = [info[0], list(info[1])]
     return snapshot

@@ -27,6 +27,7 @@ from repro.durability.wal import RECORD_BATCH, RECORD_CHECKPOINT, RECORD_INIT
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import DurabilityError, EngineError
+from repro.logstore import take_snapshot
 from repro.protocols import mincost
 
 
@@ -117,6 +118,22 @@ class TestCheckpointCompaction:
             runtime.checkpoint()
         runtime.close()
 
+    def test_fact_replaced_by_an_equal_one_of_another_type_is_rewritten(self, tmp_path):
+        # 1 == 1.0, but they serialise differently; without provenance no
+        # vid tells the two facts apart, so the store's content key must.
+        runtime = durable_runtime(tmp_path, provenance=False)
+        assert b'["n0", "n1", 1.0]' in runtime.checkpoint().read_bytes()
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        runtime.add_link("n0", "n1", 1)
+        runtime.run_to_quiescence()
+        path = runtime.checkpoint()
+        label = scan(wal_path(tmp_path)).records[-1].data["label"]
+        reference = json.dumps([take_snapshot(runtime, label).to_dict()], sort_keys=True)
+        assert b'["n0", "n1", 1]' in path.read_bytes()
+        assert path.read_bytes() == reference.encode("utf-8")
+        runtime.close()
+
     def test_checkpoint_files_pruned(self, tmp_path):
         runtime = durable_runtime(tmp_path)
         for step in range(5):
@@ -203,6 +220,23 @@ class TestRecoveryManager:
         WriteAheadLog(tmp_path, fsync=False).close()
         with pytest.raises(DurabilityError, match="no intact records"):
             RecoveryManager(tmp_path).recover()
+
+    def test_mid_log_damage_raises_instead_of_dropping_batches(self, tmp_path):
+        runtime = durable_runtime(tmp_path)
+        for step in range(5):
+            runtime.insert("link", ["n0", "n2", 9.0 + step])
+            runtime.run_to_quiescence()
+        runtime.close()
+        path = wal_path(tmp_path)
+        records = scan(path).records
+        assert len(records) == 7
+        raw = bytearray(path.read_bytes())
+        raw[records[2].offset + 10] ^= 0xFF
+        path.write_bytes(bytes(raw))
+
+        with pytest.raises(DurabilityError, match="mid-log"):
+            RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        assert path.read_bytes() == bytes(raw)  # nothing truncated
 
     def test_tampered_checkpoint_digest_fails_verification(self, tmp_path):
         runtime = durable_runtime(tmp_path)

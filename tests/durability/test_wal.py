@@ -138,6 +138,42 @@ class TestTornTailRule:
         assert path.read_bytes() == before
 
 
+class TestMidLogDamage:
+    """Damage with an intact record after it is not a torn tail."""
+
+    @pytest.mark.parametrize("where", [0, 2, 10], ids=lambda w: f"byte{w}")
+    def test_intact_record_after_damage_is_reported(self, tmp_path, where):
+        path = make_wal(tmp_path, records=5)
+        clean = scan(path)
+        damaged = clean.records[2]
+        raw = bytearray(path.read_bytes())
+        raw[damaged.offset + where] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        result = scan(path)
+        assert result.torn and result.valid_bytes == damaged.offset
+        assert result.stranded_seq == damaged.seq + 1
+
+    def test_torn_tail_strands_nothing(self, tmp_path):
+        path = make_wal(tmp_path, records=3)
+        last = scan(path).records[-1]
+        raw = bytearray(path.read_bytes())
+        raw[last.offset + 10] ^= 0xFF
+        path.write_bytes(bytes(raw) + MAGIC)
+        result = scan(path)
+        assert result.torn and result.stranded_seq is None
+
+    def test_repair_salvages_the_prefix_anyway(self, tmp_path):
+        path = make_wal(tmp_path, records=5)
+        damaged = scan(path).records[2]
+        raw = bytearray(path.read_bytes())
+        raw[damaged.offset + 10] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        result = repair(path)
+        assert result.stranded_seq == damaged.seq + 1
+        assert path.stat().st_size == damaged.offset
+        assert not scan(path).torn
+
+
 class TestFsyncBarrier:
     def test_fsync_mode_records_survive_scan(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync=True)

@@ -20,6 +20,11 @@ This harness turns that promise into a differential oracle:
    and come back as the longest intact prefix — batch ``k`` again.
 4. Recover (genesis replay and, where checkpoints exist, checkpoint
    bootstrap + tail replay) and assert every recorded expectation matches.
+5. With a checkpoint after every window (so every checkpoint but the first
+   reuses cached partition fragments), also kill *inside* each checkpoint:
+   after its snapshot file is written, before its ``checkpoint`` record is
+   appended.  Recovery must ignore the orphaned file and bootstrap from the
+   previous checkpoint, or from genesis when there is none.
 
 Genesis recovery replays the full logical history, so it must reproduce
 even history-dependent counters (provenance versions, per-VID versions)
@@ -47,6 +52,7 @@ import pytest
 
 from repro.core.query import DistributedQueryEngine
 from repro.durability import RecoveryManager, wal_path
+from repro.durability.wal import RECORD_CHECKPOINT
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.protocols import mincost
@@ -114,29 +120,61 @@ def canon(store_snapshots, provenance_fingerprint, derivation_record):
     return (store_snapshots, provenance_fingerprint, derivation_record)
 
 
-def run_durable_history(durable_dir, net, script, canon, checkpoint_after=None):
+#: ``checkpoint_after`` value that checkpoints after every window.
+EVERY_WINDOW = "every"
+
+
+def run_durable_history(
+    durable_dir, net, script, canon, checkpoint_after=None, images_dir=None
+):
     """Run the whole history once; returns per-kill-point (wal_bytes, expected).
 
     Kill point ``k`` is "right after the *k*-th committed window" (window 0
     is the link seeding).  ``checkpoint_after=k`` compacts after window k,
-    so later kill points cover recovery *across* a checkpoint record.
+    so later kill points cover recovery *across* a checkpoint record;
+    :data:`EVERY_WINDOW` compacts after every window.  With *images_dir*,
+    each checkpoint after window k also leaves ``images_dir / f"ckpt-{k}"``:
+    the durable dir as a kill between the checkpoint's snapshot-file write
+    and its WAL record leaves it.
     """
     wal_file = wal_path(durable_dir)
     kill_points = []
+
+    def after_window(runtime, window):
+        if checkpoint_after in (window, EVERY_WINDOW):
+            if images_dir is None:
+                runtime.checkpoint()
+            else:
+                checkpoint_with_crash_image(runtime, images_dir / f"ckpt-{window}")
+        kill_points.append((wal_file.stat().st_size, expected_state(runtime, canon)))
+
     with NetTrailsRuntime(
         mincost.SOURCE, copy.deepcopy(net),
         durable_dir=durable_dir, wal_fsync=False,
     ) as runtime:
         runtime.seed_links(run=True)
-        if checkpoint_after == 0:
-            runtime.checkpoint()
-        kill_points.append((wal_file.stat().st_size, expected_state(runtime, canon)))
+        after_window(runtime, 0)
         for index, batch in enumerate(script):
             apply_batch(runtime, batch, run=True)
-            if checkpoint_after == index + 1:
-                runtime.checkpoint()
-            kill_points.append((wal_file.stat().st_size, expected_state(runtime, canon)))
+            after_window(runtime, index + 1)
     return kill_points
+
+
+def checkpoint_with_crash_image(runtime, image_dir):
+    """``runtime.checkpoint()``, copying the durable dir just before its WAL record."""
+    wal = runtime._wal
+    append = wal.append
+
+    def append_after_image(record_type, data):
+        assert record_type == RECORD_CHECKPOINT
+        shutil.copytree(runtime.durable_dir, image_dir)
+        return append(record_type, data)
+
+    wal.append = append_after_image
+    try:
+        runtime.checkpoint()
+    finally:
+        del wal.append
 
 
 def crash_copy(durable_dir, target_dir, wal_bytes, mutate=None):
@@ -194,6 +232,35 @@ class TestRecoverySmoke:
         assert result.torn and result.truncated_bytes == 7
         assert result.batches_replayed == len(kill_points) - 1
         assert_recovered_matches(result, expected, canon, "smoke torn tail")
+
+    def test_kill_inside_cached_checkpoint_uses_previous(self, tmp_path, canon):
+        net = TOPOLOGIES["ring"]()
+        script = generate_churn_script(SEEDS[0], net, steps=3)
+        kill_points = run_durable_history(
+            tmp_path / "history", net, script, canon,
+            checkpoint_after=EVERY_WINDOW, images_dir=tmp_path,
+        )
+        assert_kill_inside_checkpoint_recovers(
+            tmp_path, kill_points, len(script), canon, "smoke"
+        )
+
+
+def assert_kill_inside_checkpoint_recovers(images_dir, kill_points, k, canon, context):
+    """Kill inside the checkpoint after window *k*: file on disk, record not."""
+    where = f"{context} kill inside checkpoint after window {k}"
+    image = images_dir / f"ckpt-{k}"
+    assert (image / "snapshots" / f"ckpt-{k + 1:06d}.json").exists(), where
+    result = RecoveryManager(image).recover(mode="checkpoint", attach=False)
+    if k == 0:
+        assert result.mode == "genesis", where
+    else:
+        assert result.mode == "checkpoint", where
+        assert result.checkpoint_batch == k, where  # the previous checkpoint
+    assert result.batches_replayed == 1, where
+    assert not result.torn, where
+    assert_recovered_matches(
+        result, kill_points[k][1], canon, where, exact_versions=(result.mode == "genesis")
+    )
 
 
 @pytest.mark.slow
@@ -302,3 +369,40 @@ class TestCrashInjectionOracle:
                 result, expected, canon, where, exact_versions=(result.mode == "genesis")
             )
             shutil.rmtree(crash_dir)
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
+    def test_checkpoint_after_every_window_recovers_at_every_kill_point(
+        self, tmp_path, canon, topology_name, seed
+    ):
+        """Cached checkpoints: every commit point and every in-checkpoint kill.
+
+        Each window ends in a checkpoint, so all but the first reuse the
+        writer's cached fragments; each recorded ``state_digest`` must still
+        verify against recovery's from-scratch digest.
+        """
+        net = TOPOLOGIES[topology_name]()
+        script = generate_churn_script(seed, net)
+        context = f"ckpt-every topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
+        images = tmp_path / "images"
+        images.mkdir()
+        history = tmp_path / "history"
+        kill_points = run_durable_history(
+            history, net, script, canon,
+            checkpoint_after=EVERY_WINDOW, images_dir=images,
+        )
+
+        for k, (wal_bytes, expected) in enumerate(kill_points):
+            where = f"{context} kill_point={k}"
+            crash_dir = crash_copy(history, tmp_path / f"crash-{k}", wal_bytes)
+            result = RecoveryManager(crash_dir).recover(mode="checkpoint", attach=False)
+            assert result.mode == "checkpoint", where
+            assert result.checkpoint_batch == k + 1, where
+            assert result.batches_replayed == 0, where
+            assert_recovered_matches(result, expected, canon, where, exact_versions=False)
+            shutil.rmtree(crash_dir)
+            assert_kill_inside_checkpoint_recovers(images, kill_points, k, canon, context)
+
+        genesis = RecoveryManager(history).recover(mode="genesis", attach=False)
+        assert genesis.checkpoints_verified == len(kill_points), context
+        assert_recovered_matches(genesis, kill_points[-1][1], canon, context)
