@@ -28,6 +28,7 @@ a time so threshold pruning can skip the rest.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 import time
@@ -65,6 +66,35 @@ _REQUEST_KIND_TUPLE = "tuple"
 _REQUEST_KIND_EXEC = "exec"
 
 _ROOT_MARKER = "__root__"
+
+
+class _SlotIds:
+    """Ids ``prefix + str(n)`` for the smallest ``n >= 1`` not in use.
+
+    Query and request ids are rendered into every request and reply, so a
+    counter that only grows would make a long run ship more bytes per query
+    than a short one.  Handing out the smallest free slot, released when its
+    reply (or its query) completes, keeps their width bounded by the
+    in-flight count; a released id only returns once nothing refers to it.
+    """
+
+    __slots__ = ("_prefix", "_free", "_next")
+
+    def __init__(self, prefix: str) -> None:
+        self._prefix = prefix
+        self._free: List[int] = []
+        self._next = 1
+
+    def take(self) -> str:
+        if self._free:
+            slot = heapq.heappop(self._free)
+        else:
+            slot = self._next
+            self._next += 1
+        return f"{self._prefix}{slot}"
+
+    def release(self, ident: str) -> None:
+        heapq.heappush(self._free, int(ident[len(self._prefix):]))
 
 
 @dataclass(frozen=True)
@@ -307,7 +337,7 @@ class QueryAgent:
         )
         self._frames: Dict[str, _Frame] = {}
         self._frame_seq = itertools.count(1)
-        self._request_seq = itertools.count(1)
+        self._request_ids = _SlotIds(f"{node.id}/r")
         self._pending_remote: Dict[str, Tuple[str, int]] = {}
         self._root_keys: Dict[str, str] = {}
         #: request id -> (vid, mode, options) of an issued remote root, kept
@@ -331,7 +361,7 @@ class QueryAgent:
         return f"{self.node.id}/f{next(self._frame_seq)}"
 
     def _new_request_id(self) -> str:
-        return f"{self.node.id}/r{next(self._request_seq)}"
+        return self._request_ids.take()
 
     def _reducer(self, mode: str) -> QueryReducer:
         return self.engine.reducer(mode)
@@ -484,6 +514,7 @@ class QueryAgent:
         pending = self._pending_remote.pop(reply.request_id, None)
         if pending is None:
             return
+        self._request_ids.release(reply.request_id)
         bundle = _Bundle(
             value=reply.value,
             truncated=reply.truncated,
@@ -639,6 +670,7 @@ class QueryAgent:
         query_id = self._interval_pending.pop(reply.request_id, None)
         if query_id is None:
             return
+        self._request_ids.release(reply.request_id)
         batch = self._interval_batches.get(query_id)
         if batch is None:
             return
@@ -1055,7 +1087,11 @@ class DistributedQueryEngine:
         # lock keeps the completion map coherent without constraining
         # per-node agent state, which only the event loop touches.
         self._completions_lock = threading.Lock()
+        #: Root keys and trace ids (``query<n>``) stay unique for the
+        #: engine's lifetime; the query id shipped in requests and replies is
+        #: a bounded-width slot, released once its query has completed.
         self._query_seq = itertools.count(1)
+        self._query_ids = _SlotIds("query")
         #: Observability: adopt the runtime's bundle (if any) and expose the
         #: query-cache counters as a registry view plus a per-mode latency
         #: histogram.  Purely observational — absent entirely when the
@@ -1105,6 +1141,14 @@ class DistributedQueryEngine:
     def _finish_root(self, root_key: str, bundle: _Bundle) -> None:
         with self._completions_lock:
             self._completions[root_key] = bundle
+
+    def _take_query_id(self) -> str:
+        with self._completions_lock:
+            return self._query_ids.take()
+
+    def _release_query_id(self, query_id: str) -> None:
+        with self._completions_lock:
+            self._query_ids.release(query_id)
 
     # -- observability helpers -------------------------------------------------------------
 
@@ -1173,19 +1217,20 @@ class DistributedQueryEngine:
         if not self.runtime.node(location).store.contains(fact):
             raise QueryError(f"tuple {fact} is not currently present at node {location!r}")
 
-        query_id = f"query{next(self._query_seq)}"
-        root_key = query_id
+        root_key = f"query{next(self._query_seq)}"
         stats_before = self.runtime.network.stats.snapshot()
         time_before = self.runtime.simulator.now
         rounds_before = self.runtime.simulator.rounds
 
-        span, previous, wall_start = self._begin_query_span(query_id, mode)
+        span, previous, wall_start = self._begin_query_span(root_key, mode)
         try:
             if at is None or at == location:
+                query_id = self._take_query_id()
                 self._agents[location].start_root(query_id, vid, mode, options, root_key)
             else:
                 if at not in self._agents:
                     raise QueryError(f"query issued at unknown node {at!r}")
+                query_id = self._take_query_id()
                 self._agents[at].start_remote_root(query_id, vid, location, mode, options, root_key)
 
             self.runtime.run_to_quiescence()
@@ -1195,7 +1240,8 @@ class DistributedQueryEngine:
         with self._completions_lock:
             bundle = self._completions.pop(root_key, None)
         if bundle is None:
-            raise QueryError(f"query {query_id} did not complete")
+            raise QueryError(f"query {root_key} did not complete")
+        self._release_query_id(query_id)
 
         stats_after = self.runtime.network.stats.snapshot()
         stats = QueryStats(
@@ -1284,13 +1330,14 @@ class DistributedQueryEngine:
         if coordinator not in self._agents:
             raise QueryError(f"query issued at unknown node {coordinator!r}")
 
-        query_id = f"query{next(self._query_seq)}"
-        root_keys = [f"{query_id}/{index}" for index in range(len(roots))]
+        trace_id = f"query{next(self._query_seq)}"
+        root_keys = [f"{trace_id}/{index}" for index in range(len(roots))]
         stats_before = self.runtime.network.stats.snapshot()
         time_before = self.runtime.simulator.now
         rounds_before = self.runtime.simulator.rounds
 
-        span, previous, wall_start = self._begin_query_span(query_id, mode)
+        span, previous, wall_start = self._begin_query_span(trace_id, mode)
+        query_id = self._take_query_id()
         try:
             self._agents[coordinator].start_interval_batch(
                 query_id,
@@ -1321,7 +1368,7 @@ class DistributedQueryEngine:
             with self._completions_lock:
                 bundle = self._completions.pop(root_keys[index], None)
             if bundle is None:
-                raise QueryError(f"query {query_id} did not complete")
+                raise QueryError(f"query {trace_id} did not complete")
             results.append(
                 QueryResult(
                     mode=mode,
@@ -1339,6 +1386,7 @@ class DistributedQueryEngine:
                     ),
                 )
             )
+        self._release_query_id(query_id)
         return results
 
     # -- convenience wrappers -------------------------------------------------------------------

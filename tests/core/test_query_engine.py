@@ -125,6 +125,16 @@ class TestStatsAndIssuingNode:
         # issuing remotely costs at least the extra request/reply round trip
         assert remote.stats.messages >= local.stats.messages + 2
 
+    def test_repeated_query_ships_identical_bytes(self, mincost_engine):
+        """Query and request ids are bounded-width slots, not growing counters,
+        so the 1001st repeat of a query ships exactly the bytes of the first."""
+        _, queries = mincost_engine
+        first = queries.lineage("minCost", ["n0", "n2", 2.0], at="n3").stats
+        assert first.messages > 2
+        for _ in range(1000):
+            repeat = queries.lineage("minCost", ["n0", "n2", 2.0], at="n3").stats
+            assert (repeat.messages, repeat.bytes) == (first.messages, first.bytes)
+
     def test_query_issued_at_unknown_node_rejected(self, mincost_engine):
         _, queries = mincost_engine
         with pytest.raises(QueryError):
