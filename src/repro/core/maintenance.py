@@ -304,6 +304,11 @@ class NodeProvenanceStore:
             )
         return row
 
+    def find_rule_exec(self, rid: str) -> Optional[RuleExecRow]:
+        """The stored ``ruleExec`` row of *rid* (fields in :class:`RuleExecEntry`
+        order) or ``None``: one lookup and no view, for the query traversal."""
+        return self._rule_execs.get(rid)
+
     def has_rule_exec(self, rid: str) -> bool:
         return rid in self._rule_execs
 
@@ -314,6 +319,10 @@ class NodeProvenanceStore:
 
     def knows_tuple(self, vid: str) -> bool:
         return vid in self._tuple_info
+
+    def find_tuple(self, vid: str) -> Optional[Tuple[str, Tuple[object, ...]]]:
+        """``(relation, values)`` of tuple *vid*, or ``None`` if it is not known here."""
+        return self._tuple_info.get(vid)
 
     def uses_of(self, vid: str) -> List[str]:
         """RIDs of local rule executions that consumed tuple *vid*, sorted."""

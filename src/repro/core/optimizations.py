@@ -82,6 +82,14 @@ class QueryOptions:
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
 
+    def __repr__(self) -> str:
+        # The dataclass repr's bytes without its recursion guard: every
+        # traversal request renders its options for message size accounting.
+        return (
+            f"QueryOptions(use_cache={self.use_cache!r}, traversal={self.traversal!r}, "
+            f"threshold={self.threshold!r}, max_depth={self.max_depth!r})"
+        )
+
     def cache_key_part(self) -> Tuple[object, ...]:
         """The part of the cache key that depends on the options.
 

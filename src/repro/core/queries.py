@@ -170,10 +170,13 @@ class SubgraphReducer(QueryReducer):
 
     @staticmethod
     def _vertex(tuple_ref: TupleRef, is_base: bool) -> TupleVertex:
-        from repro.core.keys import vid_for_values
+        vid = getattr(tuple_ref, "_vid", None)  # the engine's memo for known tuples
+        if vid is None:
+            from repro.core.keys import vid_for_values
 
+            vid = vid_for_values(tuple_ref.relation, list(tuple_ref.values))
         return TupleVertex(
-            vid=vid_for_values(tuple_ref.relation, list(tuple_ref.values)),
+            vid=vid,
             relation=tuple_ref.relation,
             values=tuple_ref.values,
             location=tuple_ref.location,

@@ -65,9 +65,6 @@ from repro.obs.tracing import Span, TraceContext
 _REQUEST_KIND_TUPLE = "tuple"
 _REQUEST_KIND_EXEC = "exec"
 
-_ROOT_MARKER = "__root__"
-
-
 class _SlotIds:
     """Ids ``prefix + str(n)`` for the smallest ``n >= 1`` not in use.
 
@@ -143,6 +140,11 @@ class QueryRequestBatch:
 
     requests: Tuple[QueryRequest, ...]
 
+    def __repr__(self) -> str:
+        # The dataclass repr's bytes without its recursion guard (this and
+        # the reply classes below are rendered for every message's size).
+        return f"QueryRequestBatch(requests={self.requests!r})"
+
 
 @dataclass(frozen=True)
 class QueryReply:
@@ -164,12 +166,22 @@ class QueryReply:
     cache_hits: int
     version: Optional[int] = None
 
+    def __repr__(self) -> str:
+        return (
+            f"QueryReply(query_id={self.query_id!r}, request_id={self.request_id!r}, "
+            f"value={self.value!r}, truncated={self.truncated!r}, visited={self.visited!r}, "
+            f"cache_hits={self.cache_hits!r}, version={self.version!r})"
+        )
+
 
 @dataclass(frozen=True)
 class QueryReplyBatch:
     """The replies to a :class:`QueryRequestBatch`, shipped as one message."""
 
     replies: Tuple[QueryReply, ...]
+
+    def __repr__(self) -> str:
+        return f"QueryReplyBatch(replies={self.replies!r})"
 
 
 @dataclass(frozen=True)
@@ -251,71 +263,89 @@ class _IntervalBatch:
     roots: List[_IntervalRoot]
     outstanding: int = 0
 
-
-@dataclass
 class _ReplyCollector:
-    """Accumulates the replies for one received request batch.
+    """Gathers the replies to one received request message.
 
-    The reply batch is sent once every sub-frame spawned by the request batch
-    has completed, mirroring the single fan-out message on the request side.
+    The reply goes out once every frame the message started has completed:
+    a bare :class:`QueryReply` for a bare request, one
+    :class:`QueryReplyBatch` for a :class:`QueryRequestBatch`, mirroring the
+    single fan-out message on the request side.
     """
 
-    reply_to: object
-    expected: int
-    replies: List[QueryReply] = field(default_factory=list)
+    __slots__ = ("reply_to", "expected", "replies")
+
+    def __init__(self, reply_to: object, expected: int) -> None:
+        self.reply_to = reply_to
+        self.expected = expected
+        self.replies: List[QueryReply] = []
 
 
 @dataclass
 class _Bundle:
-    """A sub-result plus its bookkeeping, as it travels up the traversal."""
+    """A root's completed result, as the engine collects it."""
 
     value: object
     truncated: bool = False
     visited: FrozenSet[object] = frozenset()
     cache_hits: int = 0
-    #: Reachability version of the sub-result's root vertex at computation
-    #: start (tuple sub-results only); what remote caches tag entries with.
-    version: Optional[int] = None
 
 
-@dataclass
-class _Subtask:
-    kind: str  # "immediate", "local-exec", "local-tuple", "remote-exec", "remote-tuple"
-    bundle: Optional[_Bundle] = None
-    target: Optional[str] = None      # vid or rid for local/remote subtasks
-    remote_node: Optional[object] = None
-
-
-@dataclass
 class _Frame:
-    frame_id: str
-    kind: str  # "tuple" or "exec"
-    target: str
-    mode: str
-    options: QueryOptions
-    depth: int
-    tuple_ref: Optional[TupleRef] = None
-    exec_ref: Optional[ExecRef] = None
-    subtasks: List[_Subtask] = field(default_factory=list)
-    collected: List[Optional[_Bundle]] = field(default_factory=list)
-    cursor: int = 0
-    outstanding: int = 0
-    truncated: bool = False
-    cached_bundle: Optional[_Bundle] = None
-    #: The target vid's reachability version captured at frame creation,
-    #: *before* any provenance rows are read.  Completed results are stored
-    #: under this version: if churn raced the traversal, the current version
-    #: has already advanced and the entry is stillborn — conservative, never
-    #: stale.  ``None`` for exec frames (only tuple results are cached).
-    version_at_start: Optional[int] = None
-    parent: Optional[Tuple[str, int]] = None  # (parent frame id, slot index)
-    remote_reply: Optional[Tuple[object, str, str]] = None  # (reply_to, query_id, request_id)
-    reply_batch: Optional[Tuple["_ReplyCollector", str, str]] = None  # (collector, query_id, request_id)
-    root_key: Optional[str] = None
-    query_id: str = ""
-    #: Observability span covering this frame's lifetime (``None`` while
-    #: tracing is off); finished by ``_complete``.
-    span: Optional[Span] = None
+    """One traversal step in progress at this node: a tuple vertex or a rule execution.
+
+    A frame's result goes to exactly one sink: its ``parent`` frame (into
+    slot ``slot``), the ``reply`` collector of the request it answers (as
+    request ``slot``), or, with neither, the engine's completions (as root
+    key ``slot``).  ``subtasks`` is a tuple read straight from the
+    partition — a tuple frame's ``(rid, rloc)`` prov rows, an exec frame's
+    input vids — and ``values`` holds the sub-results by subtask index.
+    """
+
+    __slots__ = (
+        "parent", "slot", "reply", "target", "depth", "query_id", "mode", "reducer", "options",
+        "is_tuple", "ref", "subtasks", "values", "cursor", "outstanding", "truncated",
+        "visited", "cache_hits", "version", "span",
+    )
+
+    def __init__(
+        self,
+        parent: Optional["_Frame"],
+        slot: object,
+        reply: Optional[_ReplyCollector],
+        target: str,
+        depth: int,
+        query_id: str,
+        mode: str,
+        reducer: QueryReducer,
+        options: QueryOptions,
+    ) -> None:
+        self.parent = parent
+        self.slot = slot
+        self.reply = reply
+        self.target = target  # vid or rid
+        self.depth = depth
+        self.query_id = query_id
+        self.mode = mode
+        self.reducer = reducer
+        self.options = options
+        self.is_tuple = True
+        self.ref: Union[None, TupleRef, ExecRef] = None
+        self.subtasks: tuple = ()
+        self.values: List[object] = []
+        self.cursor = 0
+        self.outstanding = 0
+        self.truncated = False
+        self.visited: FrozenSet[object] = frozenset()
+        self.cache_hits = 0
+        #: The target vid's reachability version, captured *before* any
+        #: provenance row is read, when something consumes it: the cache
+        #: (completed results are stored under it, so a result that raced
+        #: churn is stillborn — conservative, never stale) or the reply to a
+        #: remote tuple request, which carries it to the issuer's cache.
+        self.version: Optional[int] = None
+        #: Observability span covering the frame's lifetime (``None`` while
+        #: tracing is off).
+        self.span: Optional[Span] = None
 
 
 class QueryAgent:
@@ -335,15 +365,21 @@ class QueryAgent:
             version_fn=engine.entry_version,
             clock_fn=engine.global_version,
         )
-        self._frames: Dict[str, _Frame] = {}
-        self._frame_seq = itertools.count(1)
+        self._node_id = node.id
+        #: The sub-result bookkeeping of a frame that visited only this node.
+        self._here: FrozenSet[object] = frozenset({node.id})
+        #: This node's provenance partition, resolved by the first frame.
+        self._store: Optional[NodeProvenanceStore] = None
+        #: Whether the handled event has yet to flush the reachability walk
+        #: (see :meth:`_tuple_frame`).
+        self._unflushed = False
         self._request_ids = _SlotIds(f"{node.id}/r")
-        self._pending_remote: Dict[str, Tuple[str, int]] = {}
-        self._root_keys: Dict[str, str] = {}
-        #: request id -> (vid, mode, options) of an issued remote root, kept
-        #: so the reply — which carries the version it was computed at — can
-        #: be cached here at the issuing node.
-        self._root_meta: Dict[str, Tuple[str, str, QueryOptions]] = {}
+        #: request id -> (frame, subtask index) of an in-flight sub-request.
+        self._pending_remote: Dict[str, Tuple[_Frame, int]] = {}
+        #: request id -> (root key, vid, mode, options) of an issued remote
+        #: root, kept so the reply — which carries the version it was
+        #: computed at — can be cached here at the issuing node.
+        self._remote_roots: Dict[str, Tuple[str, str, str, QueryOptions]] = {}
         #: Interval-path coordinator state: query id -> batch, and in-flight
         #: request id -> query id (this agent as the batch's coordinator).
         self._interval_batches: Dict[str, _IntervalBatch] = {}
@@ -355,16 +391,13 @@ class QueryAgent:
 
     @property
     def _pstore(self) -> NodeProvenanceStore:
-        return self.engine.provenance.store(self.node.id)
-
-    def _new_frame_id(self) -> str:
-        return f"{self.node.id}/f{next(self._frame_seq)}"
+        store = self._store
+        if store is None:
+            store = self._store = self.engine.provenance.store(self._node_id)
+        return store
 
     def _new_request_id(self) -> str:
         return self._request_ids.take()
-
-    def _reducer(self, mode: str) -> QueryReducer:
-        return self.engine.reducer(mode)
 
     def _tracing(self) -> bool:
         return self.obs is not None and self.obs.tracing
@@ -385,9 +418,9 @@ class QueryAgent:
         if parent is None:
             return
         frame.span = tracer.start_span(
-            f"frame.{frame.kind}",
+            "frame.tuple" if frame.is_tuple else "frame.exec",
             parent=parent,
-            node=repr(self.node.id),
+            node=repr(self._node_id),
             target=frame.target,
             depth=frame.depth,
         )
@@ -402,21 +435,20 @@ class QueryAgent:
         return current.as_tuple() if current is not None else None
 
     def _tuple_ref(self, vid: str) -> TupleRef:
-        store = self._pstore
-        if store.knows_tuple(vid):
-            relation, values = store.tuple_info(vid)
-        else:
-            relation, values = "<unknown>", (vid,)
-        return TupleRef(relation=relation, values=values, location=self.node.id)
+        info = self._pstore.find_tuple(vid)
+        if info is None:
+            return TupleRef(relation="<unknown>", values=(vid,), location=self._node_id)
+        ref = TupleRef(relation=info[0], values=info[1], location=self._node_id)
+        object.__setattr__(ref, "_vid", vid)
+        return ref
 
     # -- root entry points --------------------------------------------------------
 
     def start_root(self, query_id: str, vid: str, mode: str, options: QueryOptions, root_key: str) -> None:
         """Start a query for a tuple stored at this node (no network hop needed)."""
-        frame = self._make_tuple_frame(query_id, vid, mode, options, depth=0)
-        frame.root_key = root_key
-        self._frame_span(frame, None)
-        self._activate(frame)
+        self._unflushed = True
+        frame = _Frame(None, root_key, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
+        self._tuple_frame(frame, None)
 
     def start_remote_root(
         self,
@@ -437,18 +469,11 @@ class QueryAgent:
             cached = self.cache.lookup(vid, mode, options, self.engine.entry_version(vid))
             if cached is not None:
                 self.engine._finish_root(
-                    root_key,
-                    _Bundle(
-                        value=cached,
-                        visited=frozenset({self.node.id}),
-                        cache_hits=1,
-                    ),
+                    root_key, _Bundle(value=cached, visited=self._here, cache_hits=1)
                 )
                 return
         request_id = self._new_request_id()
-        self._pending_remote[request_id] = (_ROOT_MARKER, 0)
-        self._root_keys[request_id] = root_key
-        self._root_meta[request_id] = (vid, mode, options)
+        self._remote_roots[request_id] = (root_key, vid, mode, options)
         trace = None
         if self._tracing():
             current = self.obs.tracer.current()
@@ -464,7 +489,7 @@ class QueryAgent:
                 mode=mode,
                 options=options,
                 depth=0,
-                reply_to=self.node.id,
+                reply_to=self._node_id,
                 trace=trace,
             ),
         )
@@ -476,34 +501,33 @@ class QueryAgent:
         if isinstance(payload, IntervalRequest):
             self._on_interval_request(payload)
             return
-        if isinstance(payload, QueryRequestBatch):
-            requests: Tuple[QueryRequest, ...] = payload.requests
-        else:
-            requests = (payload,)
-        collector: Optional[_ReplyCollector] = None
-        if len(requests) > 1:
-            collector = _ReplyCollector(reply_to=requests[0].reply_to, expected=len(requests))
+        self._unflushed = True
+        requests = payload.requests if isinstance(payload, QueryRequestBatch) else (payload,)
+        reply = _ReplyCollector(requests[0].reply_to, len(requests))
         for request in requests:
+            frame = _Frame(
+                None,
+                request.request_id,
+                reply,
+                request.target,
+                request.depth,
+                request.query_id,
+                request.mode,
+                self.engine.reducer(request.mode),
+                request.options,
+            )
+            parent_span = TraceContext.from_tuple(request.trace)
             if request.kind == _REQUEST_KIND_TUPLE:
-                frame = self._make_tuple_frame(
-                    request.query_id, request.target, request.mode, request.options, request.depth
-                )
+                self._tuple_frame(frame, parent_span)
             else:
-                frame = self._make_exec_frame(
-                    request.query_id, request.target, request.mode, request.options, request.depth
-                )
-            if collector is not None:
-                frame.reply_batch = (collector, request.query_id, request.request_id)
-            else:
-                frame.remote_reply = (request.reply_to, request.query_id, request.request_id)
-            self._frame_span(frame, TraceContext.from_tuple(request.trace))
-            self._activate(frame)
+                self._exec_frame(frame, parent_span)
 
     def _on_reply(self, message) -> None:
         payload = message.payload
         if isinstance(payload, IntervalReply):
             self._on_interval_reply(payload)
             return
+        self._unflushed = True
         if isinstance(payload, QueryReplyBatch):
             for reply in payload.replies:
                 self._handle_reply(reply)
@@ -511,36 +535,29 @@ class QueryAgent:
             self._handle_reply(payload)
 
     def _handle_reply(self, reply: QueryReply) -> None:
-        pending = self._pending_remote.pop(reply.request_id, None)
-        if pending is None:
+        request_id = reply.request_id
+        pending = self._pending_remote.pop(request_id, None)
+        if pending is not None:
+            self._request_ids.release(request_id)
+            frame, slot = pending
+            self._deliver(frame, slot, reply.value, reply.truncated, reply.visited, reply.cache_hits)
             return
-        self._request_ids.release(reply.request_id)
-        bundle = _Bundle(
-            value=reply.value,
-            truncated=reply.truncated,
-            visited=reply.visited,
-            cache_hits=reply.cache_hits,
-            version=reply.version,
+        root = self._remote_roots.pop(request_id, None)
+        if root is None:
+            return
+        self._request_ids.release(request_id)
+        root_key, vid, mode, options = root
+        if options.use_cache and not reply.truncated and reply.version is not None:
+            self.cache.store(vid, mode, options, reply.version, reply.value)
+        self.engine._finish_root(
+            root_key,
+            _Bundle(
+                value=reply.value,
+                truncated=reply.truncated,
+                visited=reply.visited | self._here,
+                cache_hits=reply.cache_hits,
+            ),
         )
-        frame_id, slot = pending
-        if frame_id == _ROOT_MARKER:
-            root_key = self._root_keys.pop(reply.request_id)
-            meta = self._root_meta.pop(reply.request_id, None)
-            if (
-                meta is not None
-                and meta[2].use_cache
-                and not reply.truncated
-                and reply.version is not None
-            ):
-                vid, mode, options = meta
-                self.cache.store(vid, mode, options, reply.version, reply.value)
-            bundle.visited = bundle.visited | frozenset({self.node.id})
-            self.engine._finish_root(root_key, bundle)
-            return
-        frame = self._frames.get(frame_id)
-        if frame is None:
-            return
-        self._deliver(frame, slot, bundle)
 
     # -- interval-index query path ---------------------------------------------------------
     #
@@ -754,286 +771,216 @@ class QueryAgent:
             )
         return results
 
-    # -- frame construction -------------------------------------------------------------
+    # -- the traversal executor ---------------------------------------------------------
+    #
+    # A frame is opened by _tuple_frame / _exec_frame, which read its
+    # subtasks from the partition and run it: in parallel traversal every
+    # subtask at once (remote ones grouped into one message per peer, sent
+    # after the local ones), in sequential traversal one at a time.  Each
+    # sub-result lands in _deliver; once none is outstanding, _settle either
+    # runs the next subtask or combines the values with the reducer and
+    # hands the result to the frame's sink (_finish).
 
-    def _make_tuple_frame(
-        self, query_id: str, vid: str, mode: str, options: QueryOptions, depth: int
-    ) -> _Frame:
-        frame = _Frame(
-            frame_id=self._new_frame_id(),
-            kind="tuple",
-            target=vid,
-            mode=mode,
-            options=options,
-            depth=depth,
-            tuple_ref=self._tuple_ref(vid),
-            query_id=query_id,
-        )
-        self._frames[frame.frame_id] = frame
-        reducer = self._reducer(mode)
-
-        # Captured before any provenance rows are read: the completed result
-        # is stored under this version, so a concurrent subtree change (which
-        # bumps the current version past it) can never be masked.
-        frame.version_at_start = self.engine.entry_version(vid)
+    def _tuple_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
+        if self._unflushed:
+            # Flush points decide vid_versions(): flush once in every handled
+            # event that opens a tuple frame, whether or not a version is read.
+            self._unflushed = False
+            self.engine.provenance.flush_reachability()
+        vid = frame.target
+        options = frame.options
+        frame.ref = self._tuple_ref(vid)
+        if options.use_cache or frame.reply is not None:
+            frame.version = self.engine.entry_version(vid)
+        self._frame_span(frame, parent_span)
         if options.use_cache:
-            cached = self.cache.lookup(vid, mode, options, frame.version_at_start)
+            cached = self.cache.lookup(vid, frame.mode, options, frame.version)
             if cached is not None:
-                frame.cached_bundle = _Bundle(
-                    value=cached,
-                    truncated=False,
-                    visited=frozenset({self.node.id}),
-                    cache_hits=1,
-                    version=frame.version_at_start,
-                )
-                return frame
+                frame.visited = self._here
+                frame.cache_hits = 1
+                self._finish(frame, cached, cached=True)
+                return
+        if options.max_depth is not None and frame.depth > options.max_depth:
+            frame.truncated = True  # no subtasks: treated as a leaf
+        else:
+            frame.subtasks = self._store.prov_entries(vid)
+        self._run(frame)
 
-        if options.max_depth is not None and depth > options.max_depth:
-            frame.truncated = True
-            return frame  # no subtasks: treated as a leaf
-
-        for rid, rloc in self._pstore.prov_entries(vid):
-            if rid == BASE_RID:
-                bundle = _Bundle(
-                    value=reducer.base_value(frame.tuple_ref),
-                    visited=frozenset({self.node.id}),
-                )
-                frame.subtasks.append(_Subtask(kind="immediate", bundle=bundle))
-            elif rloc == self.node.id:
-                frame.subtasks.append(_Subtask(kind="local-exec", target=rid))
-            else:
-                frame.subtasks.append(_Subtask(kind="remote-exec", target=rid, remote_node=rloc))
-        frame.collected = [None] * len(frame.subtasks)
-        return frame
-
-    def _make_exec_frame(
-        self, query_id: str, rid: str, mode: str, options: QueryOptions, depth: int
-    ) -> _Frame:
-        frame = _Frame(
-            frame_id=self._new_frame_id(),
-            kind="exec",
-            target=rid,
-            mode=mode,
-            options=options,
-            depth=depth,
-            query_id=query_id,
-        )
-        self._frames[frame.frame_id] = frame
-        store = self._pstore
-        if not store.has_rule_exec(rid):
+    def _exec_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
+        frame.is_tuple = False
+        rid = frame.target
+        row = self._pstore.find_rule_exec(rid)
+        if row is None:
             # The firing was retracted while the query was in flight; report an
             # empty, truncated sub-result rather than failing the whole query.
             frame.truncated = True
-            frame.exec_ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self.node.id)
-            return frame
-        entry = store.rule_exec(rid)
-        frame.exec_ref = ExecRef(
-            rid=rid,
-            rule_name=entry.rule_name,
-            program_name=entry.program_name,
-            location=self.node.id,
-        )
-        for child_vid in entry.child_vids:
-            frame.subtasks.append(_Subtask(kind="local-tuple", target=child_vid))
-        frame.collected = [None] * len(frame.subtasks)
-        return frame
+            frame.ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self._node_id)
+        else:
+            _rid, rule_name, program_name, child_vids, _head_vid, _head_location = row
+            frame.ref = ExecRef(
+                rid=rid, rule_name=rule_name, program_name=program_name, location=self._node_id
+            )
+            frame.subtasks = child_vids
+        self._frame_span(frame, parent_span)
+        self._run(frame)
 
-    # -- frame execution -------------------------------------------------------------------
-
-    def _activate(self, frame: _Frame) -> None:
-        if frame.cached_bundle is not None:
-            self._complete(frame, frame.cached_bundle)
+    def _run(self, frame: _Frame) -> None:
+        subtasks = frame.subtasks
+        count = len(subtasks)
+        frame.visited = self._here
+        if not count:
+            self._finish(frame, self._combine(frame, []))
             return
-        if not frame.subtasks:
-            self._complete(frame, self._combine(frame))
-            return
+        frame.values = [None] * count
         if frame.options.traversal == TRAVERSAL_SEQUENTIAL:
-            self._dispatch_next(frame)
+            self._dispatch(frame)
             return
-        # Parallel traversal: expand every alternative at once.  Remote
-        # subtasks targeting the same peer are grouped into one
-        # QueryRequestBatch, so the whole fan-out costs one message per
-        # distinct destination and one communication round in total.
-        frame.outstanding = len(frame.subtasks)
-        frame.cursor = len(frame.subtasks)
-        remote_groups: Dict[object, List[int]] = {}
-        remote_order: List[object] = []
-        for index, subtask in enumerate(frame.subtasks):
-            if subtask.kind == "remote-exec":
-                if subtask.remote_node not in remote_groups:
-                    remote_order.append(subtask.remote_node)
-                remote_groups.setdefault(subtask.remote_node, []).append(index)
+        frame.cursor = frame.outstanding = count
+        if not frame.is_tuple:
+            for index, vid in enumerate(subtasks):
+                self._child(frame, index, True, vid)
+            return
+        # Parallel traversal of a tuple's derivations: the whole fan-out
+        # costs one message per distinct peer and one round in total.
+        remote: Dict[object, List[int]] = {}
+        here = self._node_id
+        for index, (rid, rloc) in enumerate(subtasks):
+            if rid == BASE_RID:
+                self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
+            elif rloc == here:
+                self._child(frame, index, False, rid)
             else:
-                self._execute_subtask(frame, index)
-        for destination in remote_order:
-            self._send_remote_batch(frame, destination, remote_groups[destination])
+                remote.setdefault(rloc, []).append(index)
+        for destination, indexes in remote.items():
+            self._send(frame, destination, indexes)
 
-    def _send_remote_batch(self, frame: _Frame, destination: object, indexes: List[int]) -> None:
+    def _dispatch(self, frame: _Frame) -> None:
+        """Sequential traversal: run the frame's next subtask."""
+        index = frame.cursor
+        frame.cursor = index + 1
+        frame.outstanding += 1
+        if not frame.is_tuple:
+            self._child(frame, index, True, frame.subtasks[index])
+            return
+        rid, rloc = frame.subtasks[index]
+        if rid == BASE_RID:
+            self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
+        elif rloc == self._node_id:
+            self._child(frame, index, False, rid)
+        else:
+            self._send(frame, rloc, (index,))
+
+    def _child(self, frame: _Frame, index: int, is_tuple: bool, target: str) -> None:
+        child = _Frame(
+            frame,
+            index,
+            None,
+            target,
+            frame.depth + 1 if is_tuple else frame.depth,
+            frame.query_id,
+            frame.mode,
+            frame.reducer,
+            frame.options,
+        )
+        if is_tuple:
+            self._tuple_frame(child, frame.span)
+        else:
+            self._exec_frame(child, frame.span)
+
+    def _send(self, frame: _Frame, destination: object, indexes: Sequence[int]) -> None:
         """Ship the given remote subtasks of *frame* to one peer in one message."""
         trace = self._request_trace(frame)
         requests: List[QueryRequest] = []
         for index in indexes:
-            subtask = frame.subtasks[index]
-            request_id = self._new_request_id()
-            self._pending_remote[request_id] = (frame.frame_id, index)
+            request_id = self._request_ids.take()
+            self._pending_remote[request_id] = (frame, index)
             requests.append(
                 QueryRequest(
                     query_id=frame.query_id,
                     request_id=request_id,
                     kind=_REQUEST_KIND_EXEC,
-                    target=subtask.target,
+                    target=frame.subtasks[index][0],
                     mode=frame.mode,
                     options=frame.options,
                     depth=frame.depth,
-                    reply_to=self.node.id,
+                    reply_to=self._node_id,
                     trace=trace,
                 )
             )
         payload: object = requests[0] if len(requests) == 1 else QueryRequestBatch(tuple(requests))
         self.node.send(destination, CATEGORY_PROVENANCE_QUERY, payload)
 
-    def _dispatch_next(self, frame: _Frame) -> None:
-        index = frame.cursor
-        frame.cursor += 1
-        frame.outstanding += 1
-        self._execute_subtask(frame, index)
-
-    def _execute_subtask(self, frame: _Frame, index: int) -> None:
-        subtask = frame.subtasks[index]
-        if subtask.kind == "immediate":
-            self._deliver(frame, index, subtask.bundle)
-            return
-        if subtask.kind == "local-exec":
-            child = self._make_exec_frame(
-                frame.query_id, subtask.target, frame.mode, frame.options, frame.depth
-            )
-            child.parent = (frame.frame_id, index)
-            self._frame_span(child, frame.span)
-            self._activate(child)
-            return
-        if subtask.kind == "local-tuple":
-            child = self._make_tuple_frame(
-                frame.query_id, subtask.target, frame.mode, frame.options, frame.depth + 1
-            )
-            child.parent = (frame.frame_id, index)
-            self._frame_span(child, frame.span)
-            self._activate(child)
-            return
-        # remote-exec (rule fired at another node): a singleton batch, which
-        # _send_remote_batch ships as a bare QueryRequest.
-        self._send_remote_batch(frame, subtask.remote_node, [index])
-
-    def _deliver(self, frame: _Frame, index: int, bundle: _Bundle) -> None:
-        frame.collected[index] = bundle
+    def _deliver(
+        self,
+        frame: _Frame,
+        index: int,
+        value: object,
+        truncated: bool,
+        visited: FrozenSet[object],
+        cache_hits: int,
+    ) -> None:
+        frame.values[index] = value
+        if truncated:
+            frame.truncated = True
+        if visited is not self._here:
+            frame.visited = frame.visited | visited
+        frame.cache_hits += cache_hits
         frame.outstanding -= 1
-        if frame.outstanding > 0:
+        if frame.outstanding:
             return
-        if self._threshold_met(frame):
-            if frame.cursor < len(frame.subtasks):
-                frame.truncated = True  # pruning skipped the remaining alternatives
-            self._complete(frame, self._combine(frame))
+        if frame.cursor == len(frame.subtasks):
+            self._finish(frame, self._combine(frame, frame.values))
             return
-        if frame.cursor < len(frame.subtasks):
-            self._dispatch_next(frame)
-            return
-        self._complete(frame, self._combine(frame))
+        # Sequential traversal with alternatives left: prune them once the
+        # partial result reaches the threshold, else run the next one.
+        threshold = frame.options.threshold
+        if threshold is not None:
+            partial = self._combine(frame, frame.values[: frame.cursor])
+            if frame.reducer.size(partial) >= threshold:
+                frame.truncated = True
+                self._finish(frame, partial)
+                return
+        self._dispatch(frame)
 
-    def _threshold_met(self, frame: _Frame) -> bool:
-        if frame.options.threshold is None:
-            return False
-        reducer = self._reducer(frame.mode)
-        partial = self._combine(frame)
-        return reducer.size(partial.value) >= frame.options.threshold
+    @staticmethod
+    def _combine(frame: _Frame, values: List[object]) -> object:
+        if frame.is_tuple:
+            return frame.reducer.tuple_value(frame.ref, values)
+        return frame.reducer.exec_value(frame.ref, values)
 
-    def _combine(self, frame: _Frame) -> _Bundle:
-        reducer = self._reducer(frame.mode)
-        bundles = [bundle for bundle in frame.collected if bundle is not None]
-        values = [bundle.value for bundle in bundles]
-        visited: FrozenSet[object] = frozenset({self.node.id})
+    def _finish(self, frame: _Frame, value: object, cached: bool = False) -> None:
         truncated = frame.truncated
-        cache_hits = 0
-        for bundle in bundles:
-            visited |= bundle.visited
-            truncated = truncated or bundle.truncated
-            cache_hits += bundle.cache_hits
-        if frame.kind == "tuple":
-            value = reducer.tuple_value(frame.tuple_ref, values)
-        else:
-            value = reducer.exec_value(frame.exec_ref, values)
-        return _Bundle(
-            value=value,
-            truncated=truncated,
-            visited=visited,
-            cache_hits=cache_hits,
-            version=frame.version_at_start,
-        )
-
-    def _complete(self, frame: _Frame, bundle: _Bundle) -> None:
-        self._frames.pop(frame.frame_id, None)
         if frame.span is not None:
             frame.span.finish(
-                truncated=bundle.truncated,
-                cache_hits=bundle.cache_hits,
-                subtasks=len(frame.subtasks),
+                truncated=truncated, cache_hits=frame.cache_hits, subtasks=len(frame.subtasks)
             )
-        if (
-            frame.kind == "tuple"
-            and frame.options.use_cache
-            and not bundle.truncated
-            and frame.cached_bundle is None
-            and frame.version_at_start is not None
-        ):
-            self.cache.store(
-                frame.target,
-                frame.mode,
-                frame.options,
-                frame.version_at_start,
-                bundle.value,
-            )
+        if frame.is_tuple and frame.options.use_cache and not truncated and not cached:
+            self.cache.store(frame.target, frame.mode, frame.options, frame.version, value)
         if frame.parent is not None:
-            parent_id, slot = frame.parent
-            parent = self._frames.get(parent_id)
-            if parent is not None:
-                self._deliver(parent, slot, bundle)
+            self._deliver(frame.parent, frame.slot, value, truncated, frame.visited, frame.cache_hits)
             return
-        if frame.reply_batch is not None:
-            collector, query_id, request_id = frame.reply_batch
-            collector.replies.append(
-                QueryReply(
-                    query_id=query_id,
-                    request_id=request_id,
-                    value=bundle.value,
-                    truncated=bundle.truncated,
-                    visited=bundle.visited,
-                    cache_hits=bundle.cache_hits,
-                    version=bundle.version,
-                )
-            )
-            if len(collector.replies) == collector.expected:
-                self.node.send(
-                    collector.reply_to,
-                    CATEGORY_PROVENANCE_REPLY,
-                    QueryReplyBatch(tuple(collector.replies)),
-                )
-            return
-        if frame.remote_reply is not None:
-            reply_to, query_id, request_id = frame.remote_reply
-            self.node.send(
-                reply_to,
-                CATEGORY_PROVENANCE_REPLY,
-                QueryReply(
-                    query_id=query_id,
-                    request_id=request_id,
-                    value=bundle.value,
-                    truncated=bundle.truncated,
-                    visited=bundle.visited,
-                    cache_hits=bundle.cache_hits,
-                    version=bundle.version,
-                ),
+        reply = frame.reply
+        if reply is None:
+            self.engine._finish_root(
+                frame.slot,
+                _Bundle(value=value, truncated=truncated, visited=frame.visited, cache_hits=frame.cache_hits),
             )
             return
-        if frame.root_key is not None:
-            self.engine._finish_root(frame.root_key, bundle)
+        reply.replies.append(
+            QueryReply(
+                query_id=frame.query_id,
+                request_id=frame.slot,
+                value=value,
+                truncated=truncated,
+                visited=frame.visited,
+                cache_hits=frame.cache_hits,
+                version=frame.version,
+            )
+        )
+        if len(reply.replies) == reply.expected:
+            replies = reply.replies
+            payload: object = replies[0] if len(replies) == 1 else QueryReplyBatch(tuple(replies))
+            self.node.send(reply.reply_to, CATEGORY_PROVENANCE_REPLY, payload)
 
 
 class DistributedQueryEngine:

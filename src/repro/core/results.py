@@ -8,11 +8,29 @@ from typing import Dict, Tuple
 
 @dataclass(frozen=True)
 class TupleRef:
-    """A lightweight reference to a tuple (used in lineage results)."""
+    """A lightweight reference to a tuple (used in lineage results).
+
+    The query engine memoises the tuple's vid in the ``_vid`` slot when the
+    tuple's partition knows it, so reducers need not hash it again;
+    equality, hashing, ``repr`` and pickling ignore the memo.
+    """
+
+    __slots__ = ("relation", "values", "location", "_vid")
 
     relation: str
     values: Tuple[object, ...]
     location: object
+
+    def __repr__(self) -> str:
+        # The dataclass repr's bytes without its recursion guard: message
+        # size accounting renders every ref of every lineage reply.
+        return (
+            f"{self.__class__.__qualname__}(relation={self.relation!r}, "
+            f"values={self.values!r}, location={self.location!r})"
+        )
+
+    def __reduce__(self):
+        return (TupleRef, (self.relation, self.values, self.location))
 
     def __str__(self) -> str:
         rendered = ", ".join(str(v) for v in self.values)

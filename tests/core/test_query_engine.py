@@ -1,11 +1,21 @@
 """Tests for the distributed provenance query engine."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import QueryError
 from repro.core.optimizations import QueryOptions
 from repro.core.queries import CustomQuery, QUERY_COUNT, QUERY_LINEAGE
-from repro.core.query import DistributedQueryEngine
+from repro.core.query import (
+    DistributedQueryEngine,
+    QueryReply,
+    QueryReplyBatch,
+    QueryRequest,
+    QueryRequestBatch,
+)
 from repro.core.results import TupleRef
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
@@ -310,3 +320,37 @@ class TestOptimizations:
             "minCost", target, options=QueryOptions(use_cache=True, threshold=50, max_depth=50)
         )
         assert repeat.stats.cache_hits >= 1  # but an exact-options repeat can
+
+
+class TestWireReprs:
+    """Message sizes are ``len(repr(payload))``: the hand-written reprs of the
+    query payloads must render the bytes the generated dataclass repr would."""
+
+    @staticmethod
+    def _generated_repr(instance):
+        cls = type(instance)
+        fields = dataclasses.fields(cls)
+        twin = dataclasses.make_dataclass(cls.__qualname__, [(f.name, f.type) for f in fields])
+        return repr(twin(*(getattr(instance, f.name) for f in fields)))
+
+    def test_reprs_match_the_generated_ones(self):
+        ref = TupleRef("link", ("n0", "n1", 1.0), "n0")
+        options = QueryOptions(use_cache=True, traversal="sequential", threshold=3)
+        request = QueryRequest("query1", "n0/r1", "exec", "rid_1", "lineage", options, 2, "n0")
+        reply = QueryReply("query1", "n0/r1", frozenset({ref}), False, frozenset({"n0"}), 1, 7)
+        for payload in (
+            ref,
+            options,
+            reply,
+            QueryReplyBatch((reply, reply)),
+            QueryRequestBatch((request, request)),
+        ):
+            assert repr(payload) == self._generated_repr(payload)
+
+    def test_tuple_ref_vid_memo_is_invisible(self):
+        plain = TupleRef("link", ("n0", "n1", 1.0), "n0")
+        memo = TupleRef("link", ("n0", "n1", 1.0), "n0")
+        object.__setattr__(memo, "_vid", "vid_x")
+        assert memo == plain and hash(memo) == hash(plain) and repr(memo) == repr(plain)
+        for clone in (pickle.loads(pickle.dumps(memo)), copy.deepcopy(memo)):
+            assert clone == plain and not hasattr(clone, "_vid")
