@@ -263,6 +263,7 @@ class _IntervalBatch:
     roots: List[_IntervalRoot]
     outstanding: int = 0
 
+
 class _ReplyCollector:
     """Gathers the replies to one received request message.
 
@@ -308,16 +309,8 @@ class _Frame:
     )
 
     def __init__(
-        self,
-        parent: Optional["_Frame"],
-        slot: object,
-        reply: Optional[_ReplyCollector],
-        target: str,
-        depth: int,
-        query_id: str,
-        mode: str,
-        reducer: QueryReducer,
-        options: QueryOptions,
+        self, parent: Optional["_Frame"], slot: object, reply: Optional[_ReplyCollector], target: str,
+        depth: int, query_id: str, mode: str, reducer: QueryReducer, options: QueryOptions,
     ) -> None:
         self.parent = parent
         self.slot = slot
@@ -410,9 +403,10 @@ class QueryAgent:
         root), and a frame with no resolvable parent stays span-less so a
         trace never contains orphans.
         """
-        if not self._tracing():
+        obs = self.obs
+        if obs is None or not obs.tracing:
             return
-        tracer = self.obs.tracer
+        tracer = obs.tracer
         if parent is None:
             parent = tracer.current()
         if parent is None:
@@ -505,16 +499,10 @@ class QueryAgent:
         requests = payload.requests if isinstance(payload, QueryRequestBatch) else (payload,)
         reply = _ReplyCollector(requests[0].reply_to, len(requests))
         for request in requests:
+            reducer = self.engine.reducer(request.mode)
             frame = _Frame(
-                None,
-                request.request_id,
-                reply,
-                request.target,
-                request.depth,
-                request.query_id,
-                request.mode,
-                self.engine.reducer(request.mode),
-                request.options,
+                None, request.request_id, reply, request.target, request.depth,
+                request.query_id, request.mode, reducer, request.options,
             )
             parent_span = TraceContext.from_tuple(request.trace)
             if request.kind == _REQUEST_KIND_TUPLE:
@@ -777,9 +765,9 @@ class QueryAgent:
     # subtasks from the partition and run it: in parallel traversal every
     # subtask at once (remote ones grouped into one message per peer, sent
     # after the local ones), in sequential traversal one at a time.  Each
-    # sub-result lands in _deliver; once none is outstanding, _settle either
-    # runs the next subtask or combines the values with the reducer and
-    # hands the result to the frame's sink (_finish).
+    # sub-result lands in _deliver; once none is outstanding, it either runs
+    # the next subtask or combines the values with the reducer and hands the
+    # result to the frame's sink (_finish).
 
     def _tuple_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
         if self._unflushed:
@@ -803,7 +791,7 @@ class QueryAgent:
         if options.max_depth is not None and frame.depth > options.max_depth:
             frame.truncated = True  # no subtasks: treated as a leaf
         else:
-            frame.subtasks = self._store.prov_entries(vid)
+            frame.subtasks = self._pstore.prov_entries(vid)
         self._run(frame)
 
     def _exec_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
@@ -842,17 +830,20 @@ class QueryAgent:
             return
         # Parallel traversal of a tuple's derivations: the whole fan-out
         # costs one message per distinct peer and one round in total.
-        remote: Dict[object, List[int]] = {}
+        remote: Optional[Dict[object, List[int]]] = None
         here = self._node_id
         for index, (rid, rloc) in enumerate(subtasks):
             if rid == BASE_RID:
                 self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
             elif rloc == here:
                 self._child(frame, index, False, rid)
+            elif remote is None:
+                remote = {rloc: [index]}
             else:
                 remote.setdefault(rloc, []).append(index)
-        for destination, indexes in remote.items():
-            self._send(frame, destination, indexes)
+        if remote is not None:
+            for destination, indexes in remote.items():
+                self._send(frame, destination, indexes)
 
     def _dispatch(self, frame: _Frame) -> None:
         """Sequential traversal: run the frame's next subtask."""
@@ -871,17 +862,8 @@ class QueryAgent:
             self._send(frame, rloc, (index,))
 
     def _child(self, frame: _Frame, index: int, is_tuple: bool, target: str) -> None:
-        child = _Frame(
-            frame,
-            index,
-            None,
-            target,
-            frame.depth + 1 if is_tuple else frame.depth,
-            frame.query_id,
-            frame.mode,
-            frame.reducer,
-            frame.options,
-        )
+        depth = frame.depth + 1 if is_tuple else frame.depth
+        child = _Frame(frame, index, None, target, depth, frame.query_id, frame.mode, frame.reducer, frame.options)
         if is_tuple:
             self._tuple_frame(child, frame.span)
         else:
