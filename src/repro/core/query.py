@@ -65,6 +65,7 @@ from repro.obs.tracing import Span, TraceContext
 _REQUEST_KIND_TUPLE = "tuple"
 _REQUEST_KIND_EXEC = "exec"
 
+
 class _SlotIds:
     """Ids ``prefix + str(n)`` for the smallest ``n >= 1`` not in use.
 
@@ -389,9 +390,6 @@ class QueryAgent:
             store = self._store = self.engine.provenance.store(self._node_id)
         return store
 
-    def _new_request_id(self) -> str:
-        return self._request_ids.take()
-
     def _tracing(self) -> bool:
         return self.obs is not None and self.obs.tracing
 
@@ -466,7 +464,7 @@ class QueryAgent:
                     root_key, _Bundle(value=cached, visited=self._here, cache_hits=1)
                 )
                 return
-        request_id = self._new_request_id()
+        request_id = self._request_ids.take()
         self._remote_roots[request_id] = (root_key, vid, mode, options)
         trace = None
         if self._tracing():
@@ -605,7 +603,7 @@ class QueryAgent:
             current = self.obs.tracer.current()
             trace = current.as_tuple() if current is not None else None
         for partition in sorted(by_partition, key=repr):
-            request_id = self._new_request_id()
+            request_id = self._request_ids.take()
             self._interval_pending[request_id] = batch.query_id
             self.node.send(
                 partition,
