@@ -821,24 +821,18 @@ class QueryAgent:
         if frame.options.traversal == TRAVERSAL_SEQUENTIAL:
             self._dispatch(frame)
             return
-        frame.cursor = frame.outstanding = count
-        if not frame.is_tuple:
-            for index, vid in enumerate(subtasks):
-                self._child(frame, index, True, vid)
-            return
-        # Parallel traversal of a tuple's derivations: the whole fan-out
+        # Parallel traversal: every subtask at once, and the whole fan-out
         # costs one message per distinct peer and one round in total.
+        frame.cursor = frame.outstanding = count
         remote: Optional[Dict[object, List[int]]] = None
-        here = self._node_id
-        for index, (rid, rloc) in enumerate(subtasks):
-            if rid == BASE_RID:
-                self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
-            elif rloc == here:
-                self._child(frame, index, False, rid)
-            elif remote is None:
-                remote = {rloc: [index]}
+        for index in range(count):
+            peer = self._subtask(frame, index)
+            if peer is None:
+                continue
+            if remote is None:
+                remote = {peer: [index]}
             else:
-                remote.setdefault(rloc, []).append(index)
+                remote.setdefault(peer, []).append(index)
         if remote is not None:
             for destination, indexes in remote.items():
                 self._send(frame, destination, indexes)
@@ -848,16 +842,23 @@ class QueryAgent:
         index = frame.cursor
         frame.cursor = index + 1
         frame.outstanding += 1
+        peer = self._subtask(frame, index)
+        if peer is not None:
+            self._send(frame, peer, (index,))
+
+    def _subtask(self, frame: _Frame, index: int) -> object:
+        """Run subtask *index* of *frame* at this node, or return the peer it must be sent to."""
         if not frame.is_tuple:
             self._child(frame, index, True, frame.subtasks[index])
-            return
+            return None
         rid, rloc = frame.subtasks[index]
         if rid == BASE_RID:
             self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
         elif rloc == self._node_id:
             self._child(frame, index, False, rid)
         else:
-            self._send(frame, rloc, (index,))
+            return rloc  # the rule fired at another node
+        return None
 
     def _child(self, frame: _Frame, index: int, is_tuple: bool, target: str) -> None:
         depth = frame.depth + 1 if is_tuple else frame.depth
