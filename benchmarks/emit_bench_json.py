@@ -8,9 +8,6 @@ Runs compact, deterministic versions of the headline experiments —
 * **E15** the ``smoke`` scenario of :mod:`scenario` (seeded churn generators
   + Zipf query waves; the 1000+-node scale scenario stays in
   ``test_e15_scale.py``),
-* **E16** interval-indexed provenance queries (batched interval waves vs
-  the per-query reference traversal on the compact AS hierarchy; the
-  10x-at-1010-nodes claim stays in ``test_e16_interval.py``),
 * **E17** durability (WAL overhead vs a plain runtime, genesis and
   checkpoint recovery of a crashed history, concurrent-client serving
   latency percentiles; the every-kill-point oracle stays in
@@ -57,7 +54,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e11_batching import run_churn  # noqa: E402
 from test_e14_cache import run_cache_workload, run_capped_workload  # noqa: E402
-from test_e16_interval import COMPACT_DIMS, run_deep_lineage  # noqa: E402
 from test_e17_durability import (  # noqa: E402
     run_concurrent_serving,
     run_recovery_benchmark,
@@ -138,35 +134,6 @@ def collect_metrics() -> dict:
         report["cache"].get("hits", 0), higher_is_better=True
     )
     metrics["e15.smoke.seconds"] = _metric(round(report["seconds"], 3), gate=False)
-
-    # E16 — interval-indexed queries vs reference traversal on the compact
-    # AS hierarchy.  Message counts are deterministic and gated; the ratio
-    # is gated in the healthier-is-higher direction.  Two hard invariants:
-    # the interval path must return bit-identical answers, and a batched
-    # interval wave must never cost more messages than the traversal.
-    start = time.perf_counter()
-    deep = run_deep_lineage(dims=COMPACT_DIMS)
-    deep_seconds = time.perf_counter() - start
-    metrics["e16.traversal_messages"] = _metric(deep["traversal_messages"])
-    metrics["e16.interval_messages"] = _metric(deep["interval_messages"])
-    metrics["e16.messages_ratio"] = _metric(
-        round(deep["ratio"], 2), higher_is_better=True
-    )
-    metrics["e16.range_scans"] = _metric(
-        deep["interval_totals"]["range_scans"], gate=False
-    )
-    metrics["e16.seconds"] = _metric(round(deep_seconds, 3), gate=False)
-    if not deep["identical"]:
-        raise SystemExit(
-            "E16 invariant violated: interval answers diverge from the "
-            "reference traversal"
-        )
-    if deep["interval_messages"] > deep["traversal_messages"]:
-        raise SystemExit(
-            "E16 invariant violated: interval wave costs more messages than "
-            f"the traversal ({deep['interval_messages']} vs "
-            f"{deep['traversal_messages']})"
-        )
 
     # E17 — durability.  WAL shape and replay counts are deterministic and
     # gated; every wall-clock figure (overhead ratio, recovery seconds,

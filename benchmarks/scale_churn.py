@@ -1,7 +1,7 @@
 """The 1010-node backup-link churn profile shared by the CPU-time benchmarks.
 
 PREFIX_ROUTING is seeded on ``isp_hierarchy(10, 10, 9)`` (10 tier-1 hubs,
-10 tier-2 per hub, 9 stubs per tier-2 — the same shape as E15/E16's scale
+10 tier-2 per hub, 9 stubs per tier-2 — the same shape as E15's scale
 runs), prefixes are announced at tier-2 nodes, and each churn window inserts
 and then retracts a batch of cross-subtree backup links.  Cost 4.0 is
 strictly worse than every converged shortest path, so the windows are pure

@@ -104,7 +104,9 @@ def run_scenario(topology, program, phases, seed, batch_size=None, queries=None,
             if engine is None:
                 engine = DistributedQueryEngine(runtime)
             messages, rounds = runtime.message_stats().messages, runtime.simulator.rounds
-            phase["queries"] += len(engine.query_batch(relation, targets, mode="lineage", options=QUERY_OPTIONS))
+            for values in targets:
+                engine.query(relation, values, mode="lineage", options=QUERY_OPTIONS)
+            phase["queries"] += len(targets)
             phase["query_messages"] += runtime.message_stats().messages - messages
             phase["query_rounds"] += runtime.simulator.rounds - rounds
     return runtime, {

@@ -19,7 +19,7 @@ from scenario import COUNTERS, run_scenario, smoke
 
 #: Knobs the runtime used to take: a scenario passes them on, to be rejected.
 RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar", "backend", "backend_workers",
-                 "batch_commit_stall_s", "batch_deltas", "aggregate_retract_first")
+                 "batch_commit_stall_s", "batch_deltas", "aggregate_retract_first", "use_interval_index")
 
 LINK_GENERATORS = [
     pytest.param(link_flap, {"flaps_per_batch": 2}, id="link_flap"),
@@ -191,13 +191,13 @@ class TestQueries:
 
 class TestRuntimeKwargs:
     def test_runtime_kwargs_reach_the_runtime(self):
-        runtime, _report = star_prefix_run(query_cache_capacity=3, use_interval_index=True)
-        assert runtime.use_interval_index is True and runtime.query_cache_capacity == 3
+        runtime, _report = star_prefix_run(query_cache_capacity=3, observability=True)
+        assert runtime.obs is not None and runtime.query_cache_capacity == 3
 
     def test_runtime_kwargs_leave_the_counters_unchanged(self):
         _runtime, plain = star_prefix_run(queries=None)
-        _runtime, indexed = star_prefix_run(queries=None, use_interval_index=True)
-        assert indexed["totals"] == plain["totals"]
+        _runtime, observed = star_prefix_run(queries=None, observability=True)
+        assert observed["totals"] == plain["totals"]
 
     @pytest.mark.parametrize("knob", RETIRED_KNOBS)
     def test_scenario_rejects_retired_knob(self, knob):

@@ -19,13 +19,7 @@ The package is organised exactly like the system description in the paper:
 """
 
 from repro.core.keys import BASE_RID, rid_for, vid_for
-from repro.core.graph import (
-    ProvenanceGraph,
-    RuleExecVertex,
-    TupleVertex,
-    reachable_closure,
-)
-from repro.core.interval_index import PartitionIntervalIndex
+from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
 from repro.core.maintenance import NodeProvenanceStore, ProvenanceEngine
 from repro.core.rewrite import rewrite_program
 from repro.core.queries import (
@@ -48,8 +42,6 @@ __all__ = [
     "ProvenanceGraph",
     "RuleExecVertex",
     "TupleVertex",
-    "reachable_closure",
-    "PartitionIntervalIndex",
     "NodeProvenanceStore",
     "ProvenanceEngine",
     "rewrite_program",

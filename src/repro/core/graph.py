@@ -18,34 +18,9 @@ plus the traversal helpers that analysis tasks build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProvenanceError, UnknownVertexError
-
-
-def reachable_closure(
-    successors: Mapping[object, Iterable[object]], roots: Iterable[object]
-) -> Set[object]:
-    """The forward-reachability closure of *roots* over an explicit edge map.
-
-    ``successors`` maps a vertex to the vertices one hop downstream; absent
-    keys are sinks.  Vertices are plain hashable tokens, so the helper works
-    equally for the centralized :class:`ProvenanceGraph` and for the
-    partition-local ``("t", vid)`` / ``("x", rid)`` keys of the interval
-    index — the tests use it as the offline oracle that
-    :meth:`repro.core.interval_index.PartitionIntervalIndex.closure` must
-    reproduce via range scans.  Roots are included in the result (a closure,
-    not a strict-descendants set).
-    """
-    seen: Set[object] = set()
-    stack = [root for root in roots]
-    while stack:
-        vertex = stack.pop()
-        if vertex in seen:
-            continue
-        seen.add(vertex)
-        stack.extend(successors.get(vertex, ()))
-    return seen
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ from repro.engine.compiler import CompiledProgram
 from repro.engine.evaluator import DerivationEffect
 from repro.engine.tuples import Fact
 from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
-from repro.core.interval_index import PartitionIntervalIndex
 from repro.core.keys import BASE_RID, rid_for, vid_for
 
 
@@ -140,11 +139,6 @@ class NodeProvenanceStore:
         # its cross-partition reachability walk; standalone stores get a
         # private lock.
         self._exec_lock = engine._graph_lock if engine is not None else threading.Lock()
-        #: Lazily-created interval index over this partition's provenance DAG
-        #: (see :mod:`repro.core.interval_index`).  ``None`` until a query
-        #: first asks for it, so runs that never use the interval path pay
-        #: nothing beyond a no-op attribute check per mutation.
-        self._interval_index: Optional[PartitionIntervalIndex] = None
 
     # -- mutation -----------------------------------------------------------------
 
@@ -195,12 +189,6 @@ class NodeProvenanceStore:
             self._tuple_info[vid] = (fact.relation, fact.values)
         return vid
 
-    def interval_index(self) -> PartitionIntervalIndex:
-        """This partition's interval index, created (cold) on first use."""
-        if self._interval_index is None:
-            self._interval_index = PartitionIntervalIndex(self)
-        return self._interval_index
-
     def add_prov(self, vid: str, rid: str, rloc: object) -> None:
         """Record the prov row ``(vid, rid, rloc)`` (idempotent)."""
         row = (rid, rloc)
@@ -209,8 +197,6 @@ class NodeProvenanceStore:
             self._prov[vid] = (row,)
         elif row not in rows:
             self._prov[vid] = tuple(sorted(rows + (row,), key=_prov_order))
-        if self._interval_index is not None:
-            self._interval_index.note_prov_added(vid, rid, rloc)
         with self._exec_lock:
             self._mark_dirty(self.node_id, vid)
         self._bump()
@@ -222,8 +208,6 @@ class NodeProvenanceStore:
             return
         row = (rid, rloc)
         if row in rows:
-            if self._interval_index is not None:
-                self._interval_index.note_prov_removed(vid, rid, rloc)
             if len(rows) == 1:
                 del self._prov[vid]
             else:
@@ -255,8 +239,6 @@ class NodeProvenanceStore:
                 else:
                     consumers.add(rid)
             self._mark_dirty(head_location, head_vid)
-        if self._interval_index is not None:
-            self._interval_index.note_exec_added(rid, child_vids)
         self._bump()
 
     def remove_rule_exec(self, rid: str) -> None:
@@ -265,8 +247,7 @@ class NodeProvenanceStore:
             row = self._rule_execs.pop(rid, None)
             if row is None:
                 return
-            child_vids = row[_EXEC_CHILD_VIDS]
-            for child in child_vids:
+            for child in row[_EXEC_CHILD_VIDS]:
                 consumers = uses.get(child)
                 if consumers is None:
                     continue
@@ -278,8 +259,6 @@ class NodeProvenanceStore:
                 if len(consumers) == 1:
                     (uses[child],) = consumers
             self._mark_dirty(row[_EXEC_HEAD_LOCATION], row[_EXEC_HEAD_VID])
-        if self._interval_index is not None:
-            self._interval_index.note_exec_removed(rid, child_vids)
         self._bump()
 
     # -- queries ------------------------------------------------------------------
@@ -291,10 +270,6 @@ class NodeProvenanceStore:
     def rule_exec(self, rid: str) -> RuleExecEntry:
         """The ``ruleExec`` row of *rid*."""
         return RuleExecEntry._make(self._rule_exec_row(rid))
-
-    def child_vids(self, rid: str) -> Tuple[str, ...]:
-        """The input tuples of rule execution *rid*, without building a view."""
-        return self._rule_exec_row(rid)[_EXEC_CHILD_VIDS]
 
     def _rule_exec_row(self, rid: str) -> RuleExecRow:
         row = self._rule_execs.get(rid)
@@ -629,25 +604,6 @@ class ProvenanceEngine:
                 "visited": self._reachability_visited,
                 "pending": pending,
             }
-
-    # -- interval-index statistics --------------------------------------------------------
-
-    def interval_stats(self) -> Dict[object, Dict[str, int]]:
-        """Per-partition interval-index counters (partitions that have one)."""
-        stats = {}
-        for node_id, store in sorted(self._stores.items(), key=lambda item: repr(item[0])):
-            index = store._interval_index
-            if index is not None:
-                stats[node_id] = index.counters()
-        return stats
-
-    def interval_totals(self) -> Dict[str, int]:
-        """Interval-index counters summed across all partitions."""
-        totals: Dict[str, int] = {}
-        for counters in self.interval_stats().values():
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     def global_version(self) -> int:
         """The sum of all per-partition versions, memoized to O(1).

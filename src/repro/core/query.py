@@ -32,7 +32,7 @@ import heapq
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError
@@ -185,86 +185,6 @@ class QueryReplyBatch:
         return f"QueryReplyBatch(replies={self.replies!r})"
 
 
-@dataclass(frozen=True)
-class IntervalRequest:
-    """One wave of interval-index work for one partition.
-
-    Where the traversal path ships one request per child derivation, the
-    interval path ships *one message per partition per wave*, carrying the
-    frontier targets of **every** root the batch is answering: ``targets``
-    holds ``(root index, tuple vids, exec rids)`` triples.  The partition
-    answers each root's targets with a single range-scan closure over its
-    label table.
-    """
-
-    query_id: str
-    request_id: str
-    mode: str
-    targets: Tuple[Tuple[int, Tuple[str, ...], Tuple[str, ...]], ...]
-    reply_to: object
-    #: Coordinator span context (see :class:`QueryRequest.trace`); omitted
-    #: from the repr so byte accounting is unaffected by observability.
-    trace: Optional[Tuple[str, str]] = None
-
-    def __repr__(self) -> str:
-        return (
-            f"IntervalRequest(query_id={self.query_id!r}, request_id={self.request_id!r}, "
-            f"mode={self.mode!r}, targets={self.targets!r}, reply_to={self.reply_to!r})"
-        )
-
-
-@dataclass(frozen=True)
-class IntervalRootResult:
-    """One root's share of a partition's interval-closure answer.
-
-    ``value`` holds the root's local contributions (base-tuple refs for
-    lineage, nothing — the partition id travels implicitly — beyond the
-    partition for participants); ``frontier`` lists the remote rule
-    executions ``(partition, rid)`` discovered by the scan, which become the
-    next wave's targets at their partitions.
-    """
-
-    root_index: int
-    value: object
-    frontier: Tuple[Tuple[object, str], ...]
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class IntervalReply:
-    """A partition's batched answer to one :class:`IntervalRequest`."""
-
-    query_id: str
-    request_id: str
-    location: object
-    results: Tuple[IntervalRootResult, ...]
-
-
-@dataclass
-class _IntervalRoot:
-    """Coordinator-side accumulation state for one root of an interval batch."""
-
-    root_key: str
-    value: set = field(default_factory=set)
-    visited: set = field(default_factory=set)
-    truncated: bool = False
-    #: (partition, kind, id) triples ever enqueued, so a frontier entry that
-    #: resurfaces (shared sub-DAGs) is expanded at most once per root.
-    seen: set = field(default_factory=set)
-    #: partition -> (vids to expand, rids to expand) for the next wave.
-    pending: Dict[object, Tuple[set, set]] = field(default_factory=dict)
-
-
-@dataclass
-class _IntervalBatch:
-    """Coordinator-side state for one batched interval query."""
-
-    query_id: str
-    mode: str
-    roots: List[_IntervalRoot]
-    outstanding: int = 0
-
-
 class _ReplyCollector:
     """Gathers the replies to one received request message.
 
@@ -374,10 +294,6 @@ class QueryAgent:
         #: root, kept so the reply — which carries the version it was
         #: computed at — can be cached here at the issuing node.
         self._remote_roots: Dict[str, Tuple[str, str, str, QueryOptions]] = {}
-        #: Interval-path coordinator state: query id -> batch, and in-flight
-        #: request id -> query id (this agent as the batch's coordinator).
-        self._interval_batches: Dict[str, _IntervalBatch] = {}
-        self._interval_pending: Dict[str, str] = {}
         node.register_handler(CATEGORY_PROVENANCE_QUERY, self._on_query)
         node.register_handler(CATEGORY_PROVENANCE_REPLY, self._on_reply)
 
@@ -490,9 +406,6 @@ class QueryAgent:
 
     def _on_query(self, message) -> None:
         payload = message.payload
-        if isinstance(payload, IntervalRequest):
-            self._on_interval_request(payload)
-            return
         self._unflushed = True
         requests = payload.requests if isinstance(payload, QueryRequestBatch) else (payload,)
         reply = _ReplyCollector(requests[0].reply_to, len(requests))
@@ -510,9 +423,6 @@ class QueryAgent:
 
     def _on_reply(self, message) -> None:
         payload = message.payload
-        if isinstance(payload, IntervalReply):
-            self._on_interval_reply(payload)
-            return
         self._unflushed = True
         if isinstance(payload, QueryReplyBatch):
             for reply in payload.replies:
@@ -544,218 +454,6 @@ class QueryAgent:
                 cache_hits=reply.cache_hits,
             ),
         )
-
-    # -- interval-index query path ---------------------------------------------------------
-    #
-    # This agent acts as the *coordinator* of a batch of roots: it keeps one
-    # accumulator per root, repeatedly groups every root's frontier by
-    # partition, and ships ONE IntervalRequest per partition per wave — the
-    # partitions answer each root with a single range-scan closure over their
-    # interval label tables (see repro.core.interval_index).  Targets landing
-    # on the coordinator's own partition are drained locally without a
-    # message.  Values and truncation flags are always computed from the live
-    # store rows, so the answers are bit-identical to the traversal path.
-
-    def start_interval_batch(
-        self, query_id: str, mode: str, roots: Sequence[Tuple[str, str, object]]
-    ) -> None:
-        """Coordinate an interval-path batch of (root_key, vid, home) roots."""
-        batch = _IntervalBatch(query_id=query_id, mode=mode, roots=[])
-        for root_key, vid, home in roots:
-            root = _IntervalRoot(root_key=root_key)
-            root.visited.add(self.node.id)
-            root.seen.add((home, "t", vid))
-            vids, _rids = root.pending.setdefault(home, (set(), set()))
-            vids.add(vid)
-            batch.roots.append(root)
-        self._interval_batches[query_id] = batch
-        self._interval_continue(batch)
-
-    def _interval_continue(self, batch: _IntervalBatch) -> None:
-        # Drain targets on the coordinator's own partition without a network
-        # hop; doing so can surface new local frontier entries, so loop.
-        while True:
-            local_targets: List[Tuple[int, Tuple[str, ...], Tuple[str, ...]]] = []
-            for index, root in enumerate(batch.roots):
-                entry = root.pending.pop(self.node.id, None)
-                if entry is not None:
-                    local_targets.append(
-                        (index, tuple(sorted(entry[0])), tuple(sorted(entry[1])))
-                    )
-            if not local_targets:
-                break
-            for result in self._interval_partition_results(batch.mode, local_targets):
-                self._interval_absorb(batch, result, self.node.id)
-        # One message per partition carrying every root's remaining targets.
-        by_partition: Dict[object, List[Tuple[int, Tuple[str, ...], Tuple[str, ...]]]] = {}
-        for index, root in enumerate(batch.roots):
-            pending, root.pending = root.pending, {}
-            for partition, (vids, rids) in pending.items():
-                by_partition.setdefault(partition, []).append(
-                    (index, tuple(sorted(vids)), tuple(sorted(rids)))
-                )
-        if not by_partition:
-            self._interval_finish(batch)
-            return
-        batch.outstanding = len(by_partition)
-        trace = None
-        if self._tracing():
-            current = self.obs.tracer.current()
-            trace = current.as_tuple() if current is not None else None
-        for partition in sorted(by_partition, key=repr):
-            request_id = self._request_ids.take()
-            self._interval_pending[request_id] = batch.query_id
-            self.node.send(
-                partition,
-                CATEGORY_PROVENANCE_QUERY,
-                IntervalRequest(
-                    query_id=batch.query_id,
-                    request_id=request_id,
-                    mode=batch.mode,
-                    targets=tuple(by_partition[partition]),
-                    reply_to=self.node.id,
-                    trace=trace,
-                ),
-            )
-
-    def _interval_absorb(
-        self, batch: _IntervalBatch, result: IntervalRootResult, partition: object
-    ) -> None:
-        root = batch.roots[result.root_index]
-        root.value |= result.value
-        root.truncated = root.truncated or result.truncated
-        root.visited.add(partition)
-        for rloc, rid in result.frontier:
-            token = (rloc, "x", rid)
-            if token in root.seen:
-                continue
-            root.seen.add(token)
-            _vids, rids = root.pending.setdefault(rloc, (set(), set()))
-            rids.add(rid)
-
-    def _interval_finish(self, batch: _IntervalBatch) -> None:
-        self._interval_batches.pop(batch.query_id, None)
-        for root in batch.roots:
-            self.engine._finish_root(
-                root.root_key,
-                _Bundle(
-                    value=frozenset(root.value),
-                    truncated=root.truncated,
-                    visited=frozenset(root.visited),
-                    cache_hits=0,
-                ),
-            )
-
-    def _on_interval_request(self, request: IntervalRequest) -> None:
-        span = None
-        if self._tracing() and request.trace is not None:
-            span = self.obs.tracer.start_span(
-                "interval.partition",
-                parent=TraceContext.from_tuple(request.trace),
-                node=repr(self.node.id),
-                targets=len(request.targets),
-            )
-        results = self._interval_partition_results(request.mode, request.targets)
-        if span is not None:
-            span.finish(results=len(results))
-        self.node.send(
-            request.reply_to,
-            CATEGORY_PROVENANCE_REPLY,
-            IntervalReply(
-                query_id=request.query_id,
-                request_id=request.request_id,
-                location=self.node.id,
-                results=tuple(results),
-            ),
-        )
-
-    def _on_interval_reply(self, reply: IntervalReply) -> None:
-        query_id = self._interval_pending.pop(reply.request_id, None)
-        if query_id is None:
-            return
-        self._request_ids.release(reply.request_id)
-        batch = self._interval_batches.get(query_id)
-        if batch is None:
-            return
-        for result in reply.results:
-            self._interval_absorb(batch, result, reply.location)
-        batch.outstanding -= 1
-        if batch.outstanding == 0:
-            self._interval_continue(batch)
-
-    def _interval_partition_results(
-        self, mode: str, targets: Sequence[Tuple[int, Tuple[str, ...], Tuple[str, ...]]]
-    ) -> List[IntervalRootResult]:
-        """Answer one wave of targets against this partition's interval index.
-
-        The index provides only *reachability* (one range-scan closure per
-        root); every value and truncation decision is made against the live
-        ``prov`` / ``ruleExec`` rows, mirroring the traversal reducers
-        exactly:
-
-        * a reached tuple with no prov rows is a leaf (its own ref for
-          lineage);
-        * a BASE prov row contributes the tuple's ref (lineage);
-        * a local non-BASE prov row whose rule execution is gone means the
-          firing was retracted mid-flight — empty and truncated, exactly
-          like the traversal's retracted-exec frame;
-        * a remote prov row becomes a frontier entry for the rid's
-          partition;
-        * for participants, processing any target here contributes this
-          partition (every traversal frame at a node adds that node).
-        """
-        store = self._pstore
-        index = store.interval_index()
-        index.ensure_ready()
-        results: List[IntervalRootResult] = []
-        for root_index, vids, rids in targets:
-            keys = [("t", vid) for vid in vids] + [("x", rid) for rid in rids]
-            reached, missing = index.closure(keys)
-            truncated = False
-            items: set = set()
-            frontier: set = set()
-            for rid in rids:
-                if not store.has_rule_exec(rid):
-                    truncated = True
-            for key in missing:
-                kind, ident = key
-                if kind == "t" and not store.prov_entries(ident):
-                    # Legitimate leaf the index has never needed to see.
-                    if mode == QUERY_LINEAGE:
-                        items.add(self._tuple_ref(ident))
-                elif kind == "t" or store.has_rule_exec(ident):
-                    truncated = True  # index raced the store: answer conservatively
-            for key in reached:
-                kind, ident = key
-                if kind != "t":
-                    continue
-                rows = store.prov_entries(ident)
-                if not rows:
-                    if mode == QUERY_LINEAGE:
-                        items.add(self._tuple_ref(ident))
-                    continue
-                for rid, rloc in rows:
-                    if rid == BASE_RID:
-                        if mode == QUERY_LINEAGE:
-                            items.add(self._tuple_ref(ident))
-                    elif rloc == self.node.id:
-                        if not store.has_rule_exec(rid):
-                            truncated = True
-                    else:
-                        frontier.add((rloc, rid))
-            if mode == QUERY_PARTICIPANTS:
-                items.add(self.node.id)
-            results.append(
-                IntervalRootResult(
-                    root_index=root_index,
-                    value=frozenset(items),
-                    frontier=tuple(
-                        sorted(frontier, key=lambda item: (repr(item[0]), item[1]))
-                    ),
-                    truncated=truncated,
-                )
-            )
-        return results
 
     # -- the traversal executor ---------------------------------------------------------
     #
@@ -978,7 +676,6 @@ class DistributedQueryEngine:
         self,
         runtime,
         provenance: Optional[ProvenanceEngine] = None,
-        use_interval_index: Optional[bool] = None,
     ):
         self.runtime = runtime
         provenance = provenance if provenance is not None else runtime.provenance
@@ -997,15 +694,6 @@ class DistributedQueryEngine:
             self.cache_capacity = None
         else:
             self.cache_capacity = raw_capacity
-        #: Whether eligible queries use the per-partition interval index
-        #: (one range-scan request per partition per wave) instead of the
-        #: per-edge traversal.  ``None`` inherits the runtime's knob
-        #: (``NetTrailsRuntime(use_interval_index=...)`` /
-        #: ``NETTRAILS_INTERVAL_INDEX``); an explicit bool overrides it, so
-        #: ablation runs can pit both paths against one shared runtime.
-        if use_interval_index is None:
-            use_interval_index = bool(getattr(runtime, "use_interval_index", False))
-        self.use_interval_index = bool(use_interval_index)
         self._reducers: Dict[str, QueryReducer] = dict(BUILTIN_REDUCERS)
         self._agents: Dict[object, QueryAgent] = {}
         for node_id, node in runtime.nodes.items():
@@ -1081,7 +769,7 @@ class DistributedQueryEngine:
     # -- observability helpers -------------------------------------------------------------
 
     def _begin_query_span(self, query_id: str, mode: str):
-        """Open the engine-level root span for one query (or interval batch).
+        """Open the engine-level root span for one query.
 
         Returns ``(span, previous_ambient_context, wall_start)``; all three
         are ``None``-ish no-ops while tracing is off.  The span's context is
@@ -1102,7 +790,6 @@ class DistributedQueryEngine:
         mode: str,
         messages: int,
         rounds: int,
-        n_roots: int,
     ) -> None:
         """Finish the root span with the exact per-query deltas.
 
@@ -1110,12 +797,13 @@ class DistributedQueryEngine:
         deltas :class:`~repro.core.results.QueryStats` reports, so summing
         them across every ``query``-named span reconciles exactly with the
         query messages and rounds a caller counts around its queries — the
-        completeness invariant benchmark E20 gates.
+        completeness invariant benchmark E20 gates.  ``n_roots`` counts the
+        queried tuples the span answers: always one.
         """
         if self._latency_histogram is not None:
             self._latency_histogram.labels(mode=mode).observe(time.perf_counter() - wall_start)
         if span is not None:
-            span.finish(messages=messages, rounds=rounds, n_roots=n_roots)
+            span.finish(messages=messages, rounds=rounds, n_roots=1)
 
     # -- query API ---------------------------------------------------------------------------
 
@@ -1135,8 +823,6 @@ class DistributedQueryEngine:
         """
         options = options or QueryOptions.baseline()
         self.reducer(mode)  # validate the mode before doing any work
-        if self._interval_eligible(mode, options):
-            return self._run_interval_batch(relation, [values], mode, options, at)[0]
         fact = Fact.make(relation, values)
         vid = vid_for(fact)
         location = self.runtime.compiled.catalog.location_of(fact)
@@ -1180,7 +866,7 @@ class DistributedQueryEngine:
             nodes_visited=len(bundle.visited),
             cache_hits=bundle.cache_hits,
         )
-        self._end_query_span(span, wall_start, mode, stats.messages, stats.rounds, n_roots=1)
+        self._end_query_span(span, wall_start, mode, stats.messages, stats.rounds)
         return QueryResult(
             mode=mode,
             root=TupleRef(relation=relation, values=fact.values, location=location),
@@ -1189,133 +875,6 @@ class DistributedQueryEngine:
             truncated=bundle.truncated,
             stats=stats,
         )
-
-    def query_batch(
-        self,
-        relation: str,
-        values_list: Sequence[Sequence[object]],
-        mode: str = QUERY_LINEAGE,
-        options: Optional[QueryOptions] = None,
-        at: Optional[object] = None,
-    ) -> List[QueryResult]:
-        """Run one provenance query per row of *values_list*, batched.
-
-        On the interval path every root shares the per-partition wave
-        messages, so a whole wave of deep-lineage queries costs one request
-        per partition per wave instead of one per child per root — the
-        order-of-magnitude message saving the E16 benchmark measures.  When
-        the interval path is off (or the mode/options are ineligible), the
-        batch degrades to issuing the queries one by one.
-        """
-        options = options or QueryOptions.baseline()
-        self.reducer(mode)
-        rows = list(values_list)
-        if not rows:
-            return []
-        if self._interval_eligible(mode, options):
-            return self._run_interval_batch(relation, rows, mode, options, at)
-        return [
-            self.query(relation, values, mode=mode, options=options, at=at)
-            for values in rows
-        ]
-
-    def _interval_eligible(self, mode: str, options: QueryOptions) -> bool:
-        """Whether the interval index can answer this query bit-identically.
-
-        The index accelerates full-closure set queries; threshold pruning,
-        depth bounds and the per-vertex result cache are traversal-shaped
-        options, so any of them falls back to the reference path.
-        """
-        return (
-            self.use_interval_index
-            and mode in (QUERY_LINEAGE, QUERY_PARTICIPANTS)
-            and not options.use_cache
-            and options.threshold is None
-            and options.max_depth is None
-        )
-
-    def _run_interval_batch(
-        self,
-        relation: str,
-        values_list: Sequence[Sequence[object]],
-        mode: str,
-        options: QueryOptions,
-        at: Optional[object],
-    ) -> List[QueryResult]:
-        roots: List[Tuple[Fact, str, object]] = []
-        for values in values_list:
-            fact = Fact.make(relation, values)
-            vid = vid_for(fact)
-            location = self.runtime.compiled.catalog.location_of(fact)
-            if location not in self.runtime.nodes:
-                raise QueryError(f"tuple {fact} is located at unknown node {location!r}")
-            if not self.runtime.node(location).store.contains(fact):
-                raise QueryError(
-                    f"tuple {fact} is not currently present at node {location!r}"
-                )
-            roots.append((fact, vid, location))
-        coordinator = at if at is not None else roots[0][2]
-        if coordinator not in self._agents:
-            raise QueryError(f"query issued at unknown node {coordinator!r}")
-
-        trace_id = f"query{next(self._query_seq)}"
-        root_keys = [f"{trace_id}/{index}" for index in range(len(roots))]
-        stats_before = self.runtime.network.stats.snapshot()
-        time_before = self.runtime.simulator.now
-        rounds_before = self.runtime.simulator.rounds
-
-        span, previous, wall_start = self._begin_query_span(trace_id, mode)
-        query_id = self._take_query_id()
-        try:
-            self._agents[coordinator].start_interval_batch(
-                query_id,
-                mode,
-                [
-                    (root_keys[index], vid, location)
-                    for index, (_fact, vid, location) in enumerate(roots)
-                ],
-            )
-            self.runtime.run_to_quiescence()
-        finally:
-            if span is not None:
-                self.obs.tracer.set_current(previous)
-
-        stats_after = self.runtime.network.stats.snapshot()
-        # Wave messages are shared by every root of the batch, so the stats
-        # below are whole-batch figures repeated on each result (only
-        # nodes_visited is per-root); summing them across a batch would
-        # overcount.
-        messages = int(stats_after["messages"]) - int(stats_before["messages"])
-        octets = int(stats_after["bytes"]) - int(stats_before["bytes"])
-        latency = self.runtime.simulator.now - time_before
-        rounds = self.runtime.simulator.rounds - rounds_before
-        self._end_query_span(span, wall_start, mode, messages, rounds, n_roots=len(roots))
-
-        results: List[QueryResult] = []
-        for index, (fact, vid, location) in enumerate(roots):
-            with self._completions_lock:
-                bundle = self._completions.pop(root_keys[index], None)
-            if bundle is None:
-                raise QueryError(f"query {trace_id} did not complete")
-            results.append(
-                QueryResult(
-                    mode=mode,
-                    root=TupleRef(relation=relation, values=fact.values, location=location),
-                    root_vid=vid,
-                    value=bundle.value,
-                    truncated=bundle.truncated,
-                    stats=QueryStats(
-                        messages=messages,
-                        bytes=octets,
-                        latency=latency,
-                        rounds=rounds,
-                        nodes_visited=len(bundle.visited),
-                        cache_hits=bundle.cache_hits,
-                    ),
-                )
-            )
-        self._release_query_id(query_id)
-        return results
 
     # -- convenience wrappers -------------------------------------------------------------------
 
@@ -1351,7 +910,3 @@ class DistributedQueryEngine:
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def interval_totals(self) -> Dict[str, int]:
-        """System-wide interval-index counters."""
-        return self.provenance.interval_totals()

@@ -53,9 +53,10 @@ RECOVERY_MODES = ("genesis", "checkpoint")
 #: Construction knobs that WALs written by older versions recorded and that
 #: no longer exist.  None of them could change replayed state (the
 #: determinism contract made every value bit-identical, the emulated commit
-#: stall only slept in real time, and the per-delta runtime and the
+#: stall only slept in real time, the per-delta runtime and the
 #: retract-first aggregate ordering converge to the batched runtime's state
-#: and provenance), so recovery drops them whatever their value.
+#: and provenance, and the interval index only answered queries), so
+#: recovery drops them whatever their value.
 RETIRED_KNOBS = (
     "num_shards",
     "shard_workers",
@@ -63,6 +64,7 @@ RETIRED_KNOBS = (
     "batch_commit_stall_s",
     "batch_deltas",
     "aggregate_retract_first",
+    "use_interval_index",
 )
 
 
@@ -143,7 +145,7 @@ class RecoveryManager:
         crossed; ``attach=True`` leaves the runtime journalling to the
         repaired WAL (``wal_fsync`` sets its barrier mode).  Keyword
         *overrides* replace recorded construction knobs (e.g.
-        ``use_interval_index=``, or ``observability=``, which is never
+        ``query_cache_capacity=``, or ``observability=``, which is never
         recorded); state equality across such overrides is exactly the
         engine's determinism contract.  A WAL damaged mid-log (an intact
         record after the first bad byte) raises

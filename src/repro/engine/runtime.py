@@ -37,13 +37,6 @@ if TYPE_CHECKING:  # the maintenance engine imports this package
 CACHE_CAPACITY_ENV_VAR = "NETTRAILS_QUERY_CACHE_CAPACITY"
 
 
-#: Environment variable consulted when ``use_interval_index`` is not set
-#: explicitly: a boolean (``1/true/yes/on`` vs ``0/false/no/off``) that makes
-#: eligible provenance queries use the per-partition interval index instead
-#: of the per-edge traversal.  The CI property matrix exports it so the whole
-#: equivalence suite runs with the interval path on.
-INTERVAL_INDEX_ENV_VAR = "NETTRAILS_INTERVAL_INDEX"
-
 #: Environment variable consulted when ``durable_dir`` is not set explicitly
 #: (parity with the other ``NETTRAILS_*`` hooks): a directory path that turns
 #: on durable mode — every committed quiescence window is appended to a
@@ -119,11 +112,6 @@ def _env_flag(variable: str) -> bool:
     )
 
 
-def default_use_interval_index() -> bool:
-    """The interval-index default: the env hook, else ``False``."""
-    return _env_flag(INTERVAL_INDEX_ENV_VAR)
-
-
 def default_observability() -> bool:
     """The observability default: the env hook, else ``False``."""
     return _env_flag(OBSERVABILITY_ENV_VAR)
@@ -185,8 +173,6 @@ class NetTrailsRuntime:
     ``program_name`` (None)          name used when parsing source text
     ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
                                      env hook then default, ``0`` = uncapped)
-    ``use_interval_index`` (None)    interval-indexed provenance queries
-                                     (``None`` = env hook then off)
     ``durable_dir`` (None)           write-ahead-log directory; turns on
                                      durable commit-per-quiescence-window mode
     ``wal_fsync`` (True)             fsync barrier per WAL append
@@ -207,7 +193,6 @@ class NetTrailsRuntime:
     variable                         stands in for
     ================================ ==========================================
     ``NETTRAILS_QUERY_CACHE_CAPACITY`` ``query_cache_capacity`` (integer ≥ 0)
-    ``NETTRAILS_INTERVAL_INDEX``     ``use_interval_index`` (boolean words)
     ``NETTRAILS_DURABLE_DIR``        ``durable_dir`` (a writable path)
     ``NETTRAILS_OBSERVABILITY``      ``observability`` (boolean words)
     ================================ ==========================================
@@ -231,7 +216,6 @@ class NetTrailsRuntime:
         registry: Optional[FunctionRegistry] = None,
         program_name: Optional[str] = None,
         query_cache_capacity: Optional[int] = None,
-        use_interval_index: Optional[bool] = None,
         durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         wal_fsync: bool = True,
         observability: Union[None, bool, "Observability"] = None,
@@ -271,17 +255,6 @@ class NetTrailsRuntime:
                 f"query_cache_capacity must be >= 0 or None, got {query_cache_capacity}"
             )
         self.query_cache_capacity = query_cache_capacity
-        #: Whether :class:`repro.core.query.DistributedQueryEngine` answers
-        #: eligible queries (cache-off lineage/participants with no
-        #: threshold/depth bound) through the per-partition interval index
-        #: (:mod:`repro.core.interval_index`) instead of the per-edge
-        #: traversal.  ``None`` consults ``NETTRAILS_INTERVAL_INDEX``; the
-        #: traversal path always remains
-        #: available per-engine via
-        #: ``DistributedQueryEngine(use_interval_index=False)``.
-        if use_interval_index is None:
-            use_interval_index = default_use_interval_index()
-        self.use_interval_index = bool(use_interval_index)
         #: The attached :class:`repro.obs.Observability` bundle, or ``None``
         #: when the subsystem is off (the default).  ``None`` as the knob
         #: consults ``NETTRAILS_OBSERVABILITY``.  Purely observational:
@@ -334,8 +307,8 @@ class NetTrailsRuntime:
         Views are lazy closures: the instrumented code keeps mutating its
         plain counters and the registry only reads them at collect time, so
         this costs nothing per event.  The ``subsystem.metric`` naming scheme
-        unifies what used to be five differently-shaped dict accessors (the
-        query-engine ``cache``/``interval`` views register themselves when a
+        unifies what used to be differently-shaped dict accessors (the
+        query-engine ``cache`` view registers itself when a
         :class:`~repro.core.query.DistributedQueryEngine` is built).
         """
         obs = self.obs
@@ -371,7 +344,6 @@ class NetTrailsRuntime:
         provenance = self.provenance
         if provenance is not None:
             registry.register_view("vid_versions", provenance.vid_version_stats)
-            registry.register_view("interval", provenance.interval_totals)
 
         def wal_stats() -> Dict[str, object]:
             wal = self._wal
@@ -424,7 +396,6 @@ class NetTrailsRuntime:
             "default_latency": self._default_latency,
             "link_latency": self._link_latency,
             "query_cache_capacity": self.query_cache_capacity,
-            "use_interval_index": self.use_interval_index,
         }
 
     def _attach_wal(self, wal, durable_dir: str, committed_batches: int) -> None:

@@ -13,8 +13,8 @@ Three renderings of the same observability state:
 * :func:`chrome_trace_events` — the Chrome trace-event format
   (``chrome://tracing`` / Perfetto): every finished span becomes a complete
   ``"ph": "X"`` event on a per-node track, so a whole churn-and-query run
-  can be inspected as a timeline of windows, drains, queries and interval
-  waves.
+  can be inspected as a timeline of windows, drains, queries and
+  traversal frames.
 
 >>> from repro.obs.registry import MetricsRegistry
 >>> registry = MetricsRegistry()

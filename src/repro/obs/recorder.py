@@ -1,7 +1,7 @@
 """Bounded ring-buffer flight recorder for post-mortem event history.
 
 The recorder keeps the last ``capacity`` noteworthy engine events — drains,
-checkpoints, cache evictions, interval-index relabels — so that when
+checkpoints, cache evictions — so that when
 something goes wrong (an engine error, :meth:`ServiceRuntime.crash`), the
 recent history is available without having had logging enabled.  Recording
 is a lock-free

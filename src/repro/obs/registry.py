@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry unifies the ad-hoc counter surfaces that accreted across the
-engine (query cache, interval index, vid-version pruning, WAL appends,
+engine (query cache, vid-version pruning, WAL appends,
 evaluator firing counts)
 without breaking their existing dict-returning APIs.  Two mechanisms:
 

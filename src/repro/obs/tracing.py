@@ -1,18 +1,15 @@
 """Per-query distributed trace spans, assembled into trees on the coordinator.
 
 A *span* is one timed unit of work — an engine-level query, a traversal
-frame on some node, an interval-index partition wave, a node drain, a
-service commit — attributed to a trace (``trace_id``, normally the query
-id) and optionally to a parent span.  Spans carry the attributes the
-ISSUE's adaptive-execution work needs: node/partition, wave/round and
-message counts, plus monotonic start/end timestamps
-(:func:`time.perf_counter`, never wall-clock).
+frame on some node, a node drain, a service commit — attributed to a trace
+(``trace_id``, normally the query id) and optionally to a parent span.
+Spans carry node, round and message counts, plus monotonic start/end
+timestamps (:func:`time.perf_counter`, never wall-clock).
 
 Trace *context* — the ``(trace_id, span_id)`` pair — propagates in-band,
-inside :class:`~repro.core.query.QueryRequest` and
-:class:`~repro.core.query.IntervalRequest` envelopes (a ``trace`` field that
-is omitted from their reprs when ``None``, so wire-byte accounting is
-untouched while tracing is off).  Node drains parent to the ambient context
+inside :class:`~repro.core.query.QueryRequest` envelopes (a ``trace``
+field that is omitted from their reprs, so wire-byte accounting is
+untouched by tracing).  Node drains parent to the ambient context
 of the coordinating thread and record primitive span records on the
 lock-free :meth:`Tracer.defer` lane; :meth:`Tracer.absorb` rebuilds spans
 from those records, preserving parent ids and node attribution.

@@ -1,15 +1,11 @@
-"""Analysis tasks cross-checked through both distributed query paths.
+"""Analysis tasks cross-checked through the distributed query engine.
 
 ``root_causes`` and ``cascading_effects`` are offline, whole-graph
 computations; the distributed query engine answers the same questions
-online — via the reference traversal or via the interval-indexed path.
-These tests pin the three-way agreement: for the same tuples, the offline
-analysis, the traversal engine and the interval engine must name exactly
-the same base tuples and exhibit consistent forward/backward views.
-
-The two engines are constructed strictly in sequence (a runtime's per-node
-query handlers belong to whichever engine was constructed last), mirroring
-the differential property harness.
+online, by traversal of the partitioned ``prov``/``ruleExec`` tables.
+These tests pin the agreement: for the same tuples, the offline analysis
+and the traversal must name exactly the same base tuples and exhibit
+consistent forward/backward views, whichever node issues the query.
 """
 
 from __future__ import annotations
@@ -43,49 +39,41 @@ def lineage_tuple_set(result):
     return {(ref.relation,) + tuple(ref.values) for ref in result.value}
 
 
-def query_path_lineages(runtime, targets):
-    """Lineage answers per target from the traversal and interval engines."""
-    traversal = DistributedQueryEngine(runtime, use_interval_index=False)
-    by_traversal = [
-        lineage_tuple_set(traversal.lineage("minCost", values, options=BASELINE))
+def traversal_lineages(runtime, targets):
+    """Lineage answers per target from the distributed traversal."""
+    engine = DistributedQueryEngine(runtime)
+    return [
+        lineage_tuple_set(engine.lineage("minCost", values, options=BASELINE))
         for values in targets
     ]
-    interval = DistributedQueryEngine(runtime, use_interval_index=True)
-    by_interval = [
-        lineage_tuple_set(interval.lineage("minCost", values, options=BASELINE))
-        for values in targets
-    ]
-    return by_traversal, by_interval
 
 
 class TestRootCauseThroughQueryPaths:
-    def test_offline_root_causes_match_both_engines(self, mincost_ring, graph):
+    def test_offline_root_causes_match_the_traversal(self, mincost_ring, graph):
         offline = [
             base_tuple_set(root_causes(graph, "minCost", values)) for values in TARGETS
         ]
-        by_traversal, by_interval = query_path_lineages(mincost_ring, TARGETS)
-        for values, expected, traversed, indexed in zip(
-            TARGETS, offline, by_traversal, by_interval
+        for values, expected, traversed in zip(
+            TARGETS, offline, traversal_lineages(mincost_ring, TARGETS)
         ):
             assert traversed == expected, values
-            assert indexed == expected, values
 
-    def test_remote_coordinator_interval_wave_matches_offline(self, mincost_ring, graph):
-        """Issuing the interval query from a node that is not the tuple's
-        home still reproduces the offline root causes (the wave has to ship
-        the root's home partition an interval request first)."""
+    def test_remote_issuer_matches_offline(self, mincost_ring, graph):
+        """Issuing the query from a node that is not the tuple's home still
+        reproduces the offline root causes (the issuer has to ship the
+        root's home node a request first)."""
         values = TARGETS[0]
         offline = base_tuple_set(root_causes(graph, "minCost", values))
-        interval = DistributedQueryEngine(mincost_ring, use_interval_index=True)
-        answer = interval.lineage("minCost", values, options=BASELINE, at="n3")
+        engine = DistributedQueryEngine(mincost_ring)
+        answer = engine.lineage("minCost", values, options=BASELINE, at="n3")
         assert lineage_tuple_set(answer) == offline
-        assert answer.stats.messages > 0, "a remote coordinator must pay messages"
+        assert answer.stats.messages > 0, "a remote issuer must pay messages"
 
 
 class TestCascadeThroughQueryPaths:
     def test_forward_cascade_is_backward_lineage_inverted(self, mincost_ring, graph):
         """Every minCost tuple the link (transitively) supports must list the
-        link among its base lineage — on both query paths."""
+        link among its base lineage."""
         link = ("link", "n0", "n1", 1.0)
         affected = [
             list(vertex.values)
@@ -93,10 +81,8 @@ class TestCascadeThroughQueryPaths:
             if vertex.relation == "minCost"
         ]
         assert affected, "the link must support at least one minCost tuple"
-        by_traversal, by_interval = query_path_lineages(mincost_ring, affected)
-        for values, traversed, indexed in zip(affected, by_traversal, by_interval):
+        for values, traversed in zip(affected, traversal_lineages(mincost_ring, affected)):
             assert link in traversed, values
-            assert link in indexed, values
         # And a tuple outside the forward cascade must not list the link.
         outside = [
             list(row)
@@ -104,16 +90,14 @@ class TestCascadeThroughQueryPaths:
             if list(row) not in affected
         ][:2]
         if outside:
-            out_traversal, out_interval = query_path_lineages(mincost_ring, outside)
-            for values, traversed, indexed in zip(outside, out_traversal, out_interval):
+            for values, traversed in zip(outside, traversal_lineages(mincost_ring, outside)):
                 assert link not in traversed, values
-                assert link not in indexed, values
 
     def test_actual_link_failure_stays_within_the_predicted_cascade(
         self, mincost_ring, graph
     ):
         """impact_of_link_failure removals are a subset of the potential
-        cascade the provenance graph predicts, and the interval path keeps
+        cascade the provenance graph predicts, and the traversal keeps
         answering correctly across the failure/restore churn."""
         # Links are symmetric: failing n0 <-> n1 retracts both directed base
         # tuples, so the predicted cascade is the union over both directions.
@@ -132,9 +116,8 @@ class TestCascadeThroughQueryPaths:
         assert removed, "failing a ring link must remove derived state"
         assert removed <= predicted, removed - predicted
 
-        # Post-restore, both query paths still agree on the original targets
-        # (the churn exercised the index's incremental maintenance).
-        by_traversal, by_interval = query_path_lineages(mincost_ring, TARGETS)
-        assert by_interval == by_traversal
-        totals = mincost_ring.provenance.interval_totals()
-        assert totals.get("range_scans", 0) > 0
+        # Post-restore, the traversal names the offline root causes of the
+        # original targets again (the churn re-derived their provenance).
+        restored = mincost_ring.provenance.build_graph()
+        for values, traversed in zip(TARGETS, traversal_lineages(mincost_ring, TARGETS)):
+            assert traversed == base_tuple_set(root_causes(restored, "minCost", values)), values

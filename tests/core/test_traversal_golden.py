@@ -86,7 +86,7 @@ def _count_spans(shape: list) -> int:
 class _Recorder:
     def __init__(self, runtime: NetTrailsRuntime) -> None:
         self.runtime = runtime
-        self.engine = DistributedQueryEngine(runtime, use_interval_index=False)
+        self.engine = DistributedQueryEngine(runtime)
         self.engine.register_query(_depth_query())
         self.records: list = []
 

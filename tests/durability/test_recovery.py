@@ -47,7 +47,11 @@ class TestDurableMode:
         records = scan(wal_path(tmp_path)).records
         assert records[0].type == RECORD_INIT
         assert records[0].data["source"] == mincost.SOURCE
-        assert records[0].data["knobs"]["use_interval_index"] is False
+        assert records[0].data["knobs"] == {
+            "default_latency": 0.01,
+            "link_latency": 0.01,
+            "query_cache_capacity": runtime.query_cache_capacity,
+        }
         assert records[1].type == RECORD_BATCH
         assert records[1].data["ops"] == [["seed_links", "link", True, True]]
         runtime.close()
@@ -314,6 +318,26 @@ class TestRecordedKnobs:
         ) == expected
         recovered.close()
 
+    def test_override_replaces_a_recorded_knob(
+        self, tmp_path, store_snapshots, provenance_fingerprint
+    ):
+        """A keyword override wins over the knob the init record holds, and
+        one that cannot touch replayed state leaves it bit-identical."""
+        runtime = durable_runtime(tmp_path)
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        expected = (store_snapshots(runtime), provenance_fingerprint(runtime))
+        recorded = runtime.query_cache_capacity
+        runtime.close()
+        assert scan(wal_path(tmp_path)).records[0].data["knobs"]["query_cache_capacity"] == recorded
+
+        result = RecoveryManager(tmp_path).recover(
+            mode="genesis", attach=False, query_cache_capacity=7
+        )
+        assert result.runtime.query_cache_capacity == 7 != recorded
+        assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
+        result.runtime.close()
+
     def test_unknown_recorded_knob_raises_durability_error(self, tmp_path):
         durable_runtime(tmp_path).close()
         rewrite_init_knobs(tmp_path, warp_factor=9)
@@ -332,6 +356,8 @@ class TestRecordedKnobs:
             ("batch_deltas", False),
             ("aggregate_retract_first", False),
             ("aggregate_retract_first", True),
+            ("use_interval_index", False),
+            ("use_interval_index", True),
         ],
         ids=[
             "num_shards",
@@ -343,6 +369,8 @@ class TestRecordedKnobs:
             "batch_deltas-False",
             "aggregate_retract_first-False",
             "aggregate_retract_first-True",
+            "use_interval_index-False",
+            "use_interval_index-True",
         ],
     )
     def test_each_retired_knob_is_dropped_alone(
@@ -361,15 +389,17 @@ class TestRecordedKnobs:
         assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
         result.runtime.close()
 
-    @pytest.mark.parametrize("knob", ["aggregate_retract_first", "batch_deltas"])
+    @pytest.mark.parametrize("knob", ["aggregate_retract_first", "batch_deltas", "use_interval_index"])
     def test_wal_written_with_a_retired_knob_recovers_its_run(
         self, tmp_path, knob, store_snapshots, provenance_fingerprint
     ):
         """Each fixture WAL was written by the last version that had *knob*,
         with the knob at its non-default value: MINCOST on a ring with link
         flaps for ``batch_deltas=False``, E10's disconnecting cascade for
-        ``aggregate_retract_first=True``.  Genesis recovery drops the knob
-        and reaches the state and provenance that run reached."""
+        ``aggregate_retract_first=True``, and MINCOST on a ring with one link
+        flap and lineage queries between the windows for
+        ``use_interval_index=True``.  Genesis recovery drops the knob and
+        reaches the state and provenance that run reached."""
         expected = json.loads((RETIRED_KNOB_WALS / "expected.json").read_text())[knob]
         shutil.copy(RETIRED_KNOB_WALS / knob / "wal.log", wal_path(tmp_path))
         assert scan(wal_path(tmp_path)).records[0].data["knobs"][knob] == expected["knobs"][knob]

@@ -1,9 +1,8 @@
 """One parameterized parity suite for every ``NETTRAILS_*`` environment hook.
 
-The engine exposes four construction-time knobs through the environment —
-``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_INTERVAL_INDEX``,
-``NETTRAILS_OBSERVABILITY`` and ``NETTRAILS_DURABLE_DIR`` — and they all
-promise the same contract:
+The engine exposes three construction-time knobs through the environment —
+``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_OBSERVABILITY`` and
+``NETTRAILS_DURABLE_DIR`` — and they all promise the same contract:
 
 * unset or empty/whitespace value ⇒ the built-in default, silently;
 * a well-formed value ⇒ applied to every runtime built afterwards;
@@ -25,7 +24,6 @@ from repro.engine import topology
 from repro.engine.runtime import (
     CACHE_CAPACITY_ENV_VAR,
     DURABLE_DIR_ENV_VAR,
-    INTERVAL_INDEX_ENV_VAR,
     OBSERVABILITY_ENV_VAR,
     NetTrailsRuntime,
 )
@@ -47,13 +45,6 @@ HOOKS = {
         "default": None,
         "malformed": ["many", "-3", "1.5"],
     },
-    INTERVAL_INDEX_ENV_VAR: {
-        "valid": "yes",
-        "observe": lambda runtime: runtime.use_interval_index,
-        "expect": True,
-        "default": False,
-        "malformed": ["maybe", "2"],
-    },
     OBSERVABILITY_ENV_VAR: {
         "valid": "on",
         "observe": lambda runtime: runtime.obs is not None,
@@ -74,7 +65,6 @@ def clean_hooks(monkeypatch):
     """Every test starts with no NETTRAILS_* hooks exported."""
     for var in (
         CACHE_CAPACITY_ENV_VAR,
-        INTERVAL_INDEX_ENV_VAR,
         OBSERVABILITY_ENV_VAR,
         DURABLE_DIR_ENV_VAR,
     ):
@@ -105,15 +95,12 @@ class TestHookParity:
 
     def test_explicit_argument_beats_hook(self, monkeypatch):
         monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
-        monkeypatch.setenv(INTERVAL_INDEX_ENV_VAR, "1")
         monkeypatch.setenv(OBSERVABILITY_ENV_VAR, "1")
         with build_runtime(
             query_cache_capacity=5,
-            use_interval_index=False,
             observability=False,
         ) as runtime:
             assert runtime.query_cache_capacity == 5
-            assert runtime.use_interval_index is False
             assert runtime.obs is None
 
 

@@ -114,8 +114,9 @@ class TestNodeBehaviour:
 
 
 #: Knobs that once selected a hash-sharded or columnar store, an execution
-#: backend, an emulated in-drain commit stall, the per-delta runtime or the
-#: retract-first aggregate ordering, with a value each accepted back then.
+#: backend, an emulated in-drain commit stall, the per-delta runtime, the
+#: retract-first aggregate ordering or the interval-indexed query path, with
+#: a value each accepted back then.
 RETIRED_KNOBS = {
     "num_shards": 2,
     "shard_workers": 2,
@@ -125,15 +126,17 @@ RETIRED_KNOBS = {
     "batch_commit_stall_s": 0.001,
     "batch_deltas": False,
     "aggregate_retract_first": True,
+    "use_interval_index": True,
 }
 
 
 class TestRetiredKnobs:
     """Every node holds one dict store driven by one join path, one event
     loop runs every node, deltas are always evaluated in batches, and an
-    aggregate's new head always precedes the old one's retraction.  The
-    knobs that used to pick another store or another execution strategy are
-    gone, so passing one is an error rather than a silently ignored
+    aggregate's new head always precedes the old one's retraction, and
+    every provenance query is answered by traversal.  The knobs that used to
+    pick another store, another execution strategy or another query path
+    are gone, so passing one is an error rather than a silently ignored
     setting."""
 
     @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))

@@ -163,27 +163,22 @@ class TestQueryTraces:
                 shapes.append(shape(tree))
         assert shapes[0] == shapes[1]
 
-    def test_interval_batch_records_partition_spans(self):
-        with build_runtime(use_interval_index=True) as runtime:
+    def test_each_remote_query_is_one_single_rooted_trace(self):
+        """A query issued away from its tuple's home ships the root's trace
+        context in its request, so the home node's frames parent to that
+        query's root span; each ``query()`` call is its own trace."""
+        with build_runtime() as runtime:
             runtime.seed_links(run=True)
             engine = DistributedQueryEngine(runtime)
-            rows = sorted(runtime.state("minCost"), key=repr)[:2]
-            results = engine.query_batch(
-                "minCost", [list(row) for row in rows], mode="lineage"
-            )
-            assert len(results) == 2
-            tracer = runtime.obs.tracer
-            roots = tracer.finished_spans(name="query")
-            assert roots[-1].attrs["n_roots"] == 2
-            tree = tracer.span_tree(roots[-1].trace_id)
-            partitions = [
-                child
-                for child in tree["children"]
-                if child["name"] == "interval.partition"
-            ]
-            assert partitions and all(
-                child["attrs"]["targets"] >= 1 for child in partitions
-            )
+            rows = [row for row in sorted(runtime.state("minCost"), key=repr) if row[0] != "n3"][:2]
+            results = [engine.query("minCost", list(row), mode="lineage", at="n3") for row in rows]
+            roots = runtime.obs.tracer.finished_spans(name="query")[-2:]
+            assert [root.attrs["n_roots"] for root in roots] == [1, 1]
+            assert len({root.trace_id for root in roots}) == 2
+            for row, root, result in zip(rows, roots, results):
+                assert root.attrs["messages"] == result.stats.messages > 0
+                tree = runtime.obs.tracer.span_tree(root.trace_id)
+                assert [child["node"] for child in tree["children"]] == [repr(row[0])]
 
 
 class TestServiceFlightDump:

@@ -1,6 +1,6 @@
 """Seeded random-churn scripts shared by the property equivalence suites.
 
-The fresh-run, interval-index and query-cache suites all replay the same
+The fresh-run and query-cache suites all replay the same
 deterministic churn traces (link removals, re-adds, brand-new links and link
 flaps) over star, ring and small AS-level topologies, and compare runtimes
 after every step.  This module binds seeds to those traces.

@@ -36,9 +36,7 @@ docs/architecture.md, "Durability & recovery").
 Seeding matches the other property harnesses: fixed ``SEEDS`` plus an
 optional ``NETTRAILS_CHURN_SEED`` from the environment (the CI
 property-recovery job's random leg draws one, prints it, and exports it);
-the seed appears in every parametrize id and assertion message.  The
-interval-index axis arrives through ``NETTRAILS_INTERVAL_INDEX``, exactly as
-for the other property matrices.
+the seed appears in every parametrize id and assertion message.
 """
 
 from __future__ import annotations
