@@ -60,7 +60,7 @@ def main() -> None:
     # A compromised node quietly drops one of its rule-execution records.
     victim_store = runtime.provenance.store("n2")
     dropped_rid = victim_store.rule_execs()[0].rid
-    victim_store.remove_rule_exec(dropped_rid)
+    victim_store.firings.remove(dropped_rid, victim_store.firings.heads[dropped_rid])
     print("Node n2 silently dropped one ruleExec record...")
 
     reports = authenticator.verify_engine(runtime.provenance, attestations)

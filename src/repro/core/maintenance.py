@@ -14,9 +14,19 @@ the nodes of the system, exactly as in ExSPAN / the paper:
 
 A derivation has one identity in both tables and in the execution engine:
 the RID.  The evaluator computes it once, when the rule fires, through
-:meth:`ProvenanceEngine.derivation_id`; it is the ``ruleExec`` key here,
-the derivation id in the head node's tuple store, and, shipped as
+:meth:`ProvenanceEngine.derivation_id`; it is the ``ruleExec`` key, the
+derivation id in the head node's tuple store, and, shipped as
 ``TupleDelta(sign, fact, RID, RLoc)``, the receiver's ``prov`` row as is.
+
+A derivation is also stored once.  The ``ruleExec`` partition of a node is
+not a table of its own: it is the node evaluator's
+:class:`~repro.engine.evaluator.Firings`, the RID-keyed record of every live
+firing there (rule name, head fact, body facts), which the evaluator keeps
+anyway to retract firings.  :class:`NodeProvenanceStore` reads it in place
+and derives a row's ``ChildVIDs`` from the body facts when asked.  A RID
+can name two live heads (an aggregate whose contributing facts serve two
+groups, one maybe-rule body explaining two outputs); its row lives until
+the last of them is retracted.
 
 The engine is *incremental*: entries are added when the execution engine
 reports a rule firing / derivation and removed when the corresponding
@@ -39,33 +49,31 @@ for where it reads them, not on every event: a mutation only marks the
 directly-affected vertex as a pending root, and one upward walk over all
 pending roots (:meth:`ProvenanceEngine.flush_reachability`) runs at the end
 of each quiescence window or before a read of the versions.  The walk
-follows the support index (``child vid -> consuming rule execs -> head
-vids``, hopping partitions through each rule execution's recorded head
-location), so an unrelated delta leaves unrelated vertices' versions — and
-their cached query results — untouched.  Walking the *current* index is
-sound because every added or removed ``ruleExec`` edge marks its own head; a
-version counts the windows (or mid-window reads) that changed the subgraph.
+follows the firings' consumer index (``child fact -> consuming RIDs -> head
+facts``, hopping partitions to each head's home node), so an unrelated delta
+leaves unrelated vertices' versions — and their cached query results —
+untouched.  Walking the *current* index is sound because every added or
+removed ``ruleExec`` edge marks its own head; a version counts the windows
+(or mid-window reads) that changed the subgraph.
 
-Stored rows are plain tuples of strings and node ids, never objects: a
-``prov`` row is ``(rid, rloc)`` under its vid and a ``ruleExec`` row is
-``(rid, rule_name, program_name, child_vids, head_vid, head_location)``.
-An exact tuple whose members are all atoms is untracked by CPython's cyclic
-garbage collector, so the tables (hundreds of thousands of rows at scale)
-add nothing to the heap a full collection has to scan.  For the same reason
-the one-member common case of the consumer index is a bare rid string that
-becomes a ``set`` only at the second consumer, and a string again when it
-drops back to one.  ``tests/core/test_gc_footprint.py`` pins both.
+A stored ``prov`` row is a plain tuple ``(rid, rloc)`` under its vid, never
+an object: an exact tuple whose members are all atoms is untracked by
+CPython's cyclic garbage collector, so the table (hundreds of thousands of
+rows at scale) adds nothing to the heap a full collection has to scan.
+``tests/core/test_gc_footprint.py`` pins it, and the shapes of the firings
+record.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProvenanceError, UnknownVertexError
+from repro.engine.catalog import Catalog
 from repro.engine.compiler import CompiledProgram
-from repro.engine.evaluator import DerivationEffect
+from repro.engine.evaluator import DerivationEffect, Firings
 from repro.engine.tuples import Fact
 from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
 from repro.core.keys import BASE_RID, rid_for, vid_for
@@ -75,24 +83,11 @@ from repro.core.keys import BASE_RID, rid_for, vid_for
 #: the key it is stored under, ``@Loc`` the store's node).
 ProvRow = Tuple[str, object]
 
-#: A stored ``ruleExec`` row: ``(rid, rule_name, program_name, child_vids,
-#: head_vid, head_location)`` (``@RLoc`` is the store's node).  Only this
-#: module reads it; everyone else goes through :class:`RuleExecEntry`.
-RuleExecRow = Tuple[str, str, str, Tuple[str, ...], str, object]
-
-#: Positions in a stored ``ruleExec`` row read by the reachability walk and
-#: the version sweep.
-_EXEC_CHILD_VIDS = 3
-_EXEC_HEAD_VID = 4
-_EXEC_HEAD_LOCATION = 5
-
-
 class RuleExecEntry(NamedTuple):
-    """A read-only view of one ``ruleExec`` row (``@RLoc`` is the store's node).
+    """A read-only view of one head of a ``ruleExec`` row (``@RLoc`` is the store's node).
 
-    Built on demand from the stored plain tuple, which has the same fields in
-    the same order; the store never keeps a view, since a ``NamedTuple``
-    instance stays tracked by the cyclic garbage collector.
+    Built on demand from the node's firing record; the store never keeps
+    one.
     """
 
     rid: str
@@ -111,11 +106,13 @@ def _prov_order(row: ProvRow) -> Tuple[str, str]:
 class NodeProvenanceStore:
     """The partition of the provenance tables stored at one node.
 
-    When the store belongs to a :class:`ProvenanceEngine` (*engine* is set),
-    every mutation additionally marks the directly-affected vertex — the
-    tuple whose derivations changed, or the head tuple of an added/removed
-    rule execution — as a pending root of the engine's next reachability
-    walk; standalone stores skip that bookkeeping entirely.
+    The ``prov`` rows are stored here; the ``ruleExec`` rows are read from
+    :attr:`firings`, the node evaluator's record of its live firings (an
+    empty record for a store with no node).  When the store belongs to a
+    :class:`ProvenanceEngine` (*engine* is set), every ``prov`` mutation
+    additionally marks the tuple whose derivations changed as a pending root
+    of the engine's next reachability walk; standalone stores skip that
+    bookkeeping entirely.
     """
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
@@ -124,21 +121,15 @@ class NodeProvenanceStore:
         #: vid -> the tuple's prov rows, in :func:`_prov_order` (derivations
         #: of the tuple stored here)
         self._prov: Dict[str, Tuple[ProvRow, ...]] = {}
-        #: rid -> ruleExec row for rules that fired here
-        self._rule_execs: Dict[str, RuleExecRow] = {}
+        #: the live firings at this node, the ``ruleExec`` partition: empty
+        #: until :meth:`ProvenanceEngine.attach` hands over the node's record
+        self.firings = Firings("", Catalog().location_of)
         #: vid -> tuple descriptor for tuples this node has seen locally
         self._tuple_info: Dict[str, Tuple[str, Tuple[object, ...]]] = {}
-        #: child vid -> the rid of the one local rule exec that consumed it,
-        #: or the set of rids once there are two or more
-        self._uses: Dict[str, Union[str, Set[str]]] = {}
         #: bumped on every mutation; used by the query cache for invalidation
         self.version = 0
         self._bumps_suspended = 0
         self._pending_bump = False
-        # Guards _rule_execs/_uses and the engine's pending-root marks against
-        # its cross-partition reachability walk; standalone stores get a
-        # private lock.
-        self._exec_lock = engine._graph_lock if engine is not None else threading.Lock()
 
     # -- mutation -----------------------------------------------------------------
 
@@ -149,19 +140,6 @@ class NodeProvenanceStore:
         self.version += 1
         if self._engine is not None:
             self._engine._note_store_bump()
-
-    def _mark_dirty(self, home: object, vid: str) -> None:
-        """Mark ``(home, vid)`` as a root of the engine's next reachability walk.
-
-        Caller holds ``_exec_lock``, as the walk does: a ``ruleExec`` edge
-        change and its mark share one critical section, so a concurrent walk
-        sees both or neither and never loses a mark.  Callers mark *before*
-        advancing the store version, and every read of a vid version walks
-        the pending roots first, so the cache sweep's "vid versions moved
-        only if the global clock did" holds: new clock seen, bumps seen.
-        """
-        if self._engine is not None:
-            self._engine._pending_roots.add((home, vid))
 
     @contextmanager
     def batched(self) -> Iterator["NodeProvenanceStore"]:
@@ -189,20 +167,20 @@ class NodeProvenanceStore:
             self._tuple_info[vid] = (fact.relation, fact.values)
         return vid
 
-    def add_prov(self, vid: str, rid: str, rloc: object) -> None:
-        """Record the prov row ``(vid, rid, rloc)`` (idempotent)."""
+    def add_prov(self, fact: Fact, rid: str, rloc: object) -> None:
+        """Record the prov row ``(vid of fact, rid, rloc)`` (idempotent)."""
+        vid = self.record_tuple(fact)
         row = (rid, rloc)
         rows = self._prov.get(vid)
         if rows is None:
             self._prov[vid] = (row,)
         elif row not in rows:
             self._prov[vid] = tuple(sorted(rows + (row,), key=_prov_order))
-        with self._exec_lock:
-            self._mark_dirty(self.node_id, vid)
-        self._bump()
+        self._mark_and_bump(vid, fact)
 
-    def remove_prov(self, vid: str, rid: str, rloc: object) -> None:
-        """Remove the prov row ``(vid, rid, rloc)``; an absent row is a no-op."""
+    def remove_prov(self, fact: Fact, rid: str, rloc: object) -> None:
+        """Remove the prov row ``(vid of fact, rid, rloc)``; an absent row is a no-op."""
+        vid = vid_for(fact)
         rows = self._prov.get(vid)
         if rows is None:
             return
@@ -212,53 +190,22 @@ class NodeProvenanceStore:
                 del self._prov[vid]
             else:
                 self._prov[vid] = tuple([kept for kept in rows if kept != row])
-        with self._exec_lock:
-            self._mark_dirty(self.node_id, vid)
-        self._bump()
+        self._mark_and_bump(vid, fact)
 
-    def add_rule_exec(
-        self,
-        rid: str,
-        rule_name: str,
-        program_name: str,
-        child_vids: Tuple[str, ...],
-        head_vid: str,
-        head_location: object,
-    ) -> None:
-        """Record the ``ruleExec`` row of one firing at this node."""
-        uses = self._uses
-        with self._exec_lock:
-            self._rule_execs[rid] = (rid, rule_name, program_name, child_vids, head_vid, head_location)
-            for child in child_vids:
-                consumers = uses.get(child)
-                if consumers is None:
-                    uses[child] = rid
-                elif type(consumers) is str:
-                    if consumers != rid:
-                        uses[child] = {consumers, rid}
-                else:
-                    consumers.add(rid)
-            self._mark_dirty(head_location, head_vid)
-        self._bump()
+    def _mark_and_bump(self, vid: str, fact: Fact) -> None:
+        """Mark *fact* (with its *vid*) here as a root of the engine's next walk, then bump.
 
-    def remove_rule_exec(self, rid: str) -> None:
-        uses = self._uses
-        with self._exec_lock:
-            row = self._rule_execs.pop(rid, None)
-            if row is None:
-                return
-            for child in row[_EXEC_CHILD_VIDS]:
-                consumers = uses.get(child)
-                if consumers is None:
-                    continue
-                if type(consumers) is str:
-                    if consumers == rid:
-                        del uses[child]
-                    continue
-                consumers.discard(rid)
-                if len(consumers) == 1:
-                    (uses[child],) = consumers
-            self._mark_dirty(row[_EXEC_HEAD_LOCATION], row[_EXEC_HEAD_VID])
+        The mark is made under the lock the walk holds, so a concurrent walk
+        never loses it between its snapshot of the roots and its clearing of
+        them.  Marking comes first, and every read of a vid version walks the
+        pending roots before reading, so the cache sweep's "vid versions
+        moved only if the global clock did" holds: new clock seen, bumps
+        seen.
+        """
+        engine = self._engine
+        if engine is not None:
+            with engine._graph_lock:
+                engine._pending_roots[vid] = (self.node_id, fact)
         self._bump()
 
     # -- queries ------------------------------------------------------------------
@@ -268,24 +215,36 @@ class NodeProvenanceStore:
         return self._prov.get(vid, ())
 
     def rule_exec(self, rid: str) -> RuleExecEntry:
-        """The ``ruleExec`` row of *rid*."""
-        return RuleExecEntry._make(self._rule_exec_row(rid))
-
-    def _rule_exec_row(self, rid: str) -> RuleExecRow:
-        row = self._rule_execs.get(rid)
-        if row is None:
+        """The ``ruleExec`` row of *rid* (its first head in ``repr`` order)."""
+        heads = self.firings.heads_of(rid)
+        if not heads:
             raise UnknownVertexError(
                 f"rule execution {rid!r} is not recorded at node {self.node_id!r}"
             )
-        return row
+        return self._entry(rid, heads[0])
 
-    def find_rule_exec(self, rid: str) -> Optional[RuleExecRow]:
-        """The stored ``ruleExec`` row of *rid* (fields in :class:`RuleExecEntry`
-        order) or ``None``: one lookup and no view, for the query traversal."""
-        return self._rule_execs.get(rid)
+    def _entry(self, rid: str, head: Fact) -> RuleExecEntry:
+        firings = self.firings
+        return RuleExecEntry(
+            rid,
+            firings.rules[rid],
+            firings.program_name,
+            tuple([vid_for(fact) for fact in firings.bodies[rid]]),
+            vid_for(head),
+            firings.location_of(head),
+        )
+
+    def find_rule_exec(self, rid: str) -> Optional[Tuple[str, str, Tuple[str, ...]]]:
+        """``(rule_name, program_name, child_vids)`` of *rid*, or ``None``:
+        one lookup and no view, for the query traversal."""
+        firings = self.firings
+        rule_name = firings.rules.get(rid)
+        if rule_name is None:
+            return None
+        return (rule_name, firings.program_name, tuple([vid_for(fact) for fact in firings.bodies[rid]]))
 
     def has_rule_exec(self, rid: str) -> bool:
-        return rid in self._rule_execs
+        return rid in self.firings.rules
 
     def tuple_info(self, vid: str) -> Tuple[str, Tuple[object, ...]]:
         if vid not in self._tuple_info:
@@ -299,18 +258,16 @@ class NodeProvenanceStore:
         """``(relation, values)`` of tuple *vid*, or ``None`` if it is not known here."""
         return self._tuple_info.get(vid)
 
-    def uses_of(self, vid: str) -> List[str]:
-        """RIDs of local rule executions that consumed tuple *vid*, sorted."""
-        consumers = self._uses.get(vid)
-        if consumers is None:
-            return []
-        if type(consumers) is str:
-            return [consumers]
-        return sorted(consumers)
-
     def rule_execs(self) -> List[RuleExecEntry]:
-        """Every ``ruleExec`` row (see :meth:`rule_exec`), sorted by rid."""
-        return [RuleExecEntry._make(self._rule_execs[rid]) for rid in sorted(self._rule_execs)]
+        """One entry per head of every ``ruleExec`` row (see :meth:`rule_exec`),
+        sorted by rid and then head vid."""
+        entries = [
+            self._entry(rid, head)
+            for rid in self.firings.rules
+            for head in self.firings.heads_of(rid)
+        ]
+        entries.sort(key=lambda entry: (entry.rid, entry.head_vid))
+        return entries
 
     def prov_table(self) -> List[Tuple[object, ...]]:
         """The full local ``prov`` relation as rows ``(Loc, VID, RID, RLoc)``."""
@@ -325,20 +282,26 @@ class NodeProvenanceStore:
         """The full local ``ruleExec`` relation as rows ``(RLoc, RID, Rule, Program, ChildVIDs)``."""
         location = self.node_id
         return [
-            (location, entry.rid, entry.rule_name, entry.program_name, entry.child_vids)
-            for entry in self.rule_execs()
+            (location, rid) + self.find_rule_exec(rid)
+            for rid in sorted(self.firings.rules)
         ]
 
     def content_key(self) -> Tuple[object, ...]:
         """An exact key of this partition's ``prov``, ``ruleExec`` and tuple tables.
 
-        Shallow copies of the ``prov`` and ``ruleExec`` maps (their values
-        are immutable tuples) plus the size of the tuple map, which only
+        A shallow copy of the ``prov`` map (its values are immutable), each
+        live RID's head vid(s), and the size of the tuple map, which only
         ever grows and never rebinds a vid: equal keys mean equal tables.
-        Unlike :attr:`version`, the key is unchanged by a row that is
-        removed and re-added.
+        A RID names its rule and body facts, so with its heads it covers
+        the whole ``ruleExec`` row.  The key holds strings only, so a kept
+        key keeps no retracted fact alive.  Unlike :attr:`version`, the key
+        is unchanged by a row that is removed and re-added.
         """
-        return (dict(self._prov), dict(self._rule_execs), len(self._tuple_info))
+        heads = {
+            rid: vid_for(head) if type(head) is not frozenset else tuple(sorted(map(vid_for, head)))
+            for rid, head in self.firings.heads.items()
+        }
+        return (dict(self._prov), heads, len(self._tuple_info))
 
     @property
     def prov_count(self) -> int:
@@ -346,14 +309,15 @@ class NodeProvenanceStore:
 
     @property
     def rule_exec_count(self) -> int:
-        return len(self._rule_execs)
+        return len(self.firings.rules)
 
 
 class ProvenanceEngine:
     """The system-wide (but per-node partitioned) provenance maintenance engine.
 
     Each :class:`repro.engine.node.Node` takes its evaluator's derivation-id
-    function, :meth:`derivation_id`, and calls the engine once per drain:
+    function, :meth:`derivation_id`, hands the engine its evaluator's
+    firings record (:meth:`attach`), and calls the engine once per drain:
 
     * :meth:`apply_rule_exec_batch` at the node where rules fired (or
       firings were retracted);
@@ -372,11 +336,11 @@ class ProvenanceEngine:
         self._registry_lock = threading.Lock()
         # Guards the cross-partition reachability metadata, which per-node
         # event serialization does not cover: the per-VID version map, the
-        # pending roots, the memoized global version counter, and the
-        # _rule_execs/_uses maps while the upward walk reads them.
+        # pending roots and the memoized global version counter.
         self._graph_lock = threading.Lock()
-        #: ``(home location, vid)`` roots marked since the last walk.
-        self._pending_roots: Set[Tuple[object, str]] = set()
+        #: vid -> ``(home location, fact)`` of the roots marked since the
+        #: last walk.
+        self._pending_roots: Dict[str, Tuple[object, Fact]] = {}
         self._reachability_flushes = 0
         self._reachability_visited = 0
         #: vid -> reachability version; bumped (under _graph_lock) by the
@@ -424,6 +388,10 @@ class ProvenanceEngine:
                     self._stores[node_id] = store
         return store
 
+    def attach(self, node_id: object, firings: Firings) -> None:
+        """Make *firings*, a node evaluator's record, the node's ``ruleExec`` partition."""
+        self.store(node_id).firings = firings
+
     def node_ids(self) -> List[object]:
         with self._registry_lock:
             known = list(self._stores)
@@ -436,8 +404,8 @@ class ProvenanceEngine:
         """The derivation id of a firing: its RID.
 
         Every node's evaluator calls it once per firing and keeps the result;
-        the same string is then the ``ruleExec`` key here, the derivation id
-        in the head node's store and the RID of the head's ``prov`` row, so
+        the same string is then the ``ruleExec`` key, the derivation id in
+        the head node's store and the RID of the head's ``prov`` row, so
         neither a retraction nor a receiver ever hashes again.
         """
         return rid_for(rule_name, exec_node, tuple([vid_for(fact) for fact in body_facts]))
@@ -463,33 +431,25 @@ class ProvenanceEngine:
                 if rloc is None:
                     rid, rloc = BASE_RID, node_id
                 if sign > 0:
-                    store.add_prov(store.record_tuple(fact), rid, rloc)
+                    store.add_prov(fact, rid, rloc)
                 else:
-                    store.remove_prov(vid_for(fact), rid, rloc)
+                    store.remove_prov(fact, rid, rloc)
         self._count_events(len(ops))
 
     def apply_rule_exec_batch(self, exec_node: object, effects: Sequence[DerivationEffect]) -> None:
-        """Record/remove a batch of rule executions with one version bump.
+        """Note a batch of rule executions added or removed at *exec_node*.
 
-        An effect's firing id is its RID (:meth:`derivation_id`): a firing
-        records the ``ruleExec`` row under it, a retraction removes that row.
+        The rows themselves are the node's firings record, which the
+        evaluator (or :meth:`repro.engine.node.Node.apply_external_derivation`)
+        has already updated: this marks every effect's head as a root of the
+        next reachability walk, then bumps the partition's version once.
         """
         if not effects:
             return
-        store = self.store(exec_node)
-        with store.batched():
-            for effect in effects:
-                if effect.sign > 0:
-                    store.add_rule_exec(
-                        effect.firing_id,
-                        effect.rule_name,
-                        effect.program_name,
-                        tuple([store.record_tuple(fact) for fact in effect.body_facts]),
-                        vid_for(effect.head_fact),
-                        effect.head_location,
-                    )
-                else:
-                    store.remove_rule_exec(effect.firing_id)
+        roots = {vid_for(effect.head_fact): (effect.head_location, effect.head_fact) for effect in effects}
+        with self._graph_lock:  # see NodeProvenanceStore._mark_and_bump
+            self._pending_roots.update(roots)
+        self.store(exec_node)._bump()
         self._count_events(len(effects))
 
     # -- per-VID reachability versions ----------------------------------------------------
@@ -503,9 +463,9 @@ class ProvenanceEngine:
         """Bump the reachability version of every ancestor of the pending roots.
 
         A change to a vertex's subgraph is a change to every ancestor's too,
-        so the walk follows the support index upward from the marked
-        vertices — local consuming rule executions, then their head tuples
-        at the heads' recorded home partitions — bumping each visited vertex
+        so the walk follows the firings' consumer index upward from the
+        marked vertices — local consuming rule executions, then their head
+        tuples at the heads' home partitions — bumping each visited vertex
         exactly once, whatever the order; the visited set handles cyclic
         support (possible mid-retraction).  With nothing pending this is a
         truthiness check; the roots are cleared only after the walk, so a
@@ -518,9 +478,10 @@ class ProvenanceEngine:
             versions = self._vid_versions
             epoch = self._rebirth_epoch
             seen: Set[str] = set()
-            stack = list(roots)  # empty if another thread walked them meanwhile
+            # empty if another thread walked them meanwhile
+            stack = [(home, fact, vid) for vid, (home, fact) in roots.items()]
             while stack:
-                home, vid = stack.pop()
+                home, fact, vid = stack.pop()
                 if vid in seen:
                     continue
                 seen.add(vid)
@@ -528,14 +489,19 @@ class ProvenanceEngine:
                 store = self._stores.get(home)
                 if store is None:
                     continue
-                consumers = store._uses.get(vid)
+                firings = store.firings
+                consumers = firings.consumers.get(fact)
                 if consumers is None:
                     continue
-                rule_execs = store._rule_execs
+                location_of = firings.location_of
                 for rid in (consumers,) if type(consumers) is str else consumers:
-                    row = rule_execs.get(rid)
-                    if row is not None:
-                        stack.append((row[_EXEC_HEAD_LOCATION], row[_EXEC_HEAD_VID]))
+                    heads = firings.heads.get(rid)
+                    if heads is None:
+                        continue
+                    for head in heads if type(heads) is frozenset else (heads,):
+                        head_vid = vid_for(head)
+                        if head_vid not in seen:
+                            stack.append((location_of(head), head, head_vid))
             if not seen:
                 return
             roots.clear()
@@ -549,18 +515,23 @@ class ProvenanceEngine:
     def _sweep_vid_versions(self) -> None:
         """Prune version counters of dead vids, folding them into the epoch.
 
-        Caller holds ``_graph_lock``.  Liveness is judged only from state
-        that same lock guards (the per-store ``_uses`` keys and live rule
-        executions' head vids) — deliberately *not* from the unlocked
-        ``_prov`` / ``_tuple_info`` maps, which concurrent node events may
-        be mutating.  That makes the live set an under-approximation (a
-        base tuple nothing consumes yet counts as dead), which is sound:
-        pruning such a vid merely downgrades cache validation to a miss.
+        Caller holds ``_graph_lock``.  Liveness is judged only from the
+        firings records the walk reads (facts some live firing consumes, and
+        live firings' heads) — deliberately *not* from the ``_prov`` /
+        ``_tuple_info`` maps.  That makes the live set an
+        under-approximation (a base tuple nothing consumes yet counts as
+        dead), which is sound: pruning such a vid merely downgrades cache
+        validation to a miss.
         """
         live: Set[str] = set()
         for store in self._stores.values():
-            live.update(store._uses)
-            live.update([row[_EXEC_HEAD_VID] for row in store._rule_execs.values()])
+            firings = store.firings
+            live.update([vid_for(fact) for fact in firings.consumers])
+            for heads in firings.heads.values():
+                if type(heads) is frozenset:
+                    live.update([vid_for(head) for head in heads])
+                else:
+                    live.add(vid_for(heads))
         dead = [vid for vid in self._vid_versions if vid not in live]
         for vid in dead:
             self._rebirth_epoch = max(self._rebirth_epoch, self._vid_versions.pop(vid))

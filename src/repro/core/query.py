@@ -500,7 +500,7 @@ class QueryAgent:
             frame.truncated = True
             frame.ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self._node_id)
         else:
-            _rid, rule_name, program_name, child_vids, _head_vid, _head_location = row
+            rule_name, program_name, child_vids = row
             frame.ref = ExecRef(
                 rid=rid, rule_name=rule_name, program_name=program_name, location=self._node_id
             )

@@ -16,7 +16,7 @@ this package gives the reproduction that production shape:
   lock-arbitrated, query-serving wrapper that concurrent clients query.
 
 Durable mode is switched on per-runtime via
-``NetTrailsRuntime(durable_dir=...)`` / the ``NETTRAILS_DURABLE_DIR`` hook;
+``NetTrailsRuntime(durable_dir=...)``;
 ``tests/property/test_property_recovery.py`` is the crash-injection
 differential oracle pinning the recovery guarantees.
 """

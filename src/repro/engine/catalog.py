@@ -99,8 +99,14 @@ class Catalog:
         return Schema(relation=relation, arity=arity, location_index=0)
 
     def location_of(self, fact: Fact) -> object:
-        """Return the node identifier that *fact* is located at."""
-        return self.schema_or_default(fact.relation, fact.arity).location_of(fact)
+        """Return the node identifier that *fact* is located at.
+
+        :meth:`schema_or_default` inlined, without building a default
+        schema (which locates a fact at attribute 0): every firing and every
+        step of the provenance reachability walk asks.
+        """
+        schema = self._schemas.get(fact.relation)
+        return fact.values[0] if schema is None else schema.location_of(fact)
 
     def key_of(self, fact: Fact) -> Optional[tuple]:
         """Return the primary-key projection of *fact*, or None when keyless."""

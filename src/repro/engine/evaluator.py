@@ -20,8 +20,9 @@ implements:
   each (rule, delta position) join once over the whole delta set and defers
   aggregate recomputation so each touched group is recomputed exactly once
   per batch,
-* derivation tracking (one firing record per distinct rule firing), which
-  both drives incremental deletion and feeds the provenance engine,
+* derivation tracking: every live firing is recorded once, in the node's
+  :class:`Firings`, which drives incremental deletion and is the node's
+  ``ruleExec`` partition for the provenance engine,
 * aggregates (``min``/``max``/``count``/``sum``/``avg``) maintained per
   group; when the aggregate value changes the replacement head is emitted
   before the retraction of the old one, and
@@ -42,7 +43,7 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ndlog.ast import Aggregate, Rule
@@ -58,15 +59,15 @@ class DerivationEffect:
 
     ``firing_id`` identifies the derivation.  It is made once, when the rule
     fires, by :meth:`LocalEvaluator.derivation_id` (the firing's RID when the
-    runtime keeps provenance), and the same string is the ``ruleExec`` key
-    at the executing node, the derivation id in the head node's store and
-    the RID of the head's ``prov`` row.
+    runtime keeps provenance), and the same string is the key of the
+    firing's record in :class:`Firings` (the ``ruleExec`` row at the
+    executing node), the derivation id in the head node's store and the RID
+    of the head's ``prov`` row.
     """
 
     sign: int
     firing_id: str
     rule_name: str
-    program_name: str
     head_fact: Fact
     head_location: object
     body_facts: Tuple[Fact, ...]
@@ -76,6 +77,88 @@ class DerivationEffect:
 DerivationIds = Callable[[str, object, Tuple[Fact, ...]], str]
 
 
+class Firings:
+    """The live firings of one node, each recorded once under its firing id.
+
+    A record is the rule name, the head fact and the body facts, in flat
+    maps keyed by the firing id: plain firings, aggregate heads and the
+    derivations the legacy layer injects alike.  The evaluator keeps it
+    because it retracts firings with or without provenance; with provenance
+    it is also the node's ``ruleExec`` partition, which
+    :class:`repro.core.maintenance.NodeProvenanceStore` reads in place.
+
+    A firing id can have two live heads: an aggregate whose contributing
+    facts are the same for two groups, or one maybe-rule body that explains
+    two outputs.  Its head is then a ``frozenset`` of the heads, and the
+    record lives until its last head goes.  Head sets are replaced, never
+    mutated, so a shallow copy of the maps is an exact snapshot.
+    """
+
+    __slots__ = ("program_name", "location_of", "rules", "heads", "bodies", "consumers")
+
+    def __init__(self, program_name: str, location_of: Callable[[Fact], object]):
+        #: the program every recorded rule belongs to
+        self.program_name = program_name
+        #: the node a head fact is stored at (the catalog's location)
+        self.location_of = location_of
+        #: firing id -> rule name; holds only strings, so the cyclic
+        #: collector never scans it
+        self.rules: Dict[str, str] = {}
+        #: firing id -> the head fact, or a frozenset of two or more heads
+        self.heads: Dict[str, Union[Fact, FrozenSet[Fact]]] = {}
+        #: firing id -> body facts (an aggregate head's contributing facts)
+        self.bodies: Dict[str, Tuple[Fact, ...]] = {}
+        #: fact -> id of the one live firing whose body holds it, or the set
+        #: of ids from the second such firing on (no per-fact container for
+        #: the collector to scan in the common one-firing case)
+        self.consumers: Dict[Fact, Union[str, Set[str]]] = {}
+
+    def add(self, firing_id: str, rule_name: str, head: Fact, body: Tuple[Fact, ...]) -> None:
+        """Record *head* as derived by firing *firing_id* (idempotent)."""
+        heads = self.heads.get(firing_id)
+        if heads is not None:
+            if type(heads) is frozenset:
+                self.heads[firing_id] = heads | {head}
+            elif heads != head:
+                self.heads[firing_id] = frozenset((heads, head))
+            return
+        self.rules[firing_id] = rule_name
+        self.heads[firing_id] = head
+        self.bodies[firing_id] = body
+        for fact in set(body):
+            _index_add(self.consumers, fact, firing_id)
+
+    def remove(self, firing_id: str, head: Fact) -> None:
+        """Drop *head* from firing *firing_id*; the record goes with its last head."""
+        heads = self.heads.get(firing_id)
+        if type(heads) is frozenset:
+            rest = heads - {head}
+            self.heads[firing_id] = next(iter(rest)) if len(rest) == 1 else rest
+            return
+        if heads is None or heads != head:
+            return
+        del self.rules[firing_id]
+        del self.heads[firing_id]
+        # Duplicate body facts are harmless here: the first occurrence removes
+        # the id, so later ones find another firing's id or nothing at all.
+        for fact in self.bodies.pop(firing_id):
+            _index_discard(self.consumers, fact, firing_id)
+
+    def heads_of(self, firing_id: str) -> Tuple[Fact, ...]:
+        """The live heads of *firing_id* (none once it is retracted), in ``repr`` order."""
+        heads = self.heads.get(firing_id)
+        if heads is None:
+            return ()
+        if type(heads) is frozenset:
+            return tuple(sorted(heads, key=repr))
+        return (heads,)
+
+    def consumers_of(self, fact: Fact) -> List[str]:
+        """The ids of the live firings whose body holds *fact*, sorted."""
+        members = self.consumers.get(fact)
+        return [] if members is None else list(_sorted_members(members))
+
+
 #: An aggregate membership: (repr sort key, rule name, group key, body facts).
 _Membership = Tuple[str, str, Tuple, Tuple[Fact, ...]]
 
@@ -83,6 +166,28 @@ _Membership = Tuple[str, str, Tuple, Tuple[Fact, ...]]
 def _sorted_members(members):
     """A per-fact index value — one bare member, or a set of two or more — sorted."""
     return sorted(members) if type(members) is set else (members,)
+
+
+def _index_add(index: dict, key: object, member: object) -> None:
+    """Add *member* under *key* of a per-fact index: bare at first, a set from the second on."""
+    members = index.get(key)
+    if members is None:
+        index[key] = member
+    elif type(members) is set:
+        members.add(member)
+    elif members != member:
+        index[key] = {members, member}
+
+
+def _index_discard(index: dict, key: object, member: object) -> None:
+    """Remove *member* from *key* of a per-fact index; a set of one turns bare again."""
+    members = index.get(key)
+    if type(members) is set:
+        members.discard(member)
+        if len(members) == 1:
+            (index[key],) = members
+    elif members == member:
+        del index[key]
 
 
 class LocalEvaluator:
@@ -106,38 +211,27 @@ class LocalEvaluator:
         self._derivation_ids = derivation_ids
         self._firing_seq = 0
 
-        #: firing id -> rule name, head fact and body facts of each live
-        #: non-aggregate firing: three flat maps, not a record object per
-        #: firing.  The rule-name map holds only strings, so the cyclic
-        #: collector never scans it; the other two reference objects that
-        #: exist anyway.
-        self._firing_rules: Dict[str, str] = {}
-        self._firing_heads: Dict[str, Fact] = {}
-        self._firing_bodies: Dict[str, Tuple[Fact, ...]] = {}
-        #: rule name -> body facts -> firing id; keyed by the firing's own
-        #: body tuple, so no per-firing key object exists
+        #: Every live firing at this node, plain or aggregate (see
+        #: :class:`Firings`).
+        self.firings = Firings(compiled.name, compiled.catalog.location_of)
+        #: non-aggregate rule name -> body facts -> firing id; keyed by the
+        #: firing's own body tuple, so no per-firing key object exists
         self._firing_by_body: Dict[str, Dict[Tuple[Fact, ...], str]] = {
-            rule.name: {} for rule in compiled.rules
+            rule.name: {} for rule in compiled.rules if not rule.has_aggregate
         }
-        #: fact -> id of the one live firing that used it positively, or the
-        #: set of ids from the second such firing on (no per-fact container
-        #: for the collector to scan in the common one-firing case)
-        self._fact_firings: Dict[Fact, Union[str, Set[str]]] = {}
 
         # Aggregate state: rule name -> group key -> {body_facts -> value}
         self._agg_entries: Dict[str, Dict[Tuple, Dict[Tuple[Fact, ...], object]]] = {}
         # Live aggregate heads, (rule name, group key) -> the head's firing id
-        # and aggregate value, its head fact, and its contributing body facts:
-        # flat maps like the firing maps, no record object per group.  The
-        # id/value map holds atoms only, so the collector never scans it.
+        # and aggregate value; the head fact and contributing facts are the
+        # firing's record.  The map holds atoms only, so the collector never
+        # scans it.
         self._agg_heads: Dict[Tuple[str, Tuple], Tuple[str, object]] = {}
-        self._agg_head_facts: Dict[Tuple[str, Tuple], Fact] = {}
-        self._agg_head_bodies: Dict[Tuple[str, Tuple], Tuple[Fact, ...]] = {}
         # Fact -> memberships, each (repr sort key, rule name, group key,
         # body facts) — the sort key is computed once here so deletion-time
-        # ordering (phase 1) is a plain tuple sort.  Like _fact_firings, a
-        # fact in one membership maps to the bare membership tuple and only
-        # a fact in two or more to a set of them.
+        # ordering (phase 1) is a plain tuple sort.  Like the firings' consumer
+        # index, a fact in one membership maps to the bare membership tuple
+        # and only a fact in two or more to a set of them.
         self._fact_agg_entries: Dict[Fact, Union[_Membership, Set[_Membership]]] = {}
         self._agg_rules: Dict[str, Rule] = {
             rule.name: rule for rule in compiled.rules if rule.has_aggregate
@@ -155,7 +249,7 @@ class LocalEvaluator:
     @property
     def firing_count(self) -> int:
         """Number of currently-live rule firings recorded at this node."""
-        return len(self._firing_rules) + len(self._agg_heads)
+        return len(self.firings.rules)
 
     # -- entry points --------------------------------------------------------------
 
@@ -193,12 +287,17 @@ class LocalEvaluator:
         try:
             # Phase 1 — deletions: retract firings and aggregate entries that
             # used a deleted fact (pure bookkeeping, driven by the reverse
-            # indexes, no store scans).
+            # indexes, no store scans).  An aggregate head that used the fact
+            # goes in phase 3, with its group; an injected derivation goes
+            # when its injector retracts it.
+            rules = self.firings.rules
+            consumers = self.firings.consumers
+            by_rule = self._firing_by_body
             for fact in deletes:
-                firings = self._fact_firings.pop(fact, None)
+                firings = consumers.get(fact)
                 if firings:
                     for firing_id in _sorted_members(firings):
-                        if firing_id in self._firing_rules:
+                        if rules.get(firing_id) in by_rule:
                             effects.append(self._retract_firing(firing_id))
                 memberships = self._fact_agg_entries.pop(fact, None)
                 if memberships:
@@ -247,12 +346,15 @@ class LocalEvaluator:
     def derivation_id(self, rule_name: str, body_facts: Tuple[Fact, ...]) -> str:
         """The id of a new firing of *rule_name* over *body_facts* at this node.
 
-        Called once per firing; the id is kept in the firing record and read
-        back on retraction.  With provenance it is the firing's RID (at most
-        one firing per rule and body is live, so a RID is unique among live
-        firings).  Without, nothing reads a RID, so nothing is hashed: the id
-        is a per-node counter, fixed-width so that the size of a shipped
-        delta does not depend on how long the node has run.
+        Called once per firing; the id keys the firing's record in
+        :attr:`firings` and is read back on retraction.  With provenance it
+        is the firing's RID, a hash of rule, node and body: at most one
+        plain firing per rule and body is live, but an aggregate head or an
+        injected derivation can share its RID with another live head, and
+        the record then holds both heads.  Without provenance nothing reads
+        a RID, so nothing is hashed: the id is a per-node counter,
+        fixed-width so that the size of a shipped delta does not depend on
+        how long the node has run.
         """
         if self._derivation_ids is not None:
             return self._derivation_ids(rule_name, self._node, body_facts)
@@ -283,55 +385,29 @@ class LocalEvaluator:
         head_fact = Fact.make(rule.head.relation, head_values)
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self.derivation_id(rule.name, body_facts)
-        self._firing_rules[firing_id] = rule.name
-        self._firing_heads[firing_id] = head_fact
-        self._firing_bodies[firing_id] = body_facts
+        self.firings.add(firing_id, rule.name, head_fact, body_facts)
         self._firing_by_body[rule.name][body_facts] = firing_id
-        fact_firings = self._fact_firings
-        for fact in set(body_facts):
-            firings = fact_firings.get(fact)
-            if firings is None:
-                fact_firings[fact] = firing_id
-            elif type(firings) is str:
-                if firings != firing_id:
-                    fact_firings[fact] = {firings, firing_id}
-            else:
-                firings.add(firing_id)
         return DerivationEffect(
             sign=+1,
             firing_id=firing_id,
             rule_name=rule.name,
-            program_name=self._compiled.name,
             head_fact=head_fact,
             head_location=head_location,
             body_facts=body_facts,
         )
 
     def _retract_firing(self, firing_id: str) -> DerivationEffect:
-        """Retract the live firing *firing_id* and return its -1 effect."""
-        rule_name = self._firing_rules.pop(firing_id)
-        head_fact = self._firing_heads.pop(firing_id)
-        body_facts = self._firing_bodies.pop(firing_id)
+        """Retract the live plain firing *firing_id* and return its -1 effect."""
+        firings = self.firings
+        rule_name = firings.rules[firing_id]
+        head_fact = firings.heads[firing_id]
+        body_facts = firings.bodies[firing_id]
+        firings.remove(firing_id, head_fact)
         self._firing_by_body[rule_name].pop(body_facts, None)
-        # Duplicate body facts are harmless here: the first occurrence removes
-        # the id, so later ones find another firing's id or nothing at all.
-        fact_firings = self._fact_firings
-        for fact in body_facts:
-            firings = fact_firings.get(fact)
-            if firings is None:
-                continue
-            if type(firings) is str:
-                if firings == firing_id:
-                    del fact_firings[fact]
-                continue
-            firings.discard(firing_id)
-            if len(firings) == 1:
-                (fact_firings[fact],) = firings
         return DerivationEffect(
             sign=-1,
             firing_id=firing_id,
             rule_name=rule_name,
-            program_name=self._compiled.name,
             head_fact=head_fact,
             head_location=self._compiled.catalog.location_of(head_fact),
             body_facts=body_facts,
@@ -376,16 +452,8 @@ class LocalEvaluator:
         # key reprs the (rule, group, body) triple, matching the historical
         # ``sorted(..., key=repr)`` order exactly.
         membership = (repr((rule_name, group_key, body_facts)), rule_name, group_key, body_facts)
-        fact_agg_entries = self._fact_agg_entries
         for fact in set(body_facts):
-            memberships = fact_agg_entries.get(fact)
-            if memberships is None:
-                fact_agg_entries[fact] = membership
-            elif type(memberships) is tuple:
-                if memberships != membership:
-                    fact_agg_entries[fact] = {memberships, membership}
-            else:
-                memberships.add(membership)
+            _index_add(self._fact_agg_entries, fact, membership)
         self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
 
     def _dirty_group_key(self, rule_name: str, group_key: Tuple) -> Tuple[str, str, Tuple]:
@@ -418,21 +486,9 @@ class LocalEvaluator:
         if not entries or body_facts not in entries:
             return
         del entries[body_facts]
-        # As in _retract_firing, iterating duplicate body facts is safe: the
-        # first occurrence removes the membership, later ones find another
-        # membership or nothing at all.
-        fact_agg_entries = self._fact_agg_entries
+        # As in Firings.remove, iterating duplicate body facts is safe.
         for fact in body_facts:
-            memberships = fact_agg_entries.get(fact)
-            if memberships is None:
-                continue
-            if type(memberships) is tuple:
-                if memberships == membership:
-                    del fact_agg_entries[fact]
-                continue
-            memberships.discard(membership)
-            if len(memberships) == 1:
-                (fact_agg_entries[fact],) = memberships
+            _index_discard(self._fact_agg_entries, fact, membership)
         if not entries:
             del groups[group_key]
         self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
@@ -448,67 +504,63 @@ class LocalEvaluator:
         effects: List[DerivationEffect] = []
         if not entries:
             if current is not None:
-                effects.append(self._retract_agg_head(rule, head_key))
+                del self._agg_heads[head_key]
+                effects.append(self._retract_agg_head(rule, group_key, current))
             return effects
 
         new_value = _aggregate_value(aggregate.func, list(entries.values()))
         contributing = _contributing_facts(aggregate.func, entries, new_value)
+        if (
+            current is not None
+            and current[1] == new_value
+            and self.firings.bodies[current[0]] == contributing
+        ):
+            return effects  # the same head from the same facts
+
         head_fact = _agg_head_fact(rule, group_key, new_value)
-
-        previous = None
-        if current is not None:
-            if (
-                self._agg_head_facts[head_key] == head_fact
-                and self._agg_head_bodies[head_key] == contributing
-            ):
-                return effects
-            previous = self._agg_retraction(rule, head_key)
-
-        head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self.derivation_id(rule.name, contributing)
         self._agg_heads[head_key] = (firing_id, new_value)
-        self._agg_head_facts[head_key] = head_fact
-        self._agg_head_bodies[head_key] = contributing
+        # The new head is recorded before the old one is dropped, so a firing
+        # id the two share keeps its record (and its consumer index entries).
+        self.firings.add(firing_id, rule.name, head_fact, contributing)
         effects.append(
             DerivationEffect(
                 sign=+1,
                 firing_id=firing_id,
                 rule_name=rule.name,
-                program_name=self._compiled.name,
                 head_fact=head_fact,
-                head_location=head_location,
+                head_location=self._compiled.catalog.location_of(head_fact),
                 body_facts=contributing,
             )
         )
-        if previous is not None:
+        if current is not None:
             # Emit the replacement *before* the retraction: downstream nodes
             # then see "new value arrives, old value leaves", which changes
             # their own aggregates exactly once.  The opposite order would
             # expose an intermediate state (group without either value) whose
             # consequences would be derived, shipped, and immediately undone —
             # a cascade that blows up deletion processing on cyclic topologies.
-            effects.append(previous)
+            effects.append(self._retract_agg_head(rule, group_key, current))
         return effects
 
-    def _retract_agg_head(self, rule: Rule, head_key: Tuple[str, Tuple]) -> DerivationEffect:
-        """Drop the live head of *head_key* and return its -1 effect."""
-        effect = self._agg_retraction(rule, head_key)
-        del self._agg_heads[head_key]
-        del self._agg_head_facts[head_key]
-        del self._agg_head_bodies[head_key]
-        return effect
-
-    def _agg_retraction(self, rule: Rule, head_key: Tuple[str, Tuple]) -> DerivationEffect:
-        """The -1 effect of the live head of *head_key* (the maps are untouched)."""
-        head_fact = self._agg_head_facts[head_key]
+    def _retract_agg_head(
+        self, rule: Rule, group_key: Tuple, current: Tuple[str, object]
+    ) -> DerivationEffect:
+        """Drop the head *current* (its firing id and value) of a group and return its -1 effect."""
+        firing_id, value = current
+        heads = self.firings.heads[firing_id]
+        # A firing id with one head holds this group's; one shared with
+        # another group's head holds both, and the group's is rebuilt.
+        head_fact = _agg_head_fact(rule, group_key, value) if type(heads) is frozenset else heads
+        body_facts = self.firings.bodies[firing_id]
+        self.firings.remove(firing_id, head_fact)
         return DerivationEffect(
             sign=-1,
-            firing_id=self._agg_heads[head_key][0],
+            firing_id=firing_id,
             rule_name=rule.name,
-            program_name=self._compiled.name,
             head_fact=head_fact,
             head_location=self._compiled.catalog.location_of(head_fact),
-            body_facts=self._agg_head_bodies[head_key],
+            body_facts=body_facts,
         )
 
 

@@ -9,8 +9,10 @@ Each :class:`Node` owns:
 * a work queue of pending tuple deltas (local derivations and deltas received
   from other nodes), and
 * optionally the runtime's :class:`~repro.core.maintenance.ProvenanceEngine`
-  (the ExSPAN maintenance engine), told once per drain of every derivation
-  added to or removed from the store
+  (the ExSPAN maintenance engine), which reads the evaluator's
+  :class:`~repro.engine.evaluator.Firings` as the node's ``ruleExec``
+  partition and is told once per drain of every derivation added to or
+  removed from the store
   (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_support_batch`) and
   of every rule execution
   (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_rule_exec_batch`).
@@ -86,6 +88,8 @@ class Node:
         )
         self.provenance = provenance
         self._rloc = None if provenance is None else node_id
+        if provenance is not None:
+            provenance.attach(node_id, self.evaluator.firings)
         self.stats = NodeStats()
         #: Pending deltas.  A drain takes the whole queue as one batch
         #: through :meth:`LocalEvaluator.on_batch`, updates provenance once,
@@ -142,9 +146,16 @@ class Node:
 
         This is how the legacy-application layer injects derivations inferred
         by "maybe" rules: the proxy builds a :class:`DerivationEffect` (with
-        an id from this node's evaluator) and the node records/ships it
-        exactly as if one of its own rules had fired.
+        an id from this node's evaluator), and the node records it in (or,
+        for a retraction, drops its head from) the evaluator's
+        :class:`~repro.engine.evaluator.Firings` and ships it exactly as if
+        one of its own rules had fired.
         """
+        firings = self.evaluator.firings
+        if effect.sign > 0:
+            firings.add(effect.firing_id, effect.rule_name, effect.head_fact, effect.body_facts)
+        else:
+            firings.remove(effect.firing_id, effect.head_fact)
         self._handle_effects([effect])
 
     def register_handler(self, category: str, handler: Callable[[Message], None]) -> None:

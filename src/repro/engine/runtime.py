@@ -30,21 +30,6 @@ from repro.obs import Observability, resolve_observability
 if TYPE_CHECKING:  # the maintenance engine imports this package
     from repro.core.maintenance import ProvenanceEngine
 
-#: Environment variable consulted when ``query_cache_capacity`` is not set
-#: explicitly: an integer per-node LRU
-#: entry limit, ``0`` meaning uncapped.  Profiles and CI jobs use it to
-#: sweep cache capacities without code changes.
-CACHE_CAPACITY_ENV_VAR = "NETTRAILS_QUERY_CACHE_CAPACITY"
-
-
-#: Environment variable consulted when ``durable_dir`` is not set explicitly
-#: (parity with the other ``NETTRAILS_*`` hooks): a directory path that turns
-#: on durable mode — every committed quiescence window is appended to a
-#: write-ahead log there (see :mod:`repro.durability`).  Unset or empty means
-#: non-durable; a path that exists but is not a writable directory raises
-#: :class:`~repro.errors.EngineError` rather than being silently ignored.
-DURABLE_DIR_ENV_VAR = "NETTRAILS_DURABLE_DIR"
-
 #: Environment variable consulted when ``observability`` is not set
 #: explicitly: a boolean (``1/true/yes/on`` vs ``0/false/no/off``) that
 #: attaches the :mod:`repro.obs` subsystem (metrics registry, distributed
@@ -58,41 +43,23 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def default_durable_dir() -> Optional[str]:
-    """The durable directory used when none is requested: the env hook, else ``None``.
-
-    Only reads the environment; path validation happens in
-    :func:`validate_durable_dir` when a runtime actually goes durable, so a
-    malformed value fails loudly at construction time (the same contract as
-    the other hooks) rather than at first commit.
-    """
-    raw = os.environ.get(DURABLE_DIR_ENV_VAR, "").strip()
-    return raw or None
-
-
 def validate_durable_dir(path: Union[str, "os.PathLike[str]"]) -> str:
     """Check (and create, if missing) a durable directory; returns its path.
 
-    Raises :class:`~repro.errors.EngineError` when the path names an
-    existing non-directory, cannot be created, or is not writable — the
-    rejection semantics shared by every ``NETTRAILS_*`` hook.
+    Raises :class:`~repro.errors.EngineError` when the path is empty, names
+    an existing non-directory, cannot be created, or is not writable.
     """
     text = os.fspath(path)
     if not text:
-        raise EngineError(f"{DURABLE_DIR_ENV_VAR} / durable_dir must not be empty")
+        raise EngineError("durable_dir must not be empty")
     if os.path.exists(text) and not os.path.isdir(text):
-        raise EngineError(
-            f"durable_dir {text!r} exists but is not a directory "
-            f"(check {DURABLE_DIR_ENV_VAR})"
-        )
+        raise EngineError(f"durable_dir {text!r} exists but is not a directory")
     try:
         os.makedirs(text, exist_ok=True)
     except OSError as exc:
         raise EngineError(f"cannot create durable_dir {text!r}: {exc}") from exc
     if not os.access(text, os.W_OK):
-        raise EngineError(
-            f"durable_dir {text!r} is not writable (check {DURABLE_DIR_ENV_VAR})"
-        )
+        raise EngineError(f"durable_dir {text!r} is not writable")
     return text
 
 
@@ -115,30 +82,6 @@ def _env_flag(variable: str) -> bool:
 def default_observability() -> bool:
     """The observability default: the env hook, else ``False``."""
     return _env_flag(OBSERVABILITY_ENV_VAR)
-
-
-def default_query_cache_capacity() -> Optional[int]:
-    """The capacity used when none is requested: the env hook, else ``None``.
-
-    ``None`` (variable unset or empty) defers to the query engine's default
-    (:data:`repro.core.optimizations.DEFAULT_CACHE_CAPACITY`).  A
-    malformed or negative value raises :class:`~repro.errors.EngineError`
-    rather than being silently ignored.
-    """
-    raw = os.environ.get(CACHE_CAPACITY_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise EngineError(
-            f"{CACHE_CAPACITY_ENV_VAR}={raw!r} is not an integer query-cache capacity"
-        )
-    if capacity < 0:
-        raise EngineError(
-            f"{CACHE_CAPACITY_ENV_VAR} must be >= 0 (0 = uncapped), got {capacity}"
-        )
-    return capacity
 
 
 class NetTrailsRuntime:
@@ -172,7 +115,8 @@ class NetTrailsRuntime:
     ``registry`` (None)              a custom :class:`FunctionRegistry`
     ``program_name`` (None)          name used when parsing source text
     ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
-                                     env hook then default, ``0`` = uncapped)
+                                     the query engine's default, ``0`` =
+                                     uncapped)
     ``durable_dir`` (None)           write-ahead-log directory; turns on
                                      durable commit-per-quiescence-window mode
     ``wal_fsync`` (True)             fsync barrier per WAL append
@@ -184,16 +128,14 @@ class NetTrailsRuntime:
                                      (several runtimes may share one)
     ================================ ==========================================
 
-    **Environment hooks** — each is consulted only when the matching
-    constructor argument is left at ``None`` (an explicit argument always
-    wins), and a malformed value raises :class:`~repro.errors.EngineError`
-    at construction (``tests/engine/test_env_hooks.py`` pins the contract):
+    **Environment hook** — consulted only when the matching constructor
+    argument is left at ``None`` (an explicit argument always wins), and a
+    malformed value raises :class:`~repro.errors.EngineError` at
+    construction (``tests/engine/test_env_hooks.py`` pins the contract):
 
     ================================ ==========================================
     variable                         stands in for
     ================================ ==========================================
-    ``NETTRAILS_QUERY_CACHE_CAPACITY`` ``query_cache_capacity`` (integer ≥ 0)
-    ``NETTRAILS_DURABLE_DIR``        ``durable_dir`` (a writable path)
     ``NETTRAILS_OBSERVABILITY``      ``observability`` (boolean words)
     ================================ ==========================================
 
@@ -245,12 +187,8 @@ class NetTrailsRuntime:
         #: :class:`repro.core.query.DistributedQueryEngine`: ``None`` keeps
         #: the engine default (:data:`repro.core.optimizations.DEFAULT_CACHE_CAPACITY`),
         #: ``0`` disables the cap entirely, any other value is the LRU entry
-        #: limit per node.  When not set explicitly, the
-        #: ``NETTRAILS_QUERY_CACHE_CAPACITY`` environment variable is
-        #: consulted.
-        if query_cache_capacity is None:
-            query_cache_capacity = default_query_cache_capacity()
-        elif query_cache_capacity < 0:
+        #: limit per node.
+        if query_cache_capacity is not None and query_cache_capacity < 0:
             raise EngineError(
                 f"query_cache_capacity must be >= 0 or None, got {query_cache_capacity}"
             )
@@ -276,7 +214,7 @@ class NetTrailsRuntime:
         self._bind_observability()
 
         #: Durable mode (see :mod:`repro.durability`): with ``durable_dir=``
-        #: set — or the ``NETTRAILS_DURABLE_DIR`` hook — every mutator call
+        #: set, every mutator call
         #: is buffered as a logical op and committed as one write-ahead-log
         #: ``batch`` record when :meth:`run_to_quiescence` begins (append +
         #: flush *before* the simulator drains, so a crash mid-window
@@ -289,8 +227,6 @@ class NetTrailsRuntime:
         self._pending_ops: List[List[object]] = []
         self._oplog_suspended = 0
         self._committed_batches = 0
-        if durable_dir is None:
-            durable_dir = default_durable_dir()
         if durable_dir is not None:
             self._open_durable(durable_dir)
 

@@ -19,8 +19,7 @@ same provenance tables as ordinary rule firings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Tuple
 
 from repro.errors import LegacyIntegrationError
 from repro.ndlog.ast import Assignment, Condition, Rule
@@ -37,28 +36,17 @@ from repro.engine.node import Node
 from repro.engine.tuples import Fact
 
 
-@dataclass
-class _MaybeFiring:
-    firing_id: str
-    rule_name: str
-    head_fact: Fact
-    body_facts: Tuple[Fact, ...]
-
-
-#: A maybe firing's key, ``(derivation id, head fact)``.  The id comes from
-#: the node's evaluator, as an ordinary firing's does (its RID when the
-#: runtime keeps provenance, a hash of rule, node and body facts); unlike an
-#: ordinary rule, a maybe rule's body does not determine its head, so one
-#: body can explain several outputs under one id.
-_FiringKey = Tuple[str, Fact]
-
-
-def _key_order(key: _FiringKey) -> Tuple[str, str]:
-    return (key[0], repr(key[1]))
-
-
 class MaybeRuleEvaluator:
-    """Matches observed output tuples against "maybe" rules at one node."""
+    """Matches observed output tuples against "maybe" rules at one node.
+
+    It keeps no firings of its own: a maybe derivation is recorded in the
+    node evaluator's :class:`~repro.engine.evaluator.Firings`, as an
+    ordinary firing is, and read back from there to be retracted.  Its id
+    comes from the node's evaluator too (its RID when the runtime keeps
+    provenance, a hash of rule, node and body facts); unlike an ordinary
+    rule, a maybe rule's body does not determine its head, so one body can
+    explain several outputs under one id, and the record holds each of them.
+    """
 
     def __init__(self, node: Node, rules: List[Rule], registry: FunctionRegistry, program_name: str):
         for rule in rules:
@@ -66,13 +54,16 @@ class MaybeRuleEvaluator:
                 raise LegacyIntegrationError(
                     f"rule {rule.name!r} is not a maybe rule; only '?-' rules belong here"
                 )
+        if program_name != node.compiled.name:
+            raise LegacyIntegrationError(
+                f"maybe rules of program {program_name!r} cannot be recorded at a node "
+                f"running {node.compiled.name!r}"
+            )
         self.node = node
         self.rules = list(rules)
         self.registry = registry
         self.program_name = program_name
-        self._firings: Dict[_FiringKey, _MaybeFiring] = {}
-        self._by_body_fact: Dict[Fact, Set[_FiringKey]] = {}
-        self._by_head_fact: Dict[Fact, Set[_FiringKey]] = {}
+        self._rule_names = {rule.name for rule in rules}
 
     # -- observation entry points --------------------------------------------------------
 
@@ -82,8 +73,11 @@ class MaybeRuleEvaluator:
 
     def retract_input(self, fact: Fact) -> None:
         """Retract an observed input tuple and every maybe-derivation that used it."""
-        for key in sorted(self._by_body_fact.get(fact, set()), key=_key_order):
-            self._retract_firing(key)
+        firings = self.node.evaluator.firings
+        for firing_id in firings.consumers_of(fact):
+            if firings.rules.get(firing_id) in self._rule_names:
+                for head in firings.heads_of(firing_id):
+                    self._retract_firing(firing_id, head)
         self.node.delete_base(fact)
 
     def observe_output(self, fact: Fact) -> int:
@@ -100,63 +94,51 @@ class MaybeRuleEvaluator:
         if not matches:
             self.node.insert_base(fact)
             return 0
+        firings = self.node.evaluator.firings
         for rule, body_facts in matches:
             firing_id = self.node.evaluator.derivation_id(rule.name, body_facts)
-            key = (firing_id, fact)
-            if key in self._firings:
+            if fact in firings.heads_of(firing_id):
                 continue
-            firing = _MaybeFiring(
-                firing_id=firing_id,
-                rule_name=rule.name,
-                head_fact=fact,
-                body_facts=body_facts,
+            self.node.apply_external_derivation(
+                self._effect(+1, firing_id, rule.name, fact, body_facts)
             )
-            self._firings[key] = firing
-            self._by_head_fact.setdefault(fact, set()).add(key)
-            for body_fact in set(body_facts):
-                self._by_body_fact.setdefault(body_fact, set()).add(key)
-            self.node.apply_external_derivation(self._effect(firing, sign=+1))
         return len(matches)
 
     def retract_output(self, fact: Fact) -> None:
         """Retract an observed output tuple and all its inferred derivations."""
-        keys = sorted(self._by_head_fact.get(fact, set()), key=_key_order)
-        if not keys:
+        firings = self.node.evaluator.firings
+        firing_ids = [
+            firing_id
+            for firing_id in sorted(self.node.store.derivations(fact))
+            if firings.rules.get(firing_id) in self._rule_names
+            and fact in firings.heads_of(firing_id)
+        ]
+        if not firing_ids:
             # It was recorded as an unexplained base tuple.
             if self.node.store.contains(fact):
                 self.node.delete_base(fact)
             return
-        for key in keys:
-            self._retract_firing(key)
+        for firing_id in firing_ids:
+            self._retract_firing(firing_id, fact)
 
     # -- internals -------------------------------------------------------------------------
 
-    def _retract_firing(self, key: _FiringKey) -> None:
-        firing = self._firings.pop(key, None)
-        if firing is None:
-            return
-        heads = self._by_head_fact.get(firing.head_fact)
-        if heads is not None:
-            heads.discard(key)
-            if not heads:
-                del self._by_head_fact[firing.head_fact]
-        for body_fact in set(firing.body_facts):
-            bodies = self._by_body_fact.get(body_fact)
-            if bodies is not None:
-                bodies.discard(key)
-                if not bodies:
-                    del self._by_body_fact[body_fact]
-        self.node.apply_external_derivation(self._effect(firing, sign=-1))
+    def _retract_firing(self, firing_id: str, head: Fact) -> None:
+        firings = self.node.evaluator.firings
+        self.node.apply_external_derivation(
+            self._effect(-1, firing_id, firings.rules[firing_id], head, firings.bodies[firing_id])
+        )
 
-    def _effect(self, firing: _MaybeFiring, sign: int) -> DerivationEffect:
+    def _effect(
+        self, sign: int, firing_id: str, rule_name: str, head: Fact, body_facts: Tuple[Fact, ...]
+    ) -> DerivationEffect:
         return DerivationEffect(
             sign=sign,
-            firing_id=firing.firing_id,
-            rule_name=firing.rule_name,
-            program_name=self.program_name,
-            head_fact=firing.head_fact,
+            firing_id=firing_id,
+            rule_name=rule_name,
+            head_fact=head,
             head_location=self.node.id,
-            body_facts=firing.body_facts,
+            body_facts=body_facts,
         )
 
     def _match(self, output: Fact) -> List[Tuple[Rule, Tuple[Fact, ...]]]:

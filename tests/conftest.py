@@ -60,6 +60,32 @@ def _derivation_record(runtime):
     return record
 
 
+def _prov_rids_live(runtime):
+    """Every live non-BASE prov RID names a live ``ruleExec`` row at its RLoc
+    whose head set contains that VID.
+
+    A prov row is the receiver's copy of a derivation and the ``ruleExec``
+    row is the executing node's, so the two must agree at every quiescent
+    point.  Returns how many prov rows were checked (0 without provenance).
+    """
+    provenance = runtime.provenance
+    if provenance is None:
+        return 0
+    nodes = set(provenance.node_ids())
+    heads = {}  # rloc -> {(rid, head vid)} of its ruleExec rows
+    checked = 0
+    for node_id in provenance.node_ids():
+        for _loc, vid, rid, rloc in provenance.store(node_id).prov_table():
+            if rid == BASE_RID:
+                continue
+            assert rloc in nodes, (node_id, vid, rid, rloc)
+            if rloc not in heads:
+                heads[rloc] = {(entry.rid, entry.head_vid) for entry in provenance.store(rloc).rule_execs()}
+            assert (rid, vid) in heads[rloc], (node_id, vid, rid, rloc)
+            checked += 1
+    return checked
+
+
 def _global_state(runtime, relations):
     """Sorted global contents of the given relations."""
     return {relation: sorted(runtime.state(relation), key=repr) for relation in relations}
@@ -81,6 +107,11 @@ def provenance_fingerprint():
 @pytest.fixture
 def derivation_record():
     return _derivation_record
+
+
+@pytest.fixture
+def prov_rids_live():
+    return _prov_rids_live
 
 
 @pytest.fixture

@@ -1,15 +1,18 @@
 """Stored engine rows stay invisible to the cyclic garbage collector.
 
-The provenance tables are relations of identifiers, so their rows are stored
-as exact tuples of strings and node ids, which CPython untracks; the
-one-member common case of every per-fact id index (consumers of a vid,
-derivations of a fact, firings that used a fact) is a bare id string that
-becomes a ``set`` only at the second member.  A fact is one slotted object
-with no instance dict, and a live firing or aggregate head is three map
-entries, not a record object.  At churn scale this is the difference between a full collection
-scanning ~650 k objects or a third of that, several times per churn cycle.
-These tests pin the shapes on a small prefix-routing runtime after a few
-churn windows.
+The ``prov`` table is a relation of identifiers, so its rows are stored as
+exact tuples of strings and node ids, which CPython untracks.  The
+``ruleExec`` table is not stored at all: it is the evaluator's record of
+its live firings, where a firing (plain, aggregate head or injected) is
+three map entries keyed by its id, not a record object.  The one-member
+common case of every per-fact id index (firings that consumed a fact,
+derivations of a fact) is a bare id string that becomes a ``set`` only at
+the second member, and a firing's head is a bare fact that becomes a
+``frozenset`` only at a second live head.  A fact is one slotted object with
+no instance dict.  At churn scale this is the difference between a full
+collection scanning ~650 k objects or a third of that, several times per
+churn cycle.  These tests pin the shapes on a small prefix-routing runtime
+after a few churn windows.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import gc
 from repro.core.keys import vid_for
 from repro.core.maintenance import NodeProvenanceStore
 from repro.engine import topology
+from repro.engine.catalog import Catalog
 from repro.engine.compiler import compile_program
-from repro.engine.evaluator import LocalEvaluator
+from repro.engine.evaluator import Firings, LocalEvaluator
 from repro.engine.store import TupleStore
 from repro.engine.tuples import Fact
 from repro.ndlog.parser import parse_program
@@ -28,8 +32,9 @@ from repro.protocols import prefix_routing
 
 #: Tracked objects per ``prov`` row, runtime-wide, on the runtime below.  The
 #: row-object representation measured 13.0 here; tuple rows, one-object facts
-#: and record-free firings and aggregate heads measure 5.6.  The bound keeps
-#: about 25 % headroom over the latter.
+#: and record-free firings and aggregate heads measured 5.7, and reading the
+#: ``ruleExec`` rows from the evaluator's firings instead of a second table
+#: measures 5.3.  The bound keeps about 30 % headroom over the latter.
 MAX_TRACKED_PER_PROV_ROW = 7.0
 
 TWO_CONSUMERS = """
@@ -52,12 +57,12 @@ def churned_runtime():
     return runtime
 
 
-def assert_bare_or_plural(index, what):
-    """Every value of a per-key id index is a bare id or a set of two or more."""
+def assert_bare_or_plural(index, what, bare=str, plural=set):
+    """Every value of a per-key index is a bare member or a *plural* of two or more."""
     for key, members in index.items():
-        if type(members) is str:
+        if type(members) is bare:
             continue
-        assert isinstance(members, set) and len(members) >= 2, (what, key, members)
+        assert type(members) is plural and len(members) >= 2, (what, key, members)
 
 
 class TestStoredRowsAreUntracked:
@@ -73,16 +78,18 @@ class TestStoredRowsAreUntracked:
             store = provenance.store(node_id)
             for vid, rows in store._prov.items():
                 assert not gc.is_tracked(rows), (vid, rows)
-            for row in store._rule_execs.values():
-                assert not gc.is_tracked(row), row
-            assert_bare_or_plural(store._uses, "uses")
+            # the partition reads the node's record, it keeps no copy
+            assert store.firings is runtime.nodes[node_id].evaluator.firings
         for node_id, node in runtime.nodes.items():
             for by_fact in node.store._facts.values():
                 assert_bare_or_plural(by_fact, "derivations")
-            assert_bare_or_plural(node.evaluator._fact_firings, "firings")
+            firings = node.evaluator.firings
+            assert_bare_or_plural(firings.consumers, "consumers")
+            assert_bare_or_plural(firings.heads, "heads", bare=Fact, plural=frozenset)
+            assert firings.rules.keys() == firings.heads.keys() == firings.bodies.keys()
             # firing id -> rule name, and (rule, group) -> (firing id, value)
             # of an aggregate head, hold only atoms
-            assert not gc.is_tracked(node.evaluator._firing_rules)
+            assert not gc.is_tracked(firings.rules)
             assert not gc.is_tracked(node.evaluator._agg_heads)
 
     def test_a_fact_is_one_object(self):
@@ -102,37 +109,68 @@ class TestStoredRowsAreUntracked:
         assert tracked / rows < MAX_TRACKED_PER_PROV_ROW, (tracked, rows)
 
 
+def fact(name):
+    return Fact.make("t", ["n0", name])
+
+
 class TestConsumerIndexShape:
     def test_one_two_one_zero_consumers(self):
-        """A vid consumed by 1 -> 2 -> 1 -> 0 rule executions is a bare rid,
-        then a set, then a bare rid again, then gone; ``uses_of`` is the
-        sorted rid list throughout and retraction stays a plain removal."""
+        """A fact consumed by 1 -> 2 -> 1 -> 0 firings is a bare id, then a
+        set, then a bare id again, then gone; ``consumers_of`` is the sorted
+        id list throughout and retraction stays a plain removal."""
+        firings = Firings("p", Catalog().location_of)
+        child, other = fact("child"), fact("other")
+        firings.add("rid_b", "r", fact("head_b"), (child,))
+        assert firings.consumers[child] == "rid_b"
+        assert firings.consumers_of(child) == ["rid_b"]
+
+        firings.add("rid_a", "r", fact("head_a"), (child, other))
+        assert firings.consumers[child] == {"rid_a", "rid_b"}
+        assert firings.consumers_of(child) == ["rid_a", "rid_b"]
+        assert firings.consumers_of(other) == ["rid_a"]
+
+        firings.remove("rid_b", fact("head_b"))
+        assert firings.consumers[child] == "rid_a"
+        assert firings.consumers_of(child) == ["rid_a"]
+
+        firings.remove("rid_a", fact("head_a"))
+        assert firings.consumers == {} and firings.consumers_of(child) == []
+        assert firings.rules == firings.heads == firings.bodies == {}
+
+    def test_repeated_child_and_repeated_firing_keep_one_member(self):
+        firings = Firings("p", Catalog().location_of)
+        child, head = fact("child"), fact("head")
+        firings.add("rid_a", "r", head, (child, child))
+        firings.add("rid_a", "r", head, (child, child))
+        assert firings.consumers[child] == "rid_a" and firings.heads["rid_a"] is head
+        firings.remove("rid_a", head)
+        assert firings.consumers == {} and firings.heads == {}
+
+    def test_a_firing_lives_until_its_last_head_goes(self):
+        """Two live heads under one id (one body explaining two outputs):
+        a bare head, then a frozenset, then the survivor bare again; the
+        row and its consumer entries stay until the last head goes."""
         store = NodeProvenanceStore("n0")
-        store.add_rule_exec("rid_b", "r", "p", ("child",), "head_b", "n0")
-        assert store._uses["child"] == "rid_b"
-        assert store.uses_of("child") == ["rid_b"]
+        firings = store.firings
+        child, first, second = fact("child"), fact("first"), fact("second")
+        firings.add("rid", "r", first, (child,))
+        firings.add("rid", "r", second, (child,))
+        assert firings.heads["rid"] == frozenset((first, second))
+        assert firings.heads_of("rid") == (first, second)
+        assert [entry.head_vid for entry in store.rule_execs()] == sorted(
+            [vid_for(first), vid_for(second)]
+        )
+        assert store.rule_exec_count == 1 and len(store.rule_exec_table()) == 1
 
-        store.add_rule_exec("rid_a", "r", "p", ("child", "other"), "head_a", "n0")
-        assert store._uses["child"] == {"rid_a", "rid_b"}
-        assert store.uses_of("child") == ["rid_a", "rid_b"]
-        assert store.uses_of("other") == ["rid_a"]
+        firings.remove("rid", first)
+        assert firings.heads["rid"] is second
+        assert store.has_rule_exec("rid") and firings.consumers[child] == "rid"
+        assert store.rule_exec("rid").head_vid == vid_for(second)
 
-        store.remove_rule_exec("rid_b")
-        assert store._uses["child"] == "rid_a"
-        assert store.uses_of("child") == ["rid_a"]
-
-        store.remove_rule_exec("rid_a")
-        assert "child" not in store._uses and "other" not in store._uses
-        assert store.uses_of("child") == []
-        assert store.rule_execs() == []
-
-    def test_repeated_child_and_repeated_exec_keep_one_member(self):
-        store = NodeProvenanceStore("n0")
-        store.add_rule_exec("rid_a", "r", "p", ("child", "child"), "head", "n0")
-        store.add_rule_exec("rid_a", "r", "p", ("child", "child"), "head", "n0")
-        assert store._uses["child"] == "rid_a"
-        store.remove_rule_exec("rid_a")
-        assert store._uses == {}
+        firings.remove("rid", first)  # not a live head: a no-op
+        assert firings.heads["rid"] is second
+        firings.remove("rid", second)
+        assert not store.has_rule_exec("rid") and firings.consumers == {}
 
     def test_derivations_of_a_fact_one_two_one_zero(self):
         store = TupleStore()
@@ -156,22 +194,24 @@ class TestConsumerIndexShape:
         store.add_derivation(link, "d")
         fired = [effect.firing_id for effect in evaluator.on_batch([link], [])]
         assert len(fired) == 2
-        assert evaluator._fact_firings[link] == set(fired)
+        assert evaluator.firings.consumers[link] == set(fired)
         store.remove_fact(link)
         retracted = evaluator.on_batch([], [link])
         assert [effect.firing_id for effect in retracted] == sorted(fired)
         assert all(effect.sign < 0 for effect in retracted)
-        assert link not in evaluator._fact_firings
+        assert link not in evaluator.firings.consumers
 
     def test_prov_rows_keep_their_reported_order(self):
         """``prov_entries`` reports ``(rid, repr(rloc))`` order whatever the
         insertion order, and a retraction leaves the rest in that order."""
         store = NodeProvenanceStore("n0")
+        row_fact = fact("row")
+        vid = vid_for(row_fact)
         for rid, rloc in (("rid_b", "n2"), ("rid_a", "n9"), ("rid_b", "n1"), ("rid_a", "n9")):
-            store.add_prov("vid", rid, rloc)
-        assert store.prov_entries("vid") == (("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2"))
-        store.remove_prov("vid", "rid_b", "n1")
-        assert store.prov_entries("vid") == (("rid_a", "n9"), ("rid_b", "n2"))
-        store.remove_prov("vid", "rid_a", "n9")
-        store.remove_prov("vid", "rid_b", "n2")
-        assert store.prov_entries("vid") == () and store.prov_count == 0
+            store.add_prov(row_fact, rid, rloc)
+        assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2"))
+        store.remove_prov(row_fact, "rid_b", "n1")
+        assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n2"))
+        store.remove_prov(row_fact, "rid_a", "n9")
+        store.remove_prov(row_fact, "rid_b", "n2")
+        assert store.prov_entries(vid) == () and store.prov_count == 0

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.keys import BASE_RID, vid_for
 from repro.core.maintenance import ProvenanceEngine
+from repro.core.query import DistributedQueryEngine
 from repro.errors import ProvenanceError
 from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.tuples import Fact
 from repro.protocols import mincost, path_vector
 
@@ -121,6 +123,73 @@ class TestGraphAssembly:
 
         with pytest.raises(UnknownVertexError):
             ring_runtime.provenance.resolve_tuple("vid_nonexistent")
+
+
+#: An aggregate whose contributing facts outlive a change of its value: one
+#: ``blk`` row removes an entry from the group but no fact from it.
+SHARED_RID_PROGRAM = """
+materialize(e, infinity, infinity, keys(1,2,3)).
+materialize(blk, infinity, infinity, keys(1,2)).
+materialize(c, infinity, infinity, keys(1,2)).
+r1 c(@S, count<*>) :- e(@S, X, Y), e(@S, Y, X), !blk(@S, X).
+"""
+
+
+class TestSharedRid:
+    def test_aggregate_replaced_under_the_same_facts_keeps_its_rule_exec(self):
+        """``c(n0,2)`` becomes ``c(n0,1)`` under the same RID (the same rule
+        over the same facts); retracting the old head must not take the new
+        head's ``ruleExec`` row with it."""
+        runtime = NetTrailsRuntime(SHARED_RID_PROGRAM, topology.line(1), program_name="blk")
+        runtime.insert_batch("e", [["n0", "a", "b"], ["n0", "b", "a"]])
+        runtime.run_to_quiescence()
+        assert runtime.state("c") == [("n0", 2)]
+        runtime.insert("blk", ["n0", "b"])
+        runtime.run_to_quiescence()
+        assert runtime.state("c") == [("n0", 1)]
+
+        store = runtime.provenance.store("n0")
+        ((rid, rloc),) = store.prov_entries(vid_for(Fact.make("c", ["n0", 1])))
+        assert rloc == "n0" and store.has_rule_exec(rid)
+        assert store.rule_exec(rid).head_vid == vid_for(Fact.make("c", ["n0", 1]))
+        assert runtime.provenance.table_sizes() == {"prov": 4, "ruleExec": 1}
+        lineage = DistributedQueryEngine(runtime).lineage("c", ["n0", 1])
+        assert {(ref.relation, ref.values) for ref in lineage.value} == {
+            ("e", ("n0", "a", "b")),
+            ("e", ("n0", "b", "a")),
+        }
+
+
+    def test_two_groups_explained_by_the_same_facts_share_one_rule_exec(self, prov_rids_live):
+        """``e(a,b)`` and ``e(b,a)`` are the contributing facts of group ``a``
+        and of group ``b``, so both heads carry one RID: one ``ruleExec``
+        row holding both heads, which lives until the last head goes."""
+        program = """
+        materialize(e, infinity, infinity, keys(1,2,3)).
+        materialize(c, infinity, infinity, keys(1,2)).
+        r1 c(@S, X, count<*>) :- e(@S, X, Y), e(@S, Y, X).
+        """
+        runtime = NetTrailsRuntime(program, topology.line(1), program_name="pairs")
+        runtime.insert_batch("e", [["n0", "a", "b"], ["n0", "b", "a"]])
+        runtime.run_to_quiescence()
+        assert runtime.state("c") == [("n0", "a", 1), ("n0", "b", 1)]
+        store = runtime.provenance.store("n0")
+        heads = [Fact.make("c", ["n0", "a", 1]), Fact.make("c", ["n0", "b", 1])]
+        ((rid, _),) = store.prov_entries(vid_for(heads[0]))
+        assert store.prov_entries(vid_for(heads[1])) == ((rid, "n0"),)
+        assert [entry.head_vid for entry in store.rule_execs()] == sorted(map(vid_for, heads))
+        assert runtime.provenance.table_sizes() == {"prov": 4, "ruleExec": 1}
+        assert prov_rids_live(runtime) == 2
+
+        runtime.insert_batch("e", [["n0", "a", "c"], ["n0", "c", "a"]])
+        runtime.run_to_quiescence()
+        assert runtime.state("c") == [("n0", "a", 2), ("n0", "b", 1), ("n0", "c", 1)]
+        assert prov_rids_live(runtime) == 3
+        runtime.delete_batch("e", [["n0", "a", "c"], ["n0", "c", "a"], ["n0", "b", "a"]])
+        runtime.run_to_quiescence()
+        assert runtime.state("c") == []
+        assert runtime.provenance.table_sizes() == {"prov": 1, "ruleExec": 0}
+        assert runtime.node("n0").evaluator.firings.consumers == {}
 
 
 class TestDisabledProvenance:

@@ -40,21 +40,22 @@ UNCACHED = QueryOptions(use_cache=False)
 
 def eager_closure(provenance, roots):
     """PR 4's eager walk as a set: every vertex reachable upward from the
-    ``(home, vid)`` *roots* over the support index as it stands right now."""
+    ``(home, fact)`` *roots* over the firings' consumer index as it stands
+    right now."""
     seen = set()
     stack = list(roots)
     while stack:
-        home, vid = stack.pop()
-        if vid in seen:
+        home, fact = stack.pop()
+        if vid_for(fact) in seen:
             continue
-        seen.add(vid)
+        seen.add(vid_for(fact))
         store = provenance._stores.get(home)
         if store is None:
             continue
-        for rid in store.uses_of(vid):
-            if store.has_rule_exec(rid):
-                entry = store.rule_exec(rid)
-                stack.append((entry.head_location, entry.head_vid))
+        firings = store.firings
+        for rid in firings.consumers_of(fact):
+            for head in firings.heads_of(rid):
+                stack.append((firings.location_of(head), head))
     return seen
 
 
@@ -74,12 +75,12 @@ class EagerOracle:
 
         def apply_support_batch(node_id, ops):
             apply_support(node_id, ops)
-            roots = [(node_id, vid_for(fact)) for _, fact, _, _ in ops]
+            roots = [(node_id, fact) for _, fact, _, _ in ops]
             self.bumped |= eager_closure(provenance, roots)
 
         def apply_rule_exec_batch(exec_node, effects):
             tags = apply_rule_execs(exec_node, effects)
-            roots = [(effect.head_location, vid_for(effect.head_fact)) for effect in effects]
+            roots = [(effect.head_location, effect.head_fact) for effect in effects]
             self.bumped |= eager_closure(provenance, roots)
             return tags
 

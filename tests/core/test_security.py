@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProvenanceError
 from repro.core.keys import BASE_RID
 from repro.core.security import ProvenanceAuthenticator
+from repro.engine.tuples import Fact
 from repro.protocols import mincost
 
 
@@ -58,8 +59,9 @@ class TestVerification:
         runtime, authenticator, attestations = signed_ring
         store = runtime.provenance.store("n1")
         # the compromised node silently drops one of its rule executions
+        # from the record its ruleExec rows are read from
         victim_rid = store.rule_execs()[0].rid
-        store.remove_rule_exec(victim_rid)
+        store.firings.remove(victim_rid, store.firings.heads[victim_rid])
         reports = authenticator.verify_engine(runtime.provenance, attestations)
         assert not reports["n1"].is_clean
         assert reports["n1"].missing_rows
@@ -69,7 +71,12 @@ class TestVerification:
     def test_fabricated_rows_detected(self, signed_ring):
         runtime, authenticator, attestations = signed_ring
         store = runtime.provenance.store("n2")
-        store.add_rule_exec("rid_forged", "mc2", "mincost", ("vid_fake",), "vid_also_fake", "n2")
+        store.firings.add(
+            "rid_forged",
+            "mc2",
+            Fact.make("minCost", ["n2", "n9", 1]),
+            (Fact.make("link", ["n2", "n9", 1]),),
+        )
         reports = authenticator.verify_engine(runtime.provenance, attestations)
         assert not reports["n2"].is_clean
         assert reports["n2"].unexpected_rows

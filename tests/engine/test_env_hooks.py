@@ -1,8 +1,7 @@
 """One parameterized parity suite for every ``NETTRAILS_*`` environment hook.
 
-The engine exposes three construction-time knobs through the environment —
-``NETTRAILS_QUERY_CACHE_CAPACITY``, ``NETTRAILS_OBSERVABILITY`` and
-``NETTRAILS_DURABLE_DIR`` — and they all promise the same contract:
+The engine exposes one construction-time knob through the environment,
+``NETTRAILS_OBSERVABILITY``, and a hook promises this contract:
 
 * unset or empty/whitespace value ⇒ the built-in default, silently;
 * a well-formed value ⇒ applied to every runtime built afterwards;
@@ -10,8 +9,9 @@ The engine exposes three construction-time knobs through the environment —
   construction, never a silent fallback;
 * an explicit constructor argument always beats the hook.
 
-Keeping the matrix in one table means a new hook (like the durable
-directory) cannot ship with divergent rejection semantics unnoticed.
+Keeping the matrix in one table means a new hook cannot ship with divergent
+rejection semantics unnoticed.  Retired hooks are listed too, to prove they
+are no longer read.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ import os
 import pytest
 
 from repro.engine import topology
-from repro.engine.runtime import (
-    CACHE_CAPACITY_ENV_VAR,
-    DURABLE_DIR_ENV_VAR,
-    OBSERVABILITY_ENV_VAR,
-    NetTrailsRuntime,
-)
+from repro.engine.runtime import OBSERVABILITY_ENV_VAR, NetTrailsRuntime
 from repro.errors import EngineError
 from repro.protocols import mincost
 
@@ -38,13 +33,6 @@ def build_runtime(**kwargs):
 #: hook -> (a valid value, an observation of the applied default/value, and
 #: malformed values that must raise at construction)
 HOOKS = {
-    CACHE_CAPACITY_ENV_VAR: {
-        "valid": "17",
-        "observe": lambda runtime: runtime.query_cache_capacity,
-        "expect": 17,
-        "default": None,
-        "malformed": ["many", "-3", "1.5"],
-    },
     OBSERVABILITY_ENV_VAR: {
         "valid": "on",
         "observe": lambda runtime: runtime.obs is not None,
@@ -63,11 +51,7 @@ def hook_cases(field):
 @pytest.fixture(autouse=True)
 def clean_hooks(monkeypatch):
     """Every test starts with no NETTRAILS_* hooks exported."""
-    for var in (
-        CACHE_CAPACITY_ENV_VAR,
-        OBSERVABILITY_ENV_VAR,
-        DURABLE_DIR_ENV_VAR,
-    ):
+    for var in (OBSERVABILITY_ENV_VAR, "NETTRAILS_QUERY_CACHE_CAPACITY", "NETTRAILS_DURABLE_DIR"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -94,21 +78,19 @@ class TestHookParity:
                 build_runtime()
 
     def test_explicit_argument_beats_hook(self, monkeypatch):
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
         monkeypatch.setenv(OBSERVABILITY_ENV_VAR, "1")
-        with build_runtime(
-            query_cache_capacity=5,
-            observability=False,
-        ) as runtime:
-            assert runtime.query_cache_capacity == 5
+        with build_runtime(observability=False) as runtime:
             assert runtime.obs is None
 
 
 class TestRetiredHooks:
     """``NETTRAILS_BACKEND`` and ``NETTRAILS_BACKEND_WORKERS`` once picked
-    an execution backend and its pool size, and rejected bad values at
-    construction.  One event loop runs every node now, so neither is read:
-    whatever either holds, the runtime builds and runs as with neither set."""
+    an execution backend and its pool size; ``NETTRAILS_QUERY_CACHE_CAPACITY``
+    and ``NETTRAILS_DURABLE_DIR`` stood in for the ``query_cache_capacity``
+    and ``durable_dir`` arguments.  All four rejected bad values at
+    construction.  None is read any more: whatever one holds, the runtime
+    builds and runs as with none set, with the default cache bound and no
+    write-ahead log."""
 
     @pytest.mark.parametrize(
         "var,raw",
@@ -119,9 +101,17 @@ class TestRetiredHooks:
             ("NETTRAILS_BACKEND_WORKERS", "4"),
             ("NETTRAILS_BACKEND_WORKERS", "0"),
             ("NETTRAILS_BACKEND_WORKERS", "junk"),
+            ("NETTRAILS_QUERY_CACHE_CAPACITY", "17"),
+            ("NETTRAILS_QUERY_CACHE_CAPACITY", "0"),
+            ("NETTRAILS_QUERY_CACHE_CAPACITY", "-3"),
+            ("NETTRAILS_QUERY_CACHE_CAPACITY", "1.5"),
+            ("NETTRAILS_QUERY_CACHE_CAPACITY", "junk"),
+            ("NETTRAILS_DURABLE_DIR", "{tmp_path}/durable"),
+            ("NETTRAILS_DURABLE_DIR", "{tmp_path}/a-file"),
+            ("NETTRAILS_DURABLE_DIR", "{tmp_path}/a-file/nested"),
         ],
     )
-    def test_retired_hook_is_not_read(self, monkeypatch, store_snapshots, var, raw):
+    def test_retired_hook_is_not_read(self, monkeypatch, tmp_path, store_snapshots, var, raw):
         def run():
             with build_runtime() as runtime:
                 runtime.seed_links(run=True)
@@ -129,63 +119,47 @@ class TestRetiredHooks:
                     store_snapshots(runtime),
                     runtime.message_stats().messages,
                     runtime.simulator.processed_events,
+                    runtime.query_cache_capacity,
+                    runtime.durable_dir,
                 )
 
+        (tmp_path / "a-file").write_text("not a directory")
         monkeypatch.delenv(var, raising=False)
         reference = run()
-        monkeypatch.setenv(var, raw)
+        monkeypatch.setenv(var, raw.format(tmp_path=tmp_path))
         assert run() == reference
+        assert not (tmp_path / "durable").exists()
 
 
-class TestDurableDirHook:
-    """NETTRAILS_DURABLE_DIR follows the same parity contract; its "applied"
-    observation is a live WAL, and its malformed axis is path-shaped."""
+class TestDurableDirArgument:
+    """``durable_dir=`` turns on durable mode, and a path that cannot hold a
+    write-ahead log raises at construction."""
 
-    def test_valid_path_turns_on_durable_mode(self, monkeypatch, tmp_path):
+    def test_valid_path_turns_on_durable_mode(self, tmp_path):
         target = tmp_path / "durable"
-        monkeypatch.setenv(DURABLE_DIR_ENV_VAR, str(target))
-        with build_runtime(wal_fsync=False) as runtime:
+        with build_runtime(durable_dir=target, wal_fsync=False) as runtime:
             assert runtime.durable_dir == str(target)
             assert (target / "wal.log").exists()
 
-    @pytest.mark.parametrize("raw", [None, "", "   "], ids=["unset", "empty", "blank"])
-    def test_unset_and_empty_mean_non_durable(self, monkeypatch, raw):
-        if raw is not None:
-            monkeypatch.setenv(DURABLE_DIR_ENV_VAR, raw)
-        with build_runtime() as runtime:
-            assert runtime.durable_dir is None
-
-    def test_existing_non_directory_raises(self, monkeypatch, tmp_path):
+    def test_existing_non_directory_raises(self, tmp_path):
         collision = tmp_path / "a-file"
         collision.write_text("not a directory")
-        monkeypatch.setenv(DURABLE_DIR_ENV_VAR, str(collision))
         with pytest.raises(EngineError, match="not a directory"):
-            build_runtime()
+            build_runtime(durable_dir=collision)
 
-    def test_uncreatable_path_raises(self, monkeypatch, tmp_path):
+    def test_uncreatable_path_raises(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        monkeypatch.setenv(DURABLE_DIR_ENV_VAR, str(blocker / "nested"))
         with pytest.raises(EngineError, match="cannot create durable_dir"):
-            build_runtime()
+            build_runtime(durable_dir=blocker / "nested")
 
     def test_unwritable_directory_raises(self, monkeypatch, tmp_path):
         # os.access reports writable for root whatever the mode bits say, so
         # the permission probe itself is patched to simulate a read-only dir.
-        monkeypatch.setenv(DURABLE_DIR_ENV_VAR, str(tmp_path))
         real_access = os.access
         monkeypatch.setattr(
             "repro.engine.runtime.os.access",
             lambda path, mode: False if mode == os.W_OK else real_access(path, mode),
         )
         with pytest.raises(EngineError, match="not writable"):
-            build_runtime()
-
-    def test_explicit_argument_beats_hook(self, monkeypatch, tmp_path):
-        from_env = tmp_path / "from-env"
-        explicit = tmp_path / "explicit"
-        monkeypatch.setenv(DURABLE_DIR_ENV_VAR, str(from_env))
-        with build_runtime(durable_dir=explicit, wal_fsync=False) as runtime:
-            assert runtime.durable_dir == str(explicit)
-            assert (explicit / "wal.log").exists()
-            assert not from_env.exists()
+            build_runtime(durable_dir=tmp_path)

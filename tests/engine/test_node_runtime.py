@@ -305,6 +305,22 @@ class TestFailureContract:
         assert runtime.provenance.versions()
 
 
+class TestQueryCacheCapacityArgument:
+    """``query_cache_capacity=`` bounds every node's query cache."""
+
+    def test_capacity_reaches_the_query_engine(self):
+        from repro.core.query import DistributedQueryEngine
+
+        runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(3), query_cache_capacity=7)
+        assert runtime.query_cache_capacity == 7
+        assert DistributedQueryEngine(runtime).cache_capacity == 7
+        assert NetTrailsRuntime(mincost.SOURCE, topology.ring(3)).query_cache_capacity is None
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(EngineError, match=">= 0"):
+            NetTrailsRuntime(mincost.SOURCE, topology.ring(3), query_cache_capacity=-3)
+
+
 class TestDynamicTopology:
     def test_add_link_updates_state(self):
         net = topology.line(3)
@@ -323,52 +339,3 @@ class TestDynamicTopology:
         assert mincost.check_against_reference(runtime, net)
         # n0 now reaches n1 the long way round
         assert ("n0", "n1", 3.0) in runtime.state("minCost")
-
-
-class TestQueryCacheCapacityEnvHook:
-    """NETTRAILS_QUERY_CACHE_CAPACITY: the env-hook contract for the cache bound."""
-
-    PROGRAM = "r1 reach(@D, S) :- edge(@S, D)."
-
-    def build(self, **kwargs):
-        return NetTrailsRuntime(self.PROGRAM, topology.line(2), **kwargs)
-
-    def test_env_sets_the_default_capacity(self, monkeypatch):
-        from repro.engine.runtime import CACHE_CAPACITY_ENV_VAR
-
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
-        assert self.build().query_cache_capacity == 17
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        from repro.engine.runtime import CACHE_CAPACITY_ENV_VAR
-
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "17")
-        assert self.build(query_cache_capacity=5).query_cache_capacity == 5
-        assert self.build(query_cache_capacity=0).query_cache_capacity == 0
-
-    def test_unset_or_blank_defers_to_engine_default(self, monkeypatch):
-        from repro.engine.runtime import CACHE_CAPACITY_ENV_VAR
-
-        monkeypatch.delenv(CACHE_CAPACITY_ENV_VAR, raising=False)
-        assert self.build().query_cache_capacity is None
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "  ")
-        assert self.build().query_cache_capacity is None
-
-    def test_malformed_or_negative_env_rejected(self, monkeypatch):
-        from repro.engine.runtime import CACHE_CAPACITY_ENV_VAR
-
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "many")
-        with pytest.raises(EngineError, match="not an integer"):
-            self.build()
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "-3")
-        with pytest.raises(EngineError, match=">= 0"):
-            self.build()
-
-    def test_env_capacity_reaches_the_query_engine(self, monkeypatch):
-        from repro.core.query import DistributedQueryEngine
-        from repro.engine.runtime import CACHE_CAPACITY_ENV_VAR
-
-        monkeypatch.setenv(CACHE_CAPACITY_ENV_VAR, "7")
-        runtime = mincost.setup(topology.ring(3))
-        engine = DistributedQueryEngine(runtime)
-        assert engine.cache_capacity == 7

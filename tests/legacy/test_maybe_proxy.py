@@ -44,6 +44,14 @@ class TestMaybeRuleEvaluator:
         with pytest.raises(LegacyIntegrationError):
             MaybeRuleEvaluator(node, ordinary, legacy_runtime.compiled.registry, "legacy")
 
+    def test_rules_of_another_program_rejected(self, legacy_runtime):
+        """A maybe derivation is recorded in the node's firings, whose rows
+        name the node's program."""
+        node = legacy_runtime.node("as1")
+        maybe = legacy_runtime.compiled.maybe_rules
+        with pytest.raises(LegacyIntegrationError, match="running 'legacy'"):
+            MaybeRuleEvaluator(node, maybe, legacy_runtime.compiled.registry, "other")
+
     def test_extended_output_is_explained(self, evaluator, legacy_runtime):
         incoming = Fact.make(INPUT_ROUTE, ["as2", "as9", "10.0.0.0/24", ("as9", "as7")])
         evaluator.observe_input(incoming)
@@ -92,6 +100,11 @@ class TestMaybeRuleEvaluator:
         evaluator.retract_output(first)
         legacy_runtime.run_to_quiescence()
         assert not node.store.contains(first) and node.store.contains(second)
+        # the surviving output's derivation still has its ruleExec row
+        store = legacy_runtime.provenance.store("as2")
+        ((rid, rloc),) = store.prov_entries(vid_for(second))
+        assert rloc == "as2" and store.has_rule_exec(rid)
+        assert store.rule_exec(rid).head_vid == vid_for(second)
         assert legacy_runtime.node_state("as3", INPUT_ROUTE) == [("as3", "as2", "p", ("as2", "as9"))]
         evaluator.retract_input(incoming)
         legacy_runtime.run_to_quiescence()

@@ -51,16 +51,18 @@ def node_leave_rejoin_script(seed, net, steps=6):
 class CheckpointOracle:
     """Checks each checkpoint of one runtime against the reference functions."""
 
-    def __init__(self, context):
+    def __init__(self, context, prov_rids_live):
         self.context = context
+        self.prov_rids_live = prov_rids_live
         self.previous = {}
         self.checkpoints = 0
 
     def checkpoint(self, runtime):
         writer = runtime._checkpoint_writer
         rebuilt_before = writer.partitions_rebuilt
-        path = runtime.checkpoint()
         where = f"{self.context} checkpoint={self.checkpoints}"
+        self.prov_rids_live(runtime)
+        path = runtime.checkpoint()
         record = scan(wal_path(runtime.durable_dir)).records[-1].data
         reference = take_snapshot(runtime, label=record["label"])
         assert path.read_bytes() == json.dumps(
@@ -101,12 +103,12 @@ def durable_runtime(tmp_path, net, **kwargs):
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
-def test_link_churn_checkpoints_match_reference(tmp_path, topology_name, seed):
+def test_link_churn_checkpoints_match_reference(tmp_path, topology_name, seed, prov_rids_live):
     net = TOPOLOGIES[topology_name]()
     context = f"link churn topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net) as runtime:
         rebuilt = run_checkpointed(
-            runtime, generate_churn_script(seed, net), CheckpointOracle(context)
+            runtime, generate_churn_script(seed, net), CheckpointOracle(context, prov_rids_live)
         )
         assert rebuilt[0] == len(runtime.nodes), context
         assert min(rebuilt[1:]) < len(runtime.nodes), context  # the cache was used
@@ -114,12 +116,12 @@ def test_link_churn_checkpoints_match_reference(tmp_path, topology_name, seed):
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 @pytest.mark.parametrize("provenance", [True, False], ids=["prov", "noprov"])
-def test_node_leave_rejoin_checkpoints_match_reference(tmp_path, seed, provenance):
+def test_node_leave_rejoin_checkpoints_match_reference(tmp_path, seed, provenance, prov_rids_live):
     net = TOPOLOGIES["as-level"]()
     context = f"node leave/rejoin provenance={provenance} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net, provenance=provenance) as runtime:
         rebuilt = run_checkpointed(
-            runtime, node_leave_rejoin_script(seed, net), CheckpointOracle(context)
+            runtime, node_leave_rejoin_script(seed, net), CheckpointOracle(context, prov_rids_live)
         )
         # A checkpoint with nothing committed since the last one is all hits.
         runtime.checkpoint()
@@ -127,19 +129,19 @@ def test_node_leave_rejoin_checkpoints_match_reference(tmp_path, seed, provenanc
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-def test_recovered_attached_runtime_checkpoints_match_reference(tmp_path, seed):
+def test_recovered_attached_runtime_checkpoints_match_reference(tmp_path, seed, prov_rids_live):
     net = TOPOLOGIES["ring"]()
     script = generate_churn_script(seed, net)
     half = len(script) // 2
     context = f"recovered seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net) as runtime:
-        run_checkpointed(runtime, script[:half], CheckpointOracle(context + " before crash"))
+        run_checkpointed(runtime, script[:half], CheckpointOracle(context + " before crash", prov_rids_live))
 
     result = RecoveryManager(tmp_path).recover(mode="checkpoint", wal_fsync=False)
     assert result.mode == "checkpoint", context
     with result.runtime as recovered:
         rebuilt = run_checkpointed(
-            recovered, script[half:], CheckpointOracle(context + " after recovery")
+            recovered, script[half:], CheckpointOracle(context + " after recovery", prov_rids_live)
         )
         assert rebuilt[0] == len(recovered.nodes), context
     again = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)

@@ -98,11 +98,12 @@ def expected_state(runtime, canon):
     """Everything a genesis recovery must reproduce bit-identically.
 
     *canon* carries the suite-wide canonicalisers (the ``store_snapshots``,
-    ``provenance_fingerprint`` and ``derivation_record`` conftest fixtures),
-    so this harness shares one definition of "indistinguishable" with every
-    other equivalence suite.
+    ``provenance_fingerprint`` and ``derivation_record`` conftest fixtures)
+    and the ``prov_rids_live`` invariant, so this harness shares one
+    definition of "indistinguishable" with every other equivalence suite.
     """
-    snapshots, fingerprint, derivations = canon
+    snapshots, fingerprint, derivations, rids_live = canon
+    rids_live(runtime)
     return {
         "snapshots": snapshots(runtime),
         "fingerprint": fingerprint(runtime),
@@ -114,8 +115,8 @@ def expected_state(runtime, canon):
 
 
 @pytest.fixture
-def canon(store_snapshots, provenance_fingerprint, derivation_record):
-    return (store_snapshots, provenance_fingerprint, derivation_record)
+def canon(store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live):
+    return (store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live)
 
 
 #: ``checkpoint_after`` value that checkpoints after every window.
@@ -187,9 +188,10 @@ def crash_copy(durable_dir, target_dir, wal_bytes, mutate=None):
 
 
 def assert_recovered_matches(result, expected, canon, where, exact_versions=True):
-    snapshots, fingerprint, derivations = canon
+    snapshots, fingerprint, derivations, rids_live = canon
     runtime = result.runtime
     try:
+        rids_live(runtime)
         assert snapshots(runtime) == expected["snapshots"], where
         assert fingerprint(runtime) == expected["fingerprint"], where
         assert derivations(runtime) == expected["derivations"], where

@@ -5,7 +5,8 @@ runs every node, so there is no alternative execution strategy left to diff
 that path against; the oracle is the paper's own claim instead.  After
 *every* step of a seeded churn script, the incrementally maintained runtime
 must hold exactly the protocol state and provenance tables of a fresh
-runtime built from the base state as it stands after that step.
+runtime built from the base state as it stands after that step, and every
+``prov`` row's RID must name a live ``ruleExec`` row holding its tuple.
 
 MINCOST replays the link-churn scripts of :mod:`churn_harness` (removals,
 re-adds, brand-new links and in-batch flaps).  Three more program shapes
@@ -41,7 +42,7 @@ class TestChurnEqualsFreshRun:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
     def test_every_step_matches_a_fresh_run(
-        self, topology_name, seed, global_state, provenance_fingerprint, derivation_record
+        self, topology_name, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
     ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
@@ -55,6 +56,7 @@ class TestChurnEqualsFreshRun:
             assert global_state(incremental, RELATIONS) == global_state(fresh, RELATIONS), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
+            prov_rids_live(incremental)
             fresh.close()
         incremental.close()
 
@@ -74,7 +76,7 @@ class TestProgramShapesEqualFreshRun:
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_negation_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
     ):
         net = TOPOLOGIES["star"]()
         nodes = sorted(net.nodes)
@@ -98,10 +100,11 @@ class TestProgramShapesEqualFreshRun:
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
+            prov_rids_live(incremental)
 
     @pytest.mark.parametrize("seed", SEEDS[:1], ids=lambda s: f"seed{s}")
     def test_path_vector_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
     ):
         net = TOPOLOGIES["ring"]()
         script = generate_churn_script(seed, net, steps=4)
@@ -116,11 +119,12 @@ class TestProgramShapesEqualFreshRun:
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
+            prov_rids_live(incremental)
         assert lineage_answers(incremental, "bestPath") == lineage_answers(fresh, "bestPath"), context
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_prefix_routing_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
     ):
         net = TOPOLOGIES["as-level"]()
         nodes = sorted(net.nodes)
@@ -146,4 +150,5 @@ class TestProgramShapesEqualFreshRun:
             assert global_state(incremental, relations) == global_state(fresh, relations), where
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
+            prov_rids_live(incremental)
         assert lineage_answers(incremental, "best") == lineage_answers(fresh, "best"), context

@@ -59,12 +59,16 @@ def traversal_answers(engine, values, options, at, relation):
     )
 
 
-def assert_matches_offline(runtime, engine, relation, options, step, where):
+def assert_matches_offline(runtime, engine, relation, options, step, where, prov_rids_live):
     """Query up to four *relation* tuples at home and from another node; diff each answer.
+
+    The graph is built from the same rows the traversal reads, so first
+    check those rows against each other (``prov_rids_live``).
 
     Returns how many of the queries were issued away from the tuple's home
     (every relation here is stored at its first column).
     """
+    prov_rids_live(runtime)
     graph = runtime.provenance.build_graph()
     targets = sorted(runtime.state(relation), key=repr)[:4]
     assert targets, f"{where}: nothing left to query"
@@ -84,7 +88,9 @@ class TestTraversalMatchesCentralizedGraph:
     @pytest.mark.parametrize("traversal", ["parallel", "sequential"])
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", ["star", "ring", "as-level"])
-    def test_answers_match_the_offline_graph_after_every_step(self, topology_name, seed, traversal):
+    def test_answers_match_the_offline_graph_after_every_step(
+        self, topology_name, seed, traversal, prov_rids_live
+    ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
         context = f"topology={topology_name} seed={seed} traversal={traversal} (NETTRAILS_CHURN_SEED={seed})"
@@ -96,13 +102,15 @@ class TestTraversalMatchesCentralizedGraph:
         for step, op in enumerate(script):
             apply_op(runtime, op)
             where = f"{context} step={step} op={op}"
-            remote_queries += assert_matches_offline(runtime, engine, "minCost", options, step, where)
+            remote_queries += assert_matches_offline(
+                runtime, engine, "minCost", options, step, where, prov_rids_live
+            )
         assert remote_queries, f"{context}: no query was issued away from its tuple's home"
 
     @pytest.mark.parametrize("traversal", ["parallel", "sequential"])
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_prefix_routes_match_the_offline_graph_under_announce_withdraw_and_flaps(
-        self, seed, traversal
+        self, seed, traversal, prov_rids_live
     ):
         """Prefix routing's ``min`` aggregate over announced prefixes: the
         same oracle while origins come and go and links churn."""
@@ -123,5 +131,7 @@ class TestTraversalMatchesCentralizedGraph:
                 prefix_routing.withdraw(runtime, announced[:1])
             apply_op(runtime, op)
             where = f"{context} step={step} op={op}"
-            remote_queries += assert_matches_offline(runtime, engine, "best", options, step, where)
+            remote_queries += assert_matches_offline(
+                runtime, engine, "best", options, step, where, prov_rids_live
+            )
         assert remote_queries, f"{context}: no query was issued away from its tuple's home"
