@@ -18,21 +18,29 @@ the RID.  The evaluator computes it once, when the rule fires, through
 derivation id in the head node's tuple store, and, shipped as
 ``TupleDelta(sign, fact, RID, RLoc)``, the receiver's ``prov`` row as is.
 
-A derivation is also stored once.  The ``ruleExec`` partition of a node is
-not a table of its own: it is the node evaluator's
+A derivation is also stored once at each end, and neither table is a table
+of its own.  The ``prov`` partition of a node is its
+:class:`~repro.engine.store.TupleStore`: the receiver stores each delta's
+``(RID, RLoc)`` pair as the fact's derivation, which is the row (a base
+derivation, stored ``(__base__, None)``, reads ``(BASE, Loc)``), and
+:class:`NodeProvenanceStore` reads it through an index of the facts present
+at the node by vid.  The ``ruleExec`` partition is the node evaluator's
 :class:`~repro.engine.evaluator.Firings`, the RID-keyed record of every live
 firing there (rule name, head fact, body facts), which the evaluator keeps
-anyway to retract firings.  :class:`NodeProvenanceStore` reads it in place
-and derives a row's ``ChildVIDs`` from the body facts when asked.  A RID
+anyway to retract firings; the partition derives a row's ``ChildVIDs`` from
+the body facts when asked.  A RID
 can name two live heads (an aggregate whose contributing facts serve two
 groups, one maybe-rule body explaining two outputs); its row lives until
 the last of them is retracted.
 
-The engine is *incremental*: entries are added when the execution engine
-reports a rule firing / derivation and removed when the corresponding
-derivation is retracted, so the tables always reflect the provenance of the
-current network state — which is what lets NetTrails answer provenance
-queries while the protocols keep running.
+The tables are *incremental* because the records they read are: a
+derivation enters the store and the firing record when the rule fires and
+leaves them when it is retracted, so the tables always reflect the
+provenance of the current network state — which is what lets NetTrails
+answer provenance queries while the protocols keep running.  A node tells
+the engine once per applied batch
+(:meth:`ProvenanceEngine.apply_rule_exec_batch`), which keeps the vid index
+and the versions below.
 
 The :class:`ProvenanceEngine` object is shared by all nodes of a runtime, but
 its data is strictly partitioned into per-node :class:`NodeProvenanceStore`
@@ -56,8 +64,8 @@ untouched.  Walking the *current* index is sound because every added or
 removed ``ruleExec`` edge marks its own head; a version counts the windows
 (or mid-window reads) that changed the subgraph.
 
-A stored ``prov`` row is a plain tuple ``(rid, rloc)`` under its vid, never
-an object: an exact tuple whose members are all atoms is untracked by
+A stored ``prov`` row is a plain tuple ``(rid, rloc)`` in the tuple store,
+never an object: an exact tuple whose members are all atoms is untracked by
 CPython's cyclic garbage collector, so the table (hundreds of thousands of
 rows at scale) adds nothing to the heap a full collection has to scan.
 ``tests/core/test_gc_footprint.py`` pins it, and the shapes of the firings
@@ -67,20 +75,21 @@ record.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProvenanceError, UnknownVertexError
 from repro.engine.catalog import Catalog
 from repro.engine.compiler import CompiledProgram
 from repro.engine.evaluator import DerivationEffect, Firings
+from repro.engine.store import TupleStore
 from repro.engine.tuples import Fact
 from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
 from repro.core.keys import BASE_RID, rid_for, vid_for
 
 
-#: A stored ``prov`` row of one tuple: ``(rid, rloc)`` (the tuple's vid is
-#: the key it is stored under, ``@Loc`` the store's node).
+#: A ``prov`` row of one tuple: ``(rid, rloc)``, stored as the fact's
+#: derivation in its node's tuple store (the tuple's vid is the fact's,
+#: ``@Loc`` the store's node).
 ProvRow = Tuple[str, object]
 
 class RuleExecEntry(NamedTuple):
@@ -106,113 +115,50 @@ def _prov_order(row: ProvRow) -> Tuple[str, str]:
 class NodeProvenanceStore:
     """The partition of the provenance tables stored at one node.
 
-    The ``prov`` rows are stored here; the ``ruleExec`` rows are read from
-    :attr:`firings`, the node evaluator's record of its live firings (an
-    empty record for a store with no node).  When the store belongs to a
-    :class:`ProvenanceEngine` (*engine* is set), every ``prov`` mutation
-    additionally marks the tuple whose derivations changed as a pending root
-    of the engine's next reachability walk; standalone stores skip that
-    bookkeeping entirely.
+    The store keeps no rows of its own.  The ``prov`` rows are the
+    derivations in :attr:`tuples`, the node's tuple store, read through
+    :attr:`facts`, the index of the facts present there by vid; the
+    ``ruleExec`` rows are read from :attr:`firings`, the node evaluator's
+    record of its live firings.  A store with no node reads an empty tuple
+    store and an empty record.  :meth:`ProvenanceEngine.apply_rule_exec_batch`
+    keeps the index and bumps :attr:`version` once per applied batch.
     """
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
         self.node_id = node_id
         self._engine = engine
-        #: vid -> the tuple's prov rows, in :func:`_prov_order` (derivations
-        #: of the tuple stored here)
-        self._prov: Dict[str, Tuple[ProvRow, ...]] = {}
         #: the live firings at this node, the ``ruleExec`` partition: empty
         #: until :meth:`ProvenanceEngine.attach` hands over the node's record
         self.firings = Firings("", Catalog().location_of)
-        #: vid -> tuple descriptor for tuples this node has seen locally
-        self._tuple_info: Dict[str, Tuple[str, Tuple[object, ...]]] = {}
-        #: bumped on every mutation; used by the query cache for invalidation
+        #: the node's tuple store, whose derivations are the ``prov`` rows
+        self.tuples = TupleStore()
+        self._entries = self.tuples.join_tables()[0]
+        #: vid -> the fact present at this node under that vid
+        self.facts: Dict[str, Fact] = {}
+        #: bumped once per applied batch; used by the query cache for invalidation
         self.version = 0
-        self._bumps_suspended = 0
-        self._pending_bump = False
-
-    # -- mutation -----------------------------------------------------------------
 
     def _bump(self) -> None:
-        if self._bumps_suspended:
-            self._pending_bump = True
-            return
         self.version += 1
         if self._engine is not None:
             self._engine._note_store_bump()
 
-    @contextmanager
-    def batched(self) -> Iterator["NodeProvenanceStore"]:
-        """Coalesce all version bumps inside the block into (at most) one.
-
-        Batch-first execution applies a whole delta batch under this context
-        manager, so the provenance store advances its version once per batch
-        instead of once per row, whatever the row count.
-        Per-VID reachability versions are not touched here: the rows only
-        mark pending roots, which the engine walks once per quiescence
-        window (or on the next read of a version).
-        """
-        self._bumps_suspended += 1
-        try:
-            yield self
-        finally:
-            self._bumps_suspended -= 1
-            if self._bumps_suspended == 0 and self._pending_bump:
-                self._pending_bump = False
-                self._bump()
-
-    def record_tuple(self, fact: Fact) -> str:
-        vid = vid_for(fact)
-        if vid not in self._tuple_info:
-            self._tuple_info[vid] = (fact.relation, fact.values)
-        return vid
-
-    def add_prov(self, fact: Fact, rid: str, rloc: object) -> None:
-        """Record the prov row ``(vid of fact, rid, rloc)`` (idempotent)."""
-        vid = self.record_tuple(fact)
-        row = (rid, rloc)
-        rows = self._prov.get(vid)
-        if rows is None:
-            self._prov[vid] = (row,)
-        elif row not in rows:
-            self._prov[vid] = tuple(sorted(rows + (row,), key=_prov_order))
-        self._mark_and_bump(vid, fact)
-
-    def remove_prov(self, fact: Fact, rid: str, rloc: object) -> None:
-        """Remove the prov row ``(vid of fact, rid, rloc)``; an absent row is a no-op."""
-        vid = vid_for(fact)
-        rows = self._prov.get(vid)
-        if rows is None:
-            return
-        row = (rid, rloc)
-        if row in rows:
-            if len(rows) == 1:
-                del self._prov[vid]
-            else:
-                self._prov[vid] = tuple([kept for kept in rows if kept != row])
-        self._mark_and_bump(vid, fact)
-
-    def _mark_and_bump(self, vid: str, fact: Fact) -> None:
-        """Mark *fact* (with its *vid*) here as a root of the engine's next walk, then bump.
-
-        The mark is made under the lock the walk holds, so a concurrent walk
-        never loses it between its snapshot of the roots and its clearing of
-        them.  Marking comes first, and every read of a vid version walks the
-        pending roots before reading, so the cache sweep's "vid versions
-        moved only if the global clock did" holds: new clock seen, bumps
-        seen.
-        """
-        engine = self._engine
-        if engine is not None:
-            with engine._graph_lock:
-                engine._pending_roots[vid] = (self.node_id, fact)
-        self._bump()
-
     # -- queries ------------------------------------------------------------------
+
+    def _row(self, derivation: ProvRow) -> ProvRow:
+        """The prov row of a stored derivation: a base one reads ``(BASE, Loc)``."""
+        return (BASE_RID, self.node_id) if derivation[1] is None else derivation
 
     def prov_entries(self, vid: str) -> Tuple[ProvRow, ...]:
         """The ``(rid, rloc)`` prov rows of tuple *vid*, ordered by ``(rid, repr(rloc))``."""
-        return self._prov.get(vid, ())
+        fact = self.facts.get(vid)
+        if fact is None:
+            return ()
+        derivations = self._entries[fact.relation][fact]
+        if type(derivations) is not set:
+            # the common case, inlined: one row, on every query tuple frame
+            return ((BASE_RID, self.node_id),) if derivations[1] is None else (derivations,)
+        return tuple(sorted(map(self._row, derivations), key=_prov_order))
 
     def rule_exec(self, rid: str) -> RuleExecEntry:
         """The ``ruleExec`` row of *rid* (its first head in ``repr`` order)."""
@@ -246,17 +192,9 @@ class NodeProvenanceStore:
     def has_rule_exec(self, rid: str) -> bool:
         return rid in self.firings.rules
 
-    def tuple_info(self, vid: str) -> Tuple[str, Tuple[object, ...]]:
-        if vid not in self._tuple_info:
-            raise UnknownVertexError(f"tuple {vid!r} is not known at node {self.node_id!r}")
-        return self._tuple_info[vid]
-
-    def knows_tuple(self, vid: str) -> bool:
-        return vid in self._tuple_info
-
-    def find_tuple(self, vid: str) -> Optional[Tuple[str, Tuple[object, ...]]]:
-        """``(relation, values)`` of tuple *vid*, or ``None`` if it is not known here."""
-        return self._tuple_info.get(vid)
+    def find_tuple(self, vid: str) -> Optional[Fact]:
+        """The fact present here under *vid*, or ``None``."""
+        return self.facts.get(vid)
 
     def rule_execs(self) -> List[RuleExecEntry]:
         """One entry per head of every ``ruleExec`` row (see :meth:`rule_exec`),
@@ -274,8 +212,8 @@ class NodeProvenanceStore:
         location = self.node_id
         return [
             (location, vid, rid, rloc)
-            for vid in sorted(self._prov)
-            for rid, rloc in self._prov[vid]
+            for vid in sorted(self.facts)
+            for rid, rloc in self.prov_entries(vid)
         ]
 
     def rule_exec_table(self) -> List[Tuple[object, ...]]:
@@ -287,25 +225,32 @@ class NodeProvenanceStore:
         ]
 
     def content_key(self) -> Tuple[object, ...]:
-        """An exact key of this partition's ``prov``, ``ruleExec`` and tuple tables.
+        """An exact key of this partition's ``prov`` and ``ruleExec`` tables.
 
-        A shallow copy of the ``prov`` map (its values are immutable), each
-        live RID's head vid(s), and the size of the tuple map, which only
-        ever grows and never rebinds a vid: equal keys mean equal tables.
-        A RID names its rule and body facts, so with its heads it covers
-        the whole ``ruleExec`` row.  The key holds strings only, so a kept
-        key keeps no retracted fact alive.  Unlike :attr:`version`, the key
-        is unchanged by a row that is removed and re-added.
+        Each present vid's stored derivations and each live RID's head
+        vid(s): equal keys mean equal tables.  A bare derivation is an
+        immutable row; a set, which the tuple store grows and shrinks in
+        place, is copied as its rows in a fixed order.  A RID names its rule
+        and body facts, so with its heads it covers the whole ``ruleExec``
+        row.  The key holds tuples of strings and node ids only, which the
+        garbage collector untracks, and a kept key keeps no retracted fact
+        alive.  Unlike :attr:`version`, the key is unchanged by a row that
+        is removed and re-added.
         """
+        entries = self._entries
+        prov = {}
+        for vid, fact in self.facts.items():
+            derivations = entries[fact.relation][fact]
+            prov[vid] = tuple(sorted(derivations, key=_prov_order)) if type(derivations) is set else derivations
         heads = {
             rid: vid_for(head) if type(head) is not frozenset else tuple(sorted(map(vid_for, head)))
             for rid, head in self.firings.heads.items()
         }
-        return (dict(self._prov), heads, len(self._tuple_info))
+        return (prov, heads)
 
     @property
     def prov_count(self) -> int:
-        return sum(len(rows) for rows in self._prov.values())
+        return sum(map(self.tuples.derivation_count, self.facts.values()))
 
     @property
     def rule_exec_count(self) -> int:
@@ -316,23 +261,17 @@ class ProvenanceEngine:
     """The system-wide (but per-node partitioned) provenance maintenance engine.
 
     Each :class:`repro.engine.node.Node` takes its evaluator's derivation-id
-    function, :meth:`derivation_id`, hands the engine its evaluator's
-    firings record (:meth:`attach`), and calls the engine once per drain:
-
-    * :meth:`apply_rule_exec_batch` at the node where rules fired (or
-      firings were retracted);
-    * :meth:`apply_support_batch` at the node where derived (or base)
-      tuples are stored, when derivations are added or removed.
+    function, :meth:`derivation_id`, hands the engine its tuple store and
+    its evaluator's firings record (:meth:`attach`), and calls
+    :meth:`apply_rule_exec_batch` once per applied batch.
     """
 
     def __init__(self, compiled: Optional[CompiledProgram] = None):
         self.compiled = compiled
         self._stores: Dict[object, NodeProvenanceStore] = {}
-        self.events_processed = 0
-        # Guards the shared registry (lazy store creation, node enumeration)
-        # and the events_processed counter; the per-node stores themselves
-        # need no locking because each is only ever written by its node's
-        # (serialized) events.
+        # Guards the shared registry (lazy store creation, node enumeration);
+        # the per-node stores themselves need no locking because each is
+        # only ever written by its node's (serialized) events.
         self._registry_lock = threading.Lock()
         # Guards the cross-partition reachability metadata, which per-node
         # event serialization does not cover: the per-VID version map, the
@@ -372,10 +311,6 @@ class ProvenanceEngine:
         #: clock is O(1) instead of a scan over every node's partition.
         self._global_version = 0
 
-    def _count_events(self, count: int) -> None:
-        with self._registry_lock:
-            self.events_processed += count
-
     # -- store access -------------------------------------------------------------
 
     def store(self, node_id: object) -> NodeProvenanceStore:
@@ -388,9 +323,17 @@ class ProvenanceEngine:
                     self._stores[node_id] = store
         return store
 
-    def attach(self, node_id: object, firings: Firings) -> None:
-        """Make *firings*, a node evaluator's record, the node's ``ruleExec`` partition."""
-        self.store(node_id).firings = firings
+    def attach(self, node_id: object, firings: Firings, tuples: TupleStore) -> None:
+        """Make a node's *tuples* store and its evaluator's *firings* record
+        the node's ``prov`` and ``ruleExec`` partition.
+
+        The node attaches them when it is built, empty; the partition's vid
+        index then follows every batch (:meth:`apply_rule_exec_batch`).
+        """
+        store = self.store(node_id)
+        store.firings = firings
+        store.tuples = tuples
+        store._entries = tuples.join_tables()[0]
 
     def node_ids(self) -> List[object]:
         with self._registry_lock:
@@ -410,47 +353,49 @@ class ProvenanceEngine:
         """
         return rid_for(rule_name, exec_node, tuple([vid_for(fact) for fact in body_facts]))
 
-    def apply_support_batch(
+    def apply_rule_exec_batch(
         self,
         node_id: object,
-        ops: Sequence[Tuple[int, Fact, str, object]],
+        effects: Sequence[DerivationEffect],
+        changed: Sequence[Fact] = (),
+        present: Sequence[Fact] = (),
+        gone: Sequence[Fact] = (),
     ) -> None:
-        """Apply an ordered batch of support changes with one version bump.
+        """Note one batch the node at *node_id* applied: the node's one call per batch.
 
-        Each op is ``(sign, fact, derivation_id, rloc)``: apart from the sign,
-        the ``prov`` row itself.  ``rloc`` is ``None`` for a base derivation,
-        whose row is ``(BASE, node_id)``.  ``sign > 0`` records the row and
-        ``sign < 0`` removes it (an absent row is a no-op).  The whole batch
-        bumps the node's provenance version at most once.
+        The rows themselves are the node's tuple store and firings record,
+        which the batch has already updated.  *present* and *gone* are the
+        facts that appeared at or left the node, which the partition's vid
+        index follows.  *changed* are the facts whose derivations an applied
+        delta touched, and *effects* the rule executions added or removed
+        at the node (by its evaluator, or by
+        :meth:`repro.engine.node.Node.apply_external_derivation`).  Both
+        kinds of facts, each effect's by its head, become roots of the next
+        reachability walk; then the partition's version is bumped once.
+
+        ``bench/tracing.py`` wraps this method by name as the
+        ``core.maintenance`` layer, which is why it keeps its name.
         """
-        if not ops:
-            return
         store = self.store(node_id)
-        with store.batched():
-            for sign, fact, rid, rloc in ops:
-                if rloc is None:
-                    rid, rloc = BASE_RID, node_id
-                if sign > 0:
-                    store.add_prov(fact, rid, rloc)
-                else:
-                    store.remove_prov(fact, rid, rloc)
-        self._count_events(len(ops))
-
-    def apply_rule_exec_batch(self, exec_node: object, effects: Sequence[DerivationEffect]) -> None:
-        """Note a batch of rule executions added or removed at *exec_node*.
-
-        The rows themselves are the node's firings record, which the
-        evaluator (or :meth:`repro.engine.node.Node.apply_external_derivation`)
-        has already updated: this marks every effect's head as a root of the
-        next reachability walk, then bumps the partition's version once.
-        """
-        if not effects:
+        facts = store.facts
+        for fact in present:
+            facts[vid_for(fact)] = fact
+        for fact in gone:
+            facts.pop(vid_for(fact), None)
+        if not changed and not effects:
             return
-        roots = {vid_for(effect.head_fact): (effect.head_location, effect.head_fact) for effect in effects}
-        with self._graph_lock:  # see NodeProvenanceStore._mark_and_bump
+        roots = {vid_for(fact): (node_id, fact) for fact in changed}
+        for effect in effects:
+            roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
+        # Marked under the lock the walk holds, so a concurrent walk never
+        # loses a mark between its snapshot of the roots and its clearing of
+        # them.  Marking comes first, and every read of a vid version walks
+        # the pending roots before reading, so the cache sweep's "vid
+        # versions moved only if the global clock did" holds: new clock
+        # seen, bumps seen.
+        with self._graph_lock:
             self._pending_roots.update(roots)
-        self.store(exec_node)._bump()
-        self._count_events(len(effects))
+        store._bump()
 
     # -- per-VID reachability versions ----------------------------------------------------
 
@@ -517,8 +462,8 @@ class ProvenanceEngine:
 
         Caller holds ``_graph_lock``.  Liveness is judged only from the
         firings records the walk reads (facts some live firing consumes, and
-        live firings' heads) — deliberately *not* from the ``_prov`` /
-        ``_tuple_info`` maps.  That makes the live set an
+        live firings' heads) — deliberately *not* from the partitions' vid
+        indexes.  That makes the live set an
         under-approximation (a base tuple nothing consumes yet counts as
         dead), which is sound: pruning such a vid merely downgrades cache
         validation to a miss.
@@ -590,7 +535,7 @@ class ProvenanceEngine:
         """The provenance version of one node's partition.
 
         The version advances at most once per applied batch
-        (:meth:`NodeProvenanceStore.batched`), so two executions that absorb
+        (:meth:`apply_rule_exec_batch`), so two executions that absorb
         the same logical batches — e.g. two runs of the same workload —
         report identical versions here; tests use this to pin
         the one-bump-per-batch invariant.
@@ -628,16 +573,11 @@ class ProvenanceEngine:
         return vid_for(Fact.make(relation, list(values)))
 
     def resolve_tuple(self, vid: str) -> Tuple[str, Tuple[object, ...], object]:
-        """Find (relation, values, location) of a tuple vertex by searching all partitions."""
+        """Find (relation, values, location) of a tuple vertex: the partition it is present at."""
         for node_id, store in self._stores.items():
-            if store.knows_tuple(vid) and store.prov_entries(vid):
-                relation, values = store.tuple_info(vid)
-                return relation, values, node_id
-        # Fall back to any node that has seen the tuple (e.g. as a rule input).
-        for node_id, store in self._stores.items():
-            if store.knows_tuple(vid):
-                relation, values = store.tuple_info(vid)
-                return relation, values, node_id
+            fact = store.find_tuple(vid)
+            if fact is not None:
+                return fact.relation, fact.values, node_id
         raise UnknownVertexError(f"tuple vertex {vid!r} is unknown to every node")
 
     def build_graph(self) -> ProvenanceGraph:
@@ -650,14 +590,13 @@ class ProvenanceEngine:
         graph = ProvenanceGraph()
         # Tuple vertices, with base-ness from prov entries.
         for node_id, store in self._stores.items():
-            for vid in sorted(store._prov):
-                relation, values = store.tuple_info(vid)
+            for vid, fact in sorted(store.facts.items()):
                 is_base = any(rid == BASE_RID for rid, _ in store.prov_entries(vid))
                 graph.add_tuple(
                     TupleVertex(
                         vid=vid,
-                        relation=relation,
-                        values=values,
+                        relation=fact.relation,
+                        values=fact.values,
                         location=node_id,
                         is_base=is_base,
                     )

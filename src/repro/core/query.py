@@ -343,10 +343,10 @@ class QueryAgent:
         return current.as_tuple() if current is not None else None
 
     def _tuple_ref(self, vid: str) -> TupleRef:
-        info = self._pstore.find_tuple(vid)
-        if info is None:
+        fact = self._pstore.find_tuple(vid)
+        if fact is None:
             return TupleRef(relation="<unknown>", values=(vid,), location=self._node_id)
-        ref = TupleRef(relation=info[0], values=info[1], location=self._node_id)
+        ref = TupleRef(relation=fact.relation, values=fact.values, location=self._node_id)
         object.__setattr__(ref, "_vid", vid)
         return ref
 

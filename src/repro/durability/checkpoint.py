@@ -17,8 +17,8 @@ Two digests, two verification regimes:
   read-only provenance queries legitimately advance traffic counters and
   virtual time without being logged.
 * ``snapshot_digest`` covers the whole snapshot JSON (time, traffic and the
-  history-retaining ``tuples`` map included) and is recorded for the audit
-  trail.
+  ``tuples`` map of the facts present, by vid, included) and is recorded
+  for the audit trail.
 
 A checkpoint costs what changed: each durable runtime's
 :class:`CheckpointWriter` keeps every partition's serialised snapshot and
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.store import BASE_DERIVATION
 from repro.engine.topology import Topology
 from repro.logstore.snapshot import NodeSnapshot, Snapshot, node_snapshot
 
@@ -55,9 +54,9 @@ def state_digest(snapshot: Snapshot) -> str:
     """sha256 over the query-independent state a recovery must reproduce.
 
     Covers per-node relation contents and the ``prov`` / ``ruleExec``
-    provenance tables; excludes virtual time, traffic counters and the
-    never-pruned ``tuples`` map (all three are history-dependent in ways a
-    checkpoint-bootstrapped twin legitimately differs in).
+    provenance tables; excludes virtual time and traffic counters (both
+    history-dependent in ways a checkpoint-bootstrapped twin legitimately
+    differs in) and the ``tuples`` map, which repeats the relations by vid.
     """
     doc = {
         node_id: node_state_doc(node) for node_id, node in sorted(snapshot.nodes.items())
@@ -83,10 +82,10 @@ def base_facts(runtime) -> Dict[str, List[List[object]]]:
     """Current base tuples per relation — the confluence bootstrap payload."""
     rows: Dict[str, List[List[object]]] = {}
     for node_id in runtime.node_ids():
-        store = runtime.nodes[node_id].store
-        for relation in store.relations():
-            for fact in store.facts(relation):
-                if BASE_DERIVATION in store.derivations(fact):
+        node = runtime.nodes[node_id]
+        for relation in node.store.relations():
+            for fact in node.store.facts(relation):
+                if node.has_base(fact):
                     rows.setdefault(relation, []).append(list(fact.values))
     return {relation: sorted(rows[relation], key=repr) for relation in sorted(rows)}
 

@@ -3,19 +3,21 @@
 Each :class:`Node` owns:
 
 * a :class:`~repro.engine.store.TupleStore` holding its horizontal partition
-  of every relation,
+  of every relation, each fact with its derivations: the ``(derivation id,
+  rloc)`` pair of every delta that derived it, which is the fact's ``prov``
+  row,
 * a :class:`~repro.engine.evaluator.LocalEvaluator` that computes the
   consequences of local updates,
 * a work queue of pending tuple deltas (local derivations and deltas received
   from other nodes), and
 * optionally the runtime's :class:`~repro.core.maintenance.ProvenanceEngine`
-  (the ExSPAN maintenance engine), which reads the evaluator's
-  :class:`~repro.engine.evaluator.Firings` as the node's ``ruleExec``
-  partition and is told once per drain of every derivation added to or
-  removed from the store
-  (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_support_batch`) and
-  of every rule execution
-  (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_rule_exec_batch`).
+  (the ExSPAN maintenance engine), whose partition for this node reads the
+  tuple store as its ``prov`` table and the evaluator's
+  :class:`~repro.engine.evaluator.Firings` as its ``ruleExec`` table.  The
+  node makes one provenance call per applied batch
+  (:meth:`~repro.core.maintenance.ProvenanceEngine.apply_rule_exec_batch`):
+  the facts whose derivations changed, the facts that appeared or
+  disappeared, and the batch's rule executions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import EngineError
 from repro.engine.compiler import CompiledProgram
@@ -41,6 +43,9 @@ from repro.obs import Observability
 
 if TYPE_CHECKING:  # the maintenance engine imports this package
     from repro.core.maintenance import ProvenanceEngine
+
+#: The stored derivation of a base tuple: what a base delta carries.
+BASE_ENTRY = (BASE_DERIVATION, None)
 
 
 @dataclass
@@ -89,10 +94,10 @@ class Node:
         self.provenance = provenance
         self._rloc = None if provenance is None else node_id
         if provenance is not None:
-            provenance.attach(node_id, self.evaluator.firings)
+            provenance.attach(node_id, self.evaluator.firings, self.store)
         self.stats = NodeStats()
         #: Pending deltas.  A drain takes the whole queue as one batch
-        #: through :meth:`LocalEvaluator.on_batch`, updates provenance once,
+        #: through :meth:`LocalEvaluator.on_batch`, tells provenance once,
         #: and groups outgoing deltas per destination into one message.
         self._queue: Deque[TupleDelta] = deque()
         self._processing = False
@@ -141,6 +146,10 @@ class Node:
         if self._queue and not self._processing:
             self._drain()
 
+    def has_base(self, fact: Fact) -> bool:
+        """Whether *fact* is stored here with its base derivation."""
+        return BASE_ENTRY in self.store.derivations(fact)
+
     def apply_external_derivation(self, effect: DerivationEffect) -> None:
         """Apply a derivation produced outside the local evaluator.
 
@@ -156,6 +165,8 @@ class Node:
             firings.add(effect.firing_id, effect.rule_name, effect.head_fact, effect.body_facts)
         else:
             firings.remove(effect.firing_id, effect.head_fact)
+        if self.provenance is not None:
+            self.provenance.apply_rule_exec_batch(self.id, [effect])
         self._handle_effects([effect])
 
     def register_handler(self, category: str, handler: Callable[[Message], None]) -> None:
@@ -233,45 +244,30 @@ class Node:
     def _apply_batch(self, updates: List[TupleDelta]) -> None:
         """Apply a batch of pending updates with one evaluator/provenance pass.
 
-        The store absorbs the whole batch first; the evaluator then sees only
-        the *net* presence transitions, and the provenance partition is
-        updated under a single version bump.
+        The store absorbs the whole batch first, each delta as its
+        ``(derivation id, rloc)`` pair; the evaluator then sees only the
+        *net* presence transitions, and the provenance partition is told
+        once, under a single version bump.
         """
         token = None if self.obs is None else self._obs_drain_begin()
         self.stats.updates_processed += len(updates)
         self.stats.batches_processed += 1
-        newly_present, disappeared = self._absorb_batch(updates)
-        if newly_present or disappeared:
-            effects = self.evaluator.on_batch(newly_present, disappeared)
-            self._handle_effects(effects)
+        newly_present, disappeared, applied = self.store.apply_delta_batch(
+            (update.sign, update.fact, (update.derivation_id, update.rloc)) for update in updates
+        )
+        effects = self.evaluator.on_batch(newly_present, disappeared) if newly_present or disappeared else []
+        if self.provenance is not None:
+            # Insertions always apply; a retraction applies only if the store
+            # held the derivation.
+            changed = [update.fact for update, was_applied in zip(updates, applied) if was_applied]
+            self.provenance.apply_rule_exec_batch(self.id, effects, changed, newly_present, disappeared)
+        self._handle_effects(effects)
         if self.obs is not None:
             self._obs_drain_end(token, len(updates))
-
-    def _absorb_batch(
-        self, updates: List[TupleDelta]
-    ) -> Tuple[List[Fact], List[Fact]]:
-        """Apply *updates* to the store and the provenance partition (no evaluation)."""
-        newly_present, disappeared, applied = self.store.apply_delta_batch(
-            (update.sign, update.fact, update.derivation_id) for update in updates
-        )
-        if self.provenance is not None:
-            # Insertions always apply; a retraction of a derivation the store
-            # did not hold has no prov row to remove either.
-            self.provenance.apply_support_batch(
-                self.id,
-                [
-                    (update.sign, update.fact, update.derivation_id, update.rloc)
-                    for update, was_applied in zip(updates, applied)
-                    if was_applied
-                ],
-            )
-        return newly_present, disappeared
 
     def _handle_effects(self, effects: List[DerivationEffect]) -> None:
         if not effects:
             return
-        if self.provenance is not None:
-            self.provenance.apply_rule_exec_batch(self.id, effects)
         self._dispatch_effects(effects)
         if self._queue and not self._processing:
             self._drain()

@@ -22,7 +22,6 @@ from repro.engine.compiler import CompiledProgram, compile_program
 from repro.engine.network import Network, TrafficStats
 from repro.engine.node import Node
 from repro.engine.simulator import Simulator
-from repro.engine.store import BASE_DERIVATION
 from repro.engine.topology import Topology
 from repro.engine.tuples import Fact
 from repro.obs import Observability, resolve_observability
@@ -473,7 +472,7 @@ class NetTrailsRuntime:
             schema = self.compiled.catalog.schema_or_default(relation, fact.arity)
             for existing in list(node.store.facts(relation)):
                 if existing != fact and schema.key_of(existing) == key:
-                    if BASE_DERIVATION in node.store.derivations(existing):
+                    if node.has_base(existing):
                         node.delete_base(existing)
         node.insert_base(fact)
         self._log_op(["insert", relation, list(fact.values)])
@@ -526,7 +525,7 @@ class NetTrailsRuntime:
                 if key_index is None:
                     key_index = {}
                     for existing in node.store.facts(relation):
-                        if BASE_DERIVATION in node.store.derivations(existing):
+                        if node.has_base(existing):
                             key_index.setdefault(schema.key_of(existing), []).append(existing)
                     stored_by_key[location] = key_index
                 deletes = per_node_deletes.setdefault(location, {})

@@ -19,7 +19,7 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.engine.tuples import Fact
@@ -27,17 +27,22 @@ from repro.engine.tuples import Fact
 #: Synthetic derivation id used for base-tuple insertions.
 BASE_DERIVATION = "__base__"
 
+#: One derivation of a fact: a hashable value, never a ``set``.
+Derivation = Hashable
+
 
 class TupleStore:
     """Facts grouped by relation, each with its derivation ids.
 
-    A fact's derivation ids are stored as the bare id string while there is
-    one (the common case by far) and as a ``set`` from the second on, so the
+    A derivation is any hashable value that is not a ``set``: a node stores
+    the ``(derivation id, rloc)`` pair its delta carries, which is the fact's
+    ``prov`` row.  A fact's derivations are stored bare while there is one
+    (the common case by far) and as a ``set`` from the second on, so the
     cyclic garbage collector has no per-fact container to scan.
     """
 
     def __init__(self) -> None:
-        self._facts: Dict[str, Dict[Fact, Union[str, Set[str]]]] = {}
+        self._facts: Dict[str, Dict[Fact, Union[Derivation, Set[Derivation]]]] = {}
         # (relation, positions) -> {projected values -> set of facts}
         self._indexes: Dict[Tuple[str, Tuple[int, ...]], Dict[Tuple[object, ...], Set[Fact]]] = {}
         # Memoized sorted non-empty relation names; invalidated only when a
@@ -87,24 +92,24 @@ class TupleStore:
         """
         return frozenset(map(repr, self.all_facts()))
 
-    def derivations(self, fact: Fact) -> Set[str]:
-        """Return the derivation ids currently supporting *fact* (empty if absent)."""
+    def derivations(self, fact: Fact) -> Set[Derivation]:
+        """Return the derivations currently supporting *fact* (empty if absent)."""
         derivations = self._facts.get(fact.relation, {}).get(fact)
         if derivations is None:
             return set()
-        if type(derivations) is str:
-            return {derivations}
-        return set(derivations)
+        if type(derivations) is set:
+            return set(derivations)
+        return {derivations}
 
     def derivation_count(self, fact: Fact) -> int:
         derivations = self._facts.get(fact.relation, {}).get(fact)
         if derivations is None:
             return 0
-        return 1 if type(derivations) is str else len(derivations)
+        return len(derivations) if type(derivations) is set else 1
 
     # -- mutation ----------------------------------------------------------------
 
-    def add_derivation(self, fact: Fact, derivation_id: str) -> bool:
+    def add_derivation(self, fact: Fact, derivation_id: Derivation) -> bool:
         """Add one derivation of *fact*; return True when the fact is newly present."""
         by_fact = self._facts.setdefault(fact.relation, {})
         existing = by_fact.get(fact)
@@ -114,14 +119,13 @@ class TupleStore:
             by_fact[fact] = derivation_id
             self._index_add(fact)
             return True
-        if type(existing) is str:
-            if existing != derivation_id:
-                by_fact[fact] = {existing, derivation_id}
-        else:
+        if type(existing) is set:
             existing.add(derivation_id)
+        elif existing != derivation_id:
+            by_fact[fact] = {existing, derivation_id}
         return False
 
-    def remove_derivation(self, fact: Fact, derivation_id: str) -> bool:
+    def remove_derivation(self, fact: Fact, derivation_id: Derivation) -> bool:
         """Remove one derivation of *fact*; return True when the fact disappears.
 
         Removing a derivation that is not present is a no-op returning False,
@@ -132,7 +136,7 @@ class TupleStore:
         if not by_fact or fact not in by_fact:
             return False
         derivations = by_fact[fact]
-        if type(derivations) is not str:
+        if type(derivations) is set:
             derivations.discard(derivation_id)
             if len(derivations) == 1:
                 (by_fact[fact],) = derivations
@@ -146,9 +150,9 @@ class TupleStore:
         return True
 
     def apply_delta_batch(
-        self, deltas: Iterable[Tuple[int, Fact, str]]
+        self, deltas: Iterable[Tuple[int, Fact, Derivation]]
     ) -> Tuple[List[Fact], List[Fact], List[bool]]:
-        """Apply an ordered batch of ``(sign, fact, derivation_id)`` deltas.
+        """Apply an ordered batch of ``(sign, fact, derivation)`` deltas.
 
         Returns ``(newly_present, disappeared, applied)``:
 
@@ -161,8 +165,8 @@ class TupleStore:
           derive-then-retract churn a one-at-a-time replay would produce.
         * *applied* has one flag per input delta: for insertions it is always
           True, for deletions it is True iff the derivation was actually
-          present (callers mirror it into their provenance support records,
-          keeping retraction idempotent).
+          present (a node marks the facts of the applied deltas as the
+          roots of the provenance reachability walk).
         """
         before: Dict[Fact, bool] = {}
         order: List[Fact] = []
@@ -176,10 +180,10 @@ class TupleStore:
                 applied.append(True)
             else:
                 derivations = self._facts.get(fact.relation, {}).get(fact)
-                if type(derivations) is str:
-                    had = derivations == derivation_id
+                if type(derivations) is set:
+                    had = derivation_id in derivations
                 else:
-                    had = derivations is not None and derivation_id in derivations
+                    had = derivations is not None and derivations == derivation_id
                 self.remove_derivation(fact, derivation_id)
                 applied.append(had)
         newly_present: List[Fact] = []
@@ -192,8 +196,8 @@ class TupleStore:
                 disappeared.append(fact)
         return newly_present, disappeared, applied
 
-    def remove_fact(self, fact: Fact) -> Set[str]:
-        """Forcibly remove *fact*, returning the derivation ids it had."""
+    def remove_fact(self, fact: Fact) -> Set[Derivation]:
+        """Forcibly remove *fact*, returning the derivations it had."""
         by_fact = self._facts.get(fact.relation)
         if not by_fact or fact not in by_fact:
             return set()
@@ -201,7 +205,7 @@ class TupleStore:
         if not by_fact:
             self._relations_cache = None
         self._index_remove(fact)
-        return {derivations} if type(derivations) is str else derivations
+        return derivations if type(derivations) is set else {derivations}
 
     # -- scans and indexes ---------------------------------------------------------
 

@@ -109,7 +109,7 @@ class MaybeRuleEvaluator:
         firings = self.node.evaluator.firings
         firing_ids = [
             firing_id
-            for firing_id in sorted(self.node.store.derivations(fact))
+            for firing_id, _rloc in sorted(self.node.store.derivations(fact))
             if firings.rules.get(firing_id) in self._rule_names
             and fact in firings.heads_of(firing_id)
         ]

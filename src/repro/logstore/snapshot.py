@@ -197,6 +197,6 @@ def node_snapshot(node_id, node, pstore) -> NodeSnapshot:
                     entry.head_vid,
                 ]
             )
-        for vid, info in sorted(pstore._tuple_info.items()):
-            snapshot.tuples[vid] = [info[0], list(info[1])]
+        for vid, fact in sorted(pstore.facts.items()):
+            snapshot.tuples[vid] = [fact.relation, list(fact.values)]
     return snapshot

@@ -36,13 +36,14 @@ def _provenance_fingerprint(runtime):
 
 
 def _derivation_record(runtime):
-    """Every node's derivation ids, checked against its ``prov`` rows.
+    """Every node's stored derivations, checked against its ``prov`` rows.
 
-    A derivation has one identity across the layers: for every node and
-    fact, the store's derivation ids are exactly the RIDs of the fact's prov
-    rows at that node (``__base__`` standing for ``BASE``), and every prov
-    row belongs to a stored fact.  Returns the ``(node, fact, id)`` set, which
-    is content-addressed and so comparable between two runs.
+    A derivation is stored once, in the head node's tuple store, as the
+    ``(RID, RLoc)`` pair its delta carried: for every node and fact, the
+    fact's prov rows are exactly its stored derivations, with a base one
+    (``(__base__, None)``) read as ``(BASE, Loc)``, and every prov row
+    belongs to a stored fact.  Returns the ``(node, fact, rid, rloc)`` set,
+    which is content-addressed and so comparable between two runs.
     """
     record = set()
     for node_id in runtime.node_ids():
@@ -52,10 +53,15 @@ def _derivation_record(runtime):
         for fact in store.all_facts():
             derivations = store.derivations(fact)
             entries = partition.prov_entries(vid_for(fact))
-            rids = {BASE_DERIVATION if rid == BASE_RID else rid for rid, _ in entries}
-            assert derivations == rids, (node_id, fact, derivations, entries)
+            expected = {
+                (BASE_RID, node_id) if (rid, rloc) == (BASE_DERIVATION, None) else (rid, rloc)
+                for rid, rloc in derivations
+            }
+            assert len(entries) == len(derivations) and set(entries) == expected, (
+                node_id, fact, derivations, entries
+            )
             rows += len(entries)
-            record.update((repr(node_id), repr(fact), rid) for rid in derivations)
+            record.update((repr(node_id), repr(fact), rid, repr(rloc)) for rid, rloc in derivations)
         assert rows == partition.prov_count, (node_id, rows, partition.prov_count)
     return record
 
@@ -86,6 +92,30 @@ def _prov_rids_live(runtime):
     return checked
 
 
+def _prov_vids_present(runtime):
+    """The vids a partition resolves are exactly the facts present in its
+    node's store.
+
+    The partition's vid index follows the store's presence transitions, so
+    it holds no fact that has left and misses none that is there.  Returns
+    how many vids were checked (0 without provenance).
+    """
+    provenance = runtime.provenance
+    if provenance is None:
+        return 0
+    checked = 0
+    for node_id in provenance.node_ids():
+        partition = provenance.store(node_id)
+        present = {vid_for(fact): fact for fact in runtime.nodes[node_id].store.all_facts()}
+        assert partition.facts.keys() == present.keys(), (
+            node_id, partition.facts.keys() ^ present.keys()
+        )
+        for vid, fact in present.items():
+            assert partition.find_tuple(vid) == fact, (node_id, vid, fact)
+        checked += len(present)
+    return checked
+
+
 def _global_state(runtime, relations):
     """Sorted global contents of the given relations."""
     return {relation: sorted(runtime.state(relation), key=repr) for relation in relations}
@@ -112,6 +142,11 @@ def derivation_record():
 @pytest.fixture
 def prov_rids_live():
     return _prov_rids_live
+
+
+@pytest.fixture
+def prov_vids_present():
+    return _prov_vids_present
 
 
 @pytest.fixture

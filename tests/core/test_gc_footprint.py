@@ -1,14 +1,15 @@
 """Stored engine rows stay invisible to the cyclic garbage collector.
 
-The ``prov`` table is a relation of identifiers, so its rows are stored as
-exact tuples of strings and node ids, which CPython untracks.  The
-``ruleExec`` table is not stored at all: it is the evaluator's record of
-its live firings, where a firing (plain, aggregate head or injected) is
-three map entries keyed by its id, not a record object.  The one-member
-common case of every per-fact id index (firings that consumed a fact,
-derivations of a fact) is a bare id string that becomes a ``set`` only at
-the second member, and a firing's head is a bare fact that becomes a
-``frozenset`` only at a second live head.  A fact is one slotted object with
+Neither provenance table is stored apart from the engine's own records.
+A ``prov`` row is a fact's derivation in the node's tuple store: the exact
+``(rid, rloc)`` tuple of a string and a node id (``None`` for a base
+derivation) that the delta carried, which CPython untracks.  The
+``ruleExec`` table is the evaluator's record of its live firings, where a
+firing (plain, aggregate head or injected) is three map entries keyed by
+its id, not a record object.  The one-member common case of every per-fact
+index (firings that consumed a fact, derivations of a fact) is the bare
+member, which becomes a ``set`` only at the second one, and a firing's head
+is a bare fact that becomes a ``frozenset`` only at a second live head.  A fact is one slotted object with
 no instance dict.  At churn scale this is the difference between a full
 collection scanning ~650 k objects or a third of that, several times per
 churn cycle.  These tests pin the shapes on a small prefix-routing runtime
@@ -19,22 +20,23 @@ from __future__ import annotations
 
 import gc
 
-from repro.core.keys import vid_for
-from repro.core.maintenance import NodeProvenanceStore
+from repro.core.keys import BASE_RID, vid_for
+from repro.core.maintenance import NodeProvenanceStore, ProvenanceEngine
 from repro.engine import topology
 from repro.engine.catalog import Catalog
 from repro.engine.compiler import compile_program
 from repro.engine.evaluator import Firings, LocalEvaluator
-from repro.engine.store import TupleStore
+from repro.engine.store import BASE_DERIVATION, TupleStore
 from repro.engine.tuples import Fact
 from repro.ndlog.parser import parse_program
 from repro.protocols import prefix_routing
 
 #: Tracked objects per ``prov`` row, runtime-wide, on the runtime below.  The
 #: row-object representation measured 13.0 here; tuple rows, one-object facts
-#: and record-free firings and aggregate heads measured 5.7, and reading the
+#: and record-free firings and aggregate heads measured 5.7, reading the
 #: ``ruleExec`` rows from the evaluator's firings instead of a second table
-#: measures 5.3.  The bound keeps about 30 % headroom over the latter.
+#: 5.3, and reading the ``prov`` rows from the tuple store measures 5.2.  The
+#: bound keeps about 30 % headroom over the 5.3.
 MAX_TRACKED_PER_PROV_ROW = 7.0
 
 TWO_CONSUMERS = """
@@ -76,13 +78,15 @@ class TestStoredRowsAreUntracked:
         provenance = runtime.provenance
         for node_id in provenance.node_ids():
             store = provenance.store(node_id)
-            for vid, rows in store._prov.items():
-                assert not gc.is_tracked(rows), (vid, rows)
-            # the partition reads the node's record, it keeps no copy
+            # the partition reads the node's records, it keeps no copy
             assert store.firings is runtime.nodes[node_id].evaluator.firings
+            assert store.tuples is runtime.nodes[node_id].store
         for node_id, node in runtime.nodes.items():
             for by_fact in node.store._facts.values():
-                assert_bare_or_plural(by_fact, "derivations")
+                assert_bare_or_plural(by_fact, "derivations", bare=tuple)
+                for stored, derivations in by_fact.items():
+                    for row in derivations if type(derivations) is set else (derivations,):
+                        assert len(row) == 2 and not gc.is_tracked(row), (stored, row)
             firings = node.evaluator.firings
             assert_bare_or_plural(firings.consumers, "consumers")
             assert_bare_or_plural(firings.heads, "heads", bare=Fact, plural=frozenset)
@@ -203,15 +207,32 @@ class TestConsumerIndexShape:
 
     def test_prov_rows_keep_their_reported_order(self):
         """``prov_entries`` reports ``(rid, repr(rloc))`` order whatever the
-        insertion order, and a retraction leaves the rest in that order."""
-        store = NodeProvenanceStore("n0")
+        insertion order, a base derivation reads ``(BASE, Loc)``, and a
+        retraction leaves the rest in that order."""
+        engine, tuples = ProvenanceEngine(), TupleStore()
+        engine.attach("n0", Firings("p", Catalog().location_of), tuples)
+        store = engine.store("n0")
         row_fact = fact("row")
         vid = vid_for(row_fact)
+
+        def apply(sign, rid, rloc):
+            # what a node does with one delta
+            present, gone, _ = tuples.apply_delta_batch([(sign, row_fact, (rid, rloc))])
+            engine.apply_rule_exec_batch("n0", (), [row_fact], present, gone)
+
         for rid, rloc in (("rid_b", "n2"), ("rid_a", "n9"), ("rid_b", "n1"), ("rid_a", "n9")):
-            store.add_prov(row_fact, rid, rloc)
+            apply(+1, rid, rloc)
         assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2"))
-        store.remove_prov(row_fact, "rid_b", "n1")
+        apply(+1, BASE_DERIVATION, None)
+        assert store.prov_entries(vid) == (
+            (BASE_RID, "n0"), ("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2")
+        )
+        apply(-1, BASE_DERIVATION, None)
+        apply(-1, "rid_b", "n1")
         assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n2"))
-        store.remove_prov(row_fact, "rid_a", "n9")
-        store.remove_prov(row_fact, "rid_b", "n2")
+        assert store.prov_count == 2 and store.find_tuple(vid) is row_fact
+        apply(-1, "rid_a", "n9")
+        assert store.prov_entries(vid) == (("rid_b", "n2"),) and tuples._facts["t"][row_fact] == ("rid_b", "n2")
+        apply(-1, "rid_b", "n2")
         assert store.prov_entries(vid) == () and store.prov_count == 0
+        assert store.find_tuple(vid) is None and store.facts == {}

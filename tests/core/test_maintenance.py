@@ -61,9 +61,11 @@ class TestTableMaintenance:
         provenance = ring_runtime.provenance
         for node_id in ring_runtime.node_ids():
             store = provenance.store(node_id)
+            tuples = ring_runtime.nodes[node_id].store
             for _loc, rid, _rule, _prog, child_vids in store.rule_exec_table():
                 for child in child_vids:
-                    assert store.knows_tuple(child)
+                    fact = store.find_tuple(child)
+                    assert fact is not None and vid_for(fact) == child and tuples.contains(fact)
 
     def test_prov_entries_point_to_existing_rule_execs(self, ring_runtime):
         provenance = ring_runtime.provenance
@@ -160,7 +162,7 @@ class TestSharedRid:
         }
 
 
-    def test_two_groups_explained_by_the_same_facts_share_one_rule_exec(self, prov_rids_live):
+    def test_two_groups_explained_by_the_same_facts_share_one_rule_exec(self, prov_rids_live, prov_vids_present):
         """``e(a,b)`` and ``e(b,a)`` are the contributing facts of group ``a``
         and of group ``b``, so both heads carry one RID: one ``ruleExec``
         row holding both heads, which lives until the last head goes."""
@@ -180,15 +182,18 @@ class TestSharedRid:
         assert [entry.head_vid for entry in store.rule_execs()] == sorted(map(vid_for, heads))
         assert runtime.provenance.table_sizes() == {"prov": 4, "ruleExec": 1}
         assert prov_rids_live(runtime) == 2
+        assert prov_vids_present(runtime) == 4
 
         runtime.insert_batch("e", [["n0", "a", "c"], ["n0", "c", "a"]])
         runtime.run_to_quiescence()
         assert runtime.state("c") == [("n0", "a", 2), ("n0", "b", 1), ("n0", "c", 1)]
         assert prov_rids_live(runtime) == 3
+        assert prov_vids_present(runtime) == 7
         runtime.delete_batch("e", [["n0", "a", "c"], ["n0", "c", "a"], ["n0", "b", "a"]])
         runtime.run_to_quiescence()
         assert runtime.state("c") == []
         assert runtime.provenance.table_sizes() == {"prov": 1, "ruleExec": 0}
+        assert prov_vids_present(runtime) == 1
         assert runtime.node("n0").evaluator.firings.consumers == {}
 
 

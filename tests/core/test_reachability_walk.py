@@ -29,7 +29,6 @@ from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
-from repro.engine.store import BASE_DERIVATION
 from repro.engine.tuples import Fact
 from repro.protocols import mincost, prefix_routing
 from repro.workloads.churn import ChurnBatch, apply_batch, random_link_churn
@@ -62,29 +61,22 @@ def eager_closure(provenance, roots):
 class EagerOracle:
     """Runs the eager walk beside the engine, once per applied batch.
 
-    The roots of a batch are derived from the batch's own arguments (the
-    tuple whose derivations change, the head of each added/removed rule
-    execution), not from the engine's pending set, and the closure is taken
-    when the batch returns — exactly when PR 4 walked.
+    The roots of a batch are derived from the node's one call's own
+    arguments (the tuples whose derivations changed, the head of each
+    added/removed rule execution), not from the engine's pending set, and
+    the closure is taken when the call returns.
     """
 
     def __init__(self, provenance):
         self.bumped = set()
-        apply_support = provenance.apply_support_batch
-        apply_rule_execs = provenance.apply_rule_exec_batch
+        apply_batch = provenance.apply_rule_exec_batch
 
-        def apply_support_batch(node_id, ops):
-            apply_support(node_id, ops)
-            roots = [(node_id, fact) for _, fact, _, _ in ops]
+        def apply_rule_exec_batch(node_id, effects, changed=(), present=(), gone=()):
+            apply_batch(node_id, effects, changed, present, gone)
+            roots = [(node_id, fact) for fact in changed]
+            roots += [(effect.head_location, effect.head_fact) for effect in effects]
             self.bumped |= eager_closure(provenance, roots)
 
-        def apply_rule_exec_batch(exec_node, effects):
-            tags = apply_rule_execs(exec_node, effects)
-            roots = [(effect.head_location, effect.head_fact) for effect in effects]
-            self.bumped |= eager_closure(provenance, roots)
-            return tags
-
-        provenance.apply_support_batch = apply_support_batch
         provenance.apply_rule_exec_batch = apply_rule_exec_batch
 
 
@@ -172,12 +164,12 @@ class TestMidWindowRead:
         engine = ProvenanceEngine()
         fact = Fact.make("link", ["a", "b", 1])
         vid = vid_for(fact)
-        engine.apply_support_batch("a", [(+1, fact, BASE_DERIVATION, None)])
+        engine.apply_rule_exec_batch("a", (), [fact])  # its derivations changed
         assert engine.vid_version(vid) == 1
-        engine.apply_support_batch("a", [(-1, fact, BASE_DERIVATION, None)])
+        engine.apply_rule_exec_batch("a", (), [fact])
         assert engine.vid_versions() == {vid: 2}
-        engine.apply_support_batch("a", [(+1, fact, BASE_DERIVATION, None)])
-        engine.apply_support_batch("a", [(-1, fact, BASE_DERIVATION, None)])  # same root: one bump
+        engine.apply_rule_exec_batch("a", (), [fact])
+        engine.apply_rule_exec_batch("a", (), [fact])  # same root: one bump
         stats = engine.vid_version_stats()
         assert (stats["pending"], stats["flushes"], stats["visited"]) == (1, 3, 3)
         assert engine.vid_versions() == {vid: 3}
@@ -253,8 +245,8 @@ class TestConcurrentMarks:
             vid = vid_for(fact)
             seen = 0
             for _ in range(rounds):
-                engine.apply_support_batch(node, [(+1, fact, BASE_DERIVATION, None)])
-                engine.apply_support_batch(node, [(-1, fact, BASE_DERIVATION, None)])
+                engine.apply_rule_exec_batch(node, (), [fact])
+                engine.apply_rule_exec_batch(node, (), [fact])
                 version = engine.vid_version(vid)
                 if version <= seen:
                     failures.append((node, seen, version))
@@ -274,4 +266,5 @@ class TestConcurrentMarks:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert engine.vid_version_stats()["pending"] == 0
-        assert engine.events_processed == 2 * workers * rounds
+        assert engine.versions() == {f"n{index}": 2 * rounds for index in range(workers)}
+        assert engine.global_version() == 2 * workers * rounds  # no bump lost either

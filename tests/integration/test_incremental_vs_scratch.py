@@ -133,12 +133,14 @@ class TestProvenanceOff:
         assert runtime.provenance is None
         relations = ["link", "path", "minCost"]
         assert global_state(runtime, relations) == global_state(reference, relations)
-        # derived facts carry fixed-width counter ids of their exec node
+        # derived facts carry fixed-width counter ids of their exec node, and
+        # no derivation names an RLoc
         counter_id = re.compile(r"n\d+#[0-9a-f]{8}")
         for node in runtime.nodes.values():
             for fact in node.store.all_facts():
-                for derivation in node.store.derivations(fact):
-                    assert derivation == "__base__" or counter_id.fullmatch(derivation), derivation
+                for derivation_id, rloc in node.store.derivations(fact):
+                    assert rloc is None, (fact, derivation_id, rloc)
+                    assert derivation_id == "__base__" or counter_id.fullmatch(derivation_id), derivation_id
 
 
 class TestBatchEqualsSingleton:

@@ -75,7 +75,7 @@ class TestMaybeRuleEvaluator:
         entry = store.rule_exec(rid)
         assert entry.rid == rid and entry.rule_name == "br1"
         assert entry.child_vids == (vid_for(incoming),) and entry.head_vid == vid_for(outgoing)
-        assert legacy_runtime.node("as2").store.derivations(outgoing) == {rid}
+        assert legacy_runtime.node("as2").store.derivations(outgoing) == {(rid, "as2")}
 
     def test_one_body_explains_two_outputs_under_one_rid(self):
         """A maybe rule's body does not fix its head: two outputs explained

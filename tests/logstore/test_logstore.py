@@ -48,6 +48,25 @@ class TestSnapshot:
             v.values for v in live.base_tuples_of(target.vid)
         }
 
+    def test_a_flap_back_to_the_base_state_restores_every_node_snapshot(self):
+        """The snapshot is a function of the current state: one link down and
+        up again brings back every node's relations, ``prov``, ``ruleExec``
+        and ``tuples`` entries, the last of which holds present facts only."""
+        runtime = mincost.setup(topology.ring(4), run=False)
+        runtime.seed_links(run=True)
+        before = take_snapshot(runtime).to_dict()["nodes"]
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        during = take_snapshot(runtime).to_dict()["nodes"]
+        runtime.add_link("n0", "n1", 1.0)
+        runtime.run_to_quiescence()
+        after = take_snapshot(runtime).to_dict()["nodes"]
+        assert during != before
+        for node_id, node in before.items():
+            assert after[node_id] == node, node_id
+            facts = sum(len(rows) for rows in node["relations"].values())
+            assert len(node["tuples"]) == facts, node_id
+
     def test_snapshot_json_round_trip_preserves_provenance(self, runtime):
         snapshot = take_snapshot(runtime)
         restored = Snapshot.from_json(snapshot.to_json())

@@ -51,9 +51,10 @@ def node_leave_rejoin_script(seed, net, steps=6):
 class CheckpointOracle:
     """Checks each checkpoint of one runtime against the reference functions."""
 
-    def __init__(self, context, prov_rids_live):
+    def __init__(self, context, prov_rids_live, prov_vids_present):
         self.context = context
         self.prov_rids_live = prov_rids_live
+        self.prov_vids_present = prov_vids_present
         self.previous = {}
         self.checkpoints = 0
 
@@ -62,6 +63,7 @@ class CheckpointOracle:
         rebuilt_before = writer.partitions_rebuilt
         where = f"{self.context} checkpoint={self.checkpoints}"
         self.prov_rids_live(runtime)
+        self.prov_vids_present(runtime)
         path = runtime.checkpoint()
         record = scan(wal_path(runtime.durable_dir)).records[-1].data
         reference = take_snapshot(runtime, label=record["label"])
@@ -103,12 +105,16 @@ def durable_runtime(tmp_path, net, **kwargs):
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
-def test_link_churn_checkpoints_match_reference(tmp_path, topology_name, seed, prov_rids_live):
+def test_link_churn_checkpoints_match_reference(
+    tmp_path, topology_name, seed, prov_rids_live, prov_vids_present
+):
     net = TOPOLOGIES[topology_name]()
     context = f"link churn topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net) as runtime:
         rebuilt = run_checkpointed(
-            runtime, generate_churn_script(seed, net), CheckpointOracle(context, prov_rids_live)
+            runtime,
+            generate_churn_script(seed, net),
+            CheckpointOracle(context, prov_rids_live, prov_vids_present),
         )
         assert rebuilt[0] == len(runtime.nodes), context
         assert min(rebuilt[1:]) < len(runtime.nodes), context  # the cache was used
@@ -116,12 +122,16 @@ def test_link_churn_checkpoints_match_reference(tmp_path, topology_name, seed, p
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 @pytest.mark.parametrize("provenance", [True, False], ids=["prov", "noprov"])
-def test_node_leave_rejoin_checkpoints_match_reference(tmp_path, seed, provenance, prov_rids_live):
+def test_node_leave_rejoin_checkpoints_match_reference(
+    tmp_path, seed, provenance, prov_rids_live, prov_vids_present
+):
     net = TOPOLOGIES["as-level"]()
     context = f"node leave/rejoin provenance={provenance} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net, provenance=provenance) as runtime:
         rebuilt = run_checkpointed(
-            runtime, node_leave_rejoin_script(seed, net), CheckpointOracle(context, prov_rids_live)
+            runtime,
+            node_leave_rejoin_script(seed, net),
+            CheckpointOracle(context, prov_rids_live, prov_vids_present),
         )
         # A checkpoint with nothing committed since the last one is all hits.
         runtime.checkpoint()
@@ -129,19 +139,27 @@ def test_node_leave_rejoin_checkpoints_match_reference(tmp_path, seed, provenanc
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-def test_recovered_attached_runtime_checkpoints_match_reference(tmp_path, seed, prov_rids_live):
+def test_recovered_attached_runtime_checkpoints_match_reference(
+    tmp_path, seed, prov_rids_live, prov_vids_present
+):
     net = TOPOLOGIES["ring"]()
     script = generate_churn_script(seed, net)
     half = len(script) // 2
     context = f"recovered seed={seed} (NETTRAILS_CHURN_SEED={seed})"
     with durable_runtime(tmp_path, net) as runtime:
-        run_checkpointed(runtime, script[:half], CheckpointOracle(context + " before crash", prov_rids_live))
+        run_checkpointed(
+            runtime,
+            script[:half],
+            CheckpointOracle(context + " before crash", prov_rids_live, prov_vids_present),
+        )
 
     result = RecoveryManager(tmp_path).recover(mode="checkpoint", wal_fsync=False)
     assert result.mode == "checkpoint", context
     with result.runtime as recovered:
         rebuilt = run_checkpointed(
-            recovered, script[half:], CheckpointOracle(context + " after recovery", prov_rids_live)
+            recovered,
+            script[half:],
+            CheckpointOracle(context + " after recovery", prov_rids_live, prov_vids_present),
         )
         assert rebuilt[0] == len(recovered.nodes), context
     again = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)

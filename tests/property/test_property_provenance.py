@@ -56,7 +56,9 @@ class TestProvenanceInvariants:
                 remote = provenance.store(rloc)
                 assert remote.has_rule_exec(rid)
                 for child in remote.rule_exec(rid).child_vids:
-                    assert remote.knows_tuple(child)
+                    fact = remote.find_tuple(child)
+                    assert fact is not None and vid_for(fact) == child
+                    assert runtime.nodes[rloc].store.contains(fact)
 
     @given(seed=st.integers(min_value=0, max_value=40), node_count=st.integers(min_value=3, max_value=6))
     @settings(**SLOW)

@@ -99,11 +99,13 @@ def expected_state(runtime, canon):
 
     *canon* carries the suite-wide canonicalisers (the ``store_snapshots``,
     ``provenance_fingerprint`` and ``derivation_record`` conftest fixtures)
-    and the ``prov_rids_live`` invariant, so this harness shares one
-    definition of "indistinguishable" with every other equivalence suite.
+    and the ``prov_rids_live`` and ``prov_vids_present`` invariants, so this
+    harness shares one definition of "indistinguishable" with every other
+    equivalence suite.
     """
-    snapshots, fingerprint, derivations, rids_live = canon
+    snapshots, fingerprint, derivations, rids_live, vids_present = canon
     rids_live(runtime)
+    vids_present(runtime)
     return {
         "snapshots": snapshots(runtime),
         "fingerprint": fingerprint(runtime),
@@ -115,8 +117,8 @@ def expected_state(runtime, canon):
 
 
 @pytest.fixture
-def canon(store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live):
-    return (store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live)
+def canon(store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present):
+    return (store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present)
 
 
 #: ``checkpoint_after`` value that checkpoints after every window.
@@ -188,10 +190,11 @@ def crash_copy(durable_dir, target_dir, wal_bytes, mutate=None):
 
 
 def assert_recovered_matches(result, expected, canon, where, exact_versions=True):
-    snapshots, fingerprint, derivations, rids_live = canon
+    snapshots, fingerprint, derivations, rids_live, vids_present = canon
     runtime = result.runtime
     try:
         rids_live(runtime)
+        vids_present(runtime)
         assert snapshots(runtime) == expected["snapshots"], where
         assert fingerprint(runtime) == expected["fingerprint"], where
         assert derivations(runtime) == expected["derivations"], where

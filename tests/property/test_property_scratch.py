@@ -42,7 +42,8 @@ class TestChurnEqualsFreshRun:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
     def test_every_step_matches_a_fresh_run(
-        self, topology_name, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
+        self, topology_name, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live,
+        prov_vids_present,
     ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
@@ -57,6 +58,7 @@ class TestChurnEqualsFreshRun:
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
             prov_rids_live(incremental)
+            prov_vids_present(incremental)
             fresh.close()
         incremental.close()
 
@@ -76,7 +78,8 @@ class TestProgramShapesEqualFreshRun:
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_negation_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live,
+        prov_vids_present,
     ):
         net = TOPOLOGIES["star"]()
         nodes = sorted(net.nodes)
@@ -101,10 +104,12 @@ class TestProgramShapesEqualFreshRun:
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
             prov_rids_live(incremental)
+            prov_vids_present(incremental)
 
     @pytest.mark.parametrize("seed", SEEDS[:1], ids=lambda s: f"seed{s}")
     def test_path_vector_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live,
+        prov_vids_present,
     ):
         net = TOPOLOGIES["ring"]()
         script = generate_churn_script(seed, net, steps=4)
@@ -120,11 +125,13 @@ class TestProgramShapesEqualFreshRun:
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
             prov_rids_live(incremental)
+            prov_vids_present(incremental)
         assert lineage_answers(incremental, "bestPath") == lineage_answers(fresh, "bestPath"), context
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_prefix_routing_matches_a_fresh_run(
-        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live
+        self, seed, global_state, provenance_fingerprint, derivation_record, prov_rids_live,
+        prov_vids_present,
     ):
         net = TOPOLOGIES["as-level"]()
         nodes = sorted(net.nodes)
@@ -151,4 +158,5 @@ class TestProgramShapesEqualFreshRun:
             assert provenance_fingerprint(incremental) == provenance_fingerprint(fresh), where
             assert derivation_record(incremental) == derivation_record(fresh), where
             prov_rids_live(incremental)
+            prov_vids_present(incremental)
         assert lineage_answers(incremental, "best") == lineage_answers(fresh, "best"), context

@@ -59,16 +59,18 @@ def traversal_answers(engine, values, options, at, relation):
     )
 
 
-def assert_matches_offline(runtime, engine, relation, options, step, where, prov_rids_live):
+def assert_matches_offline(runtime, engine, relation, options, step, where, invariants):
     """Query up to four *relation* tuples at home and from another node; diff each answer.
 
     The graph is built from the same rows the traversal reads, so first
-    check those rows against each other (``prov_rids_live``).
+    check those rows against each other and the node stores (*invariants*:
+    ``prov_rids_live`` and ``prov_vids_present``).
 
     Returns how many of the queries were issued away from the tuple's home
     (every relation here is stored at its first column).
     """
-    prov_rids_live(runtime)
+    for invariant in invariants:
+        invariant(runtime)
     graph = runtime.provenance.build_graph()
     targets = sorted(runtime.state(relation), key=repr)[:4]
     assert targets, f"{where}: nothing left to query"
@@ -89,7 +91,7 @@ class TestTraversalMatchesCentralizedGraph:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", ["star", "ring", "as-level"])
     def test_answers_match_the_offline_graph_after_every_step(
-        self, topology_name, seed, traversal, prov_rids_live
+        self, topology_name, seed, traversal, prov_rids_live, prov_vids_present
     ):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
@@ -103,14 +105,14 @@ class TestTraversalMatchesCentralizedGraph:
             apply_op(runtime, op)
             where = f"{context} step={step} op={op}"
             remote_queries += assert_matches_offline(
-                runtime, engine, "minCost", options, step, where, prov_rids_live
+                runtime, engine, "minCost", options, step, where, (prov_rids_live, prov_vids_present)
             )
         assert remote_queries, f"{context}: no query was issued away from its tuple's home"
 
     @pytest.mark.parametrize("traversal", ["parallel", "sequential"])
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_prefix_routes_match_the_offline_graph_under_announce_withdraw_and_flaps(
-        self, seed, traversal, prov_rids_live
+        self, seed, traversal, prov_rids_live, prov_vids_present
     ):
         """Prefix routing's ``min`` aggregate over announced prefixes: the
         same oracle while origins come and go and links churn."""
@@ -132,6 +134,6 @@ class TestTraversalMatchesCentralizedGraph:
             apply_op(runtime, op)
             where = f"{context} step={step} op={op}"
             remote_queries += assert_matches_offline(
-                runtime, engine, "best", options, step, where, prov_rids_live
+                runtime, engine, "best", options, step, where, (prov_rids_live, prov_vids_present)
             )
         assert remote_queries, f"{context}: no query was issued away from its tuple's home"
