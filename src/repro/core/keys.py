@@ -19,10 +19,12 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
+from repro.engine.store import BASE_DERIVATION
 from repro.engine.tuples import Fact
 
-#: RID marker used in ``prov`` entries of base tuples.
-BASE_RID = "BASE"
+#: RID marker used in ``prov`` entries of base tuples: the derivation id a
+#: node stores for a base insertion.
+BASE_RID = BASE_DERIVATION
 
 
 def _digest(payload: str) -> str:

@@ -21,14 +21,15 @@ derivation id in the head node's tuple store, and, shipped as
 A derivation is also stored once at each end, and neither table is a table
 of its own.  The ``prov`` partition of a node is its
 :class:`~repro.engine.store.TupleStore`: the receiver stores each delta's
-``(RID, RLoc)`` pair as the fact's derivation, which is the row (a base
-derivation, stored ``(__base__, None)``, reads ``(BASE, Loc)``), and
-:class:`NodeProvenanceStore` reads it through an index of the facts present
-at the node by vid.  The ``ruleExec`` partition is the node evaluator's
-:class:`~repro.engine.evaluator.Firings`, the RID-keyed record of every live
-firing there (rule name, head fact, body facts), which the evaluator keeps
-anyway to retract firings; the partition derives a row's ``ChildVIDs`` from
-the body facts when asked.  A RID
+``(RID, RLoc)`` pair as the fact's derivation, which is the row (a node
+stores a base insertion as ``(BASE, Loc)``), and
+:class:`NodeProvenanceStore` finds a tuple's rows there through the engine's
+one index of the facts present by vid (a fact is stored only at the node
+its location attribute names).  The ``ruleExec`` partition is the node
+evaluator's :class:`~repro.engine.evaluator.Firings`, the RID-keyed record
+of every live firing there (rule name, head fact, body facts), which the
+evaluator keeps anyway to retract firings; the partition derives a row's
+``ChildVIDs`` from the body facts when asked.  A RID
 can name two live heads (an aggregate whose contributing facts serve two
 groups, one maybe-rule body explaining two outputs); its row lives until
 the last of them is retracted.
@@ -44,8 +45,10 @@ and the versions below.
 
 The :class:`ProvenanceEngine` object is shared by all nodes of a runtime, but
 its data is strictly partitioned into per-node :class:`NodeProvenanceStore`
-instances; the distributed query engine only ever reads the partition of the
-node a query step executes on, preserving the distribution semantics.
+instances (the vid index is shared, but a partition answers only from its
+own node's store); the distributed query engine only ever reads the
+partition of the node a query step executes on, preserving the distribution
+semantics.
 
 Beyond the per-partition version counters, the engine maintains **per-VID
 reachability versions** for incremental query-cache invalidation:
@@ -75,6 +78,7 @@ record.
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProvenanceError, UnknownVertexError
@@ -107,21 +111,17 @@ class RuleExecEntry(NamedTuple):
     head_location: object
 
 
-def _prov_order(row: ProvRow) -> Tuple[str, str]:
-    """The order :meth:`NodeProvenanceStore.prov_entries` reports rows in."""
-    return (row[0], repr(row[1]))
-
-
 class NodeProvenanceStore:
     """The partition of the provenance tables stored at one node.
 
     The store keeps no rows of its own.  The ``prov`` rows are the
-    derivations in :attr:`tuples`, the node's tuple store, read through
-    :attr:`facts`, the index of the facts present there by vid; the
-    ``ruleExec`` rows are read from :attr:`firings`, the node evaluator's
-    record of its live firings.  A store with no node reads an empty tuple
-    store and an empty record.  :meth:`ProvenanceEngine.apply_rule_exec_batch`
-    keeps the index and bumps :attr:`version` once per applied batch.
+    derivations in :attr:`tuples`, the node's tuple store, found by vid
+    through the engine's index of present facts
+    (:attr:`ProvenanceEngine.facts`); the ``ruleExec`` rows are read from
+    :attr:`firings`, the node evaluator's record of its live firings.  A
+    store with no node reads an empty tuple store and an empty record.
+    :meth:`ProvenanceEngine.apply_rule_exec_batch` bumps :attr:`version`
+    once per applied batch.
     """
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
@@ -132,9 +132,7 @@ class NodeProvenanceStore:
         self.firings = Firings("", Catalog().location_of)
         #: the node's tuple store, whose derivations are the ``prov`` rows
         self.tuples = TupleStore()
-        self._entries = self.tuples.join_tables()[0]
-        #: vid -> the fact present at this node under that vid
-        self.facts: Dict[str, Fact] = {}
+        self._facts: Dict[str, Fact] = {} if engine is None else engine.facts
         #: bumped once per applied batch; used by the query cache for invalidation
         self.version = 0
 
@@ -145,20 +143,20 @@ class NodeProvenanceStore:
 
     # -- queries ------------------------------------------------------------------
 
-    def _row(self, derivation: ProvRow) -> ProvRow:
-        """The prov row of a stored derivation: a base one reads ``(BASE, Loc)``."""
-        return (BASE_RID, self.node_id) if derivation[1] is None else derivation
-
     def prov_entries(self, vid: str) -> Tuple[ProvRow, ...]:
-        """The ``(rid, rloc)`` prov rows of tuple *vid*, ordered by ``(rid, repr(rloc))``."""
-        fact = self.facts.get(vid)
+        """The ``(rid, rloc)`` prov rows of tuple *vid*, ordered by RID.
+
+        A RID names the node its rule ran at, so no two rows of a tuple
+        share one and sorting the rows sorts their RIDs.
+        """
+        fact = self._facts.get(vid)
         if fact is None:
             return ()
-        derivations = self._entries[fact.relation][fact]
-        if type(derivations) is not set:
-            # the common case, inlined: one row, on every query tuple frame
-            return ((BASE_RID, self.node_id),) if derivations[1] is None else (derivations,)
-        return tuple(sorted(map(self._row, derivations), key=_prov_order))
+        return self.tuples.derivation_rows(fact)
+
+    def present(self) -> List[Tuple[str, Fact]]:
+        """``(vid, fact)`` of every fact present at this node, sorted by vid."""
+        return sorted([(vid_for(fact), fact) for fact in self.tuples.all_facts()], key=itemgetter(0))
 
     def rule_exec(self, rid: str) -> RuleExecEntry:
         """The ``ruleExec`` row of *rid* (its first head in ``repr`` order)."""
@@ -194,7 +192,8 @@ class NodeProvenanceStore:
 
     def find_tuple(self, vid: str) -> Optional[Fact]:
         """The fact present here under *vid*, or ``None``."""
-        return self.facts.get(vid)
+        fact = self._facts.get(vid)
+        return fact if fact is not None and self.tuples.contains(fact) else None
 
     def rule_execs(self) -> List[RuleExecEntry]:
         """One entry per head of every ``ruleExec`` row (see :meth:`rule_exec`),
@@ -210,10 +209,11 @@ class NodeProvenanceStore:
     def prov_table(self) -> List[Tuple[object, ...]]:
         """The full local ``prov`` relation as rows ``(Loc, VID, RID, RLoc)``."""
         location = self.node_id
+        rows = self.tuples.derivation_rows
         return [
             (location, vid, rid, rloc)
-            for vid in sorted(self.facts)
-            for rid, rloc in self.prov_entries(vid)
+            for vid, fact in self.present()
+            for rid, rloc in rows(fact)
         ]
 
     def rule_exec_table(self) -> List[Tuple[object, ...]]:
@@ -227,21 +227,17 @@ class NodeProvenanceStore:
     def content_key(self) -> Tuple[object, ...]:
         """An exact key of this partition's ``prov`` and ``ruleExec`` tables.
 
-        Each present vid's stored derivations and each live RID's head
-        vid(s): equal keys mean equal tables.  A bare derivation is an
-        immutable row; a set, which the tuple store grows and shrinks in
-        place, is copied as its rows in a fixed order.  A RID names its rule
-        and body facts, so with its heads it covers the whole ``ruleExec``
-        row.  The key holds tuples of strings and node ids only, which the
-        garbage collector untracks, and a kept key keeps no retracted fact
-        alive.  Unlike :attr:`version`, the key is unchanged by a row that
-        is removed and re-added.
+        Each present vid's prov rows and each live RID's head vid(s): equal
+        keys mean equal tables.  The rows are copied out of the tuple
+        store, which grows and shrinks a fact's derivations in place.  A
+        RID names its rule and body facts, so with its heads it covers the
+        whole ``ruleExec`` row.  The key holds tuples of strings and node
+        ids only, which the garbage collector untracks, and a kept key keeps
+        no retracted fact alive.  Unlike :attr:`version`, the key is
+        unchanged by a row that is removed and re-added.
         """
-        entries = self._entries
-        prov = {}
-        for vid, fact in self.facts.items():
-            derivations = entries[fact.relation][fact]
-            prov[vid] = tuple(sorted(derivations, key=_prov_order)) if type(derivations) is set else derivations
+        rows = self.tuples.derivation_rows
+        prov = {vid_for(fact): rows(fact) for fact in self.tuples.all_facts()}
         heads = {
             rid: vid_for(head) if type(head) is not frozenset else tuple(sorted(map(vid_for, head)))
             for rid, head in self.firings.heads.items()
@@ -250,7 +246,7 @@ class NodeProvenanceStore:
 
     @property
     def prov_count(self) -> int:
-        return sum(map(self.tuples.derivation_count, self.facts.values()))
+        return sum(map(self.tuples.derivation_count, self.tuples.all_facts()))
 
     @property
     def rule_exec_count(self) -> int:
@@ -268,7 +264,12 @@ class ProvenanceEngine:
 
     def __init__(self, compiled: Optional[CompiledProgram] = None):
         self.compiled = compiled
+        self._location_of = (Catalog() if compiled is None else compiled.catalog).location_of
         self._stores: Dict[object, NodeProvenanceStore] = {}
+        #: vid -> the fact present under that vid, at its home node: one
+        #: index for every partition, since a fact is stored only at the
+        #: node its location attribute names.
+        self.facts: Dict[str, Fact] = {}
         # Guards the shared registry (lazy store creation, node enumeration);
         # the per-node stores themselves need no locking because each is
         # only ever written by its node's (serialized) events.
@@ -327,13 +328,12 @@ class ProvenanceEngine:
         """Make a node's *tuples* store and its evaluator's *firings* record
         the node's ``prov`` and ``ruleExec`` partition.
 
-        The node attaches them when it is built, empty; the partition's vid
-        index then follows every batch (:meth:`apply_rule_exec_batch`).
+        The node attaches them when it is built, empty; the vid index
+        (:attr:`facts`) then follows every batch (:meth:`apply_rule_exec_batch`).
         """
         store = self.store(node_id)
         store.firings = firings
         store.tuples = tuples
-        store._entries = tuples.join_tables()[0]
 
     def node_ids(self) -> List[object]:
         with self._registry_lock:
@@ -365,8 +365,8 @@ class ProvenanceEngine:
 
         The rows themselves are the node's tuple store and firings record,
         which the batch has already updated.  *present* and *gone* are the
-        facts that appeared at or left the node, which the partition's vid
-        index follows.  *changed* are the facts whose derivations an applied
+        facts that appeared at or left the node, which the vid index
+        (:attr:`facts`) follows.  *changed* are the facts whose derivations an applied
         delta touched, and *effects* the rule executions added or removed
         at the node (by its evaluator, or by
         :meth:`repro.engine.node.Node.apply_external_derivation`).  Both
@@ -377,7 +377,7 @@ class ProvenanceEngine:
         ``core.maintenance`` layer, which is why it keeps its name.
         """
         store = self.store(node_id)
-        facts = store.facts
+        facts = self.facts
         for fact in present:
             facts[vid_for(fact)] = fact
         for fact in gone:
@@ -573,12 +573,11 @@ class ProvenanceEngine:
         return vid_for(Fact.make(relation, list(values)))
 
     def resolve_tuple(self, vid: str) -> Tuple[str, Tuple[object, ...], object]:
-        """Find (relation, values, location) of a tuple vertex: the partition it is present at."""
-        for node_id, store in self._stores.items():
-            fact = store.find_tuple(vid)
-            if fact is not None:
-                return fact.relation, fact.values, node_id
-        raise UnknownVertexError(f"tuple vertex {vid!r} is unknown to every node")
+        """Find (relation, values, location) of a tuple vertex present at some node."""
+        fact = self.facts.get(vid)
+        if fact is None:
+            raise UnknownVertexError(f"tuple vertex {vid!r} is unknown to every node")
+        return fact.relation, fact.values, self._location_of(fact)
 
     def build_graph(self) -> ProvenanceGraph:
         """Assemble the full provenance graph from the distributed tables.
@@ -590,7 +589,7 @@ class ProvenanceEngine:
         graph = ProvenanceGraph()
         # Tuple vertices, with base-ness from prov entries.
         for node_id, store in self._stores.items():
-            for vid, fact in sorted(store.facts.items()):
+            for vid, fact in store.present():
                 is_base = any(rid == BASE_RID for rid, _ in store.prov_entries(vid))
                 graph.add_tuple(
                     TupleVertex(

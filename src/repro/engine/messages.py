@@ -32,9 +32,10 @@ class TupleDelta:
     Apart from its sign, a delta is the receiver's ``prov(@Loc, VID, RID,
     RLoc)`` row: the receiver is ``@Loc``, the fact gives the VID,
     ``derivation_id`` is the RID of the rule execution and ``rloc`` the node
-    it ran at.  ``rloc`` is ``None`` for a base delta (derivation id
-    ``__base__``) and whenever the runtime keeps no provenance, in which
-    case the id is a per-node counter and no RID exists.
+    it ran at; a base delta, which never leaves its node, is ``(BASE,
+    Loc)``.  ``rloc`` is ``None`` whenever the runtime keeps no provenance,
+    in which case a derived delta's id is a per-node counter and no RID
+    exists.
     """
 
     sign: int

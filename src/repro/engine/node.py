@@ -44,9 +44,6 @@ from repro.obs import Observability
 if TYPE_CHECKING:  # the maintenance engine imports this package
     from repro.core.maintenance import ProvenanceEngine
 
-#: The stored derivation of a base tuple: what a base delta carries.
-BASE_ENTRY = (BASE_DERIVATION, None)
-
 
 @dataclass
 class NodeStats:
@@ -120,12 +117,12 @@ class Node:
     def insert_base(self, fact: Fact) -> None:
         """Insert a base tuple locally (e.g. a ``link`` tuple from the topology)."""
         self._check_location(fact)
-        self._enqueue(TupleDelta(+1, fact, BASE_DERIVATION, None))
+        self._enqueue(TupleDelta(+1, fact, BASE_DERIVATION, self._rloc))
 
     def delete_base(self, fact: Fact) -> None:
         """Delete a base tuple previously inserted at this node."""
         self._check_location(fact)
-        self._enqueue(TupleDelta(-1, fact, BASE_DERIVATION, None))
+        self._enqueue(TupleDelta(-1, fact, BASE_DERIVATION, self._rloc))
 
     def apply_base_batch(
         self, inserts: Sequence[Fact] = (), deletes: Sequence[Fact] = ()
@@ -139,16 +136,16 @@ class Node:
         """
         for fact in deletes:
             self._check_location(fact)
-            self._queue.append(TupleDelta(-1, fact, BASE_DERIVATION, None))
+            self._queue.append(TupleDelta(-1, fact, BASE_DERIVATION, self._rloc))
         for fact in inserts:
             self._check_location(fact)
-            self._queue.append(TupleDelta(+1, fact, BASE_DERIVATION, None))
+            self._queue.append(TupleDelta(+1, fact, BASE_DERIVATION, self._rloc))
         if self._queue and not self._processing:
             self._drain()
 
     def has_base(self, fact: Fact) -> bool:
         """Whether *fact* is stored here with its base derivation."""
-        return BASE_ENTRY in self.store.derivations(fact)
+        return (BASE_DERIVATION, self._rloc) in self.store.derivations(fact)
 
     def apply_external_derivation(self, effect: DerivationEffect) -> None:
         """Apply a derivation produced outside the local evaluator.
@@ -255,12 +252,18 @@ class Node:
         newly_present, disappeared, applied = self.store.apply_delta_batch(
             (update.sign, update.fact, (update.derivation_id, update.rloc)) for update in updates
         )
-        effects = self.evaluator.on_batch(newly_present, disappeared) if newly_present or disappeared else []
-        if self.provenance is not None:
-            # Insertions always apply; a retraction applies only if the store
-            # held the derivation.
-            changed = [update.fact for update, was_applied in zip(updates, applied) if was_applied]
-            self.provenance.apply_rule_exec_batch(self.id, effects, changed, newly_present, disappeared)
+        effects: List[DerivationEffect] = []
+        try:
+            if newly_present or disappeared:
+                effects = self.evaluator.on_batch(newly_present, disappeared)
+        finally:
+            # Also when the evaluator raises: the store has absorbed the
+            # batch, so the vid index must follow it.
+            if self.provenance is not None:
+                # Insertions always apply; a retraction applies only if the
+                # store held the derivation.
+                changed = [update.fact for update, was_applied in zip(updates, applied) if was_applied]
+                self.provenance.apply_rule_exec_batch(self.id, effects, changed, newly_present, disappeared)
         self._handle_effects(effects)
         if self.obs is not None:
             self._obs_drain_end(token, len(updates))

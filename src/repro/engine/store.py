@@ -3,7 +3,7 @@
 Each node of the distributed system holds the horizontal partition of every
 relation whose location attribute names that node.  The store implements
 *set semantics with derivation counting*: a fact is present as long as it has
-at least one derivation (a base insertion counts as the ``__base__``
+at least one derivation (a base insertion counts as the ``BASE``
 derivation).  Incremental deletion removes derivations; only when the last
 derivation disappears does the fact itself disappear, which is exactly the
 behaviour the ExSPAN maintenance engine relies on.
@@ -24,11 +24,14 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List
 from repro.errors import EngineError
 from repro.engine.tuples import Fact
 
-#: Synthetic derivation id used for base-tuple insertions.
-BASE_DERIVATION = "__base__"
+#: Derivation id of a base-tuple insertion: the RID of a base tuple's
+#: ``prov`` row, ``(BASE, Loc)`` (:data:`repro.core.keys.BASE_RID`).
+BASE_DERIVATION = "BASE"
 
 #: One derivation of a fact: a hashable value, never a ``set``.
 Derivation = Hashable
+
+_NO_FACTS: Dict[Fact, object] = {}
 
 
 class TupleStore:
@@ -100,6 +103,20 @@ class TupleStore:
         if type(derivations) is set:
             return set(derivations)
         return {derivations}
+
+    def derivation_rows(self, fact: Fact) -> Tuple[Derivation, ...]:
+        """The derivations of *fact* in sorted order (empty if absent).
+
+        A single derivation, the common case by far, is returned without
+        sorting; callers never see whether the store keeps a fact's
+        derivations bare or in a ``set``.
+        """
+        derivations = self._facts.get(fact.relation, _NO_FACTS).get(fact)
+        if derivations is None:
+            return ()
+        if type(derivations) is set:
+            return tuple(sorted(derivations))
+        return (derivations,)
 
     def derivation_count(self, fact: Fact) -> int:
         derivations = self._facts.get(fact.relation, {}).get(fact)

@@ -197,6 +197,6 @@ def node_snapshot(node_id, node, pstore) -> NodeSnapshot:
                     entry.head_vid,
                 ]
             )
-        for vid, fact in sorted(pstore.facts.items()):
+        for vid, fact in pstore.present():
             snapshot.tuples[vid] = [fact.relation, list(fact.values)]
     return snapshot

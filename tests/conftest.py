@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.keys import BASE_RID, vid_for
 from repro.engine import topology
-from repro.engine.store import BASE_DERIVATION
 from repro.protocols import mincost, path_vector
 
 
@@ -40,10 +39,10 @@ def _derivation_record(runtime):
 
     A derivation is stored once, in the head node's tuple store, as the
     ``(RID, RLoc)`` pair its delta carried: for every node and fact, the
-    fact's prov rows are exactly its stored derivations, with a base one
-    (``(__base__, None)``) read as ``(BASE, Loc)``, and every prov row
-    belongs to a stored fact.  Returns the ``(node, fact, rid, rloc)`` set,
-    which is content-addressed and so comparable between two runs.
+    fact's prov rows are exactly its stored derivations (a base one is
+    ``(BASE, Loc)``), and every prov row belongs to a stored fact.  Returns
+    the ``(node, fact, rid, rloc)`` set, which is content-addressed and so
+    comparable between two runs.
     """
     record = set()
     for node_id in runtime.node_ids():
@@ -53,11 +52,7 @@ def _derivation_record(runtime):
         for fact in store.all_facts():
             derivations = store.derivations(fact)
             entries = partition.prov_entries(vid_for(fact))
-            expected = {
-                (BASE_RID, node_id) if (rid, rloc) == (BASE_DERIVATION, None) else (rid, rloc)
-                for rid, rloc in derivations
-            }
-            assert len(entries) == len(derivations) and set(entries) == expected, (
+            assert len(entries) == len(derivations) and set(entries) == derivations, (
                 node_id, fact, derivations, entries
             )
             rows += len(entries)
@@ -96,24 +91,24 @@ def _prov_vids_present(runtime):
     """The vids a partition resolves are exactly the facts present in its
     node's store.
 
-    The partition's vid index follows the store's presence transitions, so
-    it holds no fact that has left and misses none that is there.  Returns
-    how many vids were checked (0 without provenance).
+    The engine's vid index follows the stores' presence transitions, so it
+    holds no fact that has left and misses none that is there, and each
+    partition resolves the vids of its own node's facts.  Returns how many
+    vids were checked (0 without provenance).
     """
     provenance = runtime.provenance
     if provenance is None:
         return 0
-    checked = 0
+    present = {}
     for node_id in provenance.node_ids():
         partition = provenance.store(node_id)
-        present = {vid_for(fact): fact for fact in runtime.nodes[node_id].store.all_facts()}
-        assert partition.facts.keys() == present.keys(), (
-            node_id, partition.facts.keys() ^ present.keys()
-        )
-        for vid, fact in present.items():
+        for fact in runtime.nodes[node_id].store.all_facts():
+            vid = vid_for(fact)
             assert partition.find_tuple(vid) == fact, (node_id, vid, fact)
-        checked += len(present)
-    return checked
+            assert partition.prov_entries(vid), (node_id, vid, fact)
+            present[vid] = fact
+    assert provenance.facts == present, provenance.facts.keys() ^ present.keys()
+    return len(present)
 
 
 def _global_state(runtime, relations):

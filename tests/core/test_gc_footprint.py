@@ -206,8 +206,8 @@ class TestConsumerIndexShape:
         assert link not in evaluator.firings.consumers
 
     def test_prov_rows_keep_their_reported_order(self):
-        """``prov_entries`` reports ``(rid, repr(rloc))`` order whatever the
-        insertion order, a base derivation reads ``(BASE, Loc)``, and a
+        """``prov_entries`` reports sorted ``(rid, rloc)`` order whatever the
+        insertion order, a base derivation is its ``(BASE, Loc)`` row, and a
         retraction leaves the rest in that order."""
         engine, tuples = ProvenanceEngine(), TupleStore()
         engine.attach("n0", Firings("p", Catalog().location_of), tuples)
@@ -223,11 +223,11 @@ class TestConsumerIndexShape:
         for rid, rloc in (("rid_b", "n2"), ("rid_a", "n9"), ("rid_b", "n1"), ("rid_a", "n9")):
             apply(+1, rid, rloc)
         assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2"))
-        apply(+1, BASE_DERIVATION, None)
+        apply(+1, BASE_DERIVATION, "n0")
         assert store.prov_entries(vid) == (
             (BASE_RID, "n0"), ("rid_a", "n9"), ("rid_b", "n1"), ("rid_b", "n2")
         )
-        apply(-1, BASE_DERIVATION, None)
+        apply(-1, BASE_DERIVATION, "n0")
         apply(-1, "rid_b", "n1")
         assert store.prov_entries(vid) == (("rid_a", "n9"), ("rid_b", "n2"))
         assert store.prov_count == 2 and store.find_tuple(vid) is row_fact
@@ -235,4 +235,4 @@ class TestConsumerIndexShape:
         assert store.prov_entries(vid) == (("rid_b", "n2"),) and tuples._facts["t"][row_fact] == ("rid_b", "n2")
         apply(-1, "rid_b", "n2")
         assert store.prov_entries(vid) == () and store.prov_count == 0
-        assert store.find_tuple(vid) is None and store.facts == {}
+        assert store.find_tuple(vid) is None and engine.facts == {}

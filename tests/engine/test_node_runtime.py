@@ -10,6 +10,8 @@ from repro.engine.node import Node
 from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.store import TupleStore
 from repro.engine.tuples import Fact
+from repro.core.keys import vid_for
+from repro.logstore import take_snapshot
 from repro.protocols import mincost
 
 TWO_NODE_PROGRAM = """
@@ -266,6 +268,8 @@ r1 hop(@D, S, X) :- link(@S, D, X).
 r2 out(@D, S, C) :- hop(@D, S, X), C := 10 / X.
 """
 
+KEYED_DIVIDE_PROGRAM = "materialize(link, infinity, infinity, keys(1, 2)).\n" + DIVIDE_PROGRAM
+
 FAILURE_SEEDS = [3, 11, 29]
 
 
@@ -275,6 +279,18 @@ def link_rows_with_zero_costs(net, seed):
     rows = [[source, target, rng.choice([0, 1, 2, 5])] for source, target, _ in net.directed_edges()]
     rows[rng.randrange(len(rows))][2] = 0
     return rows
+
+
+def assert_provenance_readable(runtime, prov_vids_present):
+    """Every provenance read succeeds, and each node's snapshot ``tuples``
+    are the vids of the facts present there; returns how many."""
+    checked = prov_vids_present(runtime)
+    nodes = take_snapshot(runtime).to_dict()["nodes"]
+    for node_id, node in runtime.nodes.items():
+        assert set(nodes[str(node_id)]["tuples"]) == set(map(vid_for, node.store.all_facts()))
+        runtime.provenance.store(node_id).content_key()
+    runtime.provenance.build_graph()
+    return checked
 
 
 class TestFailureContract:
@@ -295,7 +311,7 @@ class TestFailureContract:
                 continue
         assert runtime.simulator.pending_events == 0
 
-    def test_failed_runtime_stays_readable(self, store_snapshots):
+    def test_failed_runtime_stays_readable(self, store_snapshots, prov_vids_present):
         runtime = NetTrailsRuntime(DIVIDE_PROGRAM, topology.star(4))
         with pytest.raises(ZeroDivisionError):
             runtime.insert_batch("link", link_rows_with_zero_costs(runtime.topology, 3), run=True)
@@ -303,6 +319,26 @@ class TestFailureContract:
         assert store_snapshots(runtime)
         assert runtime.message_stats().messages > 0
         assert runtime.provenance.versions()
+        assert_provenance_readable(runtime, prov_vids_present)
+
+    def test_a_failed_batch_that_replaces_a_fact_keeps_provenance_in_step(self, prov_vids_present):
+        """A link cost overwritten to 0 sends the old ``hop`` retraction and
+        the new ``hop`` to ``D`` in one batch, and ``r2`` then divides by
+        zero: the partition still drops the old tuple and finds the new
+        one, during and after the resumed run."""
+        runtime = NetTrailsRuntime(KEYED_DIVIDE_PROGRAM, topology.line(2))
+        runtime.insert_batch("link", [["n0", "n1", 2], ["n1", "n0", 5]], run=True)
+        with pytest.raises(ZeroDivisionError):
+            runtime.insert_batch("link", [["n0", "n1", 0]], run=True)
+        old_hop, new_hop = Fact.make("hop", ["n1", "n0", 2]), Fact.make("hop", ["n1", "n0", 0])
+        for _ in range(2):
+            assert sorted(runtime.node_state("n1", "hop")) == [("n1", "n0", 0)]
+            assert assert_provenance_readable(runtime, prov_vids_present) == 6
+            partition = runtime.provenance.store("n1")
+            assert partition.prov_entries(vid_for(old_hop)) == ()
+            assert partition.find_tuple(vid_for(new_hop)) == new_hop
+            assert partition.prov_entries(vid_for(new_hop))
+            runtime.run_to_quiescence()
 
 
 class TestQueryCacheCapacityArgument:

@@ -18,6 +18,7 @@ import pytest
 import repro.core.keys as keys
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
+from repro.engine.store import BASE_DERIVATION
 from repro.protocols import distance_vector, mincost, path_vector
 
 
@@ -140,7 +141,7 @@ class TestProvenanceOff:
             for fact in node.store.all_facts():
                 for derivation_id, rloc in node.store.derivations(fact):
                     assert rloc is None, (fact, derivation_id, rloc)
-                    assert derivation_id == "__base__" or counter_id.fullmatch(derivation_id), derivation_id
+                    assert derivation_id == BASE_DERIVATION or counter_id.fullmatch(derivation_id), derivation_id
 
 
 class TestBatchEqualsSingleton:
