@@ -101,8 +101,8 @@ class QueryRequest:
 
     ``trace`` is the requester's observability span context
     (``(trace_id, span_id)``), carried in-band so the responding node's
-    frame span parents correctly; it is ``None`` whenever tracing is off
-    and is *never* rendered in the repr, so
+    frame span parents correctly; it is ``None`` whenever observability is
+    off and is *never* rendered in the repr, so
     :meth:`~repro.engine.messages.Message.size_estimate` — and with it the
     byte statistics of every determinism contract — is identical whether
     observability is enabled or not.
@@ -258,7 +258,7 @@ class _Frame:
         #: remote tuple request, which carries it to the issuer's cache.
         self.version: Optional[int] = None
         #: Observability span covering the frame's lifetime (``None`` while
-        #: tracing is off).
+        #: observability is off).
         self.span: Optional[Span] = None
 
 
@@ -306,11 +306,8 @@ class QueryAgent:
             store = self._store = self.engine.provenance.store(self._node_id)
         return store
 
-    def _tracing(self) -> bool:
-        return self.obs is not None and self.obs.tracing
-
     def _frame_span(self, frame: _Frame, parent: Union[None, Span, TraceContext]) -> None:
-        """Open the observability span for *frame* (no-op while tracing is off).
+        """Open the observability span for *frame* (no-op while observability is off).
 
         *parent* is the requesting side's span or shipped context; ``None``
         falls back to the tracer's ambient context (the engine-level query
@@ -318,7 +315,7 @@ class QueryAgent:
         trace never contains orphans.
         """
         obs = self.obs
-        if obs is None or not obs.tracing:
+        if obs is None:
             return
         tracer = obs.tracer
         if parent is None:
@@ -335,11 +332,12 @@ class QueryAgent:
 
     def _request_trace(self, frame: _Frame) -> Optional[Tuple[str, str]]:
         """The span context outgoing requests of *frame* should carry."""
-        if not self._tracing():
+        obs = self.obs
+        if obs is None:
             return None
         if frame.span is not None:
             return frame.span.context().as_tuple()
-        current = self.obs.tracer.current()
+        current = obs.tracer.current()
         return current.as_tuple() if current is not None else None
 
     def _tuple_ref(self, vid: str) -> TupleRef:
@@ -383,7 +381,7 @@ class QueryAgent:
         request_id = self._request_ids.take()
         self._remote_roots[request_id] = (root_key, vid, mode, options)
         trace = None
-        if self._tracing():
+        if self.obs is not None:
             current = self.obs.tracer.current()
             trace = current.as_tuple() if current is not None else None
         self.node.send(
@@ -672,18 +670,13 @@ class DistributedQueryEngine:
     the query cost.
     """
 
-    def __init__(
-        self,
-        runtime,
-        provenance: Optional[ProvenanceEngine] = None,
-    ):
+    def __init__(self, runtime):
         self.runtime = runtime
-        provenance = provenance if provenance is not None else runtime.provenance
-        if provenance is None:
+        if runtime.provenance is None:
             raise QueryError(
                 "the runtime has no provenance engine; construct it with provenance=True"
             )
-        self.provenance: ProvenanceEngine = provenance
+        self.provenance: ProvenanceEngine = runtime.provenance
         #: Per-node query-cache capacity, taken from the runtime
         #: (``NetTrailsRuntime(query_cache_capacity=...)``): ``None`` there
         #: keeps :data:`DEFAULT_CACHE_CAPACITY`, ``0`` disables the cap.
@@ -772,12 +765,12 @@ class DistributedQueryEngine:
         """Open the engine-level root span for one query.
 
         Returns ``(span, previous_ambient_context, wall_start)``; all three
-        are ``None``-ish no-ops while tracing is off.  The span's context is
-        installed as the tracer's ambient context so node drains executed
-        inside the query's quiescence run parent to the query root instead
-        of opening their own window trace.
+        are ``None``-ish no-ops while observability is off.  The span's
+        context is installed as the tracer's ambient context so node drains
+        executed inside the query's quiescence run parent to the query root
+        instead of opening their own window trace.
         """
-        if self.obs is None or not self.obs.tracing:
+        if self.obs is None:
             return None, None, time.perf_counter()
         span = self.obs.tracer.start_span("query", trace_id=query_id, mode=mode)
         previous = self.obs.tracer.set_current(span.context())

@@ -63,6 +63,11 @@ def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
     return histogram.summary()
 
 
+def _check_checkpoint_every(checkpoint_every: int) -> None:
+    if checkpoint_every < 0:
+        raise EngineError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+
+
 class ServiceRuntime:
     """Serve queries and commit churn over one (optionally durable) runtime.
 
@@ -72,9 +77,10 @@ class ServiceRuntime:
     committed batch; ``0`` disables automatic checkpoints.  Every other
     keyword argument is forwarded verbatim to
     :class:`~repro.engine.runtime.NetTrailsRuntime` — its class docstring
-    holds the canonical knob and ``NETTRAILS_*`` environment-hook table.
-    The WAL records logical inputs only, so a recovered service replays to
-    the same state whatever telemetry it runs with.
+    holds the canonical knob table, and ``observability=True`` is the one
+    telemetry switch.  The WAL records logical inputs only, so a recovered
+    service replays to the same state, and writes the same bytes, whatever
+    telemetry it runs with.
 
     >>> from repro.engine import topology
     >>> with ServiceRuntime("mincost", topology.line(3)) as service:
@@ -92,29 +98,15 @@ class ServiceRuntime:
         checkpoint_every: int = 0,
         **runtime_kwargs: object,
     ):
-        if checkpoint_every < 0:
-            raise EngineError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        self.checkpoint_every = checkpoint_every
-        self._lock = threading.RLock()
-        self._engine = None
-        self._closed = False
-        self.commit_latencies: List[float] = []
-        self.query_latencies: List[float] = []
-        self.checkpoints_taken = 0
-        self.last_recovery: Optional[RecoveryResult] = None
-        #: Flight-recorder dump captured by :meth:`crash` (post-mortem aid);
-        #: ``None`` until a crash happens or while observability is off.
-        self.last_flight_record: Optional[Dict[str, object]] = None
-        self.runtime = NetTrailsRuntime(
+        _check_checkpoint_every(checkpoint_every)
+        runtime = NetTrailsRuntime(
             _resolve_source(program),
             topology,
             durable_dir=durable_dir,
             wal_fsync=wal_fsync,
             **runtime_kwargs,
         )
-        self._register_service_view()
+        self._start(runtime, checkpoint_every)
 
     @classmethod
     def recover(
@@ -131,22 +123,34 @@ class ServiceRuntime:
         The recovery result (mode, batches replayed, truncated bytes,
         seconds) is exposed as ``service.last_recovery``.
         """
+        _check_checkpoint_every(checkpoint_every)
         result = RecoveryManager(durable_dir).recover(
             mode=mode, verify=verify, attach=True, wal_fsync=wal_fsync, **overrides
         )
         service = cls.__new__(cls)
-        service.checkpoint_every = checkpoint_every
-        service._lock = threading.RLock()
-        service._engine = None
-        service._closed = False
-        service.commit_latencies = []
-        service.query_latencies = []
-        service.checkpoints_taken = 0
-        service.last_recovery = result
-        service.last_flight_record = None
-        service.runtime = result.runtime
-        service._register_service_view()
+        service._start(result.runtime, checkpoint_every, last_recovery=result)
         return service
+
+    def _start(
+        self,
+        runtime: NetTrailsRuntime,
+        checkpoint_every: int,
+        last_recovery: Optional[RecoveryResult] = None,
+    ) -> None:
+        """The one initialiser behind both a fresh and a recovered service."""
+        self.checkpoint_every = checkpoint_every
+        self._lock = threading.RLock()
+        self._engine = None
+        self._closed = False
+        self.commit_latencies: List[float] = []
+        self.query_latencies: List[float] = []
+        self.checkpoints_taken = 0
+        self.last_recovery = last_recovery
+        #: Flight-recorder dump captured by :meth:`crash` (post-mortem aid);
+        #: ``None`` until a crash happens or while observability is off.
+        self.last_flight_record: Optional[Dict[str, object]] = None
+        self.runtime = runtime
+        self._register_service_view()
 
     def _register_service_view(self) -> None:
         """Expose the service-level counters on the runtime's metrics registry."""
@@ -229,7 +233,7 @@ class ServiceRuntime:
             started = time.perf_counter()
             obs = self.runtime.obs
             span = previous = None
-            if obs is not None and obs.tracing:
+            if obs is not None:
                 span = obs.tracer.start_span("service.commit")
                 previous = obs.tracer.set_current(span.context())
             try:

@@ -246,7 +246,7 @@ class Node:
         *net* presence transitions, and the provenance partition is told
         once, under a single version bump.
         """
-        token = None if self.obs is None else self._obs_drain_begin()
+        token = None if self.obs is None else self._obs_drain_begin(self.obs)
         self.stats.updates_processed += len(updates)
         self.stats.batches_processed += 1
         newly_present, disappeared, applied = self.store.apply_delta_batch(
@@ -308,17 +308,14 @@ class Node:
 
     # -- observability -----------------------------------------------------------
 
-    def _obs_drain_begin(self) -> Optional[object]:
+    def _obs_drain_begin(self, obs: Observability) -> Optional[object]:
         """Start-of-batch telemetry token: a ``((trace_id, span_id), start)``
-        pair, or ``None`` when tracing is off / no trace is ambient.
+        pair, or ``None`` when no trace is ambient.
 
         This runs once per drain on the engine's hottest path, so both sides
         use the primitive span-record fast lane (:meth:`Tracer.defer`) rather
         than live :class:`~repro.obs.Span` objects — benchmark E20 gates the
         cost."""
-        obs = self.obs
-        if obs is None or not obs.tracing:
-            return None
         parent = obs.tracer.current()
         if parent is None:
             return None

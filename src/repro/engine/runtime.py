@@ -5,8 +5,8 @@ together a compiled NDlog program, a topology, the simulated network, one
 :class:`~repro.engine.node.Node` per topology node, and (by default) the
 ExSPAN provenance engine.  It offers convenience methods for seeding base
 tuples from the topology, mutating the topology at runtime (the dynamic /
-mobile scenarios of the paper), inspecting global state and taking snapshots
-for the log store.
+mobile scenarios of the paper) and inspecting global state; snapshots for the
+log store come from :func:`repro.logstore.snapshot.take_snapshot`.
 """
 
 from __future__ import annotations
@@ -24,23 +24,10 @@ from repro.engine.node import Node
 from repro.engine.simulator import Simulator
 from repro.engine.topology import Topology
 from repro.engine.tuples import Fact
-from repro.obs import Observability, resolve_observability
+from repro.obs import Observability
 
 if TYPE_CHECKING:  # the maintenance engine imports this package
     from repro.core.maintenance import ProvenanceEngine
-
-#: Environment variable consulted when ``observability`` is not set
-#: explicitly: a boolean (``1/true/yes/on`` vs ``0/false/no/off``) that
-#: attaches the :mod:`repro.obs` subsystem (metrics registry, distributed
-#: query tracing, flight recorder) to the runtime.  Observability is purely
-#: additive telemetry: it is excluded from :func:`_durable_knobs`, from
-#: every ``deterministic_view`` and from all bit-identity contracts — the
-#: CI property matrix runs a leg with it enabled to prove that.
-OBSERVABILITY_ENV_VAR = "NETTRAILS_OBSERVABILITY"
-
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
 
 def validate_durable_dir(path: Union[str, "os.PathLike[str]"]) -> str:
     """Check (and create, if missing) a durable directory; returns its path.
@@ -60,27 +47,6 @@ def validate_durable_dir(path: Union[str, "os.PathLike[str]"]) -> str:
     if not os.access(text, os.W_OK):
         raise EngineError(f"durable_dir {text!r} is not writable")
     return text
-
-
-def _env_flag(variable: str) -> bool:
-    """A boolean env hook: unset or empty is ``False``.
-
-    A value that is neither a true-word nor a false-word raises
-    :class:`~repro.errors.EngineError` rather than being silently ignored.
-    """
-    raw = os.environ.get(variable, "").strip().lower()
-    if raw in _TRUE_WORDS:
-        return True
-    if not raw or raw in _FALSE_WORDS:
-        return False
-    raise EngineError(
-        f"{variable}={raw!r} is not a boolean; use one of {_TRUE_WORDS + _FALSE_WORDS}"
-    )
-
-
-def default_observability() -> bool:
-    """The observability default: the env hook, else ``False``."""
-    return _env_flag(OBSERVABILITY_ENV_VAR)
 
 
 class NetTrailsRuntime:
@@ -119,24 +85,13 @@ class NetTrailsRuntime:
     ``durable_dir`` (None)           write-ahead-log directory; turns on
                                      durable commit-per-quiescence-window mode
     ``wal_fsync`` (True)             fsync barrier per WAL append
-    ``observability`` (None)         attach the :mod:`repro.obs` telemetry
-                                     bundle (metrics registry, query tracing,
-                                     flight recorder): ``None`` = env hook
-                                     then off, ``True``/``False`` pin it, an
-                                     ``Observability`` instance is adopted
-                                     (several runtimes may share one)
+    ``observability`` (False)        ``True`` attaches the :mod:`repro.obs`
+                                     telemetry bundle (metrics registry,
+                                     query tracing, flight recorder) as
+                                     :attr:`obs`
     ================================ ==========================================
 
-    **Environment hook** — consulted only when the matching constructor
-    argument is left at ``None`` (an explicit argument always wins), and a
-    malformed value raises :class:`~repro.errors.EngineError` at
-    construction (``tests/engine/test_env_hooks.py`` pins the contract):
-
-    ================================ ==========================================
-    variable                         stands in for
-    ================================ ==========================================
-    ``NETTRAILS_OBSERVABILITY``      ``observability`` (boolean words)
-    ================================ ==========================================
+    No environment variable changes a runtime: every knob is an argument.
 
     See ``docs/performance.md`` for which configuration pays off when.
 
@@ -159,7 +114,7 @@ class NetTrailsRuntime:
         query_cache_capacity: Optional[int] = None,
         durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         wal_fsync: bool = True,
-        observability: Union[None, bool, "Observability"] = None,
+        observability: bool = False,
     ):
         self._program_source = program if isinstance(program, str) else None
         if isinstance(program, str):
@@ -192,13 +147,12 @@ class NetTrailsRuntime:
                 f"query_cache_capacity must be >= 0 or None, got {query_cache_capacity}"
             )
         self.query_cache_capacity = query_cache_capacity
+        if not isinstance(observability, bool):
+            raise TypeError(f"observability must be True or False, not {observability!r}")
         #: The attached :class:`repro.obs.Observability` bundle, or ``None``
-        #: when the subsystem is off (the default).  ``None`` as the knob
-        #: consults ``NETTRAILS_OBSERVABILITY``.  Purely observational:
+        #: when the subsystem is off (the default).  Purely observational:
         #: excluded from ``_durable_knobs()`` and every bit-identity surface.
-        self.obs: Optional[Observability] = resolve_observability(
-            observability, default_observability()
-        )
+        self.obs: Optional[Observability] = Observability() if observability else None
         self.nodes: Dict[object, Node] = {}
         for name in topology.nodes:
             self.nodes[name] = Node(
@@ -230,11 +184,6 @@ class NetTrailsRuntime:
             self._open_durable(durable_dir)
 
     # -- observability -------------------------------------------------------------
-
-    @property
-    def observability(self) -> bool:
-        """Whether the :mod:`repro.obs` subsystem is attached (see :attr:`obs`)."""
-        return self.obs is not None
 
     def _bind_observability(self) -> None:
         """Register registry views over the existing counter surfaces.
@@ -615,7 +564,7 @@ class NetTrailsRuntime:
         """
         self._commit_pending()
         obs = self.obs
-        if obs is not None and obs.tracing and obs.tracer.current() is None:
+        if obs is not None and obs.tracer.current() is None:
             # Root a "window" trace so drain spans have a parent.
             span = obs.tracer.start_span("window")
             previous = obs.tracer.set_current(span.context())
@@ -680,18 +629,3 @@ class NetTrailsRuntime:
 
     def message_stats(self) -> TrafficStats:
         return self.network.stats
-
-    # -- snapshots ----------------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """A serialisable snapshot of per-node state, used by the log store."""
-        return {
-            "time": self.simulator.now,
-            "program": self.compiled.name,
-            "nodes": {
-                repr(node_id): node.store.snapshot() for node_id, node in sorted(
-                    self.nodes.items(), key=lambda item: repr(item[0])
-                )
-            },
-            "traffic": self.network.stats.snapshot(),
-        }

@@ -14,9 +14,10 @@ This package provides:
 * program validation / safety checks (:mod:`repro.ndlog.validation`),
 * the localization rewrite that turns rules whose bodies span multiple
   nodes into purely node-local rules plus message-shipping rules
-  (:mod:`repro.ndlog.localization`), and
-* the semi-naive delta-rule rewrite used for incremental evaluation
-  (:mod:`repro.ndlog.delta`).
+  (:mod:`repro.ndlog.localization`).
+
+Semi-naive evaluation needs no rewrite here: the engine compiles one join
+plan per (rule, positive body atom) itself (:mod:`repro.engine.joins`).
 """
 
 from repro.ndlog.ast import (
@@ -36,7 +37,6 @@ from repro.ndlog.functions import FunctionRegistry, default_registry
 from repro.ndlog.parser import parse_program, parse_rule
 from repro.ndlog.validation import validate_program
 from repro.ndlog.localization import localize_program, localize_rule
-from repro.ndlog.delta import DeltaRule, delta_rules_for_program, delta_rules_for_rule
 
 __all__ = [
     "Aggregate",
@@ -57,7 +57,4 @@ __all__ = [
     "validate_program",
     "localize_program",
     "localize_rule",
-    "DeltaRule",
-    "delta_rules_for_program",
-    "delta_rules_for_rule",
 ]

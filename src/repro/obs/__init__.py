@@ -1,18 +1,18 @@
 """Unified observability: metrics registry, distributed tracing, flight recorder.
 
 One :class:`Observability` object bundles the three concerns and is what
-``NetTrailsRuntime(observability=True)`` (or ``NETTRAILS_OBSERVABILITY=1``)
-threads through every layer — nodes, the query engine, the WAL
-and the durable service.  When the knob is off the runtime carries ``None``
-and every instrumentation site is a single ``obs is None`` branch, so the
-subsystem costs nothing while disabled (benchmark E20 gates this) and is
-invisible to every determinism contract while enabled.
+``NetTrailsRuntime(observability=True)`` threads through every layer —
+nodes, the query engine, the WAL and the durable service.  When the switch
+is off the runtime carries ``None`` and every instrumentation site is a
+single ``obs is None`` branch, so the subsystem costs nothing while
+disabled (benchmark E20 gates this) and is invisible to every determinism
+contract while enabled.
 
 Exporters live in :mod:`repro.obs.export`:
 Prometheus text, JSON snapshots, and Chrome trace-event timelines.
 
 >>> obs = Observability()
->>> obs.registry.counter("query.issued").inc()
+>>> obs.registry.register_view("cache", lambda: {"hits": 3})
 >>> obs.recorder.record("checkpoint", window=1)
 >>> span = obs.tracer.start_span("query", trace_id="query1")
 >>> span.finish(messages=4)
@@ -22,45 +22,33 @@ Prometheus text, JSON snapshots, and Chrome trace-event timelines.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict
 
-from repro.errors import EngineError
-from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.recorder import FlightRecorder
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracing import Span, SpanRecord, TraceContext, Tracer
 
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "FlightRecorder",
     "Tracer",
     "Span",
     "SpanRecord",
     "TraceContext",
-    "resolve_observability",
 ]
 
 
 class Observability:
-    """The bundle a runtime carries when observability is enabled.
+    """The bundle a runtime carries when observability is enabled: a
+    metrics registry, a tracer that keeps every finished span, and a
+    flight recorder of the last ``DEFAULT_CAPACITY`` events."""
 
-    ``tracing`` can be switched off independently (metrics and the flight
-    recorder stay on) for long-running services where retaining every span
-    would be unbounded; the runtime default keeps it on.
-    """
-
-    def __init__(
-        self,
-        tracing: bool = True,
-        recorder_capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        self.recorder = FlightRecorder(capacity=recorder_capacity)
-        self.tracing = bool(tracing)
+        self.recorder = FlightRecorder()
 
     def record_event(self, kind: str, **fields: object) -> None:
         """Shortcut to the flight recorder."""
@@ -73,25 +61,3 @@ class Observability:
             "traces": len(self.tracer.trace_ids()),
             "flight_recorder": self.recorder.dump(),
         }
-
-
-def resolve_observability(
-    observability: Union[None, bool, Observability],
-    default: bool,
-) -> Optional[Observability]:
-    """Normalise the runtime knob: ``None`` defers to *default* (the env
-    hook), ``False`` disables, ``True`` builds a fresh bundle, and an
-    existing :class:`Observability` is adopted as-is (letting several
-    runtimes share one registry)."""
-    if observability is None:
-        observability = default
-    if observability is False:
-        return None
-    if observability is True:
-        return Observability()
-    if isinstance(observability, Observability):
-        return observability
-    raise EngineError(
-        f"observability must be None, a bool, or an Observability instance, "
-        f"got {observability!r}"
-    )

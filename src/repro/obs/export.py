@@ -3,7 +3,7 @@
 Three renderings of the same observability state:
 
 * :func:`prometheus_text` — the Prometheus text exposition format
-  (``# TYPE`` headers, labeled series, cumulative histogram buckets), for
+  (views as ``untyped`` series, histograms as labeled cumulative buckets), for
   scraping a long-running :class:`~repro.durability.service.ServiceRuntime`.
   :func:`parse_prometheus_text` is the matching reader used by the
   round-trip snapshot tests.
@@ -18,7 +18,7 @@ Three renderings of the same observability state:
 
 >>> from repro.obs.registry import MetricsRegistry
 >>> registry = MetricsRegistry()
->>> registry.counter("query.issued").inc(3)
+>>> registry.register_view("query", lambda: {"issued": 3})
 >>> text = prometheus_text(registry)
 >>> parse_prometheus_text(text)["nettrails_query_issued"]
 3.0
@@ -30,7 +30,7 @@ import json
 import re
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -60,25 +60,22 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         lines.append(f"# TYPE {name} untyped")
         lines.append(f"{name} {float(value):g}")
 
-    for instrument in registry.instruments():
-        name = _prom_name(instrument.name)
-        if instrument.help:
-            lines.append(f"# HELP {name} {instrument.help}")
-        lines.append(f"# TYPE {name} {instrument.kind}")
-        for series in [instrument] + instrument.children():
-            if isinstance(series, (Counter, Gauge)):
-                lines.append(f"{name}{_prom_labels(series.label_values)} {series.value:g}")
-            elif isinstance(series, Histogram):
-                cumulative = 0
-                counts = series.bucket_counts()
-                for bound, bucket_count in zip(series.buckets, counts[:-1]):
-                    cumulative += bucket_count
-                    labels = _prom_labels(tuple(series.label_values) + (("le", f"{bound:g}"),))
-                    lines.append(f"{name}_bucket{labels} {cumulative}")
-                labels = _prom_labels(tuple(series.label_values) + (("le", "+Inf"),))
-                lines.append(f"{name}_bucket{labels} {series.count}")
-                lines.append(f"{name}_sum{_prom_labels(series.label_values)} {series.sum:g}")
-                lines.append(f"{name}_count{_prom_labels(series.label_values)} {series.count}")
+    for histogram in registry.histograms():
+        name = _prom_name(histogram.name)
+        if histogram.help:
+            lines.append(f"# HELP {name} {histogram.help}")
+        lines.append(f"# TYPE {name} histogram")
+        for series in [histogram] + histogram.children():
+            cumulative = 0
+            counts = series.bucket_counts()
+            for bound, bucket_count in zip(series.buckets, counts[:-1]):
+                cumulative += bucket_count
+                labels = _prom_labels(tuple(series.label_values) + (("le", f"{bound:g}"),))
+                lines.append(f"{name}_bucket{labels} {cumulative}")
+            labels = _prom_labels(tuple(series.label_values) + (("le", "+Inf"),))
+            lines.append(f"{name}_bucket{labels} {series.count}")
+            lines.append(f"{name}_sum{_prom_labels(series.label_values)} {series.sum:g}")
+            lines.append(f"{name}_count{_prom_labels(series.label_values)} {series.count}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process-wide metrics registry: views and fixed-bucket histograms.
 
 The registry unifies the ad-hoc counter surfaces that accreted across the
 engine (query cache, vid-version pruning, WAL appends,
@@ -9,24 +9,23 @@ without breaking their existing dict-returning APIs.  Two mechanisms:
   zero-argument callable returning a mapping; at :meth:`MetricsRegistry.collect`
   time its entries are renamed into the unified ``subsystem.metric`` scheme.
   Views cost *nothing* on the hot path: the instrumented code keeps mutating
-  its plain ints, and the registry only reads them when someone asks.
-* **Instruments** — push-style :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` objects with labeled children for *new* measurements
-  (per-mode query latency, WAL fsync stalls).  Instruments are
-  lock-protected so client threads querying a shared runtime may record
-  concurrently.
+  its plain ints, and the registry only reads them when someone asks.  Every
+  count the engine exposes is a view.
+* **Histograms** — push-style :class:`Histogram` objects with labeled
+  children for what no counter dict holds: per-mode query latency.  They
+  are lock-protected so client threads querying a shared runtime may
+  record concurrently.
 
 Everything here is observational only: nothing in this module participates
 in the engine's determinism contract, and the whole subsystem is absent
-unless ``NetTrailsRuntime(observability=True)`` (or
-``NETTRAILS_OBSERVABILITY=1``) turns it on.
+unless ``NetTrailsRuntime(observability=True)`` turns it on.
 
 >>> registry = MetricsRegistry()
->>> registry.counter("query.issued").inc()
 >>> registry.register_view("cache", lambda: {"hits": 3, "misses": 1})
+>>> registry.histogram("query.latency_seconds", buckets=(0.1, 1.0)).observe(0.05)
 >>> collected = registry.collect()
->>> (collected["cache.hits"], collected["query.issued"])
-(3, 1.0)
+>>> (collected["cache.hits"], collected["query.latency_seconds.count"])
+(3, 1)
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import EngineError
 
@@ -48,106 +47,7 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _series_name(name: str, labels: _LabelKey) -> str:
-    if not labels:
-        return name
-    rendered = ",".join(f'{key}="{value}"' for key, value in labels)
-    return f"{name}{{{rendered}}}"
-
-
-class _Instrument:
-    """Shared machinery: naming, labeled children, a mutation lock."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.label_values: _LabelKey = ()
-        self._lock = threading.Lock()
-        self._children: "OrderedDict[_LabelKey, _Instrument]" = OrderedDict()
-
-    def _new_child(self) -> "_Instrument":
-        return type(self)(self.name, self.help)
-
-    def labels(self, **labelset: object) -> "_Instrument":
-        """The child instrument for one label combination (created on first use)."""
-        key: _LabelKey = tuple(sorted((k, str(v)) for k, v in labelset.items()))
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._new_child()
-                child.label_values = key
-                self._children[key] = child
-            return child
-
-    def children(self) -> List["_Instrument"]:
-        with self._lock:
-            return list(self._children.values())
-
-    def series(self) -> str:
-        return _series_name(self.name, self.label_values)
-
-    def collect_into(self, out: "OrderedDict[str, object]") -> None:
-        raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """A monotonically increasing count (events, messages, bytes)."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise EngineError(f"counter {self.name!r} cannot decrease (inc({amount}))")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def collect_into(self, out: "OrderedDict[str, object]") -> None:
-        out[self.series()] = self._value
-        for child in self.children():
-            child.collect_into(out)
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down (live entries, queue depth)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def collect_into(self, out: "OrderedDict[str, object]") -> None:
-        out[self.series()] = self._value
-        for child in self.children():
-            child.collect_into(out)
-
-
-class Histogram(_Instrument):
+class Histogram:
     """A fixed-bucket histogram with exact count/sum/extremes.
 
     Percentiles are nearest-rank over the bucket boundaries: the reported
@@ -156,7 +56,8 @@ class Histogram(_Instrument):
     percentile estimates never exceed an observed sample).  This is the
     shared percentile implementation behind
     :func:`repro.durability.service.latency_summary` and the client-harness
-    latency breakdowns.
+    latency breakdowns.  :meth:`labels` gives the child histogram of one
+    label combination (the query engine keeps one per query mode).
 
     >>> h = Histogram("demo", buckets=(0.001, 0.01, 0.1, 1.0))
     >>> for v in (0.0005, 0.002, 0.003, 0.02, 0.5):
@@ -165,17 +66,19 @@ class Histogram(_Instrument):
     (5, 0.5255, 0.01, 0.5)
     """
 
-    kind = "histogram"
-
     def __init__(
         self,
         name: str,
         help: str = "",
         buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help)
         if not buckets or list(buckets) != sorted(buckets):
             raise EngineError(f"histogram {name!r} buckets must be a sorted non-empty sequence")
+        self.name = name
+        self.help = help
+        self.label_values: _LabelKey = ()
+        self._lock = threading.Lock()
+        self._children: "OrderedDict[_LabelKey, Histogram]" = OrderedDict()
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # +1: overflow (+Inf)
         self.count = 0
@@ -183,8 +86,26 @@ class Histogram(_Instrument):
         self.min = math.inf
         self.max = -math.inf
 
-    def _new_child(self) -> "Histogram":
-        return Histogram(self.name, self.help, self.buckets)
+    def labels(self, **labelset: object) -> "Histogram":
+        """The child histogram for one label combination (created on first use)."""
+        key: _LabelKey = tuple(sorted((k, str(v)) for k, v in labelset.items()))
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = Histogram(self.name, self.help, self.buckets)
+                child.label_values = key
+                self._children[key] = child
+            return child
+
+    def children(self) -> List["Histogram"]:
+        with self._lock:
+            return list(self._children.values())
+
+    def series(self) -> str:
+        if not self.label_values:
+            return self.name
+        rendered = ",".join(f'{key}="{value}"' for key, value in self.label_values)
+        return f"{self.name}{{{rendered}}}"
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -253,43 +174,17 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """The process-wide instrument and view catalogue.
+    """The process-wide view and histogram catalogue.
 
-    Instruments are get-or-create by name (re-requesting an existing name
-    with the same type returns the same object; a type clash raises).
-    Views are keyed by subsystem name and the *last registration wins* —
-    rebuilding a query engine simply repoints the ``cache`` view at the new
-    engine's counters.
+    Histograms are get-or-create by name.  Views are keyed by subsystem
+    name and the *last registration wins* — rebuilding a query engine
+    simply repoints the ``cache`` view at the new engine's counters.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: "OrderedDict[str, _Instrument]" = OrderedDict()
+        self._histograms: "OrderedDict[str, Histogram]" = OrderedDict()
         self._views: Dict[str, Callable[[], Mapping[str, object]]] = {}
-
-    def _instrument(self, cls: type, name: str, help: str, **kwargs: object) -> _Instrument:
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise EngineError(
-                        f"metric {name!r} already registered as {type(existing).__name__}, "
-                        f"not {cls.__name__}"
-                    )
-                return existing
-            instrument = cls(name, help, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        instrument = self._instrument(Counter, name, help)
-        assert isinstance(instrument, Counter)
-        return instrument
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        instrument = self._instrument(Gauge, name, help)
-        assert isinstance(instrument, Gauge)
-        return instrument
 
     def histogram(
         self,
@@ -297,18 +192,21 @@ class MetricsRegistry:
         help: str = "",
         buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
-        instrument = self._instrument(Histogram, name, help, buckets=buckets)
-        assert isinstance(instrument, Histogram)
-        return instrument
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = Histogram(name, help, buckets)
+                self._histograms[name] = histogram
+            return histogram
 
     def register_view(self, subsystem: str, view: Callable[[], Mapping[str, object]]) -> None:
         """Adopt an existing counter surface under ``subsystem.*`` names."""
         with self._lock:
             self._views[subsystem] = view
 
-    def instruments(self) -> Iterator[_Instrument]:
+    def histograms(self) -> List[Histogram]:
         with self._lock:
-            return iter(list(self._instruments.values()))
+            return list(self._histograms.values())
 
     def view_values(self) -> "OrderedDict[str, object]":
         """Every view's entries, renamed to ``subsystem.metric``."""
@@ -321,12 +219,12 @@ class MetricsRegistry:
         return out
 
     def collect(self) -> "OrderedDict[str, object]":
-        """One flat snapshot of every view entry and instrument series."""
+        """One flat snapshot of every view entry and histogram series."""
         out = self.view_values()
-        for instrument in self.instruments():
-            instrument.collect_into(out)
+        for histogram in self.histograms():
+            histogram.collect_into(out)
         return out
 
-    def get(self, name: str) -> Optional[_Instrument]:
+    def get(self, name: str) -> Optional[Histogram]:
         with self._lock:
-            return self._instruments.get(name)
+            return self._histograms.get(name)

@@ -127,6 +127,16 @@ class TestCheckpointing:
             ServiceRuntime("mincost", topology.ring(3),
                            durable_dir=tmp_path, checkpoint_every=-1)
 
+    def test_recover_rejects_negative_checkpoint_every_before_recovering(self, tmp_path):
+        make_service(tmp_path).crash()
+        logged = wal_path(tmp_path).read_bytes()
+        with pytest.raises(EngineError, match="checkpoint_every"):
+            ServiceRuntime.recover(tmp_path, wal_fsync=False, checkpoint_every=-1)
+        assert wal_path(tmp_path).read_bytes() == logged
+        with ServiceRuntime.recover(tmp_path, wal_fsync=False) as service:
+            assert service.last_recovery is not None
+            assert service.checkpoint_every == 0
+
 
 class TestCrashRecover:
     def test_crash_then_recover_serves_identical_answers(self, tmp_path):

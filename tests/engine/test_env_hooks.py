@@ -1,17 +1,10 @@
-"""One parameterized parity suite for every ``NETTRAILS_*`` environment hook.
+"""No environment variable changes a runtime.
 
-The engine exposes one construction-time knob through the environment,
-``NETTRAILS_OBSERVABILITY``, and a hook promises this contract:
-
-* unset or empty/whitespace value ⇒ the built-in default, silently;
-* a well-formed value ⇒ applied to every runtime built afterwards;
-* a malformed value ⇒ a loud :class:`~repro.errors.EngineError` at runtime
-  construction, never a silent fallback;
-* an explicit constructor argument always beats the hook.
-
-Keeping the matrix in one table means a new hook cannot ship with divergent
-rejection semantics unnoticed.  Retired hooks are listed too, to prove they
-are no longer read.
+Every construction knob is a constructor argument.  The suite below sets
+retired ``NETTRAILS_*`` hooks, to good and bad values alike, and checks
+that the runtime builds and runs exactly as with none set; the
+``durable_dir=`` argument, which replaced one of them, checks its path at
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ import os
 import pytest
 
 from repro.engine import topology
-from repro.engine.runtime import OBSERVABILITY_ENV_VAR, NetTrailsRuntime
+from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import EngineError
 from repro.protocols import mincost
 
@@ -30,67 +23,14 @@ def build_runtime(**kwargs):
     return NetTrailsRuntime(mincost.SOURCE, topology.line(3), **kwargs)
 
 
-#: hook -> (a valid value, an observation of the applied default/value, and
-#: malformed values that must raise at construction)
-HOOKS = {
-    OBSERVABILITY_ENV_VAR: {
-        "valid": "on",
-        "observe": lambda runtime: runtime.obs is not None,
-        "expect": True,
-        "default": False,
-        "malformed": ["observably", "2"],
-    },
-}
-
-
-def hook_cases(field):
-    for var, spec in HOOKS.items():
-        yield pytest.param(var, spec, id=var)
-
-
-@pytest.fixture(autouse=True)
-def clean_hooks(monkeypatch):
-    """Every test starts with no NETTRAILS_* hooks exported."""
-    for var in (OBSERVABILITY_ENV_VAR, "NETTRAILS_QUERY_CACHE_CAPACITY", "NETTRAILS_DURABLE_DIR"):
-        monkeypatch.delenv(var, raising=False)
-
-
-class TestHookParity:
-    @pytest.mark.parametrize("var,spec", hook_cases("valid"))
-    def test_valid_value_applies(self, monkeypatch, var, spec):
-        monkeypatch.setenv(var, spec["valid"])
-        with build_runtime() as runtime:
-            assert spec["observe"](runtime) == spec["expect"]
-
-    @pytest.mark.parametrize("var,spec", hook_cases("default"))
-    @pytest.mark.parametrize("raw", [None, "", "   "], ids=["unset", "empty", "blank"])
-    def test_unset_and_empty_mean_default(self, monkeypatch, var, spec, raw):
-        if raw is not None:
-            monkeypatch.setenv(var, raw)
-        with build_runtime() as runtime:
-            assert spec["observe"](runtime) == spec["default"]
-
-    @pytest.mark.parametrize("var,spec", hook_cases("malformed"))
-    def test_malformed_value_raises_at_construction(self, monkeypatch, var, spec):
-        for bad in spec["malformed"]:
-            monkeypatch.setenv(var, bad)
-            with pytest.raises(EngineError):
-                build_runtime()
-
-    def test_explicit_argument_beats_hook(self, monkeypatch):
-        monkeypatch.setenv(OBSERVABILITY_ENV_VAR, "1")
-        with build_runtime(observability=False) as runtime:
-            assert runtime.obs is None
-
-
 class TestRetiredHooks:
     """``NETTRAILS_BACKEND`` and ``NETTRAILS_BACKEND_WORKERS`` once picked
-    an execution backend and its pool size; ``NETTRAILS_QUERY_CACHE_CAPACITY``
-    and ``NETTRAILS_DURABLE_DIR`` stood in for the ``query_cache_capacity``
-    and ``durable_dir`` arguments.  All four rejected bad values at
-    construction.  None is read any more: whatever one holds, the runtime
-    builds and runs as with none set, with the default cache bound and no
-    write-ahead log."""
+    an execution backend and its pool size; ``NETTRAILS_QUERY_CACHE_CAPACITY``,
+    ``NETTRAILS_DURABLE_DIR`` and ``NETTRAILS_OBSERVABILITY`` stood in for
+    the ``query_cache_capacity``, ``durable_dir`` and ``observability``
+    arguments.  All five rejected bad values at construction.  None is read
+    any more: whatever one holds, the runtime builds and runs as with none
+    set, with the default cache bound, no write-ahead log and no telemetry."""
 
     @pytest.mark.parametrize(
         "var,raw",
@@ -109,6 +49,9 @@ class TestRetiredHooks:
             ("NETTRAILS_DURABLE_DIR", "{tmp_path}/durable"),
             ("NETTRAILS_DURABLE_DIR", "{tmp_path}/a-file"),
             ("NETTRAILS_DURABLE_DIR", "{tmp_path}/a-file/nested"),
+            ("NETTRAILS_OBSERVABILITY", "1"),
+            ("NETTRAILS_OBSERVABILITY", "on"),
+            ("NETTRAILS_OBSERVABILITY", "junk"),
         ],
     )
     def test_retired_hook_is_not_read(self, monkeypatch, tmp_path, store_snapshots, var, raw):
@@ -121,6 +64,7 @@ class TestRetiredHooks:
                     runtime.simulator.processed_events,
                     runtime.query_cache_capacity,
                     runtime.durable_dir,
+                    runtime.obs,
                 )
 
         (tmp_path / "a-file").write_text("not a directory")

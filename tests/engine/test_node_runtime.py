@@ -82,9 +82,10 @@ class TestRuntimeBasics:
         assert line3_runtime.total_facts() == sum(sizes.values())
 
     def test_snapshot_structure(self, line3_runtime):
-        snapshot = line3_runtime.snapshot()
-        assert snapshot["program"] == "program"
-        assert set(snapshot["nodes"]) == {"'n0'", "'n1'", "'n2'"}
+        snapshot = take_snapshot(line3_runtime)
+        assert snapshot.program == "program"
+        assert set(snapshot.nodes) == {"n0", "n1", "n2"}
+        assert snapshot.time == line3_runtime.now
 
 
 class TestNodeBehaviour:

@@ -20,23 +20,22 @@ from repro.obs.tracing import Tracer
 def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.register_view("cache", lambda: {"hits": 3, "misses": 1})
-    registry.counter("query.issued", "Queries issued").inc(5)
-    registry.counter("query.issued").labels(mode="lineage").inc(2)
-    registry.gauge("store.live").set(42)
-    histogram = registry.histogram("query.latency_seconds", buckets=(0.01, 0.1, 1.0))
+    registry.register_view("store", lambda: {"live": 42})
+    histogram = registry.histogram(
+        "query.latency_seconds", "Query latency", buckets=(0.01, 0.1, 1.0)
+    )
     for value in (0.005, 0.05, 0.5):
         histogram.observe(value)
+    histogram.labels(mode="lineage").observe(0.05)
     return registry
 
 
 class TestPrometheus:
-    def test_round_trip_counters_gauges_and_views(self):
+    def test_round_trip_views(self):
         text = prometheus_text(populated_registry())
         values = parse_prometheus_text(text)
         assert values["nettrails_cache_hits"] == 3.0
         assert values["nettrails_cache_misses"] == 1.0
-        assert values["nettrails_query_issued"] == 5.0
-        assert values['nettrails_query_issued{mode="lineage"}'] == 2.0
         assert values["nettrails_store_live"] == 42.0
 
     def test_histogram_buckets_are_cumulative(self):
@@ -48,10 +47,15 @@ class TestPrometheus:
         assert values["nettrails_query_latency_seconds_count"] == 3.0
         assert values["nettrails_query_latency_seconds_sum"] == 0.555
 
+    def test_labeled_histogram_series_carry_their_labels(self):
+        values = parse_prometheus_text(prometheus_text(populated_registry()))
+        assert values['nettrails_query_latency_seconds_bucket{mode="lineage",le="0.01"}'] == 0.0
+        assert values['nettrails_query_latency_seconds_bucket{mode="lineage",le="0.1"}'] == 1.0
+        assert values['nettrails_query_latency_seconds_count{mode="lineage"}'] == 1.0
+
     def test_type_and_help_headers_are_emitted(self):
         text = prometheus_text(populated_registry())
-        assert "# TYPE nettrails_query_issued counter" in text
-        assert "# HELP nettrails_query_issued Queries issued" in text
+        assert "# HELP nettrails_query_latency_seconds Query latency" in text
         assert "# TYPE nettrails_query_latency_seconds histogram" in text
         assert "# TYPE nettrails_cache_hits untyped" in text
 
@@ -59,13 +63,13 @@ class TestPrometheus:
 class TestJsonSnapshot:
     def test_snapshot_is_json_serialisable_and_complete(self):
         obs = Observability()
-        obs.registry.counter("query.issued").inc()
+        obs.registry.register_view("query", lambda: {"issued": 1})
         obs.record_event("checkpoint", window=1)
         span = obs.tracer.start_span("query", trace_id="q1", node="'n0'")
         span.finish(messages=4)
         snapshot = json_snapshot(obs)
         restored = json.loads(json.dumps(snapshot, sort_keys=True))
-        assert restored["metrics"]["query.issued"] == 1.0
+        assert restored["metrics"]["query.issued"] == 1
         assert restored["flight_recorder"]["events"][0]["kind"] == "checkpoint"
         (rendered,) = restored["spans"]
         assert rendered["name"] == "query"

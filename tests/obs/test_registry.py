@@ -1,49 +1,11 @@
-"""Unit coverage for the metrics registry: instruments, labels, views."""
+"""Unit coverage for the metrics registry: histograms, labels, views."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import EngineError
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_increments_accumulate(self):
-        counter = Counter("messages")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5.0
-
-    def test_negative_increment_raises(self):
-        counter = Counter("messages")
-        with pytest.raises(EngineError, match="cannot decrease"):
-            counter.inc(-1)
-
-    def test_labeled_children_are_cached(self):
-        counter = Counter("messages")
-        a = counter.labels(node="n0")
-        b = counter.labels(node="n0")
-        other = counter.labels(node="n1")
-        assert a is b
-        assert a is not other
-        a.inc(2)
-        assert counter.labels(node="n0").value == 2.0
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("depth")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7.0
+from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 
 class TestHistogram:
@@ -109,18 +71,20 @@ class TestHistogram:
         child = histogram.labels(mode="lineage")
         assert child.buckets == (1.0, 2.0)
 
+    def test_labeled_children_are_cached(self):
+        histogram = Histogram("latency")
+        a = histogram.labels(mode="lineage")
+        assert histogram.labels(mode="lineage") is a
+        assert histogram.labels(mode="participants") is not a
+        a.observe(0.5)
+        assert histogram.labels(mode="lineage").count == 1
+        assert histogram.count == 0
+
 
 class TestRegistry:
-    def test_instruments_are_get_or_create(self):
+    def test_histograms_are_get_or_create(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_type_clash_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("metric")
-        with pytest.raises(EngineError, match="already registered"):
-            registry.gauge("metric")
 
     def test_views_rename_to_subsystem_metric(self):
         registry = MetricsRegistry()
@@ -133,15 +97,17 @@ class TestRegistry:
         registry.register_view("cache", lambda: {"hits": 99})
         assert registry.collect()["cache.hits"] == 99
 
-    def test_collect_merges_views_and_instruments(self):
+    def test_collect_merges_views_and_histograms(self):
         registry = MetricsRegistry()
         registry.register_view("cache", lambda: {"hits": 2})
-        registry.counter("query.issued").inc(5)
-        registry.counter("query.issued").labels(mode="lineage").inc(3)
+        histogram = registry.histogram("latency", buckets=(1.0, 2.0))
+        histogram.observe(0.5)
+        histogram.labels(mode="lineage").observe(1.5)
         collected = registry.collect()
         assert collected["cache.hits"] == 2
-        assert collected["query.issued"] == 5.0
-        assert collected['query.issued{mode="lineage"}'] == 3.0
+        assert collected["latency.count"] == 1
+        assert collected['latency{mode="lineage"}.count'] == 1
+        assert collected['latency{mode="lineage"}.p50'] == 1.5
 
     def test_histogram_collect_exposes_percentiles(self):
         registry = MetricsRegistry()
@@ -151,10 +117,10 @@ class TestRegistry:
         assert collected["latency.count"] == 1
         assert collected["latency.p50"] == 1.5
 
-    def test_get_returns_registered_instrument_or_none(self):
+    def test_get_returns_registered_histogram_or_none(self):
         registry = MetricsRegistry()
-        counter = registry.counter("a")
-        assert registry.get("a") is counter
+        histogram = registry.histogram("a")
+        assert registry.get("a") is histogram
         assert registry.get("missing") is None
 
     def test_default_buckets_are_sorted(self):

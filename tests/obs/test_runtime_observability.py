@@ -7,17 +7,43 @@ The two load-bearing contracts pinned here:
   with node attribution intact.
 * **Invisibility** — enabling observability changes no deterministic
   surface: store snapshots, provenance fingerprints, query answers and
-  message counts are bit-identical with the subsystem on and off.
+  message counts are bit-identical with the subsystem on and off, after
+  every step of every churn-harness script, and a durable service writes
+  the same write-ahead log and checkpoint files byte for byte.
 """
 
 from __future__ import annotations
 
+import copy
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
+from repro.durability.checkpoint import snapshot_dir
+from repro.durability.service import ServiceRuntime
+from repro.durability.wal import wal_path
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
+from repro.logstore import take_snapshot
 from repro.protocols import mincost
+
+# The churn scripts are shared with the property suites, whose directory is
+# not a package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from churn_harness import (  # noqa: E402
+    SEEDS,
+    TOPOLOGIES,
+    apply_op,
+    build_runtime as build_churned,
+    generate_churn_script,
+)
+
+CHURN_SCRIPTS = [
+    pytest.param(seed, name, id=f"{name}-seed{seed}") for seed in SEEDS for name in sorted(TOPOLOGIES)
+]
 
 def build_runtime(observability=True, **kwargs):
     return NetTrailsRuntime(
@@ -73,7 +99,6 @@ class TestMetricsViews:
     def test_disabled_runtime_carries_no_observability(self):
         with build_runtime(observability=False) as runtime:
             assert runtime.obs is None
-            assert runtime.observability is False
 
 
 class TestWindowTraces:
@@ -236,3 +261,62 @@ class TestInvisibility:
                     "bytes": result.stats.bytes,
                 }
         assert outcomes[False] == outcomes[True]
+
+    @staticmethod
+    def surface(runtime, engine, label):
+        """Every deterministic surface of *runtime* at one step, then one
+        cached and one uncached lineage query (value and every stat)."""
+        observed = {
+            "snapshot": take_snapshot(runtime, label).to_dict(),
+            "vid_versions": runtime.provenance.vid_versions(),
+            "versions": runtime.provenance.versions(),
+        }
+        target = list(sorted(runtime.state("minCost"), key=repr)[0])
+        for name, options in (("cached", QueryOptions(use_cache=True)), ("uncached", QueryOptions())):
+            result = engine.lineage("minCost", target, options=options)
+            observed[name] = (sorted(str(ref) for ref in result.value), result.stats.as_dict())
+        return observed
+
+    @pytest.mark.parametrize("seed,name", CHURN_SCRIPTS)
+    def test_every_churn_step_is_bit_identical(self, seed, name):
+        net = TOPOLOGIES[name]()
+        script = generate_churn_script(seed, net)
+        off, on = (build_churned(mincost.program(), net, observability=flag) for flag in (False, True))
+        engines = {off: DistributedQueryEngine(off), on: DistributedQueryEngine(on)}
+        for step, batch in enumerate([None] + script):
+            if batch is not None:
+                apply_op(off, batch)
+                apply_op(on, batch)
+            label = f"step{step}"
+            assert self.surface(off, engines[off], label) == self.surface(on, engines[on], label), (
+                f"seed={seed} topology={name} step={step}"
+            )
+        tracer = on.obs.tracer
+        roots = tracer.finished_spans(name="query")
+        assert len(roots) == 2 * (len(script) + 1)
+        for root in roots:
+            assert tracer.span_tree(root.trace_id)["name"] == "query"
+
+    @pytest.mark.parametrize("seed,name", CHURN_SCRIPTS)
+    def test_durable_service_writes_identical_files(self, tmp_path, seed, name):
+        net = TOPOLOGIES[name]()
+        script = generate_churn_script(seed, net)
+        written = {}
+        for flag in (False, True):
+            directory = tmp_path / f"obs-{flag}"
+            with ServiceRuntime(
+                "mincost",
+                copy.deepcopy(net),
+                durable_dir=directory,
+                wal_fsync=False,
+                checkpoint_every=2,
+                observability=flag,
+            ) as service:
+                service.seed_links()
+                for batch in script:
+                    service.commit(batch.ops)
+                    service.query("minCost", sorted(service.state("minCost"), key=repr)[0])
+            files = [wal_path(directory)] + sorted(snapshot_dir(directory).glob("ckpt-*.json"))
+            written[flag] = {path.name: path.read_bytes() for path in files}
+        assert len(written[False]) >= 3, "the log and at least two checkpoints"
+        assert written[False] == written[True]

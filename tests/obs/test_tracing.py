@@ -1,13 +1,17 @@
-"""Unit coverage for the tracer (span trees, absorb) and the flight recorder."""
+"""Unit coverage for the tracer (span trees, absorb), the flight recorder and
+the ``observability=`` switch."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import EngineError
-from repro.obs import Observability, resolve_observability
-from repro.obs.recorder import FlightRecorder
+from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
+from repro.obs import Observability
+from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.tracing import TraceContext, Tracer
+from repro.protocols import mincost
 
 
 class TestSpans:
@@ -145,19 +149,32 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
 
 
-class TestResolveObservability:
-    def test_none_defers_to_default(self):
-        assert resolve_observability(None, False) is None
-        assert isinstance(resolve_observability(None, True), Observability)
+class TestObservabilitySwitch:
+    """``observability=`` is one plain switch: ``True`` attaches a fresh
+    bundle, ``False`` (the default) attaches nothing, anything else raises,
+    as ``provenance=`` does."""
 
-    def test_explicit_bool_wins(self):
-        assert resolve_observability(False, True) is None
-        assert isinstance(resolve_observability(True, False), Observability)
+    @staticmethod
+    def build(**kwargs):
+        return NetTrailsRuntime(mincost.SOURCE, topology.line(2), **kwargs)
 
-    def test_existing_instance_is_adopted(self):
-        shared = Observability()
-        assert resolve_observability(shared, False) is shared
+    def test_true_attaches_a_fresh_bundle_per_runtime(self):
+        first, second = self.build(observability=True), self.build(observability=True)
+        assert isinstance(first.obs, Observability)
+        assert first.obs is not second.obs
 
-    def test_garbage_raises(self):
-        with pytest.raises(EngineError, match="observability must be"):
-            resolve_observability("yes", False)
+    def test_false_and_the_default_attach_nothing(self):
+        assert self.build(observability=False).obs is None
+        assert self.build().obs is None
+
+    @pytest.mark.parametrize("value", [None, 1, "yes", Observability()], ids=repr)
+    def test_a_non_bool_raises(self, value):
+        with pytest.raises(TypeError, match="observability must be True or False"):
+            self.build(observability=value)
+
+    def test_the_bundle_takes_no_options(self):
+        obs = Observability()
+        assert not hasattr(obs, "tracing")
+        assert obs.recorder.capacity == DEFAULT_CAPACITY
+        with pytest.raises(TypeError):
+            Observability(tracing=False)
