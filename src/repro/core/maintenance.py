@@ -77,7 +77,6 @@ record.
 
 from __future__ import annotations
 
-import threading
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -126,7 +125,6 @@ class NodeProvenanceStore:
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
         self.node_id = node_id
-        self._engine = engine
         #: the live firings at this node, the ``ruleExec`` partition: empty
         #: until :meth:`ProvenanceEngine.attach` hands over the node's record
         self.firings = Firings("", Catalog().location_of)
@@ -135,11 +133,6 @@ class NodeProvenanceStore:
         self._facts: Dict[str, Fact] = {} if engine is None else engine.facts
         #: bumped once per applied batch; used by the query cache for invalidation
         self.version = 0
-
-    def _bump(self) -> None:
-        self.version += 1
-        if self._engine is not None:
-            self._engine._note_store_bump()
 
     # -- queries ------------------------------------------------------------------
 
@@ -270,24 +263,16 @@ class ProvenanceEngine:
         #: index for every partition, since a fact is stored only at the
         #: node its location attribute names.
         self.facts: Dict[str, Fact] = {}
-        # Guards the shared registry (lazy store creation, node enumeration);
-        # the per-node stores themselves need no locking because each is
-        # only ever written by its node's (serialized) events.
-        self._registry_lock = threading.Lock()
-        # Guards the cross-partition reachability metadata, which per-node
-        # event serialization does not cover: the per-VID version map, the
-        # pending roots and the memoized global version counter.
-        self._graph_lock = threading.Lock()
         #: vid -> ``(home location, fact)`` of the roots marked since the
         #: last walk.
         self._pending_roots: Dict[str, Tuple[object, Fact]] = {}
         self._reachability_flushes = 0
         self._reachability_visited = 0
-        #: vid -> reachability version; bumped (under _graph_lock) by the
-        #: walk that finds the vertex's downstream subgraph changed.  Missing
-        #: entries read as 0.  Entries for *dead* vids (no live consumer and
-        #: no live rule execution heading them) are pruned by a capped sweep
-        #: once the map exceeds ``_vid_version_sweep_threshold``; soundness
+        #: vid -> reachability version; bumped by the walk that finds the
+        #: vertex's downstream subgraph changed.  Missing entries read as 0.
+        #: Entries for *dead* vids (no live consumer and no live rule
+        #: execution heading them) are pruned by a capped sweep once the
+        #: map exceeds ``_vid_version_sweep_threshold``; soundness
         #: is preserved by **rebirth-epoch stamping**: the sweep folds every
         #: pruned counter into ``_rebirth_epoch``, and any later bump of any
         #: vid starts from at least that epoch — so a re-derivation of a
@@ -317,11 +302,7 @@ class ProvenanceEngine:
     def store(self, node_id: object) -> NodeProvenanceStore:
         store = self._stores.get(node_id)
         if store is None:
-            with self._registry_lock:
-                store = self._stores.get(node_id)
-                if store is None:
-                    store = NodeProvenanceStore(node_id, engine=self)
-                    self._stores[node_id] = store
+            store = self._stores[node_id] = NodeProvenanceStore(node_id, engine=self)
         return store
 
     def attach(self, node_id: object, firings: Firings, tuples: TupleStore) -> None:
@@ -336,9 +317,7 @@ class ProvenanceEngine:
         store.tuples = tuples
 
     def node_ids(self) -> List[object]:
-        with self._registry_lock:
-            known = list(self._stores)
-        return sorted(known, key=repr)
+        return sorted(self._stores, key=repr)
 
     # -- the execution engine's interface: one call per node drain ------------------
 
@@ -387,22 +366,14 @@ class ProvenanceEngine:
         roots = {vid_for(fact): (node_id, fact) for fact in changed}
         for effect in effects:
             roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
-        # Marked under the lock the walk holds, so a concurrent walk never
-        # loses a mark between its snapshot of the roots and its clearing of
-        # them.  Marking comes first, and every read of a vid version walks
-        # the pending roots before reading, so the cache sweep's "vid
-        # versions moved only if the global clock did" holds: new clock
-        # seen, bumps seen.
-        with self._graph_lock:
-            self._pending_roots.update(roots)
-        store._bump()
+        # Every read of a vid version walks the pending roots first, so the
+        # cache sweep's "vid versions moved only if the global clock did"
+        # holds: new clock seen, bumps seen.
+        self._pending_roots.update(roots)
+        store.version += 1
+        self._global_version += 1
 
     # -- per-VID reachability versions ----------------------------------------------------
-
-    def _note_store_bump(self) -> None:
-        """Advance the memoized global version; one call per partition bump."""
-        with self._graph_lock:
-            self._global_version += 1
 
     def flush_reachability(self) -> None:
         """Bump the reachability version of every ancestor of the pending roots.
@@ -413,60 +384,54 @@ class ProvenanceEngine:
         tuples at the heads' home partitions — bumping each visited vertex
         exactly once, whatever the order; the visited set handles cyclic
         support (possible mid-retraction).  With nothing pending this is a
-        truthiness check; the roots are cleared only after the walk, so a
-        concurrent reader waits on the lock, not reads a version too early.
+        truthiness check.
         """
         roots = self._pending_roots
         if not roots:
             return
-        with self._graph_lock:
-            versions = self._vid_versions
-            epoch = self._rebirth_epoch
-            seen: Set[str] = set()
-            # empty if another thread walked them meanwhile
-            stack = [(home, fact, vid) for vid, (home, fact) in roots.items()]
-            while stack:
-                home, fact, vid = stack.pop()
-                if vid in seen:
+        versions = self._vid_versions
+        epoch = self._rebirth_epoch
+        seen: Set[str] = set()
+        stack = [(home, fact, vid) for vid, (home, fact) in roots.items()]
+        while stack:
+            home, fact, vid = stack.pop()
+            if vid in seen:
+                continue
+            seen.add(vid)
+            versions[vid] = max(versions.get(vid, 0), epoch) + 1
+            store = self._stores.get(home)
+            if store is None:
+                continue
+            firings = store.firings
+            consumers = firings.consumers.get(fact)
+            if consumers is None:
+                continue
+            location_of = firings.location_of
+            for rid in (consumers,) if type(consumers) is str else consumers:
+                heads = firings.heads.get(rid)
+                if heads is None:
                     continue
-                seen.add(vid)
-                versions[vid] = max(versions.get(vid, 0), epoch) + 1
-                store = self._stores.get(home)
-                if store is None:
-                    continue
-                firings = store.firings
-                consumers = firings.consumers.get(fact)
-                if consumers is None:
-                    continue
-                location_of = firings.location_of
-                for rid in (consumers,) if type(consumers) is str else consumers:
-                    heads = firings.heads.get(rid)
-                    if heads is None:
-                        continue
-                    for head in heads if type(heads) is frozenset else (heads,):
-                        head_vid = vid_for(head)
-                        if head_vid not in seen:
-                            stack.append((location_of(head), head, head_vid))
-            if not seen:
-                return
-            roots.clear()
-            self._reachability_flushes += 1
-            self._reachability_visited += len(seen)
-            if len(versions) > max(
-                self._vid_version_sweep_threshold, self._vid_version_next_sweep
-            ):
-                self._sweep_vid_versions()
+                for head in heads if type(heads) is frozenset else (heads,):
+                    head_vid = vid_for(head)
+                    if head_vid not in seen:
+                        stack.append((location_of(head), head, head_vid))
+        roots.clear()
+        self._reachability_flushes += 1
+        self._reachability_visited += len(seen)
+        if len(versions) > max(
+            self._vid_version_sweep_threshold, self._vid_version_next_sweep
+        ):
+            self._sweep_vid_versions()
 
     def _sweep_vid_versions(self) -> None:
         """Prune version counters of dead vids, folding them into the epoch.
 
-        Caller holds ``_graph_lock``.  Liveness is judged only from the
-        firings records the walk reads (facts some live firing consumes, and
-        live firings' heads) — deliberately *not* from the partitions' vid
-        indexes.  That makes the live set an
-        under-approximation (a base tuple nothing consumes yet counts as
-        dead), which is sound: pruning such a vid merely downgrades cache
-        validation to a miss.
+        Liveness is judged only from the firings records the walk reads
+        (facts some live firing consumes, and live firings' heads) —
+        deliberately *not* from the partitions' vid indexes.  That makes the
+        live set an under-approximation (a base tuple nothing consumes yet
+        counts as dead), which is sound: pruning such a vid merely
+        downgrades cache validation to a miss.
         """
         live: Set[str] = set()
         for store in self._stores.values():
@@ -498,8 +463,7 @@ class ProvenanceEngine:
     def vid_versions(self) -> Dict[str, int]:
         """A snapshot of every non-zero per-VID reachability version."""
         self.flush_reachability()
-        with self._graph_lock:
-            return dict(self._vid_versions)
+        return dict(self._vid_versions)
 
     def vid_version_stats(self) -> Dict[str, int]:
         """Statistics of the per-VID version map and of the walk that feeds it.
@@ -510,16 +474,15 @@ class ProvenanceEngine:
         """
         pending = len(self._pending_roots)
         self.flush_reachability()
-        with self._graph_lock:
-            return {
-                "entries": len(self._vid_versions),
-                "epoch": self._rebirth_epoch,
-                "sweeps": self._vid_version_sweeps,
-                "pruned": self._vid_versions_pruned,
-                "flushes": self._reachability_flushes,
-                "visited": self._reachability_visited,
-                "pending": pending,
-            }
+        return {
+            "entries": len(self._vid_versions),
+            "epoch": self._rebirth_epoch,
+            "sweeps": self._vid_version_sweeps,
+            "pruned": self._vid_versions_pruned,
+            "flushes": self._reachability_flushes,
+            "visited": self._reachability_visited,
+            "pending": pending,
+        }
 
     def global_version(self) -> int:
         """The sum of all per-partition versions, memoized to O(1).

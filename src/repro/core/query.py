@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
@@ -374,8 +373,8 @@ class QueryAgent:
         if options.use_cache:
             cached = self.cache.lookup(vid, mode, options, self.engine.entry_version(vid))
             if cached is not None:
-                self.engine._finish_root(
-                    root_key, _Bundle(value=cached, visited=self._here, cache_hits=1)
+                self.engine._completions[root_key] = _Bundle(
+                    value=cached, visited=self._here, cache_hits=1
                 )
                 return
         request_id = self._request_ids.take()
@@ -443,14 +442,11 @@ class QueryAgent:
         root_key, vid, mode, options = root
         if options.use_cache and not reply.truncated and reply.version is not None:
             self.cache.store(vid, mode, options, reply.version, reply.value)
-        self.engine._finish_root(
-            root_key,
-            _Bundle(
-                value=reply.value,
-                truncated=reply.truncated,
-                visited=reply.visited | self._here,
-                cache_hits=reply.cache_hits,
-            ),
+        self.engine._completions[root_key] = _Bundle(
+            value=reply.value,
+            truncated=reply.truncated,
+            visited=reply.visited | self._here,
+            cache_hits=reply.cache_hits,
         )
 
     # -- the traversal executor ---------------------------------------------------------
@@ -638,9 +634,8 @@ class QueryAgent:
             return
         reply = frame.reply
         if reply is None:
-            self.engine._finish_root(
-                frame.slot,
-                _Bundle(value=value, truncated=truncated, visited=frame.visited, cache_hits=frame.cache_hits),
+            self.engine._completions[frame.slot] = _Bundle(
+                value=value, truncated=truncated, visited=frame.visited, cache_hits=frame.cache_hits
             )
             return
         reply.replies.append(
@@ -692,10 +687,6 @@ class DistributedQueryEngine:
         for node_id, node in runtime.nodes.items():
             self._agents[node_id] = QueryAgent(node, self)
         self._completions: Dict[str, _Bundle] = {}
-        # Client threads may issue queries on one engine concurrently; the
-        # lock keeps the completion map coherent without constraining
-        # per-node agent state, which only the event loop touches.
-        self._completions_lock = threading.Lock()
         #: Root keys and trace ids (``query<n>``) stay unique for the
         #: engine's lifetime; the query id shipped in requests and replies is
         #: a bounded-width slot, released once its query has completed.
@@ -746,18 +737,6 @@ class DistributedQueryEngine:
 
     def agent(self, node_id: object) -> QueryAgent:
         return self._agents[node_id]
-
-    def _finish_root(self, root_key: str, bundle: _Bundle) -> None:
-        with self._completions_lock:
-            self._completions[root_key] = bundle
-
-    def _take_query_id(self) -> str:
-        with self._completions_lock:
-            return self._query_ids.take()
-
-    def _release_query_id(self, query_id: str) -> None:
-        with self._completions_lock:
-            self._query_ids.release(query_id)
 
     # -- observability helpers -------------------------------------------------------------
 
@@ -832,23 +811,22 @@ class DistributedQueryEngine:
         span, previous, wall_start = self._begin_query_span(root_key, mode)
         try:
             if at is None or at == location:
-                query_id = self._take_query_id()
+                query_id = self._query_ids.take()
                 self._agents[location].start_root(query_id, vid, mode, options, root_key)
             else:
                 if at not in self._agents:
                     raise QueryError(f"query issued at unknown node {at!r}")
-                query_id = self._take_query_id()
+                query_id = self._query_ids.take()
                 self._agents[at].start_remote_root(query_id, vid, location, mode, options, root_key)
 
             self.runtime.run_to_quiescence()
         finally:
             if span is not None:
                 self.obs.tracer.set_current(previous)
-        with self._completions_lock:
-            bundle = self._completions.pop(root_key, None)
+        bundle = self._completions.pop(root_key, None)
         if bundle is None:
             raise QueryError(f"query {root_key} did not complete")
-        self._release_query_id(query_id)
+        self._query_ids.release(query_id)
 
         stats_after = self.runtime.network.stats.snapshot()
         stats = QueryStats(

@@ -13,7 +13,8 @@ this package gives the reproduction that production shape:
   tail, rebuild a runtime by genesis replay (bit-identical, version counters
   included) or checkpoint bootstrap + tail replay (state-identical, O(tail));
 * :mod:`repro.durability.service` — :class:`ServiceRuntime`: the durable,
-  lock-arbitrated, query-serving wrapper that concurrent clients query.
+  query-serving wrapper, and the one object client threads may share (its
+  lock serialises every call into the single-threaded runtime).
 
 Durable mode is switched on per-runtime via
 ``NetTrailsRuntime(durable_dir=...)``;

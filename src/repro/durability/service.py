@@ -7,12 +7,13 @@ queries, periodic checkpoints compacting the log — and, after a crash,
 :meth:`ServiceRuntime.recover` bringing the service back over the same
 durable directory.
 
-Concurrency model: a single reentrant lock serialises commits, queries and
-checkpoints against the simulated runtime (the simulator runs one event
-loop and is single-writer by design).  The
-lock is exactly the arbitration a network server front-end would perform;
-client-observed latency percentiles therefore include queueing, which is
-what the E17 concurrent-client benchmark measures.
+Threading: a :class:`~repro.engine.runtime.NetTrailsRuntime` and
+everything it holds is single-threaded, and this class is the one object
+that client threads may share.  Its reentrant lock serialises every entry
+point that touches the runtime (commits, queries, state reads, checkpoints,
+``close`` and ``crash``), exactly the arbitration a network server front-end
+would perform; client-observed latency percentiles therefore include
+queueing, which is what the E17 concurrent-client benchmark measures.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class ServiceRuntime:
             raise DurabilityError("this ServiceRuntime is closed (or crashed)")
 
     def close(self) -> None:
-        """Clean shutdown: release workers and the WAL handle; idempotent."""
+        """Clean shutdown: release the WAL handle; idempotent."""
         with self._lock:
             if not self._closed:
                 self._closed = True
@@ -192,8 +193,8 @@ class ServiceRuntime:
         """Crash injection: abandon the runtime *without* any final commit.
 
         Pending (uncommitted) mutations are lost, exactly as in a process
-        kill; everything already appended to the WAL survives.  Worker
-        threads are still released so tests do not leak them.
+        kill; everything already appended to the WAL survives.  The WAL
+        handle is still released so tests do not leak it.
         """
         with self._lock:
             if not self._closed:

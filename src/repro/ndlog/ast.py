@@ -36,10 +36,6 @@ class Term:
         """Return the set of variable names mentioned by this term."""
         raise NotImplementedError
 
-    def substitute(self, bindings: Dict[str, object]) -> "Term":
-        """Return a copy of this term with bound variables replaced by constants."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Variable(Term):
@@ -49,11 +45,6 @@ class Variable(Term):
 
     def variables(self) -> Set[str]:
         return {self.name}
-
-    def substitute(self, bindings: Dict[str, object]) -> Term:
-        if self.name in bindings:
-            return Constant(bindings[self.name])
-        return self
 
     def __str__(self) -> str:
         return self.name
@@ -67,9 +58,6 @@ class Constant(Term):
 
     def variables(self) -> Set[str]:
         return set()
-
-    def substitute(self, bindings: Dict[str, object]) -> Term:
-        return self
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -94,9 +82,6 @@ class Expression(Term):
     def variables(self) -> Set[str]:
         return self.left.variables() | self.right.variables()
 
-    def substitute(self, bindings: Dict[str, object]) -> Term:
-        return Expression(self.op, self.left.substitute(bindings), self.right.substitute(bindings))
-
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
@@ -113,9 +98,6 @@ class FunctionCall(Term):
         for arg in self.args:
             result |= arg.variables()
         return result
-
-    def substitute(self, bindings: Dict[str, object]) -> Term:
-        return FunctionCall(self.name, tuple(a.substitute(bindings) for a in self.args))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
@@ -135,9 +117,6 @@ class Aggregate(Term):
 
     def variables(self) -> Set[str]:
         return {self.variable} if self.variable else set()
-
-    def substitute(self, bindings: Dict[str, object]) -> Term:
-        return self
 
     def __str__(self) -> str:
         inner = self.variable if self.variable else "*"
@@ -178,13 +157,6 @@ class Atom:
         for term in self.terms:
             result |= term.variables()
         return result
-
-    def substitute(self, bindings: Dict[str, object]) -> "Atom":
-        return Atom(
-            self.relation,
-            tuple(t.substitute(bindings) for t in self.terms),
-            self.location_index,
-        )
 
     def __str__(self) -> str:
         rendered = []

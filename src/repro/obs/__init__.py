@@ -42,8 +42,8 @@ __all__ = [
 
 class Observability:
     """The bundle a runtime carries when observability is enabled: a
-    metrics registry, a tracer that keeps every finished span, and a
-    flight recorder of the last ``DEFAULT_CAPACITY`` events."""
+    metrics registry, a tracer that keeps the newest ``MAX_TRACES`` traces,
+    and a flight recorder of the last ``DEFAULT_CAPACITY`` events."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()

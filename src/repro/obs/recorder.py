@@ -4,10 +4,8 @@ The recorder keeps the last ``capacity`` noteworthy engine events — drains,
 checkpoints, cache evictions — so that when
 something goes wrong (an engine error, :meth:`ServiceRuntime.crash`), the
 recent history is available without having had logging enabled.  Recording
-is a lock-free
-bounded-deque append (``deque.append`` and ``itertools.count`` are both
-atomic in CPython): cheap enough to leave on for every event class while
-observability is enabled, and entirely absent when it is not.
+is one bounded-deque append: cheap enough to leave on for every event class
+while observability is enabled, and entirely absent when it is not.
 
 Events are ``(seq, monotonic_ts, kind, fields)``; the sequence number is
 process-global and survives ring overwrites, so a dump reports exactly how
@@ -49,10 +47,7 @@ class FlightRecorder:
     def record(self, kind: str, **fields: object) -> None:
         """Append one event; constant-time, overwrites the oldest when full.
 
-        Lock-free: this runs once per node drain on the engine's hot path,
-        and both the seq mint and the bounded append are atomic in CPython.
-        Readers run coordinator-side after quiescence (or post-mortem), so
-        they never race a recording drain.
+        This runs once per node drain on the engine's hot path.
         """
         self._events.append((next(self._seq), time.perf_counter(), kind, fields))
 

@@ -12,9 +12,7 @@ without breaking their existing dict-returning APIs.  Two mechanisms:
   its plain ints, and the registry only reads them when someone asks.  Every
   count the engine exposes is a view.
 * **Histograms** — push-style :class:`Histogram` objects with labeled
-  children for what no counter dict holds: per-mode query latency.  They
-  are lock-protected so client threads querying a shared runtime may
-  record concurrently.
+  children for what no counter dict holds: per-mode query latency.
 
 Everything here is observational only: nothing in this module participates
 in the engine's determinism contract, and the whole subsystem is absent
@@ -31,7 +29,6 @@ unless ``NetTrailsRuntime(observability=True)`` turns it on.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -77,7 +74,6 @@ class Histogram:
         self.name = name
         self.help = help
         self.label_values: _LabelKey = ()
-        self._lock = threading.Lock()
         self._children: "OrderedDict[_LabelKey, Histogram]" = OrderedDict()
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # +1: overflow (+Inf)
@@ -89,17 +85,15 @@ class Histogram:
     def labels(self, **labelset: object) -> "Histogram":
         """The child histogram for one label combination (created on first use)."""
         key: _LabelKey = tuple(sorted((k, str(v)) for k, v in labelset.items()))
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = Histogram(self.name, self.help, self.buckets)
-                child.label_values = key
-                self._children[key] = child
-            return child
+        child = self._children.get(key)
+        if child is None:
+            child = Histogram(self.name, self.help, self.buckets)
+            child.label_values = key
+            self._children[key] = child
+        return child
 
     def children(self) -> List["Histogram"]:
-        with self._lock:
-            return list(self._children.values())
+        return list(self._children.values())
 
     def series(self) -> str:
         if not self.label_values:
@@ -109,39 +103,36 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            self.count += 1
-            self.sum += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[index] += 1
-                    break
-            else:
-                self._counts[-1] += 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        for index, bound in enumerate(self.buckets):
+            if value <= bound:
+                self._counts[index] += 1
+                break
+        else:
+            self._counts[-1] += 1
 
     def bucket_counts(self) -> List[int]:
         """Per-bucket observation counts (last entry is the +Inf overflow)."""
-        with self._lock:
-            return list(self._counts)
+        return list(self._counts)
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile estimate, ``p`` in (0, 1]."""
         if not 0.0 < p <= 1.0:
             raise EngineError(f"percentile fraction must be in (0, 1], got {p}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = max(1, math.ceil(p * self.count))
-            cumulative = 0
-            for bound, bucket_count in zip(self.buckets, self._counts):
-                cumulative += bucket_count
-                if cumulative >= rank:
-                    return min(bound, self.max)
-            return self.max
+        if self.count == 0:
+            return 0.0
+        rank = max(1, math.ceil(p * self.count))
+        cumulative = 0
+        for bound, bucket_count in zip(self.buckets, self._counts):
+            cumulative += bucket_count
+            if cumulative >= rank:
+                return min(bound, self.max)
+        return self.max
 
     @property
     def mean(self) -> float:
@@ -149,14 +140,10 @@ class Histogram:
 
     def summary(self) -> Dict[str, float]:
         """The legacy ``latency_summary`` key shape: count/mean/max/p50/p95/p99."""
-        with self._lock:
-            count = self.count
-            mean = self.sum / count if count else 0.0
-            maximum = self.max if count else 0.0
         return {
-            "count": float(count),
-            "mean": mean,
-            "max": maximum,
+            "count": float(self.count),
+            "mean": self.mean,
+            "max": self.max if self.count else 0.0,
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),
@@ -182,7 +169,6 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._histograms: "OrderedDict[str, Histogram]" = OrderedDict()
         self._views: Dict[str, Callable[[], Mapping[str, object]]] = {}
 
@@ -192,28 +178,22 @@ class MetricsRegistry:
         help: str = "",
         buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = Histogram(name, help, buckets)
-                self._histograms[name] = histogram
-            return histogram
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name, help, buckets)
+        return histogram
 
     def register_view(self, subsystem: str, view: Callable[[], Mapping[str, object]]) -> None:
         """Adopt an existing counter surface under ``subsystem.*`` names."""
-        with self._lock:
-            self._views[subsystem] = view
+        self._views[subsystem] = view
 
     def histograms(self) -> List[Histogram]:
-        with self._lock:
-            return list(self._histograms.values())
+        return list(self._histograms.values())
 
     def view_values(self) -> "OrderedDict[str, object]":
         """Every view's entries, renamed to ``subsystem.metric``."""
-        with self._lock:
-            views = sorted(self._views.items())
         out: "OrderedDict[str, object]" = OrderedDict()
-        for subsystem, view in views:
+        for subsystem, view in sorted(self._views.items()):
             for key, value in view().items():
                 out[f"{subsystem}.{key}"] = value
         return out
@@ -226,5 +206,4 @@ class MetricsRegistry:
         return out
 
     def get(self, name: str) -> Optional[Histogram]:
-        with self._lock:
-            return self._histograms.get(name)
+        return self._histograms.get(name)

@@ -9,10 +9,15 @@ timestamps (:func:`time.perf_counter`, never wall-clock).
 Trace *context* — the ``(trace_id, span_id)`` pair — propagates in-band,
 inside :class:`~repro.core.query.QueryRequest` envelopes (a ``trace``
 field that is omitted from their reprs, so wire-byte accounting is
-untouched by tracing).  Node drains parent to the ambient context
-of the coordinating thread and record primitive span records on the
-lock-free :meth:`Tracer.defer` lane; :meth:`Tracer.absorb` rebuilds spans
-from those records, preserving parent ids and node attribution.
+untouched by tracing).  Node drains parent to the ambient context and
+record primitive span records on the :meth:`Tracer.defer` lane;
+:meth:`Tracer.absorb` rebuilds spans from those records, preserving parent
+ids and node attribution.
+
+A tracer keeps the newest :data:`MAX_TRACES` traces whole, finished spans
+and deferred records alike, and forgets the oldest trace when a new one
+begins, so a long-running service holds a bounded history in which every
+retained trace still assembles with :meth:`Tracer.span_tree`.
 
 The tracer never participates in the determinism contract: span ids, span
 counts and timings vary from run to run and are excluded from every
@@ -31,7 +36,6 @@ bit-identity surface.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -43,6 +47,11 @@ from repro.errors import EngineError
 #: every element is a plain string/float/tuple, so recording one allocates
 #: no :class:`Span`.
 SpanRecord = Tuple[str, str, Optional[str], Optional[str], float, float, Tuple[Tuple[str, object], ...]]
+
+#: The most traces a tracer keeps; the first record of a new trace evicts
+#: the oldest trace, whole.  Enough for the smoke scenario's 17 traces and
+#: for the seven windows and fourteen queries of a churn-harness script.
+MAX_TRACES = 24
 
 
 @dataclass(frozen=True)
@@ -124,22 +133,31 @@ class Span:
         )
 
 
-class Tracer:
-    """Creates spans, collects finished ones, assembles per-trace trees."""
+class _Trace:
+    """The retained part of one trace: its finished spans, and the records
+    deferred since the last inspection."""
+
+    __slots__ = ("spans", "records")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self.spans: List[Span] = []
+        self.records: List[SpanRecord] = []
+
+
+class Tracer:
+    """Creates spans, keeps the newest :data:`MAX_TRACES` traces, assembles
+    per-trace trees."""
+
+    def __init__(self) -> None:
         self._seq = itertools.count(1)
         self._trace_seq = itertools.count(1)
-        self._finished: List[Span] = []
-        self._deferred: List[SpanRecord] = []
+        #: trace id -> its retained spans and records, oldest trace first
+        self._traces: Dict[str, _Trace] = {}
         self._current: Optional[TraceContext] = None
 
     # -- span lifecycle -------------------------------------------------------------------
 
     def _next_span_id(self) -> str:
-        # itertools.count is C-implemented, so next() is atomic under the
-        # GIL — no lock needed on the hot span-minting path.
         return f"s{next(self._seq)}"
 
     def start_span(
@@ -161,28 +179,34 @@ class Tracer:
             parent_id = None
         return Span(self, name, trace, self._next_span_id(), parent_id=parent_id, node=node, attrs=attrs)
 
+    def _trace(self, trace_id: str) -> _Trace:
+        """The retained trace *trace_id*, opened (evicting the oldest
+        trace beyond :data:`MAX_TRACES`) on its first record."""
+        trace = self._traces.get(trace_id)
+        if trace is None:
+            trace = self._traces[trace_id] = _Trace()
+            if len(self._traces) > MAX_TRACES:
+                del self._traces[next(iter(self._traces))]
+        return trace
+
     def _record(self, span: Span) -> None:
-        with self._lock:
-            self._finished.append(span)
+        self._trace(span.trace_id).spans.append(span)
 
     def defer(self, record: SpanRecord) -> None:
-        """Lock-free fast path for hot leaf spans (one call per node drain).
+        """The fast path for hot leaf spans (one call per node drain).
 
-        The primitive record (:data:`SpanRecord`) is appended to a plain
-        list (atomic in CPython) and only
+        The primitive record (:data:`SpanRecord`) is kept as is and only
         materialised into a :class:`Span` when an inspection API runs.  At
         ~0.3µs this is several times cheaper than ``start_span``/``finish``,
         which is what keeps benchmark E20's enabled-mode overhead bounded.
         """
-        self._deferred.append(record)
+        self._trace(record[1]).records.append(record)
 
     def _flush_deferred(self) -> None:
-        with self._lock:
-            pending, self._deferred = self._deferred, []
-        if pending:
-            # Inspection APIs only run coordinator-side after quiescence, so
-            # no drain is concurrently deferring while we absorb.
-            self.absorb(pending)
+        for trace in self._traces.values():
+            if trace.records:
+                records, trace.records = trace.records, []
+                self.absorb(records)
 
     def absorb(self, records: Sequence[SpanRecord]) -> List[Span]:
         """Rebuild finished spans from primitive records.
@@ -216,19 +240,18 @@ class Tracer:
 
     def finished_spans(self, trace_id: Optional[str] = None, name: Optional[str] = None) -> List[Span]:
         self._flush_deferred()
-        with self._lock:
-            spans = list(self._finished)
-        if trace_id is not None:
-            spans = [span for span in spans if span.trace_id == trace_id]
+        if trace_id is None:
+            spans = [span for trace in self._traces.values() for span in trace.spans]
+        else:
+            trace = self._traces.get(trace_id)
+            spans = [] if trace is None else list(trace.spans)
         if name is not None:
             spans = [span for span in spans if span.name == name]
         return spans
 
     def trace_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for span in self.finished_spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
+        """The retained traces, oldest first."""
+        return list(self._traces)
 
     def span_tree(self, trace_id: str) -> Dict[str, object]:
         """The assembled span tree of one trace, rooted at its parentless span.
@@ -269,6 +292,4 @@ class Tracer:
         return render(roots[0])
 
     def clear(self) -> None:
-        with self._lock:
-            self._finished = []
-            self._deferred = []
+        self._traces = {}

@@ -10,16 +10,13 @@ survives here, as :func:`eager_closure`, and is the oracle:
   window's batches, and each of them moved by exactly one;
 * **mid-window read** — a cached query issued while a window is half-run
   reads flushed versions, drops the entry it could not have validated as
-  stillborn, and leaves nothing stale behind;
-* **concurrency** — marks racing walks from other threads are never lost.
+  stillborn, and leaves nothing stale behind.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-import sys
-import threading
 
 import pytest
 
@@ -227,44 +224,3 @@ class TestMidWindowRead:
         after = check_cached_equals_uncached()
         assert after != before
         assert check_cached_equals_uncached() == after  # now served from cache
-
-
-class TestConcurrentMarks:
-    def test_no_mark_is_lost_to_a_concurrent_walk(self):
-        """Writers (one per partition) mark while every thread also reads,
-        i.e. walks.  A mark dropped between a
-        walk's snapshot of the pending roots and its clearing of them would
-        leave that writer's next read of its own vid unmoved."""
-        engine = ProvenanceEngine()
-        workers, rounds = 8, 400  # more workers than this host has cores
-        failures = []
-
-        def writer(index):
-            node = f"n{index}"
-            fact = Fact.make("link", [node, "peer", index])
-            vid = vid_for(fact)
-            seen = 0
-            for _ in range(rounds):
-                engine.apply_rule_exec_batch(node, (), [fact])
-                engine.apply_rule_exec_batch(node, (), [fact])
-                version = engine.vid_version(vid)
-                if version <= seen:
-                    failures.append((node, seen, version))
-                    return
-                seen = version
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=writer, args=(i,)) for i in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures
-        assert engine.vid_version_stats()["pending"] == 0
-        assert engine.versions() == {f"n{index}": 2 * rounds for index in range(workers)}
-        assert engine.global_version() == 2 * workers * rounds  # no bump lost either

@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import ast
+import copy
 import random
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core.optimizations import QueryOptions
 from repro.durability import ServiceRuntime, latency_summary, scan, wal_path
 from repro.durability.wal import RECORD_CHECKPOINT
 from repro.engine import topology
 from repro.errors import DurabilityError, EngineError, NetTrailsError
 from repro.protocols import mincost
 from repro.workloads.churn import ChurnOp, random_link_churn
+
+# The churn scripts are shared with the property suites, whose directory is
+# not a package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from churn_harness import TOPOLOGIES, generate_churn_script  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def make_service(tmp_path=None, **kwargs):
@@ -95,6 +107,100 @@ class TestServing:
             assert len(answered) + len(failed) == 15
             metrics = service.latency_metrics()
             assert metrics["query_count"] == len(answered) and metrics["commit_count"] == 3  # seed + two commits
+
+    def test_client_storm_answers_like_a_serial_replica(self, tmp_path):
+        """Eight client threads query, cached and uncached, while one churn
+        script commits.  The service's lock is the only one: every answer
+        must be the serial replica's for that row at some batch committed
+        during the call (a stale cache hit from a lost reachability mark
+        fails here), no query is lost, and the runtime ends where the replica
+        does."""
+        net = TOPOLOGIES["ring"]()
+        script = generate_churn_script(11, net)
+        replica = ServiceRuntime("mincost", copy.deepcopy(net), durable_dir=tmp_path / "replica", wal_fsync=False)
+        expected = {}  # committed batch -> {row: lineage answer}
+
+        def record():
+            expected[replica.committed_batches] = {
+                row: sorted(str(ref) for ref in replica.query("minCost", row).value)
+                for row in replica.state("minCost")
+            }
+
+        replica.seed_links()
+        record()
+        for batch in script:
+            replica.commit(batch.ops)
+            record()
+        rows = sorted({row for answers in expected.values() for row in answers}, key=repr)
+
+        service = ServiceRuntime("mincost", copy.deepcopy(net), durable_dir=tmp_path / "storm", wal_fsync=False)
+        service.seed_links()
+        done = threading.Event()
+        observed, unexpected, issued = [], [], [0] * 8
+
+        def client(index):
+            rng = random.Random(index)
+            while not done.is_set() or issued[index] < 20:
+                row = rng.choice(rows)
+                options = QueryOptions(use_cache=bool(issued[index] % 2))
+                issued[index] += 1
+                before = service.committed_batches
+                try:
+                    answer = sorted(str(ref) for ref in service.query("minCost", row, options=options).value)
+                except NetTrailsError:
+                    answer = None
+                except Exception as error:  # anything else is a bug, not churn
+                    unexpected.append(error)
+                    continue
+                observed.append((row, before, service.committed_batches, answer))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(index,)) for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for batch in script:
+                service.commit(batch.ops)
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not unexpected
+        assert len(observed) == sum(issued)
+        answered = [entry for entry in observed if entry[3] is not None]
+        assert answered and len(answered) < len(observed)  # some rows churned away mid-storm
+        for row, before, after, answer in observed:
+            assert any(
+                expected[batch].get(row) == answer for batch in range(before, after + 1)
+            ), (row, before, after)
+        assert service.committed_batches == replica.committed_batches
+        assert service.state("minCost") == replica.state("minCost")
+        provenance = service.runtime.provenance
+        assert provenance.versions() == replica.runtime.provenance.versions()
+        assert provenance.global_version() == sum(provenance.versions().values())
+        assert provenance.vid_version_stats()["pending"] == 0
+        service.close()
+        replica.close()
+
+    def test_only_the_service_imports_threading(self):
+        """A runtime is single-threaded; the service's lock is the one lock,
+        so no other module under ``src/repro`` may import ``threading``."""
+        importers = set()
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] in ("threading", "_thread") for name in names):
+                    importers.add(path.relative_to(SRC).as_posix())
+        assert importers == {"durability/service.py"}
 
     def test_closed_service_refuses_everything(self):
         service = make_service()

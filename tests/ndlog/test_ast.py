@@ -19,10 +19,6 @@ from repro.protocols import distance_vector, mincost, path_vector
 
 
 class TestTerms:
-    def test_variable_substitution(self):
-        assert Variable("X").substitute({"X": 3}) == Constant(3)
-        assert Variable("X").substitute({}) == Variable("X")
-
     def test_expression_variables(self):
         expression = Expression("+", Variable("A"), Expression("*", Variable("B"), Constant(2)))
         assert expression.variables() == {"A", "B"}
@@ -43,11 +39,6 @@ class TestAtomHelpers:
         assert built.terms[0] == Variable("S")
         assert built.terms[2] == Constant(3)
         assert built.location_index == 0
-
-    def test_atom_substitute(self):
-        built = atom("link", "S", "D", "C")
-        ground = built.substitute({"S": "n0", "D": "n1", "C": 1})
-        assert ground.terms == (Constant("n0"), Constant("n1"), Constant(1))
 
     def test_atom_str_shows_location_marker(self):
         assert str(atom("link", "S", "D")) == "link(@S, D)"

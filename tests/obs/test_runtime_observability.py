@@ -28,6 +28,8 @@ from repro.durability.wal import wal_path
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.logstore import take_snapshot
+from repro.obs import tracing
+from repro.obs.tracing import MAX_TRACES
 from repro.protocols import mincost
 
 # The churn scripts are shared with the property suites, whose directory is
@@ -204,6 +206,43 @@ class TestQueryTraces:
                 assert root.attrs["messages"] == result.stats.messages > 0
                 tree = runtime.obs.tracer.span_tree(root.trace_id)
                 assert [child["node"] for child in tree["children"]] == [repr(row[0])]
+
+
+class TestTraceBound:
+    def test_only_the_newest_traces_are_kept_whole(self, monkeypatch):
+        """Windows and queries far past :data:`MAX_TRACES`, with nothing
+        inspected on the way (so drain records pile up unabsorbed): the
+        tracer holds exactly the newest traces, each with every span and
+        record an unbounded tracer holds for it, and each still assembles."""
+
+        def run():
+            runtime = build_runtime()
+            runtime.seed_links(run=True)
+            engine = DistributedQueryEngine(runtime)
+            for step in range(MAX_TRACES):
+                if step % 2:
+                    runtime.add_link("n0", "n1")
+                else:
+                    runtime.remove_link("n0", "n1")
+                runtime.run_to_quiescence()
+                engine.lineage("minCost", sorted(runtime.state("minCost"), key=repr)[step % 3])
+            tracer = runtime.obs.tracer
+            sizes = {trace_id: len(trace.spans) + len(trace.records) for trace_id, trace in tracer._traces.items()}
+            return tracer, sizes
+
+        bounded, kept = run()
+        monkeypatch.setattr(tracing, "MAX_TRACES", 10 * MAX_TRACES)
+        unbounded, every = run()
+
+        assert len(every) == 2 * MAX_TRACES + 1  # the seed window, then a window and a query per step
+        newest = list(every)[-MAX_TRACES:]
+        assert kept == {trace_id: every[trace_id] for trace_id in newest}
+        assert sum(kept.values()) < sum(every.values())
+        assert bounded.trace_ids() == newest
+        assert "trace1" not in newest and "query1" not in newest
+        for trace_id in newest:
+            tree = bounded.span_tree(trace_id)
+            assert tree["name"] == unbounded.span_tree(trace_id)["name"] in ("window", "query")
 
 
 class TestServiceFlightDump:

@@ -10,7 +10,7 @@ from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.obs import Observability
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.tracing import TraceContext, Tracer
+from repro.obs.tracing import MAX_TRACES, TraceContext, Tracer
 from repro.protocols import mincost
 
 
@@ -121,6 +121,19 @@ class TestAbsorb:
         assert tracer.current() == context
         tracer.set_current(previous)
         assert tracer.current() is None
+
+
+class TestTraceBound:
+    def test_a_new_trace_evicts_the_oldest_whole(self):
+        tracer = Tracer()
+        for index in range(MAX_TRACES + 2):
+            root = tracer.start_span("window", trace_id=f"t{index}")
+            tracer.defer(("drain", f"t{index}", root.span_id, "'n0'", 1.0, 1.5, ()))
+            root.finish()
+        assert tracer.trace_ids() == [f"t{index}" for index in range(2, MAX_TRACES + 2)]
+        assert tracer.finished_spans("t0") == tracer.finished_spans("t1") == []
+        assert len(tracer.finished_spans()) == 2 * MAX_TRACES
+        assert [child["name"] for child in tracer.span_tree("t2")["children"]] == ["drain"]
 
 
 class TestFlightRecorder:
