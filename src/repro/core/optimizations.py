@@ -13,7 +13,10 @@ pruning."*
   unrelated deltas keep entries alive, while any change a traversal could
   observe invalidates exactly the affected entries.  The cache is an LRU
   with a configurable capacity; stale entries are swept before capacity
-  evictions so memory tracks live entries.
+  evictions so memory tracks live entries.  Within one query, results are
+  also shared without the cache: a node expands each vertex once and later
+  requests for it reuse that frame (see :mod:`repro.core.query`), so the
+  cache serves what earlier queries computed.
 * **Traversal orders** — a query can expand the alternative derivations of a
   tuple either in parallel or sequentially.  Parallel traversal issues every
   child sub-query of a step in a single fan-out round, with the requests to
@@ -22,7 +25,9 @@ pruning."*
   completes in the fewest communication rounds, at the price of exploring
   every alternative.  Sequential traversal dispatches one alternative at a
   time; combined with pruning this avoids sending sub-queries whose results
-  would be discarded, trading extra rounds for fewer messages.
+  would be discarded, trading extra rounds for fewer messages.  Its pruning
+  depends on visit order, so with a threshold it expands every path on its
+  own instead of sharing frames.
 * **Threshold-based pruning** — once the partial result reaches a
   user-provided size threshold, remaining alternatives are not explored and
   the result is marked truncated.  A maximum traversal depth is also

@@ -6,30 +6,33 @@ the query starts at the node storing the queried tuple, follows its ``prov``
 entries to the nodes where the deriving rules fired, expands the rule
 executions' input tuples there, and so on recursively.  Partial results are
 combined bottom-up by the query's reducer (see :mod:`repro.core.queries`) and
-travel back as reply messages.
+travel back as reply messages.  Every hop is a real message through the
+simulated network, so :class:`QueryStats <repro.core.results.QueryStats>`
+measures the "network traffic" the paper's optimisations of
+:mod:`repro.core.optimizations` (caching, traversal order, threshold
+pruning) reduce.  Cache entries are validated against per-VID reachability
+versions, so deltas that cannot affect a queried subtree leave its cached
+sub-results usable.
 
-Every hop is a real message through the simulated network, so the traffic
-statistics reported by :class:`DistributedQueryEngine.query` measure exactly
-the "network traffic" the paper's optimisation discussion refers to, and the
-optimisations of :mod:`repro.core.optimizations` (caching, traversal order,
-threshold pruning) visibly reduce it.  Cache entries are validated against
-per-VID reachability versions maintained incrementally by the provenance
-engine, so deltas that cannot affect a queried subtree leave its cached
-sub-results usable — the point of the incremental-invalidation design.
+Within one query a node expands each vertex once (*query-scoped sharing*):
+a second request for a tuple vertex (keyed by vid) or a rule execution
+(keyed by rid) — and, under ``max_depth``, at the same depth — attaches to
+the frame already open for it or takes its finished result, so a query
+pays per distinct vertex, not per path through a DAG of equal-cost
+derivations.  Reducers are pure functions of the subtree, so the answer
+is the one every path would have computed.  Sequential traversal with a
+threshold is the exception: its pruning depends on visit order, so it
+keeps one frame per path.
 
-Parallel traversal (the default) is a true single-round fan-out: all child
-requests of a step are issued at once, requests to the same remote node
-share one :class:`QueryRequestBatch` message, and their replies return as
-one :class:`QueryReplyBatch` — minimising both communication rounds
-(:attr:`QueryStats.rounds <repro.core.results.QueryStats>`) and per-peer
-message count.  Sequential traversal instead dispatches one alternative at
-a time so threshold pruning can skip the rest.
+Parallel traversal (the default) is a single-round fan-out: requests of a
+step to the same peer share one :class:`QueryRequestBatch` message and
+their replies return as one :class:`QueryReplyBatch`.  Sequential traversal
+dispatches one alternative at a time so threshold pruning can skip the rest.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
@@ -201,31 +204,27 @@ class _ReplyCollector:
         self.replies: List[QueryReply] = []
 
 
-@dataclass
-class _Bundle:
-    """A root's completed result, as the engine collects it."""
-
-    value: object
-    truncated: bool = False
-    visited: FrozenSet[object] = frozenset()
-    cache_hits: int = 0
+#: A frame's ``result`` until it has finished.
+_OPEN = object()
 
 
 class _Frame:
     """One traversal step in progress at this node: a tuple vertex or a rule execution.
 
-    A frame's result goes to exactly one sink: its ``parent`` frame (into
-    slot ``slot``), the ``reply`` collector of the request it answers (as
-    request ``slot``), or, with neither, the engine's completions (as root
-    key ``slot``).  ``subtasks`` is a tuple read straight from the
-    partition — a tuple frame's ``(rid, rloc)`` prov rows, an exec frame's
-    input vids — and ``values`` holds the sub-results by subtask index.
+    A frame's result goes to its sink: its ``parent`` frame (into slot
+    ``slot``), the ``reply`` collector of the request it answers (as request
+    ``slot``), or, with neither, the engine's completions (as query id
+    ``slot``); later requests for the same key add their sinks to
+    ``attached`` (see :meth:`QueryAgent._open`).  ``subtasks`` is a tuple
+    read straight from the partition — a tuple frame's ``(rid, rloc)`` prov
+    rows, an exec frame's input vids — and ``values`` holds the sub-results
+    by subtask index; ``result`` is the combined value once finished.
     """
 
     __slots__ = (
         "parent", "slot", "reply", "target", "depth", "query_id", "mode", "reducer", "options",
         "is_tuple", "ref", "subtasks", "values", "cursor", "outstanding", "truncated",
-        "visited", "cache_hits", "version", "span",
+        "visited", "cache_hits", "version", "span", "attached", "result",
     )
 
     def __init__(
@@ -259,6 +258,9 @@ class _Frame:
         #: Observability span covering the frame's lifetime (``None`` while
         #: observability is off).
         self.span: Optional[Span] = None
+        #: The ``(parent, slot, reply)`` sinks of requests that attached.
+        self.attached: Optional[List[Tuple[Optional["_Frame"], object, Optional[_ReplyCollector]]]] = None
+        self.result: object = _OPEN
 
 
 class QueryAgent:
@@ -289,10 +291,10 @@ class QueryAgent:
         self._request_ids = _SlotIds(f"{node.id}/r")
         #: request id -> (frame, subtask index) of an in-flight sub-request.
         self._pending_remote: Dict[str, Tuple[_Frame, int]] = {}
-        #: request id -> (root key, vid, mode, options) of an issued remote
-        #: root, kept so the reply — which carries the version it was
-        #: computed at — can be cached here at the issuing node.
-        self._remote_roots: Dict[str, Tuple[str, str, str, QueryOptions]] = {}
+        #: request id -> (vid, mode, options) of an issued remote root, kept
+        #: so the reply — which carries the version it was computed at — can
+        #: be cached here at the issuing node.
+        self._remote_roots: Dict[str, Tuple[str, str, QueryOptions]] = {}
         node.register_handler(CATEGORY_PROVENANCE_QUERY, self._on_query)
         node.register_handler(CATEGORY_PROVENANCE_REPLY, self._on_reply)
 
@@ -324,17 +326,17 @@ class QueryAgent:
         frame.span = tracer.start_span(
             "frame.tuple" if frame.is_tuple else "frame.exec",
             parent=parent,
-            node=repr(self._node_id),
+            node=self.node._id_repr,
             target=frame.target,
             depth=frame.depth,
         )
 
-    def _request_trace(self, frame: _Frame) -> Optional[Tuple[str, str]]:
-        """The span context outgoing requests of *frame* should carry."""
+    def _request_trace(self, frame: Optional[_Frame]) -> Optional[Tuple[str, str]]:
+        """The span context outgoing requests of *frame* (``None``: of a root) should carry."""
         obs = self.obs
         if obs is None:
             return None
-        if frame.span is not None:
+        if frame is not None and frame.span is not None:
             return frame.span.context().as_tuple()
         current = obs.tracer.current()
         return current.as_tuple() if current is not None else None
@@ -349,21 +351,13 @@ class QueryAgent:
 
     # -- root entry points --------------------------------------------------------
 
-    def start_root(self, query_id: str, vid: str, mode: str, options: QueryOptions, root_key: str) -> None:
+    def start_root(self, query_id: str, vid: str, mode: str, options: QueryOptions) -> None:
         """Start a query for a tuple stored at this node (no network hop needed)."""
         self._unflushed = True
-        frame = _Frame(None, root_key, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
+        frame = _Frame(None, query_id, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
         self._tuple_frame(frame, None)
 
-    def start_remote_root(
-        self,
-        query_id: str,
-        vid: str,
-        home_node: object,
-        mode: str,
-        options: QueryOptions,
-        root_key: str,
-    ) -> None:
+    def start_remote_root(self, query_id: str, vid: str, home_node: object, mode: str, options: QueryOptions) -> None:
         """Issue a query from this node for a tuple stored at *home_node*.
 
         Replies to earlier issuances are cached locally (tagged with the
@@ -373,31 +367,14 @@ class QueryAgent:
         if options.use_cache:
             cached = self.cache.lookup(vid, mode, options, self.engine.entry_version(vid))
             if cached is not None:
-                self.engine._completions[root_key] = _Bundle(
-                    value=cached, visited=self._here, cache_hits=1
-                )
+                self.engine._completions[query_id] = (cached, False, self._here, 1)
                 return
         request_id = self._request_ids.take()
-        self._remote_roots[request_id] = (root_key, vid, mode, options)
-        trace = None
-        if self.obs is not None:
-            current = self.obs.tracer.current()
-            trace = current.as_tuple() if current is not None else None
-        self.node.send(
-            home_node,
-            CATEGORY_PROVENANCE_QUERY,
-            QueryRequest(
-                query_id=query_id,
-                request_id=request_id,
-                kind=_REQUEST_KIND_TUPLE,
-                target=vid,
-                mode=mode,
-                options=options,
-                depth=0,
-                reply_to=self._node_id,
-                trace=trace,
-            ),
+        self._remote_roots[request_id] = (vid, mode, options)
+        request = QueryRequest(
+            query_id, request_id, _REQUEST_KIND_TUPLE, vid, mode, options, 0, self._node_id, self._request_trace(None)
         )
+        self.node.send(home_node, CATEGORY_PROVENANCE_QUERY, request)
 
     # -- message handlers ------------------------------------------------------------
 
@@ -408,15 +385,17 @@ class QueryAgent:
         reply = _ReplyCollector(requests[0].reply_to, len(requests))
         for request in requests:
             reducer = self.engine.reducer(request.mode)
-            frame = _Frame(
-                None, request.request_id, reply, request.target, request.depth,
-                request.query_id, request.mode, reducer, request.options,
-            )
             parent_span = TraceContext.from_tuple(request.trace)
-            if request.kind == _REQUEST_KIND_TUPLE:
+            if request.kind == _REQUEST_KIND_TUPLE:  # a remote root
+                frame = _Frame(
+                    None, request.request_id, reply, request.target, request.depth,
+                    request.query_id, request.mode, reducer, request.options,
+                )
                 self._tuple_frame(frame, parent_span)
             else:
-                self._exec_frame(frame, parent_span)
+                self._open(
+                    None, request.request_id, reply, False, request.target, request.depth, request, reducer, parent_span
+                )
 
     def _on_reply(self, message) -> None:
         payload = message.payload
@@ -439,14 +418,11 @@ class QueryAgent:
         if root is None:
             return
         self._request_ids.release(request_id)
-        root_key, vid, mode, options = root
+        vid, mode, options = root
         if options.use_cache and not reply.truncated and reply.version is not None:
             self.cache.store(vid, mode, options, reply.version, reply.value)
-        self.engine._completions[root_key] = _Bundle(
-            value=reply.value,
-            truncated=reply.truncated,
-            visited=reply.visited | self._here,
-            cache_hits=reply.cache_hits,
+        self.engine._completions[reply.query_id] = (
+            reply.value, reply.truncated, reply.visited | self._here, reply.cache_hits
         )
 
     # -- the traversal executor ---------------------------------------------------------
@@ -457,7 +433,45 @@ class QueryAgent:
     # after the local ones), in sequential traversal one at a time.  Each
     # sub-result lands in _deliver; once none is outstanding, it either runs
     # the next subtask or combines the values with the reducer and hands the
-    # result to the frame's sink (_finish).
+    # result to the frame's sinks (_finish).  Below the root, _open shares
+    # frames: a request for a key this node already has a frame for in the
+    # running query attaches to it, or takes its result if it has finished.
+
+    def _open(
+        self, parent: Optional[_Frame], slot: object, reply: Optional[_ReplyCollector], is_tuple: bool,
+        target: str, depth: int, src: Union[_Frame, QueryRequest], reducer: QueryReducer,
+        parent_span: Union[None, Span, TraceContext],
+    ) -> None:
+        """Open a frame below the root for *target*, or attach this sink to the query's frame for it.
+
+        *src* (the parent frame or the received request) supplies the query
+        id, mode and options.  The key is the target — a vid is expanded only
+        at its tuple's home and a rid only where it fired, so it names one
+        node — plus the depth under ``max_depth``, the only option under
+        which depth changes a result.  Sequential traversal with a threshold
+        prunes by visit order, so it opens a frame per path.
+        """
+        options = src.options
+        if options.threshold is not None and options.traversal == TRAVERSAL_SEQUENTIAL:
+            key: object = None
+        else:
+            key = target if options.max_depth is None else (target, depth)
+            shared = self.engine._memo.get(key)
+            if shared is not None:
+                if shared.result is not _OPEN:  # an attached sink counts no cache hit of its own
+                    self._emit(parent, slot, reply, shared, shared.result, 0)
+                elif shared.attached is None:
+                    shared.attached = [(parent, slot, reply)]
+                else:
+                    shared.attached.append((parent, slot, reply))
+                return
+        frame = _Frame(parent, slot, reply, target, depth, src.query_id, src.mode, reducer, options)
+        if key is not None:
+            self.engine._memo[key] = frame
+        if is_tuple:
+            self._tuple_frame(frame, parent_span)
+        else:
+            self._exec_frame(frame, parent_span)
 
     def _tuple_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
         if self._unflushed:
@@ -541,24 +555,18 @@ class QueryAgent:
     def _subtask(self, frame: _Frame, index: int) -> object:
         """Run subtask *index* of *frame* at this node, or return the peer it must be sent to."""
         if not frame.is_tuple:
-            self._child(frame, index, True, frame.subtasks[index])
+            self._open(
+                frame, index, None, True, frame.subtasks[index], frame.depth + 1, frame, frame.reducer, frame.span
+            )
             return None
         rid, rloc = frame.subtasks[index]
         if rid == BASE_RID:
             self._deliver(frame, index, frame.reducer.base_value(frame.ref), False, self._here, 0)
         elif rloc == self._node_id:
-            self._child(frame, index, False, rid)
+            self._open(frame, index, None, False, rid, frame.depth, frame, frame.reducer, frame.span)
         else:
             return rloc  # the rule fired at another node
         return None
-
-    def _child(self, frame: _Frame, index: int, is_tuple: bool, target: str) -> None:
-        depth = frame.depth + 1 if is_tuple else frame.depth
-        child = _Frame(frame, index, None, target, depth, frame.query_id, frame.mode, frame.reducer, frame.options)
-        if is_tuple:
-            self._tuple_frame(child, frame.span)
-        else:
-            self._exec_frame(child, frame.span)
 
     def _send(self, frame: _Frame, destination: object, indexes: Sequence[int]) -> None:
         """Ship the given remote subtasks of *frame* to one peer in one message."""
@@ -567,30 +575,15 @@ class QueryAgent:
         for index in indexes:
             request_id = self._request_ids.take()
             self._pending_remote[request_id] = (frame, index)
-            requests.append(
-                QueryRequest(
-                    query_id=frame.query_id,
-                    request_id=request_id,
-                    kind=_REQUEST_KIND_EXEC,
-                    target=frame.subtasks[index][0],
-                    mode=frame.mode,
-                    options=frame.options,
-                    depth=frame.depth,
-                    reply_to=self._node_id,
-                    trace=trace,
-                )
-            )
+            requests.append(QueryRequest(
+                frame.query_id, request_id, _REQUEST_KIND_EXEC, frame.subtasks[index][0], frame.mode,
+                frame.options, frame.depth, self._node_id, trace,
+            ))
         payload: object = requests[0] if len(requests) == 1 else QueryRequestBatch(tuple(requests))
         self.node.send(destination, CATEGORY_PROVENANCE_QUERY, payload)
 
     def _deliver(
-        self,
-        frame: _Frame,
-        index: int,
-        value: object,
-        truncated: bool,
-        visited: FrozenSet[object],
-        cache_hits: int,
+        self, frame: _Frame, index: int, value: object, truncated: bool, visited: FrozenSet[object], cache_hits: int
     ) -> None:
         frame.values[index] = value
         if truncated:
@@ -629,26 +622,31 @@ class QueryAgent:
             )
         if frame.is_tuple and frame.options.use_cache and not truncated and not cached:
             self.cache.store(frame.target, frame.mode, frame.options, frame.version, value)
+        # Set before any sink runs: a request that arrives while they do
+        # takes the result instead of attaching.
+        frame.result = value
         if frame.parent is not None:
             self._deliver(frame.parent, frame.slot, value, truncated, frame.visited, frame.cache_hits)
+        else:
+            self._emit(None, frame.slot, frame.reply, frame, value, frame.cache_hits)
+        if frame.attached is not None:
+            for parent, slot, reply in frame.attached:
+                self._emit(parent, slot, reply, frame, value, 0)
+
+    def _emit(
+        self, parent: Optional[_Frame], slot: object, reply: Optional[_ReplyCollector],
+        frame: _Frame, value: object, cache_hits: int,
+    ) -> None:
+        """Hand *frame*'s finished result to one sink."""
+        if parent is not None:
+            self._deliver(parent, slot, value, frame.truncated, frame.visited, cache_hits)
             return
-        reply = frame.reply
         if reply is None:
-            self.engine._completions[frame.slot] = _Bundle(
-                value=value, truncated=truncated, visited=frame.visited, cache_hits=frame.cache_hits
-            )
+            self.engine._completions[slot] = (value, frame.truncated, frame.visited, cache_hits)
             return
-        reply.replies.append(
-            QueryReply(
-                query_id=frame.query_id,
-                request_id=frame.slot,
-                value=value,
-                truncated=truncated,
-                visited=frame.visited,
-                cache_hits=frame.cache_hits,
-                version=frame.version,
-            )
-        )
+        reply.replies.append(QueryReply(
+            frame.query_id, slot, value, frame.truncated, frame.visited, cache_hits, frame.version
+        ))
         if len(reply.replies) == reply.expected:
             replies = reply.replies
             payload: object = replies[0] if len(replies) == 1 else QueryReplyBatch(tuple(replies))
@@ -675,23 +673,20 @@ class DistributedQueryEngine:
         #: Per-node query-cache capacity, taken from the runtime
         #: (``NetTrailsRuntime(query_cache_capacity=...)``): ``None`` there
         #: keeps :data:`DEFAULT_CACHE_CAPACITY`, ``0`` disables the cap.
-        raw_capacity = getattr(runtime, "query_cache_capacity", None)
-        if raw_capacity is None:
-            self.cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY
-        elif raw_capacity == 0:
-            self.cache_capacity = None
-        else:
-            self.cache_capacity = raw_capacity
+        capacity = getattr(runtime, "query_cache_capacity", None)
+        self.cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY if capacity is None else (capacity or None)
         self._reducers: Dict[str, QueryReducer] = dict(BUILTIN_REDUCERS)
         self._agents: Dict[object, QueryAgent] = {}
         for node_id, node in runtime.nodes.items():
             self._agents[node_id] = QueryAgent(node, self)
-        self._completions: Dict[str, _Bundle] = {}
-        #: Root keys and trace ids (``query<n>``) stay unique for the
-        #: engine's lifetime; the query id shipped in requests and replies is
-        #: a bounded-width slot, released once its query has completed.
-        self._query_seq = itertools.count(1)
+        #: Completed roots, ``(value, truncated, visited, cache_hits)`` by
+        #: query id: the bounded-width slot shipped in requests and replies,
+        #: released once its query has completed.  Trace ids (``query<n>``)
+        #: are minted by the runtime's tracer, unique across its engines.
+        self._completions: Dict[str, Tuple[object, bool, FrozenSet[object], int]] = {}
         self._query_ids = _SlotIds("query")
+        #: The running query's frames below its root, by target (see :meth:`QueryAgent._open`).
+        self._memo: Dict[object, _Frame] = {}
         #: Observability: adopt the runtime's bundle (if any) and expose the
         #: query-cache counters as a registry view plus a per-mode latency
         #: histogram.  Purely observational — absent entirely when the
@@ -740,7 +735,7 @@ class DistributedQueryEngine:
 
     # -- observability helpers -------------------------------------------------------------
 
-    def _begin_query_span(self, query_id: str, mode: str):
+    def _begin_query_span(self, mode: str):
         """Open the engine-level root span for one query.
 
         Returns ``(span, previous_ambient_context, wall_start)``; all three
@@ -751,18 +746,12 @@ class DistributedQueryEngine:
         """
         if self.obs is None:
             return None, None, time.perf_counter()
-        span = self.obs.tracer.start_span("query", trace_id=query_id, mode=mode)
+        tracer = self.obs.tracer
+        span = tracer.start_span("query", trace_id=tracer.mint("query"), mode=mode)
         previous = self.obs.tracer.set_current(span.context())
         return span, previous, time.perf_counter()
 
-    def _end_query_span(
-        self,
-        span: Optional[Span],
-        wall_start: float,
-        mode: str,
-        messages: int,
-        rounds: int,
-    ) -> None:
+    def _end_query_span(self, span: Optional[Span], wall_start: float, mode: str, messages: int, rounds: int) -> None:
         """Finish the root span with the exact per-query deltas.
 
         The ``messages`` / ``rounds`` attributes are the same network-stat
@@ -803,29 +792,33 @@ class DistributedQueryEngine:
         if not self.runtime.node(location).store.contains(fact):
             raise QueryError(f"tuple {fact} is not currently present at node {location!r}")
 
-        root_key = f"query{next(self._query_seq)}"
+        if at == location:
+            at = None
+        elif at is not None and at not in self._agents:
+            raise QueryError(f"query issued at unknown node {at!r}")
         stats_before = self.runtime.network.stats.snapshot()
         time_before = self.runtime.simulator.now
         rounds_before = self.runtime.simulator.rounds
 
-        span, previous, wall_start = self._begin_query_span(root_key, mode)
+        # A newer engine on the runtime serves this one's messages with its
+        # own agents, so a memo can be left over from a query that failed.
+        self._memo = {}
+        span, previous, wall_start = self._begin_query_span(mode)
+        query_id = self._query_ids.take()
         try:
-            if at is None or at == location:
-                query_id = self._query_ids.take()
-                self._agents[location].start_root(query_id, vid, mode, options, root_key)
+            if at is None:
+                self._agents[location].start_root(query_id, vid, mode, options)
             else:
-                if at not in self._agents:
-                    raise QueryError(f"query issued at unknown node {at!r}")
-                query_id = self._query_ids.take()
-                self._agents[at].start_remote_root(query_id, vid, location, mode, options, root_key)
-
+                self._agents[at].start_remote_root(query_id, vid, location, mode, options)
             self.runtime.run_to_quiescence()
         finally:
+            self._memo = {}
             if span is not None:
                 self.obs.tracer.set_current(previous)
-        bundle = self._completions.pop(root_key, None)
-        if bundle is None:
-            raise QueryError(f"query {root_key} did not complete")
+        completion = self._completions.pop(query_id, None)
+        if completion is None:
+            raise QueryError(f"query {query_id} did not complete")
+        value, truncated, visited, cache_hits = completion
         self._query_ids.release(query_id)
 
         stats_after = self.runtime.network.stats.snapshot()
@@ -834,16 +827,16 @@ class DistributedQueryEngine:
             bytes=int(stats_after["bytes"]) - int(stats_before["bytes"]),
             latency=self.runtime.simulator.now - time_before,
             rounds=self.runtime.simulator.rounds - rounds_before,
-            nodes_visited=len(bundle.visited),
-            cache_hits=bundle.cache_hits,
+            nodes_visited=len(visited),
+            cache_hits=cache_hits,
         )
         self._end_query_span(span, wall_start, mode, stats.messages, stats.rounds)
         return QueryResult(
             mode=mode,
             root=TupleRef(relation=relation, values=fact.values, location=location),
             root_vid=vid,
-            value=bundle.value,
-            truncated=bundle.truncated,
+            value=value,
+            truncated=truncated,
             stats=stats,
         )
 

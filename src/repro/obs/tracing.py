@@ -150,7 +150,8 @@ class Tracer:
 
     def __init__(self) -> None:
         self._seq = itertools.count(1)
-        self._trace_seq = itertools.count(1)
+        #: prefix -> the counter behind :meth:`mint`
+        self._trace_seqs: Dict[str, "itertools.count[int]"] = {}
         #: trace id -> its retained spans and records, oldest trace first
         self._traces: Dict[str, _Trace] = {}
         self._current: Optional[TraceContext] = None
@@ -159,6 +160,13 @@ class Tracer:
 
     def _next_span_id(self) -> str:
         return f"s{next(self._seq)}"
+
+    def mint(self, prefix: str) -> str:
+        """A trace id ``prefix<n>`` that this tracer has not minted before."""
+        seq = self._trace_seqs.get(prefix)
+        if seq is None:
+            seq = self._trace_seqs[prefix] = itertools.count(1)
+        return f"{prefix}{next(seq)}"
 
     def start_span(
         self,
@@ -175,7 +183,7 @@ class Tracer:
             trace = parent.trace_id if trace_id is None else trace_id
             parent_id: Optional[str] = parent.span_id
         else:
-            trace = trace_id if trace_id is not None else f"trace{next(self._trace_seq)}"
+            trace = trace_id if trace_id is not None else self.mint("trace")
             parent_id = None
         return Span(self, name, trace, self._next_span_id(), parent_id=parent_id, node=node, attrs=attrs)
 
