@@ -6,27 +6,35 @@ zoom into one relation, and finally inspect a single tuple instance with its
 attribute values and location, while a hypertree lays the provenance out on a
 hyperbolic plane.  This example reproduces those three zoom levels as text,
 computes the hypertree layout (and a re-focus step), and then replays a
-topology change from the log store — the other interactive feature of the
-demo.
+topology change from the run's write-ahead log — the other interactive
+feature of the demo.
 
 Run with::
 
     python examples/mincost_exploration.py
 """
 
+from tempfile import TemporaryDirectory
+
 from repro.core.keys import vid_for
 from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.tuples import Fact
-from repro.logstore import LogStore, ReplaySession
+from repro.logstore import ReplaySession
 from repro.protocols import mincost
 from repro.viz import HypertreeLayout, exploration_views, refocus, topology_summary
 
 
 def main() -> None:
+    with TemporaryDirectory() as durable_dir:
+        explore(durable_dir)
+
+
+def explore(durable_dir: str) -> None:
     net = topology.random_connected(8, edge_probability=0.35, seed=7)
-    runtime = mincost.setup(net)
-    log = LogStore()
-    log.collect(runtime, label="T0")
+    # A durable runtime journals every committed batch; batch 1 is the link seeding.
+    runtime = NetTrailsRuntime(mincost.SOURCE, net, program_name="mincost", durable_dir=durable_dir)
+    runtime.seed_links(run=True)
 
     print(topology_summary(net, runtime.network.stats.snapshot()))
 
@@ -59,9 +67,10 @@ def main() -> None:
     print(f"\nFailing link {victim[0]} <-> {victim[1]} and replaying from the log store...")
     runtime.remove_link(*victim)
     runtime.run_to_quiescence()
-    log.collect(runtime, label="T1")
+    runtime.close()
 
-    session = ReplaySession(log)
+    session = ReplaySession(durable_dir)
+    session.seek(1)
     diff = session.step()
     print(diff.summary())
 

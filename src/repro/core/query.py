@@ -295,8 +295,16 @@ class QueryAgent:
         #: so the reply — which carries the version it was computed at — can
         #: be cached here at the issuing node.
         self._remote_roots: Dict[str, Tuple[str, str, QueryOptions]] = {}
-        node.register_handler(CATEGORY_PROVENANCE_QUERY, self._on_query)
-        node.register_handler(CATEGORY_PROVENANCE_REPLY, self._on_reply)
+        self.register()
+
+    def register(self) -> None:
+        """Make this agent its node's query handler, in place of any other engine's."""
+        self.node.register_handler(CATEGORY_PROVENANCE_QUERY, self._on_query)
+        self.node.register_handler(CATEGORY_PROVENANCE_REPLY, self._on_reply)
+
+    def registered(self) -> bool:
+        """Whether this agent, not another engine's, handles its node's queries."""
+        return self.node._handlers.get(CATEGORY_PROVENANCE_QUERY) == self._on_query
 
     # -- helpers ---------------------------------------------------------------
 
@@ -800,9 +808,11 @@ class DistributedQueryEngine:
         time_before = self.runtime.simulator.now
         rounds_before = self.runtime.simulator.rounds
 
-        # A newer engine on the runtime serves this one's messages with its
-        # own agents, so a memo can be left over from a query that failed.
-        self._memo = {}
+        # A node has one set of query handlers, the last registered engine's;
+        # an engine whose handlers another engine took takes them back.
+        if not self._agents[location].registered():
+            for agent in self._agents.values():
+                agent.register()
         span, previous, wall_start = self._begin_query_span(mode)
         query_id = self._query_ids.take()
         try:

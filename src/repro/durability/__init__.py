@@ -6,12 +6,14 @@ this package gives the reproduction that production shape:
 * :mod:`repro.durability.wal` — the append-only, length-prefixed,
   content-hashed write-ahead log journalling every committed quiescence
   window (with the torn-tail scan/truncate rule);
-* :mod:`repro.durability.checkpoint` — compaction of the WAL prefix into the
-  :mod:`repro.logstore` snapshot format, plus the state digests recovery
-  verifies;
+* :mod:`repro.durability.checkpoint` — compaction of the WAL prefix into one
+  :class:`~repro.logstore.snapshot.Snapshot` file, plus the state digests
+  recovery verifies;
 * :mod:`repro.durability.recovery` — :class:`RecoveryManager`: repair the
   tail, rebuild a runtime by genesis replay (bit-identical, version counters
-  included) or checkpoint bootstrap + tail replay (state-identical, O(tail));
+  included) or checkpoint bootstrap + tail replay (state-identical, O(tail)).
+  Its rebuild path is also :class:`repro.logstore.ReplaySession`'s, which
+  reads the WAL without repairing it and seeks to any committed batch;
 * :mod:`repro.durability.service` — :class:`ServiceRuntime`: the durable,
   query-serving wrapper, and the one object client threads may share (its
   lock serialises every call into the single-threaded runtime).
@@ -35,7 +37,7 @@ from repro.durability.recovery import (
     RecoveryResult,
     replay_op,
 )
-from repro.durability.service import ServiceRuntime, latency_summary
+from repro.durability.service import ServiceRuntime
 from repro.durability.wal import (
     MAGIC,
     RECORD_BATCH,
@@ -63,7 +65,6 @@ __all__ = [
     "WriteAheadLog",
     "base_facts",
     "build_topology",
-    "latency_summary",
     "repair",
     "replay_op",
     "scan",

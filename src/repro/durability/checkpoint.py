@@ -1,8 +1,8 @@
 """Checkpoint (compaction) helpers shared by the runtime and recovery.
 
-A checkpoint compacts the WAL prefix into the existing :mod:`repro.logstore`
-snapshot format: the full :class:`~repro.logstore.snapshot.Snapshot` is
-written in :class:`~repro.logstore.store.LogStore`'s file format to
+A checkpoint compacts the WAL prefix into one snapshot: the full
+:class:`~repro.logstore.snapshot.Snapshot`, as a one-element JSON list
+(``json.dumps([snapshot.to_dict()], sort_keys=True)``), is written to
 ``<durable_dir>/snapshots/ckpt-NNNNNN.json``, and a ``checkpoint`` WAL
 record pins two digests plus an embedded *bootstrap* (current base facts,
 topology and link configuration).  Recovery in ``checkpoint`` mode rebuilds
@@ -25,9 +25,12 @@ A checkpoint costs what changed: each durable runtime's
 state fragments, rebuilds a fragment only when the partition's content
 key differs from the cached one, and streams the pieces into the file and
 both digests without assembling the whole document.  The file and the
-digests are byte-identical to :func:`snapshot_digest`, :func:`state_digest`
-and ``LogStore.save`` over :func:`~repro.logstore.snapshot.take_snapshot`,
-which stay the reference (recovery verifies with them).
+digests are byte-identical to that list, :func:`snapshot_digest` and
+:func:`state_digest` over :func:`~repro.logstore.snapshot.take_snapshot`,
+which stay the reference (recovery verifies with them).  Checkpoints are
+also how a run's state is captured periodically
+(``ServiceRuntime(checkpoint_every=N)``), and they shorten the rebuilds of
+:class:`~repro.logstore.replay.ReplaySession`.
 """
 
 from __future__ import annotations
@@ -167,9 +170,9 @@ class CheckpointWriter:
         """Write checkpoint *batch* of a quiescent *runtime*.
 
         Returns the snapshot file path and the ``checkpoint`` WAL record's
-        data.  The file holds ``LogStore.save`` of ``take_snapshot(runtime,
-        label)``; the record's digests are :func:`snapshot_digest` and
-        :func:`state_digest` of that snapshot.
+        data.  The file holds ``[take_snapshot(runtime, label).to_dict()]``
+        as sorted-key JSON; the record's digests are :func:`snapshot_digest`
+        and :func:`state_digest` of that snapshot.
         """
         partitions = self._refresh(runtime)
         time = runtime.simulator.now

@@ -24,6 +24,11 @@ the first unverifiable byte) and, with ``attach=True``, leaves the recovered
 runtime appending to the repaired WAL — crash, recover, keep serving.  Damage
 followed by an intact record is not a torn tail, and recovery raises rather
 than drop the committed records after it.
+
+:meth:`RecoveryManager.rebuild` and :func:`replay` are the one path from
+WAL records to state: recovery runs them to the last record, and
+:class:`~repro.logstore.replay.ReplaySession` runs them, read-only, to any
+committed batch.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.durability.wal import (
     RECORD_BATCH,
     RECORD_CHECKPOINT,
     RECORD_INIT,
+    ScanResult,
     WalRecord,
     WriteAheadLog,
     scan,
@@ -156,38 +162,10 @@ class RecoveryManager:
                 f"unknown recovery mode {mode!r}; choose one of {RECOVERY_MODES}"
             )
         started = time.perf_counter()
-        scan_result = scan(self.path)
-        if scan_result.stranded_seq is not None:
-            raise DurabilityError(
-                f"WAL {self.path} is damaged mid-log ({scan_result.reason} at byte "
-                f"{scan_result.valid_bytes}) and intact record seq "
-                f"{scan_result.stranded_seq} follows; truncating would drop "
-                "committed batches — repair() salvages the prefix explicitly"
-            )
+        scan_result = self.read()
         truncate(self.path, scan_result)
         records = scan_result.records
-        if not records:
-            raise DurabilityError(
-                f"WAL {self.path} holds no intact records; nothing to recover"
-            )
-        if records[0].type != RECORD_INIT:
-            raise DurabilityError(
-                f"WAL {self.path} does not start with an init record "
-                f"(found {records[0].type!r})"
-            )
-        init = records[0].data
-        checkpoints = [r for r in records if r.type == RECORD_CHECKPOINT]
-
-        effective_mode = mode
-        if mode == "checkpoint" and not checkpoints:
-            effective_mode = "genesis"
-
-        if effective_mode == "genesis":
-            result = self._recover_genesis(init, records, verify, **overrides)
-        else:
-            result = self._recover_checkpoint(
-                init, records, checkpoints[-1], verify, **overrides
-            )
+        result = self.rebuild(records, len(records), mode, verify, **overrides)
         result.records = len(records)
         result.torn = scan_result.torn
         result.torn_reason = scan_result.reason
@@ -201,7 +179,77 @@ class RecoveryManager:
         result.seconds = time.perf_counter() - started
         return result
 
-    # -- modes ----------------------------------------------------------------------
+    # -- the one rebuild path ---------------------------------------------------------
+
+    def read(self) -> ScanResult:
+        """Scan the WAL without writing to it.
+
+        A torn tail is read up to its valid prefix.  Mid-log damage, a WAL
+        with no intact record and one not opening with an ``init`` record
+        raise :class:`~repro.errors.DurabilityError`.
+        """
+        scan_result = scan(self.path)
+        if scan_result.stranded_seq is not None:
+            raise DurabilityError(
+                f"WAL {self.path} is damaged mid-log ({scan_result.reason} at byte "
+                f"{scan_result.valid_bytes}) and intact record seq "
+                f"{scan_result.stranded_seq} follows; truncating would drop "
+                "committed batches — repair() salvages the prefix explicitly"
+            )
+        records = scan_result.records
+        if not records:
+            raise DurabilityError(
+                f"WAL {self.path} holds no intact records; nothing to recover"
+            )
+        if records[0].type != RECORD_INIT:
+            raise DurabilityError(
+                f"WAL {self.path} does not start with an init record "
+                f"(found {records[0].type!r})"
+            )
+        return scan_result
+
+    def rebuild(
+        self,
+        records: List[WalRecord],
+        stop: int,
+        mode: str,
+        verify: bool,
+        **overrides: object,
+    ) -> RecoveryResult:
+        """A fresh runtime in the state ``records[:stop]`` describes.
+
+        In ``checkpoint`` mode the runtime is bootstrapped from the newest
+        checkpoint record before *stop* (digest-verified with *verify*) and
+        replays the records after it; otherwise, or with no such checkpoint,
+        it starts at genesis and replays every record before *stop*.
+        """
+        init = records[0].data
+        start = 0
+        if mode == "checkpoint":
+            start = max(
+                (i for i in range(stop) if records[i].type == RECORD_CHECKPOINT), default=0
+            )
+        if start == 0:
+            runtime = self._build_runtime(init, init["topology"], **overrides)
+            result = RecoveryResult(runtime=runtime, mode="genesis")
+        else:
+            data = records[start].data
+            runtime = self._build_runtime(init, data["topology"], **overrides)
+            result = RecoveryResult(
+                runtime=runtime, mode="checkpoint", checkpoint_batch=int(data["batch"])
+            )
+            link = data.get("link")
+            if link:
+                runtime._link_relation = str(link["relation"])
+                runtime._link_include_cost = bool(link["include_cost"])
+                runtime._link_symmetric = bool(link["symmetric"])
+            for relation, rows in sorted(dict(data["base"]).items()):
+                runtime.insert_batch(relation, rows)
+            runtime.run_to_quiescence()
+            if verify:
+                _verify_checkpoint(runtime, data, result)
+        replay(result, records[start + 1 : stop], verify)
+        return result
 
     def _build_runtime(
         self, init: Dict[str, object], topology_doc, **overrides: object
@@ -226,79 +274,31 @@ class RecoveryManager:
             **kwargs,
         )
 
-    def _replay_tail(
-        self,
-        runtime: NetTrailsRuntime,
-        records: List[WalRecord],
-        after_seq: int,
-        verify: bool,
-        result: RecoveryResult,
-    ) -> None:
-        from repro.logstore.snapshot import take_snapshot
 
-        for record in records:
-            if record.seq <= after_seq:
-                continue
-            if record.type == RECORD_BATCH:
-                for op in record.data["ops"]:
-                    replay_op(runtime, op)
-                runtime.run_to_quiescence()
-                result.batches_replayed += 1
-                result.ops_replayed += len(record.data["ops"])
-            elif record.type == RECORD_CHECKPOINT and verify:
-                snapshot = take_snapshot(runtime, label=str(record.data["label"]))
-                digest = checkpoint_mod.state_digest(snapshot)
-                if digest != record.data["state_digest"]:
-                    raise DurabilityError(
-                        f"replay diverged at checkpoint batch "
-                        f"{record.data['batch']}: state digest {digest} != "
-                        f"recorded {record.data['state_digest']}"
-                    )
-                result.checkpoints_verified += 1
+def replay(result: RecoveryResult, records: List[WalRecord], verify: bool) -> None:
+    """Replay *records* on ``result.runtime``: apply each batch, verify each checkpoint."""
+    runtime = result.runtime
+    for record in records:
+        if record.type == RECORD_BATCH:
+            for op in record.data["ops"]:
+                replay_op(runtime, op)
+            runtime.run_to_quiescence()
+            result.batches_replayed += 1
+            result.ops_replayed += len(record.data["ops"])
+        elif record.type == RECORD_CHECKPOINT and verify:
+            _verify_checkpoint(runtime, record.data, result)
 
-    def _recover_genesis(
-        self,
-        init: Dict[str, object],
-        records: List[WalRecord],
-        verify: bool,
-        **overrides: object,
-    ) -> RecoveryResult:
-        runtime = self._build_runtime(init, init["topology"], **overrides)
-        result = RecoveryResult(runtime=runtime, mode="genesis")
-        self._replay_tail(runtime, records, records[0].seq, verify, result)
-        return result
 
-    def _recover_checkpoint(
-        self,
-        init: Dict[str, object],
-        records: List[WalRecord],
-        checkpoint: WalRecord,
-        verify: bool,
-        **overrides: object,
-    ) -> RecoveryResult:
-        from repro.logstore.snapshot import take_snapshot
+def _verify_checkpoint(
+    runtime: NetTrailsRuntime, data: Dict[str, object], result: RecoveryResult
+) -> None:
+    """Raise unless *runtime*'s state digest is the one checkpoint *data* records."""
+    from repro.logstore.snapshot import take_snapshot
 
-        data = checkpoint.data
-        runtime = self._build_runtime(init, data["topology"], **overrides)
-        result = RecoveryResult(
-            runtime=runtime, mode="checkpoint", checkpoint_batch=int(data["batch"])
+    digest = checkpoint_mod.state_digest(take_snapshot(runtime, label=str(data["label"])))
+    if digest != data["state_digest"]:
+        raise DurabilityError(
+            f"replay diverged at checkpoint batch {data['batch']}: state digest "
+            f"{digest} != recorded {data['state_digest']}"
         )
-        link = data.get("link")
-        if link:
-            runtime._link_relation = str(link["relation"])
-            runtime._link_include_cost = bool(link["include_cost"])
-            runtime._link_symmetric = bool(link["symmetric"])
-        for relation, rows in sorted(dict(data["base"]).items()):
-            runtime.insert_batch(relation, rows)
-        runtime.run_to_quiescence()
-        if verify:
-            snapshot = take_snapshot(runtime, label=str(data["label"]))
-            digest = checkpoint_mod.state_digest(snapshot)
-            if digest != data["state_digest"]:
-                raise DurabilityError(
-                    f"checkpoint bootstrap diverged at batch {data['batch']}: "
-                    f"state digest {digest} != recorded {data['state_digest']}"
-                )
-            result.checkpoints_verified += 1
-        self._replay_tail(runtime, records, checkpoint.seq, verify, result)
-        return result
+    result.checkpoints_verified += 1

@@ -12,8 +12,10 @@ everything it holds is single-threaded, and this class is the one object
 that client threads may share.  Its reentrant lock serialises every entry
 point that touches the runtime (commits, queries, state reads, checkpoints,
 ``close`` and ``crash``), exactly the arbitration a network server front-end
-would perform; client-observed latency percentiles therefore include
-queueing, which is what the E17 concurrent-client benchmark measures.
+would perform; client-observed latency therefore includes queueing, which
+is what the E17 concurrent-client benchmark measures by timing its own
+calls.  The service itself keeps counts (commits, queries, checkpoints),
+not per-call latencies.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import DurabilityError, EngineError
 from repro.engine.runtime import NetTrailsRuntime
@@ -41,27 +43,6 @@ def _resolve_source(program: str) -> str:
         f"{program!r} is neither NDlog source nor a registered protocol name "
         f"(known protocols: {sorted(PROTOCOLS)})"
     )
-
-
-def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
-    """count / mean / max plus nearest-rank p50, p95 and p99 percentiles.
-
-    A shim over the shared :class:`repro.obs.registry.Histogram` percentile
-    implementation: the histogram's bucket bounds are the observed values
-    themselves, so the nearest-rank answers are *exact* (identical to the
-    sorted-list computation this function used to hand-roll), and every
-    latency surface in the repo — this one and the observability registry —
-    reports percentiles through one code path.
-    """
-    if not samples:
-        return {"count": 0.0}
-    from repro.obs.registry import Histogram
-
-    values = [float(sample) for sample in samples]
-    histogram = Histogram("latency_summary", buckets=tuple(sorted(set(values))))
-    for value in values:
-        histogram.observe(value)
-    return histogram.summary()
 
 
 def _check_checkpoint_every(checkpoint_every: int) -> None:
@@ -143,8 +124,8 @@ class ServiceRuntime:
         self._lock = threading.RLock()
         self._engine = None
         self._closed = False
-        self.commit_latencies: List[float] = []
-        self.query_latencies: List[float] = []
+        self.commits = 0
+        self.queries = 0
         self.checkpoints_taken = 0
         self.last_recovery = last_recovery
         #: Flight-recorder dump captured by :meth:`crash` (post-mortem aid);
@@ -161,8 +142,8 @@ class ServiceRuntime:
 
         def view() -> Dict[str, float]:
             return {
-                "commits": float(len(self.commit_latencies)),
-                "queries": float(len(self.query_latencies)),
+                "commits": float(self.commits),
+                "queries": float(self.queries),
                 "checkpoints": float(self.checkpoints_taken),
             }
 
@@ -218,9 +199,8 @@ class ServiceRuntime:
         with self._lock:
             self._require_open()
             kwargs.setdefault("run", True)
-            started = time.perf_counter()
             seeded = self.runtime.seed_links(**kwargs)
-            self.commit_latencies.append(time.perf_counter() - started)
+            self.commits += 1
             self._maybe_checkpoint()
             return seeded
 
@@ -247,7 +227,7 @@ class ServiceRuntime:
             if span is not None:
                 span.finish(ops=len(ops), events=events)
             elapsed = time.perf_counter() - started
-            self.commit_latencies.append(elapsed)
+            self.commits += 1
             self._maybe_checkpoint()
             return {
                 "ops": len(ops),
@@ -287,23 +267,9 @@ class ServiceRuntime:
             return self.runtime.state(relation)
 
     def query(self, relation: str, values: Sequence[object], mode: str = "lineage", **kwargs):
-        """One provenance query, serialised against commits; records latency."""
+        """One provenance query, serialised against commits; counted once answered."""
         with self._lock:
             self._require_open()
-            started = time.perf_counter()
             result = self._query_engine().query(relation, list(values), mode=mode, **kwargs)
-            self.query_latencies.append(time.perf_counter() - started)
+            self.queries += 1
             return result
-
-    # -- metrics --------------------------------------------------------------------
-
-    def latency_metrics(self) -> Dict[str, float]:
-        """Query and commit latency summaries, keyed ``query_p50`` … ``commit_mean``."""
-        metrics: Dict[str, float] = {}
-        for prefix, samples in (
-            ("query", self.query_latencies),
-            ("commit", self.commit_latencies),
-        ):
-            for key, value in latency_summary(samples).items():
-                metrics[f"{prefix}_{key}"] = round(value, 6)
-        return metrics

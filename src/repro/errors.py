@@ -76,10 +76,6 @@ class TraceFormatError(LegacyIntegrationError):
     """Raised when a routing trace record is malformed."""
 
 
-class LogStoreError(NetTrailsError):
-    """Raised when snapshots or replay logs are malformed or inconsistent."""
-
-
 class DurabilityError(NetTrailsError):
     """Raised when the write-ahead log or recovery machinery meets corrupt,
     foreign or misused durable state (torn tails are *repaired*, not raised —

@@ -1,4 +1,4 @@
-"""Log store: per-node snapshots, central collection and replay.
+"""Log store: per-node snapshots and replay over the write-ahead log.
 
 The paper (§2.3): *"per-node provenance information and other system state
 (such as the network topology and bandwidth utilization) can be periodically
@@ -6,21 +6,21 @@ captured as system snapshots at each node, and then propagated to a central
 Log Store that resides at the visualization node.  These logs are
 subsequently used for interactive visualization, query, and replay."*
 
-This package reproduces that pipeline without the GUI: snapshots capture
-per-node relation contents plus the provenance tables, a :class:`LogStore`
-collects them (optionally on a periodic simulator schedule), persists them as
-JSON, and a :class:`ReplaySession` steps through them again, exposing state
-diffs and reconstructed provenance graphs for the visualizer.
+This package reproduces that pipeline without the GUI, over one history: a
+durable runtime's write-ahead log (:mod:`repro.durability`).  Snapshots
+capture per-node relation contents plus the provenance tables; periodic
+capture is ``ServiceRuntime(checkpoint_every=N)``, whose checkpoint files
+hold one snapshot each; and a :class:`ReplaySession` steps through the
+committed batches, rebuilding each position's state from the log and
+exposing state diffs and provenance graphs for the visualizer.
 """
 
 from repro.logstore.snapshot import Snapshot, take_snapshot
-from repro.logstore.store import LogStore
 from repro.logstore.replay import ReplaySession, SnapshotDiff
 
 __all__ = [
     "Snapshot",
     "take_snapshot",
-    "LogStore",
     "ReplaySession",
     "SnapshotDiff",
 ]

@@ -1,23 +1,25 @@
-"""Replay of collected snapshots.
+"""Replay of a run's committed history.
 
 During the demonstration the generated logs are "replayed using the RapidNet
 visualizer ... and a provenance visualizer".  :class:`ReplaySession` provides
-the programmatic equivalent: it steps through the snapshots of a
-:class:`~repro.logstore.store.LogStore` in time order, reports what changed
-between consecutive snapshots (tuples appearing / disappearing per relation)
-and reconstructs the provenance graph at any step so the visualizer can
-render it.
+the programmatic equivalent over a durable directory's write-ahead log: a
+position is a committed batch, its state is rebuilt by the recovery code,
+and the session reports what changed between consecutive positions (tuples
+appearing / disappearing per relation) and the provenance graph at any
+position so the visualizer can render it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.errors import LogStoreError
+from repro.errors import DurabilityError
 from repro.core.graph import ProvenanceGraph
-from repro.logstore.snapshot import Snapshot
-from repro.logstore.store import LogStore
+from repro.durability.recovery import RecoveryManager, RecoveryResult, replay
+from repro.durability.wal import RECORD_BATCH
+from repro.logstore.snapshot import Snapshot, take_snapshot
 
 
 @dataclass
@@ -67,13 +69,32 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> SnapshotDiff:
 
 
 class ReplaySession:
-    """Step through a log store's snapshots, as the demo's replay does."""
+    """Step through the committed batches of a durable directory, as the demo's replay does.
 
-    def __init__(self, store: LogStore):
-        if len(store) == 0:
-            raise LogStoreError("cannot replay an empty log store")
-        self._snapshots = store.snapshots()
+    Position *k* (0 … N) is the state after committed batch *k*; position 0
+    is genesis.  A position's state is the newest checkpoint at or before it,
+    digest-verified, plus the batches after that checkpoint
+    (:meth:`~repro.durability.recovery.RecoveryManager.rebuild`).  The
+    first seek and every backward seek rebuild; a step, or a forward seek,
+    replays the batches in between on the runtime the session holds.  A
+    position rebuilt from a checkpoint has the run's relations and
+    provenance tables, but the bootstrap's virtual time and traffic
+    counters.  The WAL is only read: a torn tail is read up to its valid
+    prefix, and mid-log damage raises :class:`~repro.errors.DurabilityError`.
+    """
+
+    def __init__(self, durable_dir: Union[str, Path]):
+        self._manager = RecoveryManager(durable_dir)
+        self._records = self._manager.read().records
+        #: Position k's state is what ``_records[:_stops[k]]`` describes:
+        #: every record before batch k + 1's.
+        self._stops = [
+            index for index, record in enumerate(self._records) if record.type == RECORD_BATCH
+        ] + [len(self._records)]
+        #: The runtime in the state of ``_position``, built by the first seek.
+        self._result: Optional[RecoveryResult] = None
         self._position = 0
+        self._snapshot: Optional[Snapshot] = None
 
     # -- navigation ------------------------------------------------------------------
 
@@ -82,43 +103,37 @@ class ReplaySession:
         return self._position
 
     def current(self) -> Snapshot:
-        return self._snapshots[self._position]
+        if self._snapshot is None:
+            return self.seek(self._position)
+        return self._snapshot
 
     def at_end(self) -> bool:
-        return self._position >= len(self._snapshots) - 1
+        return self._position == len(self._stops) - 1
+
+    def seek(self, position: int) -> Snapshot:
+        """Jump to the state after committed batch *position* and return its snapshot."""
+        if not 0 <= position < len(self._stops):
+            raise DurabilityError(
+                f"no replay position {position}: the WAL holds positions 0 to {len(self._stops) - 1}"
+            )
+        stop = self._stops[position]
+        if self._result is None or position < self._position:
+            self._result = self._manager.rebuild(self._records, stop, "checkpoint", verify=True)
+        else:
+            replay(self._result, self._records[self._stops[self._position] : stop], verify=True)
+        self._position = position
+        self._snapshot = take_snapshot(self._result.runtime)
+        return self._snapshot
 
     def step(self) -> Optional[SnapshotDiff]:
-        """Advance to the next snapshot; return the diff, or None at the end."""
+        """Advance one committed batch; return the diff, or None at the end."""
         if self.at_end():
             return None
         before = self.current()
-        self._position += 1
-        return diff_snapshots(before, self.current())
-
-    def seek_time(self, time: float) -> Snapshot:
-        """Jump ("pause the network at a given time") to the snapshot at/before *time*."""
-        best = None
-        for index, snapshot in enumerate(self._snapshots):
-            if snapshot.time <= time:
-                best = index
-        if best is None:
-            raise LogStoreError(f"no snapshot exists at or before time {time}")
-        self._position = best
-        return self.current()
-
-    def rewind(self) -> Snapshot:
-        self._position = 0
-        return self.current()
+        return diff_snapshots(before, self.seek(self._position + 1))
 
     # -- inspection --------------------------------------------------------------------
 
     def provenance_graph(self) -> ProvenanceGraph:
         """The provenance graph at the current replay position."""
         return self.current().provenance_graph()
-
-    def all_diffs(self) -> List[SnapshotDiff]:
-        """Diffs between every pair of consecutive snapshots."""
-        return [
-            diff_snapshots(before, after)
-            for before, after in zip(self._snapshots, self._snapshots[1:])
-        ]

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.errors import LogStoreError
 from repro.core.graph import ProvenanceGraph, RuleExecVertex, TupleVertex
 from repro.core.keys import BASE_RID
 
@@ -30,16 +29,6 @@ class NodeSnapshot:
             "rule_execs": self.rule_execs,
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "NodeSnapshot":
-        return NodeSnapshot(
-            node_id=str(data["node_id"]),
-            relations={str(k): list(v) for k, v in dict(data.get("relations", {})).items()},
-            tuples={str(k): list(v) for k, v in dict(data.get("tuples", {})).items()},
-            prov=[list(row) for row in data.get("prov", [])],
-            rule_execs=[list(row) for row in data.get("rule_execs", [])],
-        )
-
 
 @dataclass
 class Snapshot:
@@ -61,7 +50,7 @@ class Snapshot:
         rows: List[Tuple[object, ...]] = []
         for node in self.nodes.values():
             for values in node.relations.get(relation, []):
-                rows.append(tuple(_listify_to_tuple(v) for v in values))
+                rows.append(tuple(values))
         return sorted(rows, key=repr)
 
     def relations(self) -> List[str]:
@@ -85,7 +74,7 @@ class Snapshot:
         base_vids = set()
         for node in self.nodes.values():
             for vid, info in node.tuples.items():
-                relation, values = str(info[0]), tuple(_listify_to_tuple(v) for v in info[1])
+                relation, values = str(info[0]), tuple(info[1])
                 tuple_info[vid] = (relation, values)
             for vid, rid, _rloc in node.prov:
                 tuple_locations[str(vid)] = node.node_id
@@ -128,34 +117,6 @@ class Snapshot:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "Snapshot":
-        try:
-            nodes = {
-                str(node_id): NodeSnapshot.from_dict(node_data)
-                for node_id, node_data in dict(data["nodes"]).items()
-            }
-            return Snapshot(
-                time=float(data["time"]),
-                label=str(data.get("label", "")),
-                program=str(data.get("program", "")),
-                traffic=dict(data.get("traffic", {})),
-                nodes=nodes,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogStoreError(f"malformed snapshot data: {exc}") from exc
-
-    @staticmethod
-    def from_json(text: str) -> "Snapshot":
-        return Snapshot.from_dict(json.loads(text))
-
-
-def _listify_to_tuple(value: object) -> object:
-    """JSON round-trips tuples as lists; convert them back for comparisons."""
-    if isinstance(value, list):
-        return tuple(_listify_to_tuple(v) for v in value)
-    return value
 
 
 def take_snapshot(runtime, label: str = "") -> Snapshot:

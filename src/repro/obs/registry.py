@@ -51,10 +51,11 @@ class Histogram:
     value is the upper bound of the bucket containing the rank, clamped to
     the observed maximum (so the overflow bucket reports the true max and
     percentile estimates never exceed an observed sample).  This is the
-    shared percentile implementation behind
-    :func:`repro.durability.service.latency_summary` and the client-harness
-    latency breakdowns.  :meth:`labels` gives the child histogram of one
-    label combination (the query engine keeps one per query mode).
+    shared percentile implementation behind the query-latency histogram and
+    the client-harness latency breakdowns (E17's client percentiles use
+    buckets at the observed values, which make them exact).  :meth:`labels`
+    gives the child histogram of one label combination (the query engine
+    keeps one per query mode).
 
     >>> h = Histogram("demo", buckets=(0.001, 0.01, 0.1, 1.0))
     >>> for v in (0.0005, 0.002, 0.003, 0.02, 0.5):
@@ -139,7 +140,7 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """The legacy ``latency_summary`` key shape: count/mean/max/p50/p95/p99."""
+        """count/mean/max/p50/p95/p99 of the observations."""
         return {
             "count": float(self.count),
             "mean": self.mean,

@@ -151,6 +151,36 @@ class TestStatsAndIssuingNode:
             queries.lineage("minCost", ["n0", "n2", 2.0], at="ghost")
 
 
+class TestEnginesShareARuntime:
+    def test_interleaved_engines_answer_as_if_each_were_alone(self, ring5):
+        """Two engines on one runtime, queried e1, e2, e1 with the cache on,
+        answer and cost exactly what an engine alone on a fresh runtime does,
+        and each keeps its own cache counters."""
+        options = QueryOptions(use_cache=True)
+        row = ["n0", "n2", 2.0]  # its lineage leaves the home node
+
+        def alone(queries):
+            engine = DistributedQueryEngine(mincost.setup(copy.deepcopy(ring5)))
+            results = [engine.lineage("minCost", row, options=options) for _ in range(queries)]
+            return results, engine.cache_totals()
+
+        runtime = mincost.setup(ring5)
+        e1, e2 = DistributedQueryEngine(runtime), DistributedQueryEngine(runtime)
+        first = e1.lineage("minCost", row, options=options)
+        second = e2.lineage("minCost", row, options=options)
+        third = e1.lineage("minCost", row, options=options)
+
+        (cold, warm), e1_totals = alone(2)
+        (cold_e2,), e2_totals = alone(1)
+        for got, want in ((first, cold), (second, cold_e2), (third, warm)):
+            assert got.value == want.value
+            # latency is a difference of virtual times, so it may differ in the last bit
+            assert got.stats == dataclasses.replace(want.stats, latency=pytest.approx(want.stats.latency))
+        assert second.stats.cache_hits == 0  # e2 started with its own, empty caches
+        assert e1.cache_totals() == e1_totals
+        assert e2.cache_totals() == e2_totals
+
+
 class TestOptimizations:
     def test_cache_eliminates_messages_on_repeat(self, pathvector_line):
         queries = DistributedQueryEngine(pathvector_line)

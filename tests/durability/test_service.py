@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.optimizations import QueryOptions
-from repro.durability import ServiceRuntime, latency_summary, scan, wal_path
+from repro.durability import ServiceRuntime, scan, wal_path
 from repro.durability.wal import RECORD_CHECKPOINT
 from repro.engine import topology
 from repro.errors import DurabilityError, EngineError, NetTrailsError
@@ -57,10 +57,8 @@ class TestServing:
             rows = service.state("minCost")
             result = service.query("minCost", list(rows[0]), mode="lineage")
             assert result.value  # lineage of a derivable row is non-empty
-            metrics = service.latency_metrics()
-            assert metrics["query_count"] == 1.0
-            assert metrics["commit_count"] == 2.0  # seed + one commit
-            assert set(metrics) >= {"query_p50", "query_p95", "query_p99"}
+            assert service.queries == 1
+            assert service.commits == 2  # seed + one commit
 
     def test_query_on_a_churned_away_row_is_an_error_not_a_crash(self):
         """A client holding a row that a commit took away gets a
@@ -105,8 +103,7 @@ class TestServing:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert len(answered) + len(failed) == 15
-            metrics = service.latency_metrics()
-            assert metrics["query_count"] == len(answered) and metrics["commit_count"] == 3  # seed + two commits
+            assert service.queries == len(answered) and service.commits == 3  # seed + two commits
 
     def test_client_storm_answers_like_a_serial_replica(self, tmp_path):
         """Eight client threads query, cached and uncached, while one churn
@@ -290,22 +287,3 @@ class TestCrashRecover:
             recovered.checkpoint()
         finally:
             recovered.close()
-
-
-class TestLatencySummary:
-    def test_empty_samples(self):
-        assert latency_summary([]) == {"count": 0.0}
-
-    def test_percentiles_nearest_rank(self):
-        samples = [float(value) for value in range(1, 101)]
-        summary = latency_summary(samples)
-        assert summary["count"] == 100.0
-        assert summary["p50"] == 50.0
-        assert summary["p95"] == 95.0
-        assert summary["p99"] == 99.0
-        assert summary["max"] == 100.0
-        assert summary["mean"] == pytest.approx(50.5)
-
-    def test_single_sample(self):
-        summary = latency_summary([0.25])
-        assert summary["p50"] == summary["p99"] == summary["max"] == 0.25

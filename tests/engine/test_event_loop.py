@@ -25,7 +25,7 @@ from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.node import Node
 from repro.engine.runtime import NetTrailsRuntime
-from repro.logstore.store import LogStore
+from repro.logstore import take_snapshot
 from repro.protocols import mincost
 
 
@@ -117,17 +117,24 @@ class TestOrdering:
         assert run() == first
 
     def test_periodic_captures_identical_run_after_run(self):
-        """Log-store captures are events like any other; each lands at its
-        own virtual time mid-convergence and sees the same state every run."""
+        """Snapshots taken by scheduled events are events like any other;
+        each lands at its own virtual time mid-convergence and sees the same
+        state every run."""
 
         def captures():
-            store = LogStore()
+            snapshots = []
             runtime = NetTrailsRuntime(mincost.program(), topology.ring(6))
-            store.schedule_periodic(runtime, interval=0.01, count=6)
+            for index in range(1, 7):
+                runtime.simulator.schedule_call(
+                    0.01 * index,
+                    lambda label: snapshots.append(take_snapshot(runtime, label=label)),
+                    f"periodic-{index}",
+                    label="snapshot",
+                )
             runtime.seed_links(run=True)
             return [
                 (snap.time, snap.label, snap.relation("path"), snap.relation("minCost"), snap.traffic)
-                for snap in store.snapshots()
+                for snap in snapshots
             ]
 
         first = captures()

@@ -1,14 +1,17 @@
 """End-to-end integration tests combining multiple subsystems."""
 
+from tempfile import TemporaryDirectory
+
 import pytest
 
 from repro import DistributedQueryEngine, QueryOptions
 from repro.analysis import explain_derivation, root_causes
 from repro.core.keys import vid_for
 from repro.engine import topology
+from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.tuples import Fact
 from repro.legacy.quagga import QuaggaDeployment
-from repro.logstore import LogStore, ReplaySession
+from repro.logstore import ReplaySession
 from repro.protocols import mincost, path_vector
 from repro.viz import exploration_views, render_ascii_tree, HypertreeLayout
 
@@ -17,24 +20,26 @@ class TestDeclarativeNetworkPipeline:
     """Use case 1 of the demonstration: declarative networks end to end."""
 
     def test_mincost_run_query_snapshot_replay_and_visualize(self, ring5):
-        # 1. run the protocol with provenance maintenance
-        runtime = mincost.setup(ring5)
-        assert mincost.check_against_reference(runtime, ring5)
+        with TemporaryDirectory() as durable_dir:
+            # 1. run the protocol with provenance maintenance, journalled
+            runtime = NetTrailsRuntime(mincost.SOURCE, ring5, durable_dir=durable_dir)
+            runtime.seed_links(run=True)
+            assert mincost.check_against_reference(runtime, ring5)
 
-        # 2. query provenance through the distributed query engine
-        queries = DistributedQueryEngine(runtime)
-        lineage = queries.lineage("minCost", ["n0", "n2", 2.0])
-        assert len(lineage.value) == 2
+            # 2. query provenance through the distributed query engine
+            queries = DistributedQueryEngine(runtime)
+            lineage = queries.lineage("minCost", ["n0", "n2", 2.0])
+            assert len(lineage.value) == 2
 
-        # 3. capture snapshots around a topology change and replay them
-        log = LogStore()
-        log.collect(runtime, label="before")
-        runtime.remove_link("n0", "n1")
-        runtime.run_to_quiescence()
-        log.collect(runtime, label="after")
-        session = ReplaySession(log)
-        diff = session.step()
-        assert diff.removed_count() > 0
+            # 3. replay a topology change from the write-ahead log
+            runtime.remove_link("n0", "n1")
+            runtime.run_to_quiescence()
+            runtime.close()
+            session = ReplaySession(durable_dir)
+            session.seek(1)  # after the link seeding
+            diff = session.step()
+            assert diff.removed_count() > 0
+            assert session.at_end()
 
         # 4. visualize the provenance captured in the snapshot
         graph = session.provenance_graph()

@@ -1,10 +1,12 @@
-"""Tests for snapshots, the central log store and replay."""
+"""Tests for snapshots and replay over the write-ahead log."""
 
 import pytest
 
-from repro.errors import LogStoreError
+from repro.errors import DurabilityError
+from repro.durability import wal_path
 from repro.engine import topology
-from repro.logstore import LogStore, ReplaySession, Snapshot, take_snapshot
+from repro.engine.runtime import NetTrailsRuntime
+from repro.logstore import ReplaySession, take_snapshot
 from repro.logstore.replay import diff_snapshots
 from repro.protocols import mincost
 
@@ -12,6 +14,24 @@ from repro.protocols import mincost
 @pytest.fixture
 def runtime(ring5):
     return mincost.setup(ring5)
+
+
+@pytest.fixture
+def history(tmp_path, ring5):
+    """A durable MINCOST run: batch 1 seeds the links, batch 2 fails n0-n1,
+    batch 3 restores it.  Returns the durable dir and the live snapshot
+    after each batch (index k is position k + 1)."""
+    runtime = NetTrailsRuntime(mincost.SOURCE, ring5, durable_dir=tmp_path, wal_fsync=False)
+    runtime.seed_links(run=True)
+    snapshots = [take_snapshot(runtime)]
+    runtime.remove_link("n0", "n1")
+    runtime.run_to_quiescence()
+    snapshots.append(take_snapshot(runtime))
+    runtime.add_link("n0", "n1", 1.0)
+    runtime.run_to_quiescence()
+    snapshots.append(take_snapshot(runtime))
+    runtime.close()
+    return tmp_path, snapshots
 
 
 class TestSnapshot:
@@ -24,17 +44,6 @@ class TestSnapshot:
     def test_snapshot_relation_matches_runtime_state(self, runtime):
         snapshot = take_snapshot(runtime)
         assert snapshot.relation("minCost") == runtime.state("minCost")
-
-    def test_json_round_trip(self, runtime):
-        snapshot = take_snapshot(runtime, label="x")
-        restored = Snapshot.from_json(snapshot.to_json())
-        assert restored.label == "x"
-        assert restored.relation("minCost") == snapshot.relation("minCost")
-        assert restored.time == snapshot.time
-
-    def test_malformed_snapshot_rejected(self):
-        with pytest.raises(LogStoreError):
-            Snapshot.from_dict({"time": "soon"})
 
     def test_provenance_graph_reconstruction(self, runtime):
         snapshot = take_snapshot(runtime)
@@ -67,166 +76,69 @@ class TestSnapshot:
             facts = sum(len(rows) for rows in node["relations"].values())
             assert len(node["tuples"]) == facts, node_id
 
-    def test_snapshot_json_round_trip_preserves_provenance(self, runtime):
-        snapshot = take_snapshot(runtime)
-        restored = Snapshot.from_json(snapshot.to_json())
-        graph = restored.provenance_graph()
-        assert graph.tuple_count == snapshot.provenance_graph().tuple_count
-
-
-class TestLogStore:
-    def test_collect_appends_in_time_order(self, runtime):
-        store = LogStore()
-        store.collect(runtime, label="first")
-        runtime.remove_link("n0", "n1")
-        runtime.run_to_quiescence()
-        store.collect(runtime, label="second")
-        assert len(store) == 2
-        assert store.latest().label == "second"
-        assert store.by_label("first").relation("minCost") != store.latest().relation("minCost")
-
-    def test_out_of_order_append_rejected(self, runtime):
-        store = LogStore()
-        later = take_snapshot(runtime)
-        store.append(later)
-        earlier = Snapshot(time=later.time - 1.0)
-        with pytest.raises(LogStoreError):
-            store.append(earlier)
-
-    def test_at_time_selection(self, runtime):
-        store = LogStore()
-        first = store.collect(runtime)
-        runtime.add_link("n0", "n2", 1.0)
-        runtime.run_to_quiescence()
-        second = store.collect(runtime)
-        assert store.at_time(first.time) is first
-        assert store.at_time(second.time + 10) is second
-        with pytest.raises(LogStoreError):
-            store.at_time(first.time - 1)
-
-    def test_unknown_label_rejected(self, runtime):
-        store = LogStore()
-        store.collect(runtime, label="only")
-        with pytest.raises(LogStoreError):
-            store.by_label("missing")
-
-    def test_by_label_is_latest_wins(self, runtime):
-        """Duplicate labels (periodic captures, re-taken checkpoints) must
-        resolve to the newest capture, never an arbitrary earlier one."""
-        store = LogStore()
-        first = store.collect(runtime, label="periodic")
-        runtime.remove_link("n0", "n1")
-        runtime.run_to_quiescence()
-        second = store.collect(runtime, label="periodic")
-        assert store.by_label("periodic") is second
-        assert store.by_label("periodic") is not first
-        # unique labels are unaffected by the tiebreak
-        third = store.collect(runtime, label="unique")
-        assert store.by_label("unique") is third
-        assert store.by_label("periodic") is second
-
-    def test_at_time_ties_resolve_to_last_appended(self, runtime):
-        """Snapshots sharing one capture time follow the same latest-wins
-        tiebreak as by_label: the boundary is inclusive and the last
-        appended snapshot for that time wins."""
-        store = LogStore()
-        first = store.collect(runtime, label="a")
-        duplicate = take_snapshot(runtime, label="b")
-        assert duplicate.time == first.time  # no simulator progress between
-        store.append(duplicate)
-        assert store.at_time(first.time) is duplicate
-        assert store.at_time(first.time + 0.001) is duplicate
-
-    def test_empty_store_latest_rejected(self):
-        with pytest.raises(LogStoreError):
-            LogStore().latest()
-
-    def test_save_and_load(self, runtime, tmp_path):
-        store = LogStore()
-        store.collect(runtime, label="persisted")
-        path = tmp_path / "log.json"
-        store.save(path)
-        loaded = LogStore.load(path)
-        assert len(loaded) == 1
-        assert loaded.latest().label == "persisted"
-        assert loaded.latest().relation("minCost") == store.latest().relation("minCost")
-
-    def test_load_missing_file_rejected(self, tmp_path):
-        with pytest.raises(LogStoreError):
-            LogStore.load(tmp_path / "nope.json")
-
-    def test_periodic_collection_via_simulator(self, ring5):
-        runtime = mincost.setup(ring5, run=False)
-        store = LogStore()
-        store.schedule_periodic(runtime, interval=0.05, count=3)
-        runtime.run_to_quiescence()
-        assert len(store) == 3
-        # the protocol kept running between captures, so later snapshots see
-        # at least as much state as earlier ones
-        sizes = [snapshot.total_facts() for snapshot in store.snapshots()]
-        assert sizes == sorted(sizes)
-
-    def test_invalid_interval_rejected(self, runtime):
-        with pytest.raises(LogStoreError):
-            LogStore().schedule_periodic(runtime, interval=0.0, count=1)
-
 
 class TestReplay:
-    def test_replay_steps_through_diffs(self, runtime):
-        store = LogStore()
-        store.collect(runtime, label="initial")
-        runtime.remove_link("n0", "n1")
-        runtime.run_to_quiescence()
-        store.collect(runtime, label="after-failure")
-        session = ReplaySession(store)
+    def test_replay_steps_through_diffs(self, history):
+        durable_dir, _ = history
+        session = ReplaySession(durable_dir)
         assert session.position == 0
+        session.seek(1)
         diff = session.step()
         assert diff is not None
         assert diff.removed_count() > 0
         assert "minCost" in diff.removed or "path" in diff.removed
-        assert session.at_end()
+        assert session.step().added_count() > 0
+        assert session.at_end() and session.position == 3
         assert session.step() is None
 
-    def test_empty_store_cannot_be_replayed(self):
-        with pytest.raises(LogStoreError):
-            ReplaySession(LogStore())
+    def test_position_zero_is_genesis(self, history):
+        durable_dir, snapshots = history
+        session = ReplaySession(durable_dir)
+        assert session.current().total_facts() == 0
+        diff = session.step()
+        assert diff.removed_count() == 0
+        assert diff.added_count() == snapshots[0].total_facts()
 
-    def test_seek_and_rewind(self, runtime):
-        store = LogStore()
-        first = store.collect(runtime)
-        runtime.add_link("n1", "n3", 1.0)
-        runtime.run_to_quiescence()
-        store.collect(runtime)
-        session = ReplaySession(store)
-        session.step()
-        assert session.seek_time(first.time).time == first.time
-        assert session.rewind().time == first.time
-        with pytest.raises(LogStoreError):
-            session.seek_time(first.time - 100)
+    def test_positions_match_the_live_run_forward_and_backward(self, history):
+        durable_dir, snapshots = history
+        session = ReplaySession(durable_dir)
+        for position in (3, 1, 2, 2, 1):
+            expected = snapshots[position - 1]
+            seen = session.seek(position)
+            assert session.position == position
+            assert seen.to_dict()["nodes"] == expected.to_dict()["nodes"], position
+            assert seen.time == expected.time, position
 
-    def test_replay_provenance_graph_matches_snapshot(self, runtime):
-        store = LogStore()
-        store.collect(runtime)
-        session = ReplaySession(store)
-        assert session.provenance_graph().tuple_count == store.latest().provenance_graph().tuple_count
+    def test_seek_out_of_range_rejected(self, history):
+        session = ReplaySession(history[0])
+        with pytest.raises(DurabilityError, match="positions 0 to 3"):
+            session.seek(4)
+        with pytest.raises(DurabilityError):
+            session.seek(-1)
+
+    def test_directory_without_a_wal_cannot_be_replayed(self, tmp_path):
+        with pytest.raises(DurabilityError, match="no WAL"):
+            ReplaySession(tmp_path)
+
+    def test_torn_tail_is_read_up_to_its_valid_prefix_and_left_alone(self, history):
+        durable_dir, snapshots = history
+        path = wal_path(durable_dir)
+        torn = path.read_bytes()[:-5]
+        path.write_bytes(torn)
+        session = ReplaySession(durable_dir)
+        session.seek(2)
+        assert session.at_end()  # batch 3 was torn off
+        assert session.current().relation("minCost") == snapshots[1].relation("minCost")
+        assert path.read_bytes() == torn
+
+    def test_replay_provenance_graph_matches_snapshot(self, history):
+        durable_dir, snapshots = history
+        session = ReplaySession(durable_dir)
+        session.seek(1)
+        assert session.provenance_graph().tuple_count == snapshots[0].provenance_graph().tuple_count
 
     def test_diff_summary_and_empty_diff(self, runtime):
         snapshot = take_snapshot(runtime)
         diff = diff_snapshots(snapshot, snapshot)
         assert diff.is_empty
         assert "(no change)" in diff.summary()
-
-    def test_all_diffs(self, runtime):
-        store = LogStore()
-        store.collect(runtime)
-        runtime.remove_link("n0", "n1")
-        runtime.run_to_quiescence()
-        store.collect(runtime)
-        runtime.add_link("n0", "n1", 1.0)
-        runtime.run_to_quiescence()
-        store.collect(runtime)
-        session = ReplaySession(store)
-        diffs = session.all_diffs()
-        assert len(diffs) == 2
-        assert diffs[0].removed_count() > 0
-        assert diffs[1].added_count() > 0

@@ -30,7 +30,7 @@ class TestHistogram:
 
     def test_exact_percentiles_with_value_buckets(self):
         # Buckets at the observed values make nearest-rank answers exact —
-        # the property latency_summary relies on.
+        # the property E17's client percentiles rely on.
         values = [float(v) for v in range(1, 101)]
         histogram = Histogram("latency", buckets=tuple(values))
         for value in values:

@@ -5,8 +5,8 @@ whose content changed since its previous checkpoint and streams the cached
 fragments into the snapshot file and both digests.  This harness
 checkpoints after *every* churn window and asserts, at each checkpoint:
 
-* the snapshot file equals ``LogStore.save`` of ``take_snapshot`` — that
-  is, ``json.dumps([snapshot.to_dict()], sort_keys=True)`` — byte for byte;
+* the snapshot file equals the one-element list of ``take_snapshot``,
+  ``json.dumps([snapshot.to_dict()], sort_keys=True)``, byte for byte;
 * the record's ``snapshot_digest`` and ``state_digest`` equal the reference
   functions over that snapshot;
 * the writer rebuilt exactly the partitions whose serialised form differs
