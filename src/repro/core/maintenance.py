@@ -52,20 +52,21 @@ semantics.
 
 Beyond the per-partition version counters, the engine maintains **per-VID
 reachability versions** for incremental query-cache invalidation:
-:meth:`ProvenanceEngine.vid_version` reports a counter that advances exactly
-when the tuple's *downstream provenance subgraph* — its ``prov`` /
-``ruleExec`` descendants, the set a lineage or derivation traversal visits —
-changes.  The versions serve one consumer, the query cache, so they are paid
-for where it reads them, not on every event: a mutation only marks the
-directly-affected vertex as a pending root, and one upward walk over all
-pending roots (:meth:`ProvenanceEngine.flush_reachability`) runs at the end
-of each quiescence window or before a read of the versions.  The walk
-follows the firings' consumer index (``child fact -> consuming RIDs -> head
-facts``, hopping partitions to each head's home node), so an unrelated delta
-leaves unrelated vertices' versions — and their cached query results —
-untouched.  Walking the *current* index is sound because every added or
-removed ``ruleExec`` edge marks its own head; a version counts the windows
-(or mid-window reads) that changed the subgraph.
+:meth:`ProvenanceEngine.vid_version` hands out a counter that advances when
+the tuple's *downstream provenance subgraph* — its ``prov`` / ``ruleExec``
+descendants, the set a lineage or derivation traversal visits — changes,
+from the first version handed out.  The versions serve one consumer, the
+query cache, so only it pays: before the first handout a mutation marks
+nothing, and after it only the directly-affected vertex, as a pending root;
+one upward walk over all pending roots
+(:meth:`ProvenanceEngine.flush_reachability`) runs at the end of each
+quiescence window or before a handout.  The walk follows the firings'
+consumer index (``child fact -> consuming RIDs -> head facts``, hopping
+partitions to each head's home node), so an unrelated delta leaves
+unrelated vertices' versions — and their cached query results — untouched.
+Walking the *current* index is sound because every added or removed
+``ruleExec`` edge marks its own head, and starting late is sound because
+no cache holds an entry from before the first handout.
 
 A stored ``prov`` row is a plain tuple ``(rid, rloc)`` in the tuple store,
 never an object: an exact tuple whose members are all atoms is untracked by
@@ -263,6 +264,8 @@ class ProvenanceEngine:
         #: index for every partition, since a fact is stored only at the
         #: node its location attribute names.
         self.facts: Dict[str, Fact] = {}
+        #: Whether versions are kept: not until :meth:`vid_version` hands one out.
+        self._versioned = False
         #: vid -> ``(home location, fact)`` of the roots marked since the
         #: last walk.
         self._pending_roots: Dict[str, Tuple[object, Fact]] = {}
@@ -363,13 +366,14 @@ class ProvenanceEngine:
             facts.pop(vid_for(fact), None)
         if not changed and not effects:
             return
-        roots = {vid_for(fact): (node_id, fact) for fact in changed}
-        for effect in effects:
-            roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
-        # Every read of a vid version walks the pending roots first, so the
-        # cache sweep's "vid versions moved only if the global clock did"
-        # holds: new clock seen, bumps seen.
-        self._pending_roots.update(roots)
+        if self._versioned:
+            roots = {vid_for(fact): (node_id, fact) for fact in changed}
+            for effect in effects:
+                roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
+            # Every handout walks the pending roots first, so the cache
+            # sweep's "vid versions moved only if the global clock did"
+            # holds: new clock seen, bumps seen.
+            self._pending_roots.update(roots)
         store.version += 1
         self._global_version += 1
 
@@ -450,27 +454,29 @@ class ProvenanceEngine:
         self._vid_version_next_sweep = 2 * len(self._vid_versions)
 
     def vid_version(self, vid: str) -> int:
-        """The reachability version of one tuple vertex (0 if never touched).
+        """Hand out the reachability version of one tuple vertex (0 if never touched).
 
-        The counter advances exactly when the vertex's downstream provenance
-        subgraph — what a lineage/derivation traversal from it would visit —
-        changes; deltas elsewhere leave it alone.  The query cache validates
+        The counter advances when the vertex's downstream provenance subgraph
+        — what a traversal from it would visit — changes, from the first
+        version handed out (the first call switches version keeping on for
+        good); deltas elsewhere leave it alone.  The query cache validates
         entries against this, so unrelated churn no longer flushes them.
         """
+        self._versioned = True
         self.flush_reachability()
         return self._vid_versions.get(vid, 0)
 
     def vid_versions(self) -> Dict[str, int]:
-        """A snapshot of every non-zero per-VID reachability version."""
+        """A snapshot of every non-zero per-VID reachability version (observes, switches nothing on)."""
         self.flush_reachability()
         return dict(self._vid_versions)
 
     def vid_version_stats(self) -> Dict[str, int]:
         """Statistics of the per-VID version map and of the walk that feeds it.
 
-        ``flushes`` counts reachability walks, ``visited`` the vertices they
-        bumped and ``pending`` the roots this read found waiting (mid-window
-        only) and walked before taking the other figures.
+        ``flushes`` counts reachability walks (0 while no version has been
+        handed out: no walk is paid), ``visited`` the vertices they bumped and
+        ``pending`` the roots this read found waiting (mid-window only) and walked first.
         """
         pending = len(self._pending_roots)
         self.flush_reachability()

@@ -8,10 +8,10 @@ pruning."*
 * **Caching** — every node keeps a cache of completed (sub-)query results
   keyed by (vid, query mode, pruning parameters).  Cached entries are tagged
   with the queried vertex's *per-VID reachability version* (see
-  :meth:`repro.core.maintenance.ProvenanceEngine.vid_version`), which bumps
-  only when that vertex's downstream provenance subgraph changes — so
-  unrelated deltas keep entries alive, while any change a traversal could
-  observe invalidates exactly the affected entries.  The cache is an LRU
+  :meth:`repro.core.maintenance.ProvenanceEngine.vid_version`): a counter
+  that advances when the subgraph changes, from the first version handed
+  out — so unrelated deltas keep entries alive, and any change a traversal
+  could observe invalidates exactly the affected entries.  The cache is an LRU
   with a configurable capacity; stale entries are swept before capacity
   evictions so memory tracks live entries.  Within one query, results are
   also shared without the cache: a node expands each vertex once and later

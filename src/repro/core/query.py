@@ -277,17 +277,14 @@ class QueryAgent:
         self.obs = getattr(engine.runtime, "obs", None)
         self.cache = NodeQueryCache(
             capacity=engine.cache_capacity,
-            version_fn=engine.entry_version,
-            clock_fn=engine.global_version,
+            version_fn=engine.provenance.vid_version,
+            clock_fn=engine.provenance.global_version,
         )
         self._node_id = node.id
         #: The sub-result bookkeeping of a frame that visited only this node.
         self._here: FrozenSet[object] = frozenset({node.id})
         #: This node's provenance partition, resolved by the first frame.
         self._store: Optional[NodeProvenanceStore] = None
-        #: Whether the handled event has yet to flush the reachability walk
-        #: (see :meth:`_tuple_frame`).
-        self._unflushed = False
         self._request_ids = _SlotIds(f"{node.id}/r")
         #: request id -> (frame, subtask index) of an in-flight sub-request.
         self._pending_remote: Dict[str, Tuple[_Frame, int]] = {}
@@ -295,16 +292,6 @@ class QueryAgent:
         #: so the reply — which carries the version it was computed at — can
         #: be cached here at the issuing node.
         self._remote_roots: Dict[str, Tuple[str, str, QueryOptions]] = {}
-        self.register()
-
-    def register(self) -> None:
-        """Make this agent its node's query handler, in place of any other engine's."""
-        self.node.register_handler(CATEGORY_PROVENANCE_QUERY, self._on_query)
-        self.node.register_handler(CATEGORY_PROVENANCE_REPLY, self._on_reply)
-
-    def registered(self) -> bool:
-        """Whether this agent, not another engine's, handles its node's queries."""
-        return self.node._handlers.get(CATEGORY_PROVENANCE_QUERY) == self._on_query
 
     # -- helpers ---------------------------------------------------------------
 
@@ -361,7 +348,6 @@ class QueryAgent:
 
     def start_root(self, query_id: str, vid: str, mode: str, options: QueryOptions) -> None:
         """Start a query for a tuple stored at this node (no network hop needed)."""
-        self._unflushed = True
         frame = _Frame(None, query_id, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
         self._tuple_frame(frame, None)
 
@@ -373,7 +359,7 @@ class QueryAgent:
         query for an unchanged subtree is answered without any network hop.
         """
         if options.use_cache:
-            cached = self.cache.lookup(vid, mode, options, self.engine.entry_version(vid))
+            cached = self.cache.lookup(vid, mode, options, self.engine.provenance.vid_version(vid))
             if cached is not None:
                 self.engine._completions[query_id] = (cached, False, self._here, 1)
                 return
@@ -388,7 +374,6 @@ class QueryAgent:
 
     def _on_query(self, message) -> None:
         payload = message.payload
-        self._unflushed = True
         requests = payload.requests if isinstance(payload, QueryRequestBatch) else (payload,)
         reply = _ReplyCollector(requests[0].reply_to, len(requests))
         for request in requests:
@@ -407,7 +392,6 @@ class QueryAgent:
 
     def _on_reply(self, message) -> None:
         payload = message.payload
-        self._unflushed = True
         if isinstance(payload, QueryReplyBatch):
             for reply in payload.replies:
                 self._handle_reply(reply)
@@ -482,16 +466,11 @@ class QueryAgent:
             self._exec_frame(frame, parent_span)
 
     def _tuple_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
-        if self._unflushed:
-            # Flush points decide vid_versions(): flush once in every handled
-            # event that opens a tuple frame, whether or not a version is read.
-            self._unflushed = False
-            self.engine.provenance.flush_reachability()
         vid = frame.target
         options = frame.options
         frame.ref = self._tuple_ref(vid)
         if options.use_cache or frame.reply is not None:
-            frame.version = self.engine.entry_version(vid)
+            frame.version = self.engine.provenance.vid_version(vid)
         self._frame_span(frame, parent_span)
         if options.use_cache:
             cached = self.cache.lookup(vid, frame.mode, options, frame.version)
@@ -687,6 +666,7 @@ class DistributedQueryEngine:
         self._agents: Dict[object, QueryAgent] = {}
         for node_id, node in runtime.nodes.items():
             self._agents[node_id] = QueryAgent(node, self)
+        self._take_handlers()
         #: Completed roots, ``(value, truncated, visited, cache_hits)`` by
         #: query id: the bounded-width slot shipped in requests and replies,
         #: released once its query has completed.  Trace ids (``query<n>``)
@@ -721,25 +701,15 @@ class DistributedQueryEngine:
             )
         return self._reducers[mode]
 
-    def global_version(self) -> int:
-        """A counter that changes whenever any provenance table changes anywhere.
-
-        Served in O(1) from :meth:`ProvenanceEngine.global_version`'s
-        memoized counter; the node caches use it as their clock.
-        """
-        return self.provenance.global_version()
-
-    def entry_version(self, vid: str) -> int:
-        """The version cache entries for *vid* are tagged with and validated against.
-
-        The per-VID reachability version, bumped only when *vid*'s
-        downstream provenance subgraph changes, so unrelated deltas keep the
-        entry alive.
-        """
-        return self.provenance.vid_version(vid)
-
     def agent(self, node_id: object) -> QueryAgent:
         return self._agents[node_id]
+
+    def _take_handlers(self) -> None:
+        """Make the agents their nodes' query handlers, recording the owner on the runtime."""
+        for agent in self._agents.values():
+            agent.node.register_handler(CATEGORY_PROVENANCE_QUERY, agent._on_query)
+            agent.node.register_handler(CATEGORY_PROVENANCE_REPLY, agent._on_reply)
+        self.runtime.query_engine = self
 
     # -- observability helpers -------------------------------------------------------------
 
@@ -810,9 +780,8 @@ class DistributedQueryEngine:
 
         # A node has one set of query handlers, the last registered engine's;
         # an engine whose handlers another engine took takes them back.
-        if not self._agents[location].registered():
-            for agent in self._agents.values():
-                agent.register()
+        if self.runtime.query_engine is not self:
+            self._take_handlers()
         span, previous, wall_start = self._begin_query_span(mode)
         query_id = self._query_ids.take()
         try:

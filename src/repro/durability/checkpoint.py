@@ -17,8 +17,9 @@ Two digests, two verification regimes:
   read-only provenance queries legitimately advance traffic counters and
   virtual time without being logged.
 * ``snapshot_digest`` covers the whole snapshot JSON (time, traffic and the
-  ``tuples`` map of the facts present, by vid, included) and is recorded
-  for the audit trail.
+  ``tuples`` map of the facts present, by vid, included).  Recovery reads
+  the file's traffic counters only if its bytes match it: the file is
+  written unsynced, before the record, so a crash can leave it torn.
 
 A checkpoint costs what changed: each durable runtime's
 :class:`CheckpointWriter` keeps every partition's serialised snapshot and
@@ -120,8 +121,8 @@ def prune_snapshot_files(durable_dir, keep: int) -> List[Path]:
     """Drop all but the newest *keep* checkpoint snapshot files.
 
     Pruning never endangers recovery: every ``checkpoint`` WAL record embeds
-    its own bootstrap, so the snapshot files are an inspection convenience,
-    not the recovery source of truth.  Returns the removed paths.
+    its own bootstrap, so a recovery from a pruned checkpoint only keeps the
+    bootstrap's traffic counters.  Returns the removed paths.
     """
     directory = snapshot_dir(durable_dir)
     if keep < 0 or not directory.is_dir():
@@ -132,6 +133,15 @@ def prune_snapshot_files(durable_dir, keep: int) -> List[Path]:
         path.unlink()
         removed.append(path)
     return removed
+
+
+def recorded_traffic(durable_dir, data: Dict[str, object]) -> Optional[Dict[str, object]]:
+    """Checkpoint *data*'s traffic counters from its snapshot file; ``None`` if pruned or torn."""
+    path = snapshot_dir(durable_dir) / str(data.get("file", ""))
+    raw = path.read_bytes() if path.is_file() else b""
+    if hashlib.sha256(raw[1:-1]).hexdigest() != data.get("snapshot_digest"):
+        return None
+    return json.loads(raw)[0]["traffic"]
 
 
 def _dumps(doc: object) -> bytes:

@@ -6,18 +6,19 @@ runtime.  Two modes, two guarantees:
 
 * ``genesis`` — rebuild a fresh runtime from the ``init`` record and replay
   *every* committed batch record through the deterministic engine.  Because
-  evaluator firing identifiers and per-VID version counters are functions of
-  the logical input history, this reproduces the crashed runtime **bit for
-  bit**: store snapshots, provenance tables, per-partition versions, per-VID
-  reachability versions and query answers.
+  evaluator firing identifiers and partition version counters are functions
+  of the logical input history, this reproduces the crashed runtime **bit
+  for bit**: store snapshots, provenance tables, per-partition versions and
+  query answers (per-VID versions start with none, as the caches start empty).
 * ``checkpoint`` — bootstrap from the newest ``checkpoint`` record's
   embedded base facts + topology (valid by confluence: protocol state and
   provenance tables are a pure function of current base facts), verify the
-  recorded state digest, then replay only the WAL tail past the checkpoint.
+  recorded state digest, resume its virtual time and traffic (the traffic
+  only from an intact snapshot file), then replay the WAL tail past it.
   State, provenance and answers are bit-identical; version *counters* are
-  not (the bootstrap compresses history into one batch), which is the
-  documented trade for O(tail) instead of O(history) recovery time.  With no
-  checkpoint on record the mode falls back to genesis.
+  not (the bootstrap compresses history into one batch), the trade for
+  O(tail) instead of O(history) recovery time.  With no checkpoint on record
+  the mode falls back to genesis.
 
 Recovery always repairs the torn tail first (hash-verified scan, truncate at
 the first unverifiable byte) and, with ``attach=True``, leaves the recovered
@@ -40,6 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.errors import DurabilityError
+from repro.engine.network import TrafficStats
 from repro.engine.runtime import NetTrailsRuntime
 from repro.durability import checkpoint as checkpoint_mod
 from repro.durability.wal import (
@@ -248,6 +250,11 @@ class RecoveryManager:
             runtime.run_to_quiescence()
             if verify:
                 _verify_checkpoint(runtime, data, result)
+            # The run's clock and traffic, not the bootstrap's (kept if the file is not intact).
+            runtime.simulator.resume_at(float(data["time"]))
+            traffic = checkpoint_mod.recorded_traffic(self.durable_dir, data)
+            if traffic is not None:
+                runtime.network.stats = TrafficStats(**traffic)
         replay(result, records[start + 1 : stop], verify)
         return result
 

@@ -147,6 +147,8 @@ class NetTrailsRuntime:
                 f"query_cache_capacity must be >= 0 or None, got {query_cache_capacity}"
             )
         self.query_cache_capacity = query_cache_capacity
+        #: The query engine whose agents handle the nodes' query messages.
+        self.query_engine = None
         if not isinstance(observability, bool):
             raise TypeError(f"observability must be True or False, not {observability!r}")
         #: The attached :class:`repro.obs.Observability` bundle, or ``None``
@@ -579,8 +581,8 @@ class NetTrailsRuntime:
 
     def _drain_window(self, max_events: int) -> int:
         events = self.simulator.run_to_quiescence(max_events=max_events)
-        # The window's one reachability walk: per-VID versions are current,
-        # and a function of the window history, whenever we are quiescent.
+        # The window's one reachability walk (nothing to walk until a version
+        # is handed out): per-VID versions are current whenever we are quiescent.
         if self.provenance is not None:
             self.provenance.flush_reachability()
         return events

@@ -139,6 +139,12 @@ class Simulator:
             )
         self._push(time, callback, arg, label)
 
+    def resume_at(self, time: float) -> None:
+        """Set the clock of an idle simulator to *time*, a restored run's."""
+        if self._queue:
+            raise SimulationError("cannot move the clock under queued events")
+        self._now = time
+
     def _push(self, time: float, callback: Callable, arg: object, label: str) -> None:
         heapq.heappush(self._queue, (time, next(self._sequence), _ScheduledEvent(callback, arg, label)))
 

@@ -77,10 +77,10 @@ class ReplaySession:
     (:meth:`~repro.durability.recovery.RecoveryManager.rebuild`).  The
     first seek and every backward seek rebuild; a step, or a forward seek,
     replays the batches in between on the runtime the session holds.  A
-    position rebuilt from a checkpoint has the run's relations and
-    provenance tables, but the bootstrap's virtual time and traffic
-    counters.  The WAL is only read: a torn tail is read up to its valid
-    prefix, and mid-log damage raises :class:`~repro.errors.DurabilityError`.
+    position rebuilt from a checkpoint whose snapshot file was pruned or is
+    damaged has the bootstrap's traffic counters.  The WAL is only read: a
+    torn tail is read up to its valid prefix, and mid-log damage raises
+    :class:`~repro.errors.DurabilityError`.
     """
 
     def __init__(self, durable_dir: Union[str, Path]):

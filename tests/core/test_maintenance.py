@@ -222,15 +222,18 @@ class TestPerVidVersions:
         from repro.engine.runtime import NetTrailsRuntime
 
         runtime = NetTrailsRuntime(self.CHAIN_PROGRAM, topology.line(3))
-        runtime.insert("edge", ["n0", "n1"])
-        runtime.insert("edge", ["n1", "n2"])
-        runtime.run_to_quiescence()
         vids = {
             "edge01": vid_for(Fact.make("edge", ["n0", "n1"])),
             "edge12": vid_for(Fact.make("edge", ["n1", "n2"])),
             "hop": vid_for(Fact.make("hop", ["n1", "n0"])),
             "hop2": vid_for(Fact.make("hop2", ["n2", "n0"])),
         }
+        # Versions are kept from the first one handed out: hand one out
+        # before the chain is derived, so its derivation counts.
+        assert runtime.provenance.vid_version(vids["hop2"]) == 0
+        runtime.insert("edge", ["n0", "n1"])
+        runtime.insert("edge", ["n1", "n2"])
+        runtime.run_to_quiescence()
         return runtime, vids
 
     def test_versions_assigned_on_initial_derivation(self, chain):

@@ -180,6 +180,33 @@ class TestEnginesShareARuntime:
         assert e1.cache_totals() == e1_totals
         assert e2.cache_totals() == e2_totals
 
+    def test_a_handler_wrapped_on_registration_stays_registered(self, ring5, monkeypatch):
+        """A tracer may wrap handlers as nodes register them; the wrapped
+        handler is still this engine's, so later queries keep it in place."""
+        from repro.engine.node import Node
+
+        handled = []
+        inner = Node.__dict__["register_handler"]
+
+        def register_handler(node, category, handler):
+            def wrapped(message):
+                handled.append(category)
+                return handler(message)
+
+            return inner(node, category, wrapped)
+
+        monkeypatch.setattr(Node, "register_handler", register_handler)
+        runtime = mincost.setup(ring5)
+        engine = DistributedQueryEngine(runtime)
+        registered = {node_id: dict(node._handlers) for node_id, node in runtime.nodes.items()}
+        messages = 0
+        for at in (None, "n3", None):
+            result = engine.lineage("minCost", ["n0", "n2", 2.0], at=at)
+            assert result.stats.messages > 0
+            messages += result.stats.messages
+            assert {node_id: dict(node._handlers) for node_id, node in runtime.nodes.items()} == registered
+        assert len(handled) == messages  # every query message ran through the wrapper
+
 
 class TestOptimizations:
     def test_cache_eliminates_messages_on_repeat(self, pathvector_line):

@@ -11,6 +11,9 @@ survives here, as :func:`eager_closure`, and is the oracle:
 * **mid-window read** — a cached query issued while a window is half-run
   reads flushed versions, drops the entry it could not have validated as
   stillborn, and leaves nothing stale behind.
+
+Versions are kept from the first one handed out, so every oracle here hands
+one out first; a run that never hands one out walks nothing.
 """
 
 from __future__ import annotations
@@ -89,9 +92,16 @@ def mincost_runtime(net, **knobs):
     return runtime
 
 
+def hand_out_one_version(runtime):
+    """Take one version, as a cache would: versions are kept from here on."""
+    provenance = runtime.provenance
+    provenance.vid_version(next(iter(provenance.facts)))
+
+
 def assert_windows_match_oracle(runtime, windows):
     """Run each window (a callable) and compare the version delta with the oracle."""
     provenance = runtime.provenance
+    hand_out_one_version(runtime)
     oracle = EagerOracle(provenance)
     for window in windows:
         before = provenance.vid_versions()
@@ -145,6 +155,7 @@ class TestDifferentialAgainstEagerWalk:
 
         def versions():
             with mincost_runtime(net) as runtime:
+                hand_out_one_version(runtime)
                 history = []
                 for batch in batches:
                     apply_batch(runtime, batch)
@@ -161,6 +172,7 @@ class TestMidWindowRead:
         engine = ProvenanceEngine()
         fact = Fact.make("link", ["a", "b", 1])
         vid = vid_for(fact)
+        assert engine.vid_version(vid) == 0  # the first handout: nothing to walk
         engine.apply_rule_exec_batch("a", (), [fact])  # its derivations changed
         assert engine.vid_version(vid) == 1
         engine.apply_rule_exec_batch("a", (), [fact])
@@ -171,6 +183,25 @@ class TestMidWindowRead:
         assert (stats["pending"], stats["flushes"], stats["visited"]) == (1, 3, 3)
         assert engine.vid_versions() == {vid: 3}
         assert engine.vid_version_stats()["flushes"] == 3  # nothing pending: no walk
+
+    def test_only_a_handout_switches_versions_on(self):
+        engine = ProvenanceEngine()
+        fact = Fact.make("link", ["a", "b", 1])
+        vid = vid_for(fact)
+        engine.apply_rule_exec_batch("a", (), [fact])
+        # Observers observe: they neither walk nor switch version keeping on.
+        assert engine.vid_versions() == {}
+        assert engine.vid_version_stats() == dict.fromkeys(
+            ("entries", "epoch", "sweeps", "pruned", "flushes", "visited", "pending"), 0
+        )
+        engine.apply_rule_exec_batch("a", (), [fact])
+        assert not engine._pending_roots
+        # The caches' clock does not wait for a handout.
+        assert (engine.versions(), engine.global_version()) == ({"a": 2}, 2)
+        assert engine.vid_version(vid) == 0  # the first handout: the changes before it count for nothing
+        engine.apply_rule_exec_batch("a", (), [fact])
+        assert engine.vid_version(vid) == 1
+        assert engine.vid_version_stats()["flushes"] == 1
 
     def test_cached_query_racing_a_half_run_window(self):
         # ring(4): n0 reaches n2 at cost 2 through n1 and through n3, so the

@@ -8,7 +8,8 @@ node), followed by a leg whose queries race undrained churn.  For every
 query the fixture holds the canonical value, ``truncated``, all six
 :class:`QueryStats` fields, a digest of ``vid_versions()`` taken after the
 query and a digest of the query's span-tree shape.  Any executor must
-reproduce it bit for bit.
+reproduce it bit for bit.  Versions are kept from the first one handed out,
+so each leg hands one out before it seeds its links.
 
 Regenerate (only when the surface is meant to change) with::
 
@@ -145,6 +146,7 @@ def _race(recorder: _Recorder, name: str, relation: str, values, remote, links) 
 
 def _mincost_leg() -> list:
     runtime = NetTrailsRuntime(mincost.program(), topology.grid(3, 3), observability=True)
+    runtime.provenance.vid_version("")
     runtime.seed_links(run=True)
     recorder = _Recorder(runtime)
     target = ["n0_0", "n2_2", 4.0]
@@ -157,6 +159,7 @@ def _mincost_leg() -> list:
 def _prefix_leg() -> list:
     net = topology.isp_hierarchy(2, 2, 2, seed=3)
     runtime = NetTrailsRuntime(prefix_routing.program(), net, observability=True)
+    runtime.provenance.vid_version("")
     runtime.seed_links(run=True)
     origins = [("stub_0_0_0", "p0"), ("stub_1_1_1", "p0"), ("stub_1_0_0", "p1")]
     prefix_routing.announce(runtime, origins)

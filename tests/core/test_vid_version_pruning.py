@@ -39,6 +39,9 @@ UNCACHED = QueryOptions(use_cache=False)
 def build_runtime(net, threshold=8):
     runtime = NetTrailsRuntime(mincost.program(), copy.deepcopy(net))
     runtime.provenance._vid_version_sweep_threshold = threshold
+    # Versions are kept from the first one handed out: hand one out before
+    # the links are seeded, so every window from the seeding on is walked.
+    runtime.provenance.vid_version("")
     runtime.seed_links(run=True)
     return runtime
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,11 @@ from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import DurabilityError, EngineError
 from repro.logstore import take_snapshot
 from repro.protocols import mincost
+
+# The cached-versus-uncached check is shared with the property suites, whose
+# directory is not a package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+from churn_harness import assert_cached_equals_uncached  # noqa: E402
 
 
 def durable_runtime(tmp_path, net=None, **kwargs):
@@ -300,7 +306,6 @@ class TestRecordedKnobs:
             store_snapshots(runtime),
             provenance_fingerprint(runtime),
             runtime.provenance.versions(),
-            runtime.provenance.vid_versions(),
         )
         runtime.close()
         rewrite_init_knobs(
@@ -314,8 +319,10 @@ class TestRecordedKnobs:
             store_snapshots(recovered),
             provenance_fingerprint(recovered),
             recovered.provenance.versions(),
-            recovered.provenance.vid_versions(),
         ) == expected
+        # A recovered runtime starts with no per-VID versions, as its caches
+        # start empty; what it owes the cache is sound validation.
+        assert_cached_equals_uncached(recovered, "minCost")
         recovered.close()
 
     def test_override_replaces_a_recorded_knob(

@@ -23,6 +23,7 @@ import copy
 import os
 import random
 
+from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
@@ -80,14 +81,30 @@ def build_variant(net):
     return build_runtime(mincost.program(), net)
 
 
-def lineage_answers(runtime, relation, limit=3):
+def lineage_answers(runtime, relation, limit=3, options=None, queries=None):
     """Sorted lineage/participants answers for up to *limit* derived tuples."""
-    queries = DistributedQueryEngine(runtime)
+    queries = queries or DistributedQueryEngine(runtime)
     answers = []
     for values in sorted(runtime.state(relation), key=repr)[:limit]:
-        lineage = queries.lineage(relation, list(values))
-        participants = queries.participants(relation, list(values))
+        lineage = queries.lineage(relation, list(values), options=options)
+        participants = queries.participants(relation, list(values), options=options)
         answers.append(
             (values, sorted(str(ref) for ref in lineage.value), set(participants.value))
         )
     return answers
+
+
+def assert_cached_equals_uncached(runtime, relation, limit=3, where=""):
+    """Cached answers equal uncached ones, cold and then served by the caches.
+
+    The warm pass sends no message: every root is answered from its home's
+    cache.  Returns the uncached answers.
+    """
+    uncached = lineage_answers(runtime, relation, limit, QueryOptions(use_cache=False))
+    queries = DistributedQueryEngine(runtime)
+    cached = QueryOptions(use_cache=True)
+    assert lineage_answers(runtime, relation, limit, cached, queries) == uncached, where
+    messages = runtime.network.stats.messages
+    assert lineage_answers(runtime, relation, limit, cached, queries) == uncached, where
+    assert runtime.network.stats.messages == messages, where
+    return uncached

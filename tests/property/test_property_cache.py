@@ -15,7 +15,11 @@ This harness replays the seeded churn scripts of :mod:`churn_harness` and
 after every churn step issues each query three ways — cached, uncached,
 cached again — plus a remotely-issued cached query (which exercises the
 version-carrying reply path), asserting all four agree.  It honours
-``NETTRAILS_CHURN_SEED`` like its siblings.
+``NETTRAILS_CHURN_SEED`` like its siblings.  Versions are kept only from the
+first one handed out, so the same scripts queried only uncached, at the
+tuples' homes, must never pay a reachability walk; an uncached query issued
+away from the tuple's home does switch the walk on, because the home tags
+its reply with a version.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import pytest
 
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
-from churn_harness import SEEDS, TOPOLOGIES, apply_op, build_variant, generate_churn_script
+from churn_harness import (
+    SEEDS, TOPOLOGIES, apply_op, build_variant, generate_churn_script, lineage_answers,
+)
 
 CACHED = QueryOptions(use_cache=True)
 UNCACHED = QueryOptions(use_cache=False)
@@ -69,3 +75,37 @@ class TestCacheSoundnessUnderChurn:
         # Non-vacuity: the schedule must actually exercise the cache, not
         # just keep missing.
         assert engine.cache_totals()["hits"] > 0, context
+
+
+class TestNoCacheNoWalk:
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_uncached_home_queries_never_walk(self, seed):
+        net = TOPOLOGIES["as-level"]()
+        runtime = build_variant(net)
+        provenance = runtime.provenance
+        for step, op in enumerate(generate_churn_script(seed, net)):
+            apply_op(runtime, op)
+            assert lineage_answers(runtime, "minCost"), step
+            stats = provenance.vid_version_stats()
+            assert (stats["flushes"], stats["pending"], stats["entries"]) == (0, 0, 0), (seed, step)
+            assert not provenance._pending_roots
+        assert provenance.vid_versions() == {}
+        assert sum(provenance.versions().values()) == provenance.global_version() > 0
+
+    def test_an_uncached_remote_root_switches_the_walk_on(self):
+        net = TOPOLOGIES["as-level"]()
+        runtime = build_variant(net)
+        provenance = runtime.provenance
+        engine = DistributedQueryEngine(runtime)
+        first, second = generate_churn_script(SEEDS[0], net)[:2]
+        apply_op(runtime, first)
+        values = sorted(runtime.state("minCost"), key=repr)[0]
+        home = engine.lineage("minCost", list(values), options=UNCACHED)
+        assert provenance.vid_version_stats()["flushes"] == 0
+        issuer = next(node for node in runtime.node_ids() if node != values[0])
+        remote = engine.lineage("minCost", list(values), options=UNCACHED, at=issuer)
+        assert remote.value == home.value and remote.stats.messages > 0
+        # The home tagged its reply with a version the issuer will not cache:
+        # a handout all the same, so the next window walks.
+        apply_op(runtime, second)
+        assert provenance.vid_version_stats()["flushes"] > 0

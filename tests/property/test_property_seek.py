@@ -4,8 +4,8 @@ A :class:`~repro.logstore.ReplaySession` rebuilds position *k* from the
 write-ahead log: the newest checkpoint at or before *k*, or genesis, plus
 the batches after it.  This harness runs a churn-harness script on a
 durable runtime, snapshots the live runtime after every committed batch,
-and asserts that seeking to each position gives the live relations and
-``state_digest``:
+and asserts that seeking to each position gives the live relations,
+``state_digest``, virtual time and traffic counters:
 
 * from a fresh session per position,
 * from one session seeking backward (each seek a rebuild) and then stepping
@@ -28,7 +28,8 @@ import copy
 import pytest
 
 from churn_harness import SEEDS, TOPOLOGIES, generate_churn_script
-from repro.durability import scan, state_digest, wal_path
+from repro.durability import RecoveryManager, scan, state_digest, wal_path
+from repro.durability.checkpoint import snapshot_dir
 from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import DurabilityError
 from repro.logstore import ReplaySession, take_snapshot
@@ -37,12 +38,12 @@ from repro.protocols import mincost
 from repro.workloads.churn import apply_batch
 
 
-def record_history(durable_dir, net, script, checkpoint_at=None):
+def record_history(durable_dir, net, script, checkpoint_at=()):
     """Run the seeding and *script* durably; the live snapshot at each position.
 
     Index *k* of the result is the state after committed batch *k* (index 0
-    is genesis, batch 1 the link seeding).  ``checkpoint_at=k`` checkpoints
-    right after batch *k*.
+    is genesis, batch 1 the link seeding).  A checkpoint is taken right after
+    each batch in *checkpoint_at*.
     """
     with NetTrailsRuntime(
         mincost.SOURCE, copy.deepcopy(net), durable_dir=durable_dir, wal_fsync=False
@@ -52,7 +53,7 @@ def record_history(durable_dir, net, script, checkpoint_at=None):
         def committed():
             live.append(take_snapshot(runtime))
             assert runtime._committed_batches == len(live) - 1
-            if checkpoint_at == len(live) - 1:
+            if len(live) - 1 in checkpoint_at:
                 runtime.checkpoint()
 
         runtime.seed_links(run=True)
@@ -63,7 +64,12 @@ def record_history(durable_dir, net, script, checkpoint_at=None):
     return live
 
 
-def assert_same_state(seen, expected, where):
+def assert_same_state(seen, expected, where, traffic=True):
+    # The run's clock and traffic, also where a checkpoint bootstrap rebuilt
+    # the state in fewer messages and less virtual time than the run took.
+    assert seen.time == expected.time, where
+    if traffic:
+        assert seen.traffic == expected.traffic, where
     assert seen.relations() == expected.relations(), where
     for relation in expected.relations():
         assert seen.relation(relation) == expected.relation(relation), f"{where} {relation}"
@@ -78,7 +84,7 @@ def history(request, tmp_path):
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
         checkpoint_at = None if request.param is None else 1 + len(script) // 2
-        live = record_history(tmp_path, net, script, checkpoint_at)
+        live = record_history(tmp_path, net, script, () if checkpoint_at is None else (checkpoint_at,))
         if checkpoint_at is not None:
             checkpoints = [r for r in scan(wal_path(tmp_path)).records if r.type == "checkpoint"]
             assert [r.data["batch"] for r in checkpoints] == [checkpoint_at]
@@ -119,6 +125,47 @@ class TestSeekEqualsLive:
             assert (diff.added, diff.removed) == (expected.added, expected.removed), context
         assert session.step() is None, context
         assert wal_path(durable_dir).read_bytes() == wal_bytes, context
+
+
+@pytest.mark.parametrize("damage", ["torn", "empty", "altered"])
+def test_a_damaged_snapshot_file_counts_as_pruned(tmp_path, damage):
+    # The file is written unsynced before its record, so a crash can leave
+    # it torn; recovery and seeks then keep the bootstrap's traffic, as they
+    # do when the file is pruned.
+    net = TOPOLOGIES["ring"]()
+    script = generate_churn_script(SEEDS[0], net)
+    checkpoint_at = 1 + len(script) // 2
+    live = record_history(tmp_path, net, script, (checkpoint_at,))
+    positions = range(checkpoint_at, len(live))
+    path = next(snapshot_dir(tmp_path).glob("ckpt-*.json"))
+    raw = path.read_bytes()
+    path.write_bytes({
+        "torn": raw[: len(raw) // 2],
+        "empty": b"",
+        "altered": raw.replace(b'"messages": ', b'"messages": 1'),
+    }[damage])
+    damaged = [ReplaySession(tmp_path).seek(position) for position in positions]
+    recovered = RecoveryManager(tmp_path).recover(mode="checkpoint", attach=False)
+    assert recovered.mode == "checkpoint"
+    assert_same_state(take_snapshot(recovered.runtime), live[-1], f"{damage} recover", traffic=False)
+    recovered.runtime.close()
+    path.unlink()
+    for position, seen in zip(positions, damaged):
+        assert_same_state(seen, live[position], f"{damage} seek({position})", traffic=False)
+        pruned = ReplaySession(tmp_path).seek(position)
+        assert seen.traffic == pruned.traffic, f"{damage} seek({position})"
+
+
+def test_positions_past_a_pruned_snapshot_file_keep_the_runs_time_and_state(tmp_path):
+    net = TOPOLOGIES["ring"]()
+    script = generate_churn_script(SEEDS[0], net)
+    batches = range(1, len(script) + 2)  # the link seeding, then the script
+    live = record_history(tmp_path, net, script, batches)
+    kept = {int(path.stem.split("-")[1]) for path in snapshot_dir(tmp_path).glob("ckpt-*.json")}
+    assert len(kept) == 3 < len(batches)  # checkpoint() keeps the newest three files
+    for position in batches:
+        seen = ReplaySession(tmp_path).seek(position)
+        assert_same_state(seen, live[position], f"seek({position})", traffic=position in kept)
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
