@@ -18,8 +18,6 @@ in ``docs/performance.md`` § Retired ablations.)  Every cached answer is
 asserted bit-identical to an uncached traversal throughout.
 """
 
-import pytest
-
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
@@ -91,8 +89,9 @@ def run_cache_workload():
 def run_capped_workload(capacity=2):
     """A wide query working set against tiny per-node caches: LRU eviction."""
     runtime = mincost.setup(topology.star(8))
-    runtime.query_cache_capacity = capacity
     engine = DistributedQueryEngine(runtime)
+    for node_id in runtime.nodes:
+        engine.agent(node_id).cache.capacity = capacity
     cached = QueryOptions(use_cache=True)
     targets = [["n1", HUB, 1.0]] + [["n1", f"n{leaf}", 2.0] for leaf in range(2, 8)]
     for target in targets:
@@ -131,13 +130,4 @@ def test_capped_cache_evicts_lru(record):
         live_entries=totals["entries"],
     )
     assert totals["evictions"] > 0
-    per_node = engine.cache_stats()
-    assert all(stats["entries"] <= 2 for stats in per_node.values())
-
-
-def test_invalid_capacity_rejected():
-    from repro.engine.runtime import NetTrailsRuntime
-    from repro.errors import EngineError
-
-    with pytest.raises(EngineError):
-        NetTrailsRuntime(mincost.program(), topology.star(3), query_cache_capacity=-1)
+    assert all(engine.agent(node_id).cache.counters()["entries"] <= 2 for node_id in engine.runtime.nodes)

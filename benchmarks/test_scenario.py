@@ -19,7 +19,8 @@ from scenario import COUNTERS, run_scenario, smoke
 
 #: Knobs the runtime used to take: a scenario passes them on, to be rejected.
 RETIRED_KNOBS = ("num_shards", "shard_workers", "columnar", "backend", "backend_workers",
-                 "batch_commit_stall_s", "batch_deltas", "aggregate_retract_first", "use_interval_index")
+                 "batch_commit_stall_s", "batch_deltas", "aggregate_retract_first", "use_interval_index",
+                 "query_cache_capacity")
 
 LINK_GENERATORS = [
     pytest.param(link_flap, {"flaps_per_batch": 2}, id="link_flap"),
@@ -191,8 +192,8 @@ class TestQueries:
 
 class TestRuntimeKwargs:
     def test_runtime_kwargs_reach_the_runtime(self):
-        runtime, _report = star_prefix_run(query_cache_capacity=3, observability=True)
-        assert runtime.obs is not None and runtime.query_cache_capacity == 3
+        runtime, _report = star_prefix_run(default_latency=0.02, observability=True)
+        assert runtime.obs is not None and runtime._durable_knobs()["default_latency"] == 0.02
 
     def test_runtime_kwargs_leave_the_counters_unchanged(self):
         _runtime, plain = star_prefix_run(queries=None)

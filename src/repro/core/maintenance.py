@@ -50,23 +50,26 @@ own node's store); the distributed query engine only ever reads the
 partition of the node a query step executes on, preserving the distribution
 semantics.
 
-Beyond the per-partition version counters, the engine maintains **per-VID
-reachability versions** for incremental query-cache invalidation:
-:meth:`ProvenanceEngine.vid_version` hands out a counter that advances when
-the tuple's *downstream provenance subgraph* — its ``prov`` / ``ruleExec``
-descendants, the set a lineage or derivation traversal visits — changes,
-from the first version handed out.  The versions serve one consumer, the
-query cache, so only it pays: before the first handout a mutation marks
-nothing, and after it only the directly-affected vertex, as a pending root;
-one upward walk over all pending roots
+The engine also maintains **per-VID reachability versions** for
+incremental query-cache invalidation: :meth:`ProvenanceEngine.vid_version`
+hands out the number of the last reachability walk that found the tuple's
+*downstream provenance subgraph* — its ``prov`` / ``ruleExec``
+descendants, the set a lineage or derivation traversal visits — changed,
+counting from the first version handed out.  The versions serve one
+consumer, the query cache, so only it pays: before the first handout a
+mutation marks nothing, and after it only the directly-affected vertex, as
+a pending root; one upward walk over all pending roots
 (:meth:`ProvenanceEngine.flush_reachability`) runs at the end of each
-quiescence window or before a handout.  The walk follows the firings'
-consumer index (``child fact -> consuming RIDs -> head facts``, hopping
-partitions to each head's home node), so an unrelated delta leaves
-unrelated vertices' versions — and their cached query results — untouched.
-Walking the *current* index is sound because every added or removed
-``ruleExec`` edge marks its own head, and starting late is sound because
-no cache holds an entry from before the first handout.
+quiescence window or before a handout, and stamps every vertex it reaches
+with its own number.  The walk follows the firings' consumer index
+(``child fact -> consuming RIDs -> head facts``, hopping partitions to each
+head's home node), so an unrelated delta leaves unrelated vertices'
+versions — and their cached query results — untouched.  Walking the
+*current* index is sound because every added or removed ``ruleExec`` edge
+marks its own head, and starting late is sound because no cache holds an
+entry from before the first handout.  The walk count is the caches' one
+clock (:meth:`ProvenanceEngine.global_version`): no version moves while it
+stands still, and walk numbers never repeat, so neither does a version.
 
 A stored ``prov`` row is a plain tuple ``(rid, rloc)`` in the tuple store,
 never an object: an exact tuple whose members are all atoms is untracked by
@@ -81,7 +84,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.errors import ProvenanceError, UnknownVertexError
+from repro.errors import UnknownVertexError
 from repro.engine.catalog import Catalog
 from repro.engine.compiler import CompiledProgram
 from repro.engine.evaluator import DerivationEffect, Firings
@@ -120,8 +123,6 @@ class NodeProvenanceStore:
     (:attr:`ProvenanceEngine.facts`); the ``ruleExec`` rows are read from
     :attr:`firings`, the node evaluator's record of its live firings.  A
     store with no node reads an empty tuple store and an empty record.
-    :meth:`ProvenanceEngine.apply_rule_exec_batch` bumps :attr:`version`
-    once per applied batch.
     """
 
     def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
@@ -132,8 +133,6 @@ class NodeProvenanceStore:
         #: the node's tuple store, whose derivations are the ``prov`` rows
         self.tuples = TupleStore()
         self._facts: Dict[str, Fact] = {} if engine is None else engine.facts
-        #: bumped once per applied batch; used by the query cache for invalidation
-        self.version = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -227,8 +226,8 @@ class NodeProvenanceStore:
         RID names its rule and body facts, so with its heads it covers the
         whole ``ruleExec`` row.  The key holds tuples of strings and node
         ids only, which the garbage collector untracks, and a kept key keeps
-        no retracted fact alive.  Unlike :attr:`version`, the key is
-        unchanged by a row that is removed and re-added.
+        no retracted fact alive.  The key is unchanged by a row that is
+        removed and re-added.
         """
         rows = self.tuples.derivation_rows
         prov = {vid_for(fact): rows(fact) for fact in self.tuples.all_facts()}
@@ -269,23 +268,20 @@ class ProvenanceEngine:
         #: vid -> ``(home location, fact)`` of the roots marked since the
         #: last walk.
         self._pending_roots: Dict[str, Tuple[object, Fact]] = {}
+        #: The number of reachability walks so far; each walk stamps the
+        #: vertices it visits with its own number.
         self._reachability_flushes = 0
         self._reachability_visited = 0
-        #: vid -> reachability version; bumped by the walk that finds the
-        #: vertex's downstream subgraph changed.  Missing entries read as 0.
-        #: Entries for *dead* vids (no live consumer and no live rule
-        #: execution heading them) are pruned by a capped sweep once the
-        #: map exceeds ``_vid_version_sweep_threshold``; soundness
-        #: is preserved by **rebirth-epoch stamping**: the sweep folds every
-        #: pruned counter into ``_rebirth_epoch``, and any later bump of any
-        #: vid starts from at least that epoch — so a re-derivation of a
-        #: pruned vid can never climb back to a version some cache still
-        #: holds an entry for.  (A pruned-but-unchanged vid reads version 0,
-        #: which at worst costs one conservative cache miss.)
+        #: vid -> reachability version: the number of the last walk that
+        #: found the vertex's downstream subgraph changed.  Missing entries
+        #: read as 0.  Entries for *dead* vids (no live consumer and no
+        #: live rule execution heading them) are pruned by a capped sweep
+        #: once the map exceeds ``_vid_version_sweep_threshold``.  That is
+        #: sound because walk numbers never repeat: a re-derivation of a
+        #: pruned vid is stamped with a walk number no cache entry can
+        #: hold.  (A pruned-but-unchanged vid reads version 0, which at
+        #: worst costs one conservative cache miss.)
         self._vid_versions: Dict[str, int] = {}
-        #: Floor folded in from pruned counters (see above); bumps resume
-        #: from max(current, epoch) + 1 so pruned versions are never reused.
-        self._rebirth_epoch = 0
         #: Sweep trigger: map size above which a reachability walk prunes
         #: dead vids.  Instance attribute so long-churn tests can lower it.
         self._vid_version_sweep_threshold = 65536
@@ -296,9 +292,6 @@ class ProvenanceEngine:
         self._vid_version_next_sweep = 0
         self._vid_version_sweeps = 0
         self._vid_versions_pruned = 0
-        #: Memoized sum of all per-partition versions, so the query caches'
-        #: clock is O(1) instead of a scan over every node's partition.
-        self._global_version = 0
 
     # -- store access -------------------------------------------------------------
 
@@ -351,50 +344,44 @@ class ProvenanceEngine:
         (:attr:`facts`) follows.  *changed* are the facts whose derivations an applied
         delta touched, and *effects* the rule executions added or removed
         at the node (by its evaluator, or by
-        :meth:`repro.engine.node.Node.apply_external_derivation`).  Both
-        kinds of facts, each effect's by its head, become roots of the next
-        reachability walk; then the partition's version is bumped once.
+        :meth:`repro.engine.node.Node.apply_external_derivation`).  Once a
+        version has been handed out, both kinds of facts, each effect's by
+        its head, become roots of the next reachability walk.
 
         ``bench/tracing.py`` wraps this method by name as the
         ``core.maintenance`` layer, which is why it keeps its name.
         """
-        store = self.store(node_id)
         facts = self.facts
         for fact in present:
             facts[vid_for(fact)] = fact
         for fact in gone:
             facts.pop(vid_for(fact), None)
-        if not changed and not effects:
+        if not self._versioned:
             return
-        if self._versioned:
-            roots = {vid_for(fact): (node_id, fact) for fact in changed}
-            for effect in effects:
-                roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
-            # Every handout walks the pending roots first, so the cache
-            # sweep's "vid versions moved only if the global clock did"
-            # holds: new clock seen, bumps seen.
-            self._pending_roots.update(roots)
-        store.version += 1
-        self._global_version += 1
+        roots = self._pending_roots
+        for fact in changed:
+            roots[vid_for(fact)] = (node_id, fact)
+        for effect in effects:
+            roots[vid_for(effect.head_fact)] = (effect.head_location, effect.head_fact)
 
     # -- per-VID reachability versions ----------------------------------------------------
 
     def flush_reachability(self) -> None:
-        """Bump the reachability version of every ancestor of the pending roots.
+        """Stamp every ancestor of the pending roots with this walk's number.
 
         A change to a vertex's subgraph is a change to every ancestor's too,
         so the walk follows the firings' consumer index upward from the
         marked vertices — local consuming rule executions, then their head
-        tuples at the heads' home partitions — bumping each visited vertex
-        exactly once, whatever the order; the visited set handles cyclic
-        support (possible mid-retraction).  With nothing pending this is a
-        truthiness check.
+        tuples at the heads' home partitions — and stamps each visited
+        vertex, whatever the order; the visited set handles cyclic support
+        (possible mid-retraction).  With nothing pending this is a
+        truthiness check, and the walk count stays where it is.
         """
         roots = self._pending_roots
         if not roots:
             return
         versions = self._vid_versions
-        epoch = self._rebirth_epoch
+        walk = self._reachability_flushes + 1
         seen: Set[str] = set()
         stack = [(home, fact, vid) for vid, (home, fact) in roots.items()]
         while stack:
@@ -402,7 +389,7 @@ class ProvenanceEngine:
             if vid in seen:
                 continue
             seen.add(vid)
-            versions[vid] = max(versions.get(vid, 0), epoch) + 1
+            versions[vid] = walk
             store = self._stores.get(home)
             if store is None:
                 continue
@@ -420,7 +407,7 @@ class ProvenanceEngine:
                     if head_vid not in seen:
                         stack.append((location_of(head), head, head_vid))
         roots.clear()
-        self._reachability_flushes += 1
+        self._reachability_flushes = walk
         self._reachability_visited += len(seen)
         if len(versions) > max(
             self._vid_version_sweep_threshold, self._vid_version_next_sweep
@@ -428,7 +415,7 @@ class ProvenanceEngine:
             self._sweep_vid_versions()
 
     def _sweep_vid_versions(self) -> None:
-        """Prune version counters of dead vids, folding them into the epoch.
+        """Prune the versions of dead vids, which then read 0.
 
         Liveness is judged only from the firings records the walk reads
         (facts some live firing consumes, and live firings' heads) —
@@ -448,7 +435,7 @@ class ProvenanceEngine:
                     live.add(vid_for(heads))
         dead = [vid for vid in self._vid_versions if vid not in live]
         for vid in dead:
-            self._rebirth_epoch = max(self._rebirth_epoch, self._vid_versions.pop(vid))
+            del self._vid_versions[vid]
         self._vid_version_sweeps += 1
         self._vid_versions_pruned += len(dead)
         self._vid_version_next_sweep = 2 * len(self._vid_versions)
@@ -456,11 +443,12 @@ class ProvenanceEngine:
     def vid_version(self, vid: str) -> int:
         """Hand out the reachability version of one tuple vertex (0 if never touched).
 
-        The counter advances when the vertex's downstream provenance subgraph
-        — what a traversal from it would visit — changes, from the first
-        version handed out (the first call switches version keeping on for
-        good); deltas elsewhere leave it alone.  The query cache validates
-        entries against this, so unrelated churn no longer flushes them.
+        The version is the number of the last walk that found the vertex's
+        downstream provenance subgraph — what a traversal from it would
+        visit — changed, from the first version handed out (the first call
+        switches version keeping on for good); deltas elsewhere leave it
+        alone.  The query cache validates entries against this, so
+        unrelated churn no longer flushes them.
         """
         self._versioned = True
         self.flush_reachability()
@@ -475,14 +463,13 @@ class ProvenanceEngine:
         """Statistics of the per-VID version map and of the walk that feeds it.
 
         ``flushes`` counts reachability walks (0 while no version has been
-        handed out: no walk is paid), ``visited`` the vertices they bumped and
+        handed out: no walk is paid), ``visited`` the vertices they stamped and
         ``pending`` the roots this read found waiting (mid-window only) and walked first.
         """
         pending = len(self._pending_roots)
         self.flush_reachability()
         return {
             "entries": len(self._vid_versions),
-            "epoch": self._rebirth_epoch,
             "sweeps": self._vid_version_sweeps,
             "pruned": self._vid_versions_pruned,
             "flushes": self._reachability_flushes,
@@ -491,38 +478,16 @@ class ProvenanceEngine:
         }
 
     def global_version(self) -> int:
-        """The sum of all per-partition versions, memoized to O(1).
+        """The number of reachability walks so far: the query caches' clock.
 
-        The query caches' clock; equal, by construction, to
-        ``sum(self.versions().values())``.
+        Every version is the number of the walk that set it, and a sweep
+        prunes only inside a walk, so no version moves while this stands
+        still.  It walks nothing itself: a reader that needs current
+        versions calls :meth:`vid_version` first.
         """
-        return self._global_version
+        return self._reachability_flushes
 
     # -- statistics ----------------------------------------------------------------------
-
-    def version_of(self, node_id: object) -> int:
-        """The provenance version of one node's partition.
-
-        The version advances at most once per applied batch
-        (:meth:`apply_rule_exec_batch`), so two executions that absorb
-        the same logical batches — e.g. two runs of the same workload —
-        report identical versions here; tests use this to pin
-        the one-bump-per-batch invariant.
-
-        Purely a read accessor: asking about a node without a partition
-        raises instead of materialising an empty one.
-        """
-        store = self._stores.get(node_id)
-        if store is None:
-            raise ProvenanceError(f"no provenance partition recorded for node {node_id!r}")
-        return store.version
-
-    def versions(self) -> Dict[object, int]:
-        """Provenance versions of every known partition (sorted by node repr)."""
-        return {
-            node_id: store.version
-            for node_id, store in sorted(self._stores.items(), key=lambda item: repr(item[0]))
-        }
 
     def table_sizes(self) -> Dict[str, int]:
         """Total sizes of the distributed provenance tables."""

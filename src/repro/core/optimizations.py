@@ -8,12 +8,12 @@ pruning."*
 * **Caching** — every node keeps a cache of completed (sub-)query results
   keyed by (vid, query mode, pruning parameters).  Cached entries are tagged
   with the queried vertex's *per-VID reachability version* (see
-  :meth:`repro.core.maintenance.ProvenanceEngine.vid_version`): a counter
-  that advances when the subgraph changes, from the first version handed
-  out — so unrelated deltas keep entries alive, and any change a traversal
+  :meth:`repro.core.maintenance.ProvenanceEngine.vid_version`): the number
+  of the last reachability walk that found the subgraph changed, from the
+  first version handed out — so unrelated deltas keep entries alive, and any change a traversal
   could observe invalidates exactly the affected entries.  The cache is an LRU
-  with a configurable capacity; stale entries are swept before capacity
-  evictions so memory tracks live entries.  Within one query, results are
+  of :data:`DEFAULT_CACHE_CAPACITY` entries; stale entries are swept before
+  capacity evictions so memory tracks live entries.  Within one query, results are
   also shared without the cache: a node expands each vertex once and later
   requests for it reuse that frame (see :mod:`repro.core.query`), so the
   cache serves what earlier queries computed.
@@ -43,9 +43,8 @@ from typing import Callable, Optional, Tuple
 TRAVERSAL_PARALLEL = "parallel"
 TRAVERSAL_SEQUENTIAL = "sequential"
 
-#: Default per-node query-cache capacity (entries); override through
-#: ``NetTrailsRuntime(query_cache_capacity=N)`` (``0`` there disables the
-#: cap, which reaches :class:`NodeQueryCache` as ``capacity=None``).
+#: Per-node query-cache capacity (entries).  It is not a knob: a test or an
+#: experiment that wants another bound sets one cache's ``capacity``.
 DEFAULT_CACHE_CAPACITY = 256
 
 
@@ -136,31 +135,25 @@ class NodeQueryCache:
     queried vertex's per-VID reachability version — and are valid only
     while the current version still equals the tag.  Validation can only
     produce false invalidations, never stale answers: any change a traversal
-    from the vertex could observe bumps its version before the entry can be
+    from the vertex could observe moves its version before the entry can be
     looked up again.
 
-    ``capacity`` bounds the entry count (``None`` = unbounded): before a
-    capacity eviction, :meth:`sweep` drops entries whose version is already
-    dead, so live entries are only LRU-evicted once the cache is genuinely
-    full of valid results.  ``version_fn`` maps a vid to its *current*
-    version and is what lookup callers pass explicitly; the cache uses it
-    only to sweep entries under keys that are never re-looked-up.
-    ``clock_fn`` is a cheap monotone change counter (the provenance engine's
-    memoized global version): no entry can have died while it is unchanged,
-    so a saturated cache skips the O(capacity) sweep on the store hot path
-    until a mutation actually happens.
+    ``capacity`` bounds the entry count: a store drops entries whose
+    version is already dead (:meth:`sweep`) before it evicts, so live
+    entries are only LRU-evicted once the cache is genuinely full of valid
+    results.
+    ``version_fn`` maps a vid to its *current* version (the provenance
+    engine's :meth:`~repro.core.maintenance.ProvenanceEngine.vid_version`);
+    the cache uses it to reject stillborn entries and to sweep entries under
+    keys that are never looked up again.  ``clock_fn`` is the walk count
+    (:meth:`~repro.core.maintenance.ProvenanceEngine.global_version`): no
+    version moves while it is unchanged, so no entry can have died and a
+    saturated cache skips the O(capacity) sweep on the store hot path.
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
-        version_fn: Optional[Callable[[str], int]] = None,
-        clock_fn: Optional[Callable[[], int]] = None,
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"cache capacity must be positive or None, got {capacity}")
+    def __init__(self, version_fn: Callable[[str], int], clock_fn: Callable[[], int]) -> None:
         self._entries: "OrderedDict[_CacheKey, _CacheEntry]" = OrderedDict()
-        self.capacity = capacity
+        self.capacity = DEFAULT_CACHE_CAPACITY
         self._version_fn = version_fn
         self._clock_fn = clock_fn
         self._swept_at: Optional[int] = None
@@ -184,7 +177,7 @@ class NodeQueryCache:
         return entry.value
 
     def store(self, vid: str, mode: str, options: QueryOptions, version: int, value: object) -> None:
-        if self._version_fn is not None and self._version_fn(vid) != version:
+        if self._version_fn(vid) != version:
             # Stillborn entry: churn already superseded the tag (a traversal
             # raced a delta, or an in-flight reply was computed before one).
             # It could never be served, so don't let it occupy a slot.
@@ -194,35 +187,29 @@ class NodeQueryCache:
         self._entries[key] = _CacheEntry(value=value, version=version)
         self._entries.move_to_end(key)
         self.stores += 1
-        if self._clock_fn is not None:
-            # Clock-guarded: a full sweep at most once per provenance change,
-            # so dead entries are reclaimed even in uncapped or half-full
-            # caches and memory tracks live entries, at O(1) amortized cost.
-            self.sweep()
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            self.sweep()
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        # Clock-guarded: a full sweep at most once per walk, so dead entries
+        # are reclaimed even in half-full caches and memory tracks live
+        # entries, at O(1) amortized cost.
+        self.sweep()
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def sweep(self) -> int:
         """Drop every entry whose tagged version is no longer current.
 
         Stale entries are otherwise only reclaimed when their exact key is
-        looked up again; the sweep (run automatically before a capacity
+        looked up again; the sweep (run on every store, before a capacity
         eviction) keeps memory proportional to *live* entries.  Returns the
-        number of entries dropped; a no-op without a ``version_fn``, and
-        skipped entirely while the ``clock_fn`` counter is unchanged since
-        the previous sweep (no mutation happened, so nothing can have died
-        — entries stored meanwhile were tagged with live versions).
+        number of entries dropped; skipped entirely while the ``clock_fn``
+        counter is unchanged since the previous sweep (no walk ran, so
+        nothing can have died — entries stored meanwhile were tagged with
+        live versions).
         """
-        if self._version_fn is None:
+        now = self._clock_fn()
+        if now == self._swept_at:
             return 0
-        if self._clock_fn is not None:
-            now = self._clock_fn()
-            if now == self._swept_at:
-                return 0
-            self._swept_at = now
+        self._swept_at = now
         dead = [
             key
             for key, entry in self._entries.items()

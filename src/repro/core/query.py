@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import QueryError
 from repro.engine.messages import (
@@ -46,12 +46,7 @@ from repro.engine.node import Node
 from repro.engine.tuples import Fact
 from repro.core.keys import BASE_RID, vid_for
 from repro.core.maintenance import NodeProvenanceStore, ProvenanceEngine
-from repro.core.optimizations import (
-    DEFAULT_CACHE_CAPACITY,
-    NodeQueryCache,
-    QueryOptions,
-    TRAVERSAL_SEQUENTIAL,
-)
+from repro.core.optimizations import NodeQueryCache, QueryOptions, TRAVERSAL_SEQUENTIAL
 from repro.core.queries import (
     BUILTIN_REDUCERS,
     ExecRef,
@@ -153,12 +148,9 @@ class QueryRequestBatch:
 class QueryReply:
     """The combined sub-result for one traversal step.
 
-    ``version`` is the queried vertex's reachability version *captured when
-    the responding node started computing* (``None`` for rule-execution
-    sub-results).  Carrying it in the reply lets the requesting node cache
-    the result soundly: if the subtree changed while the reply was in
-    flight, the current version has already moved past the carried one and
-    the entry can never be served.
+    It carries no version: a node that caches the answer to a remote root
+    read the version itself when it sent the request (see
+    :meth:`QueryAgent.start_remote_root`).
     """
 
     query_id: str
@@ -167,13 +159,12 @@ class QueryReply:
     truncated: bool
     visited: FrozenSet[object]
     cache_hits: int
-    version: Optional[int] = None
 
     def __repr__(self) -> str:
         return (
             f"QueryReply(query_id={self.query_id!r}, request_id={self.request_id!r}, "
             f"value={self.value!r}, truncated={self.truncated!r}, visited={self.visited!r}, "
-            f"cache_hits={self.cache_hits!r}, version={self.version!r})"
+            f"cache_hits={self.cache_hits!r})"
         )
 
 
@@ -250,10 +241,9 @@ class _Frame:
         self.visited: FrozenSet[object] = frozenset()
         self.cache_hits = 0
         #: The target vid's reachability version, captured *before* any
-        #: provenance row is read, when something consumes it: the cache
-        #: (completed results are stored under it, so a result that raced
-        #: churn is stillborn — conservative, never stale) or the reply to a
-        #: remote tuple request, which carries it to the issuer's cache.
+        #: provenance row is read when the cache is on: the completed result
+        #: is stored under it, so a result that raced churn is stillborn —
+        #: conservative, never stale.
         self.version: Optional[int] = None
         #: Observability span covering the frame's lifetime (``None`` while
         #: observability is off).
@@ -275,11 +265,7 @@ class QueryAgent:
         self.node = node
         self.engine = engine
         self.obs = getattr(engine.runtime, "obs", None)
-        self.cache = NodeQueryCache(
-            capacity=engine.cache_capacity,
-            version_fn=engine.provenance.vid_version,
-            clock_fn=engine.provenance.global_version,
-        )
+        self.cache = NodeQueryCache(engine.provenance.vid_version, engine.provenance.global_version)
         self._node_id = node.id
         #: The sub-result bookkeeping of a frame that visited only this node.
         self._here: FrozenSet[object] = frozenset({node.id})
@@ -288,10 +274,10 @@ class QueryAgent:
         self._request_ids = _SlotIds(f"{node.id}/r")
         #: request id -> (frame, subtask index) of an in-flight sub-request.
         self._pending_remote: Dict[str, Tuple[_Frame, int]] = {}
-        #: request id -> (vid, mode, options) of an issued remote root, kept
-        #: so the reply — which carries the version it was computed at — can
-        #: be cached here at the issuing node.
-        self._remote_roots: Dict[str, Tuple[str, str, QueryOptions]] = {}
+        #: request id -> (vid, mode, options, version) of an issued remote
+        #: root; the version, read when the request left (``None`` without
+        #: the cache), is the one the reply is cached under here.
+        self._remote_roots: Dict[str, Tuple[str, str, QueryOptions, Optional[int]]] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -354,17 +340,21 @@ class QueryAgent:
     def start_remote_root(self, query_id: str, vid: str, home_node: object, mode: str, options: QueryOptions) -> None:
         """Issue a query from this node for a tuple stored at *home_node*.
 
-        Replies to earlier issuances are cached locally (tagged with the
-        version they were computed at, carried in the reply), so a repeat
-        query for an unchanged subtree is answered without any network hop.
+        Replies to earlier issuances are cached locally, tagged with the
+        version read here before the request left: if the subtree changes
+        while the request and its reply are in flight, that version is
+        already superseded and the entry is stillborn.  So a repeat query
+        for an unchanged subtree is answered without any network hop.
         """
+        version: Optional[int] = None
         if options.use_cache:
-            cached = self.cache.lookup(vid, mode, options, self.engine.provenance.vid_version(vid))
+            version = self.engine.provenance.vid_version(vid)
+            cached = self.cache.lookup(vid, mode, options, version)
             if cached is not None:
-                self.engine._completions[query_id] = (cached, False, self._here, 1)
+                self.engine._complete(query_id, (cached, False, self._here, 1))
                 return
         request_id = self._request_ids.take()
-        self._remote_roots[request_id] = (vid, mode, options)
+        self._remote_roots[request_id] = (vid, mode, options, version)
         request = QueryRequest(
             query_id, request_id, _REQUEST_KIND_TUPLE, vid, mode, options, 0, self._node_id, self._request_trace(None)
         )
@@ -410,11 +400,11 @@ class QueryAgent:
         if root is None:
             return
         self._request_ids.release(request_id)
-        vid, mode, options = root
-        if options.use_cache and not reply.truncated and reply.version is not None:
-            self.cache.store(vid, mode, options, reply.version, reply.value)
-        self.engine._completions[reply.query_id] = (
-            reply.value, reply.truncated, reply.visited | self._here, reply.cache_hits
+        vid, mode, options, version = root
+        if version is not None and not reply.truncated:
+            self.cache.store(vid, mode, options, version, reply.value)
+        self.engine._complete(
+            reply.query_id, (reply.value, reply.truncated, reply.visited | self._here, reply.cache_hits)
         )
 
     # -- the traversal executor ---------------------------------------------------------
@@ -469,7 +459,7 @@ class QueryAgent:
         vid = frame.target
         options = frame.options
         frame.ref = self._tuple_ref(vid)
-        if options.use_cache or frame.reply is not None:
+        if options.use_cache:
             frame.version = self.engine.provenance.vid_version(vid)
         self._frame_span(frame, parent_span)
         if options.use_cache:
@@ -629,11 +619,9 @@ class QueryAgent:
             self._deliver(parent, slot, value, frame.truncated, frame.visited, cache_hits)
             return
         if reply is None:
-            self.engine._completions[slot] = (value, frame.truncated, frame.visited, cache_hits)
+            self.engine._complete(slot, (value, frame.truncated, frame.visited, cache_hits))
             return
-        reply.replies.append(QueryReply(
-            frame.query_id, slot, value, frame.truncated, frame.visited, cache_hits, frame.version
-        ))
+        reply.replies.append(QueryReply(frame.query_id, slot, value, frame.truncated, frame.visited, cache_hits))
         if len(reply.replies) == reply.expected:
             replies = reply.replies
             payload: object = replies[0] if len(replies) == 1 else QueryReplyBatch(tuple(replies))
@@ -657,11 +645,6 @@ class DistributedQueryEngine:
                 "the runtime has no provenance engine; construct it with provenance=True"
             )
         self.provenance: ProvenanceEngine = runtime.provenance
-        #: Per-node query-cache capacity, taken from the runtime
-        #: (``NetTrailsRuntime(query_cache_capacity=...)``): ``None`` there
-        #: keeps :data:`DEFAULT_CACHE_CAPACITY`, ``0`` disables the cap.
-        capacity = getattr(runtime, "query_cache_capacity", None)
-        self.cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY if capacity is None else (capacity or None)
         self._reducers: Dict[str, QueryReducer] = dict(BUILTIN_REDUCERS)
         self._agents: Dict[object, QueryAgent] = {}
         for node_id, node in runtime.nodes.items():
@@ -672,6 +655,9 @@ class DistributedQueryEngine:
         #: released once its query has completed.  Trace ids (``query<n>``)
         #: are minted by the runtime's tracer, unique across its engines.
         self._completions: Dict[str, Tuple[object, bool, FrozenSet[object], int]] = {}
+        #: Ids of queries that raised before they completed: messages still
+        #: in flight carry them, so each is released when its completion lands.
+        self._abandoned: Set[str] = set()
         self._query_ids = _SlotIds("query")
         #: The running query's frames below its root, by target (see :meth:`QueryAgent._open`).
         self._memo: Dict[object, _Frame] = {}
@@ -703,6 +689,14 @@ class DistributedQueryEngine:
 
     def agent(self, node_id: object) -> QueryAgent:
         return self._agents[node_id]
+
+    def _complete(self, query_id: str, completion: Tuple[object, bool, FrozenSet[object], int]) -> None:
+        """Record the completion of a root, or drop it and free the id if its query raised."""
+        if query_id in self._abandoned:
+            self._abandoned.remove(query_id)
+            self._query_ids.release(query_id)
+        else:
+            self._completions[query_id] = completion
 
     def _take_handlers(self) -> None:
         """Make the agents their nodes' query handlers, recording the owner on the runtime."""
@@ -790,6 +784,12 @@ class DistributedQueryEngine:
             else:
                 self._agents[at].start_remote_root(query_id, vid, location, mode, options)
             self.runtime.run_to_quiescence()
+        except BaseException:
+            if self._completions.pop(query_id, None) is None:
+                self._abandoned.add(query_id)
+            else:  # it completed before the failure: nothing carries the id any more
+                self._query_ids.release(query_id)
+            raise
         finally:
             self._memo = {}
             if span is not None:
@@ -839,17 +839,10 @@ class DistributedQueryEngine:
 
     # -- cache statistics -----------------------------------------------------------------------
 
-    def cache_stats(self) -> Dict[object, Dict[str, int]]:
-        """Per-node cache hit/miss/store/eviction counters."""
-        return {
-            node_id: dict(agent.cache.counters())
-            for node_id, agent in sorted(self._agents.items(), key=lambda item: repr(item[0]))
-        }
-
     def cache_totals(self) -> Dict[str, int]:
         """System-wide cache counters, summed over every node's cache."""
         totals: Dict[str, int] = {}
-        for stats in self.cache_stats().values():
-            for key, value in stats.items():
+        for agent in self._agents.values():
+            for key, value in agent.cache.counters().items():
                 totals[key] = totals.get(key, 0) + value
         return totals

@@ -10,7 +10,7 @@ this package gives the reproduction that production shape:
   :class:`~repro.logstore.snapshot.Snapshot` file, plus the state digests
   recovery verifies;
 * :mod:`repro.durability.recovery` — :class:`RecoveryManager`: repair the
-  tail, rebuild a runtime by genesis replay (bit-identical, version counters
+  tail, rebuild a runtime by genesis replay (bit-identical, node counters
   included) or checkpoint bootstrap + tail replay (state-identical, O(tail)).
   Its rebuild path is also :class:`repro.logstore.ReplaySession`'s, which
   reads the WAL without repairing it and seeks to any committed batch;

@@ -6,18 +6,18 @@ runtime.  Two modes, two guarantees:
 
 * ``genesis`` — rebuild a fresh runtime from the ``init`` record and replay
   *every* committed batch record through the deterministic engine.  Because
-  evaluator firing identifiers and partition version counters are functions
-  of the logical input history, this reproduces the crashed runtime **bit
-  for bit**: store snapshots, provenance tables, per-partition versions and
-  query answers (per-VID versions start with none, as the caches start empty).
+  evaluator firing identifiers and node counters are functions of the
+  logical input history, this reproduces the crashed runtime **bit for
+  bit**: store snapshots, provenance tables, node statistics and query
+  answers (per-VID versions start with none, as the caches start empty).
 * ``checkpoint`` — bootstrap from the newest ``checkpoint`` record's
   embedded base facts + topology (valid by confluence: protocol state and
   provenance tables are a pure function of current base facts), verify the
   recorded state digest, resume its virtual time and traffic (the traffic
   only from an intact snapshot file), then replay the WAL tail past it.
-  State, provenance and answers are bit-identical; version *counters* are
-  not (the bootstrap compresses history into one batch), the trade for
-  O(tail) instead of O(history) recovery time.  With no checkpoint on record
+  State, provenance and answers are bit-identical; node *counters* are not
+  (the bootstrap compresses history into one batch), the trade for O(tail)
+  instead of O(history) recovery time.  With no checkpoint on record
   the mode falls back to genesis.
 
 Recovery always repairs the torn tail first (hash-verified scan, truncate at
@@ -63,8 +63,8 @@ RECOVERY_MODES = ("genesis", "checkpoint")
 #: determinism contract made every value bit-identical, the emulated commit
 #: stall only slept in real time, the per-delta runtime and the
 #: retract-first aggregate ordering converge to the batched runtime's state
-#: and provenance, and the interval index only answered queries), so
-#: recovery drops them whatever their value.
+#: and provenance, and the interval index and the query-cache bound only
+#: answered queries), so recovery drops them whatever their value.
 RETIRED_KNOBS = (
     "num_shards",
     "shard_workers",
@@ -73,6 +73,7 @@ RETIRED_KNOBS = (
     "batch_deltas",
     "aggregate_retract_first",
     "use_interval_index",
+    "query_cache_capacity",
 )
 
 
@@ -153,7 +154,7 @@ class RecoveryManager:
         crossed; ``attach=True`` leaves the runtime journalling to the
         repaired WAL (``wal_fsync`` sets its barrier mode).  Keyword
         *overrides* replace recorded construction knobs (e.g.
-        ``query_cache_capacity=``, or ``observability=``, which is never
+        ``default_latency=``, or ``observability=``, which is never
         recorded); state equality across such overrides is exactly the
         engine's determinism contract.  A WAL damaged mid-log (an intact
         record after the first bad byte) raises

@@ -7,7 +7,7 @@ record per committed quiescence window (the runtime-API-level mutations the
 window absorbed), and ``checkpoint`` records marking compactions into the
 :mod:`repro.logstore` snapshot format.  Replaying the history through the
 deterministic engine reproduces the system — state, provenance tables and
-version counters — bit for bit, which is what
+node counters — bit for bit, which is what
 :class:`repro.durability.recovery.RecoveryManager` does.
 
 File layout::

@@ -79,9 +79,6 @@ class NetTrailsRuntime:
     ``link_latency`` (0.01)          virtual seconds per topology-link hop
     ``registry`` (None)              a custom :class:`FunctionRegistry`
     ``program_name`` (None)          name used when parsing source text
-    ``query_cache_capacity`` (None)  per-node query-cache bound (``None`` =
-                                     the query engine's default, ``0`` =
-                                     uncapped)
     ``durable_dir`` (None)           write-ahead-log directory; turns on
                                      durable commit-per-quiescence-window mode
     ``wal_fsync`` (True)             fsync barrier per WAL append
@@ -111,7 +108,6 @@ class NetTrailsRuntime:
         link_latency: float = 0.01,
         registry: Optional[FunctionRegistry] = None,
         program_name: Optional[str] = None,
-        query_cache_capacity: Optional[int] = None,
         durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         wal_fsync: bool = True,
         observability: bool = False,
@@ -137,16 +133,6 @@ class NetTrailsRuntime:
             from repro.core import maintenance  # avoid an import cycle
 
             self.provenance = maintenance.ProvenanceEngine(self.compiled)
-        #: Per-node provenance-query-cache capacity consumed by
-        #: :class:`repro.core.query.DistributedQueryEngine`: ``None`` keeps
-        #: the engine default (:data:`repro.core.optimizations.DEFAULT_CACHE_CAPACITY`),
-        #: ``0`` disables the cap entirely, any other value is the LRU entry
-        #: limit per node.
-        if query_cache_capacity is not None and query_cache_capacity < 0:
-            raise EngineError(
-                f"query_cache_capacity must be >= 0 or None, got {query_cache_capacity}"
-            )
-        self.query_cache_capacity = query_cache_capacity
         #: The query engine whose agents handle the nodes' query messages.
         self.query_engine = None
         if not isinstance(observability, bool):
@@ -281,7 +267,6 @@ class NetTrailsRuntime:
         return {
             "default_latency": self._default_latency,
             "link_latency": self._link_latency,
-            "query_cache_capacity": self.query_cache_capacity,
         }
 
     def _attach_wal(self, wal, durable_dir: str, committed_batches: int) -> None:
@@ -335,11 +320,13 @@ class NetTrailsRuntime:
         ``RecoveryManager.recover(mode="checkpoint")`` restores from.  Only
         partitions whose content changed since the previous checkpoint are
         serialised again (:class:`repro.durability.checkpoint.CheckpointWriter`).
-        The runtime must be quiescent (no uncommitted ops).  Returns the
-        snapshot file path.
+        The runtime must be quiescent (no uncommitted ops), and *keep* must
+        not be negative.  Returns the snapshot file path.
         """
         if self._wal is None:
             raise EngineError("checkpoint() requires a durable runtime (durable_dir=)")
+        if keep < 0:
+            raise EngineError(f"checkpoint keep must be >= 0, got {keep}")
         if self._pending_ops:
             raise EngineError(
                 "uncommitted mutations pending; call run_to_quiescence() "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.keys import BASE_RID, vid_for
@@ -116,6 +118,12 @@ def _global_state(runtime, relations):
     return {relation: sorted(runtime.state(relation), key=repr) for relation in relations}
 
 
+def _node_stats(runtime):
+    """Each node's :class:`~repro.engine.node.NodeStats`, copied: a function
+    of the batch history the node applied, queries aside."""
+    return {repr(node_id): dataclasses.asdict(runtime.nodes[node_id].stats) for node_id in runtime.node_ids()}
+
+
 def _store_snapshots(runtime):
     """Per-node canonical store snapshots (values + derivation counts)."""
     return {
@@ -152,6 +160,11 @@ def global_state():
 @pytest.fixture
 def store_snapshots():
     return _store_snapshots
+
+
+@pytest.fixture
+def node_stats():
+    return _node_stats
 
 
 @pytest.fixture

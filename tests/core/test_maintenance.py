@@ -5,7 +5,6 @@ import pytest
 from repro.core.keys import BASE_RID, vid_for
 from repro.core.maintenance import ProvenanceEngine
 from repro.core.query import DistributedQueryEngine
-from repro.errors import ProvenanceError
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.engine.tuples import Fact
@@ -23,17 +22,16 @@ class TestTableMaintenance:
         assert sizes["prov"] > 0
         assert sizes["ruleExec"] > 0
 
-    def test_version_of_is_a_pure_read(self, ring_runtime):
+    def test_version_reads_are_pure_reads(self, ring_runtime):
+        # Reading versions, or the clock, of a vid no node stores must not
+        # materialise a phantom partition that would show up in node_ids().
         provenance = ring_runtime.provenance
-        assert provenance.version_of("n0") > 0
-        assert provenance.version_of("n0") == provenance.versions()["n0"]
-        # Probing an unknown node must raise, not materialise a phantom
-        # partition that would then show up in versions()/node_ids().
         before = provenance.node_ids()
-        with pytest.raises(ProvenanceError):
-            provenance.version_of("no-such-node")
+        assert provenance.vid_version("no-such-vid") == 0
+        assert "no-such-vid" not in provenance.vid_versions()
+        provenance.vid_version_stats()
+        provenance.global_version()
         assert provenance.node_ids() == before
-        assert "no-such-node" not in provenance.versions()
 
     def test_every_stored_fact_has_a_prov_entry(self, ring_runtime):
         provenance = ring_runtime.provenance
@@ -319,13 +317,20 @@ class TestPerVidVersions:
         assert provenance.vid_version(target_vid) == before
 
 
-class TestGlobalVersionMemo:
-    def test_global_version_equals_partition_sum(self, ring_runtime):
+class TestGlobalVersionIsTheWalkCount:
+    def test_global_version_counts_walks(self, ring_runtime):
         provenance = ring_runtime.provenance
-        assert provenance.global_version() == sum(provenance.versions().values())
+        # No version handed out yet: the churn before it walks nothing.
+        assert provenance.global_version() == provenance.vid_version_stats()["flushes"] == 0
+        link_vid = provenance.vid_of("link", ["n0", "n1", 1.0])
+        assert provenance.vid_version(link_vid) == 0
         ring_runtime.remove_link("n0", "n1")
         ring_runtime.run_to_quiescence()
-        assert provenance.global_version() == sum(provenance.versions().values())
+        assert provenance.global_version() == provenance.vid_version_stats()["flushes"] == 1
+        # The window's walk stamped every vertex it visited with its number.
+        assert set(provenance.vid_versions().values()) == {1}
+        ring_runtime.run_to_quiescence()  # nothing pending: no walk, the clock stands
+        assert provenance.global_version() == 1
 
     def test_fresh_engine_starts_at_zero(self):
         engine = ProvenanceEngine()

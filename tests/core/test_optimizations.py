@@ -3,11 +3,23 @@
 import pytest
 
 from repro.core.optimizations import (
+    DEFAULT_CACHE_CAPACITY,
     NodeQueryCache,
     QueryOptions,
     TRAVERSAL_PARALLEL,
     TRAVERSAL_SEQUENTIAL,
 )
+
+
+def make_cache(current=None, clock=None, capacity=None):
+    """A cache over the *current* vid -> version map (every vid at version 1
+    when omitted) and the *clock* cell (a fresh one when omitted)."""
+    versions = current if current is not None else {}
+    cell = clock if clock is not None else [0]
+    cache = NodeQueryCache(lambda vid: versions.get(vid, 1), lambda: cell[0])
+    if capacity is not None:
+        cache.capacity = capacity
+    return cache
 
 
 class TestQueryOptions:
@@ -45,7 +57,7 @@ class TestQueryOptions:
 
 class TestNodeQueryCache:
     def test_miss_then_hit(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         options = QueryOptions(use_cache=True)
         assert cache.lookup("vid_x", "lineage", options, version=1) is None
         cache.store("vid_x", "lineage", options, version=1, value="answer")
@@ -53,7 +65,7 @@ class TestNodeQueryCache:
         assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
 
     def test_version_change_invalidates(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         options = QueryOptions(use_cache=True)
         cache.store("vid_x", "lineage", options, version=1, value="answer")
         assert cache.lookup("vid_x", "lineage", options, version=2) is None
@@ -61,7 +73,7 @@ class TestNodeQueryCache:
         assert len(cache) == 0
 
     def test_mode_and_options_isolate_entries(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         options_a = QueryOptions(use_cache=True, threshold=None)
         options_b = QueryOptions(use_cache=True, threshold=2)
         cache.store("vid_x", "lineage", options_a, version=1, value="full")
@@ -69,21 +81,15 @@ class TestNodeQueryCache:
         assert cache.lookup("vid_x", "lineage", options_b, version=1) is None
 
     def test_clear(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         cache.store("vid_x", "lineage", QueryOptions(), version=1, value="v")
         cache.clear()
         assert len(cache) == 0
 
 
 class TestCacheCapacityAndSweep:
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            NodeQueryCache(capacity=0)
-        with pytest.raises(ValueError):
-            NodeQueryCache(capacity=-3)
-
     def test_lru_eviction_order(self):
-        cache = NodeQueryCache(capacity=2)
+        cache = make_cache(capacity=2)
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=1, value="A")
         cache.store("vid_b", "lineage", options, version=1, value="B")
@@ -96,12 +102,14 @@ class TestCacheCapacityAndSweep:
 
     def test_sweep_prefers_dead_entries_over_live_evictions(self):
         current = {"vid_a": 1, "vid_b": 1, "vid_c": 1, "vid_d": 1}
-        cache = NodeQueryCache(capacity=3, version_fn=current.__getitem__)
+        clock = [0]
+        cache = make_cache(current, clock, capacity=3)
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=1, value="A")
         cache.store("vid_b", "lineage", options, version=1, value="B")
         cache.store("vid_c", "lineage", options, version=1, value="C")
-        current["vid_b"] = 2  # vid_b's subtree churns: its entry is now dead
+        current["vid_b"] = 2  # a walk moves vid_b's version: its entry is now dead
+        clock[0] += 1
         cache.store("vid_d", "lineage", options, version=1, value="D")  # overflows
         # The dead entry was swept; no live entry was sacrificed.
         assert cache.stale_dropped == 1
@@ -112,8 +120,7 @@ class TestCacheCapacityAndSweep:
     def test_store_rejects_stillborn_entries(self):
         """A tag already superseded by churn (capture-at-start race or an
         in-flight reply) never occupies a slot."""
-        current = {"vid_a": 5}
-        cache = NodeQueryCache(capacity=None, version_fn=current.__getitem__)
+        cache = make_cache({"vid_a": 5})
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=4, value="stale")
         assert len(cache) == 0
@@ -122,39 +129,46 @@ class TestCacheCapacityAndSweep:
 
     def test_manual_sweep_reports_drop_count(self):
         current = {"vid_a": 4, "vid_b": 1}
-        cache = NodeQueryCache(capacity=None, version_fn=current.__getitem__)
+        clock = [0]
+        cache = make_cache(current, clock)
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=4, value="doomed")
         cache.store("vid_b", "lineage", options, version=1, value="live")
-        current["vid_a"] = 5  # vid_a's subtree churns after the store
+        current["vid_a"] = 5  # a walk moves vid_a's version after the store
+        clock[0] += 1
         assert cache.sweep() == 1
         assert len(cache) == 1
         assert cache.stale_dropped == 1
         assert cache.lookup("vid_b", "lineage", options, version=1) == "live"
 
-    def test_sweep_without_version_fn_is_noop(self):
-        cache = NodeQueryCache(capacity=None)
+    def test_sweep_with_nothing_dead_is_noop(self):
+        clock = [0]
+        cache = make_cache(clock=clock)
         cache.store("vid_a", "lineage", QueryOptions(), version=1, value="v")
+        clock[0] += 1
         assert cache.sweep() == 0
         assert len(cache) == 1
 
-    def test_uncapped_cache_never_evicts(self):
-        cache = NodeQueryCache(capacity=None)
+    def test_cache_within_capacity_never_evicts(self):
+        cache = make_cache()
         options = QueryOptions(use_cache=True)
-        for index in range(1000):
+        for index in range(DEFAULT_CACHE_CAPACITY):
             cache.store(f"vid_{index}", "lineage", options, version=1, value=index)
-        assert len(cache) == 1000
+        assert len(cache) == DEFAULT_CACHE_CAPACITY
         assert cache.evictions == 0
+        cache.store("vid_over", "lineage", options, version=1, value="over")
+        assert len(cache) == DEFAULT_CACHE_CAPACITY
+        assert cache.evictions == 1
 
     def test_stale_lookup_counts_stale_dropped(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         options = QueryOptions(use_cache=True)
         cache.store("vid_x", "lineage", options, version=1, value="old")
         assert cache.lookup("vid_x", "lineage", options, version=2) is None
         assert cache.stale_dropped == 1
 
     def test_counters_shape(self):
-        cache = NodeQueryCache()
+        cache = make_cache()
         assert dict(cache.counters()) == {
             "hits": 0,
             "misses": 0,
@@ -173,7 +187,8 @@ class TestCacheCapacityAndSweep:
             return current[vid]
 
         clock = [7]
-        cache = NodeQueryCache(capacity=2, version_fn=version_fn, clock_fn=lambda: clock[0])
+        cache = NodeQueryCache(version_fn, lambda: clock[0])
+        cache.capacity = 2
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=1, value="A")  # first sweep runs
         baseline_probes = len(probes)

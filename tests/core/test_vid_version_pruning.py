@@ -1,17 +1,18 @@
-"""Regression tests for the epoch-stamped pruning of the per-VID version map.
+"""Regression tests for the pruning of the per-VID version map.
 
 Before the sweep existed, ``ProvenanceEngine._vid_versions`` grew without
-bound: every vid that ever had a reachability bump kept its counter forever,
-including vids of long-retracted tuples.  The sweep drops counters for dead
-vids (no live uses, no live rule execution deriving them) once the map
-outgrows a threshold, folding the dropped values into ``_rebirth_epoch`` so
-a later *rebirth* of the same vid restarts above every version ever handed
-out — a pruned-then-reborn vid can never revalidate a stale cache entry.
+bound: every vid the reachability walk ever stamped kept its version
+forever, including vids of long-retracted tuples.  The sweep drops the
+versions of dead vids (no live uses, no live rule execution deriving them)
+once the map outgrows a threshold.  A version is the number of the walk
+that set it and walk numbers never repeat, so a later *rebirth* of the same
+vid is stamped above every version ever handed out — a pruned-then-reborn
+vid can never revalidate a stale cache entry.
 
 These tests force a tiny threshold so the sweep runs constantly under link
-flaps, and assert both the bookkeeping (entries bounded, sweeps counted,
-epoch advanced) and the soundness contract (cached answers stay bit-identical
-to uncached traversals through prune/rebirth cycles).
+flaps, and assert both the bookkeeping (entries bounded, sweeps counted)
+and the soundness contract (cached answers stay bit-identical to uncached
+traversals through prune/rebirth cycles).
 
 The reachability walk — and with it the sweep — runs once per quiescence
 window, when everything a plain down/up flap retracted has been re-derived
@@ -75,7 +76,8 @@ class TestVidVersionPruning:
         stats = runtime.provenance.vid_version_stats()
         assert stats["sweeps"] >= 1, stats
         assert stats["pruned"] > 0, stats
-        assert stats["epoch"] > 0, stats
+        # Every surviving version is the number of a walk that ran.
+        assert max(runtime.provenance.vid_versions().values()) <= runtime.provenance.global_version()
         # Liveness bound: whatever survives the last sweep is at most the
         # live vertex population (vids used by or derived by live execs),
         # plus post-sweep churn capped by the geometric retrigger policy.
@@ -122,6 +124,39 @@ class TestVidVersionPruning:
         # The topology is back to the original ring, so the original answer
         # must be reproduced — through the cache — after every flap cycle.
         assert answers() == before
+
+    def test_a_reborn_vid_never_reads_a_version_of_its_past_life(self):
+        """``hop`` is derived from ``edge``, cached, retracted — the sweep
+        prunes its version, so it reads 0 — and re-derived from ``alt``.  The
+        reborn vertex must read a version no cache entry holds for it: a
+        counter restarted from 0 would climb back to the cached entry's tag
+        and serve the old lineage for the new derivation."""
+        program = """
+            r1 hop(@D, S) :- edge(@S, D).
+            r2 hop(@D, S) :- alt(@S, D).
+        """
+        runtime = NetTrailsRuntime(program, topology.line(2))
+        provenance = runtime.provenance
+        engine = DistributedQueryEngine(runtime)
+        hop = provenance.vid_of("hop", ["n1", "n0"])
+        provenance.vid_version(hop)  # versions are kept from here on
+        runtime.insert("edge", ["n0", "n1"])
+        runtime.run_to_quiescence()
+        first = engine.lineage("hop", ["n1", "n0"], options=CACHED)
+        tag = provenance.vid_version(hop)  # the version the root's cache holds the entry under
+        assert tag > 0
+        provenance._vid_version_sweep_threshold = 0  # the next walk sweeps
+        runtime.delete("edge", ["n0", "n1"])
+        runtime.run_to_quiescence()
+        assert hop not in provenance.vid_versions()  # swept: it reads 0
+        assert provenance.vid_version_stats()["pruned"] > 0
+        runtime.insert("alt", ["n0", "n1"])
+        runtime.run_to_quiescence()
+        assert provenance.vid_version(hop) > tag
+        reborn = engine.lineage("hop", ["n1", "n0"], options=CACHED)
+        uncached = engine.lineage("hop", ["n1", "n0"], options=UNCACHED)
+        assert reborn.value == uncached.value != first.value
+        assert reborn.stats.cache_hits == 0
 
     def test_sweep_never_runs_below_threshold(self):
         runtime = build_runtime(topology.line(3), threshold=65536)

@@ -53,11 +53,7 @@ class TestDurableMode:
         records = scan(wal_path(tmp_path)).records
         assert records[0].type == RECORD_INIT
         assert records[0].data["source"] == mincost.SOURCE
-        assert records[0].data["knobs"] == {
-            "default_latency": 0.01,
-            "link_latency": 0.01,
-            "query_cache_capacity": runtime.query_cache_capacity,
-        }
+        assert records[0].data["knobs"] == {"default_latency": 0.01, "link_latency": 0.01}
         assert records[1].type == RECORD_BATCH
         assert records[1].data["ops"] == [["seed_links", "link", True, True]]
         runtime.close()
@@ -142,6 +138,15 @@ class TestCheckpointCompaction:
         reference = json.dumps([take_snapshot(runtime, label).to_dict()], sort_keys=True)
         assert b'["n0", "n1", 1]' in path.read_bytes()
         assert path.read_bytes() == reference.encode("utf-8")
+        runtime.close()
+
+    def test_negative_keep_rejected_before_anything_is_written(self, tmp_path):
+        runtime = durable_runtime(tmp_path)
+        records = len(scan(wal_path(tmp_path)).records)
+        with pytest.raises(EngineError, match="keep"):
+            runtime.checkpoint(keep=-1)
+        assert len(scan(wal_path(tmp_path)).records) == records
+        assert not list((tmp_path / "snapshots").glob("ckpt-*.json"))
         runtime.close()
 
     def test_checkpoint_files_pruned(self, tmp_path):
@@ -293,33 +298,26 @@ RETIRED_KNOB_WALS = Path(__file__).parent / "retired_knob_wals"
 
 class TestRecordedKnobs:
     def test_retired_knobs_of_older_wals_are_dropped(
-        self, tmp_path, store_snapshots, provenance_fingerprint
+        self, tmp_path, store_snapshots, provenance_fingerprint, node_stats
     ):
-        """WALs written before the store was made single-path and the event
-        loop single-threaded record four knobs that no longer exist; genesis
-        recovery ignores them, whatever their value, and still reproduces the
-        run bit for bit."""
+        """WALs written before the store was made single-path, the event
+        loop single-threaded and the query-cache bound a constant record
+        five knobs that no longer exist; genesis recovery ignores them,
+        whatever their value, and still reproduces the run bit for bit."""
         runtime = durable_runtime(tmp_path)
         runtime.remove_link("n0", "n1")
         runtime.run_to_quiescence()
-        expected = (
-            store_snapshots(runtime),
-            provenance_fingerprint(runtime),
-            runtime.provenance.versions(),
-        )
+        expected = (store_snapshots(runtime), provenance_fingerprint(runtime), node_stats(runtime))
         runtime.close()
         rewrite_init_knobs(
-            tmp_path, num_shards=4, shard_workers=2, columnar=True, batch_commit_stall_s=0.001
+            tmp_path, num_shards=4, shard_workers=2, columnar=True, batch_commit_stall_s=0.001,
+            query_cache_capacity=7,
         )
 
         result = RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
         recovered = result.runtime
         assert result.batches_replayed == 2
-        assert (
-            store_snapshots(recovered),
-            provenance_fingerprint(recovered),
-            recovered.provenance.versions(),
-        ) == expected
+        assert (store_snapshots(recovered), provenance_fingerprint(recovered), node_stats(recovered)) == expected
         # A recovered runtime starts with no per-VID versions, as its caches
         # start empty; what it owes the cache is sound validation.
         assert_cached_equals_uncached(recovered, "minCost")
@@ -334,14 +332,14 @@ class TestRecordedKnobs:
         runtime.remove_link("n0", "n1")
         runtime.run_to_quiescence()
         expected = (store_snapshots(runtime), provenance_fingerprint(runtime))
-        recorded = runtime.query_cache_capacity
+        recorded = runtime._durable_knobs()["default_latency"]
         runtime.close()
-        assert scan(wal_path(tmp_path)).records[0].data["knobs"]["query_cache_capacity"] == recorded
+        assert scan(wal_path(tmp_path)).records[0].data["knobs"]["default_latency"] == recorded
 
         result = RecoveryManager(tmp_path).recover(
-            mode="genesis", attach=False, query_cache_capacity=7
+            mode="genesis", attach=False, default_latency=0.02
         )
-        assert result.runtime.query_cache_capacity == 7 != recorded
+        assert result.runtime._durable_knobs()["default_latency"] == 0.02 != recorded
         assert (store_snapshots(result.runtime), provenance_fingerprint(result.runtime)) == expected
         result.runtime.close()
 
@@ -365,6 +363,8 @@ class TestRecordedKnobs:
             ("aggregate_retract_first", True),
             ("use_interval_index", False),
             ("use_interval_index", True),
+            ("query_cache_capacity", None),
+            ("query_cache_capacity", 7),
         ],
         ids=[
             "num_shards",
@@ -378,6 +378,8 @@ class TestRecordedKnobs:
             "aggregate_retract_first-True",
             "use_interval_index-False",
             "use_interval_index-True",
+            "query_cache_capacity-None",
+            "query_cache_capacity-7",
         ],
     )
     def test_each_retired_knob_is_dropped_alone(

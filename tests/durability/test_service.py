@@ -105,7 +105,7 @@ class TestServing:
             assert len(answered) + len(failed) == 15
             assert service.queries == len(answered) and service.commits == 3  # seed + two commits
 
-    def test_client_storm_answers_like_a_serial_replica(self, tmp_path):
+    def test_client_storm_answers_like_a_serial_replica(self, tmp_path, node_stats):
         """Eight client threads query, cached and uncached, while one churn
         script commits.  The service's lock is the only one: every answer
         must be the serial replica's for that row at some batch committed
@@ -176,9 +176,9 @@ class TestServing:
             ), (row, before, after)
         assert service.committed_batches == replica.committed_batches
         assert service.state("minCost") == replica.state("minCost")
+        assert node_stats(service.runtime) == node_stats(replica.runtime)
         provenance = service.runtime.provenance
-        assert provenance.versions() == replica.runtime.provenance.versions()
-        assert provenance.global_version() == sum(provenance.versions().values())
+        assert provenance.global_version() == provenance.vid_version_stats()["flushes"]
         assert provenance.vid_version_stats()["pending"] == 0
         service.close()
         replica.close()
@@ -224,6 +224,15 @@ class TestCheckpointing:
         with make_service(tmp_path) as service:
             service.commit([ChurnOp.remove_link("n0", "n1")])
             assert service.checkpoints_taken == 0
+
+    def test_negative_keep_rejected_before_anything_is_written(self, tmp_path):
+        with make_service(tmp_path) as service:
+            logged = wal_path(tmp_path).read_bytes()
+            with pytest.raises(EngineError, match="keep"):
+                service.checkpoint(keep=-1)
+            assert service.checkpoints_taken == 0
+            assert wal_path(tmp_path).read_bytes() == logged
+            assert not list((tmp_path / "snapshots").glob("ckpt-*.json"))
 
     def test_negative_checkpoint_every_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="checkpoint_every"):

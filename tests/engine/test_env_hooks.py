@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import EngineError
@@ -27,10 +28,10 @@ class TestRetiredHooks:
     """``NETTRAILS_BACKEND`` and ``NETTRAILS_BACKEND_WORKERS`` once picked
     an execution backend and its pool size; ``NETTRAILS_QUERY_CACHE_CAPACITY``,
     ``NETTRAILS_DURABLE_DIR`` and ``NETTRAILS_OBSERVABILITY`` stood in for
-    the ``query_cache_capacity``, ``durable_dir`` and ``observability``
+    the query-cache bound and the ``durable_dir`` and ``observability``
     arguments.  All five rejected bad values at construction.  None is read
     any more: whatever one holds, the runtime builds and runs as with none
-    set, with the default cache bound, no write-ahead log and no telemetry."""
+    set, with the constant cache bound, no write-ahead log and no telemetry."""
 
     @pytest.mark.parametrize(
         "var,raw",
@@ -62,7 +63,7 @@ class TestRetiredHooks:
                     store_snapshots(runtime),
                     runtime.message_stats().messages,
                     runtime.simulator.processed_events,
-                    runtime.query_cache_capacity,
+                    DistributedQueryEngine(runtime).agent("n0").cache.capacity,
                     runtime.durable_dir,
                     runtime.obs,
                 )

@@ -1,6 +1,8 @@
 """Tests for Node and NetTrailsRuntime: distributed execution end to end."""
 
+import inspect
 import random
+import re
 
 import pytest
 
@@ -118,8 +120,8 @@ class TestNodeBehaviour:
 
 #: Knobs that once selected a hash-sharded or columnar store, an execution
 #: backend, an emulated in-drain commit stall, the per-delta runtime, the
-#: retract-first aggregate ordering or the interval-indexed query path, with
-#: a value each accepted back then.
+#: retract-first aggregate ordering, the interval-indexed query path or the
+#: query-cache bound, with a value each accepted back then.
 RETIRED_KNOBS = {
     "num_shards": 2,
     "shard_workers": 2,
@@ -130,6 +132,7 @@ RETIRED_KNOBS = {
     "batch_deltas": False,
     "aggregate_retract_first": True,
     "use_interval_index": True,
+    "query_cache_capacity": 7,
 }
 
 
@@ -319,7 +322,7 @@ class TestFailureContract:
         assert runtime.state("hop")
         assert store_snapshots(runtime)
         assert runtime.message_stats().messages > 0
-        assert runtime.provenance.versions()
+        assert runtime.provenance.table_sizes()["prov"] > 0
         assert_provenance_readable(runtime, prov_vids_present)
 
     def test_a_failed_batch_that_replaces_a_fact_keeps_provenance_in_step(self, prov_vids_present):
@@ -342,20 +345,43 @@ class TestFailureContract:
             runtime.run_to_quiescence()
 
 
-class TestQueryCacheCapacityArgument:
-    """``query_cache_capacity=`` bounds every node's query cache."""
+class TestQueryCacheCapacity:
+    """The query-cache bound is a constant, not a knob."""
 
-    def test_capacity_reaches_the_query_engine(self):
+    def test_every_cache_takes_the_constant(self):
+        from repro.core.optimizations import DEFAULT_CACHE_CAPACITY
         from repro.core.query import DistributedQueryEngine
 
-        runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(3), query_cache_capacity=7)
-        assert runtime.query_cache_capacity == 7
-        assert DistributedQueryEngine(runtime).cache_capacity == 7
-        assert NetTrailsRuntime(mincost.SOURCE, topology.ring(3)).query_cache_capacity is None
+        runtime = NetTrailsRuntime(mincost.SOURCE, topology.ring(3))
+        engine = DistributedQueryEngine(runtime)
+        assert {engine.agent(node).cache.capacity for node in runtime.nodes} == {DEFAULT_CACHE_CAPACITY}
 
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(EngineError, match=">= 0"):
-            NetTrailsRuntime(mincost.SOURCE, topology.ring(3), query_cache_capacity=-3)
+
+class TestKnobTable:
+    """The constructor docstring's knob table is the canonical one: it must
+    name exactly the constructor's parameters, so a knob that is added or
+    removed cannot leave it stale."""
+
+    @staticmethod
+    def table_names():
+        doc = inspect.getdoc(NetTrailsRuntime)
+        table = doc.split("**Constructor knobs**", 1)[1].split("\n\n", 2)[1]
+        names = re.findall(r"^``(\w+)``", table, flags=re.MULTILINE)
+        assert table.startswith("====") and names, table
+        return names
+
+    def test_table_names_exactly_the_constructor_parameters(self):
+        parameters = list(inspect.signature(NetTrailsRuntime.__init__).parameters)[1:]
+        assert self.table_names() == parameters
+
+    def test_durable_knobs_are_parameters_and_none_is_retired(self):
+        from repro.durability.recovery import RETIRED_KNOBS as RECOVERY_RETIRED
+
+        parameters = set(inspect.signature(NetTrailsRuntime.__init__).parameters)
+        durable = NetTrailsRuntime(TWO_NODE_PROGRAM, topology.line(2))._durable_knobs()
+        assert set(durable) <= parameters
+        assert not parameters & set(RECOVERY_RETIRED)
+        assert not parameters & set(RETIRED_KNOBS)
 
 
 class TestDynamicTopology:

@@ -15,6 +15,7 @@ The two load-bearing contracts pinned here:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -308,7 +309,7 @@ class TestInvisibility:
         observed = {
             "snapshot": take_snapshot(runtime, label).to_dict(),
             "vid_versions": runtime.provenance.vid_versions(),
-            "versions": runtime.provenance.versions(),
+            "node_stats": {node_id: dataclasses.asdict(node.stats) for node_id, node in runtime.nodes.items()},
         }
         target = list(sorted(runtime.state("minCost"), key=repr)[0])
         for name, options in (("cached", QueryOptions(use_cache=True)), ("uncached", QueryOptions())):

@@ -8,8 +8,7 @@ This harness turns that promise into a differential oracle:
 1. Run a durable runtime through a seeded churn script once, recording after
    every committed batch the WAL's byte length plus the full expected state
    of an uncrashed twin: per-node store snapshots, provenance fingerprints,
-   per-partition provenance versions and distributed lineage/participants
-   answers.
+   per-node statistics and distributed lineage/participants answers.
 2. For every kill point ``k``, materialise the crash by copying the durable
    directory with the WAL truncated to the recorded length — byte-identical
    to a process kill right after batch ``k``'s commit barrier (the WAL is
@@ -27,10 +26,10 @@ This harness turns that promise into a differential oracle:
    previous checkpoint, or from genesis when there is none.
 
 Genesis recovery replays the full logical history, so it must reproduce
-even history-dependent counters (provenance versions) bit-identically.
+even history-dependent counters (each node's ``NodeStats``) bit-identically.
 Checkpoint recovery bootstraps from base facts, which by the engine's
 confluence contract reproduces state, provenance and answers but *not*
-version counters — the documented weaker guarantee (see
+those counters — the documented weaker guarantee (see
 docs/architecture.md, "Durability & recovery").  A recovered runtime, like
 a fresh one, keeps no per-VID reachability versions until one is handed
 out, so every recovery is checked for cached answers equal to uncached ones.
@@ -93,21 +92,21 @@ def expected_state(runtime, canon):
     harness shares one definition of "indistinguishable" with every other
     equivalence suite.
     """
-    snapshots, fingerprint, derivations, rids_live, vids_present = canon
+    snapshots, fingerprint, derivations, rids_live, vids_present, node_stats = canon
     rids_live(runtime)
     vids_present(runtime)
     return {
         "snapshots": snapshots(runtime),
         "fingerprint": fingerprint(runtime),
         "derivations": derivations(runtime),
-        "versions": runtime.provenance.versions(),
+        "node_stats": node_stats(runtime),
         "answers": lineage_answers(runtime, "minCost", limit=2),
     }
 
 
 @pytest.fixture
-def canon(store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present):
-    return (store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present)
+def canon(store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present, node_stats):
+    return (store_snapshots, provenance_fingerprint, derivation_record, prov_rids_live, prov_vids_present, node_stats)
 
 
 #: ``checkpoint_after`` value that checkpoints after every window.
@@ -178,8 +177,8 @@ def crash_copy(durable_dir, target_dir, wal_bytes, mutate=None):
     return target_dir
 
 
-def assert_recovered_matches(result, expected, canon, where, exact_versions=True):
-    snapshots, fingerprint, derivations, rids_live, vids_present = canon
+def assert_recovered_matches(result, expected, canon, where, exact_counters=True):
+    snapshots, fingerprint, derivations, rids_live, vids_present, node_stats = canon
     runtime = result.runtime
     try:
         rids_live(runtime)
@@ -189,8 +188,8 @@ def assert_recovered_matches(result, expected, canon, where, exact_versions=True
         assert derivations(runtime) == expected["derivations"], where
         answers = assert_cached_equals_uncached(runtime, "minCost", limit=2, where=where)
         assert answers == expected["answers"], where
-        if exact_versions:
-            assert runtime.provenance.versions() == expected["versions"], where
+        if exact_counters:
+            assert node_stats(runtime) == expected["node_stats"], where
     finally:
         runtime.close()
 
@@ -251,7 +250,7 @@ def assert_kill_inside_checkpoint_recovers(images_dir, kill_points, k, canon, co
     assert result.batches_replayed == 1, where
     assert not result.torn, where
     assert_recovered_matches(
-        result, kill_points[k][1], canon, where, exact_versions=(result.mode == "genesis")
+        result, kill_points[k][1], canon, where, exact_counters=(result.mode == "genesis")
     )
 
 
@@ -358,7 +357,7 @@ class TestCrashInjectionOracle:
             else:
                 assert result.mode == "genesis", where  # checkpoint not yet durable
             assert_recovered_matches(
-                result, expected, canon, where, exact_versions=(result.mode == "genesis")
+                result, expected, canon, where, exact_counters=(result.mode == "genesis")
             )
             shutil.rmtree(crash_dir)
 
@@ -391,7 +390,7 @@ class TestCrashInjectionOracle:
             assert result.mode == "checkpoint", where
             assert result.checkpoint_batch == k + 1, where
             assert result.batches_replayed == 0, where
-            assert_recovered_matches(result, expected, canon, where, exact_versions=False)
+            assert_recovered_matches(result, expected, canon, where, exact_counters=False)
             shutil.rmtree(crash_dir)
             assert_kill_inside_checkpoint_recovers(images, kill_points, k, canon, context)
 
