@@ -67,9 +67,12 @@ head's home node), so an unrelated delta leaves unrelated vertices'
 versions — and their cached query results — untouched.  Walking the
 *current* index is sound because every added or removed ``ruleExec`` edge
 marks its own head, and starting late is sound because no cache holds an
-entry from before the first handout.  The walk count is the caches' one
-clock (:meth:`ProvenanceEngine.global_version`): no version moves while it
-stands still, and walk numbers never repeat, so neither does a version.
+entry from before the first handout.  Walk numbers never repeat, so neither
+does a version.  The map holds only stamped vids and is bounded by
+clearing, not by scanning for live ones: a walk that leaves it above a
+threshold empties it and raises a *floor* to its own number, which every
+unstamped vid then reads.  Each tag a cache holds predates that walk, so it
+is below the floor and misses once; nothing is served stale.
 
 A stored ``prov`` row is a plain tuple ``(rid, rloc)`` in the tuple store,
 never an object: an exact tuple whose members are all atoms is untracked by
@@ -273,23 +276,20 @@ class ProvenanceEngine:
         self._reachability_flushes = 0
         self._reachability_visited = 0
         #: vid -> reachability version: the number of the last walk that
-        #: found the vertex's downstream subgraph changed.  Missing entries
-        #: read as 0.  Entries for *dead* vids (no live consumer and no
-        #: live rule execution heading them) are pruned by a capped sweep
-        #: once the map exceeds ``_vid_version_sweep_threshold``.  That is
-        #: sound because walk numbers never repeat: a re-derivation of a
-        #: pruned vid is stamped with a walk number no cache entry can
-        #: hold.  (A pruned-but-unchanged vid reads version 0, which at
-        #: worst costs one conservative cache miss.)
+        #: found the vertex's downstream subgraph changed, for the vids
+        #: stamped since the map was last cleared.  Missing entries read as
+        #: ``_vid_version_floor``.
         self._vid_versions: Dict[str, int] = {}
-        #: Sweep trigger: map size above which a reachability walk prunes
-        #: dead vids.  Instance attribute so long-churn tests can lower it.
+        #: The number of the walk that last cleared the map (0 before any
+        #: clear).  Every tag a cache holds was handed out before that walk
+        #: ran, so it is below the floor, and every later read is the floor
+        #: or a newer stamp: a clear costs each cached entry one miss and
+        #: never serves one stale.
+        self._vid_version_floor = 0
+        #: Map size above which a walk clears the map and raises the floor
+        #: to its own number.  Instance attribute so long-churn tests can
+        #: lower it.
         self._vid_version_sweep_threshold = 65536
-        #: Raised to 2x the post-sweep size after each sweep so a
-        #: large-but-fully-live map costs amortized O(1) per walk instead
-        #: of one full liveness scan each; the trigger is the max of this
-        #: and the threshold, so lowering the threshold (tests) still works.
-        self._vid_version_next_sweep = 0
         self._vid_version_sweeps = 0
         self._vid_versions_pruned = 0
 
@@ -409,53 +409,30 @@ class ProvenanceEngine:
         roots.clear()
         self._reachability_flushes = walk
         self._reachability_visited += len(seen)
-        if len(versions) > max(
-            self._vid_version_sweep_threshold, self._vid_version_next_sweep
-        ):
-            self._sweep_vid_versions()
-
-    def _sweep_vid_versions(self) -> None:
-        """Prune the versions of dead vids, which then read 0.
-
-        Liveness is judged only from the firings records the walk reads
-        (facts some live firing consumes, and live firings' heads) —
-        deliberately *not* from the partitions' vid indexes.  That makes the
-        live set an under-approximation (a base tuple nothing consumes yet
-        counts as dead), which is sound: pruning such a vid merely
-        downgrades cache validation to a miss.
-        """
-        live: Set[str] = set()
-        for store in self._stores.values():
-            firings = store.firings
-            live.update([vid_for(fact) for fact in firings.consumers])
-            for heads in firings.heads.values():
-                if type(heads) is frozenset:
-                    live.update([vid_for(head) for head in heads])
-                else:
-                    live.add(vid_for(heads))
-        dead = [vid for vid in self._vid_versions if vid not in live]
-        for vid in dead:
-            del self._vid_versions[vid]
-        self._vid_version_sweeps += 1
-        self._vid_versions_pruned += len(dead)
-        self._vid_version_next_sweep = 2 * len(self._vid_versions)
+        if len(versions) > self._vid_version_sweep_threshold:
+            self._vid_version_sweeps += 1
+            self._vid_versions_pruned += len(versions)
+            versions.clear()
+            self._vid_version_floor = walk
 
     def vid_version(self, vid: str) -> int:
-        """Hand out the reachability version of one tuple vertex (0 if never touched).
+        """Hand out the reachability version of one tuple vertex (the floor if unstamped).
 
         The version is the number of the last walk that found the vertex's
         downstream provenance subgraph — what a traversal from it would
         visit — changed, from the first version handed out (the first call
         switches version keeping on for good); deltas elsewhere leave it
         alone.  The query cache validates entries against this, so
-        unrelated churn no longer flushes them.
+        unrelated churn no longer flushes them.  A vertex no walk has
+        stamped since the map was last cleared reads the clearing walk's
+        number (0 before any clear).
         """
         self._versioned = True
         self.flush_reachability()
-        return self._vid_versions.get(vid, 0)
+        return self._vid_versions.get(vid, self._vid_version_floor)
 
     def vid_versions(self) -> Dict[str, int]:
-        """A snapshot of every non-zero per-VID reachability version (observes, switches nothing on)."""
+        """A snapshot of the versions stamped since the map was last cleared (observes, switches nothing on)."""
         self.flush_reachability()
         return dict(self._vid_versions)
 
@@ -465,6 +442,8 @@ class ProvenanceEngine:
         ``flushes`` counts reachability walks (0 while no version has been
         handed out: no walk is paid), ``visited`` the vertices they stamped and
         ``pending`` the roots this read found waiting (mid-window only) and walked first.
+        ``sweeps`` counts the walks that cleared the map and ``pruned`` the
+        entries they cleared.
         """
         pending = len(self._pending_roots)
         self.flush_reachability()
@@ -476,16 +455,6 @@ class ProvenanceEngine:
             "visited": self._reachability_visited,
             "pending": pending,
         }
-
-    def global_version(self) -> int:
-        """The number of reachability walks so far: the query caches' clock.
-
-        Every version is the number of the walk that set it, and a sweep
-        prunes only inside a walk, so no version moves while this stands
-        still.  It walks nothing itself: a reader that needs current
-        versions calls :meth:`vid_version` first.
-        """
-        return self._reachability_flushes
 
     # -- statistics ----------------------------------------------------------------------
 

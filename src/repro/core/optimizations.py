@@ -11,9 +11,11 @@ pruning."*
   :meth:`repro.core.maintenance.ProvenanceEngine.vid_version`): the number
   of the last reachability walk that found the subgraph changed, from the
   first version handed out — so unrelated deltas keep entries alive, and any change a traversal
-  could observe invalidates exactly the affected entries.  The cache is an LRU
-  of :data:`DEFAULT_CACHE_CAPACITY` entries; stale entries are swept before
-  capacity evictions so memory tracks live entries.  Within one query, results are
+  could observe invalidates exactly the affected entries.  The cache is a
+  plain LRU of :data:`DEFAULT_CACHE_CAPACITY` entries that knows nothing of
+  the provenance engine: a lookup compares the version its caller read with
+  the entry's tag, and a stale entry leaves when its key is looked up again
+  or when the LRU reaches it.  Within one query, results are
   also shared without the cache: a node expands each vertex once and later
   requests for it reuse that frame (see :mod:`repro.core.query`), so the
   cache serves what earlier queries computed.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 TRAVERSAL_PARALLEL = "parallel"
 TRAVERSAL_SEQUENTIAL = "sequential"
@@ -129,34 +131,25 @@ _CacheKey = Tuple[str, str, Tuple[object, ...]]
 
 
 class NodeQueryCache:
-    """Per-node LRU cache of completed sub-query results.
+    """Per-node LRU cache of completed sub-query results, tagged with versions.
 
-    Entries are tagged with the version their result was computed at — the
-    queried vertex's per-VID reachability version — and are valid only
-    while the current version still equals the tag.  Validation can only
-    produce false invalidations, never stale answers: any change a traversal
-    from the vertex could observe moves its version before the entry can be
-    looked up again.
+    ``store`` files a result under the version its caller read before the
+    result was computed — the queried vertex's per-VID reachability
+    version — and ``lookup`` serves it only while the caller's current
+    version still equals that tag; an entry whose tag differs is dropped
+    (``stale_dropped``) and the lookup misses.  The cache never reads a
+    version itself, so validation can only produce false invalidations,
+    never stale answers: any change a traversal from the vertex could
+    observe moves its version before the entry can be looked up again.
 
-    ``capacity`` bounds the entry count: a store drops entries whose
-    version is already dead (:meth:`sweep`) before it evicts, so live
-    entries are only LRU-evicted once the cache is genuinely full of valid
-    results.
-    ``version_fn`` maps a vid to its *current* version (the provenance
-    engine's :meth:`~repro.core.maintenance.ProvenanceEngine.vid_version`);
-    the cache uses it to reject stillborn entries and to sweep entries under
-    keys that are never looked up again.  ``clock_fn`` is the walk count
-    (:meth:`~repro.core.maintenance.ProvenanceEngine.global_version`): no
-    version moves while it is unchanged, so no entry can have died and a
-    saturated cache skips the O(capacity) sweep on the store hot path.
+    ``capacity`` bounds the entry count: a store beyond it evicts the least
+    recently used entry (``evictions``).  A dead entry is not hunted down;
+    it leaves when its key is looked up again or when the LRU reaches it.
     """
 
-    def __init__(self, version_fn: Callable[[str], int], clock_fn: Callable[[], int]) -> None:
+    def __init__(self) -> None:
         self._entries: "OrderedDict[_CacheKey, _CacheEntry]" = OrderedDict()
         self.capacity = DEFAULT_CACHE_CAPACITY
-        self._version_fn = version_fn
-        self._clock_fn = clock_fn
-        self._swept_at: Optional[int] = None
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -177,51 +170,16 @@ class NodeQueryCache:
         return entry.value
 
     def store(self, vid: str, mode: str, options: QueryOptions, version: int, value: object) -> None:
-        if self._version_fn(vid) != version:
-            # Stillborn entry: churn already superseded the tag (a traversal
-            # raced a delta, or an in-flight reply was computed before one).
-            # It could never be served, so don't let it occupy a slot.
-            self.stale_dropped += 1
-            return
         key = (vid, mode, options.cache_key_part())
         self._entries[key] = _CacheEntry(value=value, version=version)
         self._entries.move_to_end(key)
         self.stores += 1
-        # Clock-guarded: a full sweep at most once per walk, so dead entries
-        # are reclaimed even in half-full caches and memory tracks live
-        # entries, at O(1) amortized cost.
-        self.sweep()
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def sweep(self) -> int:
-        """Drop every entry whose tagged version is no longer current.
-
-        Stale entries are otherwise only reclaimed when their exact key is
-        looked up again; the sweep (run on every store, before a capacity
-        eviction) keeps memory proportional to *live* entries.  Returns the
-        number of entries dropped; skipped entirely while the ``clock_fn``
-        counter is unchanged since the previous sweep (no walk ran, so
-        nothing can have died — entries stored meanwhile were tagged with
-        live versions).
-        """
-        now = self._clock_fn()
-        if now == self._swept_at:
-            return 0
-        self._swept_at = now
-        dead = [
-            key
-            for key, entry in self._entries.items()
-            if self._version_fn(key[0]) != entry.version
-        ]
-        for key in dead:
-            del self._entries[key]
-        self.stale_dropped += len(dead)
-        return len(dead)
-
     def counters(self) -> "OrderedDict[str, int]":
-        """All bookkeeping counters plus the live entry count, for reporting."""
+        """All bookkeeping counters plus the resident entry count (stale ones included), for reporting."""
         return OrderedDict(
             hits=self.hits,
             misses=self.misses,

@@ -265,7 +265,7 @@ class QueryAgent:
         self.node = node
         self.engine = engine
         self.obs = getattr(engine.runtime, "obs", None)
-        self.cache = NodeQueryCache(engine.provenance.vid_version, engine.provenance.global_version)
+        self.cache = NodeQueryCache()
         self._node_id = node.id
         #: The sub-result bookkeeping of a frame that visited only this node.
         self._here: FrozenSet[object] = frozenset({node.id})
@@ -431,10 +431,14 @@ class QueryAgent:
         at its tuple's home and a rid only where it fired, so it names one
         node — plus the depth under ``max_depth``, the only option under
         which depth changes a result.  Sequential traversal with a threshold
-        prunes by visit order, so it opens a frame per path.
+        prunes by visit order, so it opens a frame per path, and so does a
+        request of any query but the running one (a straggler of a query
+        that raised), whose mode and options the running query's need not share.
         """
         options = src.options
-        if options.threshold is not None and options.traversal == TRAVERSAL_SEQUENTIAL:
+        if src.query_id != self.engine._running or (
+            options.threshold is not None and options.traversal == TRAVERSAL_SEQUENTIAL
+        ):
             key: object = None
         else:
             key = target if options.max_depth is None else (target, depth)
@@ -659,7 +663,9 @@ class DistributedQueryEngine:
         #: in flight carry them, so each is released when its completion lands.
         self._abandoned: Set[str] = set()
         self._query_ids = _SlotIds("query")
-        #: The running query's frames below its root, by target (see :meth:`QueryAgent._open`).
+        #: The running query's id and its frames below its root, by target
+        #: (see :meth:`QueryAgent._open`).
+        self._running: Optional[str] = None
         self._memo: Dict[object, _Frame] = {}
         #: Observability: adopt the runtime's bundle (if any) and expose the
         #: query-cache counters as a registry view plus a per-mode latency
@@ -777,7 +783,7 @@ class DistributedQueryEngine:
         if self.runtime.query_engine is not self:
             self._take_handlers()
         span, previous, wall_start = self._begin_query_span(mode)
-        query_id = self._query_ids.take()
+        query_id = self._running = self._query_ids.take()
         try:
             if at is None:
                 self._agents[location].start_root(query_id, vid, mode, options)
@@ -791,6 +797,7 @@ class DistributedQueryEngine:
                 self._query_ids.release(query_id)
             raise
         finally:
+            self._running = None
             self._memo = {}
             if span is not None:
                 self.obs.tracer.set_current(previous)

@@ -143,15 +143,14 @@ class RecoveryManager:
     def recover(
         self,
         mode: str = "genesis",
-        verify: bool = True,
         attach: bool = True,
         wal_fsync: bool = True,
         **overrides: object,
     ) -> RecoveryResult:
         """Repair the WAL tail, rebuild a runtime, replay, optionally re-attach.
 
-        ``verify=True`` checks the recorded state digest at every checkpoint
-        crossed; ``attach=True`` leaves the runtime journalling to the
+        The recorded state digest is checked at every checkpoint crossed;
+        ``attach=True`` leaves the runtime journalling to the
         repaired WAL (``wal_fsync`` sets its barrier mode).  Keyword
         *overrides* replace recorded construction knobs (e.g.
         ``default_latency=``, or ``observability=``, which is never
@@ -168,7 +167,7 @@ class RecoveryManager:
         scan_result = self.read()
         truncate(self.path, scan_result)
         records = scan_result.records
-        result = self.rebuild(records, len(records), mode, verify, **overrides)
+        result = self.rebuild(records, len(records), mode, **overrides)
         result.records = len(records)
         result.torn = scan_result.torn
         result.torn_reason = scan_result.reason
@@ -216,13 +215,12 @@ class RecoveryManager:
         records: List[WalRecord],
         stop: int,
         mode: str,
-        verify: bool,
         **overrides: object,
     ) -> RecoveryResult:
         """A fresh runtime in the state ``records[:stop]`` describes.
 
         In ``checkpoint`` mode the runtime is bootstrapped from the newest
-        checkpoint record before *stop* (digest-verified with *verify*) and
+        checkpoint record before *stop* (digest-verified) and
         replays the records after it; otherwise, or with no such checkpoint,
         it starts at genesis and replays every record before *stop*.
         """
@@ -249,14 +247,13 @@ class RecoveryManager:
             for relation, rows in sorted(dict(data["base"]).items()):
                 runtime.insert_batch(relation, rows)
             runtime.run_to_quiescence()
-            if verify:
-                _verify_checkpoint(runtime, data, result)
+            _verify_checkpoint(runtime, data, result)
             # The run's clock and traffic, not the bootstrap's (kept if the file is not intact).
             runtime.simulator.resume_at(float(data["time"]))
             traffic = checkpoint_mod.recorded_traffic(self.durable_dir, data)
             if traffic is not None:
                 runtime.network.stats = TrafficStats(**traffic)
-        replay(result, records[start + 1 : stop], verify)
+        replay(result, records[start + 1 : stop])
         return result
 
     def _build_runtime(
@@ -283,7 +280,7 @@ class RecoveryManager:
         )
 
 
-def replay(result: RecoveryResult, records: List[WalRecord], verify: bool) -> None:
+def replay(result: RecoveryResult, records: List[WalRecord]) -> None:
     """Replay *records* on ``result.runtime``: apply each batch, verify each checkpoint."""
     runtime = result.runtime
     for record in records:
@@ -293,7 +290,7 @@ def replay(result: RecoveryResult, records: List[WalRecord], verify: bool) -> No
             runtime.run_to_quiescence()
             result.batches_replayed += 1
             result.ops_replayed += len(record.data["ops"])
-        elif record.type == RECORD_CHECKPOINT and verify:
+        elif record.type == RECORD_CHECKPOINT:
             _verify_checkpoint(runtime, record.data, result)
 
 

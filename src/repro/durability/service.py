@@ -97,7 +97,6 @@ class ServiceRuntime:
         mode: str = "checkpoint",
         wal_fsync: bool = True,
         checkpoint_every: int = 0,
-        verify: bool = True,
         **overrides: object,
     ) -> "ServiceRuntime":
         """Bring a crashed service back over its durable directory.
@@ -107,7 +106,7 @@ class ServiceRuntime:
         """
         _check_checkpoint_every(checkpoint_every)
         result = RecoveryManager(durable_dir).recover(
-            mode=mode, verify=verify, attach=True, wal_fsync=wal_fsync, **overrides
+            mode=mode, attach=True, wal_fsync=wal_fsync, **overrides
         )
         service = cls.__new__(cls)
         service._start(result.runtime, checkpoint_every, last_recovery=result)

@@ -1,7 +1,7 @@
 """Message types exchanged between nodes of the simulated distributed system.
 
-All inter-node communication — derived-tuple shipment, provenance-query
-traversal, snapshot uploads — travels as :class:`Message` objects through
+All inter-node communication — derived-tuple shipment and provenance-query
+traversal — travels as :class:`Message` objects through
 :class:`repro.engine.network.Network`, which records per-category statistics.
 This is what lets the benchmarks report "network traffic" for provenance
 queries with and without the ExSPAN optimisations.
@@ -9,19 +9,15 @@ queries with and without the ExSPAN optimisations.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.engine.tuples import SLOTTED, Fact
-
-_message_counter = itertools.count(1)
 
 #: Message categories used for traffic accounting.
 CATEGORY_TUPLE = "tuple"
 CATEGORY_PROVENANCE_QUERY = "provenance-query"
 CATEGORY_PROVENANCE_REPLY = "provenance-reply"
-CATEGORY_SNAPSHOT = "snapshot"
 CATEGORY_CONTROL = "control"
 
 
@@ -88,7 +84,6 @@ class Message:
     receiver: object
     category: str
     payload: object
-    message_id: int = field(default_factory=lambda: next(_message_counter))
 
     def size_estimate(self) -> int:
         """A rough, deterministic byte-size estimate used in traffic statistics."""

@@ -18,7 +18,6 @@ class Link:
     target: object
     cost: float = 1.0
     latency: float = 0.01
-    up: bool = True
 
 
 @dataclass
@@ -82,7 +81,7 @@ class Network:
     # -- links ------------------------------------------------------------------
 
     def add_link(self, source: object, target: object, cost: float = 1.0, latency: float = 0.01) -> Link:
-        link = Link(source=source, target=target, cost=cost, latency=latency, up=True)
+        link = Link(source=source, target=target, cost=cost, latency=latency)
         self._links[(source, target)] = link
         return link
 
@@ -106,7 +105,7 @@ class Network:
         self.stats.record(message)
         pair = (message.sender, receiver)
         link = self._links.get(pair)
-        latency = link.latency if link is not None and link.up else self._default_latency
+        latency = link.latency if link is not None else self._default_latency
         at = self.simulator.now + latency
         last_delivery = self._last_delivery
         previous = last_delivery.get(pair, at)

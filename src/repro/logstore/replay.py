@@ -118,9 +118,9 @@ class ReplaySession:
             )
         stop = self._stops[position]
         if self._result is None or position < self._position:
-            self._result = self._manager.rebuild(self._records, stop, "checkpoint", verify=True)
+            self._result = self._manager.rebuild(self._records, stop, "checkpoint")
         else:
-            replay(self._result, self._records[self._stops[self._position] : stop], verify=True)
+            replay(self._result, self._records[self._stops[self._position] : stop])
         self._position = position
         self._snapshot = take_snapshot(self._result.runtime)
         return self._snapshot

@@ -23,14 +23,13 @@ class TestTableMaintenance:
         assert sizes["ruleExec"] > 0
 
     def test_version_reads_are_pure_reads(self, ring_runtime):
-        # Reading versions, or the clock, of a vid no node stores must not
+        # Reading versions, or their statistics, of a vid no node stores must not
         # materialise a phantom partition that would show up in node_ids().
         provenance = ring_runtime.provenance
         before = provenance.node_ids()
         assert provenance.vid_version("no-such-vid") == 0
         assert "no-such-vid" not in provenance.vid_versions()
         provenance.vid_version_stats()
-        provenance.global_version()
         assert provenance.node_ids() == before
 
     def test_every_stored_fact_has_a_prov_entry(self, ring_runtime):
@@ -317,22 +316,22 @@ class TestPerVidVersions:
         assert provenance.vid_version(target_vid) == before
 
 
-class TestGlobalVersionIsTheWalkCount:
-    def test_global_version_counts_walks(self, ring_runtime):
+class TestVersionsAreWalkNumbers:
+    def test_flushes_count_walks(self, ring_runtime):
         provenance = ring_runtime.provenance
         # No version handed out yet: the churn before it walks nothing.
-        assert provenance.global_version() == provenance.vid_version_stats()["flushes"] == 0
+        assert provenance.vid_version_stats()["flushes"] == 0
         link_vid = provenance.vid_of("link", ["n0", "n1", 1.0])
         assert provenance.vid_version(link_vid) == 0
         ring_runtime.remove_link("n0", "n1")
         ring_runtime.run_to_quiescence()
-        assert provenance.global_version() == provenance.vid_version_stats()["flushes"] == 1
+        assert provenance.vid_version_stats()["flushes"] == 1
         # The window's walk stamped every vertex it visited with its number.
         assert set(provenance.vid_versions().values()) == {1}
-        ring_runtime.run_to_quiescence()  # nothing pending: no walk, the clock stands
-        assert provenance.global_version() == 1
+        ring_runtime.run_to_quiescence()  # nothing pending: no walk
+        assert provenance.vid_version_stats()["flushes"] == 1
 
     def test_fresh_engine_starts_at_zero(self):
         engine = ProvenanceEngine()
-        assert engine.global_version() == 0
+        assert engine.vid_version_stats()["flushes"] == 0
         assert engine.vid_version("anything") == 0

@@ -11,12 +11,8 @@ from repro.core.optimizations import (
 )
 
 
-def make_cache(current=None, clock=None, capacity=None):
-    """A cache over the *current* vid -> version map (every vid at version 1
-    when omitted) and the *clock* cell (a fresh one when omitted)."""
-    versions = current if current is not None else {}
-    cell = clock if clock is not None else [0]
-    cache = NodeQueryCache(lambda vid: versions.get(vid, 1), lambda: cell[0])
+def make_cache(capacity=None):
+    cache = NodeQueryCache()
     if capacity is not None:
         cache.capacity = capacity
     return cache
@@ -87,7 +83,7 @@ class TestNodeQueryCache:
         assert len(cache) == 0
 
 
-class TestCacheCapacityAndSweep:
+class TestCacheCapacity:
     def test_lru_eviction_order(self):
         cache = make_cache(capacity=2)
         options = QueryOptions(use_cache=True)
@@ -100,54 +96,31 @@ class TestCacheCapacityAndSweep:
         assert cache.lookup("vid_a", "lineage", options, version=1) == "A"
         assert cache.lookup("vid_c", "lineage", options, version=1) == "C"
 
-    def test_sweep_prefers_dead_entries_over_live_evictions(self):
-        current = {"vid_a": 1, "vid_b": 1, "vid_c": 1, "vid_d": 1}
-        clock = [0]
-        cache = make_cache(current, clock, capacity=3)
+    def test_dead_entries_wait_for_their_key_or_the_lru(self):
+        """The cache reads no versions: an entry whose vertex moved on stays
+        until its key is looked up again (a stale drop) or the LRU reaches it."""
+        cache = make_cache(capacity=3)
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=1, value="A")
         cache.store("vid_b", "lineage", options, version=1, value="B")
         cache.store("vid_c", "lineage", options, version=1, value="C")
-        current["vid_b"] = 2  # a walk moves vid_b's version: its entry is now dead
-        clock[0] += 1
-        cache.store("vid_d", "lineage", options, version=1, value="D")  # overflows
-        # The dead entry was swept; no live entry was sacrificed.
-        assert cache.stale_dropped == 1
-        assert cache.evictions == 0
-        assert len(cache) == 3
-        assert cache.lookup("vid_a", "lineage", options, version=1) == "A"
+        # vid_a's version moves on; nothing notices until a lookup or a store.
+        cache.store("vid_d", "lineage", options, version=1, value="D")  # the LRU takes vid_a
+        assert (cache.evictions, cache.stale_dropped, len(cache)) == (1, 0, 3)
+        assert cache.lookup("vid_b", "lineage", options, version=2) is None  # vid_b moved on
+        assert (cache.stale_dropped, len(cache)) == (1, 2)
+        assert cache.lookup("vid_c", "lineage", options, version=1) == "C"
 
-    def test_store_rejects_stillborn_entries(self):
-        """A tag already superseded by churn (capture-at-start race or an
-        in-flight reply) never occupies a slot."""
-        cache = make_cache({"vid_a": 5})
+    def test_stillborn_entry_is_never_served(self):
+        """A result stored under a tag churn already superseded (a traversal
+        that raced a delta, an in-flight reply) takes a slot but never
+        answers: the lookup at the current version drops it."""
+        cache = make_cache()
         options = QueryOptions(use_cache=True)
         cache.store("vid_a", "lineage", options, version=4, value="stale")
+        assert cache.lookup("vid_a", "lineage", options, version=5) is None
         assert len(cache) == 0
-        assert cache.stores == 0
-        assert cache.stale_dropped == 1
-
-    def test_manual_sweep_reports_drop_count(self):
-        current = {"vid_a": 4, "vid_b": 1}
-        clock = [0]
-        cache = make_cache(current, clock)
-        options = QueryOptions(use_cache=True)
-        cache.store("vid_a", "lineage", options, version=4, value="doomed")
-        cache.store("vid_b", "lineage", options, version=1, value="live")
-        current["vid_a"] = 5  # a walk moves vid_a's version after the store
-        clock[0] += 1
-        assert cache.sweep() == 1
-        assert len(cache) == 1
-        assert cache.stale_dropped == 1
-        assert cache.lookup("vid_b", "lineage", options, version=1) == "live"
-
-    def test_sweep_with_nothing_dead_is_noop(self):
-        clock = [0]
-        cache = make_cache(clock=clock)
-        cache.store("vid_a", "lineage", QueryOptions(), version=1, value="v")
-        clock[0] += 1
-        assert cache.sweep() == 0
-        assert len(cache) == 1
+        assert (cache.stores, cache.stale_dropped, cache.hits) == (1, 1, 0)
 
     def test_cache_within_capacity_never_evicts(self):
         cache = make_cache()
@@ -177,34 +150,3 @@ class TestCacheCapacityAndSweep:
             "stale_dropped": 0,
             "entries": 0,
         }
-
-    def test_sweep_skipped_while_clock_unchanged(self):
-        current = {"vid_a": 1, "vid_b": 1, "vid_c": 1}
-        probes = []
-
-        def version_fn(vid):
-            probes.append(vid)
-            return current[vid]
-
-        clock = [7]
-        cache = NodeQueryCache(version_fn, lambda: clock[0])
-        cache.capacity = 2
-        options = QueryOptions(use_cache=True)
-        cache.store("vid_a", "lineage", options, version=1, value="A")  # first sweep runs
-        baseline_probes = len(probes)
-        # While the clock is unchanged nothing can have died: each store
-        # pays exactly one O(1) validation probe, never an O(entries) sweep.
-        cache.store("vid_b", "lineage", options, version=1, value="B")
-        assert len(probes) == baseline_probes + 1
-        cache.store("vid_c", "lineage", options, version=1, value="C")  # overflow: LRU only
-        assert len(probes) == baseline_probes + 2
-        assert cache.evictions == 1
-        # Once the clock moves, sweeping resumes and reclaims dead entries
-        # instead of evicting live ones.
-        current["vid_b"] = 2  # vid_b's entry (still resident) dies
-        clock[0] = 8
-        cache.store("vid_a", "lineage", options, version=1, value="A2")
-        assert cache.stale_dropped == 1
-        assert cache.evictions == 1  # the freed slot came from the sweep
-        assert cache.lookup("vid_b", "lineage", options, version=1) is None
-        assert cache.lookup("vid_c", "lineage", options, version=1) == "C"

@@ -236,6 +236,33 @@ class TestAQueryThatRaises:
         assert again.value == clean.value
         assert again.stats == dataclasses.replace(clean.stats, latency=pytest.approx(clean.stats.latency))
 
+    @pytest.mark.parametrize("at", ["n2", None], ids=["remote", "home"])
+    @pytest.mark.parametrize("mode", ["participants", "derivation_count", "subgraph"])
+    def test_the_next_query_shares_no_frame_with_its_stragglers(self, mode, at):
+        """The failed lineage query's requests still in flight open frames
+        of their own, so the next query, of another mode and issued remotely
+        or at the tuple's home, answers what a fresh engine answers instead
+        of attaching to a lineage frame."""
+
+        def answer(engine):
+            value = getattr(engine, mode)("reach", ["n1", "n0"], at=at).value
+            if mode == "subgraph":
+                return sorted(map(str, value.tuple_vertices())), sorted(map(str, value.rule_exec_vertices()))
+            return value
+
+        def seeded():
+            runtime = NetTrailsRuntime(self.PROGRAM, topology.line(3))
+            runtime.insert_batch("edge", [["n0", "n1"], ["n1", "n0"], ["n1", "n2"], ["n2", "n1"]], run=True)
+            return runtime
+
+        fresh = answer(DistributedQueryEngine(seeded()))
+        runtime = seeded()
+        engine = DistributedQueryEngine(runtime)
+        runtime.insert("weight", ["n0", "n1", 0])
+        with pytest.raises(ZeroDivisionError):
+            engine.lineage("reach", ["n1", "n0"], at="n2")
+        assert answer(engine) == fresh
+
 
 class TestOptimizations:
     def test_cache_eliminates_messages_on_repeat(self, pathvector_line):

@@ -115,7 +115,7 @@ def assert_windows_match_oracle(runtime, windows):
         assert changed, "the window changed nothing; the schedule is too tame"
         # One walk per window: whatever the number of batches that touched
         # a vertex's subgraph, it reads the number of the window's walk.
-        walk = provenance.global_version()
+        walk = provenance.vid_version_stats()["flushes"]
         assert all(after[vid] == walk for vid in changed)
     stats = provenance.vid_version_stats()
     assert stats["sweeps"] == 0  # below the threshold, so no vid left the map
@@ -183,7 +183,7 @@ class TestMidWindowRead:
         stats = engine.vid_version_stats()
         assert (stats["pending"], stats["flushes"], stats["visited"]) == (1, 3, 3)
         assert engine.vid_versions() == {vid: 3}
-        assert engine.vid_version_stats()["flushes"] == engine.global_version() == 3  # nothing pending: no walk
+        assert engine.vid_version_stats()["flushes"] == 3  # nothing pending: no walk
 
     def test_only_a_handout_switches_versions_on(self):
         engine = ProvenanceEngine()
@@ -197,12 +197,12 @@ class TestMidWindowRead:
         )
         engine.apply_rule_exec_batch("a", (), [fact])
         assert not engine._pending_roots
-        # The caches' clock is the walk count: it stands still before a handout.
-        assert engine.global_version() == 0
+        # No walk before a handout.
+        assert engine.vid_version_stats()["flushes"] == 0
         assert engine.vid_version(vid) == 0  # the first handout: the changes before it count for nothing
         engine.apply_rule_exec_batch("a", (), [fact])
         assert engine.vid_version(vid) == 1
-        assert engine.vid_version_stats()["flushes"] == engine.global_version() == 1
+        assert engine.vid_version_stats()["flushes"] == 1
 
     def test_cached_query_racing_a_half_run_window(self):
         # ring(4): n0 reaches n2 at cost 2 through n1 and through n3, so the
@@ -228,7 +228,7 @@ class TestMidWindowRead:
 
         root_vid = provenance.vid_of("minCost", target)
         provenance.vid_version(root_vid)
-        walks_before = provenance.global_version()
+        walks_before = provenance.vid_version_stats()["flushes"]
         root_cache = engine.agent("n0").cache
 
         # Half a window: the retraction has been absorbed where the link
@@ -250,8 +250,10 @@ class TestMidWindowRead:
         assert engine.cache_totals()["stale_dropped"] > dropped
         # Two walks found the root's subgraph changed, the read at
         # half-window and one for the rest of it, and the root reads the
-        # second's number.  The result tagged with the half-window version
-        # was stillborn — it never entered the root's cache.
+        # second's number.  The racing result, tagged with the half-window
+        # version, is truncated (a firing it asked for was retracted in
+        # flight), so it never entered the root's cache.
+        assert racing.truncated
         assert provenance.vid_version(root_vid) == walks_before + 2
         assert root_cache.lookup(root_vid, "lineage", CACHED, walks_before + 1) is None
 

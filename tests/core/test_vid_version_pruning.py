@@ -1,25 +1,23 @@
-"""Regression tests for the pruning of the per-VID version map.
+"""Regression tests for the bound on the per-VID version map.
 
-Before the sweep existed, ``ProvenanceEngine._vid_versions`` grew without
+Before the bound existed, ``ProvenanceEngine._vid_versions`` grew without
 bound: every vid the reachability walk ever stamped kept its version
-forever, including vids of long-retracted tuples.  The sweep drops the
-versions of dead vids (no live uses, no live rule execution deriving them)
-once the map outgrows a threshold.  A version is the number of the walk
-that set it and walk numbers never repeat, so a later *rebirth* of the same
-vid is stamped above every version ever handed out — a pruned-then-reborn
-vid can never revalidate a stale cache entry.
+forever, including vids of long-retracted tuples.  Now a walk that leaves
+the map above a threshold clears it and raises a *floor* to its own number,
+which every unstamped vid then reads.  Every tag a cache holds was handed
+out before that walk, so it is below the floor and misses once; walk
+numbers never repeat, so a later *rebirth* of a vid is stamped above every
+version ever handed out as well.
 
-These tests force a tiny threshold so the sweep runs constantly under link
-flaps, and assert both the bookkeeping (entries bounded, sweeps counted)
+These tests force a tiny threshold so the map clears constantly under link
+flaps, and assert both the bookkeeping (entries bounded, clears counted)
 and the soundness contract (cached answers stay bit-identical to uncached
-traversals through prune/rebirth cycles).
+traversals through clear/rebirth cycles, also for an entry cached before
+any walk ran, at version 0).
 
-The reachability walk — and with it the sweep — runs once per quiescence
-window, when everything a plain down/up flap retracted has been re-derived
-and is live again.  So the churn here brings each link back at a *fresh*
-cost: the routes through it are minted under new vids and the old ones are
-still dead when the window ends, which is what gives the sweep something to
-prune; restoring the original costs afterwards is the rebirth.
+The churn brings each link back at a *fresh* cost: the routes through it
+are minted under new vids, so the map keeps outgrowing the threshold;
+restoring the original costs afterwards is the rebirth.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ import random
 
 from repro.core.optimizations import QueryOptions
 from repro.core.query import DistributedQueryEngine
+from repro.core.results import TupleRef
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.protocols import mincost
@@ -68,25 +67,25 @@ def fresh_cost_schedule(net, seed, steps):
 
 class TestVidVersionPruning:
     def test_sweep_bounds_the_version_map_under_churn(self):
+        """A walk that leaves the map above the threshold clears it, so
+        after every window the map holds at most the threshold, and each
+        clear dropped more than that."""
         net = topology.ring(5)
         runtime = build_runtime(net, threshold=8)
-        for source, target, _, fresh in fresh_cost_schedule(net, seed=7, steps=12):
-            flap(runtime, source, target, fresh)
-
-        stats = runtime.provenance.vid_version_stats()
-        assert stats["sweeps"] >= 1, stats
-        assert stats["pruned"] > 0, stats
-        # Every surviving version is the number of a walk that ran.
-        assert max(runtime.provenance.vid_versions().values()) <= runtime.provenance.global_version()
-        # Liveness bound: whatever survives the last sweep is at most the
-        # live vertex population (vids used by or derived by live execs),
-        # plus post-sweep churn capped by the geometric retrigger policy.
         provenance = runtime.provenance
-        live = 0
-        for node_id in provenance.node_ids():
-            entries = provenance.store(node_id).rule_execs()
-            live += len({child for entry in entries for child in entry.child_vids}) + len(entries)
-        assert stats["entries"] <= 2 * live + 16, (stats, live)
+        for source, target, _, fresh in fresh_cost_schedule(net, seed=7, steps=12):
+            runtime.remove_link(source, target)
+            runtime.run_to_quiescence()
+            assert provenance.vid_version_stats()["entries"] <= 8
+            runtime.add_link(source, target, fresh)
+            runtime.run_to_quiescence()
+            assert provenance.vid_version_stats()["entries"] <= 8
+
+        stats = provenance.vid_version_stats()
+        assert stats["sweeps"] >= 1, stats
+        assert stats["pruned"] >= 9 * stats["sweeps"], stats
+        # Every surviving version is the number of a walk that ran.
+        assert max(provenance.vid_versions().values(), default=0) <= stats["flushes"]
 
     def test_rebirth_after_prune_cannot_revalidate_stale_cache(self):
         """A cached answer taken before a prune/rebirth cycle must never be
@@ -126,11 +125,11 @@ class TestVidVersionPruning:
         assert answers() == before
 
     def test_a_reborn_vid_never_reads_a_version_of_its_past_life(self):
-        """``hop`` is derived from ``edge``, cached, retracted — the sweep
-        prunes its version, so it reads 0 — and re-derived from ``alt``.  The
-        reborn vertex must read a version no cache entry holds for it: a
-        counter restarted from 0 would climb back to the cached entry's tag
-        and serve the old lineage for the new derivation."""
+        """``hop`` is derived from ``edge``, cached, retracted — the clear
+        drops its version, so it reads the floor — and re-derived from
+        ``alt``.  The reborn vertex must read a version no cache entry holds
+        for it: a counter restarted from 0 would climb back to the cached
+        entry's tag and serve the old lineage for the new derivation."""
         program = """
             r1 hop(@D, S) :- edge(@S, D).
             r2 hop(@D, S) :- alt(@S, D).
@@ -145,10 +144,10 @@ class TestVidVersionPruning:
         first = engine.lineage("hop", ["n1", "n0"], options=CACHED)
         tag = provenance.vid_version(hop)  # the version the root's cache holds the entry under
         assert tag > 0
-        provenance._vid_version_sweep_threshold = 0  # the next walk sweeps
+        provenance._vid_version_sweep_threshold = 0  # the next walk clears the map
         runtime.delete("edge", ["n0", "n1"])
         runtime.run_to_quiescence()
-        assert hop not in provenance.vid_versions()  # swept: it reads 0
+        assert hop not in provenance.vid_versions()  # cleared: it reads the floor
         assert provenance.vid_version_stats()["pruned"] > 0
         runtime.insert("alt", ["n0", "n1"])
         runtime.run_to_quiescence()
@@ -157,6 +156,29 @@ class TestVidVersionPruning:
         uncached = engine.lineage("hop", ["n1", "n0"], options=UNCACHED)
         assert reborn.value == uncached.value != first.value
         assert reborn.stats.cache_hits == 0
+
+    def test_an_entry_cached_at_version_zero_misses_after_a_clear(self):
+        """The first version handed out is 0, so the cached lineage of
+        ``hop`` is tagged 0.  Deleting ``edge`` takes a derivation out of its
+        subgraph and the window's walk clears the map: ``hop`` must then
+        read the floor, not 0, or the old two-tuple lineage is served."""
+        runtime = NetTrailsRuntime("r1 hop(@D, S) :- edge(@S, D).", topology.line(2))
+        provenance = runtime.provenance
+        engine = DistributedQueryEngine(runtime)
+        runtime.insert("hop", ["n1", "n0"])
+        runtime.insert("edge", ["n0", "n1"])
+        runtime.run_to_quiescence()
+        first = engine.lineage("hop", ["n1", "n0"], options=CACHED)
+        assert provenance.vid_version_stats()["flushes"] == 0  # the tag is 0
+        assert len(first.value) == 2
+        provenance._vid_version_sweep_threshold = 0  # the next walk clears the map
+        runtime.delete("edge", ["n0", "n1"])
+        runtime.run_to_quiescence()
+        assert provenance.vid_version_stats()["sweeps"] == 1
+        cached = engine.lineage("hop", ["n1", "n0"], options=CACHED)
+        uncached = engine.lineage("hop", ["n1", "n0"], options=UNCACHED)
+        assert cached.value == uncached.value == frozenset({TupleRef("hop", ("n1", "n0"), "n1")})
+        assert cached.stats.cache_hits == 0
 
     def test_sweep_never_runs_below_threshold(self):
         runtime = build_runtime(topology.line(3), threshold=65536)

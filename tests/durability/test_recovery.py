@@ -275,6 +275,9 @@ class TestRecoveryManager:
             RecoveryManager(tmp_path).recover(mode="checkpoint", attach=False)
         with pytest.raises(DurabilityError, match="state digest"):
             RecoveryManager(tmp_path).recover(mode="genesis", attach=False)
+        # The check has no off switch: recovery takes no ``verify`` option.
+        with pytest.raises(TypeError, match="verify"):
+            RecoveryManager(tmp_path).recover(mode="checkpoint", attach=False, verify=False)
 
 
 def rewrite_init_knobs(durable_dir, **extra):

@@ -178,7 +178,6 @@ class TestServing:
         assert service.state("minCost") == replica.state("minCost")
         assert node_stats(service.runtime) == node_stats(replica.runtime)
         provenance = service.runtime.provenance
-        assert provenance.global_version() == provenance.vid_version_stats()["flushes"]
         assert provenance.vid_version_stats()["pending"] == 0
         service.close()
         replica.close()

@@ -60,20 +60,27 @@ def cached_query_sweep(engine, runtime, relation="minCost", limit=3):
 class TestCacheSoundnessUnderChurn:
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("topology_name", ["star", "as-level"])
-    def test_cached_answers_bit_identical_across_matrix(self, topology_name, seed):
+    @pytest.mark.parametrize("threshold", [None, 0], ids=["threshold-default", "threshold0"])
+    def test_cached_answers_bit_identical_across_matrix(self, topology_name, seed, threshold):
+        """With ``threshold`` 0 every walk clears the per-VID version map,
+        so every entry cached before a window is validated against the floor."""
         net = TOPOLOGIES[topology_name]()
         script = generate_churn_script(seed, net)
-        context = f"topology={topology_name} seed={seed} (NETTRAILS_CHURN_SEED={seed})"
+        context = f"topology={topology_name} seed={seed} threshold={threshold} (NETTRAILS_CHURN_SEED={seed})"
 
         runtime = build_variant(net)
+        if threshold is not None:
+            runtime.provenance._vid_version_sweep_threshold = threshold
         engine = DistributedQueryEngine(runtime)
         for step, op in enumerate(script):
             apply_op(runtime, op)
             assert cached_query_sweep(engine, runtime), f"{context} step={step} op={op}"
 
         # Non-vacuity: the schedule must actually exercise the cache, not
-        # just keep missing.
+        # just keep missing, and a zero threshold must clear the map.
         assert engine.cache_totals()["hits"] > 0, context
+        if threshold == 0:
+            assert runtime.provenance.vid_version_stats()["sweeps"] > 0, context
 
 
 class TestNoCacheNoWalk:
@@ -89,7 +96,6 @@ class TestNoCacheNoWalk:
             assert (stats["flushes"], stats["pending"], stats["entries"]) == (0, 0, 0), (seed, step)
             assert not provenance._pending_roots
         assert provenance.vid_versions() == {}
-        assert provenance.global_version() == 0  # the caches' clock: no walk, no tick
 
     def test_an_uncached_remote_root_never_walks(self):
         net = TOPOLOGIES["as-level"]()
