@@ -136,11 +136,11 @@ def collect_metrics() -> dict:
     metrics["e15.smoke.seconds"] = _metric(round(report["seconds"], 3), gate=False)
 
     # E17 — durability.  WAL shape and replay counts are deterministic and
-    # gated; every wall-clock figure (overhead ratio, recovery seconds,
-    # latency percentiles) is recorded ungated.  Three hard invariants: the
-    # journal is invisible on the wire, the no-fsync message-path overhead
-    # stays under 2.5x, and both recovery modes reproduce the uncrashed
-    # state bit-identically.
+    # gated; every timing figure (the median CPU-time overhead ratio and
+    # run seconds, recovery seconds, latency percentiles) is recorded
+    # ungated.  Three hard invariants: the journal is invisible on the wire,
+    # the no-fsync message-path overhead stays under 2.5x, and both recovery
+    # modes reproduce the uncrashed state bit-identically.
     scratch = tempfile.mkdtemp(prefix="nettrails-e17-")
     try:
         overhead = run_wal_overhead(durable_dir=os.path.join(scratch, "overhead"))

@@ -6,7 +6,14 @@ Three measurements pin the durability subsystem (``repro.durability``):
   and on a durable one (``wal_fsync=False``; the fsync barrier is a
   deployment knob, not a message-path cost).  Journalling must be invisible
   on the wire (bit-identical message/event counts) and cost **< 2.5x**
-  wall-clock on the message path.
+  on the message path: the median, over interleaved plain/durable repeats
+  that each start from a collected heap, of the durable run's CPU time over
+  the plain run's.  A single wall-clock pair of ~40-ms runs can read 5x when
+  one full garbage collection lands in the durable window.  The ratio
+  cannot see the journal itself: its ten small records are well under 1 %
+  of a run's CPU, so a WAL that serialised every record three times would
+  still read about 1.05x.  A second check counts the serialisations per
+  record instead, which is exact.
 * **Recovery time** — crash after the full history, then recover by genesis
   replay and by checkpoint bootstrap + tail replay; both must reproduce the
   uncrashed store and provenance bit-identically (the property oracle in
@@ -28,11 +35,16 @@ seconds, latency percentiles) is recorded ungated.
 from __future__ import annotations
 
 import copy
+import gc
+import json
+import os
 import random
+import statistics
 import threading
 import time
+from types import SimpleNamespace
 
-from repro.durability import RecoveryManager, ServiceRuntime, scan, wal_path
+from repro.durability import RecoveryManager, ServiceRuntime, scan, wal, wal_path
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
 from repro.errors import NetTrailsError
@@ -43,6 +55,8 @@ from repro.workloads.churn import ChurnBatch, apply_batch, random_link_churn
 
 SEED = 3
 STEPS = 8
+#: Interleaved plain/durable pairs behind the median overhead ratio.
+REPEATS = 5
 
 
 def churn_script(net, seed=SEED, steps=STEPS):
@@ -54,8 +68,12 @@ def churn_script(net, seed=SEED, steps=STEPS):
 
 
 def run_history(net, script, **knobs):
-    """Seed + replay the script; returns (runtime closed, flat counters)."""
-    started = time.perf_counter()
+    """Seed + replay the script; returns (runtime closed, flat counters).
+
+    ``seconds`` is the process CPU time of the run, after a full collection.
+    """
+    gc.collect()
+    started = time.process_time()
     with NetTrailsRuntime(mincost.SOURCE, copy.deepcopy(net), **knobs) as runtime:
         runtime.seed_links(run=True)
         for batch in script:
@@ -69,28 +87,36 @@ def run_history(net, script, **knobs):
                 for node in runtime.node_ids()
             ),
         }
-    counters["seconds"] = time.perf_counter() - started
+    counters["seconds"] = time.process_time() - started
     return counters
 
 
 def run_wal_overhead(dims=(8,), seed=SEED, steps=STEPS, durable_dir=None):
-    """Plain vs durable (no-fsync) replay of one churn history.
+    """Plain vs durable (no-fsync) replay of one churn history, ``REPEATS`` times.
 
-    ``durable_dir`` must be a fresh directory (the caller owns tmp cleanup).
-    Returns the plain/durable counter dicts plus WAL shape and the
-    wall-clock overhead ratio.
+    The plain and durable runs alternate, each durable one journalling into
+    its own subdirectory of ``durable_dir``, which must be a fresh directory
+    (the caller owns tmp cleanup).  Returns the first plain/durable counter
+    dicts with ``seconds`` replaced by the median CPU seconds of their side,
+    the WAL shape, and the overhead ratio: the median of the per-repeat
+    durable/plain CPU-time ratios.
     """
     net = topology.ring(*dims)
     script = churn_script(net, seed=seed, steps=steps)
-    plain = run_history(net, script)
-    durable = run_history(
-        net, script, durable_dir=durable_dir, wal_fsync=False
-    )
-    result = scan(wal_path(durable_dir))
+    plains, durables = [], []
+    for repeat in range(REPEATS):
+        plains.append(run_history(net, script))
+        durables.append(run_history(
+            net, script, durable_dir=os.path.join(durable_dir, f"repeat{repeat}"), wal_fsync=False
+        ))
+    ratios = [durable["seconds"] / max(plain["seconds"], 1e-9) for plain, durable in zip(plains, durables)]
+    plain = dict(plains[0], seconds=statistics.median(run["seconds"] for run in plains))
+    durable = dict(durables[0], seconds=statistics.median(run["seconds"] for run in durables))
+    result = scan(wal_path(os.path.join(durable_dir, "repeat0")))
     return {
         "plain": plain,
         "durable": durable,
-        "overhead_ratio": durable["seconds"] / max(plain["seconds"], 1e-9),
+        "overhead_ratio": statistics.median(ratios),
         "wal_records": len(result.records),
         "wal_bytes": result.total_bytes,
         "wal_ops": sum(
@@ -217,7 +243,7 @@ def test_e17_wal_overhead_stays_under_bound(tmp_path, record):
     assert outcome["durable"]["fingerprint_size"] == outcome["plain"]["fingerprint_size"]
     assert outcome["overhead_ratio"] < 2.5, (
         f"durable message path is {outcome['overhead_ratio']:.2f}x the plain "
-        "runtime (bound: 2.5x with wal_fsync=False)"
+        "runtime in median CPU time (bound: 2.5x with wal_fsync=False)"
     )
     assert outcome["wal_records"] == 1 + 1 + STEPS  # init + seed + churn windows
     record(
@@ -228,6 +254,22 @@ def test_e17_wal_overhead_stays_under_bound(tmp_path, record):
         overhead_ratio=round(outcome["overhead_ratio"], 2),
         wal_ops=outcome["wal_ops"],
     )
+
+
+def test_e17_wal_serialises_each_record_once(tmp_path, monkeypatch):
+    """One ``json.dumps`` per WAL record over a durable history."""
+    calls = []
+
+    def dumps(*args, **kwargs):
+        calls.append(1)
+        return json.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(wal, "json", SimpleNamespace(
+        dumps=dumps, loads=json.loads, JSONDecodeError=json.JSONDecodeError
+    ))
+    net = topology.ring(8)
+    run_history(net, churn_script(net), durable_dir=tmp_path, wal_fsync=False)
+    assert len(calls) == 1 + 1 + STEPS  # init + seed + churn windows
 
 
 def test_e17_recovery_is_identical_and_measured(tmp_path, record):

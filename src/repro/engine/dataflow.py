@@ -26,7 +26,7 @@ from repro.ndlog.ast import (
     Variable,
 )
 from repro.ndlog.functions import FunctionRegistry
-from repro.engine.tuples import Fact
+from repro.engine.tuples import Fact, _check_value
 
 Bindings = Dict[str, object]
 
@@ -194,11 +194,13 @@ def group_key_of(
 ) -> Tuple[object, ...]:
     """Return the group-by key of an aggregate head under *bindings*.
 
-    The key is the tuple of evaluated non-aggregate head terms, in order.
+    The key is the tuple of evaluated non-aggregate head terms, in order,
+    each validated as a ``Fact`` value after all are evaluated, as
+    :func:`instantiate_head` does.
     """
     key: List[object] = []
     for term in atom.terms:
         if isinstance(term, Aggregate):
             continue
         key.append(evaluate_term(term, bindings, registry))
-    return tuple(key)
+    return tuple(_check_value(value) for value in key)

@@ -50,7 +50,7 @@ from repro.ndlog.ast import Aggregate, Rule
 from repro.engine.compiler import CompiledProgram
 from repro.engine.joins import CompiledJoin
 from repro.engine.store import TupleStore
-from repro.engine.tuples import SLOTTED, Fact
+from repro.engine.tuples import SLOTTED, Fact, _check_value
 
 
 @dataclass(frozen=True, **SLOTTED)
@@ -125,7 +125,8 @@ class Firings:
         self.rules[firing_id] = rule_name
         self.heads[firing_id] = head
         self.bodies[firing_id] = body
-        for fact in set(body):
+        # A body fact that occurs twice finds its id already indexed.
+        for fact in body:
             _index_add(self.consumers, fact, firing_id)
 
     def remove(self, firing_id: str, head: Fact) -> None:
@@ -381,8 +382,8 @@ class LocalEvaluator:
     def _apply_firing(
         self, rule: Rule, head_values: Tuple[object, ...], body_facts: Tuple[Fact, ...]
     ) -> DerivationEffect:
-        """Record one firing of the non-aggregate *rule* and return its +1 effect."""
-        head_fact = Fact.make(rule.head.relation, head_values)
+        """Record one firing of the non-aggregate *rule*, whose join checked *head_values*; return its +1 effect."""
+        head_fact = Fact(rule.head.relation, head_values)
         head_location = self._compiled.catalog.location_of(head_fact)
         firing_id = self.derivation_id(rule.name, body_facts)
         self.firings.add(firing_id, rule.name, head_fact, body_facts)
@@ -452,7 +453,7 @@ class LocalEvaluator:
         # key reprs the (rule, group, body) triple, matching the historical
         # ``sorted(..., key=repr)`` order exactly.
         membership = (repr((rule_name, group_key, body_facts)), rule_name, group_key, body_facts)
-        for fact in set(body_facts):
+        for fact in body_facts:
             _index_add(self._fact_agg_entries, fact, membership)
         self._dirty_agg_groups.add(self._dirty_group_key(rule_name, group_key))
 
@@ -605,7 +606,7 @@ def _agg_head_fact(rule: Rule, group_key: Tuple, value: object) -> Fact:
     key_iter = iter(group_key)
     for term in rule.head.terms:
         if isinstance(term, Aggregate):
-            values.append(value)
+            values.append(_check_value(value))
         else:
             values.append(next(key_iter))
-    return Fact.make(rule.head.relation, values)
+    return Fact(rule.head.relation, tuple(values))

@@ -24,11 +24,15 @@ Three kinds of function are generated:
 Non-aggregate joins yield ``(head values, body facts)`` and skip bodies
 already in *seen* (the rule's live firings); aggregate joins yield
 ``(group key, aggregate value, body facts)``.  No bindings dict exists per
-firing.  ``F`` is the store's relation → facts map and ``ensure`` returns
-the index on a (relation, positions) pair, building it on first use (see
-:meth:`TupleStore.join_tables`).  Every candidate list is copied from the
-same index bucket in the same order as the interpreted join this replaced,
-so the firings and their ids are the same.
+firing.  Head values and group keys leave the join valid for a ``Fact``: a
+variable bound from a stored fact's slot was validated when that fact was
+made, and a scalar constant is valid, so only computed terms and tuple
+constants are checked, per firing, with ``_check`` (see
+:meth:`_Codegen.values`).  ``F`` is the store's relation → facts map and
+``ensure`` returns the index on a (relation, positions) pair, building it
+on first use (see :meth:`TupleStore.join_tables`).  Every candidate list
+is copied from the same index bucket in the same order as the interpreted
+join this replaced, so the firings and their ids are the same.
 
 Every variable binding and every assignment gets its own Python local, so
 an assignment that overwrites a variable (``X := X + 1``) never changes
@@ -50,10 +54,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import FunctionType
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, cast
 
 from repro.errors import EngineError
 from repro.engine.dataflow import condition_truth
+from repro.engine.tuples import SCALAR_TYPES, _check_value
 from repro.ndlog.ast import (
     Aggregate,
     Assignment,
@@ -137,6 +142,9 @@ class _Codegen:
         self.exclusions: Dict[str, str] = {}
         #: the candidate locals bound so far, which the body tuple names
         self.candidates: List[str] = []
+        #: locals bound from a stored fact's slots: values ``Fact.make``
+        #: already validated, which a head passes on unchecked
+        self.checked: Set[str] = set()
         self.fresh_names = 0
         self.start(f"def _join0({parameters}):")
 
@@ -204,6 +212,7 @@ class _Codegen:
                     self.emit(depth, f"if {env[term.name]} != {slot}: continue")
                 else:
                     env[term.name] = self.fresh()
+                    self.checked.add(env[term.name])
                     self.emit(depth, f"{env[term.name]} = {slot}")
             elif isinstance(term, Constant):
                 self.emit(depth, f"if {self.const(term.value)} != {slot}: continue")
@@ -295,21 +304,34 @@ class _Codegen:
             self.emit(depth + 1, "break")
             self.emit(depth, "if n: continue")
 
+    def values(self, depth: int, terms: Iterable[Term], env: Dict[str, str]) -> str:
+        """*terms* as a tuple display; all are evaluated before any is checked, as in ``instantiate_head``."""
+        values = []
+        for term in terms:
+            if isinstance(term, Variable) and term.name in env:
+                local = env[term.name]
+                values.append(local if local in self.checked else f"_check({local})")
+            elif isinstance(term, Constant):
+                const = self.const(term.value)
+                values.append(const if isinstance(term.value, SCALAR_TYPES) else f"_check({const})")
+            else:
+                name = self.fresh()
+                self.emit(depth, f"{name} = {self.expr(term, env)}")
+                values.append(f"_check({name})")
+        return "(" + "".join(f"{value}, " for value in values) + ")"
+
     def firing(self, depth: int, env: Dict[str, str], body: str) -> None:
         """Yield the firing: head values, or group key and aggregate value, and body."""
         rule = self.rule
         aggregate = rule.aggregate
         if aggregate is None:
-            head = "".join(f"{self.expr(term, env)}, " for term in rule.head.terms)
             self.emit(depth, f"body = {body}")
             self.emit(depth, "if body in seen: continue")
-            self.emit(depth, f"yield ({head}), body")
+            head = self.values(depth, rule.head.terms, env)
+            self.emit(depth, f"yield {head}, body")
             return
-        key = "".join(
-            f"{self.expr(term, env)}, "
-            for term in rule.head.terms
-            if not isinstance(term, Aggregate)
-        )
+        key_terms = [term for term in rule.head.terms if not isinstance(term, Aggregate)]
+        key = self.values(depth, key_terms, env)
         if aggregate.variable is None:
             value = "1"
         elif aggregate.variable in env:
@@ -317,13 +339,14 @@ class _Codegen:
         else:
             message = f"aggregate variable {aggregate.variable!r} is unbound in rule {rule.name!r}"
             value = f"_raise({message!r})"
-        self.emit(depth, f"yield ({key}), {value}, {body}")
+        self.emit(depth, f"yield {key}, {value}, {body}")
 
     def build(self, label: str, position: Optional[int], registry: FunctionRegistry) -> CompiledJoin:
         self.functions.append(self.prologue + self.lines)
         source = "\n".join(line for function in self.functions for line in function) + "\n"
         namespace: Dict[str, object] = {
             "_call": registry.call,
+            "_check": _check_value,
             "_truth": condition_truth,
             "_unbound": _unbound,
             "_raise": _raise,

@@ -126,52 +126,16 @@ class TupleStore:
 
     # -- mutation ----------------------------------------------------------------
 
-    def add_derivation(self, fact: Fact, derivation_id: Derivation) -> bool:
-        """Add one derivation of *fact*; return True when the fact is newly present."""
-        by_fact = self._facts.setdefault(fact.relation, {})
-        existing = by_fact.get(fact)
-        if existing is None:
-            if not by_fact:
-                self._relations_cache = None
-            by_fact[fact] = derivation_id
-            self._index_add(fact)
-            return True
-        if type(existing) is set:
-            existing.add(derivation_id)
-        elif existing != derivation_id:
-            by_fact[fact] = {existing, derivation_id}
-        return False
-
-    def remove_derivation(self, fact: Fact, derivation_id: Derivation) -> bool:
-        """Remove one derivation of *fact*; return True when the fact disappears.
-
-        Removing a derivation that is not present is a no-op returning False,
-        which makes retraction idempotent (retraction messages may race with
-        the derivations they cancel).
-        """
-        by_fact = self._facts.get(fact.relation)
-        if not by_fact or fact not in by_fact:
-            return False
-        derivations = by_fact[fact]
-        if type(derivations) is set:
-            derivations.discard(derivation_id)
-            if len(derivations) == 1:
-                (by_fact[fact],) = derivations
-            return False
-        if derivations != derivation_id:
-            return False
-        del by_fact[fact]
-        if not by_fact:
-            self._relations_cache = None
-        self._index_remove(fact)
-        return True
-
     def apply_delta_batch(
         self, deltas: Iterable[Tuple[int, Fact, Derivation]]
     ) -> Tuple[List[Fact], List[Fact], List[bool]]:
         """Apply an ordered batch of ``(sign, fact, derivation)`` deltas.
 
-        Returns ``(newly_present, disappeared, applied)``:
+        A +1 delta adds one derivation of its fact; a -1 delta removes one,
+        and removing a derivation that is not present is a no-op, which makes
+        retraction idempotent (retraction messages may race with the
+        derivations they cancel).  A fact is present while it has a
+        derivation.  Returns ``(newly_present, disappeared, applied)``:
 
         * *newly_present* / *disappeared* are the facts whose *net* presence
           changed over the whole batch, in first-transition order.  A fact
@@ -185,44 +149,49 @@ class TupleStore:
           present (a node marks the facts of the applied deltas as the
           roots of the provenance reachability walk).
         """
+        facts = self._facts
+        # fact -> present before the batch, in first-seen order
         before: Dict[Fact, bool] = {}
-        order: List[Fact] = []
         applied: List[bool] = []
         for sign, fact, derivation_id in deltas:
+            by_fact = facts.get(fact.relation)
+            existing = None if by_fact is None else by_fact.get(fact)
             if fact not in before:
-                before[fact] = self.contains(fact)
-                order.append(fact)
+                before[fact] = existing is not None
             if sign > 0:
-                self.add_derivation(fact, derivation_id)
                 applied.append(True)
+                if existing is None:
+                    if not by_fact:
+                        by_fact = facts.setdefault(fact.relation, {})
+                        self._relations_cache = None
+                    by_fact[fact] = derivation_id
+                    self._index_add(fact)
+                elif type(existing) is set:
+                    existing.add(derivation_id)
+                elif existing != derivation_id:
+                    by_fact[fact] = {existing, derivation_id}
+            elif type(existing) is set:
+                applied.append(derivation_id in existing)
+                existing.discard(derivation_id)
+                if len(existing) == 1:
+                    (by_fact[fact],) = existing
+            elif existing is not None and existing == derivation_id:
+                applied.append(True)
+                del by_fact[fact]
+                if not by_fact:
+                    self._relations_cache = None
+                self._index_remove(fact)
             else:
-                derivations = self._facts.get(fact.relation, {}).get(fact)
-                if type(derivations) is set:
-                    had = derivation_id in derivations
-                else:
-                    had = derivations is not None and derivations == derivation_id
-                self.remove_derivation(fact, derivation_id)
-                applied.append(had)
+                applied.append(False)
         newly_present: List[Fact] = []
         disappeared: List[Fact] = []
-        for fact in order:
-            now = self.contains(fact)
-            if now and not before[fact]:
+        for fact, was_present in before.items():
+            now = fact in facts.get(fact.relation, _NO_FACTS)
+            if now and not was_present:
                 newly_present.append(fact)
-            elif before[fact] and not now:
+            elif was_present and not now:
                 disappeared.append(fact)
         return newly_present, disappeared, applied
-
-    def remove_fact(self, fact: Fact) -> Set[Derivation]:
-        """Forcibly remove *fact*, returning the derivations it had."""
-        by_fact = self._facts.get(fact.relation)
-        if not by_fact or fact not in by_fact:
-            return set()
-        derivations = by_fact.pop(fact)
-        if not by_fact:
-            self._relations_cache = None
-        self._index_remove(fact)
-        return derivations if type(derivations) is set else {derivations}
 
     # -- scans and indexes ---------------------------------------------------------
 

@@ -179,15 +179,15 @@ class TestConsumerIndexShape:
     def test_derivations_of_a_fact_one_two_one_zero(self):
         store = TupleStore()
         fact = Fact.make("link", ["n0", "a"])
-        assert store.add_derivation(fact, "d1")
+        assert store.apply_delta_batch([(+1, fact, "d1")]) == ([fact], [], [True])
         assert store._facts["link"][fact] == "d1"
-        assert not store.add_derivation(fact, "d2")
+        assert store.apply_delta_batch([(+1, fact, "d2")]) == ([], [], [True])
         assert store._facts["link"][fact] == {"d1", "d2"}
         assert store.derivations(fact) == {"d1", "d2"} and store.derivation_count(fact) == 2
-        assert not store.remove_derivation(fact, "d1")
+        assert store.apply_delta_batch([(-1, fact, "d1")]) == ([], [], [True])
         assert store._facts["link"][fact] == "d2"
-        assert not store.remove_derivation(fact, "d1")  # absent: a no-op
-        assert store.remove_derivation(fact, "d2")
+        assert store.apply_delta_batch([(-1, fact, "d1")]) == ([], [], [False])  # absent: a no-op
+        assert store.apply_delta_batch([(-1, fact, "d2")]) == ([], [fact], [True])
         assert not store.contains(fact) and store.derivation_count(fact) == 0
 
     def test_firings_of_a_fact_retract_in_firing_id_order(self):
@@ -195,11 +195,11 @@ class TestConsumerIndexShape:
         store = TupleStore()
         evaluator = LocalEvaluator(compiled, store, "n0")
         link = Fact.make("link", ["n0", "a"])
-        store.add_derivation(link, "d")
+        store.apply_delta_batch([(+1, link, "d")])
         fired = [effect.firing_id for effect in evaluator.on_batch([link], [])]
         assert len(fired) == 2
         assert evaluator.firings.consumers[link] == set(fired)
-        store.remove_fact(link)
+        store.apply_delta_batch([(-1, link, "d")])
         retracted = evaluator.on_batch([], [link])
         assert [effect.firing_id for effect in retracted] == sorted(fired)
         assert all(effect.sign < 0 for effect in retracted)

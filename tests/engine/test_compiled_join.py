@@ -32,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EngineError, UnknownFunctionError
+from repro.errors import EngineError, SchemaError, UnknownFunctionError
 from repro.engine.compiler import compile_program
 from repro.engine.dataflow import (
     bound_positions,
@@ -47,6 +47,7 @@ from repro.engine.store import TupleStore
 from repro.engine.tuples import Fact
 from repro.legacy.proxy import LEGACY_PROGRAM_SOURCE
 from repro.ndlog.ast import Assignment, Condition
+from repro.ndlog.functions import default_registry
 from repro.ndlog.parser import parse_program
 from repro.protocols import distance_vector, dsr, mincost, path_vector, prefix_routing
 
@@ -183,10 +184,9 @@ def drive(compiled, store, script, batched):
                 effects.extend(evaluator.on_batch(newly_present, disappeared))
                 continue
             for sign, fact in step:
-                if sign > 0 and store.add_derivation(fact, "t"):
-                    effects.extend(evaluator.on_batch([fact], []))
-                elif sign < 0 and store.remove_fact(fact):
-                    effects.extend(evaluator.on_batch([], [fact]))
+                newly_present, disappeared, _ = store.apply_delta_batch([(sign, fact, "t")])
+                if newly_present or disappeared:
+                    effects.extend(evaluator.on_batch(newly_present, disappeared))
     except Exception as error:  # compared by type with the other evaluator's
         return effects, type(error)
     return effects, None
@@ -453,3 +453,81 @@ def test_a_batch_builds_exactly_the_indexes_its_joins_probe():
     probed = {probe for join in all_joins(compiled) for probe in join.probes}
     assert probed == {("a", (0,)), ("b", (0,))}
     assert set(store._indexes) == probed
+
+
+# -- validation at the boundary -----------------------------------------------------------
+#
+# A head value bound from a stored fact's slot was validated when that fact
+# was made, so the join passes it on; a computed head value is checked per
+# firing, in the join, and the evaluator builds the head ``Fact`` unchecked.
+
+
+def _registry():
+    registry = default_registry()
+    registry.register("f_dict", lambda value: {"value": value})
+    registry.register("f_list", lambda first, second: [first, second])
+    return registry
+
+
+def _fire(rule):
+    """The head values the one fact ``a(n0, 1, 2)`` makes *rule* derive."""
+    compiled = compile_program(parse_program(rule, name="boundary"), _registry(), validate=False)
+    store = TupleStore()
+    evaluator = LocalEvaluator(compiled, store, "n0")
+    newly_present, disappeared, _ = store.apply_delta_batch([(+1, Fact.make("a", ["n0", 1, 2]), "t")])
+    return [effect.head_fact.values for effect in evaluator.on_batch(newly_present, disappeared)]
+
+
+#: Each computed head term twice: in a plain head, and in an aggregate
+#: head's group key.
+BOUNDARY_HEADS = [("h(@S, {term})", ()), ("h(@S, {term}, count<*>)", (1,))]
+
+
+@pytest.mark.parametrize("head, tail", BOUNDARY_HEADS)
+@pytest.mark.parametrize(
+    "term, body",
+    [
+        ("f_dict(X)", ""),  # a function term
+        ("Z", ", Z := f_dict(X)"),  # an assignment result
+        ("[[1, 2], 3]", ""),  # a nested tuple constant
+    ],
+)
+def test_an_unsupported_head_value_still_raises_when_the_rule_fires(head, tail, term, body):
+    rule = f"r1 {head.format(term=term)} :- a(@S, X, Y){body}."
+    compile_program(parse_program(rule, name="boundary"), _registry(), validate=False)  # compiles
+    with pytest.raises(SchemaError):
+        _fire(rule)
+
+
+@pytest.mark.parametrize("head, tail", BOUNDARY_HEADS)
+@pytest.mark.parametrize("term, body", [("f_list(X, Y)", ""), ("Z", ", Z := f_list(X, Y)")])
+def test_a_list_head_value_becomes_a_tuple(head, tail, term, body):
+    values = _fire(f"r1 {head.format(term=term)} :- a(@S, X, Y){body}.")
+    assert values == [("n0", (1, 2)) + tail]
+    assert type(values[0][1]) is tuple
+
+
+def test_an_aggregate_value_is_checked_when_the_head_is_made():
+    with pytest.raises(SchemaError):
+        _fire("r1 h(@S, min<Z>) :- a(@S, X, Y), Z := f_dict(X).")
+    assert _fire("r1 h(@S, max<Z>) :- a(@S, X, Y), Z := f_list(X, Y).") == [("n0", (1, 2))]
+
+
+def test_an_evaluation_error_comes_before_an_invalid_head_value():
+    """As when the head is built by evaluating every term, then ``Fact.make``."""
+    with pytest.raises(ZeroDivisionError):
+        _fire("r1 h(@S, f_dict(X), X / 0) :- a(@S, X, Y).")
+
+
+def test_the_source_checks_only_computed_head_terms():
+    rule = 'r1 h(@S, X, 7, "s", 2.5, [1, 2], X + Y, f_list(X, Y), Z, W) :- a(@S, X, Y), Z := X, b(@S, W, _).'
+    compiled = compile_program(parse_program(rule, name="boundary"), _registry(), validate=False)
+    for join in all_joins(compiled):
+        (line,) = [line.strip() for line in join.source.splitlines() if line.strip().startswith("yield")]
+        head = line[len("yield ("):line.rindex("), body")].rstrip(", ").split(", ")
+        # S, X and W come from fact slots and 7, "s" and 2.5 are scalar
+        # constants; the tuple constant, X + Y, f_list(X, Y) and Z are checked
+        checked = [False] * 5 + [True] * 4 + [False]
+        assert [value.startswith("_check(") for value in head] == checked, line
+        assert head[2:6] == ["7", "'s'", "2.5", "_check(k0)"]
+        assert join.source.count("_check(") == 4

@@ -21,16 +21,13 @@ def make_evaluator(source, node="n0", name="test"):
 def insert(evaluator, store, fact):
     """Insert a fact as if the node had stored it, returning the effects of
     the one-fact batch."""
-    if store.add_derivation(fact, f"test:{fact}"):
-        return evaluator.on_batch([fact], [])
-    return []
+    newly_present, _, _ = store.apply_delta_batch([(+1, fact, f"test:{fact}")])
+    return evaluator.on_batch(newly_present, []) if newly_present else []
 
 
 def delete(evaluator, store, fact):
-    derivations = store.remove_fact(fact)
-    if derivations:
-        return evaluator.on_batch([], [fact])
-    return []
+    _, disappeared, _ = store.apply_delta_batch([(-1, fact, f"test:{fact}")])
+    return evaluator.on_batch([], disappeared) if disappeared else []
 
 
 def batch(evaluator, store, inserts=(), deletes=()):

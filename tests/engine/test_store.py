@@ -18,98 +18,110 @@ def link(a, b, c=1):
     return Fact.make("link", [a, b, c])
 
 
+def add(store, fact, derivation_id):
+    """Apply one +1 delta; True when *fact* is newly present."""
+    newly_present, _, _ = store.apply_delta_batch([(+1, fact, derivation_id)])
+    return newly_present == [fact]
+
+
+def remove(store, fact, derivation_id):
+    """Apply one -1 delta; True when *fact* disappears."""
+    _, disappeared, _ = store.apply_delta_batch([(-1, fact, derivation_id)])
+    return disappeared == [fact]
+
+
 class TestDerivationCounting:
     def test_add_first_derivation_reports_new(self, store):
-        assert store.add_derivation(link("a", "b"), "d1") is True
+        assert add(store, link("a", "b"), "d1") is True
         assert store.contains(link("a", "b"))
 
     def test_second_derivation_not_new(self, store):
-        store.add_derivation(link("a", "b"), "d1")
-        assert store.add_derivation(link("a", "b"), "d2") is False
+        add(store, link("a", "b"), "d1")
+        assert add(store, link("a", "b"), "d2") is False
         assert store.derivation_count(link("a", "b")) == 2
 
     def test_fact_survives_until_last_derivation_removed(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, "d1")
-        store.add_derivation(fact, "d2")
-        assert store.remove_derivation(fact, "d1") is False
+        add(store, fact, "d1")
+        add(store, fact, "d2")
+        assert remove(store, fact, "d1") is False
         assert store.contains(fact)
-        assert store.remove_derivation(fact, "d2") is True
+        assert remove(store, fact, "d2") is True
         assert not store.contains(fact)
 
     def test_removing_unknown_derivation_is_noop(self, store):
         fact = link("a", "b")
-        assert store.remove_derivation(fact, "ghost") is False
-        store.add_derivation(fact, "d1")
-        assert store.remove_derivation(fact, "ghost") is False
+        assert remove(store, fact, "ghost") is False
+        add(store, fact, "d1")
+        assert remove(store, fact, "ghost") is False
         assert store.contains(fact)
 
     def test_base_derivation_constant(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, BASE_DERIVATION)
+        add(store, fact, BASE_DERIVATION)
         assert BASE_DERIVATION in store.derivations(fact)
 
-    def test_remove_fact_returns_derivations(self, store):
+    def test_removing_every_derivation_in_one_batch_reports_the_fact_gone(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, "d1")
-        store.add_derivation(fact, "d2")
-        assert store.remove_fact(fact) == {"d1", "d2"}
+        add(store, fact, "d1")
+        add(store, fact, "d2")
+        assert store.apply_delta_batch([(-1, fact, "d1"), (-1, fact, "d2")]) == ([], [fact], [True, True])
         assert not store.contains(fact)
-        assert store.remove_fact(fact) == set()
+        assert store.apply_delta_batch([(-1, fact, "d1"), (-1, fact, "d2")]) == ([], [], [False, False])
 
     def test_same_derivation_added_twice_counts_once(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, "d1")
-        assert store.add_derivation(fact, "d1") is False
+        add(store, fact, "d1")
+        assert add(store, fact, "d1") is False
         assert store.derivation_count(fact) == 1
-        assert store.remove_derivation(fact, "d1") is True
+        assert remove(store, fact, "d1") is True
         assert not store.contains(fact)
 
     def test_dropping_back_to_one_derivation_keeps_the_survivor(self, store):
         fact = link("a", "b")
         for derivation_id in ("d1", "d2", "d3"):
-            store.add_derivation(fact, derivation_id)
-        store.remove_derivation(fact, "d1")
-        store.remove_derivation(fact, "d3")
+            add(store, fact, derivation_id)
+        remove(store, fact, "d1")
+        remove(store, fact, "d3")
         assert store.derivations(fact) == {"d2"}
         assert store.derivation_count(fact) == 1
         # The survivor alone keeps the fact; a stale id does not remove it.
-        assert store.remove_derivation(fact, "d1") is False
-        assert store.remove_derivation(fact, "d2") is True
+        assert remove(store, fact, "d1") is False
+        assert remove(store, fact, "d2") is True
         assert store.derivations(fact) == set()
 
 
 class TestScansAndIndexes:
     def test_facts_by_relation(self, store):
-        store.add_derivation(link("a", "b"), "d1")
-        store.add_derivation(link("a", "c"), "d2")
-        store.add_derivation(Fact.make("path", ["a", "c", 2]), "d3")
+        add(store, link("a", "b"), "d1")
+        add(store, link("a", "c"), "d2")
+        add(store, Fact.make("path", ["a", "c", 2]), "d3")
         assert len(list(store.facts("link"))) == 2
         assert store.count("link") == 2
         assert store.count() == 3
         assert store.relations() == ["link", "path"]
 
     def test_matching_uses_and_maintains_index(self, store):
-        store.add_derivation(link("a", "b"), "d1")
-        store.add_derivation(link("a", "c"), "d2")
-        store.add_derivation(link("b", "c"), "d3")
+        add(store, link("a", "b"), "d1")
+        add(store, link("a", "c"), "d2")
+        add(store, link("b", "c"), "d3")
         matched = list(store.matching("link", {0: "a"}))
         assert {fact.values[1] for fact in matched} == {"b", "c"}
         # Index maintained incrementally after insertion and deletion.
-        store.add_derivation(link("a", "d"), "d4")
+        add(store, link("a", "d"), "d4")
         assert len(list(store.matching("link", {0: "a"}))) == 3
-        store.remove_derivation(link("a", "b"), "d1")
+        remove(store, link("a", "b"), "d1")
         assert len(list(store.matching("link", {0: "a"}))) == 2
 
     def test_matching_on_multiple_positions(self, store):
-        store.add_derivation(link("a", "b", 1), "d1")
-        store.add_derivation(link("a", "b", 2), "d2")
+        add(store, link("a", "b", 1), "d1")
+        add(store, link("a", "b", 2), "d2")
         matched = list(store.matching("link", {0: "a", 1: "b"}))
         assert len(matched) == 2
         assert list(store.matching("link", {0: "a", 2: 2})) == [link("a", "b", 2)]
 
     def test_matching_empty_bound_scans_everything(self, store):
-        store.add_derivation(link("a", "b"), "d1")
+        add(store, link("a", "b"), "d1")
         assert list(store.matching("link", {})) == [link("a", "b")]
 
     def test_matching_unknown_relation_is_empty(self, store):
@@ -118,10 +130,10 @@ class TestScansAndIndexes:
     def test_prepared_index_agrees_with_full_scan(self, store):
         rng = random.Random(5)
         for n in range(60):
-            store.add_derivation(link(f"a{rng.randrange(4)}", f"b{n}", rng.randrange(3)), "d1")
+            add(store, link(f"a{rng.randrange(4)}", f"b{n}", rng.randrange(3)), "d1")
         store.prepare_index("link", (2, 0))
         for n in range(0, 60, 3):  # maintained after the build, too
-            store.remove_fact(next(iter(store.matching("link", {1: f"b{n}"}))))
+            remove(store, next(iter(store.matching("link", {1: f"b{n}"}))), "d1")
         for bound in ({0: "a1"}, {0: "a2", 2: 1}, {2: 0}):
             expected = {
                 fact
@@ -133,7 +145,7 @@ class TestScansAndIndexes:
     def test_fact_too_short_for_an_index_rejected(self, store):
         store.prepare_index("link", (3,))
         with pytest.raises(EngineError, match="arity"):
-            store.add_derivation(link("a", "b"), "d1")
+            add(store, link("a", "b"), "d1")
 
 
 class TestDeltaBatchTransitions:
@@ -177,7 +189,7 @@ class TestDeltaBatchTransitions:
 
     def test_delete_then_reinsert_within_a_batch_nets_out(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, "d1")
+        add(store, fact, "d1")
         assert store.apply_delta_batch([(-1, fact, "d1"), (+1, fact, "d2")]) == (
             [],
             [],
@@ -187,7 +199,7 @@ class TestDeltaBatchTransitions:
 
     def test_transitions_follow_first_touch_order(self, store):
         first, second, third = link("a", "b"), link("c", "d"), link("e", "f")
-        store.add_derivation(second, "d0")
+        add(store, second, "d0")
         newly, gone, _ = store.apply_delta_batch(
             [(+1, third, "d1"), (-1, second, "d0"), (+1, first, "d2"), (+1, third, "d3")]
         )
@@ -198,8 +210,8 @@ class TestDeltaBatchTransitions:
 class TestSnapshot:
     def test_snapshot_contains_counts(self, store):
         fact = link("a", "b")
-        store.add_derivation(fact, "d1")
-        store.add_derivation(fact, "d2")
+        add(store, fact, "d1")
+        add(store, fact, "d2")
         snapshot = store.snapshot()
         assert snapshot["link"] == [(("a", "b", 1), 2)]
 
@@ -208,9 +220,9 @@ class TestSnapshot:
         rows += [(Fact.make("path", ["a0", f"b{n}", n]), "d0") for n in range(5)]
         forward, backward = TupleStore(), TupleStore()
         for fact, derivation_id in rows:
-            forward.add_derivation(fact, derivation_id)
+            add(forward, fact, derivation_id)
         for fact, derivation_id in reversed(rows):
-            backward.add_derivation(fact, derivation_id)
+            add(backward, fact, derivation_id)
         assert forward.snapshot() == backward.snapshot()
 
 
@@ -219,7 +231,7 @@ class TestRelationsMemoization:
 
     def test_iteration_order_is_sorted_and_stable(self, store):
         for relation in ("path", "link", "minCost", "bestHop"):
-            store.add_derivation(Fact.make(relation, ["a", "b"]), "d1")
+            add(store, Fact.make(relation, ["a", "b"]), "d1")
         expected = ["bestHop", "link", "minCost", "path"]
         assert store.relations() == expected
         # Memoized call returns the same content, and the caller mutating the
@@ -229,19 +241,19 @@ class TestRelationsMemoization:
         assert store.relations() == expected
 
     def test_cache_tracks_empty_transitions(self, store):
-        store.add_derivation(link("a", "b"), "d1")
-        store.add_derivation(Fact.make("path", ["a", "b", 2]), "d2")
+        add(store, link("a", "b"), "d1")
+        add(store, Fact.make("path", ["a", "b", 2]), "d2")
         assert store.relations() == ["link", "path"]
         # Adding more facts to a non-empty relation keeps the cached answer.
-        store.add_derivation(link("a", "c"), "d3")
+        add(store, link("a", "c"), "d3")
         assert store.relations() == ["link", "path"]
         # Draining a relation removes it; re-populating restores it.
-        store.remove_derivation(link("a", "b"), "d1")
-        store.remove_derivation(link("a", "c"), "d3")
+        remove(store, link("a", "b"), "d1")
+        remove(store, link("a", "c"), "d3")
         assert store.relations() == ["path"]
-        store.add_derivation(link("x", "y"), "d4")
+        add(store, link("x", "y"), "d4")
         assert store.relations() == ["link", "path"]
-        store.remove_fact(Fact.make("path", ["a", "b", 2]))
+        remove(store, Fact.make("path", ["a", "b", 2]), "d2")
         assert store.relations() == ["link"]
 
     def test_empty_store_short_circuits(self):

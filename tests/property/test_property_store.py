@@ -28,10 +28,10 @@ class TestStoreInvariants:
         reference = {}
         for action, fact, derivation in operations:
             if action == "add":
-                store.add_derivation(fact, derivation)
+                store.apply_delta_batch([(+1, fact, derivation)])
                 reference.setdefault(fact, set()).add(derivation)
             else:
-                store.remove_derivation(fact, derivation)
+                store.apply_delta_batch([(-1, fact, derivation)])
                 reference.get(fact, set()).discard(derivation)
         for fact, derivations in reference.items():
             assert store.contains(fact) == bool(derivations)
@@ -45,10 +45,7 @@ class TestStoreInvariants:
         # Force index creation early so that it is maintained through the whole run.
         list(store.matching("link", {0: 0}))
         for action, fact, derivation in operations:
-            if action == "add":
-                store.add_derivation(fact, derivation)
-            else:
-                store.remove_derivation(fact, derivation)
+            store.apply_delta_batch([(+1 if action == "add" else -1, fact, derivation)])
         for value in range(4):
             indexed = set(store.matching("link", {0: value}))
             scanned = {fact for fact in store.facts("link") if fact.values[0] == value}
