@@ -24,6 +24,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -36,6 +37,29 @@ SIDES = ("parent", "change")
 #: ``runner(side, workload, seed)`` -> the last JSON line of ``bench/run.py``
 #: (keys ``correct``, ``attempted``, ``failed``, ``metrics``), plus ``exit``.
 Runner = Callable[[str, str, int], dict]
+
+#: Figures ``bench/run.py`` prints but leaves out of its JSON line: the raw
+#: (not speed-normalised) latencies and the speed factor itself, which moves
+#: with the work around it, so a latency claim is read both ways.
+PRINTED_METRICS = [
+    {"name": f"{kind}_p{q}_raw_ms", "unit": "ms", "better": "lower"}
+    for kind in ("commit", "query") for q in (50, 90)
+] + [{"name": "bench.host_speed", "unit": "ratio", "better": "lower"}]
+_RAW_LINE = re.compile(r"^\s*(commit|query)_p(50|90): [\d.]+ ms \(raw ([\d.]+) ms\)")
+_HOST_SPEED_LINE = re.compile(r"^\s*bench\.host_speed\s+([\d.]+) ratio")
+
+
+def printed_metrics(stdout: str) -> Dict[str, float]:
+    """The :data:`PRINTED_METRICS` read from one run's printed lines."""
+    found: Dict[str, float] = {}
+    for line in stdout.splitlines():
+        raw = _RAW_LINE.match(line)
+        if raw:
+            found[f"{raw.group(1)}_p{raw.group(2)}_raw_ms"] = float(raw.group(3))
+        speed = _HOST_SPEED_LINE.match(line)
+        if speed:
+            found["bench.host_speed"] = float(speed.group(1))
+    return found
 
 
 def pair_order(pair: int) -> Tuple[str, str]:
@@ -176,6 +200,7 @@ def bench_runner(directories: Dict[str, str]) -> Runner:
         )
         lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
         result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+        result["metrics"].update(printed_metrics(proc.stdout))
         result["exit"] = proc.returncode
         print(f"{workload} seed {seed} {side}: exit {proc.returncode}", file=sys.stderr, flush=True)
         return result
@@ -212,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ["git", "-C", repo, "rev-parse", args.parent], check=True, capture_output=True, text=True
     ).stdout.strip()
     with open(os.path.join(directories["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
-        metrics = json.load(handle)["end_to_end"]
+        metrics = json.load(handle)["end_to_end"] + PRINTED_METRICS
 
     runner = bench_runner(directories)
     runs: List[dict] = []

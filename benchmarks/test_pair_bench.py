@@ -9,6 +9,7 @@ from pair_bench import (
     claim_entry,
     claim_met,
     pair_order,
+    printed_metrics,
     quartiles,
     run_series,
     summarise,
@@ -81,3 +82,16 @@ def test_summary_and_claim():
     assert not claim_met(entry, "lower", 40)  # 3 wins in 4 pairs is below 9 in 10
     assert claim_met(dict(entry, change_wins=4), "lower", 40)
     assert not claim_met(dict(entry, change_wins=4), "lower", 60)
+
+
+def test_raw_latencies_and_the_speed_factor_are_read_from_the_printed_lines():
+    stdout = "\n".join([
+        "  query_p90_ms                   1.0944 ms",
+        "  commit_p50: 1.471 ms (raw 2.413 ms) over 120 samples, 87% of them within +-20% of it",
+        "  query_p90: 1.094 ms (raw 1.918 ms) over 1260 samples, 15% of them within +-20% of it",
+        "  bench.host_speed               1.6685 ratio  (reference unit 1.0000 ms; set-up ran at 2.0518)",
+        '{"correct": true}',
+    ])
+    assert printed_metrics(stdout) == {
+        "commit_p50_raw_ms": 2.413, "query_p90_raw_ms": 1.918, "bench.host_speed": 1.6685,
+    }

@@ -331,9 +331,20 @@ class ProvenanceGraph:
     # -- merging ---------------------------------------------------------------------------
 
     def merge(self, other: "ProvenanceGraph") -> None:
-        """Merge *other* into this graph (used when combining per-node fragments)."""
-        for vertex in other.tuple_vertices():
-            self.add_tuple(vertex)
+        """Merge *other* into this graph (used when combining per-node fragments).
+
+        The vertex maps combine in C, with :meth:`add_tuple`'s rule for a
+        vid that is base on one side and derived on the other applied to
+        the shared vids only.
+        """
+        tuples = self._tuples
+        theirs = other._tuples
+        clashes = [
+            vid for vid in tuples.keys() & theirs.keys() if tuples[vid].is_base != theirs[vid].is_base
+        ]
+        tuples.update(theirs)
+        for vid in clashes:
+            self.mark_base(vid)
         for exec_vertex in other.rule_exec_vertices():
             self.add_rule_exec(
                 exec_vertex,

@@ -132,10 +132,12 @@ class NodeProvenanceStore:
         self.node_id = node_id
         #: the live firings at this node, the ``ruleExec`` partition: empty
         #: until :meth:`ProvenanceEngine.attach` hands over the node's record
-        self.firings = Firings("", Catalog().location_of)
+        self.firings = Firings("")
         #: the node's tuple store, whose derivations are the ``prov`` rows
         self.tuples = TupleStore()
         self._facts: Dict[str, Fact] = {} if engine is None else engine.facts
+        #: the node a head fact is stored at: the engine's, shared by every store
+        self._location_of = Catalog().location_of if engine is None else engine._location_of
 
     # -- queries ------------------------------------------------------------------
 
@@ -171,7 +173,7 @@ class NodeProvenanceStore:
             firings.program_name,
             tuple([vid_for(fact) for fact in firings.bodies[rid]]),
             vid_for(head),
-            firings.location_of(head),
+            self._location_of(head),
         )
 
     def find_rule_exec(self, rid: str) -> Optional[Tuple[str, str, Tuple[str, ...]]]:
@@ -382,6 +384,7 @@ class ProvenanceEngine:
             return
         versions = self._vid_versions
         walk = self._reachability_flushes + 1
+        location_of = self._location_of
         seen: Set[str] = set()
         stack = [(home, fact, vid) for vid, (home, fact) in roots.items()]
         while stack:
@@ -397,7 +400,6 @@ class ProvenanceEngine:
             consumers = firings.consumers.get(fact)
             if consumers is None:
                 continue
-            location_of = firings.location_of
             for rid in (consumers,) if type(consumers) is str else consumers:
                 heads = firings.heads.get(rid)
                 if heads is None:

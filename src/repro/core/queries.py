@@ -22,7 +22,7 @@ answers every query type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Sequence
+from typing import Callable, FrozenSet, NamedTuple, Sequence
 
 from repro.core.graph import ProvenanceGraph, TupleVertex
 from repro.core.results import TupleRef
@@ -33,8 +33,7 @@ QUERY_COUNT = "count"
 QUERY_SUBGRAPH = "subgraph"
 
 
-@dataclass(frozen=True)
-class ExecRef:
+class ExecRef(NamedTuple):
     """A lightweight reference to a rule execution (passed to reducers)."""
 
     rid: str
@@ -73,18 +72,12 @@ class LineageReducer(QueryReducer):
         return frozenset({tuple_ref})
 
     def exec_value(self, exec_ref: ExecRef, child_values: Sequence[object]) -> FrozenSet[TupleRef]:
-        result: FrozenSet[TupleRef] = frozenset()
-        for value in child_values:
-            result |= value
-        return result
+        return frozenset().union(*child_values)
 
     def tuple_value(self, tuple_ref: TupleRef, derivation_values: Sequence[object]) -> FrozenSet[TupleRef]:
         if not derivation_values:
             return frozenset({tuple_ref})
-        result: FrozenSet[TupleRef] = frozenset()
-        for value in derivation_values:
-            result |= value
-        return result
+        return frozenset().union(*derivation_values)
 
     def size(self, value: object) -> int:
         return len(value)  # type: ignore[arg-type]
@@ -99,16 +92,10 @@ class ParticipantsReducer(QueryReducer):
         return frozenset({tuple_ref.location})
 
     def exec_value(self, exec_ref: ExecRef, child_values: Sequence[object]) -> FrozenSet[object]:
-        result: FrozenSet[object] = frozenset({exec_ref.location})
-        for value in child_values:
-            result |= value
-        return result
+        return frozenset((exec_ref.location,)).union(*child_values)
 
     def tuple_value(self, tuple_ref: TupleRef, derivation_values: Sequence[object]) -> FrozenSet[object]:
-        result: FrozenSet[object] = frozenset({tuple_ref.location})
-        for value in derivation_values:
-            result |= value
-        return result
+        return frozenset((tuple_ref.location,)).union(*derivation_values)
 
     def size(self, value: object) -> int:
         return len(value)  # type: ignore[arg-type]

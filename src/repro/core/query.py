@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import QueryError
 from repro.engine.messages import (
@@ -92,8 +91,7 @@ class _SlotIds:
         heapq.heappush(self._free, int(ident[len(self._prefix):]))
 
 
-@dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(NamedTuple):
     """A traversal step shipped to another node.
 
     ``trace`` is the requester's observability span context
@@ -103,6 +101,9 @@ class QueryRequest:
     :meth:`~repro.engine.messages.Message.size_estimate` — and with it the
     byte statistics of every determinism contract — is identical whether
     observability is enabled or not.
+
+    Requests, replies and their batches are named tuples: one is built per
+    query hop and lives until it is handled, so construction runs in C.
     """
 
     query_id: str
@@ -116,8 +117,8 @@ class QueryRequest:
     trace: Optional[Tuple[str, str]] = None
 
     def __repr__(self) -> str:
-        # Byte-identical to the generated dataclass repr before the trace
-        # field existed (wire-byte accounting must not see observability).
+        # ``Name(field=value, ...)`` without the trace field (wire-byte
+        # accounting must not see observability).
         return (
             f"QueryRequest(query_id={self.query_id!r}, request_id={self.request_id!r}, "
             f"kind={self.kind!r}, target={self.target!r}, mode={self.mode!r}, "
@@ -125,8 +126,7 @@ class QueryRequest:
         )
 
 
-@dataclass(frozen=True)
-class QueryRequestBatch:
+class QueryRequestBatch(NamedTuple):
     """Every traversal sub-request one node sends to one peer in one round.
 
     Parallel traversal (``TRAVERSAL_PARALLEL``) expands all alternative
@@ -139,13 +139,12 @@ class QueryRequestBatch:
     requests: Tuple[QueryRequest, ...]
 
     def __repr__(self) -> str:
-        # The dataclass repr's bytes without its recursion guard (this and
-        # the reply classes below are rendered for every message's size).
+        # Hand-written, as below: every message's size renders it, and an
+        # f-string beats the named tuple's %-formatted repr.
         return f"QueryRequestBatch(requests={self.requests!r})"
 
 
-@dataclass(frozen=True)
-class QueryReply:
+class QueryReply(NamedTuple):
     """The combined sub-result for one traversal step.
 
     It carries no version: a node that caches the answer to a remote root
@@ -168,8 +167,7 @@ class QueryReply:
         )
 
 
-@dataclass(frozen=True)
-class QueryReplyBatch:
+class QueryReplyBatch(NamedTuple):
     """The replies to a :class:`QueryRequestBatch`, shipped as one message."""
 
     replies: Tuple[QueryReply, ...]
@@ -487,13 +485,10 @@ class QueryAgent:
             # The firing was retracted while the query was in flight; report an
             # empty, truncated sub-result rather than failing the whole query.
             frame.truncated = True
-            frame.ref = ExecRef(rid=rid, rule_name="<retracted>", program_name="", location=self._node_id)
+            frame.ref = ExecRef(rid, "<retracted>", "", self._node_id)
         else:
-            rule_name, program_name, child_vids = row
-            frame.ref = ExecRef(
-                rid=rid, rule_name=rule_name, program_name=program_name, location=self._node_id
-            )
-            frame.subtasks = child_vids
+            rule_name, program_name, frame.subtasks = row
+            frame.ref = ExecRef(rid, rule_name, program_name, self._node_id)
         self._frame_span(frame, parent_span)
         self._run(frame)
 
@@ -763,10 +758,14 @@ class DistributedQueryEngine:
         options = options or QueryOptions.baseline()
         self.reducer(mode)  # validate the mode before doing any work
         fact = Fact.make(relation, values)
-        vid = vid_for(fact)
         location = self.runtime.compiled.catalog.location_of(fact)
         if location not in self.runtime.nodes:
             raise QueryError(f"tuple {fact} is located at unknown node {location!r}")
+        if self.runtime.simulator.pending_events:
+            # Deliver what is already in flight (churn, a failed query's
+            # stragglers) first: the query is billed only for its own traffic
+            # and answers over the state that traffic settles into.
+            self.runtime.run_to_quiescence()
         if not self.runtime.node(location).store.contains(fact):
             raise QueryError(f"tuple {fact} is not currently present at node {location!r}")
 
@@ -774,6 +773,18 @@ class DistributedQueryEngine:
             at = None
         elif at is not None and at not in self._agents:
             raise QueryError(f"query issued at unknown node {at!r}")
+        return self._traverse(fact, location, mode, options, at)
+
+    def _traverse(
+        self, fact: Fact, location: object, mode: str, options: QueryOptions, at: Optional[object]
+    ) -> QueryResult:
+        """Start the traversal of *fact* (stored at *location*) from *at*, or
+        from *location* when ``None``, and run the simulator to quiescence.
+
+        Whatever else is in flight is delivered by the same run and billed
+        to the query; :meth:`query` delivers it first.
+        """
+        vid = vid_for(fact)
         stats_before = self.runtime.network.stats.snapshot()
         time_before = self.runtime.simulator.now
         rounds_before = self.runtime.simulator.rounds
@@ -819,7 +830,7 @@ class DistributedQueryEngine:
         self._end_query_span(span, wall_start, mode, stats.messages, stats.rounds)
         return QueryResult(
             mode=mode,
-            root=TupleRef(relation=relation, values=fact.values, location=location),
+            root=TupleRef(relation=fact.relation, values=fact.values, location=location),
             root_vid=vid,
             value=value,
             truncated=truncated,

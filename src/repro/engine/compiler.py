@@ -23,6 +23,7 @@ Compilation performs, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NDlogValidationError
@@ -52,6 +53,12 @@ class CompiledProgram:
     #: blocks and the firings a deleted one unblocks.
     negation_joins: NegationTable = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
+
+    @cached_property
+    def head_locations(self) -> Dict[str, int]:
+        """Rule name -> the position of its head's location attribute,
+        which the evaluator reads a head's node from."""
+        return {rule.name: self.catalog.schema(rule.head.relation).location_index for rule in self.localized.rules}
 
     @property
     def rules(self) -> List[Rule]:

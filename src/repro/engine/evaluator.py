@@ -42,19 +42,17 @@ limitation that DRed-style maintenance addresses; see DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ndlog.ast import Aggregate, Rule
 from repro.engine.compiler import CompiledProgram
 from repro.engine.joins import CompiledJoin
 from repro.engine.store import TupleStore
-from repro.engine.tuples import SLOTTED, Fact, _check_value
+from repro.engine.tuples import Fact, _check_value
 
 
-@dataclass(frozen=True, **SLOTTED)
-class DerivationEffect:
+class DerivationEffect(NamedTuple):
     """One rule firing (+1) or retraction (-1) produced by the evaluator.
 
     ``firing_id`` identifies the derivation.  It is made once, when the rule
@@ -62,7 +60,8 @@ class DerivationEffect:
     runtime keeps provenance), and the same string is the key of the
     firing's record in :class:`Firings` (the ``ruleExec`` row at the
     executing node), the derivation id in the head node's store and the RID
-    of the head's ``prov`` row.
+    of the head's ``prov`` row.  An effect lives until its node has
+    dispatched it, so it is a named tuple, built in C.
     """
 
     sign: int
@@ -94,13 +93,11 @@ class Firings:
     mutated, so a shallow copy of the maps is an exact snapshot.
     """
 
-    __slots__ = ("program_name", "location_of", "rules", "heads", "bodies", "consumers")
+    __slots__ = ("program_name", "rules", "heads", "bodies", "consumers")
 
-    def __init__(self, program_name: str, location_of: Callable[[Fact], object]):
+    def __init__(self, program_name: str):
         #: the program every recorded rule belongs to
         self.program_name = program_name
-        #: the node a head fact is stored at (the catalog's location)
-        self.location_of = location_of
         #: firing id -> rule name; holds only strings, so the cyclic
         #: collector never scans it
         self.rules: Dict[str, str] = {}
@@ -207,6 +204,8 @@ class LocalEvaluator:
         #: The store's fact map and index getter, handed to every generated
         #: join.
         self._tables = store.join_tables()
+        #: rule name -> the position of its head's location attribute
+        self._head_locations = compiled.head_locations
         #: The RID function when the runtime keeps provenance, else ``None``
         #: (see :meth:`derivation_id`); one function shared by every node.
         self._derivation_ids = derivation_ids
@@ -214,7 +213,7 @@ class LocalEvaluator:
 
         #: Every live firing at this node, plain or aggregate (see
         #: :class:`Firings`).
-        self.firings = Firings(compiled.name, compiled.catalog.location_of)
+        self.firings = Firings(compiled.name)
         #: non-aggregate rule name -> body facts -> firing id; keyed by the
         #: firing's own body tuple, so no per-firing key object exists
         self._firing_by_body: Dict[str, Dict[Tuple[Fact, ...], str]] = {
@@ -383,18 +382,13 @@ class LocalEvaluator:
         self, rule: Rule, head_values: Tuple[object, ...], body_facts: Tuple[Fact, ...]
     ) -> DerivationEffect:
         """Record one firing of the non-aggregate *rule*, whose join checked *head_values*; return its +1 effect."""
+        rule_name = rule.name
         head_fact = Fact(rule.head.relation, head_values)
-        head_location = self._compiled.catalog.location_of(head_fact)
-        firing_id = self.derivation_id(rule.name, body_facts)
-        self.firings.add(firing_id, rule.name, head_fact, body_facts)
-        self._firing_by_body[rule.name][body_facts] = firing_id
+        firing_id = self.derivation_id(rule_name, body_facts)
+        self.firings.add(firing_id, rule_name, head_fact, body_facts)
+        self._firing_by_body[rule_name][body_facts] = firing_id
         return DerivationEffect(
-            sign=+1,
-            firing_id=firing_id,
-            rule_name=rule.name,
-            head_fact=head_fact,
-            head_location=head_location,
-            body_facts=body_facts,
+            +1, firing_id, rule_name, head_fact, head_values[self._head_locations[rule_name]], body_facts
         )
 
     def _retract_firing(self, firing_id: str) -> DerivationEffect:
@@ -406,12 +400,7 @@ class LocalEvaluator:
         firings.remove(firing_id, head_fact)
         self._firing_by_body[rule_name].pop(body_facts, None)
         return DerivationEffect(
-            sign=-1,
-            firing_id=firing_id,
-            rule_name=rule_name,
-            head_fact=head_fact,
-            head_location=self._compiled.catalog.location_of(head_fact),
-            body_facts=body_facts,
+            -1, firing_id, rule_name, head_fact, head_fact.values[self._head_locations[rule_name]], body_facts
         )
 
     # -- negation maintenance ------------------------------------------------------------
@@ -524,16 +513,9 @@ class LocalEvaluator:
         # The new head is recorded before the old one is dropped, so a firing
         # id the two share keeps its record (and its consumer index entries).
         self.firings.add(firing_id, rule.name, head_fact, contributing)
-        effects.append(
-            DerivationEffect(
-                sign=+1,
-                firing_id=firing_id,
-                rule_name=rule.name,
-                head_fact=head_fact,
-                head_location=self._compiled.catalog.location_of(head_fact),
-                body_facts=contributing,
-            )
-        )
+        effects.append(DerivationEffect(
+            +1, firing_id, rule.name, head_fact, head_fact.values[self._head_locations[rule.name]], contributing
+        ))
         if current is not None:
             # Emit the replacement *before* the retraction: downstream nodes
             # then see "new value arrives, old value leaves", which changes
@@ -556,12 +538,7 @@ class LocalEvaluator:
         body_facts = self.firings.bodies[firing_id]
         self.firings.remove(firing_id, head_fact)
         return DerivationEffect(
-            sign=-1,
-            firing_id=firing_id,
-            rule_name=rule.name,
-            head_fact=head_fact,
-            head_location=self._compiled.catalog.location_of(head_fact),
-            body_facts=body_facts,
+            -1, firing_id, rule.name, head_fact, head_fact.values[self._head_locations[rule.name]], body_facts
         )
 
 

@@ -9,10 +9,9 @@ queries with and without the ExSPAN optimisations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from repro.engine.tuples import SLOTTED, Fact
+from repro.engine.tuples import Fact
 
 #: Message categories used for traffic accounting.
 CATEGORY_TUPLE = "tuple"
@@ -21,8 +20,7 @@ CATEGORY_PROVENANCE_REPLY = "provenance-reply"
 CATEGORY_CONTROL = "control"
 
 
-@dataclass(frozen=True, **SLOTTED)
-class TupleDelta:
+class TupleDelta(NamedTuple):
     """Payload announcing the insertion (+1) or retraction (-1) of a derivation.
 
     Apart from its sign, a delta is the receiver's ``prov(@Loc, VID, RID,
@@ -32,6 +30,9 @@ class TupleDelta:
     Loc)``.  ``rloc`` is ``None`` whenever the runtime keeps no provenance,
     in which case a derived delta's id is a per-node counter and no RID
     exists.
+
+    Deltas, batches and messages are named tuples: one is built per delta
+    or per message and lives until its drain, so construction runs in C.
     """
 
     sign: int
@@ -44,18 +45,16 @@ class TupleDelta:
         return f"{symbol}{self.fact} [{self.derivation_id}]"
 
     def __repr__(self) -> str:
-        # Byte-identical to the dataclass-generated repr, minus its
-        # recursion-guard wrapper: message size accounting reprs every
-        # shipped payload, so the guard shows up on the hot path.
+        # The ``Name(field=value, ...)`` bytes the wire size is counted in;
+        # cheaper than the named tuple's own %-formatted repr.
         return (
-            f"{self.__class__.__qualname__}(sign={self.sign!r}, "
+            f"TupleDelta(sign={self.sign!r}, "
             f"fact={self.fact!r}, derivation_id={self.derivation_id!r}, "
             f"rloc={self.rloc!r})"
         )
 
 
-@dataclass(frozen=True, **SLOTTED)
-class TupleDeltaBatch:
+class TupleDeltaBatch(NamedTuple):
     """A batch of tuple deltas shipped to one destination in a single message.
 
     Batch-first execution groups every delta a node produces for the same
@@ -71,13 +70,11 @@ class TupleDeltaBatch:
         return f"batch[{', '.join(str(delta) for delta in self.deltas)}]"
 
     def __repr__(self) -> str:
-        # See TupleDelta.__repr__: same bytes as the dataclass repr,
-        # without the per-call recursion-guard wrapper.
-        return f"{self.__class__.__qualname__}(deltas={self.deltas!r})"
+        # See TupleDelta.__repr__.
+        return f"TupleDeltaBatch(deltas={self.deltas!r})"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A point-to-point message with a category used for traffic accounting."""
 
     sender: object

@@ -172,7 +172,7 @@ class Node:
 
     def send(self, receiver: object, category: str, payload: object) -> None:
         """Send an arbitrary message to another node through the network."""
-        self.network.send(Message(sender=self.id, receiver=receiver, category=category, payload=payload))
+        self.network.send(Message(self.id, receiver, category, payload))
 
     # -- message reception -------------------------------------------------------
 
@@ -277,34 +277,34 @@ class Node:
 
     def _dispatch_effects(self, effects: List[DerivationEffect]) -> None:
         """Turn evaluator effects into queue pushes and outgoing deltas."""
+        # Destination -> its deltas, in first-seen order (deterministic).
         outgoing: Dict[object, List[TupleDelta]] = {}
-        destinations: List[object] = []  # deterministic first-seen order
+        queue = self._queue
+        node_id = self.id
         rloc = self._rloc
-        for effect in effects:
-            if effect.sign > 0:
-                self.stats.rule_firings += 1
-            else:
-                self.stats.rule_retractions += 1
-            delta = TupleDelta(effect.sign, effect.head_fact, effect.firing_id, rloc)
-            if effect.head_location == self.id:
-                self._queue.append(delta)
+        firings = local = 0
+        for sign, firing_id, _, head_fact, head_location, _ in effects:
+            if sign > 0:
+                firings += 1
+            delta = TupleDelta(sign, head_fact, firing_id, rloc)
+            if head_location == node_id:
+                local += 1
+                queue.append(delta)
                 continue
-            self.stats.deltas_sent += 1
-            if effect.head_location not in outgoing:
-                destinations.append(effect.head_location)
-            outgoing.setdefault(effect.head_location, []).append(delta)
-
-        for destination in destinations:
-            deltas = outgoing[destination]
-            self.stats.messages_sent += 1
-            self.network.send(
-                Message(
-                    sender=self.id,
-                    receiver=destination,
-                    category=CATEGORY_TUPLE,
-                    payload=deltas[0] if len(deltas) == 1 else TupleDeltaBatch(tuple(deltas)),
-                )
-            )
+            deltas = outgoing.get(head_location)
+            if deltas is None:
+                outgoing[head_location] = [delta]
+            else:
+                deltas.append(delta)
+        stats = self.stats
+        stats.rule_firings += firings
+        stats.rule_retractions += len(effects) - firings
+        stats.deltas_sent += len(effects) - local
+        stats.messages_sent += len(outgoing)
+        for destination, deltas in outgoing.items():
+            self.network.send(Message(
+                node_id, destination, CATEGORY_TUPLE, deltas[0] if len(deltas) == 1 else TupleDeltaBatch(tuple(deltas))
+            ))
 
     # -- observability -----------------------------------------------------------
 

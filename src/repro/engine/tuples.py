@@ -11,19 +11,10 @@ runtime uses for key-based overwrite semantics on base relations.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.errors import SchemaError
-
-#: ``dataclass(**SLOTTED)`` makes hot dataclasses ``__slots__``-backed where
-#: the interpreter supports it (3.10+).  Slots shrink the per-instance
-#: footprint and take the objects' ``__dict__``s off the GC's plate, which
-#: is a measurable share of the join inner loop (see
-#: ``docs/performance.md`` § Single-core performance); on 3.9 the classes
-#: fall back to plain dataclasses with identical behaviour.
-SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 #: Types allowed as attribute values.
 SCALAR_TYPES = (int, float, str, bool)

@@ -23,7 +23,6 @@ import gc
 from repro.core.keys import BASE_RID, vid_for
 from repro.core.maintenance import NodeProvenanceStore, ProvenanceEngine
 from repro.engine import topology
-from repro.engine.catalog import Catalog
 from repro.engine.compiler import compile_program
 from repro.engine.evaluator import Firings, LocalEvaluator
 from repro.engine.store import BASE_DERIVATION, TupleStore
@@ -122,7 +121,7 @@ class TestConsumerIndexShape:
         """A fact consumed by 1 -> 2 -> 1 -> 0 firings is a bare id, then a
         set, then a bare id again, then gone; ``consumers_of`` is the sorted
         id list throughout and retraction stays a plain removal."""
-        firings = Firings("p", Catalog().location_of)
+        firings = Firings("p")
         child, other = fact("child"), fact("other")
         firings.add("rid_b", "r", fact("head_b"), (child,))
         assert firings.consumers[child] == "rid_b"
@@ -142,7 +141,7 @@ class TestConsumerIndexShape:
         assert firings.rules == firings.heads == firings.bodies == {}
 
     def test_repeated_child_and_repeated_firing_keep_one_member(self):
-        firings = Firings("p", Catalog().location_of)
+        firings = Firings("p")
         child, head = fact("child"), fact("head")
         firings.add("rid_a", "r", head, (child, child))
         firings.add("rid_a", "r", head, (child, child))
@@ -210,7 +209,7 @@ class TestConsumerIndexShape:
         insertion order, a base derivation is its ``(BASE, Loc)`` row, and a
         retraction leaves the rest in that order."""
         engine, tuples = ProvenanceEngine(), TupleStore()
-        engine.attach("n0", Firings("p", Catalog().location_of), tuples)
+        engine.attach("n0", Firings("p"), tuples)
         store = engine.store("n0")
         row_fact = fact("row")
         vid = vid_for(row_fact)

@@ -1,5 +1,8 @@
 """Tests for the in-memory provenance graph model."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.errors import UnknownVertexError
@@ -135,3 +138,78 @@ class TestTraversals:
         other.merge(diamond)
         assert other.tuple_count == 5
         assert other.derivation_count("derived") == 2
+
+
+def _reference_merge(graph, other):
+    """The per-vertex merge that ``ProvenanceGraph.merge`` replaced, kept as its oracle."""
+    for vertex in other.tuple_vertices():
+        graph.add_tuple(vertex)
+    for exec_vertex in other.rule_exec_vertices():
+        graph.add_rule_exec(exec_vertex, other.input_vids_of(exec_vertex.rid), other.output_of(exec_vertex.rid).vid)
+
+
+def _shape(graph):
+    """Vertices with their flags, rule executions and every edge list, in order."""
+    vids = [vertex.vid for vertex in graph.tuple_vertices()]
+    return (
+        graph.tuple_vertices(),
+        graph.rule_exec_vertices(),
+        {
+            rule.rid: (graph.input_vids_of(rule.rid), graph.output_of(rule.rid).vid)
+            for rule in graph.rule_exec_vertices()
+        },
+        {vid: [rule.rid for rule in graph.derivations_of(vid)] for vid in vids},
+        {vid: [rule.rid for rule in graph.uses_of(vid)] for vid in vids},
+        graph.edge_count,
+    )
+
+
+class TestMergeAgainstPerVertexMerge:
+    @pytest.fixture(scope="class")
+    def fragments(self):
+        """Fragments cut from a MINCOST graph: two rooted subgraphs that
+        share vertices and carry rule executions, two flat fragments that
+        flip a vertex's base flag each way, and an empty graph."""
+        from repro.engine import topology
+        from repro.protocols import mincost
+
+        full = mincost.setup(topology.ring(5)).provenance.build_graph()
+        derived = [vertex for vertex in full.find_tuples("minCost") if full.derivations_of(vertex.vid)]
+        far, near = derived[-1], derived[0]
+        deep = full.subgraph_rooted_at(far.vid)
+        shallow = full.subgraph_rooted_at(near.vid)
+        assert deep.rule_exec_count and shallow.rule_exec_count and deep.edge_count
+        base = next(vertex for vertex in deep.tuple_vertices() if vertex.is_base)
+        inner = next(vertex for vertex in deep.tuple_vertices() if not vertex.is_base)
+        flipped_to_base = ProvenanceGraph()
+        flipped_to_base.add_tuple(dataclasses.replace(inner, is_base=True))
+        flipped_to_base.add_tuple(next(vertex for vertex in shallow.tuple_vertices() if vertex.is_base))
+        flipped_to_derived = ProvenanceGraph()
+        flipped_to_derived.add_tuple(dataclasses.replace(base, is_base=False))
+        return [deep, shallow, flipped_to_base, flipped_to_derived, ProvenanceGraph()]
+
+    def test_every_merge_order_matches_the_per_vertex_merge(self, fragments):
+        for order in itertools.permutations(range(len(fragments))):
+            merged, reference = ProvenanceGraph(), ProvenanceGraph()
+            for index in order:
+                merged.merge(fragments[index])
+                _reference_merge(reference, fragments[index])
+            assert _shape(merged) == _shape(reference), order
+
+    def test_a_vid_base_on_one_side_is_base_after_the_merge(self, fragments):
+        deep, _, flipped_to_base, flipped_to_derived, empty = fragments
+        for left, right in ((deep, flipped_to_base), (flipped_to_base, deep), (deep, flipped_to_derived)):
+            merged = ProvenanceGraph()
+            merged.merge(left)
+            merged.merge(right)
+            shared = {vertex.vid for vertex in left.tuple_vertices()} & {
+                vertex.vid for vertex in right.tuple_vertices()
+            }
+            assert shared
+            for vid in shared:
+                assert merged.tuple_vertex(vid).is_base == (
+                    left.tuple_vertex(vid).is_base or right.tuple_vertex(vid).is_base
+                )
+        merged = ProvenanceGraph()
+        merged.merge(empty)
+        assert _shape(merged) == _shape(empty)

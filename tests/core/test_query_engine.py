@@ -230,7 +230,9 @@ class TestAQueryThatRaises:
             engine.lineage("reach", ["n1", "n0"], at="n2")
         straggled = engine.lineage("reach", ["n1", "n0"], at="n2")
         assert straggled.value == clean.value
-        assert straggled.stats.messages == 6  # its own 4 and the failed query's last 2
+        # the failed query's last 2 messages land before this query starts
+        assert straggled.stats == dataclasses.replace(clean.stats, latency=pytest.approx(clean.stats.latency))
+        assert straggled.stats.messages == 4
         assert engine._completions == {} and engine._abandoned == set()
         again = engine.lineage("reach", ["n1", "n0"], at="n2")
         assert again.value == clean.value
@@ -262,6 +264,25 @@ class TestAQueryThatRaises:
         with pytest.raises(ZeroDivisionError):
             engine.lineage("reach", ["n1", "n0"], at="n2")
         assert answer(engine) == fresh
+
+
+class TestAQueryIsBilledForItsOwnTraffic:
+    def test_churn_in_flight_is_delivered_before_the_query_is_billed(self):
+        """A link inserted without a run leaves protocol messages queued; the
+        next query delivers them before it takes its stats snapshot, so a
+        home query whose derivation is local still bills nothing."""
+        runtime = mincost.setup(topology.ring(8))
+        engine = DistributedQueryEngine(runtime)
+        quiescent = engine.lineage("minCost", ["n0", "n1", 1.0])
+        assert (quiescent.stats.messages, quiescent.stats.bytes, quiescent.stats.rounds) == (0, 0, 0)
+        runtime.insert("link", ["n3", "n6", 1])
+        assert runtime.simulator.pending_events > 0
+        pending = engine.lineage("minCost", ["n0", "n1", 1.0])
+        assert runtime.simulator.pending_events == 0
+        assert pending.value == quiescent.value
+        # Billing the churn read 5 messages, 1,966 B and 3 rounds here.
+        assert pending.stats == quiescent.stats
+        assert ("n3", "n6", 1.0) in {tuple(row) for row in runtime.state("minCost")}
 
 
 class TestOptimizations:
@@ -435,28 +456,43 @@ class TestOptimizations:
 
 class TestWireReprs:
     """Message sizes are ``len(repr(payload))``: the hand-written reprs of the
-    query payloads must render the bytes the generated dataclass repr would."""
+    query payloads are wire bytes.  The literals are the dataclass-format
+    bytes the payloads rendered before they became named tuples."""
 
-    @staticmethod
-    def _generated_repr(instance):
-        cls = type(instance)
-        fields = dataclasses.fields(cls)
-        twin = dataclasses.make_dataclass(cls.__qualname__, [(f.name, f.type) for f in fields])
-        return repr(twin(*(getattr(instance, f.name) for f in fields)))
+    REF = "TupleRef(relation='link', values=('n0', 'n1', 1.0), location='n0')"
+    OPTIONS = "QueryOptions(use_cache=True, traversal='sequential', threshold=3, max_depth=None)"
+    REQUEST = (
+        "QueryRequest(query_id='query1', request_id='n0/r1', kind='exec', target='rid_1', "
+        f"mode='lineage', options={OPTIONS}, depth=2, reply_to='n0')"
+    )
+    REPLY = (
+        f"QueryReply(query_id='query1', request_id='n0/r1', value=frozenset({{{REF}}}), "
+        "truncated=False, visited=frozenset({'n0'}), cache_hits=1)"
+    )
 
     def test_reprs_match_the_generated_ones(self):
         ref = TupleRef("link", ("n0", "n1", 1.0), "n0")
         options = QueryOptions(use_cache=True, traversal="sequential", threshold=3)
-        request = QueryRequest("query1", "n0/r1", "exec", "rid_1", "lineage", options, 2, "n0")
+        # the trace is set but never rendered: observability ships no bytes
+        request = QueryRequest(
+            "query1", "n0/r1", "exec", "rid_1", "lineage", options, 2, "n0", ("query7", "span3")
+        )
         reply = QueryReply("query1", "n0/r1", frozenset({ref}), False, frozenset({"n0"}), 1)
-        for payload in (
-            ref,
-            options,
-            reply,
-            QueryReplyBatch((reply, reply)),
-            QueryRequestBatch((request, request)),
-        ):
-            assert repr(payload) == self._generated_repr(payload)
+        assert repr(ref) == self.REF
+        assert repr(options) == self.OPTIONS
+        assert repr(request) == self.REQUEST
+        assert repr(request._replace(trace=None)) == self.REQUEST
+        assert repr(reply) == self.REPLY
+        assert repr(QueryRequestBatch((request, request))) == (
+            f"QueryRequestBatch(requests=({self.REQUEST}, {self.REQUEST}))"
+        )
+        assert repr(QueryReplyBatch((reply, reply))) == f"QueryReplyBatch(replies=({self.REPLY}, {self.REPLY}))"
+        assert QueryRequest._fields == (
+            "query_id", "request_id", "kind", "target", "mode", "options", "depth", "reply_to", "trace"
+        )
+        assert QueryRequestBatch._fields == ("requests",)
+        assert QueryReply._fields == ("query_id", "request_id", "value", "truncated", "visited", "cache_hits")
+        assert QueryReplyBatch._fields == ("replies",)
 
     def test_tuple_ref_vid_memo_is_invisible(self):
         plain = TupleRef("link", ("n0", "n1", 1.0), "n0")

@@ -54,7 +54,7 @@ def eager_closure(provenance, roots):
         firings = store.firings
         for rid in firings.consumers_of(fact):
             for head in firings.heads_of(rid):
-                stack.append((firings.location_of(head), head))
+                stack.append((provenance.compiled.catalog.location_of(head), head))
     return seen
 
 
@@ -241,10 +241,12 @@ class TestMidWindowRead:
 
         # The root's lookup must walk them first: the warm entry is already
         # wrong, so the query may not be answered from it without a message.
-        # Its own run then finishes the window around the traversal, so the
+        # ``engine.lineage`` would finish the window before it starts (the
+        # churn is not the query's traffic), so the traversal is started
+        # directly: its own run finishes the window around it, and the
         # subgraph changes again between the root's lookup and its store.
         dropped = engine.cache_totals()["stale_dropped"]
-        racing = lineage(CACHED)
+        racing = engine._traverse(Fact.make("minCost", target), "n0", "lineage", CACHED, None)
         assert racing.stats.messages > 0
         assert runtime.simulator.pending_events == 0
         assert engine.cache_totals()["stale_dropped"] > dropped

@@ -30,6 +30,7 @@ from repro.core.queries import CustomQuery
 from repro.core.query import DistributedQueryEngine
 from repro.engine import topology
 from repro.engine.runtime import NetTrailsRuntime
+from repro.engine.tuples import Fact
 from repro.protocols import mincost, prefix_routing
 
 GOLDEN = Path(__file__).parent / "data" / "traversal_golden.json"
@@ -91,8 +92,15 @@ class _Recorder:
         self.engine.register_query(_depth_query())
         self.records: list = []
 
-    def query(self, label: str, relation: str, values, mode: str, options: QueryOptions, at) -> None:
-        result = self.engine.query(relation, values, mode=mode, options=options, at=at)
+    def query(self, label: str, relation: str, values, mode: str, options: QueryOptions, at, race=False) -> None:
+        if race:
+            # ``engine.query`` would deliver the churn in flight first; a
+            # racing traversal is started over it, so its run delivers both.
+            fact = Fact.make(relation, values)
+            location = self.runtime.compiled.catalog.location_of(fact)
+            result = self.engine._traverse(fact, location, mode, options, at)
+        else:
+            result = self.engine.query(relation, values, mode=mode, options=options, at=at)
         trace_id = self.runtime.obs.tracer.finished_spans(name="query")[-1].trace_id
         shape = _span_shape(self.runtime.obs.tracer.span_tree(trace_id))
         versions = self.runtime.provenance.vid_versions()
@@ -140,7 +148,7 @@ def _race(recorder: _Recorder, name: str, relation: str, values, remote, links) 
         flap("link", rows, run=False)
         label = f"{name} race {mode} {traversal} cache={cache} {issuer} {flap.__name__}"
         at = remote if issuer == "remote" else None
-        recorder.query(label, relation, values, mode, options, at)
+        recorder.query(label, relation, values, mode, options, at, race=True)
     recorder.runtime.run_to_quiescence()
 
 

@@ -82,8 +82,7 @@ class TestFactHotPathCaches:
         assert repr(clone) == repr(fact)
 
     def test_slotted_message_dataclasses_pickle(self):
-        """slots=True removes __dict__ from the wire dataclasses; pickling
-        must still round-trip."""
+        """The wire records carry no __dict__; pickling must still round-trip."""
         import pickle
 
         from repro.engine.messages import TupleDelta, TupleDeltaBatch
@@ -97,21 +96,29 @@ class TestFactHotPathCaches:
         assert base.rloc is None
 
     def test_message_payload_reprs_match_dataclass_bytes(self):
-        """Message.size_estimate reprs every payload; the hand-written
-        __repr__ overrides must emit the exact dataclass format."""
-        import dataclasses
+        """Message.size_estimate reprs every payload, so the payload reprs are
+        wire bytes: these literals are the dataclass-format bytes the
+        records rendered before they became named tuples."""
+        from repro.engine.messages import Message, TupleDelta, TupleDeltaBatch
 
-        from repro.engine.messages import TupleDelta, TupleDeltaBatch
-
-        delta = TupleDelta(+1, Fact.make("link", ["a", "b", 1]), "rid0", "n0")
-        assert repr(delta) == (
-            "TupleDelta(sign=1, fact=Fact(relation='link', "
-            "values=('a', 'b', 1)), derivation_id='rid0', rloc='n0')"
+        fact = Fact.make("link", ["a", "b", 1])
+        derived = TupleDelta(+1, fact, "rid0", "n0")
+        base = TupleDelta(-1, fact, "__base__")
+        derived_bytes = (
+            "TupleDelta(sign=1, fact=Fact(relation='link', values=('a', 'b', 1)), "
+            "derivation_id='rid0', rloc='n0')"
         )
+        base_bytes = (
+            "TupleDelta(sign=-1, fact=Fact(relation='link', values=('a', 'b', 1)), "
+            "derivation_id='__base__', rloc=None)"
+        )
+        assert repr(derived) == derived_bytes
+        assert repr(base) == base_bytes
+        batch = TupleDeltaBatch((derived, base))
+        assert repr(batch) == f"TupleDeltaBatch(deltas=({derived_bytes}, {base_bytes}))"
+        assert repr(TupleDeltaBatch((derived,))) == f"TupleDeltaBatch(deltas=({derived_bytes},))"
+        assert Message("n0", "n1", "tuple", batch).size_estimate() == 259
         # the delta is the prov row: exactly these four fields, in this order
-        assert [field.name for field in dataclasses.fields(TupleDelta)] == [
-            "sign", "fact", "derivation_id", "rloc"
-        ]
-        base = TupleDelta(-1, Fact.make("link", ["a", "b", 1]), "__base__")
-        assert repr(base).endswith("derivation_id='__base__', rloc=None)")
-        assert repr(TupleDeltaBatch((delta,))) == f"TupleDeltaBatch(deltas=({delta!r},))"
+        assert TupleDelta._fields == ("sign", "fact", "derivation_id", "rloc")
+        assert TupleDeltaBatch._fields == ("deltas",)
+        assert Message._fields == ("sender", "receiver", "category", "payload")
