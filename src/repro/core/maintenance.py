@@ -125,16 +125,22 @@ class NodeProvenanceStore:
     through the engine's index of present facts
     (:attr:`ProvenanceEngine.facts`); the ``ruleExec`` rows are read from
     :attr:`firings`, the node evaluator's record of its live firings.  A
-    store with no node reads an empty tuple store and an empty record.
+    store built with no node's records reads an empty tuple store and an
+    empty record of its own.
     """
 
-    def __init__(self, node_id: object, engine: Optional["ProvenanceEngine"] = None):
+    def __init__(
+        self,
+        node_id: object,
+        engine: Optional["ProvenanceEngine"] = None,
+        firings: Optional[Firings] = None,
+        tuples: Optional[TupleStore] = None,
+    ):
         self.node_id = node_id
-        #: the live firings at this node, the ``ruleExec`` partition: empty
-        #: until :meth:`ProvenanceEngine.attach` hands over the node's record
-        self.firings = Firings("")
+        #: the live firings at this node, the ``ruleExec`` partition
+        self.firings = Firings("") if firings is None else firings
         #: the node's tuple store, whose derivations are the ``prov`` rows
-        self.tuples = TupleStore()
+        self.tuples = TupleStore() if tuples is None else tuples
         self._facts: Dict[str, Fact] = {} if engine is None else engine.facts
         #: the node a head fact is stored at: the engine's, shared by every store
         self._location_of = Catalog().location_of if engine is None else engine._location_of
@@ -307,12 +313,11 @@ class ProvenanceEngine:
         """Make a node's *tuples* store and its evaluator's *firings* record
         the node's ``prov`` and ``ruleExec`` partition.
 
-        The node attaches them when it is built, empty; the vid index
-        (:attr:`facts`) then follows every batch (:meth:`apply_rule_exec_batch`).
+        The node attaches them when it is built, empty, and the partition
+        is built around them; the vid index (:attr:`facts`) then follows
+        every batch (:meth:`apply_rule_exec_batch`).
         """
-        store = self.store(node_id)
-        store.firings = firings
-        store.tuples = tuples
+        self._stores[node_id] = NodeProvenanceStore(node_id, self, firings, tuples)
 
     def node_ids(self) -> List[object]:
         return sorted(self._stores, key=repr)

@@ -136,7 +136,7 @@ class SubgraphReducer(QueryReducer):
 
     def base_value(self, tuple_ref: TupleRef) -> ProvenanceGraph:
         graph = ProvenanceGraph()
-        graph.add_tuple(self._vertex(tuple_ref, is_base=True))
+        graph.add_tuple(self._vertex(tuple_ref, self._vid(tuple_ref), is_base=True))
         return graph
 
     def exec_value(self, exec_ref: ExecRef, child_values: Sequence[object]) -> ProvenanceGraph:
@@ -146,22 +146,32 @@ class SubgraphReducer(QueryReducer):
         return graph
 
     def tuple_value(self, tuple_ref: TupleRef, derivation_values: Sequence[object]) -> ProvenanceGraph:
+        # The derivations first: a base derivation's fragment already holds
+        # the tuple's vertex, flagged base, which is what adding a derived
+        # flavour would keep, so the tuple adds its own vertex only if no
+        # derivation brought one.
         graph = ProvenanceGraph()
-        graph.add_tuple(self._vertex(tuple_ref, is_base=not derivation_values))
         for value in derivation_values:
             graph.merge(value)
+        vid = self._vid(tuple_ref)
+        if not graph.has_tuple(vid):
+            graph.add_tuple(self._vertex(tuple_ref, vid, is_base=not derivation_values))
         return graph
 
     def size(self, value: object) -> int:
         return value.tuple_count  # type: ignore[union-attr]
 
     @staticmethod
-    def _vertex(tuple_ref: TupleRef, is_base: bool) -> TupleVertex:
+    def _vid(tuple_ref: TupleRef) -> str:
         vid = getattr(tuple_ref, "_vid", None)  # the engine's memo for known tuples
         if vid is None:
             from repro.core.keys import vid_for_values
 
             vid = vid_for_values(tuple_ref.relation, list(tuple_ref.values))
+        return vid
+
+    @staticmethod
+    def _vertex(tuple_ref: TupleRef, vid: str, is_base: bool) -> TupleVertex:
         return TupleVertex(
             vid=vid,
             relation=tuple_ref.relation,

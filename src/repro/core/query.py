@@ -12,7 +12,9 @@ measures the "network traffic" the paper's optimisations of
 :mod:`repro.core.optimizations` (caching, traversal order, threshold
 pruning) reduce.  Cache entries are validated against per-VID reachability
 versions, so deltas that cannot affect a queried subtree leave its cached
-sub-results usable.
+sub-results usable.  A cached query consults the issuing node's cache
+first, once, before a query id or a frame exists: a hit there is the
+answer, with no message and no simulator run.
 
 Within one query a node expands each vertex once (*query-scoped sharing*):
 a second request for a tuple vertex (keyed by vid) or a rule execution
@@ -148,8 +150,8 @@ class QueryReply(NamedTuple):
     """The combined sub-result for one traversal step.
 
     It carries no version: a node that caches the answer to a remote root
-    read the version itself when it sent the request (see
-    :meth:`QueryAgent.start_remote_root`).
+    read the version itself, for its cache lookup, before it sent the
+    request (see :meth:`DistributedQueryEngine._answer`).
     """
 
     query_id: str
@@ -330,33 +332,50 @@ class QueryAgent:
 
     # -- root entry points --------------------------------------------------------
 
-    def start_root(self, query_id: str, vid: str, mode: str, options: QueryOptions) -> None:
-        """Start a query for a tuple stored at this node (no network hop needed)."""
-        frame = _Frame(None, query_id, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
-        self._tuple_frame(frame, None)
+    def start_root(
+        self, query_id: str, vid: str, mode: str, options: QueryOptions, version: Optional[int]
+    ) -> None:
+        """Start a query for a tuple stored at this node (no network hop needed).
 
-    def start_remote_root(self, query_id: str, vid: str, home_node: object, mode: str, options: QueryOptions) -> None:
+        The engine has already looked the tuple up in this node's cache
+        under *version* (``None`` without the cache) and missed, so the root
+        frame expands it and files its result under that version.
+        """
+        frame = _Frame(None, query_id, None, vid, 0, query_id, mode, self.engine.reducer(mode), options)
+        frame.version = version
+        self._expand_tuple(frame, None)
+
+    def start_remote_root(
+        self, query_id: str, vid: str, home_node: object, mode: str, options: QueryOptions, version: Optional[int]
+    ) -> None:
         """Issue a query from this node for a tuple stored at *home_node*.
 
-        Replies to earlier issuances are cached locally, tagged with the
-        version read here before the request left: if the subtree changes
-        while the request and its reply are in flight, that version is
-        already superseded and the entry is stillborn.  So a repeat query
-        for an unchanged subtree is answered without any network hop.
+        The engine has already looked the tuple up in this node's cache and
+        missed.  The reply is cached here under *version*, the one read for
+        that lookup before the request left: if the subtree changes while
+        the request and its reply are in flight, that version is already
+        superseded and the entry is stillborn.  So a repeat query for an
+        unchanged subtree is answered without any network hop.
         """
-        version: Optional[int] = None
-        if options.use_cache:
-            version = self.engine.provenance.vid_version(vid)
-            cached = self.cache.lookup(vid, mode, options, version)
-            if cached is not None:
-                self.engine._complete(query_id, (cached, False, self._here, 1))
-                return
         request_id = self._request_ids.take()
         self._remote_roots[request_id] = (vid, mode, options, version)
         request = QueryRequest(
             query_id, request_id, _REQUEST_KIND_TUPLE, vid, mode, options, 0, self._node_id, self._request_trace(None)
         )
         self.node.send(home_node, CATEGORY_PROVENANCE_QUERY, request)
+
+    def root_hit_span(self, vid: str) -> None:
+        """Record the ``frame.tuple`` span of a home root answered from this
+        node's cache, as its frame would have (no-op while observability is off)."""
+        obs = self.obs
+        if obs is None:
+            return
+        parent = obs.tracer.current()
+        if parent is None:
+            return
+        obs.tracer.start_span(
+            "frame.tuple", parent=parent, node=self.node._id_repr, target=vid, depth=0
+        ).finish(truncated=False, cache_hits=1, subtasks=0)
 
     # -- message handlers ------------------------------------------------------------
 
@@ -458,19 +477,26 @@ class QueryAgent:
             self._exec_frame(frame, parent_span)
 
     def _tuple_frame(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
-        vid = frame.target
+        """Answer a tuple frame below the issuer's root from this node's cache, or expand it."""
         options = frame.options
-        frame.ref = self._tuple_ref(vid)
         if options.use_cache:
+            vid = frame.target
             frame.version = self.engine.provenance.vid_version(vid)
-        self._frame_span(frame, parent_span)
-        if options.use_cache:
             cached = self.cache.lookup(vid, frame.mode, options, frame.version)
             if cached is not None:
+                self._frame_span(frame, parent_span)
                 frame.visited = self._here
                 frame.cache_hits = 1
                 self._finish(frame, cached, cached=True)
                 return
+        self._expand_tuple(frame, parent_span)
+
+    def _expand_tuple(self, frame: _Frame, parent_span: Union[None, Span, TraceContext]) -> None:
+        """Run a tuple frame over its ``prov`` rows (its version, if any, already read)."""
+        vid = frame.target
+        options = frame.options
+        frame.ref = self._tuple_ref(vid)
+        self._frame_span(frame, parent_span)
         if options.max_depth is not None and frame.depth > options.max_depth:
             frame.truncated = True  # no subtasks: treated as a leaf
         else:
@@ -718,7 +744,7 @@ class DistributedQueryEngine:
         instead of opening their own window trace.
         """
         if self.obs is None:
-            return None, None, time.perf_counter()
+            return None, None, 0.0
         tracer = self.obs.tracer
         span = tracer.start_span("query", trace_id=tracer.mint("query"), mode=mode)
         previous = self.obs.tracer.set_current(span.context())
@@ -778,52 +804,36 @@ class DistributedQueryEngine:
     def _traverse(
         self, fact: Fact, location: object, mode: str, options: QueryOptions, at: Optional[object]
     ) -> QueryResult:
-        """Start the traversal of *fact* (stored at *location*) from *at*, or
-        from *location* when ``None``, and run the simulator to quiescence.
+        """Answer the query for *fact* (stored at *location*) issued at *at*,
+        or at *location* when ``None``, with the simulator quiescent after.
 
-        Whatever else is in flight is delivered by the same run and billed
-        to the query; :meth:`query` delivers it first.
+        Whatever else is in flight is delivered by the query's run and
+        billed to the query; :meth:`query` delivers it first.
         """
+        runtime = self.runtime
+        simulator = runtime.simulator
+        traffic = runtime.network.stats
+        messages_before, bytes_before = traffic.messages, traffic.bytes
+        time_before, rounds_before = simulator.now, simulator.rounds
         vid = vid_for(fact)
-        stats_before = self.runtime.network.stats.snapshot()
-        time_before = self.runtime.simulator.now
-        rounds_before = self.runtime.simulator.rounds
 
         # A node has one set of query handlers, the last registered engine's;
         # an engine whose handlers another engine took takes them back.
-        if self.runtime.query_engine is not self:
+        if runtime.query_engine is not self:
             self._take_handlers()
         span, previous, wall_start = self._begin_query_span(mode)
-        query_id = self._running = self._query_ids.take()
         try:
-            if at is None:
-                self._agents[location].start_root(query_id, vid, mode, options)
-            else:
-                self._agents[at].start_remote_root(query_id, vid, location, mode, options)
-            self.runtime.run_to_quiescence()
-        except BaseException:
-            if self._completions.pop(query_id, None) is None:
-                self._abandoned.add(query_id)
-            else:  # it completed before the failure: nothing carries the id any more
-                self._query_ids.release(query_id)
-            raise
+            value, truncated, visited, cache_hits = self._answer(vid, location, mode, options, at)
         finally:
-            self._running = None
-            self._memo = {}
             if span is not None:
                 self.obs.tracer.set_current(previous)
-        completion = self._completions.pop(query_id, None)
-        if completion is None:
-            raise QueryError(f"query {query_id} did not complete")
-        value, truncated, visited, cache_hits = completion
-        self._query_ids.release(query_id)
 
-        stats_after = self.runtime.network.stats.snapshot()
+        traffic = runtime.network.stats
         stats = QueryStats(
-            messages=int(stats_after["messages"]) - int(stats_before["messages"]),
-            bytes=int(stats_after["bytes"]) - int(stats_before["bytes"]),
-            latency=self.runtime.simulator.now - time_before,
-            rounds=self.runtime.simulator.rounds - rounds_before,
+            messages=traffic.messages - messages_before,
+            bytes=traffic.bytes - bytes_before,
+            latency=simulator.now - time_before,
+            rounds=simulator.rounds - rounds_before,
             nodes_visited=len(visited),
             cache_hits=cache_hits,
         )
@@ -836,6 +846,58 @@ class DistributedQueryEngine:
             truncated=truncated,
             stats=stats,
         )
+
+    def _answer(
+        self, vid: str, location: object, mode: str, options: QueryOptions, at: Optional[object]
+    ) -> Tuple[object, bool, FrozenSet[object], int]:
+        """The completion of one query: the issuing node's cache entry, or its traversal's.
+
+        The issuer's cache is consulted here, once, before a query id or a
+        frame exists.  A hit is the answer; a miss starts the traversal with
+        the version the lookup read, so the root frame never looks up again.
+        """
+        issuer = self._agents[location if at is None else at]
+        version: Optional[int] = None
+        if options.use_cache:
+            version = self.provenance.vid_version(vid)
+            cached = issuer.cache.lookup(vid, mode, options, version)
+            if cached is not None:
+                if at is None:
+                    issuer.root_hit_span(vid)
+                self._settle()
+                return (cached, False, issuer._here, 1)
+        query_id = self._running = self._query_ids.take()
+        try:
+            if at is None:
+                issuer.start_root(query_id, vid, mode, options, version)
+            else:
+                issuer.start_remote_root(query_id, vid, location, mode, options, version)
+            self._settle()
+        except BaseException:
+            if self._completions.pop(query_id, None) is None:
+                self._abandoned.add(query_id)
+            else:  # it completed before the failure: nothing carries the id any more
+                self._query_ids.release(query_id)
+            raise
+        finally:
+            self._running = None
+            self._memo = {}
+        completion = self._completions.pop(query_id, None)
+        if completion is None:
+            raise QueryError(f"query {query_id} did not complete")
+        self._query_ids.release(query_id)
+        return completion
+
+    def _settle(self) -> None:
+        """Run the simulator to quiescence, unless no event is queued and no
+        durable op waits for its window to commit: then only the window's
+        reachability walk is due, which is a truthiness check unless a
+        partial run left roots pending."""
+        runtime = self.runtime
+        if runtime.simulator.pending_events or runtime._pending_ops:
+            runtime.run_to_quiescence()
+        else:
+            self.provenance.flush_reachability()
 
     # -- convenience wrappers -------------------------------------------------------------------
 

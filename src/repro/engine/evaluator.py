@@ -241,7 +241,8 @@ class LocalEvaluator:
         # (sort key, rule name, group key) so each group is recomputed
         # exactly once per batch, in precomputed-key order.
         self._dirty_agg_groups: Optional[Set[Tuple[str, str, Tuple]]] = None
-        # (rule name, group key) -> cached repr sort key for phase-3 ordering.
+        # (rule name, group key) -> cached repr sort key for phase-3 ordering,
+        # for the groups with entries (an emptied group's key is dropped).
         self._group_sort_keys: Dict[Tuple[str, Tuple], str] = {}
 
     # -- public statistics -------------------------------------------------------
@@ -496,6 +497,9 @@ class LocalEvaluator:
             if current is not None:
                 del self._agg_heads[head_key]
                 effects.append(self._retract_agg_head(rule, group_key, current))
+            # The group has no entries and no head left: its sort key goes
+            # too, and is rebuilt, equal, if the group comes back.
+            self._group_sort_keys.pop(head_key, None)
             return effects
 
         new_value = _aggregate_value(aggregate.func, list(entries.values()))

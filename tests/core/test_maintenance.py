@@ -95,6 +95,35 @@ class TestTableMaintenance:
         assert sum(entry["ruleExec"] for entry in per_node.values()) == totals["ruleExec"]
 
 
+class TestPartitionsAreTheNodesRecords:
+    def test_a_runtime_builds_one_firings_and_one_tuple_store_per_node(self, monkeypatch):
+        """Each node's partition is built around the node's own records: no
+        placeholder record or store is built and dropped."""
+        from repro.engine import evaluator, store
+
+        built = {"Firings": 0, "TupleStore": 0}
+        for cls in (evaluator.Firings, store.TupleStore):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        runtime = NetTrailsRuntime(mincost.program(), topology.ring(5))
+        assert built == {"Firings": 5, "TupleStore": 5}
+        for node_id, node in runtime.nodes.items():
+            partition = runtime.provenance.store(node_id)
+            assert partition.firings is node.evaluator.firings
+            assert partition.tuples is node.store
+        assert built == {"Firings": 5, "TupleStore": 5}
+
+    def test_a_store_with_no_node_reads_empty_and_shares_nothing(self):
+        engine = ProvenanceEngine()
+        first, second = engine.store("x"), engine.store("y")
+        assert first.prov_table() == [] and first.rule_exec_table() == []
+        assert first.firings is not second.firings
+        assert first.tuples is not second.tuples
+
+
 class TestGraphAssembly:
     def test_build_graph_covers_all_stored_tuples(self, ring_runtime):
         graph = ring_runtime.provenance.build_graph()

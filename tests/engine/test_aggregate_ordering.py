@@ -36,3 +36,45 @@ class TestOrdering:
             newly_present, disappeared, _ = store.apply_delta_batch([(+1, Fact.make("path", ["n0", cost]), "t")])
             effects = evaluator.on_batch(newly_present, disappeared)
         assert [(effect.sign, effect.head_fact.values) for effect in effects] == [(+1, ("n0", 3)), (-1, ("n0", 5))]
+
+
+class TestGroupSortKeys:
+    def test_the_memo_holds_only_live_groups(self):
+        """An emptied group's sort key is dropped with its head; one that
+        comes back gets an equal key."""
+        compiled = compile_program(parse_program("r1 best(@S, D, min<C>) :- path(@S, D, C).", name="keys"))
+        store = TupleStore()
+        evaluator = LocalEvaluator(compiled, store, "n0")
+
+        def apply(sign, *rows):
+            deltas = [(sign, Fact.make("path", ["n0", *row]), "t") for row in rows]
+            newly_present, disappeared, _ = store.apply_delta_batch(deltas)
+            return evaluator.on_batch(newly_present, disappeared)
+
+        def live_groups():
+            return {(rule, group) for rule, groups in evaluator._agg_entries.items() for group in groups}
+
+        apply(+1, ("a", 1), ("a", 2), ("b", 3), ("c", 4))
+        assert set(evaluator._group_sort_keys) == live_groups() == set(evaluator._agg_heads)
+        assert len(live_groups()) == 3
+        effects = apply(-1, ("a", 1), ("a", 2), ("b", 3))  # empties a and b
+        assert [(effect.sign, effect.head_fact.values) for effect in effects] == [
+            (-1, ("n0", "a", 1)), (-1, ("n0", "b", 3)),
+        ]
+        assert set(evaluator._group_sort_keys) == live_groups() == {("r1", ("n0", "c"))}
+        apply(+1, ("a", 5))
+        assert evaluator._group_sort_keys[("r1", ("n0", "a"))] == repr(("r1", ("n0", "a")))
+        assert set(evaluator._group_sort_keys) == live_groups() == set(evaluator._agg_heads)
+
+    def test_churn_leaves_no_key_of_an_emptied_group(self):
+        net = topology.ring(5)
+        runtime = NetTrailsRuntime(mincost.program(), net)
+        runtime.seed_links(run=True)
+        runtime.remove_link("n0", "n1")
+        runtime.run_to_quiescence()
+        runtime.remove_link("n2", "n3")  # the ring splits: groups to the far side empty
+        runtime.run_to_quiescence()
+        for node in runtime.nodes.values():
+            evaluator = node.evaluator
+            live = {(rule, group) for rule, groups in evaluator._agg_entries.items() for group in groups}
+            assert set(evaluator._group_sort_keys) == live

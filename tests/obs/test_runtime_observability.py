@@ -317,6 +317,46 @@ class TestInvisibility:
             observed[name] = (sorted(str(ref) for ref in result.value), result.stats.as_dict())
         return observed
 
+    @pytest.mark.parametrize("at", [None, "n3"], ids=["home", "remote"])
+    def test_cached_roots_are_bit_identical(self, at):
+        """A cached root's miss, hit and stale answers — value, every stat
+        and the cache counters — are the same with observability on; a hit's
+        ``query`` span carries messages 0 and rounds 0, and a home hit keeps
+        its root's ``frame.tuple`` span (a remote hit never had one)."""
+        cached = QueryOptions(use_cache=True)
+        observed = {}
+        for enabled in (False, True):
+            with build_runtime(observability=enabled) as runtime:
+                runtime.seed_links(run=True)
+                engine = DistributedQueryEngine(runtime)
+                answers, hit_trees = [], []
+                for mode in ("lineage", "participants", "count", "subgraph"):
+                    for phase in ("miss", "hit", "stale"):
+                        if phase == "stale":
+                            runtime.remove_link("n0", "n1")
+                            runtime.run_to_quiescence()
+                            runtime.add_link("n0", "n1", 1.0)
+                            runtime.run_to_quiescence()
+                        result = engine.query("minCost", ["n0", "n2", 2.0], mode=mode, options=cached, at=at)
+                        value = result.value
+                        if mode == "subgraph":
+                            value = [(v.vid, v.is_base) for v in value.tuple_vertices()]
+                        elif mode != "count":
+                            value = sorted(map(repr, value))
+                        answers.append((value, result.stats.as_dict(), engine.cache_totals()))
+                        if enabled and phase == "hit":
+                            root = runtime.obs.tracer.finished_spans(name="query")[-1]
+                            hit_trees.append((runtime.obs.tracer.span_tree(root.trace_id), result.root_vid))
+                observed[enabled] = answers
+        assert observed[False] == observed[True]
+        assert [answer[1]["cache_hits"] for answer in observed[True][1::3]] == [1, 1, 1, 1]
+        for tree, vid in hit_trees:
+            assert (tree["name"], tree["attrs"]["messages"], tree["attrs"]["rounds"]) == ("query", 0, 0)
+            frames = [(child["name"], child["node"], child["attrs"]) for child in tree["children"]]
+            frame_attrs = {"target": vid, "depth": 0, "truncated": False, "cache_hits": 1, "subtasks": 0}
+            home_frame = ("frame.tuple", "'n0'", frame_attrs)
+            assert frames == ([home_frame] if at is None else [])
+
     @pytest.mark.parametrize("seed,name", CHURN_SCRIPTS)
     def test_every_churn_step_is_bit_identical(self, seed, name):
         net = TOPOLOGIES[name]()
